@@ -15,8 +15,8 @@ package dot
 
 import (
 	"context"
-	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/core"
@@ -71,7 +71,7 @@ func RenderWith(d *core.Diagram, opts Options) string {
 }
 
 // render is the single rendering implementation behind RenderWith and
-// RenderContext.
+// RenderContext. It writes straight into b, with no per-row formatting.
 func render(ctx context.Context, b *strings.Builder, d *core.Diagram, opts Options) error {
 	step := 0
 	check := func() error {
@@ -85,8 +85,8 @@ func render(ctx context.Context, b *strings.Builder, d *core.Diagram, opts Optio
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	fmt.Fprintf(b, "digraph %s {\n", quoteID(opts.Name))
-	fmt.Fprintf(b, "  rankdir=%s;\n", opts.RankDir)
+	b.Grow(sizeHint(d))
+	put(b, "digraph ", quoteID(opts.Name), " {\n  rankdir=", opts.RankDir, ";\n")
 	b.WriteString("  node [shape=plaintext fontname=\"Helvetica\"];\n")
 	b.WriteString("  edge [fontname=\"Helvetica\" arrowsize=0.7];\n")
 
@@ -111,15 +111,18 @@ func render(ctx context.Context, b *strings.Builder, d *core.Diagram, opts Optio
 		if err := check(); err != nil {
 			return err
 		}
-		fmt.Fprintf(b, "  subgraph cluster_%d {\n", i)
+		put(b, "  subgraph cluster_", strconv.Itoa(i), " {\n")
 		switch bx.Quant {
 		case trc.ForAll:
 			b.WriteString("    style=\"rounded\"; peripheries=2; label=\"\";\n")
 		default: // ∄
 			b.WriteString("    style=\"rounded,dashed\"; label=\"\";\n")
 		}
-		ids := append([]int(nil), bx.Tables...)
-		sort.Ints(ids)
+		ids := bx.Tables
+		if !sort.IntsAreSorted(ids) {
+			ids = append([]int(nil), ids...)
+			sort.Ints(ids)
+		}
 		for _, id := range ids {
 			writeTable(b, d.Table(id), "    ", opts)
 		}
@@ -130,41 +133,77 @@ func render(ctx context.Context, b *strings.Builder, d *core.Diagram, opts Optio
 		if err := check(); err != nil {
 			return err
 		}
-		from := fmt.Sprintf("t%d:r%d", e.From.Table, e.From.Row)
-		to := fmt.Sprintf("t%d:r%d", e.To.Table, e.To.Row)
-		var attrs []string
+		put(b, "  t", strconv.Itoa(e.From.Table), ":r", strconv.Itoa(e.From.Row),
+			" -> t", strconv.Itoa(e.To.Table), ":r", strconv.Itoa(e.To.Row))
+		// Attributes are space-separated inside one bracket list, which
+		// is omitted when empty.
+		sep := " ["
+		attr := func(s ...string) {
+			b.WriteString(sep)
+			put(b, s...)
+			sep = " "
+		}
 		if !e.Directed {
-			attrs = append(attrs, "dir=none")
+			attr("dir=none")
 		}
 		if l := e.Label(); l != "" {
-			attrs = append(attrs, fmt.Sprintf("label=%s", quoteID(l)))
+			attr("label=", quoteID(l))
 		}
 		if e.Kind == core.EdgeSelect {
-			attrs = append(attrs, "style=solid")
+			attr("style=solid")
 		}
-		if len(attrs) > 0 {
-			fmt.Fprintf(b, "  %s -> %s [%s];\n", from, to, strings.Join(attrs, " "))
-		} else {
-			fmt.Fprintf(b, "  %s -> %s;\n", from, to)
+		if sep == " " {
+			b.WriteString("]")
 		}
+		b.WriteString(";\n")
 	}
 	b.WriteString("}\n")
 	return nil
 }
 
+// put writes each string to b in order.
+func put(b *strings.Builder, ss ...string) {
+	for _, s := range ss {
+		b.WriteString(s)
+	}
+}
+
+// sizeHint estimates the DOT program's length so render grows its
+// buffer once: a fixed preamble, each cluster header, each edge
+// statement, and each table's HTML-label scaffolding plus one cell per
+// row. The weights come from the lengths of seeded generated diagrams.
+func sizeHint(d *core.Diagram) int {
+	n := 130 + 76*len(d.Boxes) + 38*len(d.Edges)
+	for _, t := range d.Tables {
+		n += 190 + len(t.Name) + 50*len(t.Rows)
+	}
+	return n
+}
+
+// textSizeHint is sizeHint for Text.
+func textSizeHint(d *core.Diagram) int {
+	n := 8 + 12*len(d.Boxes) + 34*len(d.Edges)
+	for _, t := range d.Tables {
+		n += 10 + len(t.Name) + 17*len(t.Rows)
+	}
+	return n
+}
+
 func writeTable(b *strings.Builder, t *core.TableNode, pad string, opts Options) {
-	fmt.Fprintf(b, "%st%d [label=<\n", pad, t.ID)
-	fmt.Fprintf(b, "%s  <TABLE BORDER=\"0\" CELLBORDER=\"1\" CELLSPACING=\"0\" CELLPADDING=\"4\">\n", pad)
+	put(b, pad, "t", strconv.Itoa(t.ID), " [label=<\n",
+		pad, "  <TABLE BORDER=\"0\" CELLBORDER=\"1\" CELLSPACING=\"0\" CELLPADDING=\"4\">\n")
 	headerBG, headerFG := "black", "white"
 	if t.IsSelect() {
 		headerBG, headerFG = "gray80", "black"
 	}
-	name := htmlEscape(t.Name)
+	put(b, pad, "  <TR><TD BGCOLOR=\"", headerBG, "\"><FONT COLOR=\"", headerFG, "\"><B>")
+	htmlEscaper.WriteString(b, t.Name)
 	if opts.ShowVars && t.Var != "" && !t.IsSelect() {
-		name += fmt.Sprintf(" <FONT COLOR=\"red\">%s</FONT>", htmlEscape(t.Var))
+		b.WriteString(" <FONT COLOR=\"red\">")
+		htmlEscaper.WriteString(b, t.Var)
+		b.WriteString("</FONT>")
 	}
-	fmt.Fprintf(b, "%s  <TR><TD BGCOLOR=\"%s\"><FONT COLOR=\"%s\"><B>%s</B></FONT></TD></TR>\n",
-		pad, headerBG, headerFG, name)
+	b.WriteString("</B></FONT></TD></TR>\n")
 	for i, r := range t.Rows {
 		bg := ""
 		switch r.Kind {
@@ -173,18 +212,19 @@ func writeTable(b *strings.Builder, t *core.TableNode, pad string, opts Options)
 		case core.RowGroupBy:
 			bg = " BGCOLOR=\"gray90\""
 		}
-		fmt.Fprintf(b, "%s  <TR><TD PORT=\"r%d\"%s>%s</TD></TR>\n",
-			pad, i, bg, htmlEscape(r.Label()))
+		put(b, pad, "  <TR><TD PORT=\"r", strconv.Itoa(i), "\"", bg, ">")
+		htmlEscaper.WriteString(b, r.Label())
+		b.WriteString("</TD></TR>\n")
 	}
-	fmt.Fprintf(b, "%s  </TABLE>>];\n", pad)
+	put(b, pad, "  </TABLE>>];\n")
 }
 
-func htmlEscape(s string) string {
-	r := strings.NewReplacer(
-		"&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;",
-	)
-	return r.Replace(s)
-}
+// htmlEscaper escapes label text into the output buffer. It is shared by
+// every render: a strings.Replacer is immutable and safe for concurrent
+// use, and building one is far costlier than applying it.
+var htmlEscaper = strings.NewReplacer(
+	"&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;",
+)
 
 // quoteID quotes a DOT identifier when needed.
 func quoteID(s string) string {
@@ -211,13 +251,14 @@ func quoteID(s string) string {
 // list in arrow notation.
 func Text(d *core.Diagram) string {
 	var b strings.Builder
+	b.Grow(textSizeHint(d))
 	boxed := map[int]bool{}
 	writeT := func(t *core.TableNode, pad string) {
-		header := t.Name
+		put(&b, pad, t.Name)
 		if t.Var != "" && !t.IsSelect() {
-			header += " (" + t.Var + ")"
+			put(&b, " (", t.Var, ")")
 		}
-		fmt.Fprintf(&b, "%s%s\n", pad, header)
+		b.WriteString("\n")
 		for _, r := range t.Rows {
 			marker := ""
 			switch r.Kind {
@@ -226,7 +267,7 @@ func Text(d *core.Diagram) string {
 			case core.RowGroupBy:
 				marker = " [group]"
 			}
-			fmt.Fprintf(&b, "%s  %s%s\n", pad, r.Label(), marker)
+			put(&b, pad, "  ", r.Label(), marker, "\n")
 		}
 	}
 	for _, bx := range d.Boxes {
@@ -240,7 +281,7 @@ func Text(d *core.Diagram) string {
 		}
 	}
 	for _, bx := range d.Boxes {
-		fmt.Fprintf(&b, "%s box:\n", bx.Quant)
+		put(&b, bx.Quant.String(), " box:\n")
 		for _, id := range bx.Tables {
 			writeT(d.Table(id), "  ")
 		}
@@ -256,17 +297,16 @@ func Text(d *core.Diagram) string {
 		if tt.Var != "" {
 			tn = tt.Var
 		}
-		arrow := "--"
+		arrow := " -- "
 		if e.Directed {
-			arrow = "->"
+			arrow = " -> "
 		}
-		label := ""
+		put(&b, "  ", fn, ".", ft.Rows[e.From.Row].Label(), arrow,
+			tn, ".", tt.Rows[e.To.Row].Label())
 		if l := e.Label(); l != "" {
-			label = " [" + l + "]"
+			put(&b, " [", l, "]")
 		}
-		fmt.Fprintf(&b, "  %s.%s %s %s.%s%s\n",
-			fn, ft.Rows[e.From.Row].Label(), arrow,
-			tn, tt.Rows[e.To.Row].Label(), label)
+		b.WriteString("\n")
 	}
 	return b.String()
 }

@@ -162,13 +162,14 @@ func TestFleetPartitionHeal(t *testing.T) {
 
 	// fleetView decodes what GET /v1/fleet serves over HTTP — the test
 	// asserts through the same surface an operator would read.
+	type ringMember struct {
+		URL      string `json:"url"`
+		Healthy  bool   `json:"healthy"`
+		Draining bool   `json:"draining"`
+	}
 	type fleetView struct {
 		Router struct {
-			Instances []struct {
-				URL      string `json:"url"`
-				Healthy  bool   `json:"healthy"`
-				Draining bool   `json:"draining"`
-			} `json:"instances"`
+			Instances []ringMember `json:"instances"`
 		} `json:"router"`
 		Supervisor *struct {
 			Reconciles   int64            `json:"reconciles"`
@@ -233,17 +234,31 @@ func TestFleetPartitionHeal(t *testing.T) {
 	}
 
 	// Phase 1: the supervisor spawns all three and the ring goes fully
-	// healthy.
+	// healthy. The router starts out optimistic — a seeded backend reads
+	// healthy before its first probe — so the ring alone can pass before
+	// any process exists. The wait also requires the supervisor to have
+	// reported every spawn and each member to answer its own healthz
+	// through its proxy.
+	direct := &http.Client{Timeout: time.Second, Transport: &http.Transport{DisableKeepAlives: true}}
+	serving := func(url string) bool {
+		resp, err := direct.Get(url + "/v1/healthz")
+		if err != nil {
+			return false
+		}
+		_, _ = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode == http.StatusOK
+	}
 	waitFor("all members spawned, joined, healthy", 20*time.Second, func(fv fleetView) bool {
-		healthyN := 0
+		if fv.Supervisor == nil || fv.Supervisor.ActionCounts["spawn"] < n {
+			return false
+		}
 		for _, m := range members {
-			if _, ok := onRing(fv, m.URL); ok {
-				if _, h := onRing(fv, m.URL); h {
-					healthyN++
-				}
+			if _, healthy := onRing(fv, m.URL); !healthy || !serving(m.URL) {
+				return false
 			}
 		}
-		return healthyN == n
+		return true
 	})
 
 	// Background load: every response through the router must stay
@@ -291,6 +306,39 @@ func TestFleetPartitionHeal(t *testing.T) {
 	}()
 
 	// Phase 2: SIGKILL one member's process and fully partition another.
+	// Both must leave the ring: the dead one because its process is gone,
+	// the partitioned one because every probe blackholes. The disruption
+	// budget allows one drain at a time, and a killed member respawns
+	// within about a second; if the partition won the drain slot, the
+	// killed member could be healthy again before its turn and never
+	// leave. So the partition starts once the killed member is off the
+	// ring, while its respawn is still under way.
+	//
+	// The killed member's absence is brief and a GET /v1/fleet takes a
+	// full member-scrape timeout while a member is partitioned, so these
+	// two waits read the router's ring in-process, where a poll costs
+	// microseconds, and check the disruption budget on every read.
+	waitOff := func(what, url string) {
+		t.Helper()
+		deadline := time.Now().Add(15 * time.Second)
+		for {
+			var fv fleetView
+			present := false
+			for _, in := range rt.State().Instances {
+				fv.Router.Instances = append(fv.Router.Instances,
+					ringMember{in.URL, in.Healthy, in.Draining})
+				present = present || in.URL == url
+			}
+			checkBudget(fv)
+			if !present {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s: %+v", what, fv)
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+	}
 	sup.mu.Lock()
 	killed := sup.procs[members[0].URL]
 	sup.mu.Unlock()
@@ -300,19 +348,10 @@ func TestFleetPartitionHeal(t *testing.T) {
 	if err := syscall.Kill(killed.cmd.pid, syscall.SIGKILL); err != nil {
 		t.Fatalf("SIGKILL member 0: %v", err)
 	}
-	proxies[1].Partition()
 	chaosStart := time.Now()
-
-	// Both must leave the ring: the dead one because its process is gone,
-	// the partitioned one because every probe blackholes.
-	waitFor("killed member off ring", 15*time.Second, func(fv fleetView) bool {
-		present, _ := onRing(fv, members[0].URL)
-		return !present
-	})
-	waitFor("partitioned member off ring", 15*time.Second, func(fv fleetView) bool {
-		present, _ := onRing(fv, members[1].URL)
-		return !present
-	})
+	waitOff("killed member off ring", members[0].URL)
+	proxies[1].Partition()
+	waitOff("partitioned member off ring", members[1].URL)
 
 	// Phase 3a: the killed member respawns (after backoff) and rejoins.
 	waitFor("killed member respawned and rejoined", 20*time.Second,

@@ -374,7 +374,13 @@ func solutionsN(ctx context.Context, d *core.Diagram, validate bool, budget int)
 	}
 	st := &search{ctx: ctx, budget: budget}
 	n := len(g.groups)
-	var out []*logictree.LT
+	// Each distinct solution is kept with its canonical key, which both
+	// deduplicates and orders the result.
+	type keyed struct {
+		key string
+		lt  *logictree.LT
+	}
+	var found []keyed
 	seen := map[string]bool{}
 	parent := make([]int, n)
 	parent[0] = -1
@@ -395,7 +401,7 @@ func solutionsN(ctx context.Context, d *core.Diagram, validate bool, budget int)
 			key := lt.Canonical()
 			if !seen[key] {
 				seen[key] = true
-				out = append(out, lt)
+				found = append(found, keyed{key, lt})
 			}
 			return nil
 		}
@@ -413,7 +419,11 @@ func solutionsN(ctx context.Context, d *core.Diagram, validate bool, budget int)
 	if err := rec(1); err != nil {
 		return nil, st.nodes, err
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Canonical() < out[j].Canonical() })
+	sort.Slice(found, func(i, j int) bool { return found[i].key < found[j].key })
+	var out []*logictree.LT
+	for _, f := range found {
+		out = append(out, f.lt)
+	}
 	return out, st.nodes, nil
 }
 

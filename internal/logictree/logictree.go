@@ -11,9 +11,10 @@
 package logictree
 
 import (
+	"bytes"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/sqlparse"
@@ -419,39 +420,92 @@ func joinSelect(items []trc.SelectItem) string {
 // sorted within each node, and sibling subtrees are sorted by their own
 // canonical strings. Two trees with the same logical structure — e.g. the
 // three Fig. 24 syntactic variants — have equal canonical strings.
+//
+// The whole string is assembled in one buffer: each node's tables,
+// predicates and children are appended after the node's own position,
+// sorted as byte spans, and written back in order.
 func (lt *LT) Canonical() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "select{%s}", joinSelect(lt.Select))
-	if len(lt.GroupBy) > 0 {
-		var gs []string
-		for _, g := range lt.GroupBy {
-			gs = append(gs, g.String())
+	b := make([]byte, 0, 256)
+	b = append(b, "select{"...)
+	for i, s := range lt.Select {
+		if i > 0 {
+			b = append(b, ", "...)
 		}
-		fmt.Fprintf(&b, "groupby{%s}", strings.Join(gs, ","))
+		b = append(b, s.String()...)
 	}
-	b.WriteString(canonicalNode(lt.Root))
-	return b.String()
+	b = append(b, '}')
+	if len(lt.GroupBy) > 0 {
+		b = append(b, "groupby{"...)
+		for i, g := range lt.GroupBy {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = g.Append(b)
+		}
+		b = append(b, '}')
+	}
+	return string(appendCanonicalNode(b, lt.Root))
 }
 
-func canonicalNode(n *Node) string {
-	tbls := make([]string, 0, len(n.Tables))
+// span is one rendered item, b[start:end], awaiting its sorted position.
+type span struct{ start, end int }
+
+// appendCanonicalNode appends n's canonical form to b:
+//
+//	Quant{T:<sorted tables>,... P:<sorted preds>,... C:<sorted children>}
+//
+// The items are first rendered past the node's position, then emitted in
+// sorted order behind them and moved down over the working area.
+func appendCanonicalNode(b []byte, n *Node) []byte {
+	base := len(b)
+	var store [16]span
+	items := store[:0]
 	for _, t := range n.Tables {
-		tbls = append(tbls, t.Relation+" "+t.Var)
+		s := len(b)
+		b = append(b, t.Relation...)
+		b = append(b, ' ')
+		b = append(b, t.Var...)
+		items = append(items, span{s, len(b)})
 	}
-	sort.Strings(tbls)
-	preds := make([]string, 0, len(n.Preds))
+	nt := len(items)
 	for _, p := range n.Preds {
-		preds = append(preds, CanonicalPred(p).String())
+		s := len(b)
+		b = CanonicalPred(p).Append(b)
+		items = append(items, span{s, len(b)})
 	}
-	sort.Strings(preds)
-	kids := make([]string, 0, len(n.Children))
+	np := len(items)
 	for _, c := range n.Children {
-		kids = append(kids, canonicalNode(c))
+		s := len(b)
+		b = appendCanonicalNode(b, c)
+		items = append(items, span{s, len(b)})
 	}
-	sort.Strings(kids)
-	return fmt.Sprintf("%s{T:%s P:%s C:%s}",
-		n.Quant, strings.Join(tbls, ","), strings.Join(preds, ","),
-		strings.Join(kids, ""))
+	byText := func(x, y span) int { return bytes.Compare(b[x.start:x.end], b[y.start:y.end]) }
+	tables, preds, kids := items[:nt], items[nt:np], items[np:]
+	slices.SortFunc(tables, byText)
+	slices.SortFunc(preds, byText)
+	slices.SortFunc(kids, byText)
+
+	out := len(b)
+	b = append(b, n.Quant.String()...)
+	b = append(b, "{T:"...)
+	b = appendSpans(b, tables, ",")
+	b = append(b, " P:"...)
+	b = appendSpans(b, preds, ",")
+	b = append(b, " C:"...)
+	b = appendSpans(b, kids, "")
+	b = append(b, '}')
+	return append(b[:base], b[out:]...)
+}
+
+// appendSpans appends the spans' bytes of b, in order, separated by sep.
+func appendSpans(b []byte, spans []span, sep string) []byte {
+	for i, sp := range spans {
+		if i > 0 {
+			b = append(b, sep...)
+		}
+		b = append(b, b[sp.start:sp.end]...)
+	}
+	return b
 }
 
 // CanonicalPred orients a predicate deterministically: constants go

@@ -17,8 +17,11 @@
 // over here" failure.
 //
 // Determinism: probabilistic faults (per-connection reset draws, flap
-// jitter) come from one seeded source, so a failing chaos run names the
-// seed that reproduces it. Structural faults (Partition, Stall,
+// jitter) are drawn from per-connection and per-schedule sources derived
+// from the proxy seed and the connection's accept index (or the
+// schedule's generation), so the draws follow the seed, never the
+// goroutine scheduler, and a failing chaos run names the seed that
+// reproduces it. Structural faults (Partition, Stall,
 // Latency) are explicit state flipped by the test at chosen moments and
 // need no randomness at all.
 package netchaos
@@ -70,8 +73,11 @@ type Faults struct {
 	// move — the "host is up, service is gone" shape.
 	RefuseNew bool
 	// ResetProb, in [0,1], resets each new connection after its first
-	// transferred chunk with this probability, drawn from the seeded
-	// source — a deterministic model of a flaky NAT dropping mappings.
+	// client→target chunk with this probability, drawn from the
+	// connection's seeded source — a deterministic model of a flaky NAT
+	// dropping mappings. A doomed connection forwards nothing back to the
+	// client, so the client always sees the reset, never a reply that
+	// raced it.
 	ResetProb float64
 }
 
@@ -120,8 +126,8 @@ type Proxy struct {
 
 	faults atomic.Pointer[Faults]
 
-	rngMu sync.Mutex
-	rng   *rand.Rand
+	// seed roots every random draw; see newRand.
+	seed int64
 
 	connMu sync.Mutex
 	conns  map[*proxyConn]struct{}
@@ -165,7 +171,7 @@ func New(cfg Config) (*Proxy, error) {
 		target: cfg.Target,
 		ln:     ln,
 		logger: cfg.Logger,
-		rng:    rand.New(rand.NewSource(seed)),
+		seed:   seed,
 		conns:  make(map[*proxyConn]struct{}),
 		closed: make(chan struct{}),
 	}
@@ -252,16 +258,17 @@ func (p *Proxy) Flap(up, down time.Duration) {
 	p.flapGen++
 	gen := p.flapGen
 	p.flapMu.Unlock()
+	rng := p.newRand(^uint64(gen))
 	p.pumps.Add(1)
 	go func() {
 		defer p.pumps.Done()
 		for {
-			if !p.flapSleep(gen, p.jitter(up)) {
+			if !p.flapSleep(gen, jitter(rng, up)) {
 				return
 			}
 			p.Partition()
 			p.flaps.Add(1)
-			if !p.flapSleep(gen, p.jitter(down)) {
+			if !p.flapSleep(gen, jitter(rng, down)) {
 				// Stopping mid-partition would leave the link dark forever.
 				p.Heal()
 				return
@@ -298,13 +305,23 @@ func (p *Proxy) flapSleep(gen int, d time.Duration) bool {
 }
 
 // jitter draws a seeded ±10% perturbation of d.
-func (p *Proxy) jitter(d time.Duration) time.Duration {
+func jitter(rng *rand.Rand, d time.Duration) time.Duration {
 	if d <= 0 {
 		return 0
 	}
-	p.rngMu.Lock()
-	defer p.rngMu.Unlock()
-	return d*9/10 + time.Duration(p.rng.Int63n(int64(d)/5+1))
+	return d*9/10 + time.Duration(rng.Int63n(int64(d)/5+1))
+}
+
+// newRand returns an independent source for one random stream: stream
+// i < 2^63 is the connection accepted i-th, and ^gen is flap schedule
+// gen. The proxy seed and the stream number are mixed with splitmix64,
+// so neighbouring streams are uncorrelated.
+func (p *Proxy) newRand(stream uint64) *rand.Rand {
+	z := uint64(p.seed) + (stream+1)*0x9e3779b97f4a7c15
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	z ^= z >> 31
+	return rand.New(rand.NewSource(int64(z)))
 }
 
 // Stats snapshots the lifetime counters.
@@ -345,7 +362,7 @@ func (p *Proxy) acceptLoop() {
 		if err != nil {
 			return // listener closed
 		}
-		p.accepted.Add(1)
+		idx := uint64(p.accepted.Add(1) - 1)
 		f := p.faults.Load()
 		if f.RefuseNew {
 			p.refused.Add(1)
@@ -353,12 +370,13 @@ func (p *Proxy) acceptLoop() {
 			continue
 		}
 		p.pumps.Add(1)
-		go p.serve(c, *f)
+		go p.serve(c, *f, idx)
 	}
 }
 
-// serve dials the target and runs the two pumps for one connection.
-func (p *Proxy) serve(client net.Conn, f Faults) {
+// serve dials the target and runs the two pumps for the idx-th accepted
+// connection.
+func (p *Proxy) serve(client net.Conn, f Faults, idx uint64) {
 	defer p.pumps.Done()
 	server, err := net.DialTimeout("tcp", p.target, 5*time.Second)
 	if err != nil {
@@ -379,20 +397,20 @@ func (p *Proxy) serve(client net.Conn, f Faults) {
 	p.conns[pc] = struct{}{}
 	p.connMu.Unlock()
 
-	// Per-connection reset draw: decided at accept time from the seeded
-	// source, acted on after the first chunk so the exchange starts
-	// convincingly before the rug is pulled.
-	resetAfterFirst := false
+	// Per-connection reset draw: decided at accept time from the
+	// connection's own seeded source, acted on after the first request
+	// chunk so the exchange starts convincingly before the rug is
+	// pulled. The reply direction of a doomed connection is blackholed,
+	// so no answer can outrun the reset.
+	doomed := false
 	if f.ResetProb > 0 {
-		p.rngMu.Lock()
-		resetAfterFirst = p.rng.Float64() < f.ResetProb
-		p.rngMu.Unlock()
+		doomed = p.newRand(idx).Float64() < f.ResetProb
 	}
 
 	var wg sync.WaitGroup
 	wg.Add(2)
-	go func() { defer wg.Done(); p.pump(pc, client, server, Up, resetAfterFirst) }()
-	go func() { defer wg.Done(); p.pump(pc, server, client, Down, false) }()
+	go func() { defer wg.Done(); p.pump(pc, client, server, Up, doomed) }()
+	go func() { defer wg.Done(); p.pump(pc, server, client, Down, doomed) }()
 	wg.Wait()
 
 	p.connMu.Lock()
@@ -409,8 +427,9 @@ const stallPoll = 5 * time.Millisecond
 // state at every chunk boundary. Dropped chunks are consumed and
 // discarded — the sender keeps sending into the void, exactly like a
 // blackholed route — and a stall parks the pump without closing
-// anything.
-func (p *Proxy) pump(pc *proxyConn, src, dst net.Conn, dir Direction, resetAfterFirst bool) {
+// anything. On a doomed connection the Up pump resets both ends after
+// its first chunk and the Down pump discards everything.
+func (p *Proxy) pump(pc *proxyConn, src, dst net.Conn, dir Direction, doomed bool) {
 	buf := make([]byte, 32<<10)
 	first := true
 	for {
@@ -435,15 +454,17 @@ func (p *Proxy) pump(pc *proxyConn, src, dst net.Conn, dir Direction, resetAfter
 				}
 				f = p.faults.Load()
 			}
-			if f.partitioned(dir) {
+			if f.partitioned(dir) || (doomed && dir == Down) {
 				p.dropped[dir].Add(int64(n))
 			} else {
+				// Count before writing: once the far side can see these
+				// bytes, and answer them, Stats already includes them.
+				p.bytes[dir].Add(int64(n))
 				if _, werr := dst.Write(buf[:n]); werr != nil {
 					return
 				}
-				p.bytes[dir].Add(int64(n))
 			}
-			if first && resetAfterFirst {
+			if first && doomed && dir == Up {
 				p.resets.Add(1)
 				p.log("seeded reset", "dir", dir.String())
 				rstConn(pc.client)

@@ -3,6 +3,7 @@ package server
 import (
 	"net/http"
 	"strconv"
+	"sync/atomic"
 	"time"
 
 	queryvis "repro"
@@ -56,17 +57,6 @@ var stageNames = []string{
 	queryvis.StageRender,
 }
 
-// stageSet answers "is this span a pipeline stage?" — the trace also
-// carries hop spans (instance/dispatch/worker) and per-item batch spans,
-// which must not pollute the stage families.
-var stageSet = func() map[string]bool {
-	m := make(map[string]bool, len(stageNames))
-	for _, st := range stageNames {
-		m[st] = true
-	}
-	return m
-}()
-
 // hopNames are the hop spans this process's trace can carry; each gets a
 // pre-registered latency histogram so per-hop attribution appears in the
 // exposition from the first scrape. (The router's own hop is counted in
@@ -100,13 +90,61 @@ var verifyOutcomes = []string{
 
 // serverMetrics owns the registry and the hot-path instrument handles.
 // The load-tracking gauges live here — not as separate atomics on Server
-// — so healthz and the exposition read the same storage.
+// — so healthz and the exposition read the same storage. The per-stage,
+// per-hop, per-category and per-verdict series are pre-registered, so
+// their handles are resolved once here instead of re-interned (a label
+// sort plus a string build) for every span of every request.
 type serverMetrics struct {
 	reg         *telemetry.Registry
 	inFlight    *telemetry.Gauge
 	served      *telemetry.Counter
 	shed        *telemetry.Counter
 	slowQueries *telemetry.Counter
+	traces      *telemetry.Counter
+	stages      map[string]stageSeries
+	hopDur      map[string]*telemetry.Histogram
+	errors      map[Category]*telemetry.Counter
+	verify      map[string]*telemetry.Counter
+}
+
+// stageSeries is one pipeline stage's span counter and latency histogram.
+type stageSeries struct {
+	spans *telemetry.Counter
+	dur   *telemetry.Histogram
+}
+
+// routeSeries caches one route's request-counter and latency handles.
+// They are resolved on the route's first request rather than at New, so
+// an unserved route still adds no series to the exposition. Registry
+// lookups are idempotent, so two requests racing to fill a slot store
+// the same handle.
+type routeSeries struct {
+	reg      *telemetry.Registry
+	route    string
+	duration atomic.Pointer[telemetry.Histogram]
+	codes    [500]atomic.Pointer[telemetry.Counter] // status 100..599
+}
+
+func (rs *routeSeries) requests(code int) *telemetry.Counter {
+	if code < 100 || code >= 600 {
+		return rs.reg.Counter(mRequests, helpRequests, "route", rs.route, "code", strconv.Itoa(code))
+	}
+	slot := &rs.codes[code-100]
+	if c := slot.Load(); c != nil {
+		return c
+	}
+	c := rs.reg.Counter(mRequests, helpRequests, "route", rs.route, "code", strconv.Itoa(code))
+	slot.Store(c)
+	return c
+}
+
+func (rs *routeSeries) latency() *telemetry.Histogram {
+	if h := rs.duration.Load(); h != nil {
+		return h
+	}
+	h := rs.reg.Histogram(mDuration, helpDuration, nil, "route", rs.route)
+	rs.duration.Store(h)
+	return h
 }
 
 // initMetrics builds the metric surface: load gauges, pre-registered
@@ -124,22 +162,28 @@ func (s *Server) initMetrics(reg *telemetry.Registry) {
 		shed:     reg.Counter(mShed, "Requests shed with 429 by the concurrency limiter."),
 		slowQueries: reg.Counter(mSlowQueries,
 			"Requests slower than the slow-query threshold."),
+		stages: make(map[string]stageSeries, len(stageNames)),
+		hopDur: make(map[string]*telemetry.Histogram, len(hopNames)),
+		errors: make(map[Category]*telemetry.Counter, len(errorCategories)),
+		verify: make(map[string]*telemetry.Counter, len(verifyOutcomes)),
 	}
 	for _, st := range stageNames {
-		reg.Histogram(mStageDur, helpStageDur, nil, "stage", st)
-		reg.Counter(mStageSpans, helpSpans, "stage", st)
+		m.stages[st] = stageSeries{
+			dur:   reg.Histogram(mStageDur, helpStageDur, nil, "stage", st),
+			spans: reg.Counter(mStageSpans, helpSpans, "stage", st),
+		}
 	}
 	for _, hop := range hopNames {
-		reg.Histogram(mHopDur, helpHopDur, nil, "hop", hop)
+		m.hopDur[hop] = reg.Histogram(mHopDur, helpHopDur, nil, "hop", hop)
 	}
-	reg.Counter(mTraces, helpTraces)
+	m.traces = reg.Counter(mTraces, helpTraces)
 	reg.GaugeFunc(mTraceRing, helpTraceLen,
 		func() float64 { return float64(s.traces.Len()) })
 	for _, cat := range errorCategories {
-		reg.Counter(mErrors, helpErrors, "category", string(cat))
+		m.errors[cat] = reg.Counter(mErrors, helpErrors, "category", string(cat))
 	}
 	for _, outcome := range verifyOutcomes {
-		reg.Counter(mVerify, helpVerify, "status", outcome)
+		m.verify[outcome] = reg.Counter(mVerify, helpVerify, "status", outcome)
 	}
 	reg.GaugeFunc(mBreakerState,
 		"Circuit breaker state (0 closed, 1 half-open, 2 open).",
@@ -244,6 +288,7 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 	if s.cfg.DisableTelemetry {
 		return h
 	}
+	rs := &routeSeries{reg: s.metrics.reg, route: route}
 	return func(w http.ResponseWriter, r *http.Request) {
 		started := time.Now()
 		rid := r.Header.Get("X-Request-ID")
@@ -280,23 +325,20 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 			code = http.StatusOK
 		}
 		m := s.metrics
-		m.reg.Counter(mRequests, helpRequests,
-			"route", route, "code", strconv.Itoa(code)).Inc()
+		rs.requests(code).Inc()
 		if rec.category != "" {
-			m.reg.Counter(mErrors, helpErrors, "category", string(rec.category)).Inc()
+			m.errorCounter(rec.category).Inc()
 		}
-		m.reg.Histogram(mDuration, helpDuration, nil, "route", route).
-			Observe(elapsed.Seconds())
+		rs.latency().Observe(elapsed.Seconds())
 		spans := tr.Spans()
+		// The trace also carries per-item batch spans, which belong to
+		// neither the stage nor the hop families.
 		for _, sp := range spans {
-			switch {
-			case stageSet[sp.Name]:
-				m.reg.Counter(mStageSpans, helpSpans, "stage", sp.Name).Inc()
-				m.reg.Histogram(mStageDur, helpStageDur, nil, "stage", sp.Name).
-					Observe(sp.Duration.Seconds())
-			case sp.Name == spanInstance || sp.Name == spanDispatch || sp.Name == spanWorker:
-				m.reg.Histogram(mHopDur, helpHopDur, nil, "hop", sp.Name).
-					Observe(sp.Duration.Seconds())
+			if st, ok := m.stages[sp.Name]; ok {
+				st.spans.Inc()
+				st.dur.Observe(sp.Duration.Seconds())
+			} else if h, ok := m.hopDur[sp.Name]; ok {
+				h.Observe(sp.Duration.Seconds())
 			}
 		}
 		if sampled {
@@ -308,7 +350,7 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 				Duration:  elapsed,
 				Spans:     spans,
 			})
-			m.reg.Counter(mTraces, helpTraces).Inc()
+			m.traces.Inc()
 		}
 
 		slow := s.cfg.SlowQueryThreshold > 0 && elapsed >= s.cfg.SlowQueryThreshold
@@ -347,7 +389,20 @@ func (s *Server) recordVerifyOutcome(status string) {
 	if s.cfg.DisableTelemetry || status == "" || status == queryvis.VerifyStatusOff {
 		return
 	}
-	s.metrics.reg.Counter(mVerify, helpVerify, "status", status).Inc()
+	c, ok := s.metrics.verify[status]
+	if !ok {
+		c = s.metrics.reg.Counter(mVerify, helpVerify, "status", status)
+	}
+	c.Inc()
+}
+
+// errorCounter returns the pre-resolved counter for an error category,
+// interning one for a category outside the taxonomy.
+func (m *serverMetrics) errorCounter(cat Category) *telemetry.Counter {
+	if c, ok := m.errors[cat]; ok {
+		return c
+	}
+	return m.reg.Counter(mErrors, helpErrors, "category", string(cat))
 }
 
 // handleMetrics serves the Prometheus text exposition. With telemetry

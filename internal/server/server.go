@@ -163,6 +163,9 @@ type Server struct {
 	// nil when telemetry is disabled — the ring is nil-safe, so the
 	// untraced path pays nothing.
 	traces *telemetry.TraceRing
+	// schemas holds the built-in schemas, resolved once at New and shared
+	// read-only by every request (the pipeline never mutates a schema).
+	schemas map[string]*schema.Schema
 }
 
 // New builds a Server from the config.
@@ -174,6 +177,10 @@ func New(cfg Config) *Server {
 		mux:     http.NewServeMux(),
 		start:   time.Now(),
 		breaker: newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
+		schemas: make(map[string]*schema.Schema),
+	}
+	for _, name := range schema.BuiltinNames() {
+		s.schemas[name], _ = schema.ByName(name)
 	}
 	if !cfg.DisableTelemetry {
 		s.traces = telemetry.NewTraceRing(0)
@@ -357,7 +364,7 @@ func (s *Server) validate(req *diagramRequest) (*schema.Schema, error) {
 			Category: CatBadRequest, Message: `missing "schema" field`,
 		}}
 	}
-	sch, ok := schema.ByName(req.Schema)
+	sch, ok := s.schemas[req.Schema]
 	if !ok {
 		return nil, &requestError{http.StatusBadRequest, apiError{
 			Category: CatBadRequest,

@@ -106,16 +106,19 @@ func formatPredicate(b *strings.Builder, p Predicate, depth int) {
 	}
 }
 
+// wordSplitter pads punctuation with spaces for WordCount; a
+// strings.Replacer is immutable and safe for concurrent use.
+var wordSplitter = strings.NewReplacer(
+	"(", " ", ")", " ", ",", " ", ";", " ",
+	"=", " = ", "<>", " <> ", "<", " < ", ">", " > ",
+)
+
 // WordCount counts whitespace-separated words in SQL text after splitting
 // punctuation-joined tokens apart. It is the metric behind the paper's
 // Section 4.8 claim that Qonly's SQL text has 167% more words than Qsome's.
 func WordCount(sql string) int {
-	replacer := strings.NewReplacer(
-		"(", " ", ")", " ", ",", " ", ";", " ",
-		"=", " = ", "<>", " <> ", "<", " < ", ">", " > ",
-	)
 	n := 0
-	for _, f := range strings.Fields(replacer.Replace(sql)) {
+	for _, f := range strings.Fields(wordSplitter.Replace(sql)) {
 		if f != "" {
 			n++
 		}

@@ -10,8 +10,8 @@ package svg
 
 import (
 	"context"
-	"fmt"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 
 	"repro/internal/core"
@@ -37,8 +37,8 @@ type rect struct {
 
 type layout struct {
 	d      *core.Diagram
-	tables map[int]rect // table ID -> frame
-	boxes  []rect       // parallel to d.Boxes
+	tables []rect // indexed by table ID (IDs equal indices)
+	boxes  []rect // parallel to d.Boxes
 	width  float64
 	height float64
 }
@@ -62,10 +62,10 @@ func tableSize(t *core.TableNode) (w, h float64) {
 // computeLayout assigns positions: column = depth+1 (SELECT box at 0),
 // tables of one group kept adjacent, groups stacked per column.
 func computeLayout(d *core.Diagram) *layout {
-	l := &layout{d: d, tables: map[int]rect{}}
+	l := &layout{d: d, tables: make([]rect, len(d.Tables)), boxes: make([]rect, 0, len(d.Boxes))}
 
-	// Column assignment.
-	colOf := map[int]int{core.SelectBoxID: 0}
+	// Column assignment, indexed by table ID; the SELECT box is column 0.
+	colOf := make([]int, len(d.Tables))
 	maxCol := 0
 	for _, t := range d.Tables[1:] {
 		c := d.TrueDepth(t.ID) + 1
@@ -78,7 +78,7 @@ func computeLayout(d *core.Diagram) *layout {
 	// Order tables within a column: group members adjacent, groups by
 	// first table ID.
 	groups := d.Groups()
-	groupOf := map[int]int{}
+	groupOf := make([]int, len(d.Tables))
 	for gi, g := range groups {
 		for _, id := range g {
 			groupOf[id] = gi
@@ -90,21 +90,24 @@ func computeLayout(d *core.Diagram) *layout {
 		byCol[colOf[t.ID]] = append(byCol[colOf[t.ID]], t.ID)
 	}
 	for c := 1; c <= maxCol; c++ {
-		sort.Slice(byCol[c], func(i, j int) bool {
-			gi, gj := groupOf[byCol[c][i]], groupOf[byCol[c][j]]
-			if gi != gj {
-				return gi < gj
+		slices.SortFunc(byCol[c], func(a, b int) int {
+			if ga, gb := groupOf[a], groupOf[b]; ga != gb {
+				return ga - gb
 			}
-			return byCol[c][i] < byCol[c][j]
+			return a - b
 		})
 	}
 
-	// Column widths, then x positions.
+	// Table frame sizes (table IDs equal indices), then column widths,
+	// then x positions.
+	sizes := make([]rect, len(d.Tables))
+	for i, t := range d.Tables {
+		sizes[i].w, sizes[i].h = tableSize(t)
+	}
 	colW := make([]float64, maxCol+1)
 	for c, ids := range byCol {
 		for _, id := range ids {
-			w, _ := tableSize(d.Table(id))
-			if w > colW[c] {
+			if w := sizes[id].w; w > colW[c] {
 				colW[c] = w
 			}
 		}
@@ -129,10 +132,9 @@ func computeLayout(d *core.Diagram) *layout {
 				y += 2 * boxPad
 			}
 			prevGroup = g
-			w, h := tableSize(d.Table(id))
-			l.tables[id] = rect{x: colX[c], y: y, w: w, h: h}
-			y += h + rowGap
-			_ = w
+			sz := sizes[id]
+			l.tables[id] = rect{x: colX[c], y: y, w: sz.w, h: sz.h}
+			y += sz.h + rowGap
 		}
 		if y > maxY {
 			maxY = y
@@ -194,16 +196,63 @@ func (l *layout) rowAnchor(end core.EdgeEnd) (left, right [2]float64) {
 	return [2]float64{fr.x, y}, [2]float64{fr.x + fr.w, y}
 }
 
-func esc(s string) string {
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
-	return r.Replace(s)
-}
+// escaper escapes text content into the output buffer. It is shared by
+// every render: a strings.Replacer is immutable and safe for concurrent
+// use, and building one is far costlier than applying it.
+var escaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
 
 // Render produces a standalone SVG document for the diagram.
 func Render(d *core.Diagram) string {
 	// context.Background() is never done, so render cannot fail here.
 	s, _ := RenderContext(context.Background(), d)
 	return s
+}
+
+// writer emits SVG markup straight into a buffer: numbers are appended
+// in place instead of going through fmt once per element.
+type writer struct {
+	strings.Builder
+	num [32]byte
+}
+
+// put writes each string in order.
+func (w *writer) put(ss ...string) {
+	for _, s := range ss {
+		w.WriteString(s)
+	}
+}
+
+// attr writes ` name="v"` with v to one decimal place.
+func (w *writer) attr(name string, v float64) {
+	w.put(" ", name, `="`)
+	w.Write(strconv.AppendFloat(w.num[:0], v, 'f', 1, 64))
+	w.WriteByte('"')
+}
+
+// text writes s escaped, then closes the <text> element.
+func (w *writer) text(s string) {
+	escaper.WriteString(&w.Builder, s)
+	w.WriteString("</text>\n")
+}
+
+// whole writes v rounded to an integer.
+func (w *writer) whole(v float64) {
+	w.Write(strconv.AppendFloat(w.num[:0], v, 'f', 0, 64))
+}
+
+// rowHeight is the fixed height attribute of header and row cells.
+var rowHeight = ` height="` + strconv.Itoa(rowH) + `"`
+
+// sizeHint estimates the document's length so RenderContext grows its
+// buffer once: the fixed preamble plus one or two elements per box,
+// edge, table header and row. The weights come from the lengths of
+// seeded generated diagrams.
+func sizeHint(d *core.Diagram) int {
+	n := 420 + 175*len(d.Boxes) + 158*len(d.Edges)
+	for _, t := range d.Tables {
+		n += 160 + len(t.Name) + 150*len(t.Rows)
+	}
+	return n
 }
 
 // RenderContext is Render with cooperative cancellation: layout and
@@ -223,27 +272,38 @@ func RenderContext(ctx context.Context, d *core.Diagram) (string, error) {
 		return "", err
 	}
 	l := computeLayout(d)
-	var b strings.Builder
-	fmt.Fprintf(&b, `<svg xmlns="http://www.w3.org/2000/svg" width="%.0f" height="%.0f" viewBox="0 0 %.0f %.0f" font-family="Helvetica, Arial, sans-serif" font-size="%d">`,
-		l.width, l.height, l.width, l.height, fontPx)
-	b.WriteString("\n")
-	b.WriteString(`<defs><marker id="arrow" viewBox="0 0 10 10" refX="9" refY="5" markerWidth="7" markerHeight="7" orient="auto-start-reverse"><path d="M 0 0 L 10 5 L 0 10 z" fill="#333"/></marker></defs>`)
-	b.WriteString("\n")
+	var w writer
+	w.Grow(sizeHint(d))
+	w.WriteString(`<svg xmlns="http://www.w3.org/2000/svg" width="`)
+	w.whole(l.width)
+	w.WriteString(`" height="`)
+	w.whole(l.height)
+	w.WriteString(`" viewBox="0 0 `)
+	w.whole(l.width)
+	w.WriteString(" ")
+	w.whole(l.height)
+	w.put(`" font-family="Helvetica, Arial, sans-serif" font-size="`, strconv.Itoa(fontPx), "\">\n")
+	w.WriteString(`<defs><marker id="arrow" viewBox="0 0 10 10" refX="9" refY="5" markerWidth="7" markerHeight="7" orient="auto-start-reverse"><path d="M 0 0 L 10 5 L 0 10 z" fill="#333"/></marker></defs>`)
+	w.WriteString("\n")
 
 	// Quantifier boxes behind everything.
+	box := func(fr rect, tail string) {
+		w.WriteString("<rect")
+		w.attr("x", fr.x)
+		w.attr("y", fr.y)
+		w.attr("width", fr.w)
+		w.attr("height", fr.h)
+		w.WriteString(tail)
+	}
 	for i, fr := range l.boxes {
 		switch l.d.Boxes[i].Quant {
 		case trc.ForAll:
-			fmt.Fprintf(&b, `<rect x="%.1f" y="%.1f" width="%.1f" height="%.1f" rx="8" fill="none" stroke="#333" stroke-width="1"/>`,
-				fr.x, fr.y, fr.w, fr.h)
-			b.WriteString("\n")
-			fmt.Fprintf(&b, `<rect x="%.1f" y="%.1f" width="%.1f" height="%.1f" rx="6" fill="none" stroke="#333" stroke-width="1"/>`,
-				fr.x+3, fr.y+3, fr.w-6, fr.h-6)
+			box(fr, ` rx="8" fill="none" stroke="#333" stroke-width="1"/>`+"\n")
+			box(rect{fr.x + 3, fr.y + 3, fr.w - 6, fr.h - 6},
+				` rx="6" fill="none" stroke="#333" stroke-width="1"/>`+"\n")
 		default: // ∄
-			fmt.Fprintf(&b, `<rect x="%.1f" y="%.1f" width="%.1f" height="%.1f" rx="8" fill="none" stroke="#333" stroke-width="1" stroke-dasharray="6 4"/>`,
-				fr.x, fr.y, fr.w, fr.h)
+			box(fr, ` rx="8" fill="none" stroke="#333" stroke-width="1" stroke-dasharray="6 4"/>`+"\n")
 		}
-		b.WriteString("\n")
 	}
 
 	// Edges beneath tables so lines attach cleanly.
@@ -262,21 +322,37 @@ func RenderContext(ctx context.Context, d *core.Diagram) (string, error) {
 		} else { // same column: connect right edges with a small bow
 			x1, y1, x2, y2 = frt[0], frt[1], trt[0], trt[1]
 		}
-		marker := ""
+		w.WriteString("<line")
+		w.attr("x1", x1)
+		w.attr("y1", y1)
+		w.attr("x2", x2)
+		w.attr("y2", y2)
+		w.WriteString(` stroke="#333" stroke-width="1.2"`)
 		if e.Directed {
-			marker = ` marker-end="url(#arrow)"`
+			w.WriteString(` marker-end="url(#arrow)"`)
 		}
-		fmt.Fprintf(&b, `<line x1="%.1f" y1="%.1f" x2="%.1f" y2="%.1f" stroke="#333" stroke-width="1.2"%s/>`,
-			x1, y1, x2, y2, marker)
-		b.WriteString("\n")
+		w.WriteString("/>\n")
 		if lab := e.Label(); lab != "" {
-			fmt.Fprintf(&b, `<text x="%.1f" y="%.1f" text-anchor="middle" fill="#333">%s</text>`,
-				(x1+x2)/2, (y1+y2)/2-4, esc(lab))
-			b.WriteString("\n")
+			w.WriteString("<text")
+			w.attr("x", (x1+x2)/2)
+			w.attr("y", (y1+y2)/2-4)
+			w.WriteString(` text-anchor="middle" fill="#333">`)
+			w.text(lab)
 		}
 	}
 
 	// Tables.
+	cell := func(x, y, width float64, fill, textFill, weight, label string) {
+		w.WriteString("<rect")
+		w.attr("x", x)
+		w.attr("y", y)
+		w.attr("width", width)
+		w.put(rowHeight, ` fill="`, fill, `" stroke="#000"/>`+"\n<text")
+		w.attr("x", x+width/2)
+		w.attr("y", y+rowH-7)
+		w.put(` text-anchor="middle" fill="`, textFill, `"`, weight, ">")
+		w.text(label)
+	}
 	for _, t := range d.Tables {
 		if err := check(); err != nil {
 			return "", err
@@ -286,17 +362,11 @@ func RenderContext(ctx context.Context, d *core.Diagram) (string, error) {
 		if t.IsSelect() {
 			headFill, headText = "#ccc", "#000"
 		}
-		fmt.Fprintf(&b, `<rect x="%.1f" y="%.1f" width="%.1f" height="%d" fill="%s" stroke="#000"/>`,
-			fr.x, fr.y, fr.w, rowH, headFill)
-		b.WriteString("\n")
-		fmt.Fprintf(&b, `<text x="%.1f" y="%.1f" text-anchor="middle" fill="%s" font-weight="bold">%s</text>`,
-			fr.x+fr.w/2, fr.y+rowH-7, headText, esc(t.Name))
-		b.WriteString("\n")
+		cell(fr.x, fr.y, fr.w, headFill, headText, ` font-weight="bold"`, t.Name)
 		for i, r := range t.Rows {
 			if err := check(); err != nil {
 				return "", err
 			}
-			y := fr.y + float64(1+i)*rowH
 			fill := "#fff"
 			switch r.Kind {
 			case core.RowSelection:
@@ -304,14 +374,9 @@ func RenderContext(ctx context.Context, d *core.Diagram) (string, error) {
 			case core.RowGroupBy:
 				fill = "#e3e3e3" // gray
 			}
-			fmt.Fprintf(&b, `<rect x="%.1f" y="%.1f" width="%.1f" height="%d" fill="%s" stroke="#000"/>`,
-				fr.x, y, fr.w, rowH, fill)
-			b.WriteString("\n")
-			fmt.Fprintf(&b, `<text x="%.1f" y="%.1f" text-anchor="middle" fill="#000">%s</text>`,
-				fr.x+fr.w/2, y+rowH-7, esc(r.Label()))
-			b.WriteString("\n")
+			cell(fr.x, fr.y+float64(1+i)*rowH, fr.w, fill, "#000", "", r.Label())
 		}
 	}
-	b.WriteString("</svg>\n")
-	return b.String(), nil
+	w.WriteString("</svg>\n")
+	return w.String(), nil
 }

@@ -15,6 +15,7 @@ package trc
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/sqlparse"
@@ -57,6 +58,13 @@ type Attr struct {
 // String renders the attribute in dotted form.
 func (a Attr) String() string { return a.Var + "." + a.Column }
 
+// Append appends the attribute's String form to b.
+func (a Attr) Append(b []byte) []byte {
+	b = append(b, a.Var...)
+	b = append(b, '.')
+	return append(b, a.Column...)
+}
+
 // Term is either an attribute or a constant (exactly one is set). An
 // attribute term may carry an additive numeric Offset — the arithmetic
 // extension ("L.a + 5").
@@ -67,18 +75,23 @@ type Term struct {
 }
 
 // String renders the term.
-func (t Term) String() string {
-	if t.Attr != nil {
-		s := t.Attr.String()
-		switch {
-		case t.Offset > 0:
-			s += fmt.Sprintf(" + %g", t.Offset)
-		case t.Offset < 0:
-			s += fmt.Sprintf(" - %g", -t.Offset)
-		}
-		return s
+func (t Term) String() string { return string(t.Append(make([]byte, 0, 32))) }
+
+// Append appends the term's String form to b.
+func (t Term) Append(b []byte) []byte {
+	if t.Attr == nil {
+		return append(b, t.Const.String()...)
 	}
-	return t.Const.String()
+	b = t.Attr.Append(b)
+	switch {
+	case t.Offset > 0:
+		b = append(b, " + "...)
+		b = strconv.AppendFloat(b, t.Offset, 'g', -1, 64)
+	case t.Offset < 0:
+		b = append(b, " - "...)
+		b = strconv.AppendFloat(b, -t.Offset, 'g', -1, 64)
+	}
+	return b
 }
 
 // IsConst reports whether the term is a constant.
@@ -92,8 +105,16 @@ type Pred struct {
 }
 
 // String renders the predicate.
-func (p Pred) String() string {
-	return fmt.Sprintf("%s %s %s", p.Left, p.Op, p.Right)
+func (p Pred) String() string { return string(p.Append(make([]byte, 0, 48))) }
+
+// Append appends the predicate's String form to b, so callers that
+// render many predicates (logictree.Canonical) can share one buffer.
+func (p Pred) Append(b []byte) []byte {
+	b = p.Left.Append(b)
+	b = append(b, ' ')
+	b = append(b, p.Op.String()...)
+	b = append(b, ' ')
+	return p.Right.Append(b)
 }
 
 // IsSelection reports whether the predicate involves a constant.

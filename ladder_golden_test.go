@@ -11,14 +11,14 @@ import (
 	"repro/internal/faults"
 )
 
-var updateLadder = flag.Bool("update", false, "rewrite ladder golden files")
+var update = flag.Bool("update", false, "rewrite golden files")
 
 // checkLadderGolden compares got against testdata/ladder/<name>.golden,
 // rewriting the file under -update (the repo-wide golden convention).
 func checkLadderGolden(t *testing.T, name, got string) {
 	t.Helper()
 	path := filepath.Join("testdata", "ladder", name+".golden")
-	if *updateLadder {
+	if *update {
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}

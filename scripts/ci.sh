@@ -4,6 +4,8 @@
 #   build      go build ./...
 #   vet        go vet ./...
 #   test       go test -race ./...
+#   netchaos   the seeded reset-draw determinism test, run 20 times:
+#              "seeded" must mean the same pattern on every run
 #   chaos      seeded fault-injection smoke against the hardened HTTP
 #              service, under the race detector (any failure names the
 #              run seed + request index it reproduces from)
@@ -86,6 +88,9 @@ go vet ./...
 
 echo "== test (race)"
 go test -race ./...
+
+echo "== seeded netchaos determinism (20 runs)"
+go test -count=20 -run TestSeededResetIsDeterministic ./internal/netchaos
 
 echo "== chaos smoke (race)"
 go test -count=1 -run TestChaos -race ./internal/faults/...

@@ -131,7 +131,10 @@ var errRungSkipped = errors.New("degradation rung skipped: missing artifacts")
 // attributes are compared as a set: recovery reads them back in diagram
 // order, a semantically irrelevant permutation of the written order.
 func verifyKey(lt *logictree.LT) string {
-	c := lt.Clone()
+	// Canonical only reads the tree, so a shallow copy with its own GROUP
+	// BY slice is enough to reorder without touching lt.
+	c := *lt
+	c.GroupBy = append([]trc.Attr(nil), lt.GroupBy...)
 	gb := c.GroupBy
 	for i := 1; i < len(gb); i++ {
 		for j := i; j > 0 && gb[j].String() < gb[j-1].String(); j-- {
