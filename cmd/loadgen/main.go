@@ -202,32 +202,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if nmix < 1 {
 		nmix = 1
 	}
-	master := rand.New(rand.NewSource(*seed))
-	queries := make([]query, nmix)
-	for i := range queries {
-		rng := rand.New(rand.NewSource(master.Int63()))
-		si := rng.Intn(len(tables))
-		queries[i] = query{
-			SQL:    sqlparse.Format(oracle.Generate(rng, tables[si], gcfg)),
-			Schema: names[si],
-		}
-	}
-
-	// The arrival→query map: uniform round-robin by default, a seeded
-	// Zipf draw over mix ranks with -zipf. The picker runs on the
-	// launch goroutine only, so the plain counter is safe.
-	var rank0 int64
-	pick := func(i int) query { return queries[i%len(queries)] }
-	if *zipfS > 1 {
-		z := rand.NewZipf(rand.New(rand.NewSource(*seed+1)), *zipfS, 1, uint64(len(queries)-1))
-		pick = func(int) query {
-			r := int(z.Uint64())
-			if r == 0 {
-				rank0++
-			}
-			return queries[r]
-		}
-	}
+	queries := planMix(*seed, nmix, names, tables, gcfg)
+	pick, rank0 := arrivals(queries, *zipfS, *seed)
 
 	var baseline gateBaseline
 	runs := 1
@@ -269,7 +245,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *zipfS > 1 {
 		rep.ZipfS = *zipfS
 		if rep.Launched > 0 {
-			rep.HotShare = float64(rank0) / float64(rep.Launched*int64(runs))
+			rep.HotShare = float64(*rank0) / float64(rep.Launched*int64(runs))
 		}
 	}
 
@@ -327,6 +303,41 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
+}
+
+// planMix generates the seeded query mix: nmix oracle queries, each over
+// a schema drawn from tables (whose names are names).
+func planMix(seed int64, nmix int, names []string, tables []*schema.Schema, gcfg oracle.Config) []query {
+	master := rand.New(rand.NewSource(seed))
+	queries := make([]query, nmix)
+	for i := range queries {
+		rng := rand.New(rand.NewSource(master.Int63()))
+		si := rng.Intn(len(tables))
+		queries[i] = query{
+			SQL:    sqlparse.Format(oracle.Generate(rng, tables[si], gcfg)),
+			Schema: names[si],
+		}
+	}
+	return queries
+}
+
+// arrivals returns the arrival→query map — uniform round-robin, or with
+// zipfS > 1 a Zipf draw over mix ranks seeded by seed — and the count of
+// rank-0 draws it has made. The picker must run on one goroutine (the
+// launch loop), so the plain counter is safe.
+func arrivals(queries []query, zipfS float64, seed int64) (pick func(i int) query, rank0 *int64) {
+	rank0 = new(int64)
+	if zipfS <= 1 {
+		return func(i int) query { return queries[i%len(queries)] }, rank0
+	}
+	z := rand.NewZipf(rand.New(rand.NewSource(seed+1)), zipfS, 1, uint64(len(queries)-1))
+	return func(int) query {
+		r := int(z.Uint64())
+		if r == 0 {
+			*rank0++
+		}
+		return queries[r]
+	}, rank0
 }
 
 // loadRun executes the open-loop schedule and audits every outcome.

@@ -23,7 +23,9 @@ import (
 
 	"repro/internal/leak"
 	"repro/internal/netchaos"
+	"repro/internal/oracle"
 	"repro/internal/router"
+	"repro/internal/schema"
 	"repro/internal/server"
 	"repro/internal/telemetry"
 )
@@ -295,55 +297,115 @@ func TestLoadgenUsage(t *testing.T) {
 	}
 }
 
+// recordingBackend serves a stub diagram and records the SQL of every
+// request it receives.
+func recordingBackend(t *testing.T) (*httptest.Server, func() []string) {
+	t.Helper()
+	var mu sync.Mutex
+	var got []string
+	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		raw, _ := io.ReadAll(r.Body)
+		var req struct {
+			SQL string `json:"sql"`
+		}
+		_ = json.Unmarshal(raw, &req)
+		mu.Lock()
+		got = append(got, req.SQL)
+		mu.Unlock()
+		w.Header().Set("Content-Type", "application/json")
+		_, _ = w.Write([]byte(`{"diagram":"digraph {}"}`))
+	}))
+	t.Cleanup(backend.Close)
+	return backend, func() []string {
+		mu.Lock()
+		defer mu.Unlock()
+		return append([]string(nil), got...)
+	}
+}
+
+// plannedArrivals returns the SQL of the first n arrivals loadgen plans
+// for a seed with the default flags over the beers schema, read from the
+// functions run draws them with, and the mix they come from.
+func plannedArrivals(t *testing.T, seed int64, mix, n int, zipfS float64) (picks []string, inMix map[string]bool) {
+	t.Helper()
+	beers, ok := schema.ByName("beers")
+	if !ok {
+		t.Fatal("beers schema missing")
+	}
+	queries := planMix(seed, mix, []string{"beers"}, []*schema.Schema{beers},
+		oracle.Config{MaxTables: 3, MaxNegDepth: 2, Skew: 1})
+	inMix = map[string]bool{}
+	for _, q := range queries {
+		inMix[q.SQL] = true
+	}
+	pick, _ := arrivals(queries, zipfS, seed)
+	for i := 0; i < n; i++ {
+		picks = append(picks, pick(i).SQL)
+	}
+	return picks, inMix
+}
+
+// sameSequence reports whether two arrival sequences are identical.
+func sameSequence(a, b []string) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
 // TestLoadgenZipfSkewsMix: -zipf draws arrivals Zipf-skewed — the
-// rank-0 query dominates the recorded traffic, the report carries the
-// exponent and the achieved hot share, the sequence is seeded, and a
-// sub-1 exponent is a usage error.
+// planned arrival sequence is seeded, the rank-0 query dominates the
+// traffic that reaches the backend, every request carries a query of
+// the mix, the report carries the exponent and the achieved hot share,
+// and a sub-1 exponent is a usage error. How many arrivals an open loop
+// launches, and in which order they reach the backend, depend on the
+// scheduler, so neither is asserted.
 func TestLoadgenZipfSkewsMix(t *testing.T) {
 	t.Cleanup(leak.Check(t))
-	capture := func(seed string) ([]string, Report) {
-		var mu sync.Mutex
-		var got []string
-		backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			raw, _ := io.ReadAll(r.Body)
-			var req struct {
-				SQL string `json:"sql"`
-			}
-			_ = json.Unmarshal(raw, &req)
-			mu.Lock()
-			got = append(got, req.SQL)
-			mu.Unlock()
-			w.Header().Set("Content-Type", "application/json")
-			_, _ = w.Write([]byte(`{"diagram":"digraph {}"}`))
-		}))
-		defer backend.Close()
-		var out, errBuf bytes.Buffer
-		if code := run([]string{
-			"-target", backend.URL, "-rate", "50", "-duration", "600ms",
-			"-seed", seed, "-mix", "8", "-zipf", "1.4",
-		}, &out, &errBuf); code != 0 {
-			t.Fatalf("zipf run exit %d: %s", code, errBuf.String())
-		}
-		var rep Report
-		if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
-			t.Fatalf("bad report: %v\n%s", err, out.String())
-		}
-		return got, rep
+
+	// Seeded: the same seed plans the same arrival-by-arrival sequence,
+	// another seed a different one.
+	a, inMix := plannedArrivals(t, 11, 8, 30, 1.4)
+	if b, _ := plannedArrivals(t, 11, 8, 30, 1.4); !sameSequence(a, b) {
+		t.Fatal("same seed planned different zipf arrival sequences")
+	}
+	if c, _ := plannedArrivals(t, 12, 8, 30, 1.4); sameSequence(a, c) {
+		t.Fatal("different seeds planned an identical zipf arrival sequence")
 	}
 
-	a, repA := capture("11")
-	if len(a) < 16 {
-		t.Fatalf("captured only %d arrivals", len(a))
+	backend, captured := recordingBackend(t)
+	var out, errBuf bytes.Buffer
+	if code := run([]string{
+		"-target", backend.URL, "-rate", "50", "-duration", "600ms",
+		"-seed", "11", "-mix", "8", "-zipf", "1.4",
+	}, &out, &errBuf); code != 0 {
+		t.Fatalf("zipf run exit %d: %s", code, errBuf.String())
 	}
-	if repA.ZipfS != 1.4 {
-		t.Fatalf("report zipf_s = %v, want 1.4", repA.ZipfS)
+	var rep Report
+	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
+		t.Fatalf("bad report: %v\n%s", err, out.String())
+	}
+	if rep.ZipfS != 1.4 {
+		t.Fatalf("report zipf_s = %v, want 1.4", rep.ZipfS)
+	}
+	got := captured()
+	if len(got) < 16 {
+		t.Fatalf("captured only %d arrivals", len(got))
 	}
 
 	// Zipf with s=1.4 over 8 ranks gives rank 0 well over a uniform
 	// 1/8 share; the hottest query must dominate and the report's
 	// hot_share must agree with the recorded traffic.
 	freq := map[string]int{}
-	for _, sql := range a {
+	for _, sql := range got {
+		if !inMix[sql] {
+			t.Fatalf("backend received a query outside the planned mix:\n%s", sql)
+		}
 		freq[sql]++
 	}
 	top := 0
@@ -352,82 +414,47 @@ func TestLoadgenZipfSkewsMix(t *testing.T) {
 			top = n
 		}
 	}
-	if share := float64(top) / float64(len(a)); share < 0.30 {
+	if share := float64(top) / float64(len(got)); share < 0.30 {
 		t.Fatalf("hottest query got %.0f%% of a zipf(1.4) mix, want ≥ 30%%", share*100)
 	}
-	if repA.HotShare <= 0.25 || repA.HotShare > 1 {
-		t.Fatalf("report hot_share = %v, want a dominant rank-0 share", repA.HotShare)
-	}
-
-	// Seeded: same seed, same arrival-by-arrival sequence.
-	b, _ := capture("11")
-	if len(a) != len(b) {
-		t.Fatalf("same seed launched %d vs %d arrivals", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("same seed diverged at arrival %d", i)
-		}
+	if rep.HotShare <= 0.25 || rep.HotShare > 1 {
+		t.Fatalf("report hot_share = %v, want a dominant rank-0 share", rep.HotShare)
 	}
 
 	// Exponent validation: Zipf needs s > 1.
-	var out, errBuf bytes.Buffer
 	if code := run([]string{"-target", "http://x", "-zipf", "0.9"}, &out, &errBuf); code != 2 {
 		t.Fatalf("-zipf 0.9: exit %d, want 2", code)
 	}
 }
 
-// TestLoadgenMixIsSeededAndReproducible: two runs with the same seed
-// against a recording backend send identical SQL sequences; a different
-// seed diverges.
+// TestLoadgenMixIsSeededAndReproducible: the same seed plans the same
+// round-robin arrival sequence and a different seed diverges; on the
+// wire, every request carries a query of the planned mix.
 func TestLoadgenMixIsSeededAndReproducible(t *testing.T) {
 	t.Cleanup(leak.Check(t))
-	capture := func(seed string) []string {
-		var mu sync.Mutex
-		var got []string
-		backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			raw, _ := io.ReadAll(r.Body)
-			var req struct {
-				SQL string `json:"sql"`
-			}
-			_ = json.Unmarshal(raw, &req)
-			mu.Lock()
-			got = append(got, req.SQL)
-			mu.Unlock()
-			w.Header().Set("Content-Type", "application/json")
-			_, _ = w.Write([]byte(`{"diagram":"digraph {}"}`))
-		}))
-		defer backend.Close()
-		var out, errBuf bytes.Buffer
-		// rate 10 over 400ms with mix 4: arrivals are sequential (each
-		// waits for the tick), so the recorded order is deterministic.
-		if code := run([]string{
-			"-target", backend.URL, "-rate", "10", "-duration", "400ms",
-			"-seed", seed, "-mix", "4",
-		}, &out, &errBuf); code != 0 {
-			t.Fatalf("capture run exit %d: %s", code, errBuf.String())
-		}
-		return got
+	a, inMix := plannedArrivals(t, 5, 4, 8, 0)
+	if b, _ := plannedArrivals(t, 5, 4, 8, 0); !sameSequence(a, b) {
+		t.Fatal("same seed planned different arrival sequences")
 	}
-	a, b, c := capture("5"), capture("5"), capture("6")
-	if len(a) == 0 || len(a) != len(b) {
-		t.Fatalf("capture sizes %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("same seed diverged at %d:\n%s\nvs\n%s", i, a[i], b[i])
-		}
-	}
-	same := len(a) == len(c)
-	if same {
-		for i := range a {
-			if a[i] != c[i] {
-				same = false
-				break
-			}
-		}
-	}
-	if same {
+	if c, _ := plannedArrivals(t, 6, 4, 8, 0); sameSequence(a, c) {
 		t.Fatal("different seeds produced an identical mix")
+	}
+
+	backend, captured := recordingBackend(t)
+	var out, errBuf bytes.Buffer
+	if code := run([]string{
+		"-target", backend.URL, "-rate", "10", "-duration", "400ms",
+		"-seed", "5", "-mix", "4",
+	}, &out, &errBuf); code != 0 {
+		t.Fatalf("capture run exit %d: %s", code, errBuf.String())
+	}
+	got := captured()
+	if len(got) == 0 {
+		t.Fatal("backend received no requests")
+	}
+	for _, sql := range got {
+		if !inMix[sql] {
+			t.Fatalf("backend received a query outside the planned mix:\n%s", sql)
+		}
 	}
 }

@@ -34,54 +34,67 @@ func BuildContext(ctx context.Context, lt *logictree.LT) (*Diagram, error) {
 	if lt == nil || lt.Root == nil {
 		return nil, fmt.Errorf("cannot build a diagram from an empty logic tree")
 	}
-	b := &builder{
-		ctx: ctx,
-		lt:  lt,
-		d: &Diagram{
-			depth:   map[int]int{},
-			groupID: map[int]int{},
-		},
-		tableOf: map[string]int{},
-		depthOf: map[string]int{},
-		nodeOf:  map[string]*logictree.Node{},
-		groupOf: map[*logictree.Node]int{},
-	}
-	b.d.Tables = append(b.d.Tables, &TableNode{ID: SelectBoxID, Name: "SELECT"})
-
-	// Step 1+2: breadth-first over blocks.
-	queue := []*logictree.Node{lt.Root}
-	depths := map[*logictree.Node]int{lt.Root: 0}
-	group := 0
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		group++
-		if group&255 == 0 {
+	// One breadth-first pass over the blocks sizes everything below: the
+	// table count sizes the node arena, the variable index and the
+	// per-block ID slices.
+	blocks := append(make([]block, 0, 8), block{n: lt.Root, parent: -1})
+	nTables, nBoxes := 0, 0
+	for i := 0; i < len(blocks); i++ {
+		if (i+1)&255 == 0 {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 		}
-		b.groupOf[n] = group
-		var ids []int
-		for _, t := range n.Tables {
-			if _, dup := b.tableOf[t.Var]; dup {
+		n := blocks[i].n
+		nTables += len(n.Tables)
+		if n.Quant == trc.NotExists || n.Quant == trc.ForAll {
+			nBoxes++
+		}
+		for _, c := range n.Children {
+			blocks = append(blocks, block{n: c, depth: blocks[i].depth + 1, parent: i})
+		}
+	}
+	b := &builder{
+		ctx: ctx,
+		lt:  lt,
+		d: &Diagram{
+			Tables:  make([]*TableNode, 1, nTables+1),
+			depth:   make([]int, nTables+1),
+			groupID: make([]int, nTables+1),
+		},
+		vars:   make(map[string]varInfo, nTables),
+		blocks: blocks,
+	}
+	if nBoxes > 0 {
+		b.d.Boxes = make([]Box, 0, nBoxes)
+	}
+	nodes := make([]TableNode, nTables+1)
+	ids := make([]int, nTables+1)
+	nodes[0] = TableNode{ID: SelectBoxID, Name: "SELECT"}
+	b.d.Tables[0] = &nodes[0]
+
+	// Steps 1+2: tables in breadth-first block order, one box per ∄ or
+	// ∀ block.
+	for i, bl := range blocks {
+		first := len(b.d.Tables)
+		for _, t := range bl.n.Tables {
+			if _, dup := b.vars[t.Var]; dup {
 				return nil, fmt.Errorf("duplicate tuple variable %q", t.Var)
 			}
 			id := len(b.d.Tables)
-			b.d.Tables = append(b.d.Tables, &TableNode{ID: id, Var: t.Var, Name: t.Relation})
-			b.tableOf[t.Var] = id
-			b.depthOf[t.Var] = depths[n]
-			b.nodeOf[t.Var] = n
-			b.d.depth[id] = depths[n]
-			b.d.groupID[id] = group
-			ids = append(ids, id)
+			nodes[id] = TableNode{ID: id, Var: t.Var, Name: t.Relation}
+			b.d.Tables = append(b.d.Tables, &nodes[id])
+			b.vars[t.Var] = varInfo{id: id, depth: bl.depth, block: i}
+			b.d.depth[id] = bl.depth
+			b.d.groupID[id] = i + 1
+			ids[id] = id
 		}
-		if n.Quant == trc.NotExists || n.Quant == trc.ForAll {
-			b.d.Boxes = append(b.d.Boxes, Box{Quant: n.Quant, Tables: ids})
-		}
-		for _, c := range n.Children {
-			depths[c] = depths[n] + 1
-			queue = append(queue, c)
+		if bl.n.Quant == trc.NotExists || bl.n.Quant == trc.ForAll {
+			var tables []int
+			if last := len(b.d.Tables); last > first {
+				tables = ids[first:last:last]
+			}
+			b.d.Boxes = append(b.d.Boxes, Box{Quant: bl.n.Quant, Tables: tables})
 		}
 	}
 
@@ -92,12 +105,12 @@ func BuildContext(ctx context.Context, lt *logictree.LT) (*Diagram, error) {
 		return nil, err
 	}
 	for _, g := range lt.GroupBy {
-		id, ok := b.tableOf[g.Var]
+		v, ok := b.vars[g.Var]
 		if !ok {
 			return nil, fmt.Errorf("GROUP BY references unknown variable %q", g.Var)
 		}
-		row := b.ensureAttrRow(id, g.Column)
-		b.d.Tables[id].Rows[row].Kind = RowGroupBy
+		row := b.ensureAttrRow(v.id, g.Column)
+		b.d.Tables[v.id].Rows[row].Kind = RowGroupBy
 	}
 
 	// Steps 3+4: predicates, in breadth-first block order.
@@ -117,13 +130,24 @@ func MustBuild(lt *logictree.LT) *Diagram {
 }
 
 type builder struct {
-	ctx     context.Context
-	lt      *logictree.LT
-	d       *Diagram
-	tableOf map[string]int
-	depthOf map[string]int
-	nodeOf  map[string]*logictree.Node
-	groupOf map[*logictree.Node]int
+	ctx    context.Context
+	lt     *logictree.LT
+	d      *Diagram
+	vars   map[string]varInfo // tuple variable -> its table node
+	blocks []block            // the tree's blocks in breadth-first order
+}
+
+// block is one logic-tree node with its depth and the breadth-first
+// index of its parent block (-1 for the root).
+type block struct {
+	n             *logictree.Node
+	depth, parent int
+}
+
+// varInfo is where a tuple variable's table node sits: its ID, and the
+// depth and breadth-first index of the block that declares it.
+type varInfo struct {
+	id, depth, block int
 }
 
 // ensureAttrRow returns the index of the plain attribute row for attr in
@@ -162,10 +186,11 @@ func (b *builder) addSelect() error {
 			continue // COUNT(*) has no attribute to anchor an edge to
 		}
 		sel.Rows = append(sel.Rows, Row{Kind: RowAttr, Agg: item.Agg, Attr: item.Attr.Column})
-		id, ok := b.tableOf[item.Attr.Var]
+		v, ok := b.vars[item.Attr.Var]
 		if !ok {
 			return fmt.Errorf("select list references unknown variable %q", item.Attr.Var)
 		}
+		id := v.id
 		var target int
 		if item.Agg == sqlparse.AggNone {
 			target = b.ensureAttrRow(id, item.Attr.Column)
@@ -183,12 +208,9 @@ func (b *builder) addSelect() error {
 }
 
 func (b *builder) addPredicates() error {
-	queue := []*logictree.Node{b.lt.Root}
 	preds := 0
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		for _, p := range n.Preds {
+	for _, bl := range b.blocks {
+		for _, p := range bl.n.Preds {
 			// isAncestor makes cross-block predicates O(tree), so this loop
 			// is the quadratic hot spot for adversarial inputs; check the
 			// context often enough that cancellation stays prompt.
@@ -201,7 +223,6 @@ func (b *builder) addPredicates() error {
 				return err
 			}
 		}
-		queue = append(queue, n.Children...)
 	}
 	return nil
 }
@@ -214,11 +235,11 @@ func (b *builder) addPred(p trc.Pred) error {
 		if p.Left.IsConst() {
 			attr, c, op, off = p.Right.Attr, p.Left.Const, p.Op.Flip(), p.Right.Offset
 		}
-		id, ok := b.tableOf[attr.Var]
+		v, ok := b.vars[attr.Var]
 		if !ok {
 			return fmt.Errorf("predicate %s references unknown variable %q", p, attr.Var)
 		}
-		t := b.d.Tables[id]
+		t := b.d.Tables[v.id]
 		t.Rows = append(t.Rows, Row{
 			Kind: RowSelection, Attr: attr.Column, Op: op, Value: c.String(), Offset: off,
 		})
@@ -227,19 +248,20 @@ func (b *builder) addPred(p trc.Pred) error {
 
 	// Join predicate (step 4).
 	l, r := p.Left.Attr, p.Right.Attr
-	lt, lok := b.tableOf[l.Var]
-	rt, rok := b.tableOf[r.Var]
+	lv, lok := b.vars[l.Var]
+	rv, rok := b.vars[r.Var]
 	if !lok || !rok {
 		return fmt.Errorf("predicate %s references an unknown variable", p)
 	}
+	lt, rt := lv.id, rv.id
 	lrow := b.ensureAttrRow(lt, l.Column)
 	rrow := b.ensureAttrRow(rt, r.Column)
-	ld, rd := b.depthOf[l.Var], b.depthOf[r.Var]
+	ld, rd := lv.depth, rv.depth
 	// Normalize arithmetic offsets onto the right-hand side:
 	// a+k1 op b+k2  ≡  a op b + (k2-k1).
 	netOffset := p.Right.Offset - p.Left.Offset
 
-	if b.nodeOf[l.Var] == b.nodeOf[r.Var] {
+	if lv.block == rv.block {
 		// Same query block: undirected line; an arrowhead is added only to
 		// fix operand order for asymmetric operators.
 		e := Edge{
@@ -259,7 +281,7 @@ func (b *builder) addPred(p trc.Pred) error {
 	if ld == rd {
 		return fmt.Errorf("predicate %s joins two distinct blocks at the same depth %d; only ancestor scopes are referencable", p, ld)
 	}
-	if !b.isAncestor(l.Var, r.Var) && !b.isAncestor(r.Var, l.Var) {
+	if !b.isAncestor(lv.block, rv.block) && !b.isAncestor(rv.block, lv.block) {
 		return fmt.Errorf("predicate %s joins blocks that are not in an ancestor relationship", p)
 	}
 
@@ -292,20 +314,12 @@ func (b *builder) addPred(p trc.Pred) error {
 	return nil
 }
 
-// isAncestor reports whether the block defining a is a proper ancestor of
-// the block defining b.
-func (b *builder) isAncestor(a, c string) bool {
-	na, nc := b.nodeOf[a], b.nodeOf[c]
-	found := false
-	var walk func(n *logictree.Node, under bool)
-	walk = func(n *logictree.Node, under bool) {
-		if n == nc && under {
-			found = true
-		}
-		for _, ch := range n.Children {
-			walk(ch, under || n == na)
+// isAncestor reports whether block a is a proper ancestor of block c.
+func (b *builder) isAncestor(a, c int) bool {
+	for c = b.blocks[c].parent; c >= 0; c = b.blocks[c].parent {
+		if c == a {
+			return true
 		}
 	}
-	walk(b.lt.Root, false)
-	return found
+	return false
 }

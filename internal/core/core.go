@@ -22,6 +22,7 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/sqlparse"
@@ -55,29 +56,33 @@ type Row struct {
 
 // Label renders the row text as it appears in the diagram.
 func (r Row) Label() string {
-	expr := r.Attr
-	if r.Agg != sqlparse.AggNone {
-		if r.Star {
-			expr = r.Agg.String() + "(*)"
-		} else {
-			expr = r.Agg.String() + "(" + r.Attr + ")"
-		}
+	if r.Kind != RowSelection {
+		return r.expr()
 	}
-	if r.Kind == RowSelection {
-		return fmt.Sprintf("%s%s %s %s", expr, offsetLabel(r.Offset), r.Op, r.Value)
+	var buf [64]byte
+	b := append(buf[:0], r.expr()...)
+	switch {
+	case r.Offset > 0:
+		b = strconv.AppendFloat(append(b, " + "...), r.Offset, 'g', -1, 64)
+	case r.Offset < 0:
+		b = strconv.AppendFloat(append(b, " - "...), -r.Offset, 'g', -1, 64)
 	}
-	return expr
+	b = append(b, ' ')
+	b = append(b, r.Op.String()...)
+	b = append(b, ' ')
+	b = append(b, r.Value...)
+	return string(b)
 }
 
-// offsetLabel renders " + k" / " - k" for a nonzero arithmetic offset.
-func offsetLabel(k float64) string {
-	switch {
-	case k > 0:
-		return fmt.Sprintf(" + %g", k)
-	case k < 0:
-		return fmt.Sprintf(" - %g", -k)
+// expr renders the row's attribute, wrapped in its aggregate if any.
+func (r Row) expr() string {
+	if r.Agg == sqlparse.AggNone {
+		return r.Attr
 	}
-	return ""
+	if r.Star {
+		return r.Agg.String() + "(*)"
+	}
+	return r.Agg.String() + "(" + r.Attr + ")"
 }
 
 // SelectBoxID is the table-node ID reserved for the SELECT box.
@@ -172,10 +177,10 @@ type Diagram struct {
 	// the "hidden label" of Appendix B: tests and the inverse-mapping
 	// verifier may consult it as ground truth, but nothing rendered shows
 	// it and package inverse must recover it from the arrows alone.
-	depth map[int]int
+	depth []int
 	// groupID maps table ID → build-time block identifier, recording
 	// block membership for tables that have no bounding box.
-	groupID map[int]int
+	groupID []int
 }
 
 // Table returns the node with the given ID.

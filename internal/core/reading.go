@@ -1,9 +1,6 @@
 package core
 
 import (
-	"fmt"
-	"strings"
-
 	"repro/internal/logictree"
 	"repro/internal/trc"
 )
@@ -76,81 +73,91 @@ func (d *Diagram) ReadingOrder() []int {
 // the style the paper uses to explain Fig. 1b: quantifier phrases over
 // each block joined by "such that" and "and".
 func Interpret(lt *logictree.LT) string {
-	var b strings.Builder
-	b.WriteString("Return ")
+	// Most readings fit the stack buffer, so the returned string is the
+	// only allocation.
+	var buf [1024]byte
+	b := append(buf[:0], "Return "...)
 	if len(lt.Select) == 0 {
-		b.WriteString("all attributes")
+		b = append(b, "all attributes"...)
 	}
 	for i, s := range lt.Select {
 		if i > 0 {
-			b.WriteString(", ")
+			b = append(b, ", "...)
 		}
-		b.WriteString(s.String())
+		b = s.Append(b)
 	}
 	if len(lt.GroupBy) > 0 {
-		b.WriteString(" for each ")
+		b = append(b, " for each "...)
 		for i, g := range lt.GroupBy {
 			if i > 0 {
-				b.WriteString(", ")
+				b = append(b, ", "...)
 			}
-			b.WriteString(g.String())
+			b = g.Append(b)
 		}
 	}
-	fmt.Fprintf(&b, " from %s", tableList(lt.Root))
+	b = appendTableList(append(b, " from "...), lt.Root)
 	if len(lt.Root.Preds) > 0 {
-		fmt.Fprintf(&b, " where %s", predList(lt.Root))
+		b = appendPredList(append(b, " where "...), lt.Root)
 	}
 	for i, c := range lt.Root.Children {
 		if i == 0 {
-			b.WriteString(", such that ")
+			b = append(b, ", such that "...)
 		} else {
-			b.WriteString(" and ")
+			b = append(b, " and "...)
 		}
-		interpretNode(&b, c)
+		b = appendNode(b, c)
 	}
-	b.WriteString(".")
-	return b.String()
+	b = append(b, '.')
+	return string(b)
 }
 
-func interpretNode(b *strings.Builder, n *logictree.Node) {
+func appendNode(b []byte, n *logictree.Node) []byte {
 	switch n.Quant {
 	case trc.NotExists:
-		fmt.Fprintf(b, "there does not exist %s", tableList(n))
+		b = append(b, "there does not exist "...)
 	case trc.ForAll:
-		fmt.Fprintf(b, "for all %s", tableList(n))
+		b = append(b, "for all "...)
 	default:
-		fmt.Fprintf(b, "there exists %s", tableList(n))
+		b = append(b, "there exists "...)
 	}
+	b = appendTableList(b, n)
 	if len(n.Preds) > 0 {
-		fmt.Fprintf(b, " with %s", predList(n))
+		b = appendPredList(append(b, " with "...), n)
 	}
 	if n.Quant == trc.ForAll && len(n.Children) == 1 {
-		b.WriteString(", it holds that ")
-		interpretNode(b, n.Children[0])
-		return
+		b = append(b, ", it holds that "...)
+		return appendNode(b, n.Children[0])
 	}
 	for i, c := range n.Children {
 		if i == 0 {
-			b.WriteString(", such that ")
+			b = append(b, ", such that "...)
 		} else {
-			b.WriteString(" and ")
+			b = append(b, " and "...)
 		}
-		interpretNode(b, c)
+		b = appendNode(b, c)
 	}
+	return b
 }
 
-func tableList(n *logictree.Node) string {
-	var parts []string
-	for _, t := range n.Tables {
-		parts = append(parts, fmt.Sprintf("a %s tuple %s", t.Relation, t.Var))
+func appendTableList(b []byte, n *logictree.Node) []byte {
+	for i, t := range n.Tables {
+		if i > 0 {
+			b = append(b, " and "...)
+		}
+		b = append(b, "a "...)
+		b = append(b, t.Relation...)
+		b = append(b, " tuple "...)
+		b = append(b, t.Var...)
 	}
-	return strings.Join(parts, " and ")
+	return b
 }
 
-func predList(n *logictree.Node) string {
-	var parts []string
-	for _, p := range n.Preds {
-		parts = append(parts, p.String())
+func appendPredList(b []byte, n *logictree.Node) []byte {
+	for i, p := range n.Preds {
+		if i > 0 {
+			b = append(b, " and "...)
+		}
+		b = p.Append(b)
 	}
-	return strings.Join(parts, " and ")
+	return b
 }

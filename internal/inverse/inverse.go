@@ -99,7 +99,7 @@ type graph struct {
 	d      *core.Diagram
 	groups [][]int     // group index -> table IDs; groups[0] is the root
 	boxOf  []trc.Quant // quantifier per group (root: ∃)
-	gOf    map[int]int // table ID -> group index
+	gOf    []int       // table ID -> group index
 	// directed cross-group edges, as (fromGroup, toGroup) pairs with the
 	// originating diagram edge.
 	edges []groupEdge
@@ -113,10 +113,15 @@ type groupEdge struct {
 // buildGraph extracts groups and cross-group arrows from a diagram. It
 // fails when the diagram is not in ∄ form.
 func buildGraph(d *core.Diagram) (*graph, error) {
-	g := &graph{d: d, gOf: map[int]int{}}
+	g := &graph{
+		d:      d,
+		groups: make([][]int, 0, len(d.Boxes)+1),
+		boxOf:  make([]trc.Quant, 0, len(d.Boxes)+1),
+		gOf:    make([]int, len(d.Tables)),
+	}
 
 	// The root group: unboxed tables. Everything else must sit in a ∄ box.
-	var root []int
+	root := make([]int, 0, len(d.Tables)-1)
 	for _, t := range d.Tables[1:] {
 		if d.BoxOf(t.ID) == nil {
 			root = append(root, t.ID)
@@ -135,12 +140,19 @@ func buildGraph(d *core.Diagram) (*graph, error) {
 			return nil, fmt.Errorf("diagram is in ∀ form; recovery is defined for ∄-form diagrams (de-simplify first)")
 		}
 		idx := len(g.groups)
-		g.groups = append(g.groups, append([]int(nil), b.Tables...))
+		g.groups = append(g.groups, b.Tables)
 		g.boxOf = append(g.boxOf, b.Quant)
 		for _, id := range b.Tables {
 			g.gOf[id] = idx
 		}
 	}
+	cross := 0
+	for _, e := range d.Edges {
+		if e.Kind != core.EdgeSelect && g.gOf[e.From.Table] != g.gOf[e.To.Table] {
+			cross++
+		}
+	}
+	g.edges = make([]groupEdge, 0, cross)
 	for _, e := range d.Edges {
 		if e.Kind == core.EdgeSelect {
 			continue
@@ -159,10 +171,10 @@ func buildGraph(d *core.Diagram) (*graph, error) {
 
 // consistent reports whether a parent assignment (parent[i] for each
 // non-root group; parent[0] = -1) yields depths and ancestry that satisfy
-// the arrow rules for every cross-group edge.
-func (g *graph) consistent(parent []int) bool {
+// the arrow rules for every cross-group edge. It writes each group's
+// depth into depth, which ltFromAssignment reads when it holds.
+func (g *graph) consistent(parent, depth []int) bool {
 	n := len(g.groups)
-	depth := make([]int, n)
 	depth[0] = 0
 	// Compute depths; detect cycles and the depth bound.
 	for i := 1; i < n; i++ {
@@ -204,11 +216,10 @@ func (g *graph) consistent(parent []int) bool {
 }
 
 // ltFromAssignment materializes the logic tree implied by a parent
-// assignment.
-func (g *graph) ltFromAssignment(parent []int) *logictree.LT {
+// assignment whose group depths consistent computed.
+func (g *graph) ltFromAssignment(parent, depth []int) *logictree.LT {
 	n := len(g.groups)
 	nodes := make([]*logictree.Node, n)
-	depth := make([]int, n)
 	for i := 0; i < n; i++ {
 		nodes[i] = &logictree.Node{Quant: g.boxOf[i]}
 		for _, id := range g.groups[i] {
@@ -224,12 +235,6 @@ func (g *graph) ltFromAssignment(parent []int) *logictree.LT {
 	}
 	for i := 1; i < n; i++ {
 		nodes[parent[i]].Children = append(nodes[parent[i]].Children, nodes[i])
-		d, v := 0, i
-		for v != 0 {
-			v = parent[v]
-			d++
-		}
-		depth[i] = d
 	}
 
 	varOf := func(id int, row int) trc.Attr {
@@ -375,14 +380,16 @@ func solutionsN(ctx context.Context, d *core.Diagram, validate bool, budget int)
 	st := &search{ctx: ctx, budget: budget}
 	n := len(g.groups)
 	// Each distinct solution is kept with its canonical key, which both
-	// deduplicates and orders the result.
+	// deduplicates and orders the result. A lone survivor needs neither,
+	// so keys are computed once a second one turns up.
 	type keyed struct {
 		key string
 		lt  *logictree.LT
 	}
 	var found []keyed
-	seen := map[string]bool{}
-	parent := make([]int, n)
+	var seen map[string]bool
+	buf := make([]int, 2*n)
+	parent, depth := buf[:n], buf[n:]
 	parent[0] = -1
 
 	var rec func(i int) error
@@ -391,12 +398,20 @@ func solutionsN(ctx context.Context, d *core.Diagram, validate bool, budget int)
 			return err
 		}
 		if i == n {
-			if !g.consistent(parent) {
+			if !g.consistent(parent, depth) {
 				return nil
 			}
-			lt := g.ltFromAssignment(parent)
+			lt := g.ltFromAssignment(parent, depth)
 			if validate && lt.Validate() != nil {
 				return nil
+			}
+			if len(found) == 0 {
+				found = append(found, keyed{lt: lt})
+				return nil
+			}
+			if seen == nil {
+				found[0].key = found[0].lt.Canonical()
+				seen = map[string]bool{found[0].key: true}
 			}
 			key := lt.Canonical()
 			if !seen[key] {

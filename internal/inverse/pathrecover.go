@@ -198,10 +198,11 @@ func RecoverPath(d *core.Diagram) (*logictree.LT, error) {
 		}
 		parent[gi] = byDepth[dep-1]
 	}
-	if !g.consistent(parent) {
+	depth := make([]int, len(g.groups))
+	if !g.consistent(parent, depth) {
 		return nil, fmt.Errorf("recovered depths are inconsistent with the arrow rules")
 	}
-	lt := g.ltFromAssignment(parent)
+	lt := g.ltFromAssignment(parent, depth)
 	if err := lt.Validate(); err != nil {
 		return nil, fmt.Errorf("recovered tree is degenerate: %w", err)
 	}

@@ -69,7 +69,25 @@ func (s *Schema) AddTable(name string, columns ...string) *Table {
 
 // Table looks up a table by case-insensitive name.
 func (s *Schema) Table(name string) (*Table, bool) {
-	t, ok := s.tables[strings.ToLower(name)]
+	// An ASCII name up to 64 bytes is lowered on the stack; the map index
+	// with a converted byte slice does not allocate.
+	var buf [64]byte
+	if len(name) > len(buf) {
+		t, ok := s.tables[strings.ToLower(name)]
+		return t, ok
+	}
+	for i := 0; i < len(name); i++ {
+		c := name[i]
+		if c >= 0x80 {
+			t, ok := s.tables[strings.ToLower(name)]
+			return t, ok
+		}
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		buf[i] = c
+	}
+	t, ok := s.tables[string(buf[:len(name)])]
 	return t, ok
 }
 

@@ -1,0 +1,105 @@
+package server
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/json"
+	"fmt"
+	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"testing"
+
+	"repro/internal/oracle"
+	"repro/internal/schema"
+	"repro/internal/sqlparse"
+)
+
+// handlerGoldenRequests is how many seeded requests the handler digest
+// list covers.
+const handlerGoldenRequests = 200
+
+// elapsedField matches the one response field that legitimately differs
+// between runs of the same request.
+var elapsedField = regexp.MustCompile(`"elapsed_ms":[0-9]+`)
+
+// handlerDigests serves handlerGoldenRequests seeded oracle queries
+// (every built-in schema, verify=degrade, the format rotating over dot,
+// svg and text, simplify alternating) through the in-process handler
+// and returns one line per request: status, the verify and degraded
+// headers, and the SHA-256 of the body with elapsed_ms zeroed.
+func handlerDigests(t *testing.T) string {
+	t.Helper()
+	cfg := oracle.DefaultConfig()
+	schemas := map[string]*schema.Schema{}
+	for _, name := range cfg.Schemas {
+		s, ok := schema.ByName(name)
+		if !ok {
+			t.Fatalf("unknown schema %q", name)
+		}
+		schemas[name] = s
+	}
+	srv := New(Config{})
+	formats := []string{"dot", "svg", "text"}
+	var b strings.Builder
+	master := rand.New(rand.NewSource(13))
+	for i := 0; i < handlerGoldenRequests; i++ {
+		rng := rand.New(rand.NewSource(master.Int63()))
+		name := cfg.Schemas[rng.Intn(len(cfg.Schemas))]
+		req := diagramRequest{
+			SQL:      sqlparse.Format(oracle.Generate(rng, schemas[name], cfg)),
+			Schema:   name,
+			Simplify: i%2 == 1,
+			Format:   formats[i%len(formats)],
+			Verify:   "degrade",
+		}
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := httptest.NewRequest(http.MethodPost, "/v1/diagram", bytes.NewReader(body))
+		r.Header.Set("Content-Type", "application/json")
+		w := httptest.NewRecorder()
+		srv.ServeHTTP(w, r)
+		out := elapsedField.ReplaceAll(w.Body.Bytes(), []byte(`"elapsed_ms":0`))
+		fmt.Fprintf(&b, "%03d %s format=%s simplify=%t code=%d verify=%q degraded=%q body=%x\n",
+			i, name, req.Format, req.Simplify, w.Code,
+			w.Header().Get("X-QueryVis-Verify-Status"), w.Header().Get("X-QueryVis-Degraded"),
+			sha256.Sum256(out))
+	}
+	return b.String()
+}
+
+// TestHandlerDigestsGolden pins the exact /v1/diagram bytes and verify
+// headers over a seeded request mix, so an optimisation anywhere in
+// parse, resolve, build, reading, verify or render must reproduce its
+// predecessor's responses byte for byte. Regenerate with go test -run
+// TestHandlerDigestsGolden -update only for an intended output change.
+func TestHandlerDigestsGolden(t *testing.T) {
+	got := handlerDigests(t)
+	path := filepath.Join("testdata", "handler_sha256.golden")
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run go test -update to create golden files)", err)
+	}
+	if got == string(want) {
+		return
+	}
+	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gl) && i < len(wl); i++ {
+		if gl[i] != wl[i] {
+			t.Fatalf("%s line %d differs:\ngot  %s\nwant %s", path, i+1, gl[i], wl[i])
+		}
+	}
+	t.Fatalf("%s: got %d lines, want %d", path, len(gl), len(wl))
+}

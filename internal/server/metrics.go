@@ -1,6 +1,8 @@
 package server
 
 import (
+	"context"
+	"log/slog"
 	"net/http"
 	"strconv"
 	"sync/atomic"
@@ -358,27 +360,28 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 			m.slowQueries.Inc()
 		}
 		if log := s.cfg.Logger; log != nil {
-			attrs := []any{
-				"request_id", rid,
-				"trace_id", tr.TraceID(),
-				"route", route,
-				"code", code,
-				"elapsed_ms", elapsed.Milliseconds(),
-			}
+			var buf [9]slog.Attr
+			attrs := append(buf[:0],
+				slog.String("request_id", rid),
+				slog.String("trace_id", tr.TraceID()),
+				slog.String("route", route),
+				slog.Int("code", code),
+				slog.Int64("elapsed_ms", elapsed.Milliseconds()),
+			)
 			if rec.category != "" {
-				attrs = append(attrs, "category", string(rec.category))
+				attrs = append(attrs, slog.String("category", string(rec.category)))
 			}
 			if slow {
 				// Only the slow path pays for scrubbing; the SQL never reaches
 				// a log line unscrubbed.
-				attrs = append(attrs, "slow", true)
+				attrs = append(attrs, slog.Bool("slow", true))
 				if rec.sql != "" {
-					attrs = append(attrs, "sql", quarantine.ScrubSQL(rec.sql))
+					attrs = append(attrs, slog.String("sql", quarantine.ScrubSQL(rec.sql)))
 				}
-				attrs = append(attrs, "trace", "\n"+telemetry.FormatTree(spans))
-				log.Warn("slow query", attrs...)
+				attrs = append(attrs, slog.String("trace", "\n"+telemetry.FormatTree(spans)))
+				log.LogAttrs(context.Background(), slog.LevelWarn, "slow query", attrs...)
 			} else {
-				log.Info("request", attrs...)
+				log.LogAttrs(context.Background(), slog.LevelInfo, "request", attrs...)
 			}
 		}
 	}

@@ -437,3 +437,89 @@ func TestSlowQueryLog(t *testing.T) {
 		t.Fatalf("slow_queries_total = %v, want 1", got)
 	}
 }
+
+// TestRequestLogLineFormat: the per-request log line, written with typed
+// attributes, reads exactly as the same values logged through the
+// key-value form, in both the text and the JSON handler, for a served
+// request and for a categorized error.
+func TestRequestLogLineFormat(t *testing.T) {
+	noTime := &slog.HandlerOptions{ReplaceAttr: func(_ []string, a slog.Attr) slog.Attr {
+		if a.Key == slog.TimeKey {
+			return slog.Attr{}
+		}
+		return a
+	}}
+	for _, mk := range []func(io.Writer) slog.Handler{
+		func(w io.Writer) slog.Handler { return slog.NewTextHandler(w, noTime) },
+		func(w io.Writer) slog.Handler { return slog.NewJSONHandler(w, noTime) },
+	} {
+		for _, c := range []struct {
+			req      diagramRequest
+			category bool
+		}{
+			{diagramRequest{SQL: corpus.Fig3QSome, Schema: "beers"}, false},
+			{diagramRequest{Schema: "beers"}, true},
+		} {
+			body, err := json.Marshal(c.req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got bytes.Buffer
+			srv := New(Config{Logger: slog.New(mk(&got))})
+			req := httptest.NewRequest(http.MethodPost, "/v1/diagram", bytes.NewReader(body))
+			req.Header.Set("Content-Type", "application/json")
+			srv.ServeHTTP(httptest.NewRecorder(), req)
+
+			var rec struct {
+				RequestID string `json:"request_id"`
+				TraceID   string `json:"trace_id"`
+				Route     string `json:"route"`
+				Code      int    `json:"code"`
+				ElapsedMS int64  `json:"elapsed_ms"`
+				Category  string `json:"category"`
+			}
+			line := strings.TrimSpace(got.String())
+			if strings.HasPrefix(line, "{") {
+				if err := json.Unmarshal([]byte(line), &rec); err != nil {
+					t.Fatalf("decode %q: %v", line, err)
+				}
+			} else {
+				for _, f := range strings.Fields(line) {
+					k, v, _ := strings.Cut(f, "=")
+					switch k {
+					case "request_id":
+						rec.RequestID = v
+					case "trace_id":
+						rec.TraceID = v
+					case "route":
+						rec.Route = v
+					case "code":
+						fmt.Sscan(v, &rec.Code)
+					case "elapsed_ms":
+						fmt.Sscan(v, &rec.ElapsedMS)
+					case "category":
+						rec.Category = v
+					}
+				}
+			}
+			args := []any{
+				"request_id", rec.RequestID,
+				"trace_id", rec.TraceID,
+				"route", rec.Route,
+				"code", rec.Code,
+				"elapsed_ms", rec.ElapsedMS,
+			}
+			if (rec.Category != "") != c.category {
+				t.Fatalf("category %q in %q, want one: %t", rec.Category, got.String(), c.category)
+			}
+			if rec.Category != "" {
+				args = append(args, "category", rec.Category)
+			}
+			var want bytes.Buffer
+			slog.New(mk(&want)).Info("request", args...)
+			if got.String() != want.String() {
+				t.Fatalf("request log line:\ngot  %swant %s", got.String(), want.String())
+			}
+		}
+	}
+}

@@ -27,14 +27,106 @@ type Resolution struct {
 	Blocks  map[*Query][]*Binding
 	Depth   map[*Query]int
 	Parent  map[*Query]*Query
-	byAlias map[*Query]map[string]*Binding // visible scope at each block
-	ctx     context.Context                // cancellation during resolution
+	byAlias map[*Query]*scope // visible scope at each block
+	ctx     context.Context   // cancellation during resolution
+}
+
+// scope is the aliases visible in one query block: the block's own
+// bindings, then its enclosing block's scope. Inner aliases shadow outer
+// ones; alias names compare case-insensitively.
+type scope struct {
+	local []*Binding
+	outer *scope
+	// byName indexes local by lowered alias once the block has more
+	// than wideScope tables, so a wide FROM clause costs each lookup
+	// one map probe instead of a scan.
+	byName map[string]*Binding
+
+	// visible is the enclosing blocks' bindings that no nearer alias
+	// shadows; built on the first unqualified column with no local match.
+	visible      []*Binding
+	visibleBuilt bool
+}
+
+// wideScope is the FROM-clause width above which a block indexes its
+// aliases in a map; narrower blocks scan, which allocates nothing.
+const wideScope = 8
+
+// add appends a binding to the block, reporting false if its alias
+// repeats one the block already has.
+func (sc *scope) add(b *Binding) bool {
+	if _, dup := sc.localLookup(b.Alias); dup {
+		return false
+	}
+	sc.local = append(sc.local, b)
+	if sc.byName != nil {
+		sc.byName[strings.ToLower(b.Alias)] = b
+	}
+	return true
+}
+
+// localLookup returns the block's own binding for an alias.
+func (sc *scope) localLookup(alias string) (*Binding, bool) {
+	if sc.byName != nil {
+		b, ok := sc.byName[strings.ToLower(alias)]
+		return b, ok
+	}
+	for _, b := range sc.local {
+		if sameName(b.Alias, alias) {
+			return b, true
+		}
+	}
+	return nil, false
+}
+
+// lookup returns the innermost binding for an alias.
+func (sc *scope) lookup(alias string) (*Binding, bool) {
+	for ; sc != nil; sc = sc.outer {
+		if b, ok := sc.localLookup(alias); ok {
+			return b, true
+		}
+	}
+	return nil, false
+}
+
+// visibleOuter returns the enclosing blocks' unshadowed bindings: the
+// enclosing block's own and its visible outer ones, less those this
+// block's aliases shadow. Each scope builds the list once.
+func (sc *scope) visibleOuter() []*Binding {
+	if !sc.visibleBuilt && sc.outer != nil {
+		sc.visibleBuilt = true
+		for _, list := range [][]*Binding{sc.outer.local, sc.outer.visibleOuter()} {
+			for _, b := range list {
+				if _, shadowed := sc.localLookup(b.Alias); !shadowed {
+					sc.visible = append(sc.visible, b)
+				}
+			}
+		}
+	}
+	return sc.visible
+}
+
+// sameName reports whether two names are equal under strings.ToLower,
+// without lowering (and allocating) when both are ASCII.
+func sameName(a, b string) bool {
+	if isASCII(a) && isASCII(b) {
+		return strings.EqualFold(a, b)
+	}
+	return strings.ToLower(a) == strings.ToLower(b)
+}
+
+func isASCII(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= 0x80 {
+			return false
+		}
+	}
+	return true
 }
 
 // Binding returns the binding visible at the given block for an alias.
 func (r *Resolution) Binding(block *Query, alias string) (*Binding, bool) {
-	b, ok := r.byAlias[block][strings.ToLower(alias)]
-	return b, ok
+	return r.byAlias[block].lookup(alias)
 }
 
 // AllBindings returns every binding in the query, outermost block first.
@@ -68,16 +160,16 @@ func ResolveContext(ctx context.Context, q *Query, s *schema.Schema) (*Resolutio
 		Blocks:  make(map[*Query][]*Binding),
 		Depth:   make(map[*Query]int),
 		Parent:  make(map[*Query]*Query),
-		byAlias: make(map[*Query]map[string]*Binding),
+		byAlias: make(map[*Query]*scope),
 		ctx:     ctx,
 	}
-	if err := r.resolveBlock(q, nil, 0, map[string]*Binding{}); err != nil {
+	if err := r.resolveBlock(q, nil, 0, nil); err != nil {
 		return nil, err
 	}
 	return r, nil
 }
 
-func (r *Resolution) resolveBlock(q *Query, parent *Query, depth int, outer map[string]*Binding) error {
+func (r *Resolution) resolveBlock(q *Query, parent *Query, depth int, outer *scope) error {
 	if err := r.ctx.Err(); err != nil {
 		return err
 	}
@@ -89,11 +181,11 @@ func (r *Resolution) resolveBlock(q *Query, parent *Query, depth int, outer map[
 		r.Parent[q] = parent
 	}
 
-	scope := make(map[string]*Binding, len(outer)+len(q.From))
-	for k, v := range outer {
-		scope[k] = v
+	bindings := make([]Binding, len(q.From))
+	sc := &scope{local: make([]*Binding, 0, len(q.From)), outer: outer}
+	if len(q.From) > wideScope {
+		sc.byName = make(map[string]*Binding, len(q.From))
 	}
-	local := make(map[string]*Binding, len(q.From))
 	for i := range q.From {
 		ref := &q.From[i]
 		tbl, ok := r.Schema.Table(ref.Table)
@@ -102,20 +194,17 @@ func (r *Resolution) resolveBlock(q *Query, parent *Query, depth int, outer map[
 		}
 		ref.Table = tbl.Name // canonicalize casing
 		name := ref.Name()
-		key := strings.ToLower(name)
-		if _, dup := local[key]; dup {
+		bindings[i] = Binding{Alias: name, Table: tbl, Block: q, Depth: depth}
+		if !sc.add(&bindings[i]) {
 			return fmt.Errorf("duplicate table alias %q in one FROM clause", name)
 		}
-		b := &Binding{Alias: name, Table: tbl, Block: q, Depth: depth}
-		local[key] = b
-		scope[key] = b // inner aliases shadow outer ones
-		r.Blocks[q] = append(r.Blocks[q], b)
 	}
-	r.byAlias[q] = scope
+	r.Blocks[q] = sc.local
+	r.byAlias[q] = sc
 
 	resolveCol := func(c *ColumnRef) error {
 		if c.Table != "" {
-			b, ok := scope[strings.ToLower(c.Table)]
+			b, ok := sc.lookup(c.Table)
 			if !ok {
 				return fmt.Errorf("unknown table alias %q", c.Table)
 			}
@@ -129,20 +218,23 @@ func (r *Resolution) resolveBlock(q *Query, parent *Query, depth int, outer map[
 		}
 		// Unqualified: prefer a unique match among local bindings, then
 		// a unique match in the whole visible scope.
-		match := func(bs map[string]*Binding) (*Binding, int) {
-			var found *Binding
-			n := 0
-			for _, b := range bs {
+		var found *Binding
+		n := 0
+		for _, b := range sc.local {
+			if b.Table.HasColumn(c.Column) {
+				found = b
+				n++
+			}
+		}
+		if n == 0 {
+			for _, b := range sc.visibleOuter() {
 				if b.Table.HasColumn(c.Column) {
 					found = b
-					n++
+					if n++; n > 1 {
+						break // ambiguous however many more match
+					}
 				}
 			}
-			return found, n
-		}
-		b, n := match(local)
-		if n == 0 {
-			b, n = match(scope)
 		}
 		switch {
 		case n == 0:
@@ -150,11 +242,11 @@ func (r *Resolution) resolveBlock(q *Query, parent *Query, depth int, outer map[
 		case n > 1:
 			return fmt.Errorf("ambiguous column %q: qualify it with a table alias", c.Column)
 		}
-		col, err := b.Table.Column(c.Column)
+		col, err := found.Table.Column(c.Column)
 		if err != nil {
 			return err
 		}
-		c.Table = b.Alias
+		c.Table = found.Alias
 		c.Column = col
 		return nil
 	}
@@ -188,14 +280,14 @@ func (r *Resolution) resolveBlock(q *Query, parent *Query, depth int, outer map[
 				return err
 			}
 		case *Exists:
-			if err := r.resolveBlock(p.Sub, q, depth+1, scope); err != nil {
+			if err := r.resolveBlock(p.Sub, q, depth+1, sc); err != nil {
 				return err
 			}
 		case *In:
 			if err := resolveCol(&p.Col); err != nil {
 				return err
 			}
-			if err := r.resolveBlock(p.Sub, q, depth+1, scope); err != nil {
+			if err := r.resolveBlock(p.Sub, q, depth+1, sc); err != nil {
 				return err
 			}
 			if err := checkSingleColumnSub(p.Sub); err != nil {
@@ -205,7 +297,7 @@ func (r *Resolution) resolveBlock(q *Query, parent *Query, depth int, outer map[
 			if err := resolveCol(&p.Col); err != nil {
 				return err
 			}
-			if err := r.resolveBlock(p.Sub, q, depth+1, scope); err != nil {
+			if err := r.resolveBlock(p.Sub, q, depth+1, sc); err != nil {
 				return err
 			}
 			if err := checkSingleColumnSub(p.Sub); err != nil {

@@ -1,8 +1,10 @@
 package sqlparse
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/schema"
 )
@@ -110,6 +112,10 @@ func TestResolveErrors(t *testing.T) {
 		{"SELECT wat FROM Likes L", "not found in any table", schema.Beers()},
 		{"SELECT Name FROM Artist A, Genre G", "ambiguous column", schema.Chinook()},
 		{"SELECT L.drinker FROM Likes L, Likes L", "duplicate table alias", schema.Beers()},
+		{"SELECT L.drinker FROM Likes L, Likes A, Likes B, Likes C, Likes D, Likes E, Likes F, Likes G, Likes l",
+			`duplicate table alias "l"`, schema.Beers()},
+		{"SELECT L.drinker FROM Likes L, Likes A, Likes B, Likes C, Likes D, Likes E, Likes F, Likes G, Likes H WHERE EXISTS (SELECT * FROM Serves WHERE drinker = 'x')",
+			"ambiguous column", schema.Beers()},
 	}
 	for _, c := range cases {
 		q, err := Parse(c.src)
@@ -164,5 +170,62 @@ func TestSchemaBuiltins(t *testing.T) {
 	}
 	if len(ch.TableNames()) != 11 {
 		t.Errorf("Chinook has %d tables, want 11", len(ch.TableNames()))
+	}
+}
+
+// TestResolveWideScopeIsLinear resolves column references against
+// thousands of aliases. A reference must not cost a scan per visible
+// binding: a shadowing scan per outer binding made the first two shapes
+// minutes of work for a 40 KB query. The qualified shape goes through a
+// wide block's alias index, spelling the alias in another case.
+func TestResolveWideScopeIsLinear(t *testing.T) {
+	s := schema.New("wide")
+	s.AddTable("B", "y")
+	s.AddTable("C", "z")
+	const width, preds = 2000, 512
+	from := func(table string) string {
+		items := make([]string, width)
+		for i := range items {
+			items[i] = fmt.Sprintf("%s t%d", table, i)
+		}
+		return strings.Join(items, ", ")
+	}
+	where := strings.Repeat("z = z AND ", preds-1) + "z = z"
+	deep := "SELECT c.z FROM " + from("B") + ", C c WHERE "
+	for i := 0; i < 200; i++ {
+		deep += fmt.Sprintf("EXISTS (SELECT * FROM B n%d WHERE z = z AND ", i)
+	}
+	deep += "z = z" + strings.Repeat(")", 200)
+	for _, c := range []struct{ name, sql, want string }{
+		// The inner block has no z; exactly one outer alias has it.
+		{"wide_outer", "SELECT c.z FROM " + from("B") + ", C c WHERE EXISTS (SELECT * FROM B b WHERE " + where + ")", "c.z"},
+		// Every outer alias but c has z and is shadowed by an inner
+		// alias without it.
+		{"shadowed_outer", "SELECT c.z FROM " + from("C") + ", C c WHERE EXISTS (SELECT * FROM " + from("B") + " WHERE " + where + ")", "c.z"},
+		// Qualified references to the last alias of a wide FROM clause.
+		{"qualified", "SELECT T1999.y FROM " + from("B") + " WHERE " + strings.Repeat("T1999.y = t1999.y AND ", preds-1) + "t1999.y = t1999.y", "t1999.y"},
+		// Unqualified outer references from 200 nested blocks.
+		{"deep", deep, "c.z"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			q, err := Parse(c.sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			start := time.Now()
+			if _, err := Resolve(q, s); err != nil {
+				t.Fatal(err)
+			}
+			if el := time.Since(start); el > 2*time.Second {
+				t.Errorf("resolve took %v for %d aliases", el, width)
+			}
+			first := q.Where[0]
+			if ex, ok := first.(*Exists); ok {
+				first = ex.Sub.Where[0]
+			}
+			if got := first.(*Compare).Left.Col.String(); got != c.want {
+				t.Errorf("first predicate's left column resolved to %s, want %s", got, c.want)
+			}
+		})
 	}
 }

@@ -217,30 +217,42 @@ func (l *lexer) next() (token, error) {
 		}
 		return token{}, l.errorf(line, col, "unexpected character %q", c)
 	case c == '\'':
-		var b strings.Builder
+		// The body is sliced out of src; only a body containing a ''
+		// escape is copied, from its first escape on.
+		start := l.pos
+		var esc []byte
 		for {
 			if l.pos >= len(l.src) {
 				return token{}, l.errorf(line, col, "unterminated string literal")
 			}
 			ch := l.advance()
-			if ch == '\'' {
-				if l.peek() == '\'' { // '' escapes a quote
-					l.advance()
-					b.WriteByte('\'')
-					continue
+			if ch != '\'' {
+				if esc != nil {
+					esc = append(esc, ch)
 				}
-				return mk(tokString, b.String())
+				continue
 			}
-			b.WriteByte(ch)
+			if l.peek() != '\'' {
+				if esc == nil {
+					return mk(tokString, l.src[start:l.pos-1])
+				}
+				return mk(tokString, string(esc))
+			}
+			// '' escapes a quote: keep one of the pair.
+			if esc == nil {
+				esc = []byte(l.src[start:l.pos])
+			} else {
+				esc = append(esc, '\'')
+			}
+			l.advance()
 		}
 	case c >= '0' && c <= '9':
-		var b strings.Builder
-		b.WriteByte(c)
+		start := l.pos - 1
 		seenDot := false
 		for l.pos < len(l.src) {
 			ch := l.peek()
 			if ch >= '0' && ch <= '9' {
-				b.WriteByte(l.advance())
+				l.advance()
 				continue
 			}
 			// A '.' is part of the number only if followed by a digit;
@@ -248,19 +260,18 @@ func (l *lexer) next() (token, error) {
 			if ch == '.' && !seenDot && l.pos+1 < len(l.src) &&
 				l.src[l.pos+1] >= '0' && l.src[l.pos+1] <= '9' {
 				seenDot = true
-				b.WriteByte(l.advance())
+				l.advance()
 				continue
 			}
 			break
 		}
-		return mk(tokNumber, b.String())
+		return mk(tokNumber, l.src[start:l.pos])
 	case isIdentStart(c):
-		var b strings.Builder
-		b.WriteByte(c)
+		start := l.pos - 1
 		for l.pos < len(l.src) && isIdentPart(l.peek()) {
-			b.WriteByte(l.advance())
+			l.advance()
 		}
-		return mk(tokIdent, b.String())
+		return mk(tokIdent, l.src[start:l.pos])
 	}
 	return token{}, l.errorf(line, col, "unexpected character %q", c)
 }
@@ -270,11 +281,18 @@ func lexAll(src string) ([]token, error) {
 	return lexAllContext(context.Background(), src)
 }
 
+// maxPresizedTokens caps the token slice's first allocation, so a large
+// input that is mostly one comment or string literal does not reserve
+// room for tokens it never has; longer token lists grow by append.
+const maxPresizedTokens = 1024
+
 // lexAllContext tokenizes the entire input, checking the context every
 // few thousand tokens so lexing megabytes of input stays cancelable.
 func lexAllContext(ctx context.Context, src string) ([]token, error) {
 	l := newLexer(src)
-	var toks []token
+	// Generated and hand-written queries average three to four bytes per
+	// token, so this sizes the slice once for nearly every input.
+	toks := make([]token, 0, min(len(src)/3+2, maxPresizedTokens))
 	for {
 		t, err := l.next()
 		if err != nil {

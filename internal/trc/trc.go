@@ -139,14 +139,20 @@ type SelectItem struct {
 }
 
 // String renders the item.
-func (s SelectItem) String() string {
+func (s SelectItem) String() string { return string(s.Append(make([]byte, 0, 32))) }
+
+// Append appends the item's String form to b.
+func (s SelectItem) Append(b []byte) []byte {
 	if s.Agg == sqlparse.AggNone {
-		return s.Attr.String()
+		return s.Attr.Append(b)
 	}
+	b = append(b, s.Agg.String()...)
 	if s.Star {
-		return s.Agg.String() + "(*)"
+		return append(b, "(*)"...)
 	}
-	return s.Agg.String() + "(" + s.Attr.String() + ")"
+	b = append(b, '(')
+	b = s.Attr.Append(b)
+	return append(b, ')')
 }
 
 // Expr is a complete TRC expression: the output attributes, the optional

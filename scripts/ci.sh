@@ -6,6 +6,10 @@
 #   test       go test -race ./...
 #   netchaos   the seeded reset-draw determinism test, run 20 times:
 #              "seeded" must mean the same pattern on every run
+#   loadgen-seed
+#              the two loadgen seeding tests (uniform and Zipf mix), run
+#              20 times: the planned arrival sequence must repeat per
+#              seed, and nothing they assert may depend on the scheduler
 #   chaos      seeded fault-injection smoke against the hardened HTTP
 #              service, under the race detector (any failure names the
 #              run seed + request index it reproduces from)
@@ -91,6 +95,9 @@ go test -race ./...
 
 echo "== seeded netchaos determinism (20 runs)"
 go test -count=20 -run TestSeededResetIsDeterministic ./internal/netchaos
+
+echo "== seeded loadgen mix determinism (20 runs)"
+go test -count=20 -run 'TestLoadgenZipfSkewsMix|TestLoadgenMixIsSeededAndReproducible' ./cmd/loadgen
 
 echo "== chaos smoke (race)"
 go test -count=1 -run TestChaos -race ./internal/faults/...
