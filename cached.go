@@ -2,23 +2,20 @@ package queryvis
 
 import (
 	"context"
-	"errors"
 
 	"repro/internal/diagcache"
 	"repro/internal/faults"
-	"repro/internal/telemetry"
 )
 
 // This file is the facade's cached entry point: FromSQLCachedContext
-// memoizes fully rendered results in a pattern-keyed cache (see
-// internal/diagcache). The cache key is the canonical pattern
-// fingerprint, so one verified build serves every isomorph of its query
-// — the §1.1 equivalence the paper's repository use case rests on.
-// Cacheability is strict: only verified (or verify-off) non-degraded
-// results are ever inserted, and a request carrying an injected fault
-// plan bypasses the cache entirely in both directions.
+// memoizes fully rendered results keyed on the exact request (schema,
+// option flags, SQL text; see internal/diagcache), so a hit returns the
+// bytes a fresh build of the same request would. Cacheability is
+// strict: only verified (or verify-off) non-degraded results are ever
+// inserted, and a request carrying an injected fault plan bypasses the
+// cache entirely in both directions.
 
-// DiagramCache re-exports the pattern-keyed diagram cache.
+// DiagramCache re-exports the request-keyed diagram cache.
 type DiagramCache = diagcache.Cache
 
 // DiagramCacheConfig re-exports its configuration.
@@ -31,20 +28,19 @@ type CachedEntry = diagcache.Entry
 // CacheOutcome classifies one cached lookup.
 type CacheOutcome = diagcache.Outcome
 
-// NewDiagramCache builds a pattern-keyed diagram cache.
+// NewDiagramCache builds a request-keyed diagram cache.
 func NewDiagramCache(cfg DiagramCacheConfig) *DiagramCache { return diagcache.New(cfg) }
 
 // DefaultFingerprintPerms caps the canonical-labeling search when
 // fingerprinting on the request path: 720 = 6! keeps the worst case
 // around a millisecond while covering every paper query with room to
-// spare. Diagrams too symmetric to key under the bound are simply not
-// cached.
+// spare. Diagrams too symmetric to key under the bound get no key.
 const DefaultFingerprintPerms = 720
 
-// cacheExactKey is the exact-text lookup key: the full schema
+// cacheKey is the cache's request key: the full schema
 // rendering (not just its name — two ad-hoc schemas may share one), the
 // option flags that change the artifact, and the literal SQL.
-func cacheExactKey(sql string, s *Schema, opts Options) string {
+func cacheKey(sql string, s *Schema, opts Options) string {
 	flags := byte('0')
 	if opts.Simplify {
 		flags |= 1
@@ -53,41 +49,6 @@ func cacheExactKey(sql string, s *Schema, opts Options) string {
 		flags |= 2
 	}
 	return s.String() + "\x00" + string(flags) + "\x00" + sql
-}
-
-// VerifyResultContext applies Options.Verify to an already-built
-// Result: it proves the diagram by inverse recovery and, depending on
-// the mode, returns it verified, degrades down the ladder, or fails
-// with a *VerifyError. It is the second half of FromSQLContext for
-// callers that already ran the forward pipeline (the cached path's
-// probe build) and must not pay for it twice. The Result is mutated in
-// place; with VerifyOff it is returned unchanged apart from its status.
-func VerifyResultContext(ctx context.Context, res *Result, opts Options) (*Result, error) {
-	if opts.Verify == VerifyOff {
-		res.VerifyStatus = VerifyStatusOff
-		return res, nil
-	}
-	if opts.Tracer != nil {
-		ctx = telemetry.WithTracer(ctx, opts.Tracer)
-	}
-	sp := telemetry.StartSpan(ctx, StageVerify)
-	defer sp.End()
-	out, verr := verifyOrDegrade(ctx, res, nil, opts, sp)
-	switch {
-	case out != nil:
-		if out.VerifyStatus != "" {
-			sp.Annotate("status", out.VerifyStatus)
-		}
-		if out.Degraded != "" {
-			sp.Annotate("rung", out.Degraded)
-		}
-	case verr != nil:
-		var ve *VerifyError
-		if errors.As(verr, &ve) {
-			sp.Annotate("status", ve.Status)
-		}
-	}
-	return out, verr
 }
 
 // BuildEntryContext renders every format of a cacheable Result into a
@@ -128,15 +89,14 @@ func FromSQLCached(sql string, s *Schema, opts Options) (*CachedEntry, *Result, 
 // FromSQLCachedContext runs the pipeline through Options.Cache:
 //
 //   - on a cache hit the returned *CachedEntry carries the rendered
-//     formats and the Result is nil — no pipeline work ran beyond, at
-//     most, one unverified probe build to discover the pattern key;
+//     formats and the Result is nil — no pipeline work ran;
 //   - on a cacheable miss this caller (or a concurrent singleflight
-//     leader) runs the verified build once, renders every format, and
-//     the fresh entry is returned;
-//   - when the outcome is uncacheable — a degraded or skipped result,
-//     an unkeyable pattern, a fault plan on the context — the *Result is
-//     returned instead, exactly as FromSQLContext would have produced
-//     it, and nothing is inserted.
+//     leader) runs FromSQLContext once, renders every format, and the
+//     fresh entry is returned;
+//   - when the outcome is uncacheable — a degraded or skipped result, a
+//     fault plan on the context — the *Result is returned instead,
+//     exactly as FromSQLContext would have produced it, and nothing is
+//     inserted.
 //
 // Exactly one of entry and result is non-nil on success.
 func FromSQLCachedContext(ctx context.Context, sql string, s *Schema, opts Options) (*CachedEntry, *Result, CacheOutcome, error) {
@@ -153,33 +113,13 @@ func FromSQLCachedContext(ctx context.Context, sql string, s *Schema, opts Optio
 		return nil, res, diagcache.OutcomeBypass, err
 	}
 
-	wantVerified := opts.Verify != VerifyOff
-	var (
-		probeRes    *Result
-		probeFailed bool
-	)
-	probe := func(ctx context.Context) (string, error) {
-		popts := opts
-		popts.Verify = VerifyOff
-		popts.Cache = nil
-		r, err := FromSQLContext(ctx, sql, s, popts)
-		if err != nil {
-			probeFailed = true
-			return "", err
-		}
-		probeRes = r
-		key, ok := PatternFingerprintBounded(r.Diagram, DefaultFingerprintPerms)
-		if !ok {
-			return "", nil
-		}
-		return key, nil
-	}
+	var built *Result
 	build := func(ctx context.Context) (*CachedEntry, error) {
-		r, err := VerifyResultContext(ctx, probeRes, opts)
+		r, err := FromSQLContext(ctx, sql, s, opts)
 		if err != nil {
 			return nil, err
 		}
-		probeRes = r
+		built = r
 		if !diagcache.CacheableStatus(r.VerifyStatus, r.Degraded) {
 			return nil, nil
 		}
@@ -189,32 +129,15 @@ func FromSQLCachedContext(ctx context.Context, sql string, s *Schema, opts Optio
 		}
 		return e, nil
 	}
-
-	entry, outcome, err := cache.GetOrBuild(ctx, cacheExactKey(sql, s, opts),
-		opts.Verify.String(), wantVerified, probe, build)
-	if err != nil {
-		if probeFailed && opts.Verify == VerifyDegrade {
-			// The unverified probe fails where degrade mode would walk the
-			// ladder; rerun the full pipeline so a non-user fault still
-			// serves the highest reachable rung (uncached, by definition).
-			res, derr := FromSQLContext(ctx, sql, s, opts)
-			return nil, res, outcome, derr
-		}
-		return nil, nil, outcome, err
+	entry, outcome, err := cache.GetOrBuild(ctx, cacheKey(sql, s, opts),
+		opts.Verify.String(), opts.Verify != VerifyOff, build)
+	if err != nil || entry != nil {
+		return entry, nil, outcome, err
 	}
-	if entry != nil {
-		return entry, nil, outcome, nil
+	if built == nil {
+		// This caller followed a leader whose build was uncacheable: run
+		// its own copy.
+		built, err = FromSQLContext(ctx, sql, s, opts)
 	}
-	// Uncacheable: serve this caller's own result. The probe may not
-	// have run (exact hit raced an eviction) or may belong to a follower
-	// whose leader's build was uncacheable — verify our own copy.
-	if probeRes == nil {
-		res, err := FromSQLContext(ctx, sql, s, opts)
-		return nil, res, outcome, err
-	}
-	if probeRes.VerifyStatus == VerifyStatusOff && wantVerified {
-		res, err := VerifyResultContext(ctx, probeRes, opts)
-		return nil, res, outcome, err
-	}
-	return nil, probeRes, outcome, nil
+	return nil, built, outcome, err
 }

@@ -19,8 +19,8 @@ import (
 )
 
 // renameAliases rewrites the Fig. 1 alias names L1..L6 to a fresh set,
-// producing SQL that is syntactically distinct but pattern-isomorphic —
-// the §1.1 equivalence the cache keys on.
+// producing SQL that is syntactically distinct but pattern-isomorphic
+// (the §1.1 equivalence).
 func renameAliases(sql, tag string) string {
 	for i := 6; i >= 1; i-- { // longest first so L1 never clobbers L1x
 		sql = strings.ReplaceAll(sql,
@@ -66,8 +66,8 @@ func TestFromSQLCachedColdWarm(t *testing.T) {
 		t.Fatal("warm hit returned a different entry object")
 	}
 
-	// A pattern-isomorphic spelling: the probe discovers the cached
-	// pattern and serves the representative's bytes.
+	// A pattern-isomorphic spelling is another request: it builds its
+	// own entry, then hits it.
 	iso := renameAliases(corpus.Fig1UniqueSet, "a")
 	if iso == corpus.Fig1UniqueSet {
 		t.Fatal("renamer produced the identical text")
@@ -76,17 +76,41 @@ func TestFromSQLCachedColdWarm(t *testing.T) {
 	if err != nil {
 		t.Fatalf("isomorph: %v", err)
 	}
-	if out != diagcache.OutcomeHitPattern || ent != cold {
-		t.Fatalf("isomorph outcome %v (shared entry: %v), want hit_pattern on the shared entry", out, ent == cold)
+	if out != diagcache.OutcomeMiss || ent == nil || ent == cold {
+		t.Fatalf("isomorph outcome %v (shared entry: %v), want a miss with its own entry", out, ent == cold)
 	}
-	// The spelling is an alias now: second time costs no probe.
-	_, _, out, _ = queryvis.FromSQLCached(iso, beers, opts)
-	if out != diagcache.OutcomeHit {
-		t.Fatalf("isomorph repeat outcome %v, want hit", out)
+	if again, _, out, _ := queryvis.FromSQLCached(iso, beers, opts); out != diagcache.OutcomeHit || again != ent {
+		t.Fatalf("isomorph repeat outcome %v, want hit on its own entry", out)
 	}
 
-	if st := c.Stats(); st.Builds != 1 {
-		t.Fatalf("builds = %d for four requests of one pattern, want 1", st.Builds)
+	if st := c.Stats(); st.Builds != 2 {
+		t.Fatalf("builds = %d for two texts asked twice each, want 2", st.Builds)
+	}
+}
+
+// TestFromSQLCachedAppendixGOnly serves App. G's "only" query on
+// Sailors, then the pattern-isomorphic one on Students, through one
+// cache: the second answer must be the Students diagram, not a replay
+// of the first.
+func TestFromSQLCachedAppendixGOnly(t *testing.T) {
+	c := queryvis.NewDiagramCache(queryvis.DiagramCacheConfig{})
+	opts := newCachedOpts(c, queryvis.VerifyDegrade)
+	dots := map[string]string{}
+	for _, g := range corpus.AppendixG() {
+		if g.Pattern != corpus.GOnly || (g.Schema.Name != "sailors" && g.Schema.Name != "students") {
+			continue
+		}
+		e, _, _, err := queryvis.FromSQLCached(g.SQL, g.Schema, opts)
+		if err != nil || e == nil {
+			t.Fatalf("%s: entry %v, err %v", g.Schema.Name, e != nil, err)
+		}
+		dots[g.Schema.Name] = e.DOT
+	}
+	if !strings.Contains(dots["sailors"], "Sailor") {
+		t.Fatalf("Sailors DOT does not name Sailor:\n%s", dots["sailors"])
+	}
+	if !strings.Contains(dots["students"], "Student") || strings.Contains(dots["students"], "Sailor") {
+		t.Fatalf("Students query was served another query's DOT:\n%s", dots["students"])
 	}
 }
 
@@ -232,13 +256,19 @@ func FuzzCachedColdWarm(f *testing.F) {
 
 // TestCachedPropertyGenerated is the property-test hookup: queries from
 // the oracle's generator (the same generator the differential oracle
-// trusts) all satisfy the cold/warm identity contract, across schemas
-// and verify modes.
+// trusts), across schemas, go cold then warm through one cache shared
+// by the whole sweep, and every answer must equal the uncached
+// FromSQLContext output for the same query.
 func TestCachedPropertyGenerated(t *testing.T) {
 	if testing.Short() {
 		t.Skip("property sweep is not short")
 	}
 	cfg := oracle.DefaultConfig()
+	lim := queryvis.DefaultLimits()
+	uncached := queryvis.Options{Verify: queryvis.VerifyDegrade, VerifyBudget: 20_000, Limits: &lim}
+	cached := uncached
+	cached.Cache = queryvis.NewDiagramCache(queryvis.DiagramCacheConfig{})
+	hits := 0
 	for _, name := range []string{"beers", "sailors", "chinook"} {
 		sch, ok := schema.ByName(name)
 		if !ok {
@@ -246,9 +276,44 @@ func TestCachedPropertyGenerated(t *testing.T) {
 		}
 		rng := rand.New(rand.NewSource(7))
 		for i := 0; i < 40; i++ {
-			q := oracle.Generate(rng, sch, cfg)
-			sql := sqlparse.Format(q)
-			assertColdWarmIdentity(t, sql, sch, queryvis.VerifyDegrade)
+			sql := sqlparse.Format(oracle.Generate(rng, sch, cfg))
+			want, err := queryvis.FromSQLContext(context.Background(), sql, sch, uncached)
+			if err != nil {
+				continue
+			}
+			for pass := 0; pass < 2; pass++ {
+				ent, res, out, err := queryvis.FromSQLCached(sql, sch, cached)
+				if err != nil {
+					t.Fatalf("%s pass %d: %v on %q", name, pass, err, sql)
+				}
+				if out.Hit() {
+					hits++
+				}
+				if res != nil {
+					if res.VerifyStatus != want.VerifyStatus || res.Degraded != want.Degraded ||
+						rendered(res) != rendered(want) {
+						t.Fatalf("%s pass %d: uncacheable result differs from FromSQLContext on %q", name, pass, sql)
+					}
+					continue
+				}
+				if ent.DOT != want.DOT() || ent.SVG != want.SVG() || ent.Text != want.Text() ||
+					ent.Interpretation != want.Interpretation || ent.VerifyStatus != want.VerifyStatus {
+					t.Fatalf("%s pass %d (outcome %v): cached answer differs from FromSQLContext on %q",
+						name, pass, out, sql)
+				}
+			}
 		}
 	}
+	if hits == 0 {
+		t.Fatal("the sweep never hit the cache")
+	}
+}
+
+// rendered is every rendering of a result: its three formats, or the
+// calculus text when the ladder bottomed out below diagrams.
+func rendered(res *queryvis.Result) string {
+	if res.Diagram == nil {
+		return res.TRCText
+	}
+	return res.DOT() + res.SVG() + res.Text() + res.Interpretation
 }

@@ -14,10 +14,12 @@ import (
 
 // TestCacheSmoke is the CI cache check: boot the daemon with the same
 // cache configuration the default flags produce, serve the Fig. 1 query
-// twice, and require the second response to come from the pattern cache
-// with the proof intact — then confirm the hit is visible on the
-// metrics surface. One end-to-end pass over flags → server → cache →
-// telemetry.
+// twice, and require the second response to come from the cache with
+// the proof intact — then confirm the hit is visible on the metrics
+// surface. Last, App. G's "only" query on Sailors and then its
+// pattern-isomorph on Students: the second answer must name Student,
+// because the cache keys on the request, not the pattern. One
+// end-to-end pass over flags → server → cache → telemetry.
 func TestCacheSmoke(t *testing.T) {
 	base := startDaemon(t, newHandler(server.Config{
 		CacheEntries:  4096,
@@ -27,10 +29,10 @@ func TestCacheSmoke(t *testing.T) {
 	hc := client.New(client.Config{})
 	ctx := context.Background()
 
-	post := func() (string, string, string) {
+	post := func(sql, schema string) (string, string, string) {
 		t.Helper()
 		resp, err := hc.PostJSON(ctx, base+"/v1/diagram",
-			map[string]any{"sql": corpus.Fig1UniqueSet, "schema": "beers"})
+			map[string]any{"sql": sql, "schema": schema})
 		if err != nil {
 			t.Fatalf("diagram: %v", err)
 		}
@@ -44,10 +46,10 @@ func TestCacheSmoke(t *testing.T) {
 			string(raw)
 	}
 
-	if cache, _, _ := post(); cache != "miss" {
+	if cache, _, _ := post(corpus.Fig1UniqueSet, "beers"); cache != "miss" {
 		t.Fatalf("cold request cache header = %q, want miss", cache)
 	}
-	warmCache, warmVerify, warmBody := post()
+	warmCache, warmVerify, warmBody := post(corpus.Fig1UniqueSet, "beers")
 	if warmCache != "hit" {
 		t.Fatalf("warm request cache header = %q, want hit", warmCache)
 	}
@@ -74,5 +76,16 @@ func TestCacheSmoke(t *testing.T) {
 		if !strings.Contains(exposition, want) {
 			t.Errorf("metrics exposition missing %q", want)
 		}
+	}
+
+	only := map[string]string{}
+	for _, g := range corpus.AppendixG() {
+		if g.Pattern == corpus.GOnly {
+			only[g.Schema.Name] = g.SQL
+		}
+	}
+	post(only["sailors"], "sailors")
+	if _, _, body := post(only["students"], "students"); !strings.Contains(body, "Student") {
+		t.Fatalf("App. G Students \"only\" query was answered with another diagram: %.200q", body)
 	}
 }

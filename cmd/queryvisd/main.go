@@ -41,15 +41,15 @@
 //
 // With -route the binary is a scale-out router instead of a server: it
 // shards /v1/diagram bodies across the listed queryvisd instances on a
-// consistent-hash ring (pattern-affine once instances stamp
-// X-Queryvis-Pattern), health-checks each instance's /v1/healthz,
-// circuit-breaks the failing, retries elsewhere on the ring, and sheds
-// an honest 503 + Retry-After only when no instance is eligible. Its
+// consistent-hash ring keyed by body hash, health-checks each
+// instance's /v1/healthz, circuit-breaks the failing, retries elsewhere
+// on the ring, and sheds an honest 503 + Retry-After only when no
+// instance is eligible. Its
 // own /v1/healthz reports per-instance ring state; /v1/metrics the
 // router registry. With -route-admin-token the /v1/ring admin surface
 // joins, drains, and ejects instances at runtime without a restart;
-// -route-hot-rps promotes viral patterns to replicated reads across
-// -route-hot-replicas ring candidates; -route-stampede-ttl collapses
+// -route-hot-rps promotes viral request bodies to replicated reads
+// across -route-hot-replicas ring candidates; -route-stampede-ttl collapses
 // identical concurrent requests during failover into one upstream call
 // plus a short-TTL verified-response cache. See internal/router and
 // the README's "Scale-out" section.
@@ -76,7 +76,7 @@
 // end-to-end across the fleet — router hop, instance handler, pool
 // dispatch, and worker-side pipeline stages form one trace tree —
 // retrievable from GET /v1/traces (filter by request_id, trace_id,
-// pattern, min_ms); in router mode GET /v1/fleet additionally
+// min_ms); in router mode GET /v1/fleet additionally
 // aggregates every ring member's healthz into one scrape. -pprof
 // mounts net/http/pprof under /debug/pprof/ and a goroutine dump at
 // /debug/goroutines in both server and router modes — off by default;
@@ -166,8 +166,8 @@ func run(args []string, stdout, stderr *os.File) int {
 		routeReplicas    = fs.Int("route-replicas", 64, "virtual nodes per instance on the routing ring (with -route)")
 		routeHealthInt   = fs.Duration("route-health-interval", 250*time.Millisecond, "active /v1/healthz probe interval per instance (with -route)")
 		routeAdminToken  = fs.String("route-admin-token", "", "bearer token for the /v1/ring live-membership admin surface; empty disables it (with -route)")
-		routeHotRPS      = fs.Float64("route-hot-rps", 50, "per-pattern request rate that promotes a pattern to replicated reads; 0 disables hot replication (with -route)")
-		routeHotReplicas = fs.Int("route-hot-replicas", 2, "ring candidates sharing a promoted hot pattern (with -route)")
+		routeHotRPS      = fs.Float64("route-hot-rps", 50, "per-body request rate that promotes a request body to replicated reads; 0 disables hot replication (with -route)")
+		routeHotReplicas = fs.Int("route-hot-replicas", 2, "ring candidates sharing a promoted hot request body (with -route)")
 		routeStampedeTTL = fs.Duration("route-stampede-ttl", 2*time.Second, "TTL of the router's verified-response cache collapsing failover stampedes; 0 disables it (with -route)")
 
 		fleetSpec       = fs.String("fleet", "", "fleet spec JSON file; run the self-healing supervisor over its desired members (router mode)")
@@ -178,8 +178,8 @@ func run(args []string, stdout, stderr *os.File) int {
 		fleetDownAfter  = fs.Int("fleet-down-after", 3, "consecutive bad observations of a member before acting against it (with -fleet)")
 		fleetUpAfter    = fs.Int("fleet-up-after", 2, "consecutive good observations before (re)joining a member (with -fleet)")
 
-		cacheEntries  = fs.Int("cache-entries", 4096, "pattern-keyed diagram cache capacity in entries (0 disables caching)")
-		cacheBytes    = fs.Int64("cache-bytes", 64<<20, "pattern-keyed diagram cache payload bound in bytes")
+		cacheEntries  = fs.Int("cache-entries", 4096, "diagram cache capacity in entries, keyed on schema, simplify flag and SQL text (0 disables caching)")
+		cacheBytes    = fs.Int64("cache-bytes", 64<<20, "diagram cache payload bound in bytes")
 		maxBatchItems = fs.Int("max-batch-items", 64, "max items per /v1/diagrams:batch request")
 
 		metrics     = fs.Bool("metrics", true, "serve Prometheus metrics on /v1/metrics and instrument requests")
@@ -472,9 +472,8 @@ func forwardedPipelineFlags(fs *flag.FlagSet) []string {
 		"verify":    true, "verify-budget": true,
 		"quarantine-dir": true, "quarantine-max-bytes": true,
 		"breaker-threshold": true, "breaker-cooldown": true,
-		// Each worker owns a private cache; the parent routes isomorphic
-		// requests to the same worker by pattern affinity so the repeats
-		// concentrate (see internal/server/affinity.go).
+		// Each worker owns a private cache; the parent routes every repeat
+		// of a request body to the same worker so the repeats concentrate.
 		"cache-entries": true, "cache-bytes": true,
 	}
 	var args []string

@@ -1,9 +1,10 @@
 // Package diagcache memoizes fully rendered diagram results keyed by
-// the canonical pattern key of internal/core: queries with the same
-// logical pattern yield the same diagram (§1.1 of the paper), so one
-// verified build can serve every isomorph of its query — across table
-// renamings, constant changes, and even schemas, exactly the
-// equivalence the pattern catalog already relies on.
+// the exact request: the schema, the option flags that change the
+// artifact, and the literal SQL text. Those decide the response bytes,
+// so a hit returns exactly what a fresh build of the same request would
+// return. Two different queries never share an entry, even when they
+// share a logical pattern (§1.1 of the paper): pattern-isomorphic
+// queries share a diagram's shape, not its table names or constants.
 //
 // The cache is a bounded, sharded LRU holding immutable entries: the
 // three rendered formats (DOT, SVG, text), the interpretation, and the
@@ -21,14 +22,8 @@
 //     triggers automatically when a cache is re-bound under a different
 //     limits/schema-catalog fingerprint.
 //
-// Two lookup levels avoid rebuilding for known traffic. The exact-text
-// alias index maps a request's literal (schema, flags, SQL) key to the
-// pattern entry in O(1) — repeated dashboard queries never touch the
-// pipeline. A novel text costs one unverified probe build to learn its
-// pattern key; if the pattern is cached the probe is all it pays, and
-// the alias index learns the new spelling. Concurrent misses on one
-// pattern collapse via singleflight: one leader runs the verified
-// build, everyone else waits for its entry.
+// Concurrent misses on one key collapse via singleflight: one leader
+// runs the build, everyone else waits for its entry.
 package diagcache
 
 import (
@@ -36,7 +31,6 @@ import (
 	"context"
 	"errors"
 	"hash/fnv"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -71,20 +65,16 @@ const (
 type Outcome string
 
 const (
-	// OutcomeHit: the exact-text alias index resolved the request without
-	// any pipeline work.
+	// OutcomeHit: the request's key was resident; no pipeline work ran.
 	OutcomeHit Outcome = "hit"
-	// OutcomeHitPattern: a probe build discovered a cached pattern; the
-	// rendered entry was served and the text learned as an alias.
-	OutcomeHitPattern Outcome = "hit_pattern"
 	// OutcomeHitFlight: the caller waited on a concurrent leader's build
 	// and was served its entry (singleflight collapse).
 	OutcomeHitFlight Outcome = "hit_flight"
 	// OutcomeMiss: this caller led a build and inserted the entry.
 	OutcomeMiss Outcome = "miss"
 	// OutcomeUncacheable: the build ran but produced nothing insertable
-	// (degraded, skipped, unkeyable pattern); the caller serves its own
-	// result directly.
+	// (degraded, skipped, failed); the caller serves its own result
+	// directly.
 	OutcomeUncacheable Outcome = "uncacheable"
 	// OutcomeBypass: the caller never consulted the cache (fault plan
 	// attached, cache disabled for the request). Counted via NoteBypass.
@@ -93,12 +83,11 @@ const (
 
 // Hit reports whether the outcome served bytes from the cache.
 func (o Outcome) Hit() bool {
-	return o == OutcomeHit || o == OutcomeHitPattern || o == OutcomeHitFlight
+	return o == OutcomeHit || o == OutcomeHitFlight
 }
 
 var outcomes = []Outcome{
-	OutcomeHit, OutcomeHitPattern, OutcomeHitFlight,
-	OutcomeMiss, OutcomeUncacheable, OutcomeBypass,
+	OutcomeHit, OutcomeHitFlight, OutcomeMiss, OutcomeUncacheable, OutcomeBypass,
 }
 
 // Eviction causes for MetricEvictions.
@@ -114,11 +103,6 @@ var evictCauses = []string{EvictLRU, EvictReplace, EvictInvalidate}
 // answer a diagram request in any format without touching the pipeline.
 // Fields must never be mutated after Put.
 type Entry struct {
-	// PatternKey is the canonical pattern fingerprint the entry is keyed
-	// on; PatternHash is its short fnv-64a hex form, used for response
-	// headers and worker affinity.
-	PatternKey  string
-	PatternHash string
 	// DOT, SVG, and Text are the three rendered formats; every format is
 	// rendered at insert time so a hit never runs the renderer.
 	DOT  string
@@ -140,8 +124,7 @@ type Entry struct {
 // size is the entry's accounted footprint in bytes.
 func (e *Entry) size() int64 {
 	return int64(len(e.DOT) + len(e.SVG) + len(e.Text) +
-		len(e.Interpretation) + len(e.PatternKey) + len(e.PatternHash) +
-		8*len(e.ReadingOrder) + 128) // struct + bookkeeping overhead
+		len(e.Interpretation) + 8*len(e.ReadingOrder) + 128) // struct + bookkeeping overhead
 }
 
 // CacheableStatus reports whether a result with the given verify status
@@ -157,7 +140,7 @@ func CacheableStatus(verifyStatus, degraded string) bool {
 
 // Config tunes a Cache. Zero fields take the documented defaults.
 type Config struct {
-	// MaxEntries bounds the number of cached patterns (default 4096;
+	// MaxEntries bounds the number of cached requests (default 4096;
 	// negative means 1).
 	MaxEntries int
 	// MaxBytes bounds the accounted bytes of rendered output (default
@@ -167,10 +150,6 @@ type Config struct {
 	// rounded up to a power of two). More shards means less lock
 	// contention and a slightly coarser global LRU.
 	Shards int
-	// MaxAliasesPerEntry caps how many exact-text spellings one pattern
-	// entry indexes (default 8). Texts beyond the cap still hit at the
-	// pattern level; they just pay the probe build each time.
-	MaxAliasesPerEntry int
 	// Metrics receives the cache's counters and occupancy gauges; nil
 	// creates a private registry.
 	Metrics *telemetry.Registry
@@ -197,17 +176,13 @@ func (c Config) withDefaults() Config {
 		// must stay >= 1.
 		c.Shards = 1
 	}
-	if c.MaxAliasesPerEntry <= 0 {
-		c.MaxAliasesPerEntry = 8
-	}
 	return c
 }
 
-// Cache is the bounded, sharded, singleflighted pattern cache.
+// Cache is the bounded, sharded, singleflighted diagram cache.
 type Cache struct {
-	cfg     Config
-	shards  []*shard
-	aliases []*aliasShard
+	cfg    Config
+	shards []*shard
 
 	flightMu sync.Mutex
 	flights  map[string]*flight
@@ -225,7 +200,7 @@ type Cache struct {
 	cInvalidation *telemetry.Counter
 }
 
-// shard is one LRU partition. Entries are keyed by pattern key; the
+// shard is one LRU partition. Entries are keyed by request key; the
 // list front is most recently used.
 type shard struct {
 	mu         sync.Mutex
@@ -236,18 +211,10 @@ type shard struct {
 	maxBytes   int64
 }
 
-// node is the shard-owned envelope around one Entry, tracking the
-// exact-text aliases pointing at it so eviction can unlink them.
+// node is the shard-owned envelope around one Entry.
 type node struct {
-	key     string
-	ent     *Entry
-	aliases []string
-}
-
-// aliasShard maps exact-text keys to pattern keys.
-type aliasShard struct {
-	mu sync.Mutex
-	m  map[string]string
+	key string
+	ent *Entry
 }
 
 // New builds a Cache.
@@ -260,7 +227,6 @@ func New(cfg Config) *Cache {
 	c := &Cache{
 		cfg:     cfg,
 		shards:  make([]*shard, cfg.Shards),
-		aliases: make([]*aliasShard, cfg.Shards),
 		flights: make(map[string]*flight),
 		reg:     reg,
 	}
@@ -276,7 +242,6 @@ func New(cfg Config) *Cache {
 			maxEntries: perEntries,
 			maxBytes:   perBytes,
 		}
-		c.aliases[i] = &aliasShard{m: make(map[string]string)}
 	}
 	c.cInserts = reg.Counter(MetricInserts, "Diagram cache entries inserted.")
 	c.cBuilds = reg.Counter(MetricBuilds, "Verified builds executed by singleflight leaders.")
@@ -312,14 +277,6 @@ func (c *Cache) countEviction(cause string, n int) {
 // cache at all (fault plan attached, per-request opt-out).
 func (c *Cache) NoteBypass() { c.countOutcome(OutcomeBypass) }
 
-// PatternHash is the short fnv-64a hex form of a pattern key, the
-// currency of the X-QueryVis-Pattern header and worker affinity.
-func PatternHash(patternKey string) string {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(patternKey))
-	return strconv.FormatUint(h.Sum64(), 16)
-}
-
 func shardIndex(key string, n int) int {
 	h := fnv.New32a()
 	_, _ = h.Write([]byte(key))
@@ -334,86 +291,48 @@ func acceptable(e *Entry, wantVerified bool) bool {
 	return !wantVerified || e.VerifyStatus == "verified"
 }
 
-// GetExact resolves an exact-text key through the alias index. It
-// counts nothing; GetOrBuild owns outcome accounting.
-func (c *Cache) GetExact(exactKey string, wantVerified bool) (*Entry, bool) {
-	as := c.aliases[shardIndex(exactKey, c.cfg.Shards)]
-	as.mu.Lock()
-	pk, ok := as.m[exactKey]
-	as.mu.Unlock()
-	if !ok {
-		return nil, false
-	}
-	e, ok := c.GetPattern(pk, wantVerified)
-	if !ok {
-		// Only unlink the alias when the entry is truly gone (evicted); an
-		// entry that is resident but not yet proven keeps its aliases — a
-		// verified build will replace it in place and inherit them.
-		if _, resident := c.GetPattern(pk, false); !resident {
-			as.mu.Lock()
-			if cur, still := as.m[exactKey]; still && cur == pk {
-				delete(as.m, exactKey)
-			}
-			as.mu.Unlock()
-		}
-		return nil, false
-	}
-	return e, true
-}
-
-// GetPattern resolves a pattern key directly, touching LRU recency.
-func (c *Cache) GetPattern(patternKey string, wantVerified bool) (*Entry, bool) {
-	sh := c.shards[shardIndex(patternKey, c.cfg.Shards)]
+// Get resolves a request key, touching LRU recency. It counts nothing;
+// GetOrBuild owns outcome accounting.
+func (c *Cache) Get(key string, wantVerified bool) (*Entry, bool) {
+	sh := c.shards[shardIndex(key, c.cfg.Shards)]
 	sh.mu.Lock()
-	el, ok := sh.byKey[patternKey]
+	defer sh.mu.Unlock()
+	el, ok := sh.byKey[key]
 	if !ok {
-		sh.mu.Unlock()
 		return nil, false
 	}
-	nd := el.Value.(*node)
-	if !acceptable(nd.ent, wantVerified) {
-		sh.mu.Unlock()
+	e := el.Value.(*node).ent
+	if !acceptable(e, wantVerified) {
 		return nil, false
 	}
 	sh.lru.MoveToFront(el)
-	e := nd.ent
-	sh.mu.Unlock()
 	return e, true
 }
 
-// Put inserts an entry under its pattern key, records exactKey as an
-// alias, and evicts LRU tails until the shard is back under its bounds.
-// A verified entry replaces an unverified one for the same pattern; an
-// unverified entry never downgrades a verified one (its alias is still
-// learned). Entries failing CacheableStatus are rejected outright.
-func (c *Cache) Put(patternKey, exactKey string, e *Entry) bool {
+// Put inserts an entry under its request key and evicts LRU tails until
+// the shard is back under its bounds. A verified entry replaces an
+// unverified one for the same key; an unverified entry never downgrades
+// a verified one. Entries failing CacheableStatus are rejected outright.
+func (c *Cache) Put(key string, e *Entry) bool {
 	if e == nil || !CacheableStatus(e.VerifyStatus, "") {
 		return false
 	}
-	e.PatternKey = patternKey
-	e.PatternHash = PatternHash(patternKey)
-
-	sh := c.shards[shardIndex(patternKey, c.cfg.Shards)]
-	var evicted []*node
-	replaced := 0
+	sh := c.shards[shardIndex(key, c.cfg.Shards)]
+	evicted, replaced := 0, 0
 	sh.mu.Lock()
-	if el, ok := sh.byKey[patternKey]; ok {
+	if el, ok := sh.byKey[key]; ok {
 		old := el.Value.(*node)
 		if old.ent.VerifyStatus == "verified" && e.VerifyStatus != "verified" {
-			// Keep the stronger entry; the caller's text still aliases it.
 			sh.mu.Unlock()
-			c.addAlias(patternKey, exactKey)
-			return false
+			return false // keep the stronger entry
 		}
-		nd := &node{key: patternKey, ent: e, aliases: old.aliases}
 		sh.bytes += e.size() - old.ent.size()
 		c.bytes.Add(e.size() - old.ent.size())
-		el.Value = nd
+		old.ent = e
 		sh.lru.MoveToFront(el)
 		replaced = 1
 	} else {
-		nd := &node{key: patternKey, ent: e}
-		sh.byKey[patternKey] = sh.lru.PushFront(nd)
+		sh.byKey[key] = sh.lru.PushFront(&node{key: key, ent: e})
 		sh.bytes += e.size()
 		c.bytes.Add(e.size())
 		c.entries.Add(1)
@@ -421,82 +340,28 @@ func (c *Cache) Put(patternKey, exactKey string, e *Entry) bool {
 	for (sh.maxEntries > 0 && sh.lru.Len() > sh.maxEntries) ||
 		(sh.maxBytes > 0 && sh.bytes > sh.maxBytes && sh.lru.Len() > 1) {
 		tail := sh.lru.Back()
-		if tail == nil {
-			break
-		}
 		nd := tail.Value.(*node)
 		sh.lru.Remove(tail)
 		delete(sh.byKey, nd.key)
 		sh.bytes -= nd.ent.size()
 		c.bytes.Add(-nd.ent.size())
 		c.entries.Add(-1)
-		evicted = append(evicted, nd)
+		evicted++
 	}
 	sh.mu.Unlock()
 
 	c.cInserts.Inc()
 	c.countEviction(EvictReplace, replaced)
-	c.countEviction(EvictLRU, len(evicted))
-	for _, nd := range evicted {
-		c.dropAliases(nd)
-	}
-	c.addAlias(patternKey, exactKey)
+	c.countEviction(EvictLRU, evicted)
 	return true
 }
 
-// addAlias records exactKey → patternKey, bounded per entry. Lock order
-// is strictly entry shard then alias shard, never nested.
-func (c *Cache) addAlias(patternKey, exactKey string) {
-	if exactKey == "" {
-		return
-	}
-	sh := c.shards[shardIndex(patternKey, c.cfg.Shards)]
-	ok := false
-	sh.mu.Lock()
-	if el, live := sh.byKey[patternKey]; live {
-		nd := el.Value.(*node)
-		known := false
-		for _, a := range nd.aliases {
-			if a == exactKey {
-				known, ok = true, true
-				break
-			}
-		}
-		if !known && len(nd.aliases) < c.cfg.MaxAliasesPerEntry {
-			nd.aliases = append(nd.aliases, exactKey)
-			ok = true
-		}
-	}
-	sh.mu.Unlock()
-	if !ok {
-		return
-	}
-	as := c.aliases[shardIndex(exactKey, c.cfg.Shards)]
-	as.mu.Lock()
-	as.m[exactKey] = patternKey
-	as.mu.Unlock()
-}
-
-// dropAliases unlinks an evicted node's exact-text aliases. Best
-// effort: an alias re-pointed at a fresh entry for the same pattern is
-// left alone.
-func (c *Cache) dropAliases(nd *node) {
-	for _, a := range nd.aliases {
-		as := c.aliases[shardIndex(a, c.cfg.Shards)]
-		as.mu.Lock()
-		if pk, ok := as.m[a]; ok && pk == nd.key {
-			delete(as.m, a)
-		}
-		as.mu.Unlock()
-	}
-}
-
-// Invalidate drops every entry and alias. Builds in flight finish and
+// Invalidate drops every entry. Builds in flight finish and
 // may insert afterward; callers that need a hard barrier must also
 // drain their own traffic.
 func (c *Cache) Invalidate() {
 	dropped := 0
-	for i, sh := range c.shards {
+	for _, sh := range c.shards {
 		sh.mu.Lock()
 		n := sh.lru.Len()
 		sh.byKey = make(map[string]*list.Element)
@@ -506,10 +371,6 @@ func (c *Cache) Invalidate() {
 		sh.mu.Unlock()
 		c.entries.Add(int64(-n))
 		dropped += n
-		as := c.aliases[i]
-		as.mu.Lock()
-		as.m = make(map[string]string)
-		as.mu.Unlock()
 	}
 	c.countEviction(EvictInvalidate, dropped)
 	c.cInvalidation.Inc()
@@ -602,7 +463,7 @@ func (c *Cache) doFlight(ctx context.Context, key string, build func() (*Entry, 
 	c.cBuilds.Inc()
 	defer func() {
 		// The build closures run with panic boundaries below them, but a
-		// stuck flight would wedge every future request for the pattern —
+		// stuck flight would wedge every future request for the key —
 		// release it even on a panic escaping the caller's stack.
 		c.flightMu.Lock()
 		delete(c.flights, key)
@@ -617,15 +478,10 @@ func (c *Cache) doFlight(ctx context.Context, key string, build func() (*Entry, 
 // before it gives up and serves itself uncached.
 const maxLeaderRetries = 3
 
-// GetOrBuild is the full lookup-probe-build orchestration:
-//
-//  1. exact-text lookup (no pipeline work on a hit);
-//  2. probe — the caller builds its diagram unverified and returns the
-//     pattern key ("" means the pattern is too symmetric to key and the
-//     result is uncacheable);
-//  3. pattern lookup (the probe is all a known pattern costs);
-//  4. singleflight build — one leader runs the caller-supplied verified
-//     build; a build returning (nil, nil) marks the result uncacheable.
+// GetOrBuild is the full lookup-build orchestration: a resident entry
+// acceptable to the caller is a hit with no pipeline work; otherwise a
+// singleflight leader runs the caller-supplied build once per key, and
+// a build returning (nil, nil) marks the result uncacheable.
 //
 // flightClass partitions singleflight by verification mode so a strict
 // caller's hard failure is never replayed onto a degrade caller.
@@ -634,34 +490,19 @@ const maxLeaderRetries = 3
 // an uncacheable leader.
 func (c *Cache) GetOrBuild(
 	ctx context.Context,
-	exactKey, flightClass string,
+	key, flightClass string,
 	wantVerified bool,
-	probe func(context.Context) (string, error),
 	build func(context.Context) (*Entry, error),
 ) (*Entry, Outcome, error) {
-	if e, ok := c.GetExact(exactKey, wantVerified); ok {
-		c.countOutcome(OutcomeHit)
-		return e, OutcomeHit, nil
-	}
-	patternKey, err := probe(ctx)
-	if err != nil {
-		c.countOutcome(OutcomeUncacheable)
-		return nil, OutcomeUncacheable, err
-	}
-	if patternKey == "" {
-		c.countOutcome(OutcomeUncacheable)
-		return nil, OutcomeUncacheable, nil
-	}
 	for attempt := 0; attempt <= maxLeaderRetries; attempt++ {
-		if e, ok := c.GetPattern(patternKey, wantVerified); ok {
-			c.addAlias(patternKey, exactKey)
-			c.countOutcome(OutcomeHitPattern)
-			return e, OutcomeHitPattern, nil
+		if e, ok := c.Get(key, wantVerified); ok {
+			c.countOutcome(OutcomeHit)
+			return e, OutcomeHit, nil
 		}
-		e, led, err := c.doFlight(ctx, patternKey+"\x00"+flightClass, func() (*Entry, error) {
+		e, led, err := c.doFlight(ctx, key+"\x00"+flightClass, func() (*Entry, error) {
 			ent, err := build(ctx)
 			if err == nil && ent != nil {
-				c.Put(patternKey, exactKey, ent)
+				c.Put(key, ent)
 			}
 			return ent, err
 		})
@@ -681,11 +522,9 @@ func (c *Cache) GetOrBuild(
 			c.countOutcome(OutcomeUncacheable)
 			return nil, OutcomeUncacheable, nil
 		case led:
-			c.addAlias(patternKey, exactKey)
 			c.countOutcome(OutcomeMiss)
 			return e, OutcomeMiss, nil
 		default:
-			c.addAlias(patternKey, exactKey)
 			c.countOutcome(OutcomeHitFlight)
 			return e, OutcomeHitFlight, nil
 		}

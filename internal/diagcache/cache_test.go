@@ -49,101 +49,80 @@ func TestCacheableStatus(t *testing.T) {
 func TestPutAndLookups(t *testing.T) {
 	c := New(Config{MaxEntries: 8})
 	e := mkEntry("verified", "p1")
-	if !c.Put("pat1", "exact1", e) {
+	if !c.Put("key1", e) {
 		t.Fatal("Put rejected a verified entry")
 	}
-	if e.PatternKey != "pat1" || e.PatternHash == "" {
-		t.Fatalf("Put did not stamp pattern identity: %+v", e)
-	}
-
-	got, ok := c.GetExact("exact1", true)
+	got, ok := c.Get("key1", true)
 	if !ok || got != e {
-		t.Fatalf("GetExact = %v, %v; want the inserted entry", got, ok)
+		t.Fatalf("Get = %v, %v; want the inserted entry", got, ok)
 	}
-	got, ok = c.GetPattern("pat1", true)
-	if !ok || got != e {
-		t.Fatalf("GetPattern = %v, %v; want the inserted entry", got, ok)
-	}
-	if _, ok := c.GetExact("never-seen", false); ok {
-		t.Fatal("GetExact hit an unknown key")
+	if _, ok := c.Get("never-seen", false); ok {
+		t.Fatal("Get hit an unknown key")
 	}
 
 	// Uncacheable statuses are rejected at the single insertion point.
 	for _, status := range []string{"skipped", "mismatch", "timeout", ""} {
-		if c.Put("patX", "exactX", mkEntry(status, "x")) {
+		if c.Put("keyX", mkEntry(status, "x")) {
 			t.Errorf("Put accepted status %q", status)
 		}
 	}
-	if _, ok := c.GetPattern("patX", false); ok {
+	if _, ok := c.Get("keyX", false); ok {
 		t.Fatal("rejected entry is somehow resident")
 	}
 }
 
 func TestWantVerifiedAcceptance(t *testing.T) {
 	c := New(Config{MaxEntries: 8})
-	c.Put("pat", "exact", mkEntry("off", "unproven"))
+	c.Put("key", mkEntry("off", "unproven"))
 
-	if _, ok := c.GetPattern("pat", true); ok {
+	if _, ok := c.Get("key", true); ok {
 		t.Fatal("a wantVerified lookup accepted an unverified entry")
 	}
-	if _, ok := c.GetExact("exact", true); ok {
-		t.Fatal("a wantVerified exact lookup accepted an unverified entry")
-	}
-	if _, ok := c.GetPattern("pat", false); !ok {
+	if _, ok := c.Get("key", false); !ok {
 		t.Fatal("a verify-off lookup rejected an 'off' entry")
 	}
 
 	// A verified build replaces the unverified entry (counted as a
 	// replace-eviction), and then serves both kinds of lookup.
 	ver := mkEntry("verified", "proven")
-	if !c.Put("pat", "exact2", ver) {
+	if !c.Put("key", ver) {
 		t.Fatal("verified Put rejected")
 	}
-	if e, ok := c.GetPattern("pat", true); !ok || e != ver {
-		t.Fatal("verified entry did not replace the unverified one")
-	}
-	// The old entry's alias carries over to the replacement.
-	if e, ok := c.GetExact("exact", true); !ok || e != ver {
-		t.Fatal("replacement lost the prior exact-text alias")
+	for _, want := range []bool{true, false} {
+		if e, ok := c.Get("key", want); !ok || e != ver {
+			t.Fatalf("verified entry did not replace the unverified one (wantVerified %v)", want)
+		}
 	}
 	if n := int64(c.reg.Value(MetricEvictions, "cause", EvictReplace)); n != 1 {
 		t.Fatalf("replace evictions = %d, want 1", n)
 	}
 
-	// An unverified build must never downgrade a verified entry…
-	if c.Put("pat", "exact3", mkEntry("off", "weaker")) {
+	// An unverified build must never downgrade a verified entry.
+	if c.Put("key", mkEntry("off", "weaker")) {
 		t.Fatal("an 'off' entry downgraded a verified one")
 	}
-	if e, ok := c.GetPattern("pat", true); !ok || e != ver {
+	if e, ok := c.Get("key", true); !ok || e != ver {
 		t.Fatal("verified entry lost after downgrade attempt")
-	}
-	// …but the new spelling still becomes an alias of the stronger entry.
-	if e, ok := c.GetExact("exact3", true); !ok || e != ver {
-		t.Fatal("downgrade attempt did not alias the verified entry")
 	}
 }
 
 func TestLRUEviction(t *testing.T) {
 	c := New(Config{MaxEntries: 2, Shards: 1})
-	c.Put("p1", "e1", mkEntry("verified", "1"))
-	c.Put("p2", "e2", mkEntry("verified", "2"))
-	if _, ok := c.GetPattern("p1", true); !ok { // touch p1: p2 becomes LRU
+	c.Put("p1", mkEntry("verified", "1"))
+	c.Put("p2", mkEntry("verified", "2"))
+	if _, ok := c.Get("p1", true); !ok { // touch p1: p2 becomes LRU
 		t.Fatal("p1 missing before eviction")
 	}
-	c.Put("p3", "e3", mkEntry("verified", "3"))
+	c.Put("p3", mkEntry("verified", "3"))
 
-	if _, ok := c.GetPattern("p2", true); ok {
+	if _, ok := c.Get("p2", true); ok {
 		t.Fatal("LRU entry p2 survived over-capacity insert")
 	}
-	if _, ok := c.GetPattern("p1", true); !ok {
+	if _, ok := c.Get("p1", true); !ok {
 		t.Fatal("recently used p1 was evicted")
 	}
-	if _, ok := c.GetPattern("p3", true); !ok {
+	if _, ok := c.Get("p3", true); !ok {
 		t.Fatal("fresh p3 missing")
-	}
-	// The evicted entry's alias is unlinked, not left dangling.
-	if _, ok := c.GetExact("e2", true); ok {
-		t.Fatal("alias of evicted entry still resolves")
 	}
 	if n := int64(c.reg.Value(MetricEvictions, "cause", EvictLRU)); n != 1 {
 		t.Fatalf("lru evictions = %d, want 1", n)
@@ -157,9 +136,9 @@ func TestLRUEviction(t *testing.T) {
 func TestBytesBound(t *testing.T) {
 	big := mkEntry("verified", string(make([]byte, 4096)))
 	c := New(Config{MaxEntries: 1024, MaxBytes: 2 * big.size(), Shards: 1})
-	c.Put("p1", "", mkEntry("verified", string(make([]byte, 4096))))
-	c.Put("p2", "", mkEntry("verified", string(make([]byte, 4096))))
-	c.Put("p3", "", mkEntry("verified", string(make([]byte, 4096))))
+	c.Put("p1", mkEntry("verified", string(make([]byte, 4096))))
+	c.Put("p2", mkEntry("verified", string(make([]byte, 4096))))
+	c.Put("p3", mkEntry("verified", string(make([]byte, 4096))))
 	if got := c.Stats().Entries; got > 2 {
 		t.Fatalf("bytes bound did not evict: %d entries resident", got)
 	}
@@ -171,37 +150,16 @@ func TestBytesBound(t *testing.T) {
 	// never evicts the only entry), keeping the cache useful rather than
 	// thrashing on every insert.
 	tiny := New(Config{MaxEntries: 16, MaxBytes: 16, Shards: 1})
-	tiny.Put("huge", "", mkEntry("verified", string(make([]byte, 1024))))
-	if _, ok := tiny.GetPattern("huge", true); !ok {
+	tiny.Put("huge", mkEntry("verified", string(make([]byte, 1024))))
+	if _, ok := tiny.Get("huge", true); !ok {
 		t.Fatal("oversized single entry was evicted to an empty cache")
-	}
-}
-
-func TestAliasCap(t *testing.T) {
-	c := New(Config{MaxEntries: 8, MaxAliasesPerEntry: 2})
-	c.Put("pat", "a1", mkEntry("verified", "x"))
-	c.addAlias("pat", "a2")
-	c.addAlias("pat", "a3") // over the cap: not indexed
-
-	if _, ok := c.GetExact("a1", true); !ok {
-		t.Fatal("alias a1 missing")
-	}
-	if _, ok := c.GetExact("a2", true); !ok {
-		t.Fatal("alias a2 missing")
-	}
-	if _, ok := c.GetExact("a3", true); ok {
-		t.Fatal("alias a3 indexed beyond the cap")
-	}
-	// The pattern itself still hits; capped texts just pay the probe.
-	if _, ok := c.GetPattern("pat", true); !ok {
-		t.Fatal("pattern lookup lost")
 	}
 }
 
 func TestInvalidateAndBindConfig(t *testing.T) {
 	c := New(Config{MaxEntries: 8})
-	c.Put("p1", "e1", mkEntry("verified", "1"))
-	c.Put("p2", "e2", mkEntry("verified", "2"))
+	c.Put("p1", mkEntry("verified", "1"))
+	c.Put("p2", mkEntry("verified", "2"))
 
 	if c.BindConfig("fp-a") {
 		t.Fatal("first bind invalidated")
@@ -219,10 +177,7 @@ func TestInvalidateAndBindConfig(t *testing.T) {
 	if st := c.Stats(); st.Entries != 0 || st.Bytes != 0 {
 		t.Fatalf("stats after invalidate = %+v, want empty", st)
 	}
-	if _, ok := c.GetExact("e1", true); ok {
-		t.Fatal("alias survived invalidation")
-	}
-	if _, ok := c.GetPattern("p1", true); ok {
+	if _, ok := c.Get("p1", true); ok {
 		t.Fatal("entry survived invalidation")
 	}
 	if st := c.Stats(); st.Invalidations != 1 || st.Evictions != 2 {
@@ -230,11 +185,10 @@ func TestInvalidateAndBindConfig(t *testing.T) {
 	}
 }
 
-// getOrBuild is the test harness shorthand: fixed pattern key, verified
-// build of payload.
-func getOrBuild(c *Cache, ctx context.Context, exact, pattern, payload string, builds *atomic.Int64) (*Entry, Outcome, error) {
-	return c.GetOrBuild(ctx, exact, "degrade", true,
-		func(context.Context) (string, error) { return pattern, nil },
+// getOrBuild is the test harness shorthand: verified build of payload
+// under key.
+func getOrBuild(c *Cache, ctx context.Context, key, payload string, builds *atomic.Int64) (*Entry, Outcome, error) {
+	return c.GetOrBuild(ctx, key, "degrade", true,
 		func(context.Context) (*Entry, error) {
 			if builds != nil {
 				builds.Add(1)
@@ -248,53 +202,38 @@ func TestGetOrBuildOutcomes(t *testing.T) {
 	ctx := context.Background()
 	var builds atomic.Int64
 
-	e1, out, err := getOrBuild(c, ctx, "exact-a", "pat", "v", &builds)
+	e1, out, err := getOrBuild(c, ctx, "key-a", "v", &builds)
 	if err != nil || out != OutcomeMiss || e1 == nil {
 		t.Fatalf("first call: %v, %v, %v; want miss", e1, out, err)
 	}
-	e2, out, _ := getOrBuild(c, ctx, "exact-a", "pat", "v", &builds)
+	e2, out, _ := getOrBuild(c, ctx, "key-a", "v", &builds)
 	if out != OutcomeHit || e2 != e1 {
-		t.Fatalf("repeat exact text: outcome %v, want hit with the same entry", out)
+		t.Fatalf("repeat key: outcome %v, want hit with the same entry", out)
 	}
-	// A different spelling of the same pattern: probe runs, pattern hits.
-	e3, out, _ := getOrBuild(c, ctx, "exact-b", "pat", "v2", &builds)
-	if out != OutcomeHitPattern || e3 != e1 {
-		t.Fatalf("isomorphic text: outcome %v, want hit_pattern with the shared entry", out)
+	// Another key is another entry, whatever its build would share.
+	e3, out, _ := getOrBuild(c, ctx, "key-b", "v2", &builds)
+	if out != OutcomeMiss || e3 == e1 || e3.DOT != "dot:v2" {
+		t.Fatalf("second key: outcome %v, want a miss with its own entry", out)
 	}
-	// And that spelling is now an alias: next time it's an exact hit.
-	_, out, _ = getOrBuild(c, ctx, "exact-b", "pat", "v2", &builds)
-	if out != OutcomeHit {
-		t.Fatalf("alias learning failed: outcome %v, want hit", out)
-	}
-	if builds.Load() != 1 {
-		t.Fatalf("builds = %d, want exactly 1", builds.Load())
+	if builds.Load() != 2 {
+		t.Fatalf("builds = %d, want exactly 2", builds.Load())
 	}
 
-	// Unkeyable pattern → uncacheable, caller serves itself.
-	_, out, err = c.GetOrBuild(ctx, "exact-c", "degrade", true,
-		func(context.Context) (string, error) { return "", nil },
-		func(context.Context) (*Entry, error) { t.Fatal("build ran for unkeyable pattern"); return nil, nil })
-	if err != nil || out != OutcomeUncacheable {
-		t.Fatalf("unkeyable: %v, %v; want uncacheable, nil", out, err)
-	}
-
-	// Probe error → uncacheable with the error surfaced.
-	probeErr := errors.New("parse exploded")
-	_, out, err = c.GetOrBuild(ctx, "exact-d", "degrade", true,
-		func(context.Context) (string, error) { return "", probeErr },
-		func(context.Context) (*Entry, error) { t.Fatal("build ran after probe error"); return nil, nil })
-	if !errors.Is(err, probeErr) || out != OutcomeUncacheable {
-		t.Fatalf("probe error: %v, %v", out, err)
+	// Build error → uncacheable with the error surfaced.
+	buildErr := errors.New("parse exploded")
+	_, out, err = c.GetOrBuild(ctx, "key-d", "degrade", true,
+		func(context.Context) (*Entry, error) { return nil, buildErr })
+	if !errors.Is(err, buildErr) || out != OutcomeUncacheable {
+		t.Fatalf("build error: %v, %v", out, err)
 	}
 
 	// Uncacheable build (nil, nil) → nothing inserted.
-	_, out, err = c.GetOrBuild(ctx, "exact-e", "degrade", true,
-		func(context.Context) (string, error) { return "pat-degraded", nil },
+	_, out, err = c.GetOrBuild(ctx, "key-e", "degrade", true,
 		func(context.Context) (*Entry, error) { return nil, nil })
 	if err != nil || out != OutcomeUncacheable {
 		t.Fatalf("uncacheable build: %v, %v", out, err)
 	}
-	if _, ok := c.GetPattern("pat-degraded", false); ok {
+	if _, ok := c.Get("key-e", false); ok {
 		t.Fatal("uncacheable build inserted an entry")
 	}
 }
@@ -312,7 +251,6 @@ func TestSingleflightCollapse(t *testing.T) {
 		<-release
 		return mkEntry("verified", "shared"), nil
 	}
-	probe := func(context.Context) (string, error) { return "pat", nil }
 
 	type res struct {
 		e   *Entry
@@ -325,7 +263,7 @@ func TestSingleflightCollapse(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			e, out, err := c.GetOrBuild(context.Background(), "", "degrade", true, probe, build)
+			e, out, err := c.GetOrBuild(context.Background(), "key", "degrade", true, build)
 			results <- res{e, out, err}
 		}()
 	}
@@ -377,8 +315,7 @@ func TestFlightClassPartitioning(t *testing.T) {
 	strictRelease := make(chan struct{})
 	strictDone := make(chan error, 1)
 	go func() {
-		_, _, err := c.GetOrBuild(context.Background(), "", "strict", true,
-			func(context.Context) (string, error) { return "pat", nil },
+		_, _, err := c.GetOrBuild(context.Background(), "key", "strict", true,
 			func(context.Context) (*Entry, error) {
 				close(strictEntered)
 				<-strictRelease
@@ -388,7 +325,7 @@ func TestFlightClassPartitioning(t *testing.T) {
 	}()
 	<-strictEntered
 
-	e, out, err := getOrBuild(c, context.Background(), "", "pat", "ok", nil)
+	e, out, err := getOrBuild(c, context.Background(), "key", "ok", nil)
 	if err != nil || e == nil || out != OutcomeMiss {
 		t.Fatalf("degrade caller was coupled to the strict flight: %v, %v, %v", e, out, err)
 	}
@@ -404,8 +341,7 @@ func TestFollowerOutlivesDeadLeader(t *testing.T) {
 	entered := make(chan struct{})
 
 	go func() {
-		_, _, _ = c.GetOrBuild(leaderCtx, "", "degrade", true,
-			func(context.Context) (string, error) { return "pat", nil },
+		_, _, _ = c.GetOrBuild(leaderCtx, "key", "degrade", true,
 			func(ctx context.Context) (*Entry, error) {
 				close(entered)
 				<-ctx.Done() // die mid-build
@@ -421,7 +357,7 @@ func TestFollowerOutlivesDeadLeader(t *testing.T) {
 	)
 	go func() {
 		defer close(followerDone)
-		e, out, err = getOrBuild(c, context.Background(), "", "pat", "rebuilt", nil)
+		e, out, err = getOrBuild(c, context.Background(), "key", "rebuilt", nil)
 	}()
 	// Give the follower a moment to queue behind the doomed leader, then
 	// kill the leader; the follower must take over, not inherit the
@@ -438,12 +374,12 @@ func TestFollowerOutlivesDeadLeader(t *testing.T) {
 	}
 }
 
-func TestStatsAndPatternHash(t *testing.T) {
+func TestStats(t *testing.T) {
 	c := New(Config{MaxEntries: 4})
 	ctx := context.Background()
-	getOrBuild(c, ctx, "e1", "p1", "1", nil) // miss
-	getOrBuild(c, ctx, "e1", "p1", "1", nil) // hit
-	getOrBuild(c, ctx, "e2", "p1", "1", nil) // hit_pattern
+	getOrBuild(c, ctx, "k1", "1", nil) // miss
+	getOrBuild(c, ctx, "k1", "1", nil) // hit
+	getOrBuild(c, ctx, "k1", "1", nil) // hit
 	c.NoteBypass()
 
 	st := c.Stats()
@@ -456,36 +392,29 @@ func TestStatsAndPatternHash(t *testing.T) {
 	if n := int64(c.reg.Value(MetricRequests, "outcome", string(OutcomeBypass))); n != 1 {
 		t.Fatalf("bypass count = %d, want 1", n)
 	}
-
-	if PatternHash("a") == PatternHash("b") {
-		t.Fatal("distinct keys share a hash (fnv collision on trivial input)")
-	}
-	if PatternHash("a") != PatternHash("a") {
-		t.Fatal("PatternHash is unstable")
-	}
 }
 
 func TestConcurrentChurn(t *testing.T) {
-	// Tiny capacity, many patterns, many goroutines: exercises the
-	// eviction/alias/insert interleavings under the race detector. The
+	// Tiny capacity, many keys, many goroutines: exercises the
+	// eviction/insert interleavings under the race detector. The
 	// assertion is absence of deadlock and torn state; byte-identity per
-	// pattern is checked at the end.
+	// key is checked at the end.
 	c := New(Config{MaxEntries: 2, Shards: 1, MaxBytes: -1})
-	const patterns, workers, rounds = 6, 8, 50
+	const keys, workers, rounds = 6, 8, 50
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
-				p := fmt.Sprintf("pat%d", (w+i)%patterns)
-				e, _, err := getOrBuild(c, context.Background(), "exact-"+p, p, p, nil)
+				p := fmt.Sprintf("key%d", (w+i)%keys)
+				e, _, err := getOrBuild(c, context.Background(), p, p, nil)
 				if err != nil {
 					t.Errorf("churn error: %v", err)
 					return
 				}
 				if e != nil && e.DOT != "dot:"+p {
-					t.Errorf("pattern %s served foreign bytes %q", p, e.DOT)
+					t.Errorf("key %s served foreign bytes %q", p, e.DOT)
 					return
 				}
 			}

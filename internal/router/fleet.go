@@ -54,7 +54,6 @@ func (rt *Router) handleTraces(w http.ResponseWriter, r *http.Request) {
 	f := telemetry.TraceFilter{
 		RequestID: q.Get("request_id"),
 		TraceID:   q.Get("trace_id"),
-		Pattern:   q.Get("pattern"),
 	}
 	if v := q.Get("min_ms"); v != "" {
 		ms, err := strconv.ParseFloat(v, 64)

@@ -3,7 +3,6 @@ package router
 import (
 	"encoding/json"
 	"net/http"
-	"sync"
 	"time"
 )
 
@@ -47,8 +46,6 @@ type State struct {
 	Instances []InstanceState `json:"instances"`
 	Failovers int64           `json:"failovers"`
 	Shed      int64           `json:"shed"`
-	// PatternKeys is the learned body-hash→pattern table size.
-	PatternKeys int `json:"pattern_keys"`
 	// HotPatterns counts patterns currently promoted to replicated
 	// reads (always 0 when hot replication is disabled).
 	HotPatterns int `json:"hot_patterns"`
@@ -63,11 +60,10 @@ func (rt *Router) State() State {
 	now := time.Now()
 	tp := rt.topo.Load()
 	st := State{
-		Epoch:       tp.epoch,
-		Instances:   make([]InstanceState, 0, len(tp.insts)),
-		Failovers:   rt.failovers.Value(),
-		Shed:        rt.noHealthy.Value(),
-		PatternKeys: rt.keys.len(),
+		Epoch:     tp.epoch,
+		Instances: make([]InstanceState, 0, len(tp.insts)),
+		Failovers: rt.failovers.Value(),
+		Shed:      rt.noHealthy.Value(),
 	}
 	if rt.hot != nil {
 		st.HotPatterns = rt.hot.promotedCount()
@@ -114,40 +110,4 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusServiceUnavailable)
 	}
 	_ = json.NewEncoder(w).Encode(st)
-}
-
-// keytab remembers which canonical pattern a request body hashes to,
-// learned from backend response headers, so isomorphic queries shard
-// together. Bounded the same way the pool's affinity index is: at the
-// cap the whole table resets — losing learned affinity costs a few
-// cache-cold requests, never correctness.
-type keytab struct {
-	mu  sync.RWMutex
-	m   map[uint64]string
-	cap int
-}
-
-func newKeytab() *keytab {
-	return &keytab{m: make(map[uint64]string), cap: 4096}
-}
-
-func (k *keytab) get(h uint64) string {
-	k.mu.RLock()
-	defer k.mu.RUnlock()
-	return k.m[h]
-}
-
-func (k *keytab) put(h uint64, pattern string) {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	if len(k.m) >= k.cap {
-		k.m = make(map[uint64]string, k.cap/4)
-	}
-	k.m[h] = pattern
-}
-
-func (k *keytab) len() int {
-	k.mu.RLock()
-	defer k.mu.RUnlock()
-	return len(k.m)
 }

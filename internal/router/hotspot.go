@@ -1,18 +1,18 @@
-// Hot-pattern replication. The consistent-hash ring pins each pattern
-// to one owner, which is exactly right until one pattern goes viral:
-// the owner saturates while the rest of the ring idles, and no amount
-// of healthy capacity helps because the hash always picks the same
-// victim. The hottab watches per-pattern request rates with
-// exponentially decaying counters — bounded memory, no clock ticks, no
-// global coordination — and promotes any pattern whose decayed rate
-// crosses the threshold to replicated reads: its requests rotate
-// round-robin across the first R candidates of its ring order instead
-// of hammering the owner alone. The pattern-keyed cache makes this
-// safe (same pattern ⇒ same diagram, so any replica's answer is the
-// answer); the only cost is R caches warming the pattern instead of
-// one. Demotion is automatic with hysteresis: when the spike subsides
-// the rate decays below half the promotion threshold and the pattern
-// collapses back onto its owner.
+// Hot-key replication. The consistent-hash ring pins each request body
+// to one owner, which is exactly right until one query goes viral: the
+// owner saturates while the rest of the ring idles, and no amount of
+// healthy capacity helps because the hash always picks the same victim.
+// The hottab watches per-key request rates with exponentially decaying
+// counters — bounded memory, no clock ticks, no global coordination —
+// and promotes any key whose decayed rate crosses the threshold to
+// replicated reads: its requests rotate round-robin across the first R
+// candidates of its ring order instead of hammering the owner alone.
+// This is safe because every instance answers a request the same way
+// (same body ⇒ same bytes, so any replica's answer is the answer); the
+// only cost is R caches warming the request instead of one. Demotion is
+// automatic with hysteresis: when the spike subsides the rate decays
+// below half the promotion threshold and the key collapses back onto
+// its owner.
 package router
 
 import (

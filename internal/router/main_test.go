@@ -44,7 +44,7 @@ func runTestInstance() {
 	h := server.New(server.Config{
 		RequestTimeout:      5 * time.Second,
 		MaxConcurrent:       64,
-		CacheEntries:        256, // pattern headers feed the router's keytab
+		CacheEntries:        256,
 		AllowFaultInjection: true,
 	})
 	if err := http.Serve(ln, h); err != nil {

@@ -16,7 +16,7 @@
 //     amplified by replay.
 //   - a short-TTL response cache with verified-only inserts: the
 //     seconds after a kill are the only window where the router
-//     answers from its own memory; once the survivors' pattern caches
+//     answers from its own memory; once the survivors' diagram caches
 //     are warm the TTL lapses the router back to pure proxying.
 //
 // Requests carrying chaos fault headers bypass the layer entirely —
@@ -28,6 +28,8 @@ import (
 	"net/http"
 	"sync"
 	"time"
+
+	"repro/internal/diagcache"
 )
 
 // Bounds keeping the stampede layer's memory honest: requests larger
@@ -47,22 +49,18 @@ type sharedResp struct {
 }
 
 // shareable reports whether a response may be served to a caller other
-// than the one whose request produced it — the router-tier restatement
-// of diagcache's verified-only insert rule: status 200, never a
-// degraded artifact, and a verify status of "verified" or absent
-// (verification off).
+// than the one whose request produced it: a 200 that diagcache's
+// insert rule would cache. An absent verify header means verification
+// was off.
 func (sr *sharedResp) shareable() bool {
 	if sr == nil || sr.status != http.StatusOK {
 		return false
 	}
-	if sr.header.Get("X-Queryvis-Degraded") != "" {
-		return false
+	verify := sr.header.Get("X-Queryvis-Verify-Status")
+	if verify == "" {
+		verify = "off"
 	}
-	switch sr.header.Get("X-Queryvis-Verify-Status") {
-	case "", "off", "verified":
-		return true
-	}
-	return false
+	return diagcache.CacheableStatus(verify, sr.header.Get("X-Queryvis-Degraded"))
 }
 
 type stampedeEntry struct {

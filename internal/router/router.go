@@ -1,6 +1,6 @@
 // Package router is the scale-out front door: a stdlib-only
 // consistent-hash router that shards QueryVis requests across N
-// queryvisd instances by canonical pattern key, with live ring
+// queryvisd instances by request body hash, with live ring
 // membership, active health checking with hysteresis, per-instance
 // circuit breaking, hot-pattern replication, failover stampede
 // control, and bounded failover along the ring. Its one hard promise
@@ -10,17 +10,15 @@
 // ring is unhealthy. Never a hang, never a silent drop.
 //
 // Sharding key: the router cannot parse SQL (that is what the backends'
-// sacrificial workers are for), so it learns the canonical pattern key
-// the same way the pool's affinity does — from the X-Queryvis-Pattern
-// header backends stamp on diagram responses, remembered per body hash
-// in a bounded table. A body seen before routes by its pattern, so
-// isomorphic queries (same pattern, different literals) land on the
-// instance whose diagram cache is warm; a cold body routes by its own
-// hash, which is still deterministic and evenly spread.
+// sacrificial workers are for), so it routes by the hash of the request
+// body. The backends' diagram caches are keyed on the request too, so
+// every repeat of a body lands on the instance whose cache already
+// holds it; the hash is deterministic and evenly spread. The same body
+// always gets the same bytes, whichever instance answers.
 //
 // Topology is live: the /v1/ring admin surface (see admin.go) joins,
 // drains, and ejects members at runtime against an epoch-versioned
-// immutable snapshot (see membership.go), hot patterns spread across
+// immutable snapshot (see membership.go), hot keys spread across
 // replicas when one key's load would otherwise saturate its owner (see
 // hotspot.go), and the cache-cold window after a kill or drain is
 // collapsed by router-side singleflight plus a short-TTL verified-only
@@ -58,7 +56,6 @@ const (
 	mInstUp          = "queryvis_router_instance_healthy"
 	mInstOpen        = "queryvis_router_breaker_open"
 	mInstDraining    = "queryvis_router_instance_draining"
-	mKeytab          = "queryvis_router_pattern_keys"
 	mEpoch           = "queryvis_router_ring_epoch"
 	mMembers         = "queryvis_router_ring_members"
 	mMembership      = "queryvis_router_membership_changes_total"
@@ -217,13 +214,12 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Router is the handler. It proxies POST API calls by pattern key and
+// Router is the handler. It proxies POST API calls by body hash and
 // serves its own /v1/healthz, /v1/metrics, and /v1/ring admin surface
 // (the router's, not a backend's — a load balancer's health is a
 // different fact from any instance's health).
 type Router struct {
-	cfg  Config
-	keys *keytab
+	cfg Config
 
 	// topo is the live membership snapshot; see membership.go. Writers
 	// serialize on memberMu and swap whole immutable values.
@@ -266,7 +262,6 @@ func New(cfg Config) (*Router, error) {
 	cfg = cfg.withDefaults()
 	rt := &Router{
 		cfg:      cfg,
-		keys:     newKeytab(),
 		seenURLs: make(map[string]bool),
 		closed:   make(chan struct{}),
 		reg:      cfg.Metrics,
@@ -311,8 +306,6 @@ func New(cfg Config) (*Router, error) {
 	rt.tracesTotal = rt.reg.Counter(mTraces, "Router hop spans recorded to the trace ring.")
 	rt.reg.GaugeFunc(mTraceRing, "Traces currently held in the router's bounded trace ring.",
 		func() float64 { return float64(rt.traces.Len()) })
-	rt.reg.GaugeFunc(mKeytab, "Learned body-hash→pattern routing keys.",
-		func() float64 { return float64(rt.keys.len()) })
 	rt.reg.GaugeFunc(mEpoch, "Ring topology epoch; bumps on every membership change.",
 		func() float64 { return float64(rt.topo.Load().epoch) })
 	rt.reg.GaugeFunc(mMembers, "Current ring member count.",
@@ -412,7 +405,7 @@ func (rt *Router) route(w http.ResponseWriter, r *http.Request) {
 	r.Header.Set(telemetry.TraceHeader,
 		telemetry.TraceContext{TraceID: traceID, SpanID: spanID, Sampled: sampled}.Header())
 	w.Header().Set(telemetry.TraceIDHeader, traceID)
-	var traceOutcome, traceInstance, traceVia, traceKey string
+	var traceOutcome, traceInstance, traceVia string
 	defer func() {
 		if !sampled {
 			return
@@ -429,7 +422,7 @@ func (rt *Router) route(w http.ResponseWriter, r *http.Request) {
 			sp.Attrs = append(sp.Attrs, telemetry.Attr{Key: "shared", Value: traceVia})
 		}
 		rt.traces.Put(telemetry.TraceRecord{
-			TraceID: traceID, RequestID: rid, Pattern: traceKey,
+			TraceID: traceID, RequestID: rid,
 			Start: start, Duration: sp.Duration, Spans: []telemetry.Span{sp},
 		})
 		rt.tracesTotal.Inc()
@@ -462,15 +455,10 @@ func (rt *Router) route(w http.ResponseWriter, r *http.Request) {
 
 	// The routing key — and the hot tracker's demand signal — are
 	// computed before the stampede gate: a request served from the
-	// router's own cache is still client demand for its pattern, and
+	// router's own cache is still client demand for its key, and
 	// promotion must track what clients ask for, not the residual that
 	// happens to reach a backend.
-	bodyHash := hash64(body)
-	key := rt.keys.get(bodyHash)
-	if key == "" {
-		key = strconv.FormatUint(bodyHash, 16)
-	}
-	traceKey = key
+	key := strconv.FormatUint(hash64(body), 16)
 	promoted, rot := false, uint32(0)
 	if rt.hot != nil {
 		promoted, rot = rt.hot.touch(key, time.Now())
@@ -552,7 +540,7 @@ func (rt *Router) route(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Hot-pattern replication: a promoted key rotates across its first
+	// Hot-key replication: a promoted key rotates across its first
 	// HotReplicas candidates instead of hammering the owner alone. The
 	// rotation only reorders — the full candidate list is still the
 	// failover schedule, so replication never costs availability.
@@ -611,9 +599,6 @@ func (rt *Router) route(w http.ResponseWriter, r *http.Request) {
 		// backend's Retry-After is better informed than ours.
 		if sr.status < http.StatusInternalServerError && sr.status != http.StatusTooManyRequests {
 			in.recordSuccess()
-		}
-		if pat := sr.header.Get("X-Queryvis-Pattern"); pat != "" {
-			rt.keys.put(bodyHash, pat)
 		}
 		rt.requests["proxied"].Inc()
 		rt.proxyDur.Observe(time.Since(start).Seconds())

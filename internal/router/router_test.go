@@ -1,6 +1,6 @@
 // Black-box router behavior against controllable httptest backends:
-// sticky sharding, pattern-affinity learning, failover, circuit
-// breaking, and the honest fully-unhealthy 503.
+// sticky sharding, failover, circuit breaking, and the honest
+// fully-unhealthy 503.
 package router_test
 
 import (
@@ -110,55 +110,6 @@ func TestStickySharding(t *testing.T) {
 	}
 	if owners < 2 {
 		t.Fatalf("40 distinct bodies all hit %d backend(s); hashing is not spreading", owners)
-	}
-}
-
-// TestPatternAffinityLearning: once backends stamp X-Queryvis-Pattern,
-// bodies with the same pattern converge onto the same instance even
-// though their body hashes differ.
-func TestPatternAffinityLearning(t *testing.T) {
-	t.Cleanup(leak.Check(t))
-	var hits [8]atomic.Int64
-	hf := func(i int) http.HandlerFunc {
-		return func(w http.ResponseWriter, r *http.Request) {
-			if r.URL.Path == "/v1/healthz" {
-				w.WriteHeader(http.StatusOK)
-				return
-			}
-			hits[i].Add(1)
-			w.Header().Set("X-Queryvis-Pattern", "shared-pattern-key")
-			w.Header().Set("Content-Type", "application/json")
-			_ = json.NewEncoder(w).Encode(map[string]any{"diagram": "digraph {}"})
-		}
-	}
-	rt, front, _ := fakeRing(t, 4, hf, nil)
-
-	// Teach the router both bodies' pattern, then route each again: the
-	// replays must land on one shared instance (the pattern's owner).
-	bodyA, bodyB := diagramReq(qSome), diagramReq(qSome+" -- isomorph")
-	postJSON(t, front.URL+"/v1/diagram", bodyA)
-	postJSON(t, front.URL+"/v1/diagram", bodyB)
-	for i := range hits {
-		hits[i].Store(0)
-	}
-	for i := 0; i < 5; i++ {
-		postJSON(t, front.URL+"/v1/diagram", bodyA)
-		postJSON(t, front.URL+"/v1/diagram", bodyB)
-	}
-	owners := 0
-	for i := range hits {
-		if n := hits[i].Load(); n > 0 {
-			owners++
-			if n != 10 {
-				t.Fatalf("pattern owner %d saw %d of 10 requests", i, n)
-			}
-		}
-	}
-	if owners != 1 {
-		t.Fatalf("learned pattern routed to %d instances, want 1", owners)
-	}
-	if st := rt.State(); st.PatternKeys < 2 {
-		t.Fatalf("keytab learned %d keys, want >= 2", st.PatternKeys)
 	}
 }
 

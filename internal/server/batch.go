@@ -13,10 +13,10 @@ import (
 // POST /v1/diagrams:batch renders many queries in one round trip with
 // per-item status: the envelope is 200 whenever the batch itself is
 // well-formed, and each item independently succeeds or fails with the
-// same taxonomy the single endpoint uses. Items sharing a logical
-// pattern amortize to one pipeline run through the cache (the first
-// builds, the rest hit), which is the endpoint's reason to exist — bulk
-// repository rendering, the paper's Section 1 browsing use case.
+// same taxonomy the single endpoint uses. Repeated items amortize to
+// one pipeline run through the cache (the first builds, the rest hit);
+// the endpoint's reason to exist is bulk repository rendering, the
+// paper's Section 1 browsing use case.
 
 // batchRequest is the body of /v1/diagrams:batch. Top-level fields are
 // defaults every item inherits unless it sets its own.

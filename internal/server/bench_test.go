@@ -157,11 +157,11 @@ func benchHandlerSerial(b *testing.B, srv http.Handler, body []byte) {
 	b.ReportMetric(float64(pct(99).Nanoseconds())/1e6, "p99-ms")
 }
 
-// BenchmarkDiagramHandlerCache prices the pattern cache on the serial
+// BenchmarkDiagramHandlerCache prices the diagram cache on the serial
 // in-process handler under verify=degrade — the mode whose pipeline the
 // cache amortizes. cold is the cache-less build-and-prove path; warm is
-// the same request against a prewarmed cache, so every iteration is an
-// exact-text hit serving the stored proof. The warm/cold p50 ratio is
+// the same request against a prewarmed cache, so every iteration is a
+// hit serving the stored proof. The warm/cold p50 ratio is
 // the headline number in BENCH_server.json.
 func BenchmarkDiagramHandlerCache(b *testing.B) {
 	body, err := json.Marshal(diagramRequest{
@@ -188,10 +188,10 @@ func BenchmarkDiagramHandlerCache(b *testing.B) {
 }
 
 // BenchmarkBatchEndpoint measures POST /v1/diagrams:batch over HTTP
-// with eight spellings of the Fig. 1 pattern per request: after the
-// first batch builds the representative, every later item in every
-// later batch is served from cache, so the cell prices the batch
-// envelope + hit path per item. items/s counts items, not batches.
+// with eight spellings of the Fig. 1 query per request: the first batch
+// builds each spelling once, every later item in every later batch is
+// served from cache, so the cell prices the batch envelope + hit path
+// per item. items/s counts items, not batches.
 func BenchmarkBatchEndpoint(b *testing.B) {
 	ts := httptest.NewServer(New(Config{CacheEntries: 64}))
 	defer ts.Close()

@@ -16,7 +16,7 @@ import (
 
 // This file is the server's cached diagram path: /v1/diagram and every
 // /v1/diagrams:batch item funnel through serveDiagram, which consults
-// the pattern-keyed cache (internal/diagcache) when one is configured
+// the request-keyed cache (internal/diagcache) when one is configured
 // and otherwise behaves exactly like the historical handler. The
 // correctness rules are the cache's — only verified (or verify-off)
 // non-degraded results are inserted — plus two server-level ones:
@@ -24,16 +24,10 @@ import (
 // breaker/quarantine/verify-metric integrations fire for real builds
 // only, never for hits.
 
-// Response headers the cached path adds. X-QueryVis-Cache is "hit" or
+// headerCache is the response header the cached path adds: "hit" or
 // "miss" whenever a cache is configured and the request was eligible
 // (absent when caching is off or the request bypassed it).
-// X-QueryVis-Pattern carries the pattern-key hash when one is known, so
-// the parent of a worker pool can route isomorphic requests to the same
-// worker (see affinity.go).
-const (
-	headerCache   = "X-Queryvis-Cache"
-	headerPattern = "X-Queryvis-Pattern"
-)
+const headerCache = "X-Queryvis-Cache"
 
 // configFingerprint identifies the configuration an entry was proven
 // under: the per-query limits, the verification budget, and the schema
@@ -45,7 +39,7 @@ func (s *Server) configFingerprint() string {
 		s.cfg.Limits, s.cfg.Unlimited, s.cfg.VerifyBudget, names)
 }
 
-// cacheKey is the exact-text lookup key. Server schemas are built-in,
+// cacheKey is the request key. Server schemas are built-in,
 // so the name identifies the catalog entry; simplify is the only option
 // that changes the artifact (format does not: entries carry all three
 // renderings, and verify mode is handled by the cache's acceptance
@@ -66,7 +60,6 @@ type served struct {
 	verifyStatus string // X-QueryVis-Verify-Status (pre-hide value)
 	degraded     string // X-QueryVis-Degraded
 	cache        string // X-QueryVis-Cache: "hit", "miss", or "" (ineligible)
-	pattern      string // X-QueryVis-Pattern: pattern-key hash when known
 }
 
 func (sv *served) writeHeaders(w http.ResponseWriter) {
@@ -79,9 +72,6 @@ func (sv *served) writeHeaders(w http.ResponseWriter) {
 	if sv.cache != "" {
 		w.Header().Set(headerCache, sv.cache)
 	}
-	if sv.pattern != "" {
-		w.Header().Set(headerPattern, sv.pattern)
-	}
 }
 
 // serveDiagram resolves one validated diagram request into a response,
@@ -91,10 +81,10 @@ func (sv *served) writeHeaders(w http.ResponseWriter) {
 //   - fault plan on the context → same, with the cache bypassed in both
 //     directions (an injected fault must neither be masked by cached
 //     bytes nor poison them);
-//   - otherwise GetOrBuild: exact-text hit, pattern hit, singleflight
-//     wait, or a verified build this caller leads. Uncacheable outcomes
-//     (degraded, breaker-skipped, unkeyable) serve this caller's own
-//     result and insert nothing.
+//   - otherwise GetOrBuild: a hit, a singleflight wait, or a build
+//     this caller leads through runVerified. Uncacheable outcomes
+//     (degraded, breaker-skipped, failed) serve this caller's own result
+//     and insert nothing.
 func (s *Server) serveDiagram(ctx context.Context, req *diagramRequest, sch *schema.Schema, started time.Time) (*served, error) {
 	if s.cache == nil {
 		return s.serveUncached(ctx, req, sch, started, "")
@@ -107,34 +97,14 @@ func (s *Server) serveDiagram(ctx context.Context, req *diagramRequest, sch *sch
 	if err != nil {
 		return nil, err
 	}
-	wantVerified := requested != queryvis.VerifyOff
 
-	var (
-		probeRes    *queryvis.Result
-		probeFailed bool
-		built       *queryvis.Result
-	)
-	probe := func(ctx context.Context) (string, error) {
-		opts := s.options(req)
-		opts.Verify = queryvis.VerifyOff
-		r, err := queryvis.FromSQLContext(ctx, req.SQL, sch, opts)
-		if err != nil {
-			probeFailed = true
-			return "", err
-		}
-		probeRes = r
-		key, ok := queryvis.PatternFingerprintBounded(r.Diagram, maxFingerprintPerms)
-		if !ok {
-			return "", nil
-		}
-		return key, nil
-	}
+	var built *queryvis.Result
 	build := func(ctx context.Context) (*diagcache.Entry, error) {
-		r, err := s.verifyProbed(ctx, req, probeRes, requested)
+		r, _, err := s.runVerified(ctx, req, sch)
 		if err != nil {
 			return nil, err
 		}
-		built, probeRes = r, r
+		built = r
 		if !diagcache.CacheableStatus(r.VerifyStatus, r.Degraded) {
 			return nil, nil
 		}
@@ -144,43 +114,20 @@ func (s *Server) serveDiagram(ctx context.Context, req *diagramRequest, sch *sch
 		}
 		return e, nil
 	}
-
 	entry, outcome, err := s.cache.GetOrBuild(ctx, s.cacheKey(req),
-		requested.String(), wantVerified, probe, build)
-	if err != nil {
-		if probeFailed && requested == queryvis.VerifyDegrade {
-			// The unverified probe fails where degrade mode would walk the
-			// ladder; rerun the full pipeline so a non-user fault still serves
-			// the highest reachable rung (uncached, by definition).
-			return s.serveUncached(ctx, req, sch, started, "miss")
-		}
-		return nil, err
-	}
-	hdr := "miss"
-	if outcome.Hit() {
-		hdr = "hit"
-	}
-	if entry != nil {
-		return s.respondEntry(req, entry, requested, started, hdr), nil
-	}
-
-	// Uncacheable: serve this caller's own result, verifying it first if
-	// only the unverified probe ran (a follower whose leader's build was
-	// uncacheable never entered build itself).
-	var res *queryvis.Result
+		requested.String(), requested != queryvis.VerifyOff, build)
 	switch {
-	case built != nil:
-		res = built
-	case probeRes == nil:
+	case err != nil:
+		return nil, err
+	case entry != nil && outcome.Hit():
+		return s.respondEntry(req, entry, requested, started, "hit"), nil
+	case entry != nil:
+		return s.respondEntry(req, entry, requested, started, "miss"), nil
+	case built == nil:
+		// A follower whose leader's build was uncacheable builds its own.
 		return s.serveUncached(ctx, req, sch, started, "miss")
-	case probeRes.VerifyStatus == queryvis.VerifyStatusOff && wantVerified:
-		if res, err = s.verifyProbed(ctx, req, probeRes, requested); err != nil {
-			return nil, err
-		}
-	default:
-		res = probeRes
 	}
-	return s.renderResult(ctx, req, res, requested, started, "miss")
+	return s.renderResult(ctx, req, built, requested, started, "miss")
 }
 
 // serveUncached is the historical path: full pipeline with breaker,
@@ -191,42 +138,6 @@ func (s *Server) serveUncached(ctx context.Context, req *diagramRequest, sch *sc
 		return nil, err
 	}
 	return s.renderResult(ctx, req, res, mode, started, hdr)
-}
-
-// verifyProbed is runVerified's second half for the cached path: the
-// forward pipeline already ran (the probe build), so only verification
-// remains. Breaker consultation and feedback, verdict counters, and
-// quarantine behave identically to the uncached path.
-func (s *Server) verifyProbed(ctx context.Context, req *diagramRequest, res *queryvis.Result, requested queryvis.VerifyMode) (*queryvis.Result, error) {
-	mode := requested
-	skipped := false
-	if mode == queryvis.VerifyDegrade && !s.breaker.allow() {
-		mode = queryvis.VerifyOff
-		skipped = true
-	}
-	opts := s.options(req)
-	opts.Verify = mode
-	opts.VerifyBudget = s.cfg.VerifyBudget
-
-	out, err := queryvis.VerifyResultContext(ctx, res, opts)
-
-	status := verifyOutcome(out, err)
-	if mode != queryvis.VerifyOff && status != "" {
-		s.breaker.record(status == queryvis.VerifyStatusBudget ||
-			status == queryvis.VerifyStatusTimeout)
-		s.recordVerifyOutcome(status)
-	}
-	s.maybeQuarantine(ctx, req, out, err, status)
-
-	if err != nil {
-		return nil, err
-	}
-	if skipped {
-		out.VerifyStatus = queryvis.VerifyStatusSkipped
-		out.VerifyDetail = "verification circuit breaker open"
-		s.recordVerifyOutcome(queryvis.VerifyStatusSkipped)
-	}
-	return out, nil
 }
 
 // respondEntry shapes a cache entry into the response. Entries are
@@ -250,8 +161,7 @@ func (s *Server) respondEntry(req *diagramRequest, e *diagcache.Entry, mode quer
 		ElapsedMS:      time.Since(started).Milliseconds(),
 		VerifyStatus:   e.VerifyStatus,
 	}
-	sv := &served{resp: resp, verifyStatus: e.VerifyStatus,
-		cache: hdr, pattern: e.PatternHash}
+	sv := &served{resp: resp, verifyStatus: e.VerifyStatus, cache: hdr}
 	if mode == queryvis.VerifyOff || e.VerifyStatus == queryvis.VerifyStatusOff {
 		// Keep the historical wire shape: a request that asked for no
 		// verification reports none, even when the entry happens to carry a

@@ -37,12 +37,11 @@ func serveDirect(t *testing.T, h http.Handler, sql, verify string) (int, http.He
 	return rec.Code, rec.Result().Header, dr
 }
 
-// TestCacheRaceSingleflight: N goroutines fire isomorphic-but-
-// syntactically-distinct spellings of the Fig. 1 query concurrently.
-// Singleflight must collapse them to exactly one verified pipeline
-// execution, every response must be byte-identical, and the outcome
-// counters must account for every request exactly once. Run under
-// -race, this is also the cache's data-race battery.
+// TestCacheRaceSingleflight: N goroutines send the identical Fig. 1
+// request concurrently. Singleflight must collapse them to exactly one
+// verified pipeline execution, every response must be byte-identical,
+// and the outcome counters must account for every request exactly
+// once. Run under -race, this is also the cache's data-race battery.
 func TestCacheRaceSingleflight(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	srv := New(Config{
@@ -50,12 +49,6 @@ func TestCacheRaceSingleflight(t *testing.T) {
 		DefaultVerify: queryvis.VerifyDegrade,
 		Metrics:       reg,
 	})
-	variants := []string{
-		corpus.Fig1UniqueSet,
-		fig1Isomorph("a"),
-		fig1Isomorph("b"),
-		fig1Isomorph("c"),
-	}
 	const goroutines, perG = 8, 3
 
 	type reply struct {
@@ -73,7 +66,7 @@ func TestCacheRaceSingleflight(t *testing.T) {
 			defer wg.Done()
 			<-start
 			for i := 0; i < perG; i++ {
-				st, hdr, dr := serveDirect(t, srv, variants[(g+i)%len(variants)], "degrade")
+				st, hdr, dr := serveDirect(t, srv, corpus.Fig1UniqueSet, "degrade")
 				replies[g] = append(replies[g], reply{st, hdr.Get(headerCache), dr})
 			}
 		}()
@@ -97,12 +90,12 @@ func TestCacheRaceSingleflight(t *testing.T) {
 			if first == nil {
 				first = r
 			} else if !reflect.DeepEqual(r.body, first.body) {
-				t.Fatalf("response bodies diverge across isomorphs:\nfirst %+v\n this %+v", first.body, r.body)
+				t.Fatalf("response bodies diverge:\nfirst %+v\n this %+v", first.body, r.body)
 			}
 		}
 	}
 
-	// Exactly one pipeline execution built the pattern…
+	// Exactly one pipeline execution built the request…
 	if n := reg.Value(diagcache.MetricBuilds); n != 1 {
 		t.Fatalf("builds_total = %v, want exactly 1", n)
 	}
@@ -114,7 +107,7 @@ func TestCacheRaceSingleflight(t *testing.T) {
 	}
 	// …and no request was lost or double-counted.
 	total := 0.0
-	for _, o := range []string{"hit", "hit_pattern", "hit_flight", "miss", "uncacheable", "bypass"} {
+	for _, o := range []string{"hit", "hit_flight", "miss", "uncacheable", "bypass"} {
 		total += reg.Value(diagcache.MetricRequests, "outcome", o)
 	}
 	if total != goroutines*perG {
@@ -128,14 +121,12 @@ func TestCacheRaceSingleflight(t *testing.T) {
 }
 
 // TestCacheEvictionChurn hammers a two-entry cache with six distinct
-// patterns from many goroutines: permanent eviction pressure, constant
+// queries from many goroutines: permanent eviction pressure, constant
 // rebuild races. Every response must still match the uncached serial
 // baseline byte for byte, the capacity bound must hold, and the outcome
 // accounting must stay exact.
 func TestCacheEvictionChurn(t *testing.T) {
-	// Six pairwise pattern-distinct queries (the pattern key is blind to
-	// table names and constants, so distinctness must be structural: table
-	// counts, join shapes, selection rows, nesting).
+	// Six distinct queries: six cache keys competing for two slots.
 	queries := []string{
 		"SELECT L.drinker FROM Likes L",
 		"SELECT L.drinker FROM Likes L WHERE L.beer = 'ipa'",
@@ -204,10 +195,10 @@ func TestCacheEvictionChurn(t *testing.T) {
 		t.Fatalf("cache holds %d entries, bound is 2", st.Entries)
 	}
 	if st.Evictions == 0 {
-		t.Fatal("six patterns through two slots produced no evictions")
+		t.Fatal("six queries through two slots produced no evictions")
 	}
 	total := 0.0
-	for _, o := range []string{"hit", "hit_pattern", "hit_flight", "miss", "uncacheable", "bypass"} {
+	for _, o := range []string{"hit", "hit_flight", "miss", "uncacheable", "bypass"} {
 		total += reg.Value(diagcache.MetricRequests, "outcome", o)
 	}
 	if total != goroutines*perG {

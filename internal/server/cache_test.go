@@ -23,8 +23,8 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
 // fig1Isomorph rewrites the Fig. 1 alias names L1..L6 to a fresh set:
-// syntactically distinct SQL with the identical logical pattern, the
-// §1.1 equivalence the cache keys on.
+// syntactically distinct SQL with the identical logical pattern (the
+// §1.1 equivalence), which the cache must treat as another request.
 func fig1Isomorph(tag string) string {
 	sql := corpus.Fig1UniqueSet
 	for i := 6; i >= 1; i-- { // longest first so L1 never clobbers L1x
@@ -61,8 +61,9 @@ func getHealthz(t *testing.T, ts *httptest.Server) healthzResponse {
 }
 
 // TestCacheColdWarmOverHTTP: the first request misses and builds, the
-// second is an exact-text hit, an isomorphic spelling is a pattern hit —
-// all three byte-identical, with exactly one verified build behind them.
+// second is a byte-identical hit. An isomorphic spelling is another
+// request: it builds once and then hits, its answer equal to an
+// uncached server's.
 func TestCacheColdWarmOverHTTP(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	ts := newTestServer(t, Config{
@@ -82,9 +83,8 @@ func TestCacheColdWarmOverHTTP(t *testing.T) {
 	if got := hdr.Get("X-QueryVis-Verify-Status"); got != queryvis.VerifyStatusVerified {
 		t.Fatalf("cold verify header = %q, want verified", got)
 	}
-	pattern := hdr.Get(headerPattern)
-	if pattern == "" {
-		t.Fatal("cold response is missing the pattern header")
+	if got := hdr.Get("X-Queryvis-Pattern"); got != "" {
+		t.Fatalf("cold response carries a pattern header %q", got)
 	}
 	cold := decodeDiagram(t, raw)
 	if cold.Diagram == "" || cold.VerifyStatus != queryvis.VerifyStatusVerified {
@@ -95,31 +95,32 @@ func TestCacheColdWarmOverHTTP(t *testing.T) {
 	if st != http.StatusOK || hdr.Get(headerCache) != "hit" {
 		t.Fatalf("warm: status %d cache %q, want 200/hit", st, hdr.Get(headerCache))
 	}
-	if hdr.Get(headerPattern) != pattern {
-		t.Fatalf("warm pattern header %q != cold %q", hdr.Get(headerPattern), pattern)
-	}
 	if warm := decodeDiagram(t, raw); !reflect.DeepEqual(warm, cold) {
 		t.Fatalf("warm hit is not byte-identical to the cold build:\ncold %+v\nwarm %+v", cold, warm)
 	}
 
-	// A pattern-isomorphic spelling hits without a verified build.
-	st, hdr, raw = postFull(t, ts.Client(), url, diagramReq(fig1Isomorph("x"), ""), nil)
-	if st != http.StatusOK || hdr.Get(headerCache) != "hit" {
-		t.Fatalf("isomorph: status %d cache %q, want 200/hit", st, hdr.Get(headerCache))
-	}
-	if iso := decodeDiagram(t, raw); !reflect.DeepEqual(iso, cold) {
-		t.Fatalf("isomorph hit differs from the representative build:\n%+v", iso)
+	// A pattern-isomorphic spelling misses, then hits its own entry; both
+	// answers equal an uncached server's.
+	plain := newTestServer(t, Config{DefaultVerify: queryvis.VerifyDegrade})
+	_, _, rawPlain := postFull(t, plain.Client(), plain.URL+"/v1/diagram", diagramReq(fig1Isomorph("x"), ""), nil)
+	want := decodeDiagram(t, rawPlain)
+	for _, wantCache := range []string{"miss", "hit"} {
+		st, hdr, raw = postFull(t, ts.Client(), url, diagramReq(fig1Isomorph("x"), ""), nil)
+		if st != http.StatusOK || hdr.Get(headerCache) != wantCache {
+			t.Fatalf("isomorph: status %d cache %q, want 200/%s", st, hdr.Get(headerCache), wantCache)
+		}
+		if iso := decodeDiagram(t, raw); !reflect.DeepEqual(iso, want) {
+			t.Fatalf("isomorph %s differs from the uncached answer:\n%+v", wantCache, iso)
+		}
 	}
 
-	if n := reg.Value(diagcache.MetricBuilds); n != 1 {
-		t.Fatalf("builds_total = %v for three requests of one pattern, want 1", n)
+	if n := reg.Value(diagcache.MetricBuilds); n != 2 {
+		t.Fatalf("builds_total = %v for two texts asked twice each, want 2", n)
 	}
-	if n := reg.Value(diagcache.MetricRequests, "outcome", "miss"); n != 1 {
-		t.Fatalf("miss count = %v, want 1", n)
+	if n := reg.Value(diagcache.MetricRequests, "outcome", "miss"); n != 2 {
+		t.Fatalf("miss count = %v, want 2", n)
 	}
-	hits := reg.Value(diagcache.MetricRequests, "outcome", "hit") +
-		reg.Value(diagcache.MetricRequests, "outcome", "hit_pattern")
-	if hits != 2 {
+	if hits := reg.Value(diagcache.MetricRequests, "outcome", "hit"); hits != 2 {
 		t.Fatalf("hit count = %v, want 2", hits)
 	}
 
@@ -127,7 +128,7 @@ func TestCacheColdWarmOverHTTP(t *testing.T) {
 	if hz.Cache == nil {
 		t.Fatal("healthz has no cache section with caching enabled")
 	}
-	if hz.Cache.Entries != 1 || hz.Cache.Builds != 1 || hz.Cache.Hits != 2 || hz.Cache.Misses != 1 {
+	if hz.Cache.Entries != 2 || hz.Cache.Builds != 2 || hz.Cache.Hits != 2 || hz.Cache.Misses != 2 {
 		t.Fatalf("healthz cache = %+v", hz.Cache)
 	}
 }
@@ -226,9 +227,8 @@ func TestCacheRebindInvalidates(t *testing.T) {
 
 // TestCacheMetricsGolden pins the Prometheus exposition of the cache
 // metric families after a deterministic traffic script: one miss, two
-// exact hits, one pattern hit, one uncacheable parse failure, one
-// fault-seeded bypass. Only the byte gauge (render sizes) is
-// normalized.
+// hits, one uncacheable parse failure, one fault-seeded bypass. Only
+// the byte gauge (render sizes) is normalized.
 func TestCacheMetricsGolden(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	ts := newTestServer(t, Config{
@@ -245,8 +245,7 @@ func TestCacheMetricsGolden(t *testing.T) {
 	}{
 		{corpus.Fig1UniqueSet, nil, http.StatusOK},                    // miss
 		{corpus.Fig1UniqueSet, nil, http.StatusOK},                    // hit
-		{fig1Isomorph("g"), nil, http.StatusOK},                       // hit_pattern
-		{fig1Isomorph("g"), nil, http.StatusOK},                       // hit (alias learned)
+		{corpus.Fig1UniqueSet, nil, http.StatusOK},                    // hit
 		{"SELECT FROM WHERE", nil, http.StatusUnprocessableEntity},    // uncacheable
 		{corpus.Fig3QSome, map[string]string{"X-Fault-Seed": "4"}, 0}, // bypass (status seed-dependent)
 	} {

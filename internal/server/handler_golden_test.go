@@ -29,10 +29,10 @@ var elapsedField = regexp.MustCompile(`"elapsed_ms":[0-9]+`)
 
 // handlerDigests serves handlerGoldenRequests seeded oracle queries
 // (every built-in schema, verify=degrade, the format rotating over dot,
-// svg and text, simplify alternating) through the in-process handler
+// svg and text, simplify alternating) through srv's in-process handler
 // and returns one line per request: status, the verify and degraded
 // headers, and the SHA-256 of the body with elapsed_ms zeroed.
-func handlerDigests(t *testing.T) string {
+func handlerDigests(t *testing.T, srv *Server) string {
 	t.Helper()
 	cfg := oracle.DefaultConfig()
 	schemas := map[string]*schema.Schema{}
@@ -43,7 +43,6 @@ func handlerDigests(t *testing.T) string {
 		}
 		schemas[name] = s
 	}
-	srv := New(Config{})
 	formats := []string{"dot", "svg", "text"}
 	var b strings.Builder
 	master := rand.New(rand.NewSource(13))
@@ -80,14 +79,36 @@ func handlerDigests(t *testing.T) string {
 // predecessor's responses byte for byte. Regenerate with go test -run
 // TestHandlerDigestsGolden -update only for an intended output change.
 func TestHandlerDigestsGolden(t *testing.T) {
-	got := handlerDigests(t)
-	path := filepath.Join("testdata", "handler_sha256.golden")
+	got := handlerDigests(t, New(Config{}))
 	if *updateGolden {
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+		if err := os.WriteFile(handlerGoldenPath, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
+	assertHandlerGolden(t, "uncached", got)
+}
+
+// TestHandlerDigestsCacheColdWarm serves the same request list twice
+// through one cache-on server: the cold pass and the warm pass must
+// both reproduce the uncached golden, so the cache never answers one
+// request with another's bytes.
+func TestHandlerDigestsCacheColdWarm(t *testing.T) {
+	srv := New(Config{CacheEntries: 4096})
+	assertHandlerGolden(t, "cold", handlerDigests(t, srv))
+	assertHandlerGolden(t, "warm", handlerDigests(t, srv))
+	if st := srv.cache.Stats(); st.Hits < handlerGoldenRequests {
+		t.Fatalf("warm pass hit %d times, want every one of %d requests", st.Hits, handlerGoldenRequests)
+	}
+}
+
+var handlerGoldenPath = filepath.Join("testdata", "handler_sha256.golden")
+
+// assertHandlerGolden fails the test at the first line where one pass's
+// digests differ from the golden file.
+func assertHandlerGolden(t *testing.T, pass, got string) {
+	t.Helper()
+	path := handlerGoldenPath
 	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("%v (run go test -update to create golden files)", err)
@@ -98,8 +119,8 @@ func TestHandlerDigestsGolden(t *testing.T) {
 	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
 	for i := 0; i < len(gl) && i < len(wl); i++ {
 		if gl[i] != wl[i] {
-			t.Fatalf("%s line %d differs:\ngot  %s\nwant %s", path, i+1, gl[i], wl[i])
+			t.Fatalf("%s pass: %s line %d differs:\ngot  %s\nwant %s", pass, path, i+1, gl[i], wl[i])
 		}
 	}
-	t.Fatalf("%s: got %d lines, want %d", path, len(gl), len(wl))
+	t.Fatalf("%s pass: %s: got %d lines, want %d", pass, path, len(gl), len(wl))
 }

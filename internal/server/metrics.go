@@ -347,7 +347,6 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 			s.traces.Put(telemetry.TraceRecord{
 				TraceID:   tr.TraceID(),
 				RequestID: rid,
-				Pattern:   rec.Header().Get(headerPattern),
 				Start:     started,
 				Duration:  elapsed,
 				Spans:     spans,

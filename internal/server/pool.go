@@ -82,10 +82,9 @@ func (s *Server) poolDispatch(endpoint string) func(http.ResponseWriter, *http.R
 			req.Header[telemetry.TraceHeader] = tc.Header()
 		}
 
-		// Route by pattern affinity: isomorphic requests land on the same
-		// worker, concentrating its private diagram cache (see affinity.go).
-		bodyHash, affKey := s.aff.key(body)
-		resp, err := s.cfg.Pool.DoAffinity(r.Context(), req, affKey)
+		// Route by body: repeats of one request land on the same worker,
+		// concentrating its private diagram cache.
+		resp, err := s.cfg.Pool.DoAffinity(r.Context(), req, string(body))
 		sp.End()
 		if err != nil {
 			return err
@@ -93,7 +92,6 @@ func (s *Server) poolDispatch(endpoint string) func(http.ResponseWriter, *http.R
 		// Graft the worker-side spans (its "worker" root plus the pipeline
 		// stages) into this request's trace.
 		tr.Merge(resp.Spans)
-		s.aff.learn(bodyHash, resp.Header[headerPattern])
 		for k, v := range resp.Header {
 			// The recorder recomputes framing; a stale worker-side length
 			// would corrupt the reply.

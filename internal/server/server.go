@@ -68,7 +68,7 @@ type Config struct {
 	// and its guards run again inside the worker.
 	Pool *workerpool.Pool
 
-	// Cache, when non-nil, is a shared pattern-keyed diagram cache the
+	// Cache, when non-nil, is a shared request-keyed diagram cache the
 	// query endpoints serve rendered results from (see internal/diagcache).
 	// Its correctness contract: only verified (or verify-off) non-degraded
 	// results are inserted, fault-seeded requests bypass it entirely, and
@@ -158,7 +158,6 @@ type Server struct {
 	breaker *breaker
 	metrics *serverMetrics
 	cache   *diagcache.Cache
-	aff     *affinityIndex
 	// traces retains the last completed request traces for /v1/traces.
 	// nil when telemetry is disabled — the ring is nil-safe, so the
 	// untraced path pays nothing.
@@ -207,7 +206,6 @@ func New(cfg Config) *Server {
 	}
 	diagram, interpret, batch := s.handleDiagram, s.handleInterpret, s.handleBatch
 	if cfg.Pool != nil {
-		s.aff = newAffinityIndex(affinityIndexCap)
 		diagram = s.poolDispatch("/v1/diagram")
 		interpret = s.poolDispatch("/v1/interpret")
 		batch = s.poolDispatch("/v1/diagrams:batch")
@@ -646,7 +644,7 @@ type healthzResponse struct {
 	BreakerStreak int    `json:"breaker_streak"`
 	// Quarantine summarizes the failure corpus when one is attached.
 	Quarantine *quarantine.Stats `json:"quarantine,omitempty"`
-	// Cache summarizes the pattern-keyed diagram cache when one is
+	// Cache summarizes the request-keyed diagram cache when one is
 	// enabled: occupancy against its bounds plus lifetime hit/miss/evict
 	// counts.
 	Cache *diagcache.Stats `json:"cache,omitempty"`

@@ -27,8 +27,8 @@ type tracesResponse struct {
 const defaultTraceLimit = 32
 
 // handleTraces serves the process's trace ring as JSON, newest first.
-// Query parameters: request_id, trace_id, pattern (exact match),
-// min_ms (minimum total duration), limit. With telemetry disabled the
+// Query parameters: request_id, trace_id, min_ms (minimum total
+// duration), limit. With telemetry disabled the
 // route does not exist.
 func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.DisableTelemetry {
@@ -46,7 +46,6 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	f := telemetry.TraceFilter{
 		RequestID: q.Get("request_id"),
 		TraceID:   q.Get("trace_id"),
-		Pattern:   q.Get("pattern"),
 	}
 	if v := q.Get("min_ms"); v != "" {
 		ms, err := strconv.ParseFloat(v, 64)

@@ -113,7 +113,6 @@ func TestTraceRingBoundAndFilters(t *testing.T) {
 		r.Put(TraceRecord{
 			TraceID:   string(rune('a' + i)),
 			RequestID: "rid" + string(rune('a'+i)),
-			Pattern:   "p",
 			Duration:  time.Duration(i) * time.Millisecond,
 		})
 	}
@@ -135,9 +134,6 @@ func TestTraceRingBoundAndFilters(t *testing.T) {
 	}
 	if got := r.Snapshot(TraceFilter{MinDuration: 4 * time.Millisecond}); len(got) != 2 {
 		t.Fatalf("MinDuration filter: %+v", got)
-	}
-	if got := r.Snapshot(TraceFilter{Pattern: "other"}); len(got) != 0 {
-		t.Fatalf("Pattern filter matched: %+v", got)
 	}
 	var nilRing *TraceRing
 	nilRing.Put(TraceRecord{})

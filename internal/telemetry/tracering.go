@@ -12,7 +12,6 @@ import (
 type TraceRecord struct {
 	TraceID   string        `json:"trace_id"`
 	RequestID string        `json:"request_id,omitempty"`
-	Pattern   string        `json:"pattern,omitempty"`
 	Start     time.Time     `json:"start"`
 	Duration  time.Duration `json:"duration_ns"`
 	Spans     []Span        `json:"spans"`
@@ -89,7 +88,6 @@ func (r *TraceRing) Len() int {
 type TraceFilter struct {
 	TraceID     string
 	RequestID   string
-	Pattern     string
 	MinDuration time.Duration
 }
 
@@ -98,9 +96,6 @@ func (f TraceFilter) match(rec TraceRecord) bool {
 		return false
 	}
 	if f.RequestID != "" && rec.RequestID != f.RequestID {
-		return false
-	}
-	if f.Pattern != "" && rec.Pattern != f.Pattern {
 		return false
 	}
 	if rec.Duration < f.MinDuration {

@@ -42,9 +42,9 @@ func WithVerifyBudget(n int) Option { return func(o *Options) { o.VerifyBudget =
 // WithTracer attaches a telemetry tracer recording per-stage spans.
 func WithTracer(t *telemetry.Tracer) Option { return func(o *Options) { o.Tracer = t } }
 
-// WithCache attaches a pattern-keyed diagram cache: FromSQLCached and
-// FromSQLCachedContext serve rendered results from it when the query's
-// logical pattern is already cached, and insert newly verified builds.
+// WithCache attaches a request-keyed diagram cache: FromSQLCached and
+// FromSQLCachedContext serve a repeated request's rendered result from
+// it, and insert newly verified builds.
 // Plain FromSQL/FromSQLContext ignore the cache — memoization is only
 // ever an explicit opt-in.
 func WithCache(c *diagcache.Cache) Option { return func(o *Options) { o.Cache = c } }

@@ -94,7 +94,7 @@ type Options struct {
 	// verification annotated by outcome, ladder rung, and inverse-search
 	// budget spent. Nil disables tracing at near-zero cost.
 	Tracer *telemetry.Tracer
-	// Cache, when non-nil, is the pattern-keyed diagram cache consulted
+	// Cache, when non-nil, is the request-keyed diagram cache consulted
 	// by FromSQLCached / FromSQLCachedContext (see cached.go). The plain
 	// FromSQL entry points never touch it.
 	Cache *DiagramCache

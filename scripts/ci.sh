@@ -37,15 +37,20 @@
 #              mix with cmd/loadgen -gate, and fail the run when p50 or
 #              the handler benchmark's allocs/op regress more than 20%
 #              against the recorded BENCH_server.json baseline
-#   cache      pattern-cache smoke: the daemon serves the Fig. 1 query
+#   cache      diagram-cache smoke: the daemon serves the Fig. 1 query
 #              twice — the second response must carry
 #              X-QueryVis-Cache: hit with verify_status=verified, and
-#              the hit counter on /v1/metrics must read exactly 1
-#   cache-race singleflight collapse and eviction-churn batteries under
-#              the race detector: N goroutines of isomorphic spellings
-#              collapse to one build with byte-identical bodies, and a
-#              two-entry cache under six-pattern pressure never serves
-#              bytes that diverge from the uncached baseline
+#              the hit counter on /v1/metrics must read exactly 1; then
+#              App. G's Sailors "only" query and its Students isomorph —
+#              the second response must name Student
+#   cache-race singleflight collapse, eviction-churn and cache-on digest
+#              batteries under the race detector: N goroutines sending
+#              one identical request collapse to one build with
+#              byte-identical bodies, a two-entry cache under six-query
+#              pressure never serves bytes that diverge from the
+#              uncached baseline, and the 200-request digest mix served
+#              cold then warm through one cache matches the uncached
+#              golden
 #   scale-out  instance-level chaos through the consistent-hash router,
 #              under the race detector: three real instances, two
 #              SIGKILLed mid-run, 100% well-formed responses, no
@@ -120,7 +125,7 @@ echo "== cache smoke"
 go test -count=1 -run TestCacheSmoke ./cmd/queryvisd
 
 echo "== cache race battery (race)"
-go test -count=1 -race -run 'TestCacheRaceSingleflight|TestCacheEvictionChurn' ./internal/server
+go test -count=1 -race -run 'TestCacheRaceSingleflight|TestCacheEvictionChurn|TestHandlerDigestsCacheColdWarm' ./internal/server
 
 echo "== scale-out router kill-storm (race)"
 go test -count=1 -race -run 'TestRouterKillStorm|TestRouterSurvivesColdStartAgainstDeadRing' ./internal/router
