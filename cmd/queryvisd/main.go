@@ -34,10 +34,12 @@
 // is SIGKILLed, respawned with backoff, and its request retried once —
 // never the daemon. See internal/workerpool and the README's "Process
 // isolation" section. The default, -isolation=none, keeps the historical
-// in-process pipeline. -worker-batch coalesces queued dispatches into
-// one protocol frame per worker round-trip and -standby-workers keeps
-// pre-warmed spares so a crash respawn costs a handoff, not a cold
-// start.
+// in-process pipeline. Either way the instance keeps one diagram cache
+// (-cache-entries) in the process that owns the listener: under process
+// isolation a hit is answered there and only misses reach a worker.
+// -worker-batch coalesces queued dispatches into one protocol frame per
+// worker round-trip and -standby-workers keeps pre-warmed spares so a
+// crash respawn costs a handoff, not a cold start.
 //
 // With -route the binary is a scale-out router instead of a server: it
 // shards /v1/diagram bodies across the listed queryvisd instances on a
@@ -178,7 +180,7 @@ func run(args []string, stdout, stderr *os.File) int {
 		fleetDownAfter  = fs.Int("fleet-down-after", 3, "consecutive bad observations of a member before acting against it (with -fleet)")
 		fleetUpAfter    = fs.Int("fleet-up-after", 2, "consecutive good observations before (re)joining a member (with -fleet)")
 
-		cacheEntries  = fs.Int("cache-entries", 4096, "diagram cache capacity in entries, keyed on schema, simplify flag and SQL text (0 disables caching)")
+		cacheEntries  = fs.Int("cache-entries", 4096, "diagram cache capacity in entries, keyed on schema, simplify flag and SQL text; one cache per instance, which serves hits itself under either -isolation (0 disables caching)")
 		cacheBytes    = fs.Int64("cache-bytes", 64<<20, "diagram cache payload bound in bytes")
 		maxBatchItems = fs.Int("max-batch-items", 64, "max items per /v1/diagrams:batch request")
 
@@ -255,10 +257,12 @@ func run(args []string, stdout, stderr *os.File) int {
 	}
 
 	if *workerMode {
-		// Child mode: no listener, no telemetry surface of its own — just
-		// the frame protocol on stdin/stdout in front of the same hardened
-		// handler stack, one request at a time, expendable by design.
+		// Child mode: no listener, no telemetry surface of its own and no
+		// cache (the parent owns the instance's one cache) — just the frame
+		// protocol on stdin/stdout in front of the same hardened handler
+		// stack, one request at a time, expendable by design.
 		cfg.DisableTelemetry = true
+		cfg.CacheEntries = 0
 		cfg.Logger = logger
 		if err := workerpool.RunWorker(os.Stdin, stdout, server.New(cfg), workerpool.RunOptions{
 			AllowFaultHeaders: *allowFaults,
@@ -461,9 +465,11 @@ func workerSpawner(fs *flag.FlagSet, allowFaults bool) func() (*exec.Cmd, error)
 }
 
 // forwardedPipelineFlags lists the explicitly-set pipeline flags a
-// spawned child (pool worker or fleet member) inherits; listener, pool,
-// router, and fleet flags stay parent-side.
-func forwardedPipelineFlags(fs *flag.FlagSet) []string {
+// spawned child (pool worker or fleet member) inherits, plus any extra
+// flags named; listener, pool, router, and fleet flags stay parent-side.
+// The cache flags are not pipeline flags: a pool's workers never cache,
+// and only a fleet member, a full instance, takes them.
+func forwardedPipelineFlags(fs *flag.FlagSet, extra ...string) []string {
 	forward := map[string]bool{
 		"timeout": true, "max-body": true,
 		"max-query-bytes": true, "max-nesting-depth": true, "max-predicates": true,
@@ -472,9 +478,9 @@ func forwardedPipelineFlags(fs *flag.FlagSet) []string {
 		"verify":    true, "verify-budget": true,
 		"quarantine-dir": true, "quarantine-max-bytes": true,
 		"breaker-threshold": true, "breaker-cooldown": true,
-		// Each worker owns a private cache; the parent routes every repeat
-		// of a request body to the same worker so the repeats concentrate.
-		"cache-entries": true, "cache-bytes": true,
+	}
+	for _, name := range extra {
+		forward[name] = true
 	}
 	var args []string
 	fs.Visit(func(f *flag.Flag) {
@@ -492,7 +498,7 @@ func forwardedPipelineFlags(fs *flag.FlagSet) []string {
 // QUERYVISD_MEMBER marker routes children of a test binary back into
 // run() before the test framework sees their flags.
 func memberSpawner(fs *flag.FlagSet, allowFaults bool) func(fleet.Member) (*exec.Cmd, error) {
-	shared := forwardedPipelineFlags(fs)
+	shared := forwardedPipelineFlags(fs, "cache-entries", "cache-bytes")
 	if allowFaults {
 		shared = append(shared, "-allow-fault-injection")
 	}

@@ -15,12 +15,13 @@ import (
 	"context"
 	"encoding/json"
 	"io"
-	"math/rand"
 	"net/http"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/backoff"
 )
 
 // Config tunes the retry policy. Zero fields take the documented
@@ -101,8 +102,10 @@ type Client struct {
 	budgetSpent  atomic.Int64
 	budgetDenied atomic.Int64
 
+	ladder backoff.Policy
+	rng    *backoff.Rand
+
 	mu     sync.Mutex
-	rng    *rand.Rand
 	tokens float64 // retry-budget bucket, guarded by mu
 }
 
@@ -143,7 +146,12 @@ func New(cfg Config) *Client {
 	if seed == 0 {
 		seed = int64(cfg.BaseBackoff) + int64(cfg.MaxAttempts)
 	}
-	return &Client{cfg: cfg, rng: rand.New(rand.NewSource(seed)), tokens: cfg.RetryBudget}
+	return &Client{
+		cfg:    cfg,
+		ladder: backoff.Policy{Base: cfg.BaseBackoff, Max: cfg.MaxBackoff},
+		rng:    backoff.NewRand(seed),
+		tokens: cfg.RetryBudget,
+	}
 }
 
 // spendRetry withdraws one token for a retry. True when the budget is
@@ -243,7 +251,7 @@ func (c *Client) Do(req *http.Request) (*http.Response, error) {
 			if !c.spendRetry() {
 				return resp, nil
 			}
-			wait := c.backoff(attempt)
+			wait := c.rng.Jitter(c.ladder.Delay(attempt))
 			if ra := retryAfter(resp); ra > wait {
 				wait = ra
 			}
@@ -260,7 +268,7 @@ func (c *Client) Do(req *http.Request) (*http.Response, error) {
 			}
 			continue
 		}
-		wait := c.backoff(attempt)
+		wait := c.rng.Jitter(c.ladder.Delay(attempt))
 		if overBudget(wait) {
 			return nil, lastErr
 		}
@@ -305,18 +313,6 @@ func replayable(req *http.Request) bool {
 // both explicitly safe to retry).
 func shedding(code int) bool {
 	return code == http.StatusTooManyRequests || code == http.StatusServiceUnavailable
-}
-
-// backoff computes the jittered wait before retry number attempt:
-// base·2^(attempt-1), capped, then drawn uniformly from [d/2, d].
-func (c *Client) backoff(attempt int) time.Duration {
-	d := c.cfg.BaseBackoff << (attempt - 1)
-	if d > c.cfg.MaxBackoff || d <= 0 {
-		d = c.cfg.MaxBackoff
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return d/2 + time.Duration(c.rng.Int63n(int64(d/2)+1))
 }
 
 // retryAfter parses the Retry-After header: delta-seconds or an HTTP

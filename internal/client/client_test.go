@@ -147,7 +147,7 @@ func TestBackoffJitterBounds(t *testing.T) {
 			want = c.cfg.MaxBackoff
 		}
 		for i := 0; i < 100; i++ {
-			if d := c.backoff(attempt); d < want/2 || d > want {
+			if d := c.rng.Jitter(c.ladder.Delay(attempt)); d < want/2 || d > want {
 				t.Fatalf("attempt %d: backoff %v outside [%v, %v]", attempt, d, want/2, want)
 			}
 		}

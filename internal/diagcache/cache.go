@@ -30,7 +30,6 @@ import (
 	"container/list"
 	"context"
 	"errors"
-	"hash/fnv"
 	"sync"
 	"sync/atomic"
 
@@ -194,6 +193,7 @@ type Cache struct {
 	bytes   atomic.Int64
 
 	reg           *telemetry.Registry
+	cOutcomes     map[Outcome]*telemetry.Counter
 	cInserts      *telemetry.Counter
 	cBuilds       *telemetry.Counter
 	cSFWaits      *telemetry.Counter
@@ -229,6 +229,8 @@ func New(cfg Config) *Cache {
 		shards:  make([]*shard, cfg.Shards),
 		flights: make(map[string]*flight),
 		reg:     reg,
+
+		cOutcomes: make(map[Outcome]*telemetry.Counter, len(outcomes)),
 	}
 	perEntries := (cfg.MaxEntries + cfg.Shards - 1) / cfg.Shards
 	perBytes := cfg.MaxBytes
@@ -248,7 +250,7 @@ func New(cfg Config) *Cache {
 	c.cSFWaits = reg.Counter(MetricSFWaits, "Callers that waited on a concurrent leader's build.")
 	c.cInvalidation = reg.Counter(MetricInvalidations, "Wholesale cache invalidations.")
 	for _, o := range outcomes {
-		reg.Counter(MetricRequests, "Diagram cache lookups by outcome.", "outcome", string(o))
+		c.cOutcomes[o] = reg.Counter(MetricRequests, "Diagram cache lookups by outcome.", "outcome", string(o))
 	}
 	for _, cause := range evictCauses {
 		reg.Counter(MetricEvictions, "Diagram cache evictions by cause.", "cause", cause)
@@ -264,7 +266,7 @@ func New(cfg Config) *Cache {
 func (c *Cache) Registry() *telemetry.Registry { return c.reg }
 
 func (c *Cache) countOutcome(o Outcome) {
-	c.reg.Counter(MetricRequests, "Diagram cache lookups by outcome.", "outcome", string(o)).Inc()
+	c.cOutcomes[o].Inc()
 }
 
 func (c *Cache) countEviction(cause string, n int) {
@@ -277,10 +279,15 @@ func (c *Cache) countEviction(cause string, n int) {
 // cache at all (fault plan attached, per-request opt-out).
 func (c *Cache) NoteBypass() { c.countOutcome(OutcomeBypass) }
 
+// shardIndex is the key's 32-bit FNV-1a hash masked to the shard count,
+// computed in place: it runs on every lookup.
 func shardIndex(key string, n int) int {
-	h := fnv.New32a()
-	_, _ = h.Write([]byte(key))
-	return int(h.Sum32()) & (n - 1)
+	h := uint32(2166136261)
+	for i := 0; i < len(key); i++ {
+		h ^= uint32(key[i])
+		h *= 16777619
+	}
+	return int(h) & (n - 1)
 }
 
 // acceptable reports whether an entry satisfies a lookup's proof
@@ -419,8 +426,8 @@ func (c *Cache) Stats() Stats {
 		SingleflightWaits: c.cSFWaits.Value(),
 		Invalidations:     c.cInvalidation.Value(),
 	}
-	for _, o := range outcomes {
-		n := int64(c.reg.Value(MetricRequests, "outcome", string(o)))
+	for o, ctr := range c.cOutcomes {
+		n := ctr.Value()
 		if o.Hit() {
 			st.Hits += n
 		} else if o == OutcomeMiss {

@@ -38,12 +38,12 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
-	"math/rand"
 	"net/http"
 	"os/exec"
 	"sync"
 	"time"
 
+	"repro/internal/backoff"
 	"repro/internal/router"
 	"repro/internal/telemetry"
 )
@@ -221,8 +221,8 @@ type Supervisor struct {
 
 	ownTransport *http.Transport // non-nil when we built the probe client
 
-	rngMu sync.Mutex
-	rng   *rand.Rand
+	ladder backoff.Policy
+	rng    *backoff.Rand
 
 	mu           sync.Mutex
 	desired      []Member // last good desired set
@@ -249,7 +249,8 @@ func New(cfg Config) (*Supervisor, error) {
 	s := &Supervisor{
 		cfg:          cfg,
 		reg:          cfg.Metrics,
-		rng:          rand.New(rand.NewSource(cfg.Seed)),
+		ladder:       backoff.Policy{Base: cfg.RespawnBase, Max: cfg.RespawnMax},
+		rng:          backoff.NewRand(cfg.Seed),
 		states:       make(map[string]*memberState),
 		procs:        make(map[string]*proc),
 		actionCounts: make(map[string]int64),
@@ -710,14 +711,4 @@ func (s *Supervisor) log(msg string, args ...any) {
 	if s.cfg.Logger != nil {
 		s.cfg.Logger.Info("fleet: "+msg, args...)
 	}
-}
-
-// jitter draws a seeded perturbation of d in [d/2, d].
-func (s *Supervisor) jitter(d time.Duration) time.Duration {
-	if d <= 0 {
-		return 0
-	}
-	s.rngMu.Lock()
-	defer s.rngMu.Unlock()
-	return d/2 + time.Duration(s.rng.Int63n(int64(d)/2+1))
 }

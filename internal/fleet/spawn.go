@@ -109,8 +109,8 @@ func (s *Supervisor) startProcess(m Member) {
 		s.log("spawn start failed", "member", m.URL, "err", err)
 		s.mu.Lock()
 		if p := s.procs[m.URL]; p != nil {
-			p.backoffUntil = time.Now().Add(s.jitter(p.backoff))
-			p.backoff = min(p.backoff*2, s.cfg.RespawnMax)
+			p.backoffUntil = time.Now().Add(s.rng.Jitter(p.backoff))
+			p.backoff = s.ladder.Next(p.backoff)
 		}
 		s.mu.Unlock()
 		return
@@ -127,7 +127,7 @@ func (s *Supervisor) startProcess(m Member) {
 		// ladder instead of respawning on the very next tick.
 		s.mu.Lock()
 		if p := s.procs[m.URL]; p != nil && p.cmd == h {
-			p.backoffUntil = time.Now().Add(s.jitter(p.backoff))
+			p.backoffUntil = time.Now().Add(s.rng.Jitter(p.backoff))
 		}
 		s.mu.Unlock()
 		close(h.done)
@@ -148,8 +148,8 @@ func (s *Supervisor) startProcess(m Member) {
 	}
 	p.cmd = h
 	p.started = time.Now()
-	p.backoffUntil = time.Now().Add(s.jitter(p.backoff))
-	p.backoff = min(p.backoff*2, s.cfg.RespawnMax)
+	p.backoffUntil = time.Now().Add(s.rng.Jitter(p.backoff))
+	p.backoff = s.ladder.Next(p.backoff)
 	s.act(time.Now(), action, m.URL, "pid "+strconv.Itoa(h.pid))
 	s.mu.Unlock()
 }

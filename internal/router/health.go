@@ -5,6 +5,8 @@ import (
 	"net/http"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/telemetry"
 )
 
 // instance is one routed-to backend plus its health bookkeeping. Three
@@ -15,6 +17,9 @@ import (
 // again.
 type instance struct {
 	url string
+	// reqs and fails are this member's mInstReqs and mInstFails series,
+	// resolved once when the instance joins.
+	reqs, fails *telemetry.Counter
 
 	// healthy is the prober's hysteresis-filtered verdict against
 	// /v1/healthz. Instances start optimistic — a router booting ahead

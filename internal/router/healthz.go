@@ -71,9 +71,9 @@ func (rt *Router) State() State {
 	if rt.stampede != nil {
 		st.Stampede = &StampedeState{
 			Entries:   rt.stampede.size(),
-			Hits:      int64(rt.stampedeCount("hit").Value()),
-			Coalesced: int64(rt.stampedeCount("coalesced").Value()),
-			Inserts:   int64(rt.stampedeCount("insert").Value()),
+			Hits:      rt.stampedeHit.Value(),
+			Coalesced: rt.stampedeCoalesced.Value(),
+			Inserts:   rt.stampedeInsert.Value(),
 		}
 	}
 	eligible := 0
@@ -88,8 +88,8 @@ func (rt *Router) State() State {
 			BreakerOpen:         in.breakerOpen(now),
 			ConsecutiveFailures: in.consecFails.Load(),
 			Inflight:            in.inflight.Load(),
-			Requests:            int64(rt.reg.Value(mInstReqs, "instance", in.url)),
-			Failures:            int64(rt.reg.Value(mInstFails, "instance", in.url)),
+			Requests:            in.reqs.Value(),
+			Failures:            in.fails.Value(),
 		})
 	}
 	switch eligible {

@@ -15,6 +15,8 @@ import (
 	"net/url"
 	"strings"
 	"time"
+
+	"repro/internal/telemetry"
 )
 
 // topology is one immutable membership snapshot.
@@ -70,9 +72,7 @@ func (rt *Router) swap(members []string) *topology {
 			nt.insts[i] = in
 			continue
 		}
-		in := &instance{url: m}
-		in.healthy.Store(true) // optimistic: see instance.healthy
-		nt.insts[i] = in
+		nt.insts[i] = rt.newInstance(m)
 	}
 	rt.topo.Store(nt)
 	return nt
@@ -104,7 +104,6 @@ func (rt *Router) Join(rawURL string) (epoch uint64, status string, err error) {
 		return cur.epoch, "already_member", nil
 	}
 	members := append(append([]string{}, cur.members...), u)
-	rt.registerInstanceSeries(u)
 	nt := rt.swap(members)
 	rt.countMembership("join")
 	rt.log("ring member joined", "instance", u, "epoch", nt.epoch, "members", len(members))
@@ -214,20 +213,31 @@ func (rt *Router) findInstance(url string) *instance {
 	return rt.topo.Load().find(url)
 }
 
+// newInstance builds a new member's instance state, starting healthy,
+// with its metric series. Caller holds memberMu (or is New, before the
+// router is shared).
+func (rt *Router) newInstance(url string) *instance {
+	in := &instance{url: url}
+	in.healthy.Store(true) // optimistic: see instance.healthy
+	in.reqs, in.fails = rt.registerInstanceSeries(url)
+	return in
+}
+
 // registerInstanceSeries creates the per-instance metric series for a
-// member URL, once per URL for the router's lifetime. The gauges
-// resolve through the current topology at scrape time, so a member that
-// leaves reads 0/absent-shaped values and one that rejoins under the
-// same URL lights the same series back up — no duplicate families, no
-// stale closures over dead instances. Caller holds memberMu (or is
-// New, before the router is shared).
-func (rt *Router) registerInstanceSeries(url string) {
+// member URL, once per URL for the router's lifetime, and returns its
+// attempt and failure counters. The gauges resolve through the current
+// topology at scrape time, so a member that leaves reads
+// 0/absent-shaped values and one that rejoins under the same URL lights
+// the same series back up — no duplicate families, no stale closures
+// over dead instances. Caller holds memberMu (or is New, before the
+// router is shared).
+func (rt *Router) registerInstanceSeries(url string) (reqs, fails *telemetry.Counter) {
+	reqs = rt.reg.Counter(mInstReqs, "Proxied attempts per instance.", "instance", url)
+	fails = rt.reg.Counter(mInstFails, "Failed attempts per instance.", "instance", url)
 	if rt.seenURLs[url] {
-		return
+		return reqs, fails
 	}
 	rt.seenURLs[url] = true
-	rt.reg.Counter(mInstReqs, "Proxied attempts per instance.", "instance", url)
-	rt.reg.Counter(mInstFails, "Failed attempts per instance.", "instance", url)
 	rt.reg.GaugeFunc(mInstUp, "Prober verdict per instance (1 healthy).", func() float64 {
 		if in := rt.findInstance(url); in != nil && in.healthy.Load() {
 			return 1
@@ -246,6 +256,7 @@ func (rt *Router) registerInstanceSeries(url string) {
 		}
 		return 0
 	}, "instance", url)
+	return reqs, fails
 }
 
 func (rt *Router) countMembership(op string) {

@@ -72,10 +72,6 @@ const (
 // outcome labels for mRequests.
 var outcomes = []string{"proxied", "shed", "error"}
 
-// stampedeOutcomes labels mStampede: a served cache "hit", a follower
-// "coalesced" onto a leader's flight, a shareable response "insert".
-var stampedeOutcomes = []string{"hit", "coalesced", "insert"}
-
 // Config tunes the router. Zero fields take the documented defaults.
 type Config struct {
 	// Backends are the instance base URLs (e.g. "http://127.0.0.1:8081").
@@ -232,6 +228,10 @@ type Router struct {
 
 	hot      *hottab   // nil ⇒ hot-pattern replication disabled
 	stampede *stampede // nil ⇒ stampede control disabled
+	// The mStampede series by outcome: a served cache "hit", a follower
+	// "coalesced" onto a leader's flight, a shareable response "insert".
+	// Nil when stampede control is disabled.
+	stampedeHit, stampedeCoalesced, stampedeInsert *telemetry.Counter
 
 	hc          *client.Client  // proxy path: retries + MaxElapsed cap
 	probeClient *http.Client    // health path: no retries, short timeout
@@ -320,17 +320,14 @@ func New(cfg Config) (*Router, error) {
 		rt.stampede = newStampede(cfg.StampedeTTL, cfg.StampedeMaxEntries)
 		rt.reg.GaugeFunc(mStampedeEntries, "Resident stampede response-cache entries.",
 			func() float64 { return float64(rt.stampede.size()) })
-		for _, o := range stampedeOutcomes {
-			rt.stampedeCount(o) // pre-register so healthz reads never miss
-		}
+		rt.stampedeHit = rt.stampedeCounter("hit")
+		rt.stampedeCoalesced = rt.stampedeCounter("coalesced")
+		rt.stampedeInsert = rt.stampedeCounter("insert")
 	}
 
 	insts := make([]*instance, len(members))
 	for i, m := range members {
-		in := &instance{url: m}
-		in.healthy.Store(true) // optimistic: see instance.healthy
-		insts[i] = in
-		rt.registerInstanceSeries(m)
+		insts[i] = rt.newInstance(m)
 	}
 	rt.topo.Store(&topology{
 		epoch:   1,
@@ -477,7 +474,7 @@ func (rt *Router) route(w http.ResponseWriter, r *http.Request) {
 	if rt.stampede != nil && !carriesFaultHeaders(r) && len(body)+len(r.URL.Path) < stampedeMaxKeyBytes {
 		skey = r.Method + " " + r.URL.Path + "\x00" + string(body)
 		if sr := rt.stampede.get(skey, time.Now()); sr != nil {
-			rt.stampedeCount("hit").Inc()
+			rt.stampedeHit.Inc()
 			rt.requests["proxied"].Inc()
 			rt.proxyDur.Observe(time.Since(start).Seconds())
 			traceOutcome, traceVia = "proxied", "hit"
@@ -489,14 +486,14 @@ func (rt *Router) route(w http.ResponseWriter, r *http.Request) {
 			flight = fl
 			defer func() {
 				if rt.stampede.complete(skey, flight, delivered, time.Now()) {
-					rt.stampedeCount("insert").Inc()
+					rt.stampedeInsert.Inc()
 				}
 			}()
 		} else {
 			select {
 			case <-fl.done:
 				if fl.sr != nil {
-					rt.stampedeCount("coalesced").Inc()
+					rt.stampedeCoalesced.Inc()
 					rt.requests["proxied"].Inc()
 					rt.proxyDur.Observe(time.Since(start).Seconds())
 					traceOutcome, traceVia = "proxied", "coalesced"
@@ -562,11 +559,11 @@ func (rt *Router) route(w http.ResponseWriter, r *http.Request) {
 			// further attempts serve nobody.
 			break
 		}
-		rt.reg.Counter(mInstReqs, "Proxied attempts per instance.", "instance", in.url).Inc()
+		in.reqs.Inc()
 		sr, err := rt.forward(r, in, body)
 		if err != nil {
 			lastErr = err
-			rt.reg.Counter(mInstFails, "Failed attempts per instance.", "instance", in.url).Inc()
+			in.fails.Inc()
 			in.recordFailure(rt.cfg.BreakerThreshold, rt.cfg.BreakerCooldown)
 			rt.log("instance attempt failed", "instance", in.url, "err", err, "failover", !last)
 			if !last {
@@ -586,7 +583,7 @@ func (rt *Router) route(w http.ResponseWriter, r *http.Request) {
 				// not a router-minted 503 that masks the backpressure.
 				lastShed = sr
 			} else {
-				rt.reg.Counter(mInstFails, "Failed attempts per instance.", "instance", in.url).Inc()
+				in.fails.Inc()
 				in.recordFailure(rt.cfg.BreakerThreshold, rt.cfg.BreakerCooldown)
 			}
 			rt.failovers.Inc()
@@ -758,13 +755,15 @@ func (rt *Router) fail(w http.ResponseWriter, r *http.Request, status int, categ
 	})
 }
 
-// stampedeCount returns the outcome-labeled stampede counter.
-func (rt *Router) stampedeCount(outcome string) *telemetry.Counter {
+// stampedeCounter registers the outcome-labeled stampede counter.
+func (rt *Router) stampedeCounter(outcome string) *telemetry.Counter {
 	return rt.reg.Counter(mStampede, "Stampede-control events by outcome.", "outcome", outcome)
 }
 
+// isHopByHop reports whether k, a canonical key from an http.Header, is
+// a hop-by-hop header a proxy must not forward.
 func isHopByHop(k string) bool {
-	switch http.CanonicalHeaderKey(k) {
+	switch k {
 	case "Connection", "Keep-Alive", "Proxy-Connection", "Te", "Trailer",
 		"Transfer-Encoding", "Upgrade":
 		return true

@@ -2,12 +2,14 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"strconv"
 	"time"
 
 	"repro/internal/telemetry"
+	"repro/internal/workerpool"
 )
 
 // POST /v1/diagrams:batch renders many queries in one round trip with
@@ -77,7 +79,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) error {
 		// Items run sequentially under the request's single deadline; the
 		// shared semaphore slot is the unit of admission, not the item.
 		ctx, finish := itemContext(r.Context(), i)
-		resp.Items[i] = s.serveBatchItem(ctx, &breq, &breq.Items[i])
+		resp.Items[i] = s.serveBatchItem(r.WithContext(ctx), &breq, &breq.Items[i])
 		finish()
 	}
 	resp.ElapsedMS = time.Since(started).Milliseconds()
@@ -112,11 +114,11 @@ func itemContext(ctx context.Context, i int) (context.Context, func()) {
 // serveBatchItem resolves one item, folding every failure — envelope
 // validation, pipeline errors, an already-exhausted batch deadline —
 // into the item's own status and error body.
-func (s *Server) serveBatchItem(ctx context.Context, breq *batchRequest, it *batchItem) batchItemResult {
-	if ctx.Err() != nil {
+func (s *Server) serveBatchItem(r *http.Request, breq *batchRequest, it *batchItem) batchItemResult {
+	if err := r.Context().Err(); err != nil {
 		// The batch deadline died on an earlier item; every remaining item
 		// reports its own well-formed timeout instead of a truncated reply.
-		status, ae := classify(ctx.Err())
+		status, ae := classify(err)
 		return batchItemResult{Status: status, Error: &ae}
 	}
 	req := diagramRequest{
@@ -133,12 +135,33 @@ func (s *Server) serveBatchItem(ctx context.Context, breq *batchRequest, it *bat
 	if err != nil {
 		return batchItemError(err)
 	}
-	sv, err := s.serveDiagram(ctx, &req, sch, time.Now())
+	sv, err := s.serveDiagram(r, &req, sch, time.Now())
 	if err != nil {
 		return batchItemError(err)
 	}
+	if sv.raw != nil {
+		return workerItem(sv.raw)
+	}
 	resp := sv.resp
 	return batchItemResult{Status: http.StatusOK, Result: &resp, Cache: sv.cache}
+}
+
+// workerItem folds a worker's /v1/diagram reply into the item's wire
+// form: the decoded diagram response or error body, under the worker's
+// status.
+func workerItem(raw *workerpool.Response) batchItemResult {
+	if raw.Status == http.StatusOK {
+		var dr diagramResponse
+		if err := json.Unmarshal(raw.Body, &dr); err == nil {
+			return batchItemResult{Status: http.StatusOK, Result: &dr, Cache: raw.Header[headerCache]}
+		}
+	} else {
+		var eb errorBody
+		if err := json.Unmarshal(raw.Body, &eb); err == nil && eb.Error.Category != "" {
+			return batchItemResult{Status: raw.Status, Error: &eb.Error}
+		}
+	}
+	return batchItemError(fmt.Errorf("undecodable worker reply with status %d", raw.Status))
 }
 
 // batchItemError maps an item failure onto its wire form, reusing the

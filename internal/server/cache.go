@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -12,17 +13,20 @@ import (
 	"repro/internal/diagcache"
 	"repro/internal/faults"
 	"repro/internal/schema"
+	"repro/internal/workerpool"
 )
 
 // This file is the server's cached diagram path: /v1/diagram and every
 // /v1/diagrams:batch item funnel through serveDiagram, which consults
 // the request-keyed cache (internal/diagcache) when one is configured
-// and otherwise behaves exactly like the historical handler. The
-// correctness rules are the cache's — only verified (or verify-off)
-// non-degraded results are inserted — plus two server-level ones:
-// fault-seeded requests bypass the cache in both directions, and the
-// breaker/quarantine/verify-metric integrations fire for real builds
-// only, never for hits.
+// and otherwise behaves exactly like the historical handler. It runs in
+// the process that owns the listener under either isolation mode, so an
+// instance has one cache and process isolation only changes where a
+// miss is built. The correctness rules are the cache's — only verified
+// (or verify-off) non-degraded results are inserted — plus two
+// server-level ones: fault-seeded requests bypass the cache in both
+// directions, and the breaker/quarantine/verify-metric integrations
+// fire for real builds only, never for hits.
 
 // headerCache is the response header the cached path adds: "hit" or
 // "miss" whenever a cache is configured and the request was eligible
@@ -53,13 +57,17 @@ func (s *Server) cacheKey(req *diagramRequest) string {
 }
 
 // served is one fully determined diagram response: the JSON body plus
-// the out-of-band headers the handler sets. Batch items reuse it with
-// the headers folded into the item instead.
+// the out-of-band headers the handler sets, or a worker's verbatim reply
+// under process isolation. Batch items reuse it with the headers folded
+// into the item instead.
 type served struct {
 	resp         diagramResponse
 	verifyStatus string // X-QueryVis-Verify-Status (pre-hide value)
 	degraded     string // X-QueryVis-Degraded
 	cache        string // X-QueryVis-Cache: "hit", "miss", or "" (ineligible)
+	// raw, when non-nil, is the worker's reply, passed through in place
+	// of the fields above.
+	raw *workerpool.Response
 }
 
 func (sv *served) writeHeaders(w http.ResponseWriter) {
@@ -74,44 +82,58 @@ func (sv *served) writeHeaders(w http.ResponseWriter) {
 	}
 }
 
+// write sends the response.
+func (sv *served) write(w http.ResponseWriter) {
+	if sv.raw != nil {
+		writeWorkerResponse(w, sv.raw)
+		return
+	}
+	sv.writeHeaders(w)
+	writeJSON(w, http.StatusOK, sv.resp)
+}
+
 // serveDiagram resolves one validated diagram request into a response,
 // through the cache when possible:
 //
-//   - cache off → the historical runVerified + render path;
-//   - fault plan on the context → same, with the cache bypassed in both
-//     directions (an injected fault must neither be masked by cached
-//     bytes nor poison them);
+//   - cache off → the request is produced directly (in a worker that was
+//     asked for an entry, the entry goes back to the parent);
+//   - injected fault (a fault plan on the context, or a worker fault
+//     header) → same, with the cache bypassed in both directions (an
+//     injected fault must neither be masked by cached bytes nor poison
+//     them);
 //   - otherwise GetOrBuild: a hit, a singleflight wait, or a build
-//     this caller leads through runVerified. Uncacheable outcomes
-//     (degraded, breaker-skipped, failed) serve this caller's own result
-//     and insert nothing.
-func (s *Server) serveDiagram(ctx context.Context, req *diagramRequest, sch *schema.Schema, started time.Time) (*served, error) {
+//     this caller leads. Uncacheable outcomes (degraded, breaker-skipped,
+//     failed) serve this caller's own result and insert nothing.
+//
+// Under process isolation this runs in the parent, so a hit never
+// reaches a worker; only the builds do.
+func (s *Server) serveDiagram(r *http.Request, req *diagramRequest, sch *schema.Schema, started time.Time) (*served, error) {
+	ctx := r.Context()
 	if s.cache == nil {
-		return s.serveUncached(ctx, req, sch, started, "")
+		slot := workerpool.EntrySlotFrom(ctx)
+		sv, e, err := s.produce(r, req, sch, started, slot != nil)
+		if slot != nil {
+			slot.Entry = e
+		}
+		return sv, err
 	}
-	if faults.FromContext(ctx) != nil {
+	if s.faultInjected(r) {
 		s.cache.NoteBypass()
-		return s.serveUncached(ctx, req, sch, started, "")
+		sv, _, err := s.produce(r, req, sch, started, false)
+		return sv, err
 	}
 	requested, err := s.verifyMode(req)
 	if err != nil {
 		return nil, err
 	}
 
-	var built *queryvis.Result
-	build := func(ctx context.Context) (*diagcache.Entry, error) {
-		r, _, err := s.runVerified(ctx, req, sch)
+	var built *served
+	build := func(context.Context) (*diagcache.Entry, error) {
+		sv, e, err := s.produce(r, req, sch, started, true)
 		if err != nil {
 			return nil, err
 		}
-		built = r
-		if !diagcache.CacheableStatus(r.VerifyStatus, r.Degraded) {
-			return nil, nil
-		}
-		e, rerr := queryvis.BuildEntryContext(ctx, r)
-		if rerr != nil {
-			return nil, nil // serve uncached; rendering failures degrade below
-		}
+		built = sv
 		return e, nil
 	}
 	entry, outcome, err := s.cache.GetOrBuild(ctx, s.cacheKey(req),
@@ -119,25 +141,58 @@ func (s *Server) serveDiagram(ctx context.Context, req *diagramRequest, sch *sch
 	switch {
 	case err != nil:
 		return nil, err
-	case entry != nil && outcome.Hit():
+	case outcome.Hit():
 		return s.respondEntry(req, entry, requested, started, "hit"), nil
-	case entry != nil:
-		return s.respondEntry(req, entry, requested, started, "miss"), nil
-	case built == nil:
-		// A follower whose leader's build was uncacheable builds its own.
-		return s.serveUncached(ctx, req, sch, started, "miss")
+	case built != nil:
+		return built, nil
 	}
-	return s.renderResult(ctx, req, built, requested, started, "miss")
+	// A follower whose leader's build was uncacheable builds its own.
+	sv, _, err := s.produce(r, req, sch, started, true)
+	return sv, err
 }
 
-// serveUncached is the historical path: full pipeline with breaker,
-// quarantine, and verify metrics, then render.
-func (s *Server) serveUncached(ctx context.Context, req *diagramRequest, sch *schema.Schema, started time.Time, hdr string) (*served, error) {
+// faultInjected reports whether the request carries an injected fault:
+// a pipeline fault plan, or — on a listener that honors chaos headers —
+// a worker fault for the pool to act out.
+func (s *Server) faultInjected(r *http.Request) bool {
+	return faults.FromContext(r.Context()) != nil ||
+		(s.cfg.AllowFaultInjection && r.Header.Get(faults.HeaderWorkerFault) != "")
+}
+
+// produce builds one diagram response: in this process, or in a worker
+// when a pool is attached. forCache marks a build for a diagram cache:
+// the response says X-QueryVis-Cache: miss, and a result that may be
+// cached also comes back as its entry.
+func (s *Server) produce(r *http.Request, req *diagramRequest, sch *schema.Schema, started time.Time, forCache bool) (*served, *diagcache.Entry, error) {
+	if s.cfg.Pool != nil {
+		body, err := json.Marshal(req)
+		if err != nil {
+			return nil, nil, err
+		}
+		resp, err := s.dispatch(r, "/v1/diagram", body, forCache)
+		if err != nil {
+			return nil, nil, err
+		}
+		return &served{raw: resp}, resp.Entry, nil
+	}
+	ctx := r.Context()
+	hdr := ""
+	if forCache {
+		hdr = "miss"
+	}
 	res, mode, err := s.runVerified(ctx, req, sch)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return s.renderResult(ctx, req, res, mode, started, hdr)
+	if forCache && diagcache.CacheableStatus(res.VerifyStatus, res.Degraded) {
+		// A rendering failure here serves the result uncached; the render
+		// below degrades it as usual.
+		if e, rerr := queryvis.BuildEntryContext(ctx, res); rerr == nil {
+			return s.respondEntry(req, e, mode, started, hdr), e, nil
+		}
+	}
+	sv, err := s.renderResult(ctx, req, res, mode, started, hdr)
+	return sv, nil, err
 }
 
 // respondEntry shapes a cache entry into the response. Entries are

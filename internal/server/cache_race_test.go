@@ -13,6 +13,7 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/diagcache"
 	"repro/internal/telemetry"
+	"repro/internal/workerpool"
 )
 
 // serveDirect drives the handler in-process (no sockets), returning
@@ -41,13 +42,26 @@ func serveDirect(t *testing.T, h http.Handler, sql, verify string) (int, http.He
 // request concurrently. Singleflight must collapse them to exactly one
 // verified pipeline execution, every response must be byte-identical,
 // and the outcome counters must account for every request exactly
-// once. Run under -race, this is also the cache's data-race battery.
+// once — in-process, and under process isolation, where the one build
+// runs in a worker. Run under -race, this is also the cache's data-race
+// battery.
 func TestCacheRaceSingleflight(t *testing.T) {
+	t.Run("in-process", func(t *testing.T) { cacheRaceSingleflight(t, nil) })
+	t.Run("process", func(t *testing.T) {
+		if testing.Short() {
+			t.Skip("spawns worker processes")
+		}
+		cacheRaceSingleflight(t, newTestPool(t, workerpool.Config{Workers: 2}))
+	})
+}
+
+func cacheRaceSingleflight(t *testing.T, pool *workerpool.Pool) {
 	reg := telemetry.NewRegistry()
 	srv := New(Config{
 		CacheEntries:  256,
 		DefaultVerify: queryvis.VerifyDegrade,
 		Metrics:       reg,
+		Pool:          pool,
 	})
 	const goroutines, perG = 8, 3
 

@@ -34,6 +34,13 @@ var elapsedField = regexp.MustCompile(`"elapsed_ms":[0-9]+`)
 // headers, and the SHA-256 of the body with elapsed_ms zeroed.
 func handlerDigests(t *testing.T, srv *Server) string {
 	t.Helper()
+	return handlerDigestsChecked(t, srv, nil)
+}
+
+// handlerDigestsChecked is handlerDigests with check called on each
+// response's headers, by request index, when non-nil.
+func handlerDigestsChecked(t *testing.T, srv *Server, check func(i int, h http.Header)) string {
+	t.Helper()
 	cfg := oracle.DefaultConfig()
 	schemas := map[string]*schema.Schema{}
 	for _, name := range cfg.Schemas {
@@ -64,6 +71,9 @@ func handlerDigests(t *testing.T, srv *Server) string {
 		r.Header.Set("Content-Type", "application/json")
 		w := httptest.NewRecorder()
 		srv.ServeHTTP(w, r)
+		if check != nil {
+			check(i, w.Header())
+		}
 		out := elapsedField.ReplaceAll(w.Body.Bytes(), []byte(`"elapsed_ms":0`))
 		fmt.Fprintf(&b, "%03d %s format=%s simplify=%t code=%d verify=%q degraded=%q body=%x\n",
 			i, name, req.Format, req.Simplify, w.Code,

@@ -60,12 +60,14 @@ type Config struct {
 	// the worker, so pipeline- and process-level faults compose.
 	AllowFaultInjection bool
 
-	// Pool, when non-nil, dispatches /v1/diagram and /v1/interpret to
-	// sacrificial child processes (see internal/workerpool) instead of
-	// running the pipeline in-process: a query that exhausts the stack or
-	// the heap kills a worker, never this daemon. The envelope guards
-	// (method, shedding, deadline, body cap) still run here; the pipeline
-	// and its guards run again inside the worker.
+	// Pool, when non-nil, runs the pipeline in sacrificial child
+	// processes (see internal/workerpool) instead of in-process: a query
+	// that exhausts the stack or the heap kills a worker, never this
+	// daemon. The envelope guards (method, shedding, deadline, body cap),
+	// the diagram endpoints' JSON decoding and validation, and the
+	// diagram cache still run here, so a cache hit never reaches a
+	// worker; SQL is parsed only in the workers, where the pipeline and
+	// its guards run again. /v1/interpret is forwarded whole.
 	Pool *workerpool.Pool
 
 	// Cache, when non-nil, is a shared request-keyed diagram cache the
@@ -77,7 +79,8 @@ type Config struct {
 	Cache *diagcache.Cache
 	// CacheEntries, when positive and Cache is nil, builds a private cache
 	// bounded to this many entries, registered on this server's metrics
-	// registry. Zero leaves caching off (the historical behavior).
+	// registry — in either isolation mode; a pool's workers never cache.
+	// Zero leaves caching off (the historical behavior).
 	CacheEntries int
 	// CacheMaxBytes bounds the private cache's payload bytes (0 = the
 	// diagcache default, 64 MiB).
@@ -167,7 +170,10 @@ type Server struct {
 	schemas map[string]*schema.Schema
 }
 
-// New builds a Server from the config.
+// New builds a Server from the config. The server it builds owns the
+// instance's diagram cache whether or not a pool is attached: with one,
+// the diagram endpoints still decode, validate and look up here, and
+// only cache misses and /v1/interpret reach a worker.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
@@ -188,10 +194,7 @@ func New(cfg Config) *Server {
 	switch {
 	case cfg.Cache != nil:
 		s.cache = cfg.Cache
-	case cfg.CacheEntries > 0 && cfg.Pool == nil:
-		// With a pool attached the pipeline runs in the workers, each of
-		// which owns its own cache; a parent-side cache would never be
-		// consulted and would only export dead metric series.
+	case cfg.CacheEntries > 0:
 		s.cache = diagcache.New(diagcache.Config{
 			MaxEntries: cfg.CacheEntries,
 			MaxBytes:   cfg.CacheMaxBytes,
@@ -204,14 +207,12 @@ func New(cfg Config) *Server {
 		// configured server flushes it.
 		s.cache.BindConfig(s.configFingerprint())
 	}
-	diagram, interpret, batch := s.handleDiagram, s.handleInterpret, s.handleBatch
+	interpret := s.handleInterpret
 	if cfg.Pool != nil {
-		diagram = s.poolDispatch("/v1/diagram")
 		interpret = s.poolDispatch("/v1/interpret")
-		batch = s.poolDispatch("/v1/diagrams:batch")
 	}
-	s.mux.HandleFunc("/v1/diagram", s.instrument("/v1/diagram", s.guarded(diagram)))
-	s.mux.HandleFunc("/v1/diagrams:batch", s.instrument("/v1/diagrams:batch", s.guarded(batch)))
+	s.mux.HandleFunc("/v1/diagram", s.instrument("/v1/diagram", s.guarded(s.handleDiagram)))
+	s.mux.HandleFunc("/v1/diagrams:batch", s.instrument("/v1/diagrams:batch", s.guarded(s.handleBatch)))
 	s.mux.HandleFunc("/v1/interpret", s.instrument("/v1/interpret", s.guarded(interpret)))
 	s.mux.HandleFunc("/v1/healthz", s.instrument("/v1/healthz", s.handleHealthz))
 	s.mux.HandleFunc("/v1/metrics", s.handleMetrics)
@@ -573,12 +574,11 @@ func (s *Server) handleDiagram(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return s.fail(w, err)
 	}
-	sv, err := s.serveDiagram(r.Context(), &req, sch, started)
+	sv, err := s.serveDiagram(r, &req, sch, started)
 	if err != nil {
 		return s.fail(w, err)
 	}
-	sv.writeHeaders(w)
-	writeJSON(w, http.StatusOK, sv.resp)
+	sv.write(w)
 	return nil
 }
 

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"math/rand"
 	"os/exec"
 	"sort"
 	"strconv"
@@ -15,6 +14,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/backoff"
 	"repro/internal/telemetry"
 )
 
@@ -250,15 +250,15 @@ func (w *worker) kill() {
 // Pool is the supervisor.
 type Pool struct {
 	cfg    Config
+	ladder backoff.Policy // respawn delays, from cfg.BackoffBase/BackoffMax
 	closed chan struct{}
 	once   sync.Once
 
-	// parkMu guards the idle set and the waiter queue. Workers park by
-	// slot so DoAffinity can prefer the slot that last built a pattern;
-	// hand-off to a waiter happens under the lock, so a worker is never
-	// both parked and promised.
+	// parkMu guards the idle set and the waiter queue. Hand-off to a
+	// waiter happens under the lock, so a worker is never both parked
+	// and promised.
 	parkMu  sync.Mutex
-	parked  map[int]*worker
+	parked  []*worker
 	waiters []*waiter
 
 	// closeMu makes "not closed, register in-flight" atomic against
@@ -298,8 +298,9 @@ func New(cfg Config) (*Pool, error) {
 	cfg = cfg.withDefaults()
 	p := &Pool{
 		cfg:    cfg,
+		ladder: backoff.Policy{Base: cfg.BackoffBase, Max: cfg.BackoffMax},
 		closed: make(chan struct{}),
-		parked: make(map[int]*worker, cfg.Workers),
+		parked: make([]*worker, 0, cfg.Workers),
 		live:   make(map[int]*worker, cfg.Workers),
 		reg:    cfg.Metrics,
 	}
@@ -446,16 +447,6 @@ func (p *Pool) State() State {
 // once on a fresh worker if the first one crashes, OOMs, overruns, or
 // corrupts the pipe. After the retry budget it returns the typed
 // *WorkerError; context errors pass through untouched.
-func (p *Pool) Do(ctx context.Context, req Request) (*Response, error) {
-	return p.DoAffinity(ctx, req, "")
-}
-
-// DoAffinity is Do with a soft placement preference: requests sharing
-// a non-empty key are steered toward the same worker slot, so a worker
-// whose in-process diagram cache just built a pattern serves that
-// pattern's isomorphs warm. The preference is strictly work-conserving
-// — if the preferred slot is busy, any idle worker serves the request —
-// so affinity can shift load but never queue it.
 //
 // Under saturation, dispatches coalesce: a caller that wins a worker
 // (the leader) drains up to MaxBatch-1 queued dispatches from the
@@ -465,7 +456,7 @@ func (p *Pool) Do(ctx context.Context, req Request) (*Response, error) {
 // — the worker buffered its answers, so nothing was delivered and every
 // item re-dispatches exactly once under the same retry budget a single
 // dispatch gets.
-func (p *Pool) DoAffinity(ctx context.Context, req Request, key string) (*Response, error) {
+func (p *Pool) Do(ctx context.Context, req Request) (*Response, error) {
 	p.closeMu.RLock()
 	if p.isClosed() {
 		p.closeMu.RUnlock()
@@ -477,13 +468,9 @@ func (p *Pool) DoAffinity(ctx context.Context, req Request, key string) (*Respon
 	p.busy.Add(1)
 	defer p.busy.Add(-1)
 
-	aff := -1
-	if key != "" {
-		aff = int(fnv32a(key) % uint32(p.cfg.Workers))
-	}
 	var lastErr error
 	for attempt := 1; attempt <= 2; attempt++ {
-		w, fr, err := p.acquire(ctx, aff, &req)
+		w, fr, err := p.acquire(ctx, &req)
 		if err != nil {
 			if lastErr != nil {
 				return nil, annotate(lastErr, attempt)
@@ -544,7 +531,6 @@ func killReasonFor(err error) string {
 // (its request rides along and its result arrives on resc), or it
 // withdraws itself (context death or shutdown).
 type waiter struct {
-	slot int      // preferred slot; -1 for no preference
 	req  *Request // payload, so a leader can recruit it into a batch
 	ch   chan *worker
 	resc chan waiterResult
@@ -557,45 +543,26 @@ type waiterResult struct {
 	err  error
 }
 
-// fnv32a hashes an affinity key onto the slot space.
-func fnv32a(s string) uint32 {
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	h := uint32(offset32)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= prime32
+// takeParkedLocked pops the most recently parked idle worker, nil when
+// none is idle. Caller holds parkMu.
+func (p *Pool) takeParkedLocked() *worker {
+	n := len(p.parked)
+	if n == 0 {
+		return nil
 	}
-	return h
-}
-
-// takeParkedLocked pops an idle worker, preferring the affinity slot
-// but settling for any — a preference must never idle a worker while a
-// request waits. Caller holds parkMu.
-func (p *Pool) takeParkedLocked(aff int) *worker {
-	if aff >= 0 {
-		if w, ok := p.parked[aff]; ok {
-			delete(p.parked, aff)
-			return w
-		}
-	}
-	for slot, w := range p.parked {
-		delete(p.parked, slot)
-		return w
-	}
-	return nil
+	w := p.parked[n-1]
+	p.parked[n-1] = nil
+	p.parked = p.parked[:n-1]
+	return w
 }
 
 // acquire pulls an idle worker, preferring an immediately available one
-// (on the preferred slot when possible) before queueing as a waiter on
-// the context or shutdown. It returns either a worker (the caller leads
-// its own dispatch) or a waiterResult (a batch leader already carried
-// the request), never both.
-func (p *Pool) acquire(ctx context.Context, aff int, req *Request) (*worker, *waiterResult, error) {
+// before queueing as a waiter on the context or shutdown. It returns
+// either a worker (the caller leads its own dispatch) or a waiterResult
+// (a batch leader already carried the request), never both.
+func (p *Pool) acquire(ctx context.Context, req *Request) (*worker, *waiterResult, error) {
 	p.parkMu.Lock()
-	if w := p.takeParkedLocked(aff); w != nil {
+	if w := p.takeParkedLocked(); w != nil {
 		p.parkMu.Unlock()
 		return w, nil, nil
 	}
@@ -603,7 +570,7 @@ func (p *Pool) acquire(ctx context.Context, aff int, req *Request) (*worker, *wa
 		p.parkMu.Unlock()
 		return nil, nil, ErrPoolClosed
 	}
-	wt := &waiter{slot: aff, req: req, ch: make(chan *worker, 1), resc: make(chan waiterResult, 1)}
+	wt := &waiter{req: req, ch: make(chan *worker, 1), resc: make(chan waiterResult, 1)}
 	p.waiters = append(p.waiters, wt)
 	p.parkMu.Unlock()
 
@@ -652,52 +619,29 @@ func (p *Pool) abandon(wt *waiter) *worker {
 	}
 }
 
-// recruit drains up to max waiters from the queue to ride in a batch on
-// the given slot's worker, preferring waiters whose affinity matches the
-// slot (their isomorphs are warm in that worker's cache), then the
-// oldest. Caller must currently hold the worker, not parkMu.
-func (p *Pool) recruit(slot, max int) []*waiter {
+// recruit drains up to max of the oldest waiters from the queue to ride
+// in a batch. Caller must currently hold a worker, not parkMu.
+func (p *Pool) recruit(max int) []*waiter {
 	if max <= 0 {
 		return nil
 	}
 	p.parkMu.Lock()
 	defer p.parkMu.Unlock()
-	if len(p.waiters) == 0 {
+	n := min(max, len(p.waiters))
+	if n == 0 {
 		return nil
 	}
-	take := make([]*waiter, 0, min(max, len(p.waiters)))
-	rest := p.waiters[:0]
-	for _, wt := range p.waiters {
-		if len(take) < max && wt.slot == slot {
-			take = append(take, wt)
-		} else {
-			rest = append(rest, wt)
-		}
-	}
-	if len(take) < max {
-		n := 0
-		for _, wt := range rest {
-			if len(take) < max {
-				take = append(take, wt)
-			} else {
-				rest[n] = wt
-				n++
-			}
-		}
-		rest = rest[:n]
-	}
+	take := append([]*waiter(nil), p.waiters[:n]...)
+	rest := copy(p.waiters, p.waiters[n:])
 	// Zero the tail so dropped waiter pointers don't pin their requests.
-	for i := len(rest); i < len(p.waiters); i++ {
-		p.waiters[i] = nil
-	}
-	p.waiters = rest
+	clear(p.waiters[rest:])
+	p.waiters = p.waiters[:rest]
 	return take
 }
 
-// park returns a worker to the idle set: straight to a waiter when one
-// is queued — preferring a waiter whose affinity matches this slot,
-// else the oldest — or into the parked map. During shutdown the worker
-// is retired instead.
+// park returns a worker to the idle set: straight to the oldest waiter
+// when one is queued, else into the parked set. During shutdown the
+// worker is retired instead.
 func (p *Pool) park(w *worker) {
 	p.parkMu.Lock()
 	if p.isClosed() {
@@ -705,24 +649,14 @@ func (p *Pool) park(w *worker) {
 		p.destroy(w, "drain")
 		return
 	}
-	idx := -1
-	for i, wt := range p.waiters {
-		if wt.slot == w.slot {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 && len(p.waiters) > 0 {
-		idx = 0
-	}
-	if idx >= 0 {
-		wt := p.waiters[idx]
-		p.waiters = append(p.waiters[:idx], p.waiters[idx+1:]...)
+	if len(p.waiters) > 0 {
+		wt := p.waiters[0]
+		p.waiters = append(p.waiters[:0], p.waiters[1:]...)
 		wt.ch <- w
 		p.parkMu.Unlock()
 		return
 	}
-	p.parked[w.slot] = w
+	p.parked = append(p.parked, w)
 	p.parkMu.Unlock()
 }
 
@@ -759,7 +693,7 @@ func (p *Pool) release(w *worker) {
 // queued it degenerates to a plain single-request round trip — batching
 // only ever forms under saturation.
 func (p *Pool) lead(ctx context.Context, w *worker, req *Request) (*Response, error) {
-	followers := p.recruit(w.slot, p.cfg.MaxBatch-1)
+	followers := p.recruit(p.cfg.MaxBatch - 1)
 	if len(followers) == 0 {
 		p.batchSize.Observe(1)
 		return p.roundTrip(ctx, w, req)
@@ -1009,15 +943,15 @@ func (p *Pool) destroy(w *worker, fallbackReason string) {
 // crash under real load should not idle the slot.
 func (p *Pool) slotLoop(slot int) {
 	defer p.loops.Done()
-	backoffGauge := p.reg.Gauge(mBackoffMS, "Current respawn backoff per slot, in ms.",
+	delayGauge := p.reg.Gauge(mBackoffMS, "Current respawn backoff per slot, in ms.",
 		"slot", strconv.Itoa(slot))
-	backoff := time.Duration(0)
+	delay := time.Duration(0)
 	for {
 		if p.isClosed() {
 			return
 		}
-		backoffGauge.Set(backoff.Milliseconds())
-		if backoff > 0 && !p.sleep(jitter(backoff)) {
+		delayGauge.Set(delay.Milliseconds())
+		if delay > 0 && !p.sleep(backoff.Jitter(delay)) {
 			return
 		}
 		w := p.takeStandby(slot)
@@ -1030,7 +964,7 @@ func (p *Pool) slotLoop(slot int) {
 			if err != nil {
 				p.reg.Counter(mExits, "Worker retirements by reason.", "reason", "spawn").Inc()
 				p.log("worker spawn failed", "slot", slot, "err", err)
-				backoff = p.nextBackoff(backoff)
+				delay = p.ladder.Next(delay)
 				continue
 			}
 			p.spawns.Inc()
@@ -1048,9 +982,9 @@ func (p *Pool) slotLoop(slot int) {
 			return
 		}
 		if w.served.Load() > 0 {
-			backoff = 0
+			delay = 0
 		} else {
-			backoff = p.nextBackoff(backoff)
+			delay = p.ladder.Next(delay)
 		}
 	}
 }
@@ -1061,7 +995,7 @@ func (p *Pool) slotLoop(slot int) {
 // way a slot loop's do — a broken spawn path must not fork-bomb.
 func (p *Pool) standbyFiller() {
 	defer p.loops.Done()
-	backoff := time.Duration(0)
+	delay := time.Duration(0)
 	for {
 		if p.isClosed() {
 			return
@@ -1077,16 +1011,16 @@ func (p *Pool) standbyFiller() {
 			}
 			continue
 		}
-		if backoff > 0 && !p.sleep(jitter(backoff)) {
+		if delay > 0 && !p.sleep(backoff.Jitter(delay)) {
 			return
 		}
 		w, err := p.spawnWorker(-1)
 		if err != nil {
 			p.log("standby spawn failed", "err", err)
-			backoff = p.nextBackoff(backoff)
+			delay = p.ladder.Next(delay)
 			continue
 		}
-		backoff = 0
+		delay = 0
 		p.spawns.Inc()
 		p.standbyMu.Lock()
 		if p.isClosed() {
@@ -1126,26 +1060,6 @@ func (p *Pool) takeStandby(slot int) *worker {
 	default:
 	}
 	return w
-}
-
-func (p *Pool) nextBackoff(cur time.Duration) time.Duration {
-	if cur <= 0 {
-		return p.cfg.BackoffBase
-	}
-	if cur >= p.cfg.BackoffMax/2 {
-		return p.cfg.BackoffMax
-	}
-	return cur * 2
-}
-
-// jitter draws uniformly from [d/2, d] so synchronized worker deaths do
-// not come back as synchronized respawns.
-func jitter(d time.Duration) time.Duration {
-	if d <= 1 {
-		return d
-	}
-	half := d / 2
-	return half + time.Duration(rand.Int63n(int64(half)+1))
 }
 
 // sleep waits d or until shutdown; reports whether the full wait
@@ -1246,11 +1160,8 @@ func (p *Pool) Close(ctx context.Context) error {
 	// dispatchers can no longer take (acquire fails closed), and every
 	// waiter has withdrawn via the closed channel.
 	p.parkMu.Lock()
-	parked := make([]*worker, 0, len(p.parked))
-	for slot, w := range p.parked {
-		delete(p.parked, slot)
-		parked = append(parked, w)
-	}
+	parked := p.parked
+	p.parked = nil
 	p.parkMu.Unlock()
 	for _, w := range parked {
 		p.destroy(w, "drain")

@@ -29,6 +29,13 @@
 // worker that crashes mid-batch has answered nothing (the reply is
 // buffered until complete), and the supervisor can safely re-dispatch
 // every item without ever delivering a response twice.
+//
+// Workers keep no diagram cache: the parent owns the instance's one
+// cache, answers its hits without a dispatch, and sends only misses. A
+// miss travels with WantEntry set, and its response frame carries the
+// rendered cache entry beside the verbatim reply when the result may be
+// cached, so a recycled worker takes nothing with it. The pool places
+// requests on whichever worker is free; no request prefers a worker.
 package workerpool
 
 import (
@@ -38,6 +45,7 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/diagcache"
 	"repro/internal/telemetry"
 )
 
@@ -61,6 +69,10 @@ type Request struct {
 	Header map[string]string `json:"header,omitempty"`
 	// Body is the raw JSON request body.
 	Body []byte `json:"body"`
+	// WantEntry asks the worker to build for the parent's diagram cache:
+	// the handler finds an EntrySlot on its context, and a cacheable
+	// result comes back in Response.Entry beside the verbatim reply.
+	WantEntry bool `json:"want_entry,omitempty"`
 }
 
 // Response is the worker's verbatim answer: the status, headers, and
@@ -77,6 +89,10 @@ type Response struct {
 	// parent merges them into the request's trace tree; they never reach
 	// the client body.
 	Spans []telemetry.Span `json:"spans,omitempty"`
+	// Entry is the rendered cache entry the worker built for a WantEntry
+	// request whose result may be cached; nil otherwise. The parent
+	// inserts it into its own cache and never shows it to the client.
+	Entry *diagcache.Entry `json:"entry,omitempty"`
 }
 
 // frame is the on-pipe envelope for both directions. Requests populate

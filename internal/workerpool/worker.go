@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"time"
 
+	"repro/internal/diagcache"
 	"repro/internal/faults"
 	"repro/internal/telemetry"
 )
@@ -152,17 +153,52 @@ func serveOne(h http.Handler, req *Request, defaultDeadline time.Duration) *Resp
 		hr.Header.Set(k, v)
 	}
 
+	var slot *EntrySlot
+	if req.WantEntry {
+		slot = &EntrySlot{}
+		hr = hr.WithContext(context.WithValue(ctx, entrySlotKey{}, slot))
+	}
+
 	rec := &recorder{status: http.StatusOK, header: make(http.Header)}
 	h.ServeHTTP(rec, hr)
 	resp := &Response{Status: rec.status, Body: rec.body, Header: map[string]string{}}
 	for k := range rec.header {
 		resp.Header[k] = rec.header.Get(k)
 	}
+	if slot != nil && slot.Entry != nil && entryFits(slot.Entry, len(resp.Body)) {
+		resp.Entry = slot.Entry
+	}
 	if tr != nil {
 		root.End()
 		resp.Spans = tr.Spans()
 	}
 	return resp
+}
+
+// EntrySlot receives the cache entry a worker builds for its parent. A
+// request frame with WantEntry set reaches the handler with an empty
+// slot on its context; a handler whose result may be cached fills it,
+// and the response frame carries the entry back for the parent's
+// diagram cache.
+type EntrySlot struct {
+	Entry *diagcache.Entry
+}
+
+type entrySlotKey struct{}
+
+// EntrySlotFrom returns the request's entry slot, or nil when the
+// parent did not ask for an entry.
+func EntrySlotFrom(ctx context.Context) *EntrySlot {
+	slot, _ := ctx.Value(entrySlotKey{}).(*EntrySlot)
+	return slot
+}
+
+// entryFits keeps a response frame with its entry well inside
+// MaxFrameBytes: JSON escaping can double rendered markup, so an entry
+// whose renderings and body together pass a quarter of the cap stays
+// behind and the parent serves that result uncached.
+func entryFits(e *diagcache.Entry, body int) bool {
+	return len(e.DOT)+len(e.SVG)+len(e.Text)+len(e.Interpretation)+body <= MaxFrameBytes/4
 }
 
 // recorder is a minimal ResponseWriter (httptest would drag a testing

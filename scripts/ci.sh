@@ -50,7 +50,8 @@
 #              pressure never serves bytes that diverge from the
 #              uncached baseline, and the 200-request digest mix served
 #              cold then warm through one cache matches the uncached
-#              golden
+#              golden, in-process and through a process-isolated server
+#              whose warm pass never reaches a worker
 #   scale-out  instance-level chaos through the consistent-hash router,
 #              under the race detector: three real instances, two
 #              SIGKILLed mid-run, 100% well-formed responses, no
@@ -125,7 +126,7 @@ echo "== cache smoke"
 go test -count=1 -run TestCacheSmoke ./cmd/queryvisd
 
 echo "== cache race battery (race)"
-go test -count=1 -race -run 'TestCacheRaceSingleflight|TestCacheEvictionChurn|TestHandlerDigestsCacheColdWarm' ./internal/server
+go test -count=1 -race -run 'TestCacheRaceSingleflight|TestCacheEvictionChurn|TestHandlerDigestsCacheColdWarm|TestHandlerDigestsProcessColdWarm' ./internal/server
 
 echo "== scale-out router kill-storm (race)"
 go test -count=1 -race -run 'TestRouterKillStorm|TestRouterSurvivesColdStartAgainstDeadRing' ./internal/router
