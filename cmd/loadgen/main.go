@@ -31,10 +31,10 @@
 //
 // By default arrivals cycle the mix round-robin (uniform). -zipf s
 // (s > 1) draws each arrival's query from a seeded Zipf distribution
-// over the mix instead: rank 0 dominates, modelling the viral-pattern
-// skew the router's hot-pattern replication exists for. The draw
-// sequence is part of the seeded workload — same seed and flags, same
-// arrival-by-arrival queries.
+// over the mix instead: rank 0 dominates, modelling the skew of a few
+// popular queries asked over and over, which the router's response
+// cache serves. The draw sequence is part of the seeded workload —
+// same seed and flags, same arrival-by-arrival queries.
 //
 // Every response is audited for well-formedness: a 200 must carry a
 // diagram, anything else must carry the categorized JSON error shape.

@@ -20,7 +20,6 @@
 //	          [-worker-batch N] [-standby-workers N] \
 //	          [-route URL,URL,...] [-route-replicas N] \
 //	          [-route-health-interval 250ms] [-route-admin-token TOKEN] \
-//	          [-route-hot-rps N] [-route-hot-replicas N] \
 //	          [-route-stampede-ttl 2s] \
 //	          [-fleet SPEC.json | -fleet-srv _svc._proto.name] \
 //	          [-fleet-spawn] [-fleet-interval 500ms] \
@@ -49,12 +48,13 @@
 // instance is eligible. Its
 // own /v1/healthz reports per-instance ring state; /v1/metrics the
 // router registry. With -route-admin-token the /v1/ring admin surface
-// joins, drains, and ejects instances at runtime without a restart;
-// -route-hot-rps promotes viral request bodies to replicated reads
-// across -route-hot-replicas ring candidates; -route-stampede-ttl collapses
-// identical concurrent requests during failover into one upstream call
-// plus a short-TTL verified-response cache. See internal/router and
-// the README's "Scale-out" section.
+// joins, drains, and ejects instances at runtime without a restart.
+// The router's hot tier is its response cache (-route-stampede-ttl,
+// default 2s): identical concurrent requests collapse into one
+// upstream call, and a verified response answers repeats of its body
+// from the router's memory for the TTL, so a popular query reaches a
+// backend about once per TTL. See internal/router and the README's
+// "Scale-out" section.
 //
 // With -fleet (a JSON spec file) or -fleet-srv (a DNS SRV name) the
 // router additionally runs the self-healing fleet supervisor: a
@@ -168,9 +168,7 @@ func run(args []string, stdout, stderr *os.File) int {
 		routeReplicas    = fs.Int("route-replicas", 64, "virtual nodes per instance on the routing ring (with -route)")
 		routeHealthInt   = fs.Duration("route-health-interval", 250*time.Millisecond, "active /v1/healthz probe interval per instance (with -route)")
 		routeAdminToken  = fs.String("route-admin-token", "", "bearer token for the /v1/ring live-membership admin surface; empty disables it (with -route)")
-		routeHotRPS      = fs.Float64("route-hot-rps", 50, "per-body request rate that promotes a request body to replicated reads; 0 disables hot replication (with -route)")
-		routeHotReplicas = fs.Int("route-hot-replicas", 2, "ring candidates sharing a promoted hot request body (with -route)")
-		routeStampedeTTL = fs.Duration("route-stampede-ttl", 2*time.Second, "TTL of the router's verified-response cache collapsing failover stampedes; 0 disables it (with -route)")
+		routeStampedeTTL = fs.Duration("route-stampede-ttl", 2*time.Second, "TTL of the router's verified-response cache, which answers repeated and concurrent identical requests; 0 disables it (with -route)")
 
 		fleetSpec       = fs.String("fleet", "", "fleet spec JSON file; run the self-healing supervisor over its desired members (router mode)")
 		fleetSRV        = fs.String("fleet-srv", "", "DNS SRV name (_service._proto.name) to discover desired members from instead of a spec file (router mode)")
@@ -294,16 +292,14 @@ func run(args []string, stdout, stderr *os.File) int {
 		}
 		reg := telemetry.NewRegistry()
 		rt, err := router.New(router.Config{
-			Backends:        backends,
-			Replicas:        *routeReplicas,
-			HealthInterval:  *routeHealthInt,
-			MaxBodyBytes:    *maxBody,
-			AdminToken:      *routeAdminToken,
-			HotThresholdRPS: *routeHotRPS,
-			HotReplicas:     *routeHotReplicas,
-			StampedeTTL:     *routeStampedeTTL,
-			Metrics:         reg,
-			Logger:          logger,
+			Backends:       backends,
+			Replicas:       *routeReplicas,
+			HealthInterval: *routeHealthInt,
+			MaxBodyBytes:   *maxBody,
+			AdminToken:     *routeAdminToken,
+			StampedeTTL:    *routeStampedeTTL,
+			Metrics:        reg,
+			Logger:         logger,
 		})
 		if err != nil {
 			logger.Error("starting router", "err", err)

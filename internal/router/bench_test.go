@@ -5,12 +5,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -69,13 +67,6 @@ func BenchmarkRouterAddedLatency(b *testing.B) {
 // workerpool endpoint benchmarks, so columns compare.
 func benchFront(b *testing.B, url string, body []byte) {
 	b.Helper()
-	benchFrontMix(b, url, func() []byte { return body })
-}
-
-// benchFrontMix is benchFront with a caller-supplied body picker, for
-// benchmarks whose point is the traffic mix rather than one request.
-func benchFrontMix(b *testing.B, url string, pick func() []byte) {
-	b.Helper()
 	const workers = 8
 	var (
 		mu        sync.Mutex
@@ -90,7 +81,7 @@ func benchFrontMix(b *testing.B, url string, pick func() []byte) {
 		var local []time.Duration
 		for pb.Next() {
 			t0 := time.Now()
-			resp, err := client.Post(url+"/v1/diagram", "application/json", bytes.NewReader(pick()))
+			resp, err := client.Post(url+"/v1/diagram", "application/json", bytes.NewReader(body))
 			if err != nil {
 				b.Error(err)
 				return
@@ -129,89 +120,6 @@ func reportLatencies(b *testing.B, latencies []time.Duration, elapsed time.Durat
 	b.ReportMetric(float64(len(latencies))/elapsed.Seconds(), "req/s")
 	b.ReportMetric(float64(pct(50).Microseconds())/1000, "p50-ms")
 	b.ReportMetric(float64(pct(99).Microseconds())/1000, "p99-ms")
-}
-
-// BenchmarkRouterHotReplication prices hot-pattern replication under a
-// Zipf-skewed mix: 12 query patterns drawn with exponent 1.4 (rank 0
-// dominating) across 3 instances, with the replication layer off
-// (HotThresholdRPS 0 — the viral pattern pins its owner) and on
-// (promoted patterns rotate across 2 ring candidates). Besides the
-// usual latency columns each run reports max-share — the busiest
-// instance's fraction of all proxied requests — which is the imbalance
-// the layer exists to fix. On this 1-core host all instances share the
-// CPU, so the win shows in max-share and tail, not raw throughput; see
-// EXPERIMENTS.md "Hot-pattern replication".
-func BenchmarkRouterHotReplication(b *testing.B) {
-	const ranks = 12
-	bodies := make([][]byte, ranks)
-	for r := range bodies {
-		raw, err := json.Marshal(diagramReq(fmt.Sprintf("%s -- rank %d", qSome, r)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		bodies[r] = raw
-	}
-	// One seeded Zipf sequence shared by both columns, so they see the
-	// identical arrival mix.
-	zipf := rand.NewZipf(rand.New(rand.NewSource(7)), 1.4, 1, ranks-1)
-	seq := make([]uint32, 1<<16)
-	for i := range seq {
-		seq[i] = uint32(zipf.Uint64())
-	}
-
-	for _, mode := range []struct {
-		name string
-		rps  float64
-	}{
-		{"hot-off", 0},
-		{"hot-on", 50},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			var counts [3]atomic.Int64
-			urls := make([]string, 3)
-			for i := range urls {
-				i := i
-				h := server.New(server.Config{CacheEntries: 0})
-				ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-					counts[i].Add(1)
-					h.ServeHTTP(w, r)
-				}))
-				defer ts.Close()
-				urls[i] = ts.URL
-			}
-			rt, err := router.New(router.Config{
-				Backends:        urls,
-				HotThresholdRPS: mode.rps,
-				HotReplicas:     2,
-				HotHalfLife:     500 * time.Millisecond,
-				Metrics:         telemetry.NewRegistry(),
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer rt.Close()
-			front := httptest.NewServer(rt)
-			defer front.Close()
-
-			var next atomic.Uint64
-			benchFrontMix(b, front.URL, func() []byte {
-				return bodies[seq[next.Add(1)%uint64(len(seq))]]
-			})
-
-			var total int64
-			var max int64
-			for i := range counts {
-				n := counts[i].Load()
-				total += n
-				if n > max {
-					max = n
-				}
-			}
-			if total > 0 {
-				b.ReportMetric(float64(max)/float64(total), "max-share")
-			}
-		})
-	}
 }
 
 // BenchmarkRouterFailoverStampede prices stampede control during the

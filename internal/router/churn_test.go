@@ -3,8 +3,8 @@
 // the /v1/ring admin surface. Two instances are replaced mid-storm —
 // join the replacement, drain the old member, wait for the drain
 // waiter to remove it, then SIGKILL the process — while 16 workers
-// hammer the router with a hot-pattern-heavy query mix and the full
-// fabric (hot replication + stampede control) is enabled. The contract:
+// hammer the router with a Zipf-skewed query mix and the response
+// cache is enabled. The contract:
 // every response is well-formed, nothing is shed or 503'd (at least
 // one instance was healthy at every instant), the epoch ledger shows
 // every membership change, and the router leaks neither goroutines nor
@@ -64,8 +64,6 @@ func TestRouterMembershipChurn(t *testing.T) {
 		InstanceAttempts:  2,
 		DrainPollInterval: 20 * time.Millisecond,
 		AdminToken:        token,
-		HotThresholdRPS:   5,
-		HotHalfLife:       time.Second,
 		StampedeTTL:       300 * time.Millisecond,
 		Metrics:           telemetry.NewRegistry(),
 	})
@@ -76,10 +74,10 @@ func TestRouterMembershipChurn(t *testing.T) {
 	front := httptest.NewServer(rt)
 	t.Cleanup(front.Close)
 
-	// Zipf-skewed mix (seeded): rank 0 dominates, exercising the hot
-	// path; each rank cycles through a few literal variants so the hot
-	// pattern arrives as distinct bodies that converge onto one learned
-	// pattern key rather than one byte-identical body.
+	// Zipf-skewed mix (seeded): rank 0 dominates, exercising the
+	// response cache; each rank cycles through a few literal variants so
+	// the popular pattern arrives as several distinct bodies rather than
+	// one byte-identical body.
 	const ranks, variants = 12, 6
 	zipf := rand.NewZipf(rand.New(rand.NewSource(42)), 1.4, 1, ranks-1)
 	sqlFor := func(rank, variant int) string {
@@ -219,8 +217,8 @@ func TestRouterMembershipChurn(t *testing.T) {
 	}
 	st := rt.State()
 	t.Logf("outcomes by status: %v", counts)
-	t.Logf("final state: epoch=%d members=%d shed=%d failovers=%d hot=%d stampede=%+v",
-		st.Epoch, len(st.Instances), st.Shed, st.Failovers, st.HotPatterns, st.Stampede)
+	t.Logf("final state: epoch=%d members=%d shed=%d failovers=%d stampede=%+v",
+		st.Epoch, len(st.Instances), st.Shed, st.Failovers, st.Stampede)
 
 	for _, m := range bad {
 		t.Error(m)
@@ -253,12 +251,6 @@ func TestRouterMembershipChurn(t *testing.T) {
 			t.Fatalf("replaced instance %s still on the ring", in.URL)
 		}
 	}
-	// The Zipf-hot pattern crossed the promotion threshold somewhere in
-	// the storm.
-	if v := rt.Registry().Value("queryvis_router_hot_promotions_total"); v < 1 {
-		t.Errorf("hot pattern never promoted under Zipf load (promotions=%v)", v)
-	}
-
 	// Hop accounting on the post-storm ring: a fresh proxied request's
 	// assembled trace carries exactly the hops it took — the router's
 	// span plus the serving instance's in-process pipeline, and no

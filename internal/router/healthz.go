@@ -27,8 +27,8 @@ type InstanceState struct {
 	Failures int64 `json:"failures"`
 }
 
-// StampedeState summarizes the stampede-control layer, present in the
-// snapshot only when the layer is enabled.
+// StampedeState summarizes the response cache, present in the snapshot
+// only when the cache is enabled.
 type StampedeState struct {
 	Entries   int   `json:"entries"`
 	Hits      int64 `json:"hits"`
@@ -46,10 +46,7 @@ type State struct {
 	Instances []InstanceState `json:"instances"`
 	Failovers int64           `json:"failovers"`
 	Shed      int64           `json:"shed"`
-	// HotPatterns counts patterns currently promoted to replicated
-	// reads (always 0 when hot replication is disabled).
-	HotPatterns int `json:"hot_patterns"`
-	// Stampede is the stampede-control summary, nil when disabled.
+	// Stampede is the response-cache summary, nil when disabled.
 	Stampede *StampedeState `json:"stampede,omitempty"`
 }
 
@@ -64,9 +61,6 @@ func (rt *Router) State() State {
 		Instances: make([]InstanceState, 0, len(tp.insts)),
 		Failovers: rt.failovers.Value(),
 		Shed:      rt.noHealthy.Value(),
-	}
-	if rt.hot != nil {
-		st.HotPatterns = rt.hot.promotedCount()
 	}
 	if rt.stampede != nil {
 		st.Stampede = &StampedeState{

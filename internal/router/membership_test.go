@@ -1,8 +1,8 @@
 // Black-box tests for the live-membership tentpole against
 // controllable httptest backends: the authenticated admin surface,
 // runtime join/eject with minimal key movement, drain's
-// zero-movement-then-removal contract, probe hysteresis, hot-pattern
-// replication, and failover stampede control.
+// zero-movement-then-removal contract, probe hysteresis, and the
+// response cache collapsing a failover stampede.
 package router_test
 
 import (
@@ -379,62 +379,7 @@ func TestProbeHysteresisFiltersFlapping(t *testing.T) {
 	waitUntil(t, 5*time.Second, func() bool { return rt.State().Instances[0].Healthy })
 }
 
-// TestHotPatternReplicationSpreadsViralKey: a pattern pushed past the
-// promotion threshold stops saturating its owner — requests rotate
-// across the first HotReplicas candidates, with no instance serving
-// more than (1/R + 25%) of the hot traffic.
-func TestHotPatternReplicationSpreadsViralKey(t *testing.T) {
-	t.Cleanup(leak.Check(t))
-	var hits [8]atomic.Int64
-	rt, front, _ := fakeRing(t, 3, okBackend(&hits), func(c *router.Config) {
-		c.HotThresholdRPS = 30
-		c.HotHalfLife = 200 * time.Millisecond
-		c.HotReplicas = 2
-	})
-
-	body := diagramReq(qSome)
-	// Warm phase: push the pattern over the threshold.
-	waitUntil(t, 10*time.Second, func() bool {
-		for i := 0; i < 20; i++ {
-			if st, _, _ := postJSON(t, front.URL+"/v1/diagram", body); st != 200 {
-				t.Fatalf("status %d during warmup", st)
-			}
-		}
-		return rt.State().HotPatterns >= 1
-	})
-
-	// Measured phase: the promoted pattern must spread.
-	for i := range hits {
-		hits[i].Store(0)
-	}
-	const n = 100
-	for i := 0; i < n; i++ {
-		if st, _, _ := postJSON(t, front.URL+"/v1/diagram", body); st != 200 {
-			t.Fatalf("status %d during measurement", st)
-		}
-	}
-	served, max := 0, int64(0)
-	for i := range hits {
-		if h := hits[i].Load(); h > 0 {
-			served++
-			if h > max {
-				max = h
-			}
-		}
-	}
-	if served < 2 {
-		t.Fatalf("promoted pattern still served by %d instance(s)", served)
-	}
-	// Acceptance bound: no instance above 1/R + 25% of the hot traffic.
-	if limit := int64(float64(n) * (1.0/2 + 0.25)); max > limit {
-		t.Fatalf("one instance served %d/%d of a promoted pattern (limit %d)", max, n, limit)
-	}
-	if v := rt.Registry().Value("queryvis_router_hot_promotions_total"); v < 1 {
-		t.Fatalf("promotion counter %v, want ≥ 1", v)
-	}
-}
-
-// TestStampedeCollapsesColdWindow: with stampede control on, N
+// TestStampedeCollapsesColdWindow: with the response cache on, N
 // concurrent identical requests produce one backend call; followers
 // replay the leader's verified response and the short-TTL cache
 // absorbs the immediate aftermath. Unshareable responses are never

@@ -1,11 +1,15 @@
-// Failover stampede control. The moment an instance dies or drains,
-// every key it owned reroutes to ring successors whose diagram caches
-// have never seen those patterns — and a popular pattern arrives as N
-// simultaneous identical requests against a cold cache. Left alone,
-// all N run the full build-and-verify pipeline; the failover window
-// becomes a self-inflicted load spike exactly when capacity dropped.
-// The stampede layer collapses it twice over, reusing the semantics of
-// internal/diagcache at the router tier:
+// The router's response cache, its one hot tier. Every instance
+// answers the same request body with the same bytes, so the router may
+// answer a repeat itself. On a skewed workload (a few popular queries
+// asked over and over, the repository-browsing case) the cache answers
+// most arrivals, and each popular body reaches a backend about once per
+// TTL; queryvisd ships it on with a 2s TTL (-route-stampede-ttl). The
+// same layer collapses the failover stampede: the moment an instance
+// dies or drains, every key it owned reroutes to ring successors whose
+// diagram caches have never seen those requests, and a popular one
+// arrives as N simultaneous identical requests against a cold cache.
+// The layer reuses the semantics of internal/diagcache at the router
+// tier:
 //
 //   - singleflight: concurrent identical request bodies share one
 //     upstream call; followers wait for the leader and replay its
@@ -14,14 +18,16 @@
 //     artifact or an error). An unshareable leader result sends each
 //     follower on its own upstream call, so failures are never
 //     amplified by replay.
-//   - a short-TTL response cache with verified-only inserts: the
-//     seconds after a kill are the only window where the router
-//     answers from its own memory; once the survivors' diagram caches
-//     are warm the TTL lapses the router back to pure proxying.
+//   - a short-TTL response cache with verified-only inserts: a fresh
+//     entry answers a repeat without a backend trip; the TTL bounds
+//     how long the router serves an answer from its own memory.
 //
-// Requests carrying chaos fault headers bypass the layer entirely —
-// an injected fault must reach its backend and must never be replayed
-// onto an innocent caller.
+// A replay keeps the stored status, body and headers but carries the
+// caller's own request and trace IDs (see writeShared). Requests
+// carrying chaos fault headers bypass the layer entirely — an injected
+// fault must reach its backend and must never be replayed onto an
+// innocent caller. The names keep their historical "stampede" prefix
+// (Config.StampedeTTL, queryvis_router_stampede_* series).
 package router
 
 import (
@@ -32,10 +38,10 @@ import (
 	"repro/internal/diagcache"
 )
 
-// Bounds keeping the stampede layer's memory honest: requests larger
-// than stampedeMaxKeyBytes or responses larger than
-// stampedeMaxBodyBytes are proxied straight through (the hot-query
-// stampede this layer exists for is small-bodied by nature).
+// Bounds keeping the cache's memory honest: requests larger than
+// stampedeMaxKeyBytes or responses larger than stampedeMaxBodyBytes are
+// proxied straight through (popular queries are small-bodied by
+// nature).
 const (
 	stampedeMaxKeyBytes  = 64 << 10
 	stampedeMaxBodyBytes = 1 << 20

@@ -2,8 +2,8 @@
 // consistent-hash router that shards QueryVis requests across N
 // queryvisd instances by request body hash, with live ring
 // membership, active health checking with hysteresis, per-instance
-// circuit breaking, hot-pattern replication, failover stampede
-// control, and bounded failover along the ring. Its one hard promise
+// circuit breaking, a router-side response cache, and bounded failover
+// along the ring. Its one hard promise
 // is the same one the daemon makes — every request ends in a
 // well-formed response: a proxied answer, a backend's own categorized
 // error, or the router's honest 503 with Retry-After when the whole
@@ -18,11 +18,12 @@
 //
 // Topology is live: the /v1/ring admin surface (see admin.go) joins,
 // drains, and ejects members at runtime against an epoch-versioned
-// immutable snapshot (see membership.go), hot keys spread across
-// replicas when one key's load would otherwise saturate its owner (see
-// hotspot.go), and the cache-cold window after a kill or drain is
-// collapsed by router-side singleflight plus a short-TTL verified-only
-// response cache (see respcache.go).
+// immutable snapshot (see membership.go). The router's hot tier is its
+// response cache (see respcache.go): singleflight plus a short-TTL
+// verified-only cache answer repeats of a popular body, and the
+// identical requests of a cache-cold failover window, without a
+// backend trip. Every request that misses it follows its key's ring
+// order.
 package router
 
 import (
@@ -59,9 +60,6 @@ const (
 	mEpoch           = "queryvis_router_ring_epoch"
 	mMembers         = "queryvis_router_ring_members"
 	mMembership      = "queryvis_router_membership_changes_total"
-	mHotPromotions   = "queryvis_router_hot_promotions_total"
-	mHotDemotions    = "queryvis_router_hot_demotions_total"
-	mHotGauge        = "queryvis_router_hot_patterns"
 	mStampede        = "queryvis_router_stampede_total"
 	mStampedeEntries = "queryvis_router_stampede_entries"
 	mOrigin          = "queryvis_router_origin_responses_total"
@@ -123,30 +121,15 @@ type Config struct {
 	// DrainPollInterval is how often a drain waiter re-checks a draining
 	// member's in-flight count (default 50ms).
 	DrainPollInterval time.Duration
-	// HotThresholdRPS is the per-pattern request rate above which a
-	// pattern is promoted to replicated reads across its first
-	// HotReplicas ring candidates. Zero disables hot-pattern
-	// replication.
-	HotThresholdRPS float64
-	// HotReplicas is how many ring candidates share a promoted pattern
-	// (default 2).
-	HotReplicas int
-	// HotHalfLife is the decay half-life of the per-pattern rate
-	// estimator (default 1s): the promotion threshold is crossed after
-	// roughly one half-life of sustained above-threshold load, and a
-	// subsided spike demotes within a few half-lives.
-	HotHalfLife time.Duration
-	// MaxHotPatterns bounds the rate-tracker table (default 1024).
-	MaxHotPatterns int
-	// StampedeTTL enables failover stampede control when positive:
+	// StampedeTTL enables the router's response cache when positive:
 	// concurrent identical requests collapse into one upstream call
-	// (singleflight) and shareable responses are served from a
-	// router-side cache for this long. Zero disables the layer — the
-	// default, because a TTL cache changes single-client visible
-	// behavior (repeated requests stop reaching a backend).
+	// (singleflight) and shareable responses are served from the
+	// router's memory for this long, so a popular body reaches a
+	// backend about once per TTL. queryvisd ships it on (2s); the zero
+	// value leaves it off, because a TTL cache changes single-client
+	// visible behavior (repeated requests stop reaching a backend).
 	StampedeTTL time.Duration
-	// StampedeMaxEntries bounds the stampede response cache
-	// (default 1024).
+	// StampedeMaxEntries bounds the response cache (default 1024).
 	StampedeMaxEntries int
 	// Metrics receives the router's series; nil creates a private
 	// registry.
@@ -195,15 +178,6 @@ func (c Config) withDefaults() Config {
 	if c.DrainPollInterval <= 0 {
 		c.DrainPollInterval = 50 * time.Millisecond
 	}
-	if c.HotReplicas <= 0 {
-		c.HotReplicas = 2
-	}
-	if c.HotHalfLife <= 0 {
-		c.HotHalfLife = time.Second
-	}
-	if c.MaxHotPatterns <= 0 {
-		c.MaxHotPatterns = 1024
-	}
 	if c.StampedeMaxEntries <= 0 {
 		c.StampedeMaxEntries = 1024
 	}
@@ -226,11 +200,10 @@ type Router struct {
 	// re-registration. Guarded by memberMu after New.
 	seenURLs map[string]bool
 
-	hot      *hottab   // nil ⇒ hot-pattern replication disabled
-	stampede *stampede // nil ⇒ stampede control disabled
+	stampede *stampede // nil ⇒ response cache disabled
 	// The mStampede series by outcome: a served cache "hit", a follower
 	// "coalesced" onto a leader's flight, a shareable response "insert".
-	// Nil when stampede control is disabled.
+	// Nil when the response cache is disabled.
 	stampedeHit, stampedeCoalesced, stampedeInsert *telemetry.Counter
 
 	hc          *client.Client  // proxy path: retries + MaxElapsed cap
@@ -311,11 +284,6 @@ func New(cfg Config) (*Router, error) {
 	rt.reg.GaugeFunc(mMembers, "Current ring member count.",
 		func() float64 { return float64(len(rt.topo.Load().members)) })
 
-	if cfg.HotThresholdRPS > 0 {
-		rt.hot = newHottab(cfg.MaxHotPatterns, cfg.HotHalfLife, cfg.HotThresholdRPS, rt.reg)
-		rt.reg.GaugeFunc(mHotGauge, "Patterns currently promoted to replicated reads.",
-			func() float64 { return float64(rt.hot.promotedCount()) })
-	}
 	if cfg.StampedeTTL > 0 {
 		rt.stampede = newStampede(cfg.StampedeTTL, cfg.StampedeMaxEntries)
 		rt.reg.GaugeFunc(mStampedeEntries, "Resident stampede response-cache entries.",
@@ -450,19 +418,9 @@ func (rt *Router) route(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// The routing key — and the hot tracker's demand signal — are
-	// computed before the stampede gate: a request served from the
-	// router's own cache is still client demand for its key, and
-	// promotion must track what clients ask for, not the residual that
-	// happens to reach a backend.
-	key := strconv.FormatUint(hash64(body), 16)
-	promoted, rot := false, uint32(0)
-	if rt.hot != nil {
-		promoted, rot = rt.hot.touch(key, time.Now())
-	}
-
-	// Stampede control (opt-in): collapse the N identical requests of a
-	// cache-cold failover window into one upstream call. The leader
+	// The response cache: a fresh shareable answer to this exact request
+	// is replayed from the router's memory; otherwise concurrent
+	// identical requests collapse into one upstream call. The leader
 	// registers a flight here and resolves it at every exit below via
 	// the deferred complete; followers wait and replay a shareable
 	// result, or make their own trip when the leader's wasn't.
@@ -478,7 +436,7 @@ func (rt *Router) route(w http.ResponseWriter, r *http.Request) {
 			rt.requests["proxied"].Inc()
 			rt.proxyDur.Observe(time.Since(start).Seconds())
 			traceOutcome, traceVia = "proxied", "hit"
-			writeShared(w, sr, "hit")
+			writeShared(w, sr, "hit", rid)
 			return
 		}
 		fl, leader := rt.stampede.join(skey)
@@ -497,7 +455,7 @@ func (rt *Router) route(w http.ResponseWriter, r *http.Request) {
 					rt.requests["proxied"].Inc()
 					rt.proxyDur.Observe(time.Since(start).Seconds())
 					traceOutcome, traceVia = "proxied", "coalesced"
-					writeShared(w, fl.sr, "coalesced")
+					writeShared(w, fl.sr, "coalesced", rid)
 					return
 				}
 				// The leader's outcome wasn't shareable (an error or a
@@ -516,7 +474,7 @@ func (rt *Router) route(w http.ResponseWriter, r *http.Request) {
 	// instance pointers, and the ring agree with each other even if a
 	// membership change lands mid-request.
 	tp := rt.topo.Load()
-	order := tp.ring.order(key)
+	order := tp.ring.order(strconv.FormatUint(hash64(body), 16))
 
 	// The failover schedule: the key's eligible instances in ring order.
 	// When the breaker, prober, and drain flags have disqualified
@@ -535,19 +493,6 @@ func (rt *Router) route(w http.ResponseWriter, r *http.Request) {
 		traceOutcome = "shed"
 		rt.shed(w, r)
 		return
-	}
-
-	// Hot-key replication: a promoted key rotates across its first
-	// HotReplicas candidates instead of hammering the owner alone. The
-	// rotation only reorders — the full candidate list is still the
-	// failover schedule, so replication never costs availability.
-	if promoted && len(candidates) > 1 {
-		n := min(rt.cfg.HotReplicas, len(candidates))
-		if i := int(rot % uint32(n)); i != 0 {
-			c := append(make([]*instance, 0, len(candidates)), candidates...)
-			c[0], c[i] = c[i], c[0]
-			candidates = c
-		}
 	}
 
 	var lastErr error
@@ -601,7 +546,7 @@ func (rt *Router) route(w http.ResponseWriter, r *http.Request) {
 		rt.proxyDur.Observe(time.Since(start).Seconds())
 		traceOutcome, traceInstance = "proxied", in.url
 		delivered = sr // deferred stampede complete decides shareability
-		writeShared(w, sr, "")
+		writeShared(w, sr, "", "")
 		return
 	}
 	// A caller budget that ran out is a timeout, categorized as one —
@@ -626,7 +571,7 @@ func (rt *Router) route(w http.ResponseWriter, r *http.Request) {
 		rt.log("all failover candidates failed; passing through instance shed response")
 		traceOutcome = "proxied"
 		delivered = lastShed
-		writeShared(w, lastShed, "")
+		writeShared(w, lastShed, "", "")
 		return
 	}
 	// Nothing well-formed to pass through, so answer with the router's
@@ -692,9 +637,12 @@ func (rt *Router) forward(r *http.Request, in *instance, body []byte) (*sharedRe
 // writeShared delivers a buffered response. via tags replayed
 // responses ("hit", "coalesced") with X-Queryvis-Router-Cache so a
 // client can tell router-served from instance-served answers; a live
-// proxied response passes empty via and gets no marker.
-func writeShared(w http.ResponseWriter, sr *sharedResp, via string) {
+// proxied response passes empty via and gets no marker. A replay was
+// stored with another request's IDs, so it carries the caller's rid
+// and this hop's trace ID (already set on w) instead.
+func writeShared(w http.ResponseWriter, sr *sharedResp, via, rid string) {
 	h := w.Header()
+	traceID := h.Get(telemetry.TraceIDHeader)
 	for k, vs := range sr.header {
 		if isHopByHop(k) {
 			continue
@@ -703,6 +651,8 @@ func writeShared(w http.ResponseWriter, sr *sharedResp, via string) {
 	}
 	if via != "" {
 		h.Set("X-Queryvis-Router-Cache", via)
+		h.Set("X-Request-Id", rid)
+		h.Set(telemetry.TraceIDHeader, traceID)
 	}
 	w.WriteHeader(sr.status)
 	_, _ = w.Write(sr.body)

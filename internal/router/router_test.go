@@ -5,10 +5,12 @@ package router_test
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -280,6 +282,113 @@ func TestRouterRejectsOversizedBody(t *testing.T) {
 	}
 	if hits[0].Load() != 0 {
 		t.Fatal("oversized body reached a backend")
+	}
+}
+
+// idEchoBackend answers POSTs the way a queryvisd instance treats IDs:
+// it echoes the forwarded X-Request-Id and the trace ID it joined. Each
+// POST takes delay, leaving a window for identical requests to
+// coalesce.
+func idEchoBackend(hits *atomic.Int64, delay time.Duration) func(i int) http.HandlerFunc {
+	return func(i int) http.HandlerFunc {
+		return func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/v1/healthz" {
+				w.WriteHeader(http.StatusOK)
+				return
+			}
+			hits.Add(1)
+			time.Sleep(delay)
+			tc, _ := telemetry.ParseTraceHeader(r.Header.Get(telemetry.TraceHeader))
+			w.Header().Set("X-Request-Id", r.Header.Get("X-Request-Id"))
+			w.Header().Set(telemetry.TraceIDHeader, tc.TraceID)
+			w.Header().Set("Content-Type", "application/json")
+			_ = json.NewEncoder(w).Encode(map[string]any{"diagram": "digraph {}"})
+		}
+	}
+}
+
+// TestReplayCarriesCallersIDs: a response the router replays, from a
+// leader's flight ("coalesced") or from its cache ("hit"), keeps the
+// leader's body but carries the caller's own X-Request-Id and the trace
+// ID of the caller's router hop, so every caller can find its own trace
+// in /v1/traces. A live proxied response keeps the instance's headers.
+func TestReplayCarriesCallersIDs(t *testing.T) {
+	t.Cleanup(leak.Check(t))
+	var hits atomic.Int64
+	_, front, _ := fakeRing(t, 1, idEchoBackend(&hits, 80*time.Millisecond), func(c *router.Config) {
+		c.StampedeTTL = time.Minute
+	})
+	url := front.URL + "/v1/diagram"
+	body := diagramReq(qSome)
+
+	// A storm of identical requests: one leader reaches the backend, and
+	// every other caller is served a replay of its response.
+	const callers = 6
+	var wg sync.WaitGroup
+	codes := make([]int, callers)
+	hdrs := make([]http.Header, callers)
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			codes[g], hdrs[g], _ = postWithHeaders(t, url, body,
+				map[string]string{"X-Request-Id": fmt.Sprintf("storm-%d", g)})
+		}(g)
+	}
+	wg.Wait()
+	if n := hits.Load(); n != 1 {
+		t.Fatalf("%d identical requests made %d backend calls, want 1", callers, n)
+	}
+	traces := map[string]bool{}
+	replays := 0
+	for g, hdr := range hdrs {
+		if codes[g] != http.StatusOK {
+			t.Fatalf("caller %d: status %d", g, codes[g])
+		}
+		if got, want := hdr.Get("X-Request-Id"), fmt.Sprintf("storm-%d", g); got != want {
+			t.Errorf("caller %d (router cache %q): X-Request-Id %q, want %q",
+				g, hdr.Get("X-Queryvis-Router-Cache"), got, want)
+		}
+		tid := hdr.Get(telemetry.TraceIDHeader)
+		if tid == "" || traces[tid] {
+			t.Errorf("caller %d: trace ID %q is empty or another caller's", g, tid)
+		}
+		traces[tid] = true
+		if hdr.Get("X-Queryvis-Router-Cache") != "" {
+			replays++
+		}
+	}
+	if replays != callers-1 {
+		t.Fatalf("%d of %d callers were served replays, want %d", replays, callers, callers-1)
+	}
+
+	// A cache hit under a caller-supplied trace context answers with the
+	// caller's trace, which /v1/traces holds under the caller's ID.
+	const rid, traceID = "hit-rid", "feedfacecafebeef"
+	st, hdr, _ := postWithHeaders(t, url, body, map[string]string{
+		"X-Request-Id":        rid,
+		telemetry.TraceHeader: traceID + "-00000000000000aa-1",
+	})
+	if st != http.StatusOK || hdr.Get("X-Queryvis-Router-Cache") != "hit" {
+		t.Fatalf("repeat: status %d router cache %q, want 200/hit", st, hdr.Get("X-Queryvis-Router-Cache"))
+	}
+	if got := hdr.Get("X-Request-Id"); got != rid {
+		t.Errorf("cache hit: X-Request-Id %q, want %q", got, rid)
+	}
+	if got := hdr.Get(telemetry.TraceIDHeader); got != traceID {
+		t.Errorf("cache hit: trace ID %q, want the caller's %q", got, traceID)
+	}
+	st, _, raw := getJSON(t, front.URL+"/v1/traces?request_id="+rid)
+	var tr struct {
+		Traces []struct {
+			TraceID string `json:"trace_id"`
+		} `json:"traces"`
+	}
+	if err := json.Unmarshal(raw, &tr); err != nil || st != http.StatusOK || len(tr.Traces) != 1 {
+		t.Fatalf("/v1/traces?request_id=%s = %d %.200s, want one trace", rid, st, raw)
+	}
+	if tr.Traces[0].TraceID != traceID {
+		t.Errorf("router recorded trace %q for %s, response said %q", tr.Traces[0].TraceID, rid, traceID)
 	}
 }
 

@@ -383,8 +383,9 @@ func (s *Server) validate(req *diagramRequest) (*schema.Schema, error) {
 	return sch, nil
 }
 
-// writeRequestError reports envelope-level failures; pipeline errors go
-// through classify.
+// fail writes an envelope-level failure (a *requestError) as its API
+// error and returns nil; any other error is returned for the caller to
+// classify as a pipeline error.
 func (s *Server) fail(w http.ResponseWriter, err error) error {
 	var re *requestError
 	if errors.As(err, &re) {
@@ -477,12 +478,6 @@ func verifyOutcome(res *queryvis.Result, err error) string {
 	return res.VerifyStatus
 }
 
-// maxFingerprintPerms caps the canonical-labeling search when
-// fingerprinting a quarantined diagram: 720 = 6! keeps the worst case
-// around a millisecond while covering every paper query with room to
-// spare.
-const maxFingerprintPerms = 720
-
 // maybeQuarantine persists the request's scrubbed input when it failed
 // verification (including served-degraded responses) or tripped panic
 // containment. Deduplication lives in the store: re-filing a known
@@ -530,7 +525,7 @@ func (s *Server) maybeQuarantine(ctx context.Context, req *diagramRequest, res *
 	// scrubbed SQL carry dedup for diagrams too symmetric to label
 	// cheaply (a wide query's sibling boxes are exactly that case).
 	if res != nil && res.Diagram != nil {
-		if k, ok := queryvis.PatternFingerprintBounded(res.Diagram, maxFingerprintPerms); ok {
+		if k, ok := queryvis.PatternFingerprintBounded(res.Diagram, queryvis.DefaultFingerprintPerms); ok {
 			e.PatternKey = k
 		}
 	}

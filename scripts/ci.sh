@@ -63,9 +63,11 @@
 #              three real instances behind the live router, two replaced
 #              mid-storm through the /v1/ring admin surface (join the
 #              replacement, drain the old member, kill it once removed)
-#              while 16 workers drive a Zipf-skewed mix with hot-pattern
-#              replication and stampede control enabled — every response
-#              well-formed, zero shed, zero 503s, zero leaks; plus the
+#              while 16 workers drive a Zipf-skewed mix with the router's
+#              response cache enabled — every response well-formed, zero
+#              shed, zero 503s, zero leaks; the response cache's
+#              stampede collapse and its replays carrying each caller's
+#              own request and trace IDs; plus the
 #              loadgen -zipf smoke (seeded skewed mix, report must carry
 #              the exponent and a dominant hot share)
 #   fleet      self-healing-fleet smokes: the queryvisd fleet-mode
@@ -138,7 +140,7 @@ echo "== queryvisd route-mode lifecycle"
 go test -count=1 -run TestRouteMode ./cmd/queryvisd
 
 echo "== rolling-restart membership churn (race)"
-go test -count=1 -race -run 'TestRouterMembershipChurn|TestHotPatternReplicationSpreadsViralKey|TestStampedeCollapsesColdWindow' ./internal/router
+go test -count=1 -race -run 'TestRouterMembershipChurn|TestStampedeCollapsesColdWindow|TestReplayCarriesCallersIDs' ./internal/router
 
 echo "== loadgen zipf smoke"
 go test -count=1 -run TestLoadgenZipfSkewsMix ./cmd/loadgen
