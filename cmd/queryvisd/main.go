@@ -17,7 +17,6 @@
 //	          [-cache-entries N] [-cache-bytes N] [-max-batch-items N] \
 //	          [-isolation none|process] [-workers N] \
 //	          [-worker-max-requests N] [-worker-max-rss BYTES] \
-//	          [-worker-batch N] [-standby-workers N] \
 //	          [-route URL,URL,...] [-route-replicas N] \
 //	          [-route-health-interval 250ms] [-route-admin-token TOKEN] \
 //	          [-route-stampede-ttl 2s] \
@@ -35,10 +34,8 @@
 // isolation" section. The default, -isolation=none, keeps the historical
 // in-process pipeline. Either way the instance keeps one diagram cache
 // (-cache-entries) in the process that owns the listener: under process
-// isolation a hit is answered there and only misses reach a worker.
-// -worker-batch coalesces queued dispatches into one protocol frame per
-// worker round-trip and -standby-workers keeps pre-warmed spares so a
-// crash respawn costs a handoff, not a cold start.
+// isolation a hit is answered there and only misses reach a worker,
+// each as one request frame and one response frame on an idle worker.
 //
 // With -route the binary is a scale-out router instead of a server: it
 // shards /v1/diagram bodies across the listed queryvisd instances on a
@@ -155,14 +152,12 @@ func run(args []string, stdout, stderr *os.File) int {
 		breakerThreshold = fs.Int("breaker-threshold", 5, "consecutive verification cost blowouts that trip the circuit breaker")
 		breakerCooldown  = fs.Duration("breaker-cooldown", 30*time.Second, "how long the tripped breaker stays open before probing again")
 
-		isolation      = fs.String("isolation", "none", "pipeline isolation: none (in-process) or process (supervised worker pool)")
-		workers        = fs.Int("workers", 4, "worker processes in the pool (with -isolation=process)")
-		workerMaxReqs  = fs.Int("worker-max-requests", 512, "recycle a worker after this many requests (with -isolation=process)")
-		workerMaxRSS   = fs.Int64("worker-max-rss", 512<<20, "SIGKILL a worker whose resident set exceeds this many bytes (with -isolation=process; no-op off Linux)")
-		workerBatch    = fs.Int("worker-batch", 8, "max queued dispatches coalesced into one worker frame; 1 disables batching (with -isolation=process)")
-		standbyWorkers = fs.Int("standby-workers", 0, "pre-warmed spare workers kept ready to adopt a crashed slot (with -isolation=process)")
-		workerMode     = fs.Bool("worker", false, "run as a pool worker speaking the frame protocol on stdin/stdout (internal; spawned by -isolation=process)")
-		allowFaults    = fs.Bool("allow-fault-injection", false, "honor the X-Fault-Seed and X-Worker-Fault chaos headers (tests only; never in production)")
+		isolation     = fs.String("isolation", "none", "pipeline isolation: none (in-process) or process (supervised worker pool)")
+		workers       = fs.Int("workers", 4, "worker processes in the pool (with -isolation=process)")
+		workerMaxReqs = fs.Int("worker-max-requests", 512, "recycle a worker after this many requests (with -isolation=process)")
+		workerMaxRSS  = fs.Int64("worker-max-rss", 512<<20, "SIGKILL a worker whose resident set exceeds this many bytes (with -isolation=process; no-op off Linux)")
+		workerMode    = fs.Bool("worker", false, "run as a pool worker speaking the frame protocol on stdin/stdout (internal; spawned by -isolation=process)")
+		allowFaults   = fs.Bool("allow-fault-injection", false, "honor the X-Fault-Seed and X-Worker-Fault chaos headers (tests only; never in production)")
 
 		route            = fs.String("route", "", "comma-separated queryvisd base URLs; run as a consistent-hash router over them instead of a server")
 		routeReplicas    = fs.Int("route-replicas", 64, "virtual nodes per instance on the routing ring (with -route)")
@@ -398,8 +393,6 @@ func run(args []string, stdout, stderr *os.File) int {
 			Workers:              *workers,
 			MaxRequestsPerWorker: *workerMaxReqs,
 			MaxWorkerRSS:         *workerMaxRSS,
-			MaxBatch:             *workerBatch,
-			StandbyWorkers:       *standbyWorkers,
 			// The pool's SIGKILL deadline sits above the worker's own
 			// pipeline deadline, so a slow-but-cooperative worker answers
 			// with a categorized timeout; SIGKILL is for the wedged.
@@ -413,8 +406,7 @@ func run(args []string, stdout, stderr *os.File) int {
 			return 2
 		}
 		cfg.Pool = pool
-		logger.Info("process isolation enabled", "workers", *workers,
-			"batch", *workerBatch, "standbys", *standbyWorkers)
+		logger.Info("process isolation enabled", "workers", *workers)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

@@ -370,7 +370,6 @@ func TestProcessIsolationServeDrain(t *testing.T) {
 		code <- run([]string{
 			"-addr", "127.0.0.1:0",
 			"-isolation=process", "-workers", "2",
-			"-worker-batch", "4", "-standby-workers", "1",
 			"-allow-fault-injection",
 			"-shutdown-grace", "15s",
 		}, devnull, pw)
@@ -395,10 +394,8 @@ func TestProcessIsolationServeDrain(t *testing.T) {
 	var hz struct {
 		Status string `json:"status"`
 		Pool   *struct {
-			Workers        int `json:"workers"`
-			Live           int `json:"live"`
-			StandbyWorkers int `json:"standby_workers"`
-			BatchDepth     int `json:"batch_depth"`
+			Workers int `json:"workers"`
+			Live    int `json:"live"`
 		} `json:"pool"`
 	}
 	if err := json.NewDecoder(hresp.Body).Decode(&hz); err != nil {
@@ -407,26 +404,6 @@ func TestProcessIsolationServeDrain(t *testing.T) {
 	hresp.Body.Close()
 	if hresp.StatusCode != http.StatusOK || hz.Status != "ok" || hz.Pool == nil || hz.Pool.Workers != 2 {
 		t.Fatalf("healthz = %d %+v", hresp.StatusCode, hz)
-	}
-	// The -standby-workers flag reached the pool: a spare warms up and
-	// shows in healthz (async spawn, so poll briefly).
-	standbyDeadline := time.Now().Add(10 * time.Second)
-	for {
-		sresp, err := hc.Get(ctx, base+"/v1/healthz")
-		if err != nil {
-			t.Fatalf("healthz poll: %v", err)
-		}
-		if err := json.NewDecoder(sresp.Body).Decode(&hz); err != nil {
-			t.Fatalf("decode healthz poll: %v", err)
-		}
-		sresp.Body.Close()
-		if hz.Pool != nil && hz.Pool.StandbyWorkers == 1 {
-			break
-		}
-		if time.Now().After(standbyDeadline) {
-			t.Fatalf("standby worker never warmed: %+v", hz.Pool)
-		}
-		time.Sleep(25 * time.Millisecond)
 	}
 
 	// A diagram request actually crosses the process boundary.

@@ -86,9 +86,7 @@ func (s *Server) dispatch(r *http.Request, endpoint string, body []byte, wantEnt
 
 	// The dispatch span brackets queueing + the frame round trip; its
 	// ID rides to the worker in the trace header so the worker's span
-	// subtree parents under it. The pool stamps the same header map
-	// onto every passenger of a coalesced batch frame, so followers
-	// carry their own trace context, not the leader's.
+	// subtree parents under it.
 	tr := telemetry.TracerFrom(ctx)
 	sp := tr.Start(spanDispatch)
 	if tr != nil {

@@ -115,8 +115,8 @@ func TestHandlerDigestsProcessColdWarm(t *testing.T) {
 	}
 }
 
-// workerRoundTrips counts the pool's completed worker exchanges, a
-// single request or a coalesced frame each, over every slot.
+// workerRoundTrips counts the pool's completed worker exchanges over
+// every slot.
 func workerRoundTrips(pool *workerpool.Pool) float64 {
 	var n float64
 	for slot := 0; slot < pool.State().Workers; slot++ {

@@ -6,7 +6,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -33,31 +32,10 @@ func BenchmarkDiagramEndpointIsolation(b *testing.B) {
 		benchEndpoint(b, ts, body)
 	})
 
-	// MaxBatch 1 pins this column to the original per-request protocol
-	// (one frame round-trip per dispatch) now that batching is the
-	// default — it stays comparable with the recorded baseline.
 	b.Run("process", func(b *testing.B) {
 		benchPool(b, body, workerpool.Config{
-			Spawn:    spawnSelf(),
-			Workers:  8,
-			MaxBatch: 1,
-		})
-	})
-
-	// The batching+standby column, in the configuration the fabric is
-	// designed for: the pool sized to the host's cores (worker processes
-	// beyond the core count just buy context switches), queued
-	// dispatches coalescing into one frame per worker round-trip, two
-	// pre-warmed spares. Batches only form when clients outnumber idle
-	// workers, which core-sized pools guarantee under this benchmark's
-	// 8-way client load. The delta against "process" is the scale-out
-	// fabric's recovery of the isolation tax.
-	b.Run("process-batch-standby", func(b *testing.B) {
-		benchPool(b, body, workerpool.Config{
-			Spawn:          spawnSelf(),
-			Workers:        runtime.GOMAXPROCS(0),
-			MaxBatch:       8,
-			StandbyWorkers: 2,
+			Spawn:   spawnSelf(),
+			Workers: 8,
 		})
 	})
 }

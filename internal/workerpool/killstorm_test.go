@@ -60,7 +60,6 @@ func TestKillStorm(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	pool := newPool(t, workerpool.Config{
 		Workers:              4,
-		StandbyWorkers:       2, // storm also kills spares mid-warm (Pids includes them)
 		MaxRequestsPerWorker: 40,
 		RequestTimeout:       500 * time.Millisecond,
 		Metrics:              reg,
@@ -276,14 +275,9 @@ func TestCrashContainment(t *testing.T) {
 	// limits: deepQuery recurses past the ceiling somewhere inside the
 	// compile pipeline and the Go runtime kills the process. The parent
 	// test binary has the normal 1GB ceiling and is untouched.
-	// MaxBatch 1: this test counts exact crash exits and asserts the
-	// healthy loop never fails, so the healthy request must never be
-	// coalesced into the poison query's doomed batch (batch semantics
-	// under crashes get their own coverage in batch_test.go).
 	p := newPool(t, workerpool.Config{
-		Workers:  2,
-		MaxBatch: 1,
-		Spawn:    spawnSelf(envMaxStack+"=524288", envUnlimited+"=1"),
+		Workers: 2,
+		Spawn:   spawnSelf(envMaxStack+"=524288", envUnlimited+"=1"),
 	})
 	ctx := context.Background()
 

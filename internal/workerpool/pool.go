@@ -30,12 +30,7 @@ const (
 	mLive       = "queryvis_worker_live"
 	mIdle       = "queryvis_worker_idle"
 	mBusy       = "queryvis_worker_busy"
-	mBatches    = "queryvis_worker_batches_total"
-	mBatchItems = "queryvis_worker_batch_items_total"
-	mBatchSize  = "queryvis_worker_batch_size"
-	mBatchDepth = "queryvis_worker_batch_depth"
-	mStandby    = "queryvis_worker_standby"
-	mAdoptions  = "queryvis_worker_standby_adoptions_total"
+	mQueueDepth = "queryvis_worker_queue_depth"
 )
 
 // exitReasons is the worker-retirement taxonomy; every reason is
@@ -104,22 +99,6 @@ type Config struct {
 	Spawn func() (*exec.Cmd, error)
 	// Workers is the pool size (default 4).
 	Workers int
-	// MaxBatch is the most queued dispatches coalesced into one protocol
-	// frame when a worker frees up (default 8; 1 disables coalescing).
-	// Batching only forms under queueing — an idle pool serves every
-	// request as a batch of one — so it costs nothing at low load and
-	// amortizes pipe syscalls, frame encoding, and scheduler wakeups
-	// exactly when the pool is saturated. A batch is all-or-nothing: the
-	// worker buffers its answers until every item is served, so a crash
-	// mid-batch delivers nothing and every item is safely re-dispatched
-	// (never answered twice).
-	MaxBatch int
-	// StandbyWorkers keeps this many pre-warmed spare workers spawned and
-	// ready (default 0 = none). When a worker dies — crash, OOM kill, or
-	// planned recycling — its slot adopts a standby instantly instead of
-	// blocking dispatch behind a fresh process spawn; a filler goroutine
-	// replenishes the spares in the background.
-	StandbyWorkers int
 	// MaxRequestsPerWorker recycles a worker after this many served
 	// requests (default 512; negative disables).
 	MaxRequestsPerWorker int
@@ -161,15 +140,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = 4
-	}
-	if c.MaxBatch == 0 {
-		c.MaxBatch = 8
-	}
-	if c.MaxBatch < 1 {
-		c.MaxBatch = 1
-	}
-	if c.StandbyWorkers < 0 {
-		c.StandbyWorkers = 0
 	}
 	if c.MaxRequestsPerWorker == 0 {
 		c.MaxRequestsPerWorker = 512
@@ -256,10 +226,12 @@ type Pool struct {
 
 	// parkMu guards the idle set and the waiter queue. Hand-off to a
 	// waiter happens under the lock, so a worker is never both parked
-	// and promised.
+	// and promised. A waiter is the buffered channel of one dispatcher
+	// blocked in acquire; it leaves the queue either when park hands it
+	// a worker or when it withdraws itself (context death or shutdown).
 	parkMu  sync.Mutex
 	parked  []*worker
-	waiters []*waiter
+	waiters []chan *worker
 
 	// closeMu makes "not closed, register in-flight" atomic against
 	// Close: Do holds it shared around the closed-check + inflight.Add
@@ -273,19 +245,9 @@ type Pool struct {
 	mu   sync.Mutex
 	live map[int]*worker
 
-	// standbyMu guards the pre-warmed spare workers; standbyKick pokes
-	// the filler after an adoption so it replenishes promptly.
-	standbyMu   sync.Mutex
-	standbys    []*worker
-	standbyKick chan struct{}
-
-	reg        *telemetry.Registry
-	spawns     *telemetry.Counter
-	retries    *telemetry.Counter
-	batches    *telemetry.Counter
-	batchItems *telemetry.Counter
-	batchSize  *telemetry.Histogram
-	adoptions  *telemetry.Counter
+	reg     *telemetry.Registry
+	spawns  *telemetry.Counter
+	retries *telemetry.Counter
 }
 
 // New starts the pool: one supervision loop per slot plus the RSS
@@ -309,23 +271,13 @@ func New(cfg Config) (*Pool, error) {
 	}
 	p.spawns = p.reg.Counter(mSpawns, "Worker processes started.")
 	p.retries = p.reg.Counter(mRetries, "Requests transparently retried on a fresh worker.")
-	p.batches = p.reg.Counter(mBatches, "Coalesced dispatch frames sent to workers.")
-	p.batchItems = p.reg.Counter(mBatchItems, "Requests answered through coalesced frames.")
-	p.batchSize = p.reg.Histogram(mBatchSize, "Requests coalesced per dispatch frame.",
-		[]float64{1, 2, 4, 8, 16, 32})
-	p.adoptions = p.reg.Counter(mAdoptions, "Worker slots refilled from the pre-warmed standby set.")
 	for _, r := range exitReasons {
 		p.reg.Counter(mExits, "Worker retirements by reason.", "reason", r)
 	}
-	p.reg.GaugeFunc(mBatchDepth, "Dispatches queued for a free worker.", func() float64 {
+	p.reg.GaugeFunc(mQueueDepth, "Dispatches queued for a free worker.", func() float64 {
 		p.parkMu.Lock()
 		defer p.parkMu.Unlock()
 		return float64(len(p.waiters))
-	})
-	p.reg.GaugeFunc(mStandby, "Pre-warmed standby workers ready for adoption.", func() float64 {
-		p.standbyMu.Lock()
-		defer p.standbyMu.Unlock()
-		return float64(len(p.standbys))
 	})
 	p.reg.GaugeFunc(mLive, "Live worker processes.", func() float64 {
 		p.mu.Lock()
@@ -346,11 +298,6 @@ func New(cfg Config) (*Pool, error) {
 	}
 	p.loops.Add(1)
 	go p.watchdog()
-	if cfg.StandbyWorkers > 0 {
-		p.standbyKick = make(chan struct{}, 1)
-		p.loops.Add(1)
-		go p.standbyFiller()
-	}
 	return p, nil
 }
 
@@ -366,9 +313,8 @@ func (p *Pool) isClosed() bool {
 	}
 }
 
-// Pids snapshots the live workers' process IDs — standbys included, so
-// a chaos storm can kill a spare in the warming rack too — sorted; the
-// hook the kill-storm chaos test uses to SIGKILL real children mid-load.
+// Pids snapshots the live workers' process IDs, sorted; the hook the
+// kill-storm chaos test uses to SIGKILL real children mid-load.
 func (p *Pool) Pids() []int {
 	p.mu.Lock()
 	pids := make([]int, 0, len(p.live))
@@ -376,11 +322,6 @@ func (p *Pool) Pids() []int {
 		pids = append(pids, w.pid)
 	}
 	p.mu.Unlock()
-	p.standbyMu.Lock()
-	for _, w := range p.standbys {
-		pids = append(pids, w.pid)
-	}
-	p.standbyMu.Unlock()
 	sort.Ints(pids)
 	return pids
 }
@@ -393,16 +334,9 @@ type State struct {
 	Busy    int   `json:"busy"`
 	Spawns  int64 `json:"spawns"`
 	Retries int64 `json:"retries"`
-	// StandbyWorkers is how many pre-warmed spares sit ready for adoption
-	// right now; Adoptions counts slots refilled from the standby set.
-	StandbyWorkers int   `json:"standby_workers"`
-	Adoptions      int64 `json:"adoptions,omitempty"`
-	// BatchDepth is the number of dispatches currently queued for a free
-	// worker — the population the next freed worker will coalesce from.
-	// Batches/BatchItems are the lifetime coalescing totals.
-	BatchDepth int              `json:"batch_depth"`
-	Batches    int64            `json:"batches,omitempty"`
-	BatchItems int64            `json:"batch_items,omitempty"`
+	// QueueDepth is the number of dispatches currently queued for a free
+	// worker: the dispatch backlog.
+	QueueDepth int              `json:"queue_depth"`
 	Exits      map[string]int64 `json:"exits,omitempty"`
 	Draining   bool             `json:"draining"`
 }
@@ -417,23 +351,16 @@ func (p *Pool) State() State {
 	idle := len(p.parked)
 	depth := len(p.waiters)
 	p.parkMu.Unlock()
-	p.standbyMu.Lock()
-	standby := len(p.standbys)
-	p.standbyMu.Unlock()
 	st := State{
-		Workers:        p.cfg.Workers,
-		Live:           live,
-		Idle:           idle,
-		Busy:           int(p.busy.Load()),
-		Spawns:         p.spawns.Value(),
-		Retries:        p.retries.Value(),
-		StandbyWorkers: standby,
-		Adoptions:      p.adoptions.Value(),
-		BatchDepth:     depth,
-		Batches:        p.batches.Value(),
-		BatchItems:     p.batchItems.Value(),
-		Exits:          make(map[string]int64, len(exitReasons)),
-		Draining:       p.isClosed(),
+		Workers:    p.cfg.Workers,
+		Live:       live,
+		Idle:       idle,
+		Busy:       int(p.busy.Load()),
+		Spawns:     p.spawns.Value(),
+		Retries:    p.retries.Value(),
+		QueueDepth: depth,
+		Exits:      make(map[string]int64, len(exitReasons)),
+		Draining:   p.isClosed(),
 	}
 	for _, r := range exitReasons {
 		if n := int64(p.reg.Value(mExits, "reason", r)); n > 0 {
@@ -443,19 +370,11 @@ func (p *Pool) State() State {
 	return st
 }
 
-// Do dispatches one request to an idle worker, transparently retrying
-// once on a fresh worker if the first one crashes, OOMs, overruns, or
-// corrupts the pipe. After the retry budget it returns the typed
-// *WorkerError; context errors pass through untouched.
-//
-// Under saturation, dispatches coalesce: a caller that wins a worker
-// (the leader) drains up to MaxBatch-1 queued dispatches from the
-// waiter queue and ships the whole batch as one protocol frame; the
-// recruited callers (followers) receive their individual responses from
-// the leader. A failed batch fails every item with its own typed error
-// — the worker buffered its answers, so nothing was delivered and every
-// item re-dispatches exactly once under the same retry budget a single
-// dispatch gets.
+// Do dispatches one request to an idle worker as one request frame and
+// one response frame, transparently retrying once on a fresh worker if
+// the first one crashes, OOMs, overruns, or corrupts the pipe. After the
+// retry budget it returns the typed *WorkerError; context errors pass
+// through untouched.
 func (p *Pool) Do(ctx context.Context, req Request) (*Response, error) {
 	p.closeMu.RLock()
 	if p.isClosed() {
@@ -470,30 +389,27 @@ func (p *Pool) Do(ctx context.Context, req Request) (*Response, error) {
 
 	var lastErr error
 	for attempt := 1; attempt <= 2; attempt++ {
-		w, fr, err := p.acquire(ctx, &req)
+		w, err := p.acquire(ctx)
 		if err != nil {
 			if lastErr != nil {
 				return nil, annotate(lastErr, attempt)
 			}
 			return nil, err
 		}
-		if fr != nil {
-			// A batch leader carried this request and handed back its
-			// individual outcome; the leader already retired the worker on
-			// failure.
-			if fr.err == nil {
-				return fr.resp, nil
-			}
-			err = fr.err
-		} else {
-			var resp *Response
-			resp, err = p.lead(ctx, w, &req)
-			if err == nil {
-				p.release(w)
-				return resp, nil
-			}
-			p.destroy(w, killReasonFor(err))
+		deadline := p.dispatchDeadline(ctx)
+		if deadline <= 0 {
+			// The context's deadline has passed but its timer may not
+			// have fired, so ctx.Err() can still be nil. No frame was
+			// written: the worker is untouched and goes back idle.
+			p.park(w)
+			return nil, context.DeadlineExceeded
 		}
+		resp, err := p.roundTrip(ctx, w, &req, deadline)
+		if err == nil {
+			p.release(w)
+			return resp, nil
+		}
+		p.destroy(w, killReasonFor(err))
 		lastErr = err
 		var we *WorkerError
 		if !errors.As(err, &we) || ctx.Err() != nil {
@@ -525,24 +441,6 @@ func killReasonFor(err error) string {
 	return "canceled"
 }
 
-// waiter is one dispatcher blocked in acquire. It leaves the queue in
-// exactly one of three ways, each atomic under parkMu: park hands it a
-// worker (it becomes a batch leader), a leader recruits it into a batch
-// (its request rides along and its result arrives on resc), or it
-// withdraws itself (context death or shutdown).
-type waiter struct {
-	req  *Request // payload, so a leader can recruit it into a batch
-	ch   chan *worker
-	resc chan waiterResult
-}
-
-// waiterResult is a recruited waiter's individual outcome, delivered by
-// its batch leader.
-type waiterResult struct {
-	resp *Response
-	err  error
-}
-
 // takeParkedLocked pops the most recently parked idle worker, nil when
 // none is idle. Caller holds parkMu.
 func (p *Pool) takeParkedLocked() *worker {
@@ -557,51 +455,45 @@ func (p *Pool) takeParkedLocked() *worker {
 }
 
 // acquire pulls an idle worker, preferring an immediately available one
-// before queueing as a waiter on the context or shutdown. It returns
-// either a worker (the caller leads its own dispatch) or a waiterResult
-// (a batch leader already carried the request), never both.
-func (p *Pool) acquire(ctx context.Context, req *Request) (*worker, *waiterResult, error) {
+// before queueing as a waiter on the context or shutdown.
+func (p *Pool) acquire(ctx context.Context) (*worker, error) {
 	p.parkMu.Lock()
 	if w := p.takeParkedLocked(); w != nil {
 		p.parkMu.Unlock()
-		return w, nil, nil
+		return w, nil
 	}
 	if p.isClosed() {
 		p.parkMu.Unlock()
-		return nil, nil, ErrPoolClosed
+		return nil, ErrPoolClosed
 	}
-	wt := &waiter{req: req, ch: make(chan *worker, 1), resc: make(chan waiterResult, 1)}
+	wt := make(chan *worker, 1)
 	p.waiters = append(p.waiters, wt)
 	p.parkMu.Unlock()
 
 	select {
-	case w := <-wt.ch:
-		return w, nil, nil
-	case r := <-wt.resc:
-		return nil, &r, nil
+	case w := <-wt:
+		return w, nil
 	case <-ctx.Done():
 		if w := p.abandon(wt); w != nil {
 			// Lost the race: park already handed us a worker. Put it back
 			// for the next dispatcher; this request's context is dead.
 			p.park(w)
 		}
-		// If a leader recruited us instead, the result lands in the
-		// buffered resc and is discarded — the client is gone either way.
-		return nil, nil, ctx.Err()
+		return nil, ctx.Err()
 	case <-p.closed:
 		if w := p.abandon(wt); w != nil {
 			p.destroy(w, "drain")
 		}
-		return nil, nil, ErrPoolClosed
+		return nil, ErrPoolClosed
 	}
 }
 
 // abandon withdraws a waiter. If a worker hand-off already happened (the
 // waiter is gone from the queue with a worker promised), the worker is
-// returned so the caller can repark or retire it; a waiter that was
-// recruited into a batch instead returns nil — its result, if one ever
-// arrives, parks harmlessly in the buffered resc.
-func (p *Pool) abandon(wt *waiter) *worker {
+// returned so the caller can repark or retire it; park dequeues a waiter
+// and fills its buffered channel under parkMu, so that receive never
+// blocks.
+func (p *Pool) abandon(wt chan *worker) *worker {
 	p.parkMu.Lock()
 	for i, x := range p.waiters {
 		if x == wt {
@@ -611,32 +503,7 @@ func (p *Pool) abandon(wt *waiter) *worker {
 		}
 	}
 	p.parkMu.Unlock()
-	select {
-	case w := <-wt.ch:
-		return w
-	default:
-		return nil
-	}
-}
-
-// recruit drains up to max of the oldest waiters from the queue to ride
-// in a batch. Caller must currently hold a worker, not parkMu.
-func (p *Pool) recruit(max int) []*waiter {
-	if max <= 0 {
-		return nil
-	}
-	p.parkMu.Lock()
-	defer p.parkMu.Unlock()
-	n := min(max, len(p.waiters))
-	if n == 0 {
-		return nil
-	}
-	take := append([]*waiter(nil), p.waiters[:n]...)
-	rest := copy(p.waiters, p.waiters[n:])
-	// Zero the tail so dropped waiter pointers don't pin their requests.
-	clear(p.waiters[rest:])
-	p.waiters = p.waiters[:rest]
-	return take
+	return <-wt
 }
 
 // park returns a worker to the idle set: straight to the oldest waiter
@@ -652,7 +519,7 @@ func (p *Pool) park(w *worker) {
 	if len(p.waiters) > 0 {
 		wt := p.waiters[0]
 		p.waiters = append(p.waiters[:0], p.waiters[1:]...)
-		wt.ch <- w
+		wt <- w
 		p.parkMu.Unlock()
 		return
 	}
@@ -685,54 +552,6 @@ func (p *Pool) release(w *worker) {
 		}
 	}
 	p.park(w)
-}
-
-// lead runs one dispatch as a batch leader: it recruits up to
-// MaxBatch-1 queued waiters onto its worker, ships everything as one
-// frame, and delivers each follower its individual outcome. With nobody
-// queued it degenerates to a plain single-request round trip — batching
-// only ever forms under saturation.
-func (p *Pool) lead(ctx context.Context, w *worker, req *Request) (*Response, error) {
-	followers := p.recruit(p.cfg.MaxBatch - 1)
-	if len(followers) == 0 {
-		p.batchSize.Observe(1)
-		return p.roundTrip(ctx, w, req)
-	}
-	reqs := make([]*Request, 0, len(followers)+1)
-	reqs = append(reqs, req)
-	for _, wt := range followers {
-		reqs = append(reqs, wt.req)
-	}
-	resps, err := p.roundTripBatch(ctx, w, reqs)
-	if err != nil {
-		// The worker buffered its answers until the whole batch was done,
-		// so a failure here means nothing was delivered: every item fails
-		// with its own typed error and re-dispatches under its own retry
-		// budget — never answered twice. Each follower gets a fresh error
-		// value; a shared pointer would race when each dispatcher stamps
-		// its own attempt count.
-		for _, wt := range followers {
-			wt.resc <- waiterResult{err: followerErr(err, w.slot)}
-		}
-		return nil, err
-	}
-	for i, wt := range followers {
-		wt.resc <- waiterResult{resp: resps[i+1]}
-	}
-	return resps[0], nil
-}
-
-// followerErr builds one recruited follower's typed error from the
-// batch failure. A leader-side context error means the worker was
-// killed for the *leader's* cancellation — to an innocent follower that
-// is indistinguishable from a crash, and must stay retryable.
-func followerErr(err error, slot int) error {
-	var we *WorkerError
-	if errors.As(err, &we) {
-		return &WorkerError{Kind: we.Kind, Slot: we.Slot, Attempts: 1, Err: we.Err}
-	}
-	return &WorkerError{Kind: KindCrash, Slot: slot, Attempts: 1,
-		Err: fmt.Errorf("batch leader failed: %w", err)}
 }
 
 // guardDispatch arms the two safety nets around an exchange: the hard
@@ -771,9 +590,7 @@ func (p *Pool) guardDispatch(ctx context.Context, w *worker, deadline time.Durat
 }
 
 // dispatchDeadline is the wall-clock budget for one exchange: the
-// configured timeout, shrunk to the context's remaining time. A batch
-// shares one budget — the worst case is a KindTimeout every item
-// retries from, never a partial delivery.
+// configured timeout, shrunk to the context's remaining time.
 func (p *Pool) dispatchDeadline(ctx context.Context) time.Duration {
 	deadline := p.cfg.RequestTimeout
 	if dl, ok := ctx.Deadline(); ok {
@@ -799,13 +616,8 @@ func stampDeadline(req *Request, deadline time.Duration) *Request {
 	return &wr
 }
 
-// roundTrip performs one single-request framed exchange under the
-// dispatch deadline.
-func (p *Pool) roundTrip(ctx context.Context, w *worker, req *Request) (*Response, error) {
-	deadline := p.dispatchDeadline(ctx)
-	if deadline <= 0 {
-		return nil, ctx.Err()
-	}
+// roundTrip performs one framed exchange under the dispatch deadline.
+func (p *Pool) roundTrip(ctx context.Context, w *worker, req *Request, deadline time.Duration) (*Response, error) {
 	done := p.guardDispatch(ctx, w, deadline)
 	defer done()
 
@@ -828,55 +640,6 @@ func (p *Pool) roundTrip(ctx context.Context, w *worker, req *Request) (*Respons
 	p.reg.Histogram(mWorkerDur, "Per-worker dispatch latency.", nil,
 		"slot", strconv.Itoa(w.slot)).Observe(time.Since(start).Seconds())
 	return f.Resp, nil
-}
-
-// roundTripBatch ships a coalesced batch as one frame and reads one
-// aligned response frame back. All-or-nothing: any failure — crash,
-// timeout, garbage, a response array that doesn't align — retires the
-// worker and reports the whole batch failed, which is safe precisely
-// because the worker delivers nothing until everything is served.
-func (p *Pool) roundTripBatch(ctx context.Context, w *worker, reqs []*Request) ([]*Response, error) {
-	deadline := p.dispatchDeadline(ctx)
-	if deadline <= 0 {
-		return nil, ctx.Err()
-	}
-	wire := make([]*Request, len(reqs))
-	for i, r := range reqs {
-		wire[i] = stampDeadline(r, deadline)
-	}
-	done := p.guardDispatch(ctx, w, deadline)
-	defer done()
-
-	w.nextID++
-	id := w.nextID
-	start := time.Now()
-	if err := writeFrame(w.bw, &frame{ID: id, Reqs: wire}); err != nil {
-		return nil, p.dispatchError(ctx, w, err)
-	}
-	f, err := readFrame(w.br)
-	if err != nil {
-		return nil, p.dispatchError(ctx, w, err)
-	}
-	if f.ID != id || len(f.Resps) != len(wire) {
-		w.markKill("protocol")
-		return nil, &WorkerError{Kind: KindProtocol, Slot: w.slot, Attempts: 1,
-			Err: fmt.Errorf("batch frame id %d (want %d) with %d responses for %d requests: %w",
-				f.ID, id, len(f.Resps), len(wire), errMalformed)}
-	}
-	for i, r := range f.Resps {
-		if r == nil {
-			w.markKill("protocol")
-			return nil, &WorkerError{Kind: KindProtocol, Slot: w.slot, Attempts: 1,
-				Err: fmt.Errorf("batch response %d missing: %w", i, errMalformed)}
-		}
-	}
-	w.served.Add(int64(len(wire)))
-	p.reg.Histogram(mWorkerDur, "Per-worker dispatch latency.", nil,
-		"slot", strconv.Itoa(w.slot)).Observe(time.Since(start).Seconds())
-	p.batches.Inc()
-	p.batchItems.Add(int64(len(wire)))
-	p.batchSize.Observe(float64(len(wire)))
-	return f.Resps, nil
 }
 
 // dispatchError classifies a failed exchange. A kill this supervisor
@@ -935,9 +698,8 @@ func (p *Pool) destroy(w *worker, fallbackReason string) {
 	})
 }
 
-// slotLoop supervises one slot for the pool's lifetime: adopt a
-// pre-warmed standby (or spawn a worker when the rack is empty), park
-// it idle, wait for its retirement, repeat. A worker that dies before
+// slotLoop supervises one slot for the pool's lifetime: spawn a worker,
+// park it idle, wait for its retirement, repeat. A worker that dies before
 // serving anything escalates the slot's backoff (exponential, jittered,
 // capped); one that served at least a request respawns immediately — a
 // crash under real load should not idle the slot.
@@ -954,22 +716,15 @@ func (p *Pool) slotLoop(slot int) {
 		if delay > 0 && !p.sleep(backoff.Jitter(delay)) {
 			return
 		}
-		w := p.takeStandby(slot)
-		if w != nil {
-			p.adoptions.Inc()
-			p.log("standby adopted", "slot", slot, "pid", w.pid)
-		} else {
-			var err error
-			w, err = p.spawnWorker(slot)
-			if err != nil {
-				p.reg.Counter(mExits, "Worker retirements by reason.", "reason", "spawn").Inc()
-				p.log("worker spawn failed", "slot", slot, "err", err)
-				delay = p.ladder.Next(delay)
-				continue
-			}
-			p.spawns.Inc()
-			p.log("worker spawned", "slot", slot, "pid", w.pid)
+		w, err := p.spawnWorker(slot)
+		if err != nil {
+			p.reg.Counter(mExits, "Worker retirements by reason.", "reason", "spawn").Inc()
+			p.log("worker spawn failed", "slot", slot, "err", err)
+			delay = p.ladder.Next(delay)
+			continue
 		}
+		p.spawns.Inc()
+		p.log("worker spawned", "slot", slot, "pid", w.pid)
 		p.mu.Lock()
 		p.live[slot] = w
 		p.mu.Unlock()
@@ -987,79 +742,6 @@ func (p *Pool) slotLoop(slot int) {
 			delay = p.ladder.Next(delay)
 		}
 	}
-}
-
-// standbyFiller keeps the spare rack full: spawn workers unbound to any
-// slot (slot -1) until StandbyWorkers are warmed, then sleep until an
-// adoption kicks a refill or shutdown. Spawn failures back off the same
-// way a slot loop's do — a broken spawn path must not fork-bomb.
-func (p *Pool) standbyFiller() {
-	defer p.loops.Done()
-	delay := time.Duration(0)
-	for {
-		if p.isClosed() {
-			return
-		}
-		p.standbyMu.Lock()
-		full := len(p.standbys) >= p.cfg.StandbyWorkers
-		p.standbyMu.Unlock()
-		if full {
-			select {
-			case <-p.standbyKick:
-			case <-p.closed:
-				return
-			}
-			continue
-		}
-		if delay > 0 && !p.sleep(backoff.Jitter(delay)) {
-			return
-		}
-		w, err := p.spawnWorker(-1)
-		if err != nil {
-			p.log("standby spawn failed", "err", err)
-			delay = p.ladder.Next(delay)
-			continue
-		}
-		delay = 0
-		p.spawns.Inc()
-		p.standbyMu.Lock()
-		if p.isClosed() {
-			p.standbyMu.Unlock()
-			p.destroy(w, "drain")
-			return
-		}
-		p.standbys = append(p.standbys, w)
-		p.standbyMu.Unlock()
-		p.log("standby worker warmed", "pid", w.pid)
-	}
-}
-
-// takeStandby pops the oldest pre-warmed spare, rebinds it to the slot,
-// and kicks the filler to replenish; nil when the rack is empty (or
-// standbys are disabled). Adoption is why a crashed slot comes back
-// instantly: the process is already spawned, handshaken, and warm.
-func (p *Pool) takeStandby(slot int) *worker {
-	if p.cfg.StandbyWorkers <= 0 {
-		return nil
-	}
-	p.standbyMu.Lock()
-	if len(p.standbys) == 0 {
-		p.standbyMu.Unlock()
-		return nil
-	}
-	w := p.standbys[0]
-	copy(p.standbys, p.standbys[1:])
-	p.standbys[len(p.standbys)-1] = nil
-	p.standbys = p.standbys[:len(p.standbys)-1]
-	p.standbyMu.Unlock()
-	// Nobody else can reach w until it lands in live/parked, so the slot
-	// rebind is unobserved.
-	w.slot = slot
-	select {
-	case p.standbyKick <- struct{}{}:
-	default:
-	}
-	return w
 }
 
 // sleep waits d or until shutdown; reports whether the full wait
@@ -1164,13 +846,6 @@ func (p *Pool) Close(ctx context.Context) error {
 	p.parked = nil
 	p.parkMu.Unlock()
 	for _, w := range parked {
-		p.destroy(w, "drain")
-	}
-	p.standbyMu.Lock()
-	standbys := p.standbys
-	p.standbys = nil
-	p.standbyMu.Unlock()
-	for _, w := range standbys {
 		p.destroy(w, "drain")
 	}
 	return err

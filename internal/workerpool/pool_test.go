@@ -4,8 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -232,5 +234,189 @@ func TestDrainWaitsForInflight(t *testing.T) {
 	// After the drain, new work is refused with the typed sentinel.
 	if _, err := doDiagram(context.Background(), p, qSome, nil); !errors.Is(err, workerpool.ErrPoolClosed) {
 		t.Fatalf("want ErrPoolClosed after drain, got %v", err)
+	}
+}
+
+// lapsedCtx reports a deadline that has already passed while Err is
+// still nil: the window between a context's deadline and its timer
+// firing.
+type lapsedCtx struct{ context.Context }
+
+func (lapsedCtx) Deadline() (time.Time, bool) { return time.Now().Add(-time.Millisecond), true }
+
+// TestLapsedDeadlineIsDeadlineExceeded: a dispatch whose deadline has
+// passed before its context noticed must fail with
+// context.DeadlineExceeded (the server answers 504), never (nil, nil).
+// No frame is written, so the worker goes back idle instead of dying.
+func TestLapsedDeadlineIsDeadlineExceeded(t *testing.T) {
+	t.Cleanup(leak.CheckChildren(t))
+	t.Cleanup(leak.Check(t))
+	p := newPool(t, workerpool.Config{Workers: 1})
+	ctx := context.Background()
+
+	// Warm up so the lapsed dispatch finds an idle worker.
+	if resp, err := doDiagram(ctx, p, qSome, nil); err != nil || resp.Status != 200 {
+		t.Fatalf("warm-up: err %v resp %+v", err, resp)
+	}
+	resp, err := doDiagram(lapsedCtx{ctx}, p, qSome, nil)
+	if !errors.Is(err, context.DeadlineExceeded) || resp != nil {
+		t.Fatalf("lapsed deadline: resp=%v err=%v, want nil and context.DeadlineExceeded", resp, err)
+	}
+	if st := p.State(); st.Spawns != 1 || st.Idle != 1 || len(st.Exits) != 0 {
+		t.Fatalf("lapsed dispatch cost a worker: %+v", st)
+	}
+	if resp, err := doDiagram(ctx, p, qSome, nil); err != nil || resp.Status != 200 {
+		t.Fatalf("after lapsed dispatch: err %v resp %+v", err, resp)
+	}
+}
+
+// wellFormed checks one dispatch outcome and returns a diagnostic when
+// the outcome is neither a correct response for its request nor a typed
+// worker error. wantOK says whether the request's SQL was valid.
+func wellFormed(resp *workerpool.Response, err error, wantOK bool) string {
+	if err != nil {
+		var we *workerpool.WorkerError
+		if !errors.As(err, &we) {
+			return fmt.Sprintf("untyped dispatch error: %v", err)
+		}
+		if we.Kind == "" || we.Attempts < 1 {
+			return fmt.Sprintf("malformed WorkerError: %+v", we)
+		}
+		return ""
+	}
+	if resp == nil {
+		return "nil response with nil error"
+	}
+	if wantOK {
+		var out struct {
+			Diagram string `json:"diagram"`
+		}
+		if resp.Status != 200 || json.Unmarshal(resp.Body, &out) != nil ||
+			!strings.Contains(out.Diagram, "digraph") {
+			return fmt.Sprintf("valid SQL answered status %d body %.120s", resp.Status, resp.Body)
+		}
+		return ""
+	}
+	var eb struct {
+		Error struct {
+			Category string `json:"category"`
+		} `json:"error"`
+	}
+	if resp.Status != 422 || json.Unmarshal(resp.Body, &eb) != nil || eb.Error.Category != "parse" {
+		return fmt.Sprintf("invalid SQL answered status %d body %.120s", resp.Status, resp.Body)
+	}
+	return ""
+}
+
+// TestSaturatedCallersGetOwnAnswers saturates one worker with 96
+// concurrent dispatches that alternate valid and invalid SQL: every
+// caller must receive exactly the answer to its own request, so a
+// crossed wire delivers a 200 to a caller expecting a parse error or
+// vice versa.
+func TestSaturatedCallersGetOwnAnswers(t *testing.T) {
+	t.Cleanup(leak.CheckChildren(t))
+	t.Cleanup(leak.Check(t))
+
+	p := newPool(t, workerpool.Config{Workers: 1})
+	ctx := context.Background()
+
+	const n = 96
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			sql, wantOK := qSome, true
+			if i%3 == 0 {
+				sql, wantOK = "SELEC garbage FROM nowhere", false
+			}
+			resp, err := doDiagram(ctx, p, sql, nil)
+			if err != nil {
+				// No faults are injected here; nothing may fail at all.
+				t.Errorf("request %d: %v", i, err)
+				return
+			}
+			if msg := wellFormed(resp, err, wantOK); msg != "" {
+				t.Errorf("request %d: %s", i, msg)
+			}
+		}(i)
+	}
+	wg.Wait()
+	t.Logf("saturation: %+v", p.State())
+}
+
+// TestCrashUnderSaturation injects a deterministic crash into a
+// minority of requests against a saturated one-worker pool, so poisoned
+// and innocent requests queue for the same worker. Every caller must get
+// exactly one well-formed outcome — its own 200 (after the transparent
+// retry) or a typed WorkerError — and never a response meant for a
+// neighbor.
+func TestCrashUnderSaturation(t *testing.T) {
+	t.Cleanup(leak.CheckChildren(t))
+	t.Cleanup(leak.Check(t))
+
+	p := newPool(t, workerpool.Config{Workers: 1})
+	ctx := context.Background()
+
+	const n = 48
+	var (
+		mu        sync.Mutex
+		successes int
+		typedErrs int
+		crashErrs int
+	)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			var hdr map[string]string
+			if i%8 == 0 {
+				hdr = map[string]string{faults.HeaderWorkerFault: string(faults.WorkerFaultCrash)}
+			}
+			resp, err := doDiagram(ctx, p, qSome, hdr)
+			if msg := wellFormed(resp, err, true); msg != "" {
+				t.Errorf("request %d: %s", i, msg)
+				return
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if err == nil {
+				successes++
+				return
+			}
+			typedErrs++
+			var we *workerpool.WorkerError
+			if errors.As(err, &we) && we.Kind == workerpool.KindCrash {
+				crashErrs++
+			}
+		}(i)
+	}
+	wg.Wait()
+
+	st := p.State()
+	t.Logf("crash under saturation: %d ok, %d typed errors (%d crash), pool %+v",
+		successes, typedErrs, crashErrs, st)
+	if successes+typedErrs != n {
+		t.Fatalf("accounted for %d of %d outcomes", successes+typedErrs, n)
+	}
+	// The poisoned requests crash their worker on both attempts, so the
+	// crash kind must surface; most innocents must get their 200.
+	if crashErrs == 0 {
+		t.Fatal("no KindCrash surfaced despite poisoned requests")
+	}
+	if successes < n/2 {
+		t.Fatalf("only %d/%d innocent requests ever succeeded", successes, n)
+	}
+	if st.Exits["crash"] == 0 {
+		t.Fatalf("no crash exit recorded: %+v", st)
+	}
+	if st.Retries == 0 {
+		t.Fatalf("crashes retried nobody: %+v", st)
+	}
+
+	// The pool converges back to healthy service.
+	if resp, err := doDiagram(ctx, p, qSome, nil); err != nil || resp.Status != 200 {
+		t.Fatalf("after crash storm: err %v resp %+v", err, resp)
 	}
 }

@@ -21,15 +21,6 @@
 // capped: a corrupt length prefix is detected as a protocol error, not
 // an attempted multi-gigabyte allocation.
 //
-// A request frame carries either one Request (Req) or a batch of them
-// (Reqs): the supervisor coalesces queued dispatches into one frame to
-// amortize pipe syscalls and scheduler wakeups across the batch. The
-// worker serves batch items sequentially and answers with a single
-// response frame whose Resps aligns index-for-index with Reqs — so a
-// worker that crashes mid-batch has answered nothing (the reply is
-// buffered until complete), and the supervisor can safely re-dispatch
-// every item without ever delivering a response twice.
-//
 // Workers keep no diagram cache: the parent owns the instance's one
 // cache, answers its hits without a dispatch, and sends only misses. A
 // miss travels with WantEntry set, and its response frame carries the
@@ -84,8 +75,7 @@ type Response struct {
 	Header map[string]string `json:"header,omitempty"`
 	Body   []byte            `json:"body"`
 	// Spans are the worker-side trace spans for this request, recorded
-	// when the request carried a sampled telemetry.TraceHeader. In a
-	// batch frame each Response carries its own passenger's spans. The
+	// when the request carried a sampled telemetry.TraceHeader. The
 	// parent merges them into the request's trace tree; they never reach
 	// the client body.
 	Spans []telemetry.Span `json:"spans,omitempty"`
@@ -95,18 +85,14 @@ type Response struct {
 	Entry *diagcache.Entry `json:"entry,omitempty"`
 }
 
-// frame is the on-pipe envelope for both directions. Requests populate
-// Req (single) or Reqs (batch); responses populate Resp or Resps to
-// match. ID matches a response frame to its request frame — a mismatch
-// means the pipe carries garbage and the worker is retired.
+// frame is the on-pipe envelope for both directions: a request frame
+// populates Req, a response frame Resp. ID matches a response frame to
+// its request frame — a mismatch means the pipe carries garbage and the
+// worker is retired.
 type frame struct {
 	ID   uint64    `json:"id"`
 	Req  *Request  `json:"req,omitempty"`
 	Resp *Response `json:"resp,omitempty"`
-	// Reqs is a coalesced batch; the response frame's Resps must align
-	// index-for-index.
-	Reqs  []*Request  `json:"reqs,omitempty"`
-	Resps []*Response `json:"resps,omitempty"`
 	// Ready marks the worker's startup frame (ID 0).
 	Ready bool `json:"ready,omitempty"`
 }

@@ -61,36 +61,17 @@ func RunWorker(r io.Reader, w io.Writer, h http.Handler, opts RunOptions) error 
 		if err != nil {
 			return err
 		}
-		switch {
-		case len(f.Reqs) > 0:
-			// Coalesced batch: serve sequentially, answer with one frame.
-			// Responses are buffered until the whole batch is done, so a
-			// crash mid-batch (including an injected one on any item)
-			// answers nothing — all-or-nothing from the supervisor's view.
-			resps := make([]*Response, len(f.Reqs))
-			for i, req := range f.Reqs {
-				if opts.AllowFaultHeaders {
-					if wf, ok := faults.ParseWorkerFault(req.Header[faults.HeaderWorkerFault]); ok {
-						actWorkerFault(wf, bw)
-					}
-				}
-				resps[i] = serveOne(h, req, opts.DefaultDeadline)
-			}
-			if err := writeFrame(bw, &frame{ID: f.ID, Resps: resps}); err != nil {
-				return err
-			}
-		case f.Req != nil:
-			if opts.AllowFaultHeaders {
-				if wf, ok := faults.ParseWorkerFault(f.Req.Header[faults.HeaderWorkerFault]); ok {
-					actWorkerFault(wf, bw)
-				}
-			}
-			resp := serveOne(h, f.Req, opts.DefaultDeadline)
-			if err := writeFrame(bw, &frame{ID: f.ID, Resp: resp}); err != nil {
-				return err
-			}
-		default:
+		if f.Req == nil {
 			continue // stray frame: ignore rather than guess
+		}
+		if opts.AllowFaultHeaders {
+			if wf, ok := faults.ParseWorkerFault(f.Req.Header[faults.HeaderWorkerFault]); ok {
+				actWorkerFault(wf, bw)
+			}
+		}
+		resp := serveOne(h, f.Req, opts.DefaultDeadline)
+		if err := writeFrame(bw, &frame{ID: f.ID, Resp: resp}); err != nil {
+			return err
 		}
 	}
 }
