@@ -19,7 +19,6 @@
 //	          [-worker-max-requests N] [-worker-max-rss BYTES] \
 //	          [-route URL,URL,...] [-route-replicas N] \
 //	          [-route-health-interval 250ms] [-route-admin-token TOKEN] \
-//	          [-route-stampede-ttl 2s] \
 //	          [-fleet SPEC.json | -fleet-srv _svc._proto.name] \
 //	          [-fleet-spawn] [-fleet-interval 500ms] \
 //	          [-fleet-min-healthy N] [-fleet-down-after N] \
@@ -46,12 +45,13 @@
 // own /v1/healthz reports per-instance ring state; /v1/metrics the
 // router registry. With -route-admin-token the /v1/ring admin surface
 // joins, drains, and ejects instances at runtime without a restart.
-// The router's hot tier is its response cache (-route-stampede-ttl,
-// default 2s): identical concurrent requests collapse into one
-// upstream call, and a verified response answers repeats of its body
-// from the router's memory for the TTL, so a popular query reaches a
-// backend about once per TTL. See internal/router and the README's
-// "Scale-out" section.
+// The router's hot tier is its response cache, always on: identical
+// concurrent requests collapse into one upstream call, and a verified
+// response answers repeats of its body from the router's memory until
+// it is evicted or the instances' answer identity (their
+// X-Queryvis-Build header: binary, limits and verify mode) changes, so
+// a popular query reaches a backend about once per deploy. See
+// internal/router and the README's "Scale-out" section.
 //
 // With -fleet (a JSON spec file) or -fleet-srv (a DNS SRV name) the
 // router additionally runs the self-healing fleet supervisor: a
@@ -159,11 +159,10 @@ func run(args []string, stdout, stderr *os.File) int {
 		workerMode    = fs.Bool("worker", false, "run as a pool worker speaking the frame protocol on stdin/stdout (internal; spawned by -isolation=process)")
 		allowFaults   = fs.Bool("allow-fault-injection", false, "honor the X-Fault-Seed and X-Worker-Fault chaos headers (tests only; never in production)")
 
-		route            = fs.String("route", "", "comma-separated queryvisd base URLs; run as a consistent-hash router over them instead of a server")
-		routeReplicas    = fs.Int("route-replicas", 64, "virtual nodes per instance on the routing ring (with -route)")
-		routeHealthInt   = fs.Duration("route-health-interval", 250*time.Millisecond, "active /v1/healthz probe interval per instance (with -route)")
-		routeAdminToken  = fs.String("route-admin-token", "", "bearer token for the /v1/ring live-membership admin surface; empty disables it (with -route)")
-		routeStampedeTTL = fs.Duration("route-stampede-ttl", 2*time.Second, "TTL of the router's verified-response cache, which answers repeated and concurrent identical requests; 0 disables it (with -route)")
+		route           = fs.String("route", "", "comma-separated queryvisd base URLs; run as a consistent-hash router over them instead of a server")
+		routeReplicas   = fs.Int("route-replicas", 64, "virtual nodes per instance on the routing ring (with -route)")
+		routeHealthInt  = fs.Duration("route-health-interval", 250*time.Millisecond, "active /v1/healthz probe interval per instance (with -route)")
+		routeAdminToken = fs.String("route-admin-token", "", "bearer token for the /v1/ring live-membership admin surface; empty disables it (with -route)")
 
 		fleetSpec       = fs.String("fleet", "", "fleet spec JSON file; run the self-healing supervisor over its desired members (router mode)")
 		fleetSRV        = fs.String("fleet-srv", "", "DNS SRV name (_service._proto.name) to discover desired members from instead of a spec file (router mode)")
@@ -292,7 +291,7 @@ func run(args []string, stdout, stderr *os.File) int {
 			HealthInterval: *routeHealthInt,
 			MaxBodyBytes:   *maxBody,
 			AdminToken:     *routeAdminToken,
-			StampedeTTL:    *routeStampedeTTL,
+			ResponseCache:  true,
 			Metrics:        reg,
 			Logger:         logger,
 		})

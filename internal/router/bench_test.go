@@ -135,10 +135,10 @@ func reportLatencies(b *testing.B, latencies []time.Duration, elapsed time.Durat
 func BenchmarkRouterFailoverStampede(b *testing.B) {
 	for _, mode := range []struct {
 		name string
-		ttl  time.Duration
+		on   bool
 	}{
-		{"stampede-off", 0},
-		{"stampede-on", 500 * time.Millisecond},
+		{"stampede-off", false},
+		{"stampede-on", true},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			live := httptest.NewServer(server.New(server.Config{CacheEntries: 0}))
@@ -152,7 +152,7 @@ func BenchmarkRouterFailoverStampede(b *testing.B) {
 				HealthInterval:   time.Hour, // the detection window never closes
 				BreakerThreshold: 1 << 20,   // nor does the breaker end it
 				InstanceAttempts: 1,
-				StampedeTTL:      mode.ttl,
+				ResponseCache:    mode.on,
 				Metrics:          telemetry.NewRegistry(),
 			})
 			if err != nil {

@@ -64,7 +64,7 @@ func TestRouterMembershipChurn(t *testing.T) {
 		InstanceAttempts:  2,
 		DrainPollInterval: 20 * time.Millisecond,
 		AdminToken:        token,
-		StampedeTTL:       300 * time.Millisecond,
+		ResponseCache:     true,
 		Metrics:           telemetry.NewRegistry(),
 	})
 	if err != nil {

@@ -47,6 +47,8 @@ type instance struct {
 	consecFails atomic.Int64
 	// openUntil is the breaker deadline in unix nanos; 0 means closed.
 	openUntil atomic.Int64
+	// build is the X-Queryvis-Build of its latest answer (respcache.go).
+	build atomic.Value
 }
 
 // eligible reports whether the ring may hand this instance a request.
@@ -87,6 +89,7 @@ func (rt *Router) probe(in *instance) {
 	if err == nil {
 		if resp, perr := rt.probeClient.Do(req); perr == nil {
 			drain(resp)
+			rt.noteBuild(in, resp.Header)
 			ok = resp.StatusCode == http.StatusOK
 		}
 	}

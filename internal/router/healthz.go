@@ -34,6 +34,10 @@ type StampedeState struct {
 	Hits      int64 `json:"hits"`
 	Coalesced int64 `json:"coalesced"`
 	Inserts   int64 `json:"inserts"`
+	// Identity is the fleet's answer identity ("" bypasses the cache);
+	// Generation counts its changes, the outcome="invalidate" series.
+	Identity   string `json:"identity"`
+	Generation int64  `json:"generation"`
 }
 
 // State is the router's health snapshot.
@@ -64,11 +68,11 @@ func (rt *Router) State() State {
 	}
 	if rt.stampede != nil {
 		st.Stampede = &StampedeState{
-			Entries:   rt.stampede.size(),
 			Hits:      rt.stampedeHit.Value(),
 			Coalesced: rt.stampedeCoalesced.Value(),
 			Inserts:   rt.stampedeInsert.Value(),
 		}
+		st.Stampede.Entries, st.Stampede.Identity, st.Stampede.Generation = rt.stampede.stats()
 	}
 	eligible := 0
 	for _, in := range tp.insts {

@@ -75,6 +75,7 @@ func (rt *Router) swap(members []string) *topology {
 		nt.insts[i] = rt.newInstance(m)
 	}
 	rt.topo.Store(nt)
+	rt.stampede.observe(rt.topo.Load)
 	return nt
 }
 

@@ -381,9 +381,9 @@ func TestProbeHysteresisFiltersFlapping(t *testing.T) {
 
 // TestStampedeCollapsesColdWindow: with the response cache on, N
 // concurrent identical requests produce one backend call; followers
-// replay the leader's verified response and the short-TTL cache
-// absorbs the immediate aftermath. Unshareable responses are never
-// replayed, and fault-injected requests bypass the layer.
+// replay the leader's verified response and the cache answers every
+// repeat after it. Unshareable responses are never replayed, and
+// fault-injected requests bypass the layer.
 func TestStampedeCollapsesColdWindow(t *testing.T) {
 	t.Cleanup(leak.Check(t))
 	var slowHits atomic.Int64
@@ -404,7 +404,7 @@ func TestStampedeCollapsesColdWindow(t *testing.T) {
 		}
 	}
 	rt, front, _ := fakeRing(t, 1, hf, func(c *router.Config) {
-		c.StampedeTTL = 300 * time.Millisecond
+		c.ResponseCache = true
 	})
 
 	const stormers = 10
@@ -431,18 +431,17 @@ func TestStampedeCollapsesColdWindow(t *testing.T) {
 		t.Fatalf("stampede accounting %+v, want %d followers served", st.Stampede, stormers-1)
 	}
 
-	// Within the TTL a repeat is answered by the router alone.
+	// A repeat is answered by the router alone.
 	code, hdr, _ := postJSON(t, front.URL+"/v1/diagram", diagramReq(qSome))
 	if code != 200 || hdr.Get("X-Queryvis-Router-Cache") != "hit" {
-		t.Fatalf("TTL repeat: status %d cache header %q, want 200/hit", code, hdr.Get("X-Queryvis-Router-Cache"))
+		t.Fatalf("repeat: status %d cache header %q, want 200/hit", code, hdr.Get("X-Queryvis-Router-Cache"))
 	}
 	if slowHits.Load() != 1 {
-		t.Fatal("TTL repeat reached the backend")
+		t.Fatal("repeat reached the backend")
 	}
 
 	// Degraded responses are never shared: every stormer pays its own
 	// trip once the leader's answer comes back unshareable.
-	time.Sleep(350 * time.Millisecond) // let the cached entry lapse
 	degrade.Store(true)
 	slowHits.Store(0)
 	distinct := diagramReq(qSome + " -- degraded round")

@@ -1,50 +1,48 @@
 // The router's response cache, its one hot tier. Every instance
 // answers the same request body with the same bytes, so the router may
-// answer a repeat itself. On a skewed workload (a few popular queries
-// asked over and over, the repository-browsing case) the cache answers
-// most arrivals, and each popular body reaches a backend about once per
-// TTL; queryvisd ships it on with a 2s TTL (-route-stampede-ttl). The
-// same layer collapses the failover stampede: the moment an instance
-// dies or drains, every key it owned reroutes to ring successors whose
-// diagram caches have never seen those requests, and a popular one
-// arrives as N simultaneous identical requests against a cold cache.
-// The layer reuses the semantics of internal/diagcache at the router
-// tier:
+// answer a repeat itself; on a skewed workload (the repository-browsing
+// case) it answers nearly every arrival. It also collapses the failover
+// stampede, when a dead member's popular keys arrive at once at a cold
+// ring successor. It reuses diagcache's semantics at the router tier:
 //
 //   - singleflight: concurrent identical request bodies share one
-//     upstream call; followers wait for the leader and replay its
-//     response — but only when that response is shareable (a 200 whose
-//     verify status is "verified" or absent/off, never a degraded
-//     artifact or an error). An unshareable leader result sends each
-//     follower on its own upstream call, so failures are never
-//     amplified by replay.
-//   - a short-TTL response cache with verified-only inserts: a fresh
-//     entry answers a repeat without a backend trip; the TTL bounds
-//     how long the router serves an answer from its own memory.
+//     upstream call; followers replay the leader's response only when
+//     it is shareable (a 200 whose verify status is "verified" or
+//     absent/off), so failures are never amplified by replay.
+//   - a bounded LRU of shareable responses that never expire. Every
+//     instance response names its answer identity (X-Queryvis-Build,
+//     see internal/server), and the fleet identity is the one all
+//     members that reported one agree on. Without one the cache is
+//     bypassed, but singleflight still coalesces. Leaving a known
+//     identity bumps the generation and drops every entry; a flight
+//     from an older generation, or an answer of another identity, is
+//     not inserted. Probes report identities, so a changed binary or
+//     flag stops being replayed within one probe interval.
 //
-// A replay keeps the stored status, body and headers but carries the
-// caller's own request and trace IDs (see writeShared). Requests
-// carrying chaos fault headers bypass the layer entirely — an injected
-// fault must reach its backend and must never be replayed onto an
-// innocent caller. The names keep their historical "stampede" prefix
-// (Config.StampedeTTL, queryvis_router_stampede_* series).
+// Replays carry the caller's own IDs and a fresh Date (see
+// writeShared). Requests carrying chaos fault headers bypass the layer.
+// Names keep their historical "stampede" prefix.
 package router
 
 import (
+	"container/list"
 	"net/http"
 	"sync"
-	"time"
 
 	"repro/internal/diagcache"
+	"repro/internal/telemetry"
 )
 
 // Bounds keeping the cache's memory honest: requests larger than
 // stampedeMaxKeyBytes or responses larger than stampedeMaxBodyBytes are
 // proxied straight through (popular queries are small-bodied by
-// nature).
+// nature), and the resident keys and bodies stay under
+// stampedeMaxBytes, diagcache's default.
 const (
 	stampedeMaxKeyBytes  = 64 << 10
 	stampedeMaxBodyBytes = 1 << 20
+	stampedeMaxBytes     = 64 << 20
+	headerBuild          = "X-Queryvis-Build" // an instance's answer identity
 )
 
 // sharedResp is one buffered upstream response, immutable once stored.
@@ -70,8 +68,8 @@ func (sr *sharedResp) shareable() bool {
 }
 
 type stampedeEntry struct {
-	sr      *sharedResp
-	expires time.Time
+	key string
+	sr  *sharedResp
 }
 
 // stampedeFlight is one in-progress leader call; followers wait on
@@ -79,40 +77,80 @@ type stampedeEntry struct {
 type stampedeFlight struct {
 	done chan struct{}
 	sr   *sharedResp
+	gen  int64 // the generation the flight began in
 }
 
-// stampede is the router-side singleflight plus TTL response cache.
+// stampede is the router-side singleflight plus response cache.
 type stampede struct {
 	mu      sync.Mutex
-	entries map[string]*stampedeEntry
+	entries map[string]*list.Element
+	lru     list.List // of *stampedeEntry, most recent first
+	bytes   int
 	flights map[string]*stampedeFlight
-
-	ttl        time.Duration
+	// ident is the fleet's answer identity, "" when there is none; gen,
+	// the outcome="invalidate" series, counts the times one was left.
+	ident string
+	gen   *telemetry.Counter
+	// maxEntries is the entry cap; stampedeMaxBytes is the byte cap.
 	maxEntries int
 }
 
-func newStampede(ttl time.Duration, maxEntries int) *stampede {
+func newStampede(maxEntries int, gen *telemetry.Counter) *stampede {
 	return &stampede{
-		entries:    make(map[string]*stampedeEntry),
+		entries:    make(map[string]*list.Element),
 		flights:    make(map[string]*stampedeFlight),
-		ttl:        ttl,
+		gen:        gen,
 		maxEntries: maxEntries,
 	}
 }
 
-// get returns a fresh cached response for key, nil on miss or expiry.
-func (s *stampede) get(key string, now time.Time) *sharedResp {
+// observe recomputes the fleet identity: the one every member that has
+// reported agrees on, "" otherwise. Leaving a known identity bumps the
+// generation and drops every entry. topo is loaded under the lock, so
+// the last observer always sees the latest reports and members.
+func (s *stampede) observe(topo func() *topology) {
+	if s == nil {
+		return
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e := s.entries[key]
-	if e == nil {
+	ident, n := "", 0
+	for _, in := range topo().insts {
+		if b, _ := in.build.Load().(string); b != "" && b != ident {
+			ident, n = b, n+1
+		}
+	}
+	if n > 1 {
+		ident = ""
+	}
+	if ident != s.ident && s.ident != "" {
+		s.gen.Inc()
+		clear(s.entries)
+		s.lru.Init()
+		s.bytes = 0
+	}
+	s.ident = ident
+}
+
+// noteBuild records the answer identity in a member's response and,
+// when it changed, recomputes the fleet's.
+func (rt *Router) noteBuild(in *instance, h http.Header) {
+	if b := h.Get(headerBuild); in.build.Swap(b) != b {
+		rt.stampede.observe(rt.topo.Load)
+	}
+}
+
+// get returns the cached response for key, nil on a miss. While the
+// fleet has no identity the cache is empty.
+func (s *stampede) get(key string) *sharedResp {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	el := s.entries[key]
+	if el == nil {
 		return nil
 	}
-	if now.After(e.expires) {
-		delete(s.entries, key)
-		return nil
-	}
-	return e.sr
+	s.lru.MoveToFront(el)
+	return el.Value.(*stampedeEntry).sr
 }
 
 // join enters the singleflight for key: the first caller becomes the
@@ -124,28 +162,31 @@ func (s *stampede) join(key string) (*stampedeFlight, bool) {
 	if f, ok := s.flights[key]; ok {
 		return f, false
 	}
-	f := &stampedeFlight{done: make(chan struct{})}
+	f := &stampedeFlight{done: make(chan struct{}), gen: s.gen.Value()}
 	s.flights[key] = f
 	return f, true
 }
 
 // complete resolves a leader's flight: followers wake with sr (nil when
-// the outcome was unshareable), and a shareable response is inserted
-// into the TTL cache. Reports whether the insert happened.
-func (s *stampede) complete(key string, f *stampedeFlight, sr *sharedResp, now time.Time) bool {
+// the outcome was unshareable). A shareable response is inserted when
+// its identity is the fleet's and the generation has not moved since
+// the flight began, evicting from the LRU tail until both caps hold.
+// Reports whether the insert happened.
+func (s *stampede) complete(key string, f *stampedeFlight, sr *sharedResp) bool {
 	if sr != nil && (!sr.shareable() || len(sr.body) > stampedeMaxBodyBytes) {
 		sr = nil
 	}
-	inserted := false
 	s.mu.Lock()
 	delete(s.flights, key)
-	if sr != nil {
-		if len(s.entries) >= s.maxEntries {
-			s.pruneLocked(now)
-		}
-		if len(s.entries) < s.maxEntries {
-			s.entries[key] = &stampedeEntry{sr: sr, expires: now.Add(s.ttl)}
-			inserted = true
+	inserted := sr != nil && s.ident != "" && f.gen == s.gen.Value() &&
+		sr.header.Get(headerBuild) == s.ident && s.entries[key] == nil
+	if inserted {
+		s.entries[key] = s.lru.PushFront(&stampedeEntry{key: key, sr: sr})
+		s.bytes += len(key) + len(sr.body)
+		for s.lru.Len() > s.maxEntries || s.bytes > stampedeMaxBytes {
+			e := s.lru.Remove(s.lru.Back()).(*stampedeEntry)
+			delete(s.entries, e.key)
+			s.bytes -= len(e.key) + len(e.sr.body)
 		}
 	}
 	s.mu.Unlock()
@@ -154,20 +195,10 @@ func (s *stampede) complete(key string, f *stampedeFlight, sr *sharedResp, now t
 	return inserted
 }
 
-// pruneLocked drops expired entries; if none have expired the cache is
-// genuinely full of live entries and the insert is skipped — with a
-// TTL this short, "full" resolves itself within seconds.
-func (s *stampede) pruneLocked(now time.Time) {
-	for k, e := range s.entries {
-		if now.After(e.expires) {
-			delete(s.entries, k)
-		}
-	}
-}
-
-// size reports resident cache entries (expired-but-unswept included).
-func (s *stampede) size() int {
+// stats reports the resident entries, the fleet identity and the
+// generation.
+func (s *stampede) stats() (entries int, ident string, gen int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.entries)
+	return s.lru.Len(), s.ident, s.gen.Value()
 }

@@ -19,11 +19,11 @@
 // Topology is live: the /v1/ring admin surface (see admin.go) joins,
 // drains, and ejects members at runtime against an epoch-versioned
 // immutable snapshot (see membership.go). The router's hot tier is its
-// response cache (see respcache.go): singleflight plus a short-TTL
-// verified-only cache answer repeats of a popular body, and the
-// identical requests of a cache-cold failover window, without a
-// backend trip. Every request that misses it follows its key's ring
-// order.
+// response cache (see respcache.go): singleflight plus a verified-only
+// LRU, dropped whenever the instances' answer identity changes, answer
+// repeats of a popular body, and the identical requests of a cache-cold
+// failover window, without a backend trip. Every request that misses
+// it follows its key's ring order.
 package router
 
 import (
@@ -121,16 +121,13 @@ type Config struct {
 	// DrainPollInterval is how often a drain waiter re-checks a draining
 	// member's in-flight count (default 50ms).
 	DrainPollInterval time.Duration
-	// StampedeTTL enables the router's response cache when positive:
-	// concurrent identical requests collapse into one upstream call
-	// (singleflight) and shareable responses are served from the
-	// router's memory for this long, so a popular body reaches a
-	// backend about once per TTL. queryvisd ships it on (2s); the zero
-	// value leaves it off, because a TTL cache changes single-client
+	// ResponseCache turns on the router's response cache (see
+	// respcache.go). queryvisd's router always turns it on; the zero
+	// value leaves it off, because the cache changes single-client
 	// visible behavior (repeated requests stop reaching a backend).
-	StampedeTTL time.Duration
-	// StampedeMaxEntries bounds the response cache (default 1024).
-	StampedeMaxEntries int
+	ResponseCache bool
+	// ResponseCacheEntries bounds the response cache (default 1024).
+	ResponseCacheEntries int
 	// Metrics receives the router's series; nil creates a private
 	// registry.
 	Metrics *telemetry.Registry
@@ -178,8 +175,8 @@ func (c Config) withDefaults() Config {
 	if c.DrainPollInterval <= 0 {
 		c.DrainPollInterval = 50 * time.Millisecond
 	}
-	if c.StampedeMaxEntries <= 0 {
-		c.StampedeMaxEntries = 1024
+	if c.ResponseCacheEntries <= 0 {
+		c.ResponseCacheEntries = 1024
 	}
 	return c
 }
@@ -202,8 +199,8 @@ type Router struct {
 
 	stampede *stampede // nil ⇒ response cache disabled
 	// The mStampede series by outcome: a served cache "hit", a follower
-	// "coalesced" onto a leader's flight, a shareable response "insert".
-	// Nil when the response cache is disabled.
+	// "coalesced" onto a leader's flight, a shareable response "insert"
+	// (the stampede owns "invalidate"). Nil when the cache is disabled.
 	stampedeHit, stampedeCoalesced, stampedeInsert *telemetry.Counter
 
 	hc          *client.Client  // proxy path: retries + MaxElapsed cap
@@ -284,10 +281,10 @@ func New(cfg Config) (*Router, error) {
 	rt.reg.GaugeFunc(mMembers, "Current ring member count.",
 		func() float64 { return float64(len(rt.topo.Load().members)) })
 
-	if cfg.StampedeTTL > 0 {
-		rt.stampede = newStampede(cfg.StampedeTTL, cfg.StampedeMaxEntries)
+	if cfg.ResponseCache {
+		rt.stampede = newStampede(cfg.ResponseCacheEntries, rt.stampedeCounter("invalidate"))
 		rt.reg.GaugeFunc(mStampedeEntries, "Resident stampede response-cache entries.",
-			func() float64 { return float64(rt.stampede.size()) })
+			func() float64 { n, _, _ := rt.stampede.stats(); return float64(n) })
 		rt.stampedeHit = rt.stampedeCounter("hit")
 		rt.stampedeCoalesced = rt.stampedeCounter("coalesced")
 		rt.stampedeInsert = rt.stampedeCounter("insert")
@@ -418,8 +415,8 @@ func (rt *Router) route(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// The response cache: a fresh shareable answer to this exact request
-	// is replayed from the router's memory; otherwise concurrent
+	// The response cache: a cached shareable answer to this exact
+	// request is replayed from the router's memory; otherwise concurrent
 	// identical requests collapse into one upstream call. The leader
 	// registers a flight here and resolves it at every exit below via
 	// the deferred complete; followers wait and replay a shareable
@@ -431,7 +428,7 @@ func (rt *Router) route(w http.ResponseWriter, r *http.Request) {
 	)
 	if rt.stampede != nil && !carriesFaultHeaders(r) && len(body)+len(r.URL.Path) < stampedeMaxKeyBytes {
 		skey = r.Method + " " + r.URL.Path + "\x00" + string(body)
-		if sr := rt.stampede.get(skey, time.Now()); sr != nil {
+		if sr := rt.stampede.get(skey); sr != nil {
 			rt.stampedeHit.Inc()
 			rt.requests["proxied"].Inc()
 			rt.proxyDur.Observe(time.Since(start).Seconds())
@@ -443,7 +440,7 @@ func (rt *Router) route(w http.ResponseWriter, r *http.Request) {
 		if leader {
 			flight = fl
 			defer func() {
-				if rt.stampede.complete(skey, flight, delivered, time.Now()) {
+				if rt.stampede.complete(skey, flight, delivered) {
 					rt.stampedeInsert.Inc()
 				}
 			}()
@@ -516,6 +513,7 @@ func (rt *Router) route(w http.ResponseWriter, r *http.Request) {
 			}
 			continue
 		}
+		rt.noteBuild(in, sr.header)
 		if retryElsewhere(sr.status) && !last {
 			// The instance shed or is failing; its ring successor gets the
 			// request. Only transport errors and 5xx count against the
@@ -638,8 +636,9 @@ func (rt *Router) forward(r *http.Request, in *instance, body []byte) (*sharedRe
 // responses ("hit", "coalesced") with X-Queryvis-Router-Cache so a
 // client can tell router-served from instance-served answers; a live
 // proxied response passes empty via and gets no marker. A replay was
-// stored with another request's IDs, so it carries the caller's rid
-// and this hop's trace ID (already set on w) instead.
+// stored with another request's IDs and Date, so it carries the
+// caller's rid, this hop's trace ID (already set on w) and no Date,
+// which net/http then stamps fresh.
 func writeShared(w http.ResponseWriter, sr *sharedResp, via, rid string) {
 	h := w.Header()
 	traceID := h.Get(telemetry.TraceIDHeader)
@@ -650,6 +649,7 @@ func writeShared(w http.ResponseWriter, sr *sharedResp, via, rid string) {
 		h[k] = append([]string(nil), vs...)
 	}
 	if via != "" {
+		h.Del("Date")
 		h.Set("X-Queryvis-Router-Cache", via)
 		h.Set("X-Request-Id", rid)
 		h.Set(telemetry.TraceIDHeader, traceID)

@@ -27,7 +27,7 @@ func fakeRing(t *testing.T, n int, hf func(i int) http.HandlerFunc, tune func(*r
 	backends := make([]*httptest.Server, n)
 	urls := make([]string, n)
 	for i := 0; i < n; i++ {
-		backends[i] = httptest.NewServer(hf(i))
+		backends[i] = httptest.NewServer(sameBuild(hf(i)))
 		t.Cleanup(backends[i].Close)
 		urls[i] = backends[i].URL
 	}
@@ -52,6 +52,16 @@ func fakeRing(t *testing.T, n int, hf func(i int) http.HandlerFunc, tune func(*r
 	front := httptest.NewServer(rt)
 	t.Cleanup(front.Close)
 	return rt, front, backends
+}
+
+// sameBuild stamps every response with one X-Queryvis-Build value, as
+// a fleet of identical instances does, so a router's response cache
+// over fakes has a fleet identity.
+func sameBuild(h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("X-Queryvis-Build", "fake")
+		h(w, r)
+	}
 }
 
 // okBackend answers every POST with a 200 JSON body naming itself and a
@@ -316,7 +326,7 @@ func TestReplayCarriesCallersIDs(t *testing.T) {
 	t.Cleanup(leak.Check(t))
 	var hits atomic.Int64
 	_, front, _ := fakeRing(t, 1, idEchoBackend(&hits, 80*time.Millisecond), func(c *router.Config) {
-		c.StampedeTTL = time.Minute
+		c.ResponseCache = true
 	})
 	url := front.URL + "/v1/diagram"
 	body := diagramReq(qSome)
@@ -389,6 +399,41 @@ func TestReplayCarriesCallersIDs(t *testing.T) {
 	}
 	if tr.Traces[0].TraceID != traceID {
 		t.Errorf("router recorded trace %q for %s, response said %q", tr.Traces[0].TraceID, rid, traceID)
+	}
+}
+
+// TestReplayCarriesFreshDate: a replayed response is dated when the
+// router serves it, not when an instance answered. net/http keeps a
+// Date the handler set, and cached entries no longer expire, so a
+// stored Date would grow arbitrarily old.
+func TestReplayCarriesFreshDate(t *testing.T) {
+	t.Cleanup(leak.Check(t))
+	const stale = "Mon, 02 Jan 2006 15:04:05 GMT"
+	_, front, _ := fakeRing(t, 1, func(i int) http.HandlerFunc {
+		return func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/v1/healthz" {
+				w.WriteHeader(http.StatusOK)
+				return
+			}
+			w.Header().Set("Date", stale)
+			w.Header().Set("Content-Type", "application/json")
+			_ = json.NewEncoder(w).Encode(map[string]any{"diagram": "digraph {}"})
+		}
+	}, func(c *router.Config) { c.ResponseCache = true })
+	url := front.URL + "/v1/diagram"
+
+	// A live proxied response passes the instance's own Date through.
+	if st, hdr, _ := postJSON(t, url, diagramReq(qSome)); st != http.StatusOK || hdr.Get("Date") != stale {
+		t.Fatalf("proxied: status %d Date %q, want 200 with the instance's %q", st, hdr.Get("Date"), stale)
+	}
+	sent := time.Now().Truncate(time.Second) // Date has one-second resolution
+	st, hdr, _ := postJSON(t, url, diagramReq(qSome))
+	if st != http.StatusOK || hdr.Get("X-Queryvis-Router-Cache") != "hit" {
+		t.Fatalf("repeat: status %d router cache %q, want 200/hit", st, hdr.Get("X-Queryvis-Router-Cache"))
+	}
+	date, err := http.ParseTime(hdr.Get("Date"))
+	if err != nil || date.Before(sent) {
+		t.Fatalf("replay Date %q (%v) is older than the request sent at %s", hdr.Get("Date"), err, sent)
 	}
 }
 

@@ -1,12 +1,20 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
+	"os"
+	"runtime/debug"
 	"sort"
+	"sync"
 	"time"
 
 	queryvis "repro"
@@ -41,6 +49,46 @@ func (s *Server) configFingerprint() string {
 	sort.Strings(names)
 	return fmt.Sprintf("limits=%+v unlimited=%t budget=%d schemas=%v",
 		s.cfg.Limits, s.cfg.Unlimited, s.cfg.VerifyBudget, names)
+}
+
+// headerBuild is the response header naming an instance's answer
+// identity: two instances that send the same value answer the same
+// request with the same bytes. The router keeps a response it has seen
+// until this value changes (see internal/router).
+const headerBuild = "X-Queryvis-Build"
+
+// executableBuildID is the Go build ID of the running executable: the
+// payload of the ELF note (type 4, name "Go") the Go linker writes near
+// the start of the file. Where there is none, the module build info
+// stands in for it. It is read once per process.
+var executableBuildID = sync.OnceValue(func() string {
+	if exe, err := os.Executable(); err == nil {
+		if f, err := os.Open(exe); err == nil {
+			head := make([]byte, 32<<10)
+			n, _ := io.ReadFull(f, head)
+			f.Close()
+			head = head[:n]
+			if i := bytes.Index(head, []byte("\x04\x00\x00\x00Go\x00\x00")); i >= 8 {
+				size := int(binary.LittleEndian.Uint32(head[i-4:]))
+				if binary.LittleEndian.Uint32(head[i-8:]) == 4 && i+8+size <= n {
+					return string(head[i+8 : i+8+size])
+				}
+			}
+		}
+	}
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		return bi.String()
+	}
+	return ""
+})
+
+// buildIdentity is the X-Queryvis-Build value: a short hash of
+// everything that decides a response's bytes besides the request
+// itself, namely the binary, the configuration an entry is proven
+// under, and the verify mode a request gets when it names none.
+func buildIdentity(fingerprint string, verify queryvis.VerifyMode) string {
+	sum := sha256.Sum256([]byte(executableBuildID() + "\x00" + fingerprint + "\x00" + verify.String()))
+	return hex.EncodeToString(sum[:8])
 }
 
 // cacheKey is the request key. Server schemas are built-in,

@@ -108,8 +108,9 @@ func (s *Server) dispatch(r *http.Request, endpoint string, body []byte, wantEnt
 func writeWorkerResponse(w http.ResponseWriter, resp *workerpool.Response) {
 	for k, v := range resp.Header {
 		// The recorder recomputes framing; a stale worker-side length
-		// would corrupt the reply.
-		if k == "Content-Length" {
+		// would corrupt the reply. The answer identity is the parent's,
+		// which is what the router sees in probes.
+		if k == "Content-Length" || k == headerBuild {
 			continue
 		}
 		w.Header().Set(k, v)

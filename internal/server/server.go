@@ -168,6 +168,10 @@ type Server struct {
 	// schemas holds the built-in schemas, resolved once at New and shared
 	// read-only by every request (the pipeline never mutates a schema).
 	schemas map[string]*schema.Schema
+	// build is the X-Queryvis-Build header value, one slice shared by
+	// every response so that stamping it allocates nothing; its
+	// capacity of one makes any append copy it.
+	build []string
 }
 
 // New builds a Server from the config. The server it builds owns the
@@ -187,6 +191,7 @@ func New(cfg Config) *Server {
 	for _, name := range schema.BuiltinNames() {
 		s.schemas[name], _ = schema.ByName(name)
 	}
+	s.build = []string{buildIdentity(s.configFingerprint(), cfg.DefaultVerify)}
 	if !cfg.DisableTelemetry {
 		s.traces = telemetry.NewTraceRing(0)
 	}
@@ -220,8 +225,10 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// ServeHTTP implements http.Handler.
+// ServeHTTP implements http.Handler. Every response, error or not,
+// carries the instance's answer identity.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	w.Header()[headerBuild] = s.build
 	s.mux.ServeHTTP(w, r)
 }
 

@@ -66,8 +66,11 @@
 #              while 16 workers drive a Zipf-skewed mix with the router's
 #              response cache enabled — every response well-formed, zero
 #              shed, zero 503s, zero leaks; the response cache's
-#              stampede collapse and its replays carrying each caller's
-#              own request and trace IDs; plus the
+#              stampede collapse, its replays carrying each caller's own
+#              request and trace IDs and a fresh Date, and its coherence
+#              (two real instances, one replaced by an instance with
+#              other limits: within one probe round the router stops
+#              replaying the old bytes); plus the
 #              loadgen -zipf smoke (seeded skewed mix, report must carry
 #              the exponent and a dominant hot share)
 #   fleet      self-healing-fleet smokes: the queryvisd fleet-mode
@@ -140,7 +143,7 @@ echo "== queryvisd route-mode lifecycle"
 go test -count=1 -run TestRouteMode ./cmd/queryvisd
 
 echo "== rolling-restart membership churn (race)"
-go test -count=1 -race -run 'TestRouterMembershipChurn|TestStampedeCollapsesColdWindow|TestReplayCarriesCallersIDs' ./internal/router
+go test -count=1 -race -run 'TestRouterMembershipChurn|TestStampedeCollapsesColdWindow|TestReplayCarriesCallersIDs|TestReplayCarriesFreshDate|TestResponseCacheFollowsAnswerIdentity' ./internal/router
 
 echo "== loadgen zipf smoke"
 go test -count=1 -run TestLoadgenZipfSkewsMix ./cmd/loadgen
