@@ -50,8 +50,9 @@
 // response answers repeats of its body from the router's memory until
 // it is evicted or the instances' answer identity (their
 // X-Queryvis-Build header: binary, limits and verify mode) changes, so
-// a popular query reaches a backend about once per deploy. See
-// internal/router and the README's "Scale-out" section.
+// a popular query reaches a backend about once per deploy. While the
+// instances disagree on it, as during a rolling deploy, the cache is
+// bypassed. See internal/router and the README's "Scale-out" section.
 //
 // With -fleet (a JSON spec file) or -fleet-srv (a DNS SRV name) the
 // router additionally runs the self-healing fleet supervisor: a

@@ -339,13 +339,18 @@ func TestFleetPartitionHeal(t *testing.T) {
 			time.Sleep(2 * time.Millisecond)
 		}
 	}
+	// The respawn rewrites the proc's handle under sup.mu, so its pid is
+	// read under the lock too.
 	sup.mu.Lock()
-	killed := sup.procs[members[0].URL]
+	pid := 0
+	if p := sup.procs[members[0].URL]; p != nil && p.running() {
+		pid = p.cmd.pid
+	}
 	sup.mu.Unlock()
-	if killed == nil || !killed.running() {
+	if pid == 0 {
 		t.Fatal("no live managed process for member 0")
 	}
-	if err := syscall.Kill(killed.cmd.pid, syscall.SIGKILL); err != nil {
+	if err := syscall.Kill(pid, syscall.SIGKILL); err != nil {
 		t.Fatalf("SIGKILL member 0: %v", err)
 	}
 	chaosStart := time.Now()

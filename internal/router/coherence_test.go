@@ -103,6 +103,9 @@ func TestResponseCacheFollowsAnswerIdentity(t *testing.T) {
 	if via := hdr.Get("X-Queryvis-Router-Cache"); via != "" || code != http.StatusUnprocessableEntity {
 		t.Fatalf("after the swap: status %d router cache %q, want the new instance's own 422", code, via)
 	}
+	if got := rt.State().Stampede.Bypassed; got != st.Bypassed+1 {
+		t.Fatalf("bypassed lookups %d → %d, want the repeat counted", st.Bypassed, got)
+	}
 	if b := hdr.Get("X-Queryvis-Build"); b == "" || b == st0.Identity {
 		t.Fatalf("after the swap: build %q, want the new instance's, not %q", b, st0.Identity)
 	}

@@ -35,9 +35,10 @@ type StampedeState struct {
 	Coalesced int64 `json:"coalesced"`
 	Inserts   int64 `json:"inserts"`
 	// Identity is the fleet's answer identity ("" bypasses the cache);
-	// Generation counts its changes, the outcome="invalidate" series.
+	// Generation and Bypassed read the "invalidate" and "bypass" series.
 	Identity   string `json:"identity"`
 	Generation int64  `json:"generation"`
+	Bypassed   int64  `json:"bypassed"`
 }
 
 // State is the router's health snapshot.
@@ -71,6 +72,7 @@ func (rt *Router) State() State {
 			Hits:      rt.stampedeHit.Value(),
 			Coalesced: rt.stampedeCoalesced.Value(),
 			Inserts:   rt.stampedeInsert.Value(),
+			Bypassed:  rt.stampede.bypass.Value(),
 		}
 		st.Stampede.Entries, st.Stampede.Identity, st.Stampede.Generation = rt.stampede.stats()
 	}

@@ -11,13 +11,13 @@
 //     absent/off), so failures are never amplified by replay.
 //   - a bounded LRU of shareable responses that never expire. Every
 //     instance response names its answer identity (X-Queryvis-Build,
-//     see internal/server), and the fleet identity is the one all
-//     members that reported one agree on. Without one the cache is
-//     bypassed, but singleflight still coalesces. Leaving a known
-//     identity bumps the generation and drops every entry; a flight
-//     from an older generation, or an answer of another identity, is
-//     not inserted. Probes report identities, so a changed binary or
-//     flag stops being replayed within one probe interval.
+//     see internal/server); the fleet identity is the one all reporting
+//     members agree on. Without one the cache is bypassed, counted as
+//     outcome="bypass", but still coalesces. Leaving a known identity
+//     bumps the generation and drops every entry, and only answers of
+//     the current identity are inserted. Probes report identities, so a
+//     changed binary or flag stops being replayed within one probe
+//     interval.
 //
 // Replays carry the caller's own IDs and a fresh Date (see
 // writeShared). Requests carrying chaos fault headers bypass the layer.
@@ -37,10 +37,11 @@ import (
 // stampedeMaxKeyBytes or responses larger than stampedeMaxBodyBytes are
 // proxied straight through (popular queries are small-bodied by
 // nature), and the resident keys and bodies stay under
-// stampedeMaxBytes, diagcache's default.
+// stampedeMaxEntries and stampedeMaxBytes, diagcache's default.
 const (
 	stampedeMaxKeyBytes  = 64 << 10
 	stampedeMaxBodyBytes = 1 << 20
+	stampedeMaxEntries   = 1024
 	stampedeMaxBytes     = 64 << 20
 	headerBuild          = "X-Queryvis-Build" // an instance's answer identity
 )
@@ -77,7 +78,6 @@ type stampedeEntry struct {
 type stampedeFlight struct {
 	done chan struct{}
 	sr   *sharedResp
-	gen  int64 // the generation the flight began in
 }
 
 // stampede is the router-side singleflight plus response cache.
@@ -87,20 +87,20 @@ type stampede struct {
 	lru     list.List // of *stampedeEntry, most recent first
 	bytes   int
 	flights map[string]*stampedeFlight
-	// ident is the fleet's answer identity, "" when there is none; gen,
-	// the outcome="invalidate" series, counts the times one was left.
-	ident string
-	gen   *telemetry.Counter
-	// maxEntries is the entry cap; stampedeMaxBytes is the byte cap.
-	maxEntries int
+	// ident is the fleet's answer identity, "" when there is none; gen
+	// counts the times one was left, bypass the lookups made without one.
+	ident       string
+	gen, bypass *telemetry.Counter
+	maxEntries  int // stampedeMaxEntries; white-box tests lower it
 }
 
-func newStampede(maxEntries int, gen *telemetry.Counter) *stampede {
+func newStampede(gen, bypass *telemetry.Counter) *stampede {
 	return &stampede{
 		entries:    make(map[string]*list.Element),
 		flights:    make(map[string]*stampedeFlight),
 		gen:        gen,
-		maxEntries: maxEntries,
+		bypass:     bypass,
+		maxEntries: stampedeMaxEntries,
 	}
 }
 
@@ -141,10 +141,14 @@ func (rt *Router) noteBuild(in *instance, h http.Header) {
 }
 
 // get returns the cached response for key, nil on a miss. While the
-// fleet has no identity the cache is empty.
+// fleet has no identity the cache is empty and the lookup is counted.
 func (s *stampede) get(key string) *sharedResp {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.ident == "" {
+		s.bypass.Inc()
+		return nil
+	}
 	el := s.entries[key]
 	if el == nil {
 		return nil
@@ -162,24 +166,23 @@ func (s *stampede) join(key string) (*stampedeFlight, bool) {
 	if f, ok := s.flights[key]; ok {
 		return f, false
 	}
-	f := &stampedeFlight{done: make(chan struct{}), gen: s.gen.Value()}
+	f := &stampedeFlight{done: make(chan struct{})}
 	s.flights[key] = f
 	return f, true
 }
 
 // complete resolves a leader's flight: followers wake with sr (nil when
 // the outcome was unshareable). A shareable response is inserted when
-// its identity is the fleet's and the generation has not moved since
-// the flight began, evicting from the LRU tail until both caps hold.
-// Reports whether the insert happened.
+// its identity is the fleet's, evicting from the LRU tail until both
+// caps hold. Reports whether the insert happened.
 func (s *stampede) complete(key string, f *stampedeFlight, sr *sharedResp) bool {
 	if sr != nil && (!sr.shareable() || len(sr.body) > stampedeMaxBodyBytes) {
 		sr = nil
 	}
 	s.mu.Lock()
 	delete(s.flights, key)
-	inserted := sr != nil && s.ident != "" && f.gen == s.gen.Value() &&
-		sr.header.Get(headerBuild) == s.ident && s.entries[key] == nil
+	inserted := sr != nil && s.ident != "" && sr.header.Get(headerBuild) == s.ident &&
+		s.entries[key] == nil
 	if inserted {
 		s.entries[key] = s.lru.PushFront(&stampedeEntry{key: key, sr: sr})
 		s.bytes += len(key) + len(sr.body)

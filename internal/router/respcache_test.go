@@ -61,7 +61,7 @@ func topoOf(members ...*instance) func() *topology {
 // coherent returns a response cache over members, with the fleet
 // identity already observed.
 func coherent(members ...*instance) *stampede {
-	s := newStampede(16, &telemetry.Counter{})
+	s := newStampede(&telemetry.Counter{}, &telemetry.Counter{})
 	s.observe(topoOf(members...))
 	return s
 }
@@ -120,6 +120,9 @@ func TestStampedeSingleflightResolution(t *testing.T) {
 	if _, leader := s.join("k"); !leader {
 		t.Fatal("key not released after complete")
 	}
+	if n := s.bypass.Value(); n != 0 {
+		t.Fatalf("%d lookups counted as bypassed in a fleet with an identity", n)
+	}
 }
 
 func TestStampedeUnshareableResolvesNilAndCachesNothing(t *testing.T) {
@@ -145,6 +148,9 @@ func TestStampedeIdentityBumpInvalidates(t *testing.T) {
 	if fill(s, fromBuild("b1"), "k1", "k2") != 2 || s.get("k1") == nil {
 		t.Fatal("entries of the fleet's identity not cached")
 	}
+	// Two flights begin under b1 and end after the fleet moved to b2.
+	old, straddled := s.join("k3")
+	fresh, _ := s.join("k4")
 
 	// A rolling deploy: one member answers with a new identity, then the
 	// other. Leaving b1 drops every entry once; reaching b2 from the
@@ -167,6 +173,14 @@ func TestStampedeIdentityBumpInvalidates(t *testing.T) {
 	}
 	if fill(s, fromBuild("b2"), "k1") != 1 || s.get("k1") == nil {
 		t.Fatal("the new identity's response was not cached")
+	}
+	// Of the straddling flights, only the answer of the identity the
+	// fleet now has is kept; both reach their followers.
+	if !straddled || s.complete("k3", old, fromBuild("b1")) || old.sr == nil || s.get("k3") != nil {
+		t.Fatal("an old-identity answer of a flight that began before the bump was inserted")
+	}
+	if !s.complete("k4", fresh, fromBuild("b2")) || s.get("k4") == nil {
+		t.Fatal("a current-identity answer of a flight that began before the bump was not inserted")
 	}
 
 	// Any change away from a known identity invalidates, a direct
@@ -200,6 +214,9 @@ func TestStampedeMixedFleetBypassesButCoalesces(t *testing.T) {
 	if s.get("k") != nil || len(s.entries) != 0 {
 		t.Fatal("a mixed fleet served or kept an entry")
 	}
+	if n := s.bypass.Value(); n != 1 {
+		t.Fatalf("bypassed lookups = %d, want the one get counted", n)
+	}
 }
 
 func TestStampedeUnreportedMemberIgnored(t *testing.T) {
@@ -231,30 +248,9 @@ func TestStampedeUnreportedMemberIgnored(t *testing.T) {
 	}
 }
 
-func TestStampedeFlightAcrossBumpDoesNotInsert(t *testing.T) {
-	a := member("b1")
-	s := coherent(a)
-	f, _ := s.join("k")
-	a.build.Store("b2")
-	s.observe(topoOf(a))
-	if s.complete("k", f, fromBuild("b2")) {
-		t.Fatal("a flight that began before the bump was inserted")
-	}
-	if f.sr == nil {
-		t.Fatal("the flight's followers must still get its response")
-	}
-	if s.get("k") != nil {
-		t.Fatal("the pre-bump flight's response is served")
-	}
-	// A flight begun after the bump inserts again.
-	if fill(s, fromBuild("b2"), "k") != 1 {
-		t.Fatal("a flight of the current generation was not inserted")
-	}
-}
-
 func TestStampedeCacheStaysBounded(t *testing.T) {
-	s := newStampede(8, &telemetry.Counter{})
-	s.observe(topoOf(member("b1")))
+	s := coherent(member("b1"))
+	s.maxEntries = 8
 	for i := 0; i < 100; i++ {
 		fill(s, fromBuild("b1"), fmt.Sprintf("k-%d", i))
 	}
@@ -264,8 +260,8 @@ func TestStampedeCacheStaysBounded(t *testing.T) {
 }
 
 func TestStampedeLRUOrderAtEntryCap(t *testing.T) {
-	s := newStampede(3, &telemetry.Counter{})
-	s.observe(topoOf(member("b1")))
+	s := coherent(member("b1"))
+	s.maxEntries = 3
 	sr := fromBuild("b1")
 	fill(s, sr, "a", "b", "c")
 	s.get("a") // a is now the most recent; b the least
@@ -293,11 +289,13 @@ func TestStampedeByteCapHolds(t *testing.T) {
 	// Entries never expire, so only the byte cap bounds a cache of large
 	// bodies. One 1 MiB body shared by every entry keeps the test small;
 	// the accounting charges each entry for it.
-	s := newStampede(1<<20, &telemetry.Counter{})
-	s.observe(topoOf(member("b1")))
+	s := coherent(member("b1"))
 	sr := fromBuild("b1")
 	sr.body = make([]byte, stampedeMaxBodyBytes)
 	const n = stampedeMaxBytes/stampedeMaxBodyBytes + 8
+	if n > stampedeMaxEntries {
+		t.Fatalf("%d entries would reach the entry cap of %d first", n, stampedeMaxEntries)
+	}
 	for i := 0; i < n; i++ {
 		fill(s, sr, fmt.Sprintf("k-%d", i))
 		if s.bytes > stampedeMaxBytes {
@@ -332,7 +330,7 @@ func TestStampedeOversizedBodyNotShared(t *testing.T) {
 func TestStampedeConcurrentObserve(t *testing.T) {
 	members := []*instance{member("b0"), member("b0")}
 	topo := topoOf(members...)
-	s := newStampede(64, &telemetry.Counter{})
+	s := newStampede(&telemetry.Counter{}, &telemetry.Counter{})
 	s.observe(topo)
 	// incoherent reports an entry whose answer is not of the fleet's
 	// current identity.

@@ -126,8 +126,6 @@ type Config struct {
 	// value leaves it off, because the cache changes single-client
 	// visible behavior (repeated requests stop reaching a backend).
 	ResponseCache bool
-	// ResponseCacheEntries bounds the response cache (default 1024).
-	ResponseCacheEntries int
 	// Metrics receives the router's series; nil creates a private
 	// registry.
 	Metrics *telemetry.Registry
@@ -175,9 +173,6 @@ func (c Config) withDefaults() Config {
 	if c.DrainPollInterval <= 0 {
 		c.DrainPollInterval = 50 * time.Millisecond
 	}
-	if c.ResponseCacheEntries <= 0 {
-		c.ResponseCacheEntries = 1024
-	}
 	return c
 }
 
@@ -199,8 +194,8 @@ type Router struct {
 
 	stampede *stampede // nil ⇒ response cache disabled
 	// The mStampede series by outcome: a served cache "hit", a follower
-	// "coalesced" onto a leader's flight, a shareable response "insert"
-	// (the stampede owns "invalidate"). Nil when the cache is disabled.
+	// "coalesced" onto a leader's flight, a shareable response "insert";
+	// the stampede owns "invalidate" and "bypass". Nil when disabled.
 	stampedeHit, stampedeCoalesced, stampedeInsert *telemetry.Counter
 
 	hc          *client.Client  // proxy path: retries + MaxElapsed cap
@@ -282,7 +277,7 @@ func New(cfg Config) (*Router, error) {
 		func() float64 { return float64(len(rt.topo.Load().members)) })
 
 	if cfg.ResponseCache {
-		rt.stampede = newStampede(cfg.ResponseCacheEntries, rt.stampedeCounter("invalidate"))
+		rt.stampede = newStampede(rt.stampedeCounter("invalidate"), rt.stampedeCounter("bypass"))
 		rt.reg.GaugeFunc(mStampedeEntries, "Resident stampede response-cache entries.",
 			func() float64 { n, _, _ := rt.stampede.stats(); return float64(n) })
 		rt.stampedeHit = rt.stampedeCounter("hit")

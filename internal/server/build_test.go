@@ -5,6 +5,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -94,6 +95,46 @@ func TestExecutableBuildIDMatchesGoTool(t *testing.T) {
 	}
 	if got, want := executableBuildID(), strings.TrimSpace(string(out)); got != want {
 		t.Fatalf("executableBuildID() = %q, want %q", got, want)
+	}
+}
+
+// TestFileBuildIDFallback: an executable without a Go note is
+// identified by its contents, so two different binaries never share an
+// identity, and an unreadable one by nothing.
+func TestFileBuildIDFallback(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, content string) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	// The tail differs past the 32 KiB head the note is searched in.
+	head := strings.Repeat("x", 40<<10)
+	a, b, a2 := write("a", head+"old"), write("b", head+"new"), write("a2", head+"old")
+	if fileBuildID(a) == fileBuildID(b) {
+		t.Fatal("two binaries differing only past the head share an identity")
+	}
+	if id := fileBuildID(a); id != fileBuildID(a2) || !strings.HasPrefix(id, "sha256:") {
+		t.Fatalf("identical contents: %q and %q, want one content hash", id, fileBuildID(a2))
+	}
+	if id := fileBuildID(filepath.Join(dir, "missing")); id != "" {
+		t.Fatalf("unreadable binary identified as %q, want none", id)
+	}
+}
+
+// TestUnknownBinarySendsNoBuild: a server that cannot identify its
+// binary sends no X-Queryvis-Build at all, so a router ignores it
+// rather than trusting an identity another build could share.
+func TestUnknownBinarySendsNoBuild(t *testing.T) {
+	saved := executableBuildID
+	executableBuildID = func() string { return "" }
+	defer func() { executableBuildID = saved }()
+	rec := httptest.NewRecorder()
+	New(Config{}).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/healthz", nil))
+	if vs, ok := rec.Header()[headerBuild]; ok || rec.Code != http.StatusOK {
+		t.Fatalf("status %d build header %q, want 200 with no header", rec.Code, vs)
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"runtime/debug"
 	"sort"
 	"sync"
 	"time"
@@ -57,37 +56,56 @@ func (s *Server) configFingerprint() string {
 // until this value changes (see internal/router).
 const headerBuild = "X-Queryvis-Build"
 
-// executableBuildID is the Go build ID of the running executable: the
-// payload of the ELF note (type 4, name "Go") the Go linker writes near
-// the start of the file. Where there is none, the module build info
-// stands in for it. It is read once per process.
+// executableBuildID identifies the running executable; it is read
+// once per process.
 var executableBuildID = sync.OnceValue(func() string {
-	if exe, err := os.Executable(); err == nil {
-		if f, err := os.Open(exe); err == nil {
-			head := make([]byte, 32<<10)
-			n, _ := io.ReadFull(f, head)
-			f.Close()
-			head = head[:n]
-			if i := bytes.Index(head, []byte("\x04\x00\x00\x00Go\x00\x00")); i >= 8 {
-				size := int(binary.LittleEndian.Uint32(head[i-4:]))
-				if binary.LittleEndian.Uint32(head[i-8:]) == 4 && i+8+size <= n {
-					return string(head[i+8 : i+8+size])
-				}
-			}
+	exe, err := os.Executable()
+	if err != nil {
+		return ""
+	}
+	return fileBuildID(exe)
+})
+
+// fileBuildID identifies the executable at path: the Go build ID in the
+// ELF note (type 4, name "Go") the Go linker writes near the start of
+// the file, or, where there is none, a hash of the whole file, so two
+// different binaries never share an identity. It is "" when the file
+// cannot be read.
+func fileBuildID(path string) string {
+	f, err := os.Open(path)
+	if err != nil {
+		return ""
+	}
+	defer f.Close()
+	head := make([]byte, 32<<10)
+	n, _ := io.ReadFull(f, head)
+	head = head[:n]
+	if i := bytes.Index(head, []byte("\x04\x00\x00\x00Go\x00\x00")); i >= 8 {
+		size := int(binary.LittleEndian.Uint32(head[i-4:]))
+		if binary.LittleEndian.Uint32(head[i-8:]) == 4 && i+8+size <= n {
+			return string(head[i+8 : i+8+size])
 		}
 	}
-	if bi, ok := debug.ReadBuildInfo(); ok {
-		return bi.String()
+	h := sha256.New()
+	h.Write(head)
+	if _, err := io.Copy(h, f); err != nil {
+		return ""
 	}
-	return ""
-})
+	return "sha256:" + hex.EncodeToString(h.Sum(nil))
+}
 
 // buildIdentity is the X-Queryvis-Build value: a short hash of
 // everything that decides a response's bytes besides the request
 // itself, namely the binary, the configuration an entry is proven
-// under, and the verify mode a request gets when it names none.
+// under, and the verify mode a request gets when it names none. It is
+// "" when the binary is unknown: such a server sends no header, and a
+// router neither counts it nor caches its answers.
 func buildIdentity(fingerprint string, verify queryvis.VerifyMode) string {
-	sum := sha256.Sum256([]byte(executableBuildID() + "\x00" + fingerprint + "\x00" + verify.String()))
+	exe := executableBuildID()
+	if exe == "" {
+		return ""
+	}
+	sum := sha256.Sum256([]byte(exe + "\x00" + fingerprint + "\x00" + verify.String()))
 	return hex.EncodeToString(sum[:8])
 }
 

@@ -170,7 +170,8 @@ type Server struct {
 	schemas map[string]*schema.Schema
 	// build is the X-Queryvis-Build header value, one slice shared by
 	// every response so that stamping it allocates nothing; its
-	// capacity of one makes any append copy it.
+	// capacity of one makes any append copy it. Nil when the binary is
+	// unknown (see buildIdentity).
 	build []string
 }
 
@@ -191,7 +192,9 @@ func New(cfg Config) *Server {
 	for _, name := range schema.BuiltinNames() {
 		s.schemas[name], _ = schema.ByName(name)
 	}
-	s.build = []string{buildIdentity(s.configFingerprint(), cfg.DefaultVerify)}
+	if b := buildIdentity(s.configFingerprint(), cfg.DefaultVerify); b != "" {
+		s.build = []string{b}
+	}
 	if !cfg.DisableTelemetry {
 		s.traces = telemetry.NewTraceRing(0)
 	}
@@ -226,9 +229,11 @@ func New(cfg Config) *Server {
 }
 
 // ServeHTTP implements http.Handler. Every response, error or not,
-// carries the instance's answer identity.
+// carries the instance's answer identity when it has one.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	w.Header()[headerBuild] = s.build
+	if s.build != nil {
+		w.Header()[headerBuild] = s.build
+	}
 	s.mux.ServeHTTP(w, r)
 }
 
