@@ -32,7 +32,6 @@ import (
 func TestCacheSmoke(t *testing.T) {
 	base := startDaemon(t, newHandler(server.Config{
 		CacheEntries:  4096,
-		CacheMaxBytes: 64 << 20,
 		DefaultVerify: queryvis.VerifyDegrade,
 	}, false))
 	hc := client.New(client.Config{})

@@ -6,24 +6,27 @@
 //
 // Usage:
 //
-//	queryvisd [-addr :8080] [-timeout 5s] [-max-concurrent 64] \
-//	          [-max-body 1048576] [-shutdown-grace 10s] \
-//	          [-max-query-bytes N] [-max-nesting-depth N] \
-//	          [-max-predicates N] [-max-diagram-nodes N] \
-//	          [-max-diagram-edges N] [-max-output-bytes N] [-unlimited] \
-//	          [-verify off|degrade|strict] [-verify-budget N] \
-//	          [-quarantine-dir DIR] [-quarantine-max-bytes N] \
-//	          [-breaker-threshold N] [-breaker-cooldown 30s] \
-//	          [-cache-entries N] [-cache-bytes N] [-max-batch-items N] \
-//	          [-isolation none|process] [-workers N] \
-//	          [-worker-max-requests N] [-worker-max-rss BYTES] \
-//	          [-route URL,URL,...] [-route-replicas N] \
-//	          [-route-health-interval 250ms] [-route-admin-token TOKEN] \
-//	          [-fleet SPEC.json | -fleet-srv _svc._proto.name] \
-//	          [-fleet-spawn] [-fleet-interval 500ms] \
-//	          [-fleet-min-healthy N] [-fleet-down-after N] \
-//	          [-fleet-up-after N] \
-//	          [-metrics] [-pprof] [-slow-query-ms N]
+//	queryvisd [-addr :8080] [-shutdown-grace 10s] [-pprof] \
+//	          [-verify off|degrade|strict] [-quarantine-dir DIR] \
+//	          [-cache-entries 4096] [-metrics=false] [-allow-fault-injection] \
+//	          [-isolation none|process] [-workers 4] [-worker-max-requests 512] \
+//	          [-route URL,URL,...] [-route-admin-token TOKEN] \
+//	          [-fleet SPEC.json | -fleet-srv _svc._proto.name] [-fleet-spawn] \
+//	          [-fleet-interval 500ms] [-fleet-up-after 2]
+//
+// Past the listener flags on the first line, the flags come in four
+// groups: instance, pool (-isolation=process), router (-route) and fleet
+// (-fleet or -fleet-srv). A flag the selected mode would ignore is a
+// usage error. A spawned pool worker or fleet member inherits exactly
+// the instance flags its parent was given, so a router with -fleet-spawn
+// accepts them too.
+//
+// Everything else is fixed. An instance runs each request under a 5 s
+// deadline and queryvis.DefaultLimits, sheds load beyond 64 concurrent
+// requests with 429 + Retry-After, accepts 1 MiB bodies and 64-item
+// batches, bounds its diagram cache to 64 MiB, opens its verification
+// breaker for 30 s after 5 cost blowouts, and logs requests slower than
+// 500 ms. A router accepts 1 MiB bodies and probes every 250 ms.
 //
 // With -isolation=process the pipeline runs in a supervised pool of
 // child worker processes (this binary re-executed with -worker): a query
@@ -59,7 +62,7 @@
 // reconciliation loop that probes every desired member, joins newly
 // healthy instances, drain-then-ejects persistently unhealthy ones, and
 // rejoins the recovered — every removal gated by a disruption budget
-// (-fleet-min-healthy floor, one drain at a time, never the last
+// (at least one healthy member, one drain at a time, never the last
 // member). -fleet-spawn makes the supervisor also own the member
 // processes (this binary re-executed per member, respawned with
 // backoff), so `queryvisd -route URL -fleet fleet.json -fleet-spawn`
@@ -70,8 +73,8 @@
 //
 // Observability: GET /v1/metrics serves a Prometheus text exposition
 // (disable with -metrics=false), every response carries X-Request-ID
-// and X-Queryvis-Trace-Id headers, and requests slower than
-// -slow-query-ms land in the slow-query log with their string literals
+// and X-Queryvis-Trace-Id headers, and requests slower than 500 ms
+// land in the slow-query log with their string literals
 // scrubbed and their trace tree attached. Every request is traced
 // end-to-end across the fleet — router hop, instance handler, pool
 // dispatch, and worker-side pipeline stages form one trace tree —
@@ -88,18 +91,14 @@
 // an honest verify_status instead of erroring. -quarantine-dir persists
 // scrubbed failing inputs for replay via "oracle -replay".
 //
-// Every request runs under a deadline and the configured resource
-// limits; load beyond -max-concurrent is shed with 429 + Retry-After
-// rather than queued. On SIGINT/SIGTERM the server stops accepting
-// connections and drains in-flight requests for -shutdown-grace before
-// exiting. Exit status is 2 on usage or bind errors, 0 on clean
-// shutdown.
+// On SIGINT/SIGTERM the server stops accepting connections and drains
+// in-flight requests for -shutdown-grace before exiting. Exit status is
+// 2 on usage or bind errors, 0 on clean shutdown.
 package main
 
 import (
 	"context"
 	"errors"
-	"flag"
 	"fmt"
 	"log/slog"
 	"net"
@@ -113,7 +112,6 @@ import (
 	"syscall"
 	"time"
 
-	queryvis "repro"
 	"repro/internal/fleet"
 	"repro/internal/leak"
 	"repro/internal/quarantine"
@@ -128,137 +126,32 @@ func main() {
 }
 
 func run(args []string, stdout, stderr *os.File) int {
-	fs := flag.NewFlagSet("queryvisd", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	def := queryvis.DefaultLimits()
-	var (
-		addr    = fs.String("addr", ":8080", "listen address")
-		timeout = fs.Duration("timeout", 5*time.Second, "per-request pipeline deadline")
-		maxConc = fs.Int("max-concurrent", 64, "max simultaneous requests before shedding 429s")
-		maxBody = fs.Int64("max-body", 1<<20, "max request body bytes")
-		grace   = fs.Duration("shutdown-grace", 10*time.Second, "drain window for in-flight requests on shutdown")
-
-		maxQueryBytes   = fs.Int("max-query-bytes", def.MaxQueryBytes, "max SQL text bytes (0 = unbounded)")
-		maxNestingDepth = fs.Int("max-nesting-depth", def.MaxNestingDepth, "max subquery nesting depth (0 = unbounded)")
-		maxPredicates   = fs.Int("max-predicates", def.MaxPredicates, "max WHERE predicates across all blocks (0 = unbounded)")
-		maxDiagramNodes = fs.Int("max-diagram-nodes", def.MaxDiagramNodes, "max diagram table nodes (0 = unbounded)")
-		maxDiagramEdges = fs.Int("max-diagram-edges", def.MaxDiagramEdges, "max diagram edges (0 = unbounded)")
-		maxOutputBytes  = fs.Int("max-output-bytes", def.MaxOutputBytes, "max rendered output bytes (0 = unbounded)")
-		unlimited       = fs.Bool("unlimited", false, "disable all per-query resource limits")
-
-		verify           = fs.String("verify", "degrade", "default verification mode: off, degrade, or strict (requests can override via the \"verify\" field)")
-		verifyBudget     = fs.Int("verify-budget", 0, "inverse-search node budget per verification (0 = package default, negative = unbounded)")
-		quarantineDir    = fs.String("quarantine-dir", "", "directory for the failure corpus; empty disables quarantining")
-		quarantineBytes  = fs.Int64("quarantine-max-bytes", quarantine.DefaultMaxBytes, "size bound on the quarantine directory (oldest entries evicted)")
-		breakerThreshold = fs.Int("breaker-threshold", 5, "consecutive verification cost blowouts that trip the circuit breaker")
-		breakerCooldown  = fs.Duration("breaker-cooldown", 30*time.Second, "how long the tripped breaker stays open before probing again")
-
-		isolation     = fs.String("isolation", "none", "pipeline isolation: none (in-process) or process (supervised worker pool)")
-		workers       = fs.Int("workers", 4, "worker processes in the pool (with -isolation=process)")
-		workerMaxReqs = fs.Int("worker-max-requests", 512, "recycle a worker after this many requests (with -isolation=process)")
-		workerMaxRSS  = fs.Int64("worker-max-rss", 512<<20, "SIGKILL a worker whose resident set exceeds this many bytes (with -isolation=process; no-op off Linux)")
-		workerMode    = fs.Bool("worker", false, "run as a pool worker speaking the frame protocol on stdin/stdout (internal; spawned by -isolation=process)")
-		allowFaults   = fs.Bool("allow-fault-injection", false, "honor the X-Fault-Seed and X-Worker-Fault chaos headers (tests only; never in production)")
-
-		route           = fs.String("route", "", "comma-separated queryvisd base URLs; run as a consistent-hash router over them instead of a server")
-		routeReplicas   = fs.Int("route-replicas", 64, "virtual nodes per instance on the routing ring (with -route)")
-		routeHealthInt  = fs.Duration("route-health-interval", 250*time.Millisecond, "active /v1/healthz probe interval per instance (with -route)")
-		routeAdminToken = fs.String("route-admin-token", "", "bearer token for the /v1/ring live-membership admin surface; empty disables it (with -route)")
-
-		fleetSpec       = fs.String("fleet", "", "fleet spec JSON file; run the self-healing supervisor over its desired members (router mode)")
-		fleetSRV        = fs.String("fleet-srv", "", "DNS SRV name (_service._proto.name) to discover desired members from instead of a spec file (router mode)")
-		fleetSpawn      = fs.Bool("fleet-spawn", false, "supervise one local queryvisd process per desired member, respawning exits with backoff (with -fleet)")
-		fleetInterval   = fs.Duration("fleet-interval", 500*time.Millisecond, "fleet reconcile cadence (with -fleet/-fleet-srv)")
-		fleetMinHealthy = fs.Int("fleet-min-healthy", 1, "disruption-budget floor: refuse removals that would leave fewer healthy serving members (with -fleet)")
-		fleetDownAfter  = fs.Int("fleet-down-after", 3, "consecutive bad observations of a member before acting against it (with -fleet)")
-		fleetUpAfter    = fs.Int("fleet-up-after", 2, "consecutive good observations before (re)joining a member (with -fleet)")
-
-		cacheEntries  = fs.Int("cache-entries", 4096, "diagram cache capacity in entries, keyed on schema, simplify flag and SQL text; one cache per instance, which serves hits itself under either -isolation (0 disables caching)")
-		cacheBytes    = fs.Int64("cache-bytes", 64<<20, "diagram cache payload bound in bytes")
-		maxBatchItems = fs.Int("max-batch-items", 64, "max items per /v1/diagrams:batch request")
-
-		metrics     = fs.Bool("metrics", true, "serve Prometheus metrics on /v1/metrics and instrument requests")
-		enablePprof = fs.Bool("pprof", false, "mount /debug/pprof/ and /debug/goroutines (never expose publicly)")
-		slowQueryMS = fs.Int("slow-query-ms", 500, "log requests at least this slow with scrubbed SQL (0 disables)")
-	)
-	if err := fs.Parse(args); err != nil {
+	o, err := parseFlags(args, stderr)
+	if err != nil {
 		return 2
 	}
 	logger := slog.New(slog.NewTextHandler(stderr, nil))
-	if *isolation != "none" && *isolation != "process" {
-		logger.Error("bad -isolation flag", "value", *isolation, "want", "none or process")
-		return 2
+	if o.routing() {
+		return runRouter(o, logger)
 	}
-	verifyMode, err := queryvis.ParseVerifyMode(*verify)
-	if err != nil {
-		logger.Error("bad -verify flag", "err", err)
-		return 2
-	}
-	var quarStore *quarantine.Store
-	if *quarantineDir != "" {
-		var err error
-		if quarStore, err = quarantine.Open(*quarantineDir, *quarantineBytes); err != nil {
+	var quar *quarantine.Store
+	if o.quarantineDir != "" {
+		if quar, err = quarantine.Open(o.quarantineDir, 0); err != nil {
 			logger.Error("opening quarantine", "err", err)
 			return 2
 		}
 	}
-	var fleetSrc fleet.Source
-	switch {
-	case *fleetSpec != "" && *fleetSRV != "":
-		logger.Error("-fleet and -fleet-srv are mutually exclusive; pick one desired-state source")
-		return 2
-	case *fleetSpec != "":
-		fleetSrc = &fleet.SpecSource{Path: *fleetSpec}
-	case *fleetSRV != "":
-		src, err := parseSRVName(*fleetSRV)
-		if err != nil {
-			logger.Error("bad -fleet-srv flag", "err", err)
-			return 2
-		}
-		fleetSrc = src
-	}
-	if *fleetSpawn && fleetSrc == nil {
-		logger.Error("-fleet-spawn requires -fleet or -fleet-srv")
-		return 2
-	}
+	cfg := o.instanceConfig(quar, logger)
 
-	cfg := server.Config{
-		Limits: queryvis.Limits{
-			MaxQueryBytes:   *maxQueryBytes,
-			MaxNestingDepth: *maxNestingDepth,
-			MaxPredicates:   *maxPredicates,
-			MaxDiagramNodes: *maxDiagramNodes,
-			MaxDiagramEdges: *maxDiagramEdges,
-			MaxOutputBytes:  *maxOutputBytes,
-		},
-		Unlimited:           *unlimited,
-		RequestTimeout:      *timeout,
-		MaxConcurrent:       *maxConc,
-		MaxBodyBytes:        *maxBody,
-		AllowFaultInjection: *allowFaults,
-		DefaultVerify:       verifyMode,
-		VerifyBudget:        *verifyBudget,
-		Quarantine:          quarStore,
-		BreakerThreshold:    *breakerThreshold,
-		BreakerCooldown:     *breakerCooldown,
-		CacheEntries:        *cacheEntries,
-		CacheMaxBytes:       *cacheBytes,
-		MaxBatchItems:       *maxBatchItems,
-		DisableTelemetry:    !*metrics,
-		Logger:              logger,
-		SlowQueryThreshold:  time.Duration(*slowQueryMS) * time.Millisecond,
-	}
-
-	if *workerMode {
+	if o.worker {
 		// Child mode: no listener, no telemetry surface of its own and no
 		// cache (the parent owns the instance's one cache) — just the frame
 		// protocol on stdin/stdout in front of the same hardened handler
 		// stack, one request at a time, expendable by design.
 		cfg.DisableTelemetry = true
 		cfg.CacheEntries = 0
-		cfg.Logger = logger
 		if err := workerpool.RunWorker(os.Stdin, stdout, server.New(cfg), workerpool.RunOptions{
-			AllowFaultHeaders: *allowFaults,
+			AllowFaultHeaders: o.allowFaults,
 		}); err != nil {
 			logger.Error("worker loop failed", "err", err)
 			return 1
@@ -266,159 +159,35 @@ func run(args []string, stdout, stderr *os.File) int {
 		return 0
 	}
 
-	if *route != "" || fleetSrc != nil {
-		// Router mode: no pipeline of its own — just the ring. The server
-		// flags above are ignored; instances bring their own limits. A
-		// fleet source alone also selects router mode, with the initial
-		// ring seeded from the desired set.
-		backends := []string{}
-		if *route != "" {
-			backends = strings.Split(*route, ",")
-		}
-		if len(backends) == 0 && fleetSrc != nil {
-			ms, err := fleetSrc.Desired(context.Background())
-			if err != nil {
-				logger.Error("reading initial fleet desired state", "err", err)
-				return 2
-			}
-			for _, m := range ms {
-				backends = append(backends, m.URL)
-			}
-		}
-		reg := telemetry.NewRegistry()
-		rt, err := router.New(router.Config{
-			Backends:       backends,
-			Replicas:       *routeReplicas,
-			HealthInterval: *routeHealthInt,
-			MaxBodyBytes:   *maxBody,
-			AdminToken:     *routeAdminToken,
-			ResponseCache:  true,
-			Metrics:        reg,
-			Logger:         logger,
-		})
-		if err != nil {
-			logger.Error("starting router", "err", err)
-			return 2
-		}
-		ln, err := net.Listen("tcp", *addr)
-		if err != nil {
-			rt.Close()
-			logger.Error("listen failed", "addr", *addr, "err", err)
-			return 2
-		}
-		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-		defer stop()
-
-		// The fleet supervisor shares the router's registry so one
-		// /v1/metrics scrape covers the queryvis_fleet_* families too.
-		var supDone chan struct{}
-		var supStop context.CancelFunc
-		if fleetSrc != nil {
-			fcfg := fleet.Config{
-				Ring:       rt,
-				Source:     fleetSrc,
-				Interval:   *fleetInterval,
-				DownAfter:  *fleetDownAfter,
-				UpAfter:    *fleetUpAfter,
-				MinHealthy: *fleetMinHealthy,
-				Metrics:    reg,
-				Logger:     logger,
-			}
-			if *fleetSpawn {
-				fcfg.Spawn = memberSpawner(fs, *allowFaults)
-			}
-			sup, err := fleet.New(fcfg)
-			if err != nil {
-				rt.Close()
-				_ = ln.Close()
-				logger.Error("starting fleet supervisor", "err", err)
-				return 2
-			}
-			rt.SetFleetStatus(func() any { return sup.Status() })
-			supCtx, cancel := context.WithCancel(context.Background())
-			supStop = cancel
-			supDone = make(chan struct{})
-			go func() {
-				defer close(supDone)
-				sup.Run(supCtx)
-			}()
-			// SIGHUP: re-read the spec and reconcile now, not a tick later.
-			hup := make(chan os.Signal, 1)
-			signal.Notify(hup, syscall.SIGHUP)
-			go func() {
-				defer signal.Stop(hup)
-				for {
-					select {
-					case <-supCtx.Done():
-						return
-					case <-hup:
-						logger.Info("SIGHUP: reloading fleet desired state")
-						sup.Poke()
-					}
-				}
-			}()
-			logger.Info("fleet supervisor running", "spawn", *fleetSpawn,
-				"interval", *fleetInterval, "min_healthy", *fleetMinHealthy)
-		}
-
-		logger.Info("routing", "instances", len(rt.State().Instances))
-		serveErr := serveWith(ctx, ln, withDebug(rt, *enablePprof), *grace, logger)
-		if supStop != nil {
-			// Stop reconciling (and tear down spawned members) only after
-			// the listener has drained, so in-flight proxied requests keep
-			// their instances.
-			supStop()
-			<-supDone
-		}
-		rt.Close()
-		if serveErr != nil {
-			logger.Error("serve failed", "err", serveErr)
-			return 2
-		}
-		return 0
-	}
-
-	ln, err := net.Listen("tcp", *addr)
+	ln, err := net.Listen("tcp", o.addr)
 	if err != nil {
-		logger.Error("listen failed", "addr", *addr, "err", err)
+		logger.Error("listen failed", "addr", o.addr, "err", err)
 		return 2
 	}
 
 	var pool *workerpool.Pool
-	if *isolation == "process" {
-		reg := telemetry.NewRegistry()
-		cfg.Metrics = reg
-		pool, err = workerpool.New(workerpool.Config{
-			Spawn:                workerSpawner(fs, *allowFaults),
-			Workers:              *workers,
-			MaxRequestsPerWorker: *workerMaxReqs,
-			MaxWorkerRSS:         *workerMaxRSS,
-			// The pool's SIGKILL deadline sits above the worker's own
-			// pipeline deadline, so a slow-but-cooperative worker answers
-			// with a categorized timeout; SIGKILL is for the wedged.
-			RequestTimeout: *timeout + 2*time.Second,
-			Metrics:        reg,
-			Logger:         logger,
-		})
+	if o.isolation == "process" {
+		cfg.Metrics = telemetry.NewRegistry()
+		pool, err = workerpool.New(o.poolConfig(cfg.Metrics, logger))
 		if err != nil {
 			_ = ln.Close()
 			logger.Error("starting worker pool", "err", err)
 			return 2
 		}
 		cfg.Pool = pool
-		logger.Info("process isolation enabled", "workers", *workers)
+		logger.Info("process isolation enabled", "workers", o.workers)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	serveErr := serveWith(ctx, ln, newHandler(cfg, *enablePprof), *grace, logger)
+	serveErr := serveWith(ctx, ln, newHandler(cfg, o.pprof), o.grace, logger)
 	if pool != nil {
 		// Ordering matters for graceful drain: srv.Shutdown (inside
 		// serveWith) has already waited for in-flight HTTP requests —
 		// including their pool dispatches — so closing the pool here never
 		// yanks a worker out from under a live request.
-		cctx, cancel := context.WithTimeout(context.Background(), *grace)
+		cctx, cancel := context.WithTimeout(context.Background(), o.grace)
 		if cerr := pool.Close(cctx); cerr != nil {
 			logger.Warn("worker pool drain incomplete", "err", cerr)
 		}
@@ -431,16 +200,102 @@ func run(args []string, stdout, stderr *os.File) int {
 	return 0
 }
 
-// workerSpawner builds the pool's spawn function: this same binary,
-// re-executed in -worker mode with the parent's pipeline flags forwarded
-// verbatim, plus the QUERYVISD_WORKER environment marker so a test
-// binary acting as the daemon routes the child into worker mode before
-// the test framework takes over.
-func workerSpawner(fs *flag.FlagSet, allowFaults bool) func() (*exec.Cmd, error) {
-	args := append([]string{"-worker"}, forwardedPipelineFlags(fs)...)
-	if allowFaults {
-		args = append(args, "-allow-fault-injection")
+// runRouter serves router mode: no pipeline of its own, just the ring.
+// A fleet source alone also selects router mode, with the initial ring
+// seeded from the desired set.
+func runRouter(o *options, logger *slog.Logger) int {
+	backends := []string{}
+	if o.route != "" {
+		backends = strings.Split(o.route, ",")
 	}
+	if len(backends) == 0 && o.fleetSrc != nil {
+		ms, err := o.fleetSrc.Desired(context.Background())
+		if err != nil {
+			logger.Error("reading initial fleet desired state", "err", err)
+			return 2
+		}
+		for _, m := range ms {
+			backends = append(backends, m.URL)
+		}
+	}
+	reg := telemetry.NewRegistry()
+	rt, err := router.New(o.routerConfig(backends, reg, logger))
+	if err != nil {
+		logger.Error("starting router", "err", err)
+		return 2
+	}
+	ln, err := net.Listen("tcp", o.addr)
+	if err != nil {
+		rt.Close()
+		logger.Error("listen failed", "addr", o.addr, "err", err)
+		return 2
+	}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+
+	// The fleet supervisor shares the router's registry so one
+	// /v1/metrics scrape covers the queryvis_fleet_* families too.
+	var supDone chan struct{}
+	var supStop context.CancelFunc
+	if o.fleetSrc != nil {
+		sup, err := fleet.New(o.fleetConfig(rt, reg, logger))
+		if err != nil {
+			rt.Close()
+			_ = ln.Close()
+			logger.Error("starting fleet supervisor", "err", err)
+			return 2
+		}
+		rt.SetFleetStatus(func() any { return sup.Status() })
+		supCtx, cancel := context.WithCancel(context.Background())
+		supStop = cancel
+		supDone = make(chan struct{})
+		go func() {
+			defer close(supDone)
+			sup.Run(supCtx)
+		}()
+		// SIGHUP: re-read the spec and reconcile now, not a tick later.
+		hup := make(chan os.Signal, 1)
+		signal.Notify(hup, syscall.SIGHUP)
+		go func() {
+			defer signal.Stop(hup)
+			for {
+				select {
+				case <-supCtx.Done():
+					return
+				case <-hup:
+					logger.Info("SIGHUP: reloading fleet desired state")
+					sup.Poke()
+				}
+			}
+		}()
+		logger.Info("fleet supervisor running", "spawn", o.fleetSpawn, "interval", o.fleetInterval)
+	}
+
+	logger.Info("routing", "instances", len(rt.State().Instances))
+	serveErr := serveWith(ctx, ln, withDebug(rt, o.pprof), o.grace, logger)
+	if supStop != nil {
+		// Stop reconciling (and tear down spawned members) only after
+		// the listener has drained, so in-flight proxied requests keep
+		// their instances.
+		supStop()
+		<-supDone
+	}
+	rt.Close()
+	if serveErr != nil {
+		logger.Error("serve failed", "err", serveErr)
+		return 2
+	}
+	return 0
+}
+
+// workerSpawner builds the pool's spawn function: this same binary,
+// re-executed in -worker mode with the parent's instance flags, plus
+// the QUERYVISD_WORKER environment marker so a test binary acting as
+// the daemon routes the child into worker mode before the test
+// framework takes over. A worker ignores the cache and metrics flags
+// among them: the parent owns the instance's cache and telemetry.
+func (o *options) workerSpawner() func() (*exec.Cmd, error) {
+	args := append([]string{"-worker"}, o.inherited()...)
 	return func() (*exec.Cmd, error) {
 		exe, err := os.Executable()
 		if err != nil {
@@ -452,44 +307,14 @@ func workerSpawner(fs *flag.FlagSet, allowFaults bool) func() (*exec.Cmd, error)
 	}
 }
 
-// forwardedPipelineFlags lists the explicitly-set pipeline flags a
-// spawned child (pool worker or fleet member) inherits, plus any extra
-// flags named; listener, pool, router, and fleet flags stay parent-side.
-// The cache flags are not pipeline flags: a pool's workers never cache,
-// and only a fleet member, a full instance, takes them.
-func forwardedPipelineFlags(fs *flag.FlagSet, extra ...string) []string {
-	forward := map[string]bool{
-		"timeout": true, "max-body": true,
-		"max-query-bytes": true, "max-nesting-depth": true, "max-predicates": true,
-		"max-diagram-nodes": true, "max-diagram-edges": true, "max-output-bytes": true,
-		"unlimited": true,
-		"verify":    true, "verify-budget": true,
-		"quarantine-dir": true, "quarantine-max-bytes": true,
-		"breaker-threshold": true, "breaker-cooldown": true,
-	}
-	for _, name := range extra {
-		forward[name] = true
-	}
-	var args []string
-	fs.Visit(func(f *flag.Flag) {
-		if forward[f.Name] {
-			args = append(args, "-"+f.Name+"="+f.Value.String())
-		}
-	})
-	return args
-}
-
 // memberSpawner builds the fleet supervisor's Spawn function: this same
 // binary re-executed as a full queryvisd server on the member's own
-// address, with the operator's pipeline flags forwarded and the
-// member's extra spec args appended last (so a member can override). The
-// QUERYVISD_MEMBER marker routes children of a test binary back into
-// run() before the test framework sees their flags.
-func memberSpawner(fs *flag.FlagSet, allowFaults bool) func(fleet.Member) (*exec.Cmd, error) {
-	shared := forwardedPipelineFlags(fs, "cache-entries", "cache-bytes")
-	if allowFaults {
-		shared = append(shared, "-allow-fault-injection")
-	}
+// address, with the parent's instance flags and the member's extra spec
+// args appended last (so a member can override). The QUERYVISD_MEMBER
+// marker routes children of a test binary back into run() before the
+// test framework sees their flags.
+func (o *options) memberSpawner() func(fleet.Member) (*exec.Cmd, error) {
+	shared := o.inherited()
 	return func(m fleet.Member) (*exec.Cmd, error) {
 		u, err := url.Parse(m.URL)
 		if err != nil {

@@ -291,17 +291,54 @@ func TestPprofGate(t *testing.T) {
 	}
 }
 
+// TestUsageError: a bad flag, a bad address, and every flag the selected
+// mode would ignore exit 2 with a message naming the flag.
 func TestUsageError(t *testing.T) {
 	devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer devnull.Close()
-	if got := run([]string{"-no-such-flag"}, devnull, devnull); got != 2 {
-		t.Fatalf("run with bad flag = %d, want 2", got)
-	}
-	if got := run([]string{"-addr", "256.256.256.256:99999"}, devnull, devnull); got != 2 {
-		t.Fatalf("run with bad addr = %d, want 2", got)
+	for _, tc := range []struct {
+		args []string
+		want string // in stderr
+	}{
+		{[]string{"-no-such-flag"}, "-no-such-flag"},
+		{[]string{"-timeout", "5s"}, "-timeout"}, // deleted: the deadline is fixed
+		{[]string{"-addr", "256.256.256.256:99999"}, "listen failed"},
+		{[]string{"-verify", "sometimes"}, "-verify"},
+		{[]string{"-isolation", "thread"}, "-isolation"},
+		{[]string{"-workers", "2"}, "-workers requires -isolation=process"},
+		{[]string{"-isolation=none", "-worker-max-requests", "9"}, "-worker-max-requests requires -isolation=process"},
+		{[]string{"-route", "http://127.0.0.1:1", "-isolation=process"}, "-isolation configures a worker pool"},
+		{[]string{"-route", "http://127.0.0.1:1", "-metrics=false"}, "-metrics configures an instance"},
+		{[]string{"-route", "http://127.0.0.1:1", "-cache-entries", "0"}, "-cache-entries configures an instance"},
+		{[]string{"-route-admin-token", "secret"}, "-route-admin-token requires router mode"},
+		{[]string{"-fleet-spawn"}, "-fleet-spawn requires -fleet or -fleet-srv"},
+		{[]string{"-route", "http://127.0.0.1:1", "-fleet-interval", "1s"}, "-fleet-interval requires -fleet or -fleet-srv"},
+		{[]string{"-fleet", "fleet.json", "-fleet-srv", "_qv._tcp.example"}, "mutually exclusive"},
+		{[]string{"-fleet-srv", "qv.example"}, "-fleet-srv"},
+		{[]string{"-worker", "-route", "http://127.0.0.1:1"}, "-route does not apply to a pool worker"},
+		{[]string{"-worker", "-isolation=process"}, "-isolation does not apply to a pool worker"},
+	} {
+		stderr, err := os.CreateTemp(t.TempDir(), "stderr")
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A run that does not return is serving: the check let it through.
+		done := make(chan int, 1)
+		go func() { done <- run(tc.args, devnull, stderr) }()
+		var got int
+		select {
+		case got = <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("run %q is serving; want a usage error", tc.args)
+		}
+		stderr.Close()
+		msg, _ := os.ReadFile(stderr.Name())
+		if got != 2 || !strings.Contains(string(msg), tc.want) {
+			t.Errorf("run %q = %d, stderr %q; want 2 and a message containing %q", tc.args, got, msg, tc.want)
+		}
 	}
 }
 

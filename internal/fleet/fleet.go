@@ -14,7 +14,7 @@
 //     supervisor's streak counters, never the ring.
 //
 //   - A disruption budget. Every removal is gated: at most
-//     MaxConcurrentDrains drains in flight, never below the MinHealthy
+//     maxConcurrentDrains drains in flight, never below the MinHealthy
 //     floor of healthy serving members, never the last member. A denied
 //     action is counted and logged, then retried on a later tick when
 //     the budget allows — the supervisor heals the fleet strictly one
@@ -48,9 +48,8 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Ring is the membership surface the supervisor drives. *router.Router
-// satisfies it directly (the in-process deployment); HTTPRing adapts a
-// remote router's /v1/ring admin API to the same shape.
+// Ring is the membership surface the supervisor drives; *router.Router
+// satisfies it.
 type Ring interface {
 	State() router.State
 	Join(url string) (epoch uint64, status string, err error)
@@ -73,6 +72,9 @@ const (
 	mProcs        = "queryvis_fleet_managed_processes"
 	mHealDur      = "queryvis_fleet_heal_duration_seconds"
 )
+
+// maxConcurrentDrains caps drains in flight.
+const maxConcurrentDrains = 1
 
 // Config tunes the supervisor. Ring and Source are required; zero
 // durations and counts take the documented defaults.
@@ -101,8 +103,6 @@ type Config struct {
 	// serving (default 1). A member that is already unhealthy does not
 	// count toward the floor, so dead members are always removable.
 	MinHealthy int
-	// MaxConcurrentDrains caps drains in flight (default 1).
-	MaxConcurrentDrains int
 	// DrainTimeout escalates a drain that has not completed — the
 	// member still on the ring, its in-flight requests apparently
 	// immortal — to a hard eject (default 10s).
@@ -131,7 +131,9 @@ type Config struct {
 	Logger *slog.Logger
 }
 
-func (c Config) withDefaults() Config {
+// WithDefaults returns the config with every zero field set to its
+// documented default: the values New runs with.
+func (c Config) WithDefaults() Config {
 	if c.Interval <= 0 {
 		c.Interval = 500 * time.Millisecond
 	}
@@ -146,9 +148,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MinHealthy <= 0 {
 		c.MinHealthy = 1
-	}
-	if c.MaxConcurrentDrains <= 0 {
-		c.MaxConcurrentDrains = 1
 	}
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 10 * time.Second
@@ -245,7 +244,7 @@ func New(cfg Config) (*Supervisor, error) {
 	if cfg.Source == nil {
 		return nil, fmt.Errorf("fleet: Config.Source is required")
 	}
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	s := &Supervisor{
 		cfg:          cfg,
 		reg:          cfg.Metrics,
@@ -522,7 +521,7 @@ func (s *Supervisor) reconcileLocked(obs []observation, onRing map[string]router
 		if in.Draining {
 			return true, "" // already budgeted when the drain started
 		}
-		if pendingDrains >= s.cfg.MaxConcurrentDrains {
+		if pendingDrains >= maxConcurrentDrains {
 			return false, "drain_concurrency"
 		}
 		// The floor gates the *delta*, not the absolute: removing a

@@ -188,15 +188,14 @@ func (f *fakeSource) Desired(context.Context) ([]Member, error) {
 func newTestSup(t *testing.T, fr *fakeRing, src Source, mut func(*Config)) *Supervisor {
 	t.Helper()
 	cfg := Config{
-		Ring:                fr,
-		Source:              src,
-		ProbeTimeout:        2 * time.Second,
-		DownAfter:           2,
-		UpAfter:             2,
-		MinHealthy:          1,
-		MaxConcurrentDrains: 1,
-		DrainTimeout:        time.Nanosecond,
-		Metrics:             telemetry.NewRegistry(),
+		Ring:         fr,
+		Source:       src,
+		ProbeTimeout: 2 * time.Second,
+		DownAfter:    2,
+		UpAfter:      2,
+		MinHealthy:   1,
+		DrainTimeout: time.Nanosecond,
+		Metrics:      telemetry.NewRegistry(),
 		HTTPClient: &http.Client{
 			Timeout:   2 * time.Second,
 			Transport: &http.Transport{DisableKeepAlives: true},
@@ -343,7 +342,7 @@ func TestBudgetDrainConcurrency(t *testing.T) {
 	tick(s, 1)
 	d1, d2 := fr.draining(urls[1]), fr.draining(urls[2])
 	if !d1 || d2 {
-		t.Fatalf("exactly the first unhealthy member should drain (got %v, %v); MaxConcurrentDrains=1", d1, d2)
+		t.Fatalf("exactly the first unhealthy member should drain (got %v, %v); maxConcurrentDrains=1", d1, d2)
 	}
 	if got := s.reg.Value(mDenied, "reason", "drain_concurrency"); got != 1 {
 		t.Fatalf("drain_concurrency denials = %v, want 1", got)

@@ -9,6 +9,14 @@ import (
 	"repro/internal/telemetry"
 )
 
+// probeUpAfter is how many consecutive passing probes readmit an
+// unhealthy instance. A flapping instance has to prove a streak before
+// the ring trusts it with keys again.
+const probeUpAfter = 2
+
+// probeTimeout bounds one health probe.
+const probeTimeout = time.Second
+
 // instance is one routed-to backend plus its health bookkeeping. Three
 // independent signals gate traffic: the active prober's verdict
 // (healthy), the request-path circuit breaker (openUntil), and the
@@ -30,7 +38,7 @@ type instance struct {
 	// streaks. A single blown probe must not eject an instance that is
 	// merely busy, and a single lucky probe must not readmit one that is
 	// flapping — the verdict flips only after ProbeDownAfter consecutive
-	// failures or ProbeUpAfter consecutive passes. Only the prober
+	// failures or probeUpAfter consecutive passes. Only the prober
 	// goroutine writes these; atomics keep healthz reads clean.
 	probeFails atomic.Int32
 	probeOKs   atomic.Int32
@@ -83,7 +91,7 @@ func (in *instance) recordFailure(threshold int, cooldown time.Duration) {
 // the ring's eligibility set probe by probe.
 func (rt *Router) probe(in *instance) {
 	ok := false
-	ctx, cancel := context.WithTimeout(context.Background(), rt.cfg.ProbeTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, in.url+"/v1/healthz", nil)
 	if err == nil {
@@ -99,7 +107,7 @@ func (rt *Router) probe(in *instance) {
 			in.probeOKs.Store(0)
 			return
 		}
-		if in.probeOKs.Add(1) < int32(rt.cfg.ProbeUpAfter) {
+		if in.probeOKs.Add(1) < probeUpAfter {
 			return
 		}
 		in.probeOKs.Store(0)

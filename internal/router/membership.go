@@ -65,7 +65,7 @@ func (rt *Router) swap(members []string) *topology {
 		epoch:   old.epoch + 1,
 		members: members,
 		insts:   make([]*instance, len(members)),
-		ring:    newRing(members, rt.cfg.Replicas),
+		ring:    newRing(members, ringReplicas),
 	}
 	for i, m := range members {
 		if in := old.find(m); in != nil {

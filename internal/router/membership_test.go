@@ -358,7 +358,6 @@ func TestProbeHysteresisFiltersFlapping(t *testing.T) {
 	rt, _, _ := fakeRing(t, 1, hf, func(c *router.Config) {
 		c.HealthInterval = 10 * time.Millisecond
 		c.ProbeDownAfter = 2
-		c.ProbeUpAfter = 2
 	})
 
 	// Flapping phase: ~30 probe cycles, verdict must never flip.

@@ -1,4 +1,4 @@
-// Consistent-hash ring. Each backend instance owns Replicas virtual
+// Consistent-hash ring. Each backend instance owns ringReplicas virtual
 // points on a uint32 circle; a key routes to the first point at or
 // clockwise of its hash, and the ring's walk order from that point
 // (deduplicated by instance) is the key's failover preference list.
@@ -21,6 +21,9 @@ import (
 	"sort"
 	"strconv"
 )
+
+// ringReplicas is the number of virtual ring points per instance.
+const ringReplicas = 64
 
 type ringPoint struct {
 	hash uint32

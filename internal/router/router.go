@@ -33,7 +33,6 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -76,21 +75,12 @@ type Config struct {
 	// Required, at least one. This is only the *initial* membership; the
 	// /v1/ring admin surface grows and shrinks it at runtime.
 	Backends []string
-	// Replicas is the number of virtual ring points per instance
-	// (default 64).
-	Replicas int
 	// HealthInterval is the active health-check period (default 250ms).
 	HealthInterval time.Duration
-	// ProbeTimeout bounds one health probe (default 1s).
-	ProbeTimeout time.Duration
 	// ProbeDownAfter is how many consecutive failed probes mark a
 	// healthy instance unhealthy (default 2). Hysteresis: one blown
 	// probe against a busy instance must not eject it.
 	ProbeDownAfter int
-	// ProbeUpAfter is how many consecutive passing probes readmit an
-	// unhealthy instance (default 2). A flapping instance has to prove a
-	// streak before the ring trusts it with keys again.
-	ProbeUpAfter int
 	// BreakerThreshold opens an instance's circuit after this many
 	// consecutive request-path failures (default 3).
 	BreakerThreshold int
@@ -109,9 +99,6 @@ type Config struct {
 	// InstanceTimeout bounds one proxied attempt end-to-end
 	// (default 30s).
 	InstanceTimeout time.Duration
-	// RetryAfter is the hint stamped on the router's own 503 when the
-	// ring is fully unhealthy (default 1s).
-	RetryAfter time.Duration
 	// MaxBodyBytes caps a routed request body; bigger bodies get a 413
 	// without touching a backend (default 4 MiB).
 	MaxBodyBytes int64
@@ -133,21 +120,14 @@ type Config struct {
 	Logger *slog.Logger
 }
 
-func (c Config) withDefaults() Config {
-	if c.Replicas <= 0 {
-		c.Replicas = 64
-	}
+// WithDefaults returns the config with every zero field set to its
+// documented default: the values New runs with.
+func (c Config) WithDefaults() Config {
 	if c.HealthInterval <= 0 {
 		c.HealthInterval = 250 * time.Millisecond
 	}
-	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = time.Second
-	}
 	if c.ProbeDownAfter <= 0 {
 		c.ProbeDownAfter = 2
-	}
-	if c.ProbeUpAfter <= 0 {
-		c.ProbeUpAfter = 2
 	}
 	if c.BreakerThreshold <= 0 {
 		c.BreakerThreshold = 3
@@ -163,9 +143,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.InstanceTimeout <= 0 {
 		c.InstanceTimeout = 30 * time.Second
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
 	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 4 << 20
@@ -224,7 +201,7 @@ func New(cfg Config) (*Router, error) {
 	if len(cfg.Backends) == 0 {
 		return nil, fmt.Errorf("router: Config.Backends is required")
 	}
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	rt := &Router{
 		cfg:      cfg,
 		seenURLs: make(map[string]bool),
@@ -257,7 +234,7 @@ func New(cfg Config) (*Router, error) {
 		MaxBackoff:  250 * time.Millisecond,
 		MaxElapsed:  cfg.InstanceMaxElapsed,
 	})
-	rt.probeClient = &http.Client{Timeout: cfg.ProbeTimeout, Transport: rt.transport}
+	rt.probeClient = &http.Client{Timeout: probeTimeout, Transport: rt.transport}
 
 	rt.requests = make(map[string]*telemetry.Counter, len(outcomes))
 	for _, o := range outcomes {
@@ -293,7 +270,7 @@ func New(cfg Config) (*Router, error) {
 		epoch:   1,
 		members: members,
 		insts:   insts,
-		ring:    newRing(members, cfg.Replicas),
+		ring:    newRing(members, ringReplicas),
 	})
 
 	rt.loops.Add(1)
@@ -663,12 +640,11 @@ func retryElsewhere(code int) bool {
 }
 
 // shed writes the router's own honest 503: a categorized error body in
-// the service's wire shape plus Retry-After, so a well-behaved client
-// (internal/client) backs off and retries instead of seeing a blank
-// failure.
+// the service's wire shape plus a one-second Retry-After, so a
+// well-behaved client (internal/client) backs off and retries instead
+// of seeing a blank failure.
 func (rt *Router) shed(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Retry-After",
-		strconv.Itoa(int(math.Ceil(rt.cfg.RetryAfter.Seconds()))))
+	w.Header().Set("Retry-After", "1")
 	rt.fail(w, r, http.StatusServiceUnavailable, "overloaded",
 		"no healthy instance in the ring; retry shortly")
 }

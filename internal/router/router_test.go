@@ -38,7 +38,6 @@ func fakeRing(t *testing.T, n int, hf func(i int) http.HandlerFunc, tune func(*r
 		BreakerCooldown:    200 * time.Millisecond,
 		InstanceAttempts:   1,
 		InstanceMaxElapsed: 100 * time.Millisecond,
-		RetryAfter:         time.Second,
 		Metrics:            telemetry.NewRegistry(),
 	}
 	if tune != nil {

@@ -78,13 +78,11 @@ type Config struct {
 	// changes.
 	Cache *diagcache.Cache
 	// CacheEntries, when positive and Cache is nil, builds a private cache
-	// bounded to this many entries, registered on this server's metrics
-	// registry — in either isolation mode; a pool's workers never cache.
-	// Zero leaves caching off (the historical behavior).
+	// bounded to this many entries and to the diagcache default of 64 MiB
+	// of payload, registered on this server's metrics registry — in
+	// either isolation mode; a pool's workers never cache. Zero leaves
+	// caching off (the historical behavior).
 	CacheEntries int
-	// CacheMaxBytes bounds the private cache's payload bytes (0 = the
-	// diagcache default, 64 MiB).
-	CacheMaxBytes int64
 	// MaxBatchItems caps the items accepted by /v1/diagrams:batch
 	// (default 64).
 	MaxBatchItems int
@@ -124,7 +122,9 @@ type Config struct {
 	SlowQueryThreshold time.Duration
 }
 
-func (c Config) withDefaults() Config {
+// WithDefaults returns the config with every zero field set to its
+// documented default: the values New runs with.
+func (c Config) WithDefaults() Config {
 	if c.Limits == (queryvis.Limits{}) && !c.Unlimited {
 		c.Limits = queryvis.DefaultLimits()
 	}
@@ -180,7 +180,7 @@ type Server struct {
 // the diagram endpoints still decode, validate and look up here, and
 // only cache misses and /v1/interpret reach a worker.
 func New(cfg Config) *Server {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	s := &Server{
 		cfg:     cfg,
 		sem:     make(chan struct{}, cfg.MaxConcurrent),
@@ -205,7 +205,6 @@ func New(cfg Config) *Server {
 	case cfg.CacheEntries > 0:
 		s.cache = diagcache.New(diagcache.Config{
 			MaxEntries: cfg.CacheEntries,
-			MaxBytes:   cfg.CacheMaxBytes,
 			Metrics:    s.metrics.reg,
 		})
 	}

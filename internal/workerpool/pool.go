@@ -39,13 +39,13 @@ const (
 //
 //	crash     the child died without being told to (SIGKILL, OOM killer,
 //	          runtime fatal error such as stack exhaustion)
-//	oom       the RSS watchdog killed it for exceeding MaxWorkerRSS
+//	oom       the RSS watchdog killed it for exceeding maxWorkerRSS
 //	timeout   it overran the dispatch deadline and was killed (wedged)
 //	protocol  it wrote garbage on the pipe and was killed
 //	canceled  the client went away mid-request; the worker is killed
 //	          because its pipe state is unknowable (crash-only design)
 //	recycled  planned retirement after MaxRequestsPerWorker requests or
-//	          MaxRSSGrowth bytes of resident-set growth
+//	          maxRSSGrowth bytes of resident-set growth
 //	drain     retired by pool shutdown
 //	spawn     it died before sending its ready frame
 var exitReasons = []string{
@@ -91,6 +91,22 @@ var ErrPoolClosed = errors.New("workerpool: pool closed")
 // KindProtocol rather than KindCrash.
 var errMalformed = errors.New("malformed frame")
 
+// Fixed supervision bounds. A worker's resident set is capped two ways
+// (both no-ops where /proc is unavailable): one observed above
+// maxWorkerRSS is SIGKILLed even mid-request, and one that has grown
+// maxRSSGrowth beyond its first-request baseline is recycled after it
+// finishes a request. spawnTimeout bounds the wait for a new worker's
+// ready frame; watchdogInterval is the RSS poll period; drainGrace is
+// how long a drain-retired worker gets to exit cleanly after its stdin
+// closes before being SIGKILLed.
+const (
+	maxWorkerRSS     = 512 << 20
+	maxRSSGrowth     = 256 << 20
+	spawnTimeout     = 10 * time.Second
+	watchdogInterval = 250 * time.Millisecond
+	drainGrace       = 500 * time.Millisecond
+)
+
 // Config tunes the supervisor. Zero fields take the documented defaults.
 type Config struct {
 	// Spawn builds the command for one fresh worker (stdin/stdout are
@@ -102,33 +118,17 @@ type Config struct {
 	// MaxRequestsPerWorker recycles a worker after this many served
 	// requests (default 512; negative disables).
 	MaxRequestsPerWorker int
-	// MaxWorkerRSS is the watchdog's hard resident-set ceiling in bytes:
-	// a worker observed above it is SIGKILLed even mid-request (default
-	// 512 MiB; negative disables; no-op where /proc is unavailable).
-	MaxWorkerRSS int64
-	// MaxRSSGrowth recycles a worker — after it finishes a request —
-	// once its resident set has grown this many bytes beyond its
-	// first-request baseline (default 256 MiB; negative disables).
-	MaxRSSGrowth int64
 	// RequestTimeout is the hard wall-clock bound on one dispatch; a
 	// worker that has not answered by then is SIGKILLed (default 10s).
 	// The effective deadline is the smaller of this and the request
 	// context's remaining budget.
 	RequestTimeout time.Duration
-	// SpawnTimeout bounds the wait for a new worker's ready frame
-	// (default 10s).
-	SpawnTimeout time.Duration
 	// BackoffBase and BackoffMax bound the exponential respawn backoff
 	// applied when a worker dies before serving a single request
 	// (defaults 100ms and 5s). Jitter is a uniform draw from
 	// [backoff/2, backoff].
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
-	// WatchdogInterval is the RSS poll period (default 250ms).
-	WatchdogInterval time.Duration
-	// DrainGrace is how long a drain-retired worker gets to exit cleanly
-	// after its stdin closes before being SIGKILLed (default 500ms).
-	DrainGrace time.Duration
 	// Metrics receives the pool's lifecycle counters and gauges; nil
 	// creates a private registry.
 	Metrics *telemetry.Registry
@@ -137,36 +137,23 @@ type Config struct {
 	Logger *slog.Logger
 }
 
-func (c Config) withDefaults() Config {
+// WithDefaults returns the config with every zero field set to its
+// documented default: the values New runs with.
+func (c Config) WithDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = 4
 	}
 	if c.MaxRequestsPerWorker == 0 {
 		c.MaxRequestsPerWorker = 512
 	}
-	if c.MaxWorkerRSS == 0 {
-		c.MaxWorkerRSS = 512 << 20
-	}
-	if c.MaxRSSGrowth == 0 {
-		c.MaxRSSGrowth = 256 << 20
-	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 10 * time.Second
-	}
-	if c.SpawnTimeout <= 0 {
-		c.SpawnTimeout = 10 * time.Second
 	}
 	if c.BackoffBase <= 0 {
 		c.BackoffBase = 100 * time.Millisecond
 	}
 	if c.BackoffMax <= 0 {
 		c.BackoffMax = 5 * time.Second
-	}
-	if c.WatchdogInterval <= 0 {
-		c.WatchdogInterval = 250 * time.Millisecond
-	}
-	if c.DrainGrace <= 0 {
-		c.DrainGrace = 500 * time.Millisecond
 	}
 	return c
 }
@@ -257,7 +244,7 @@ func New(cfg Config) (*Pool, error) {
 	if cfg.Spawn == nil {
 		return nil, errors.New("workerpool: Config.Spawn is required")
 	}
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	p := &Pool{
 		cfg:    cfg,
 		ladder: backoff.Policy{Base: cfg.BackoffBase, Max: cfg.BackoffMax},
@@ -539,14 +526,14 @@ func (p *Pool) release(w *worker) {
 		p.destroy(w, "recycled")
 		return
 	}
-	if p.cfg.MaxRSSGrowth > 0 && rssSupported {
+	if rssSupported {
 		rss := readRSS(w.pid)
 		switch {
 		case rss == 0:
 			// unknown; leave policy alone
 		case w.baseRSS == 0:
 			w.baseRSS = rss
-		case rss-w.baseRSS > p.cfg.MaxRSSGrowth:
+		case rss-w.baseRSS > maxRSSGrowth:
 			p.destroy(w, "recycled")
 			return
 		}
@@ -669,7 +656,7 @@ func (p *Pool) dispatchError(ctx context.Context, w *worker, err error) error {
 }
 
 // destroy retires a worker exactly once: record the reason, make sure it
-// is dead (drain retirements get DrainGrace to exit cleanly first), reap
+// is dead (drain retirements get drainGrace to exit cleanly first), reap
 // it, and wake the slot loop to respawn.
 func (p *Pool) destroy(w *worker, fallbackReason string) {
 	w.retireOnce.Do(func() {
@@ -679,7 +666,7 @@ func (p *Pool) destroy(w *worker, fallbackReason string) {
 		if reason == "drain" || reason == "recycled" {
 			// Planned retirement: closing stdin lets the worker's loop see a
 			// clean EOF and exit zero; the grace timer backs it with SIGKILL.
-			t := time.AfterFunc(p.cfg.DrainGrace, w.kill)
+			t := time.AfterFunc(drainGrace, w.kill)
 			_ = w.cmd.Wait()
 			t.Stop()
 		} else {
@@ -791,7 +778,7 @@ func (p *Pool) spawnWorker(slot int) (*worker, error) {
 		started: time.Now(),
 		retired: make(chan struct{}),
 	}
-	t := time.AfterFunc(p.cfg.SpawnTimeout, func() {
+	t := time.AfterFunc(spawnTimeout, func() {
 		w.markKill("spawn")
 		w.kill()
 	})
@@ -856,10 +843,10 @@ func (p *Pool) Close(ctx context.Context) error {
 // death and classifies it KindOOM via the recorded kill reason.
 func (p *Pool) watchdog() {
 	defer p.loops.Done()
-	if !rssSupported || p.cfg.MaxWorkerRSS <= 0 {
+	if !rssSupported {
 		return
 	}
-	t := time.NewTicker(p.cfg.WatchdogInterval)
+	t := time.NewTicker(watchdogInterval)
 	defer t.Stop()
 	for {
 		select {
@@ -874,10 +861,10 @@ func (p *Pool) watchdog() {
 		}
 		p.mu.Unlock()
 		for _, w := range ws {
-			if rss := readRSS(w.pid); rss > p.cfg.MaxWorkerRSS {
+			if rss := readRSS(w.pid); rss > maxWorkerRSS {
 				if w.markKill("oom") {
 					p.log("worker over RSS ceiling, killing",
-						"slot", w.slot, "pid", w.pid, "rss", rss, "ceiling", p.cfg.MaxWorkerRSS)
+						"slot", w.slot, "pid", w.pid, "rss", rss, "ceiling", maxWorkerRSS)
 					w.kill()
 				}
 			}

@@ -20,7 +20,12 @@
 #   serve      queryvisd start / healthz / graceful-shutdown cycle on an
 #              ephemeral port, plus the same lifecycle with
 #              -isolation=process: SIGTERM mid-dispatch must drain the
-#              in-flight worker request and reap every child
+#              in-flight worker request and reap every child; plus the
+#              flag surface: the 19 pinned flags and their groups, a
+#              flag the selected mode would ignore exits 2 naming it,
+#              spawned workers and fleet members get exactly the set
+#              instance flags, and the default flags build the pinned
+#              instance, pool, router and fleet configs
 #   metrics    observability smoke: boot the daemon, serve one Fig. 1
 #              diagram, and require /v1/metrics to expose the metric
 #              families with a non-zero stage histogram; also proves the
@@ -117,7 +122,7 @@ echo "== kill-storm smoke (race)"
 go test -count=1 -run 'TestKillStorm|TestCrashContainment' -race ./internal/workerpool
 
 echo "== queryvisd serve/healthz/shutdown (in-process + -isolation=process)"
-go test -count=1 -run 'TestServeHealthzShutdown|TestProcessIsolationServeDrain' ./cmd/queryvisd
+go test -count=1 -run 'TestServeHealthzShutdown|TestProcessIsolationServeDrain|TestFlagSurface|TestFlagModesAccepted|TestUsageError|TestSpawnerArgs|TestDefaultConfigs|TestParseSRVName' ./cmd/queryvisd
 
 echo "== metrics smoke + pprof gate (instance + route mode)"
 go test -count=1 -run 'TestMetricsSmoke|TestPprofGate|TestRouterPprofGate' ./cmd/queryvisd
