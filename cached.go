@@ -2,6 +2,7 @@ package queryvis
 
 import (
 	"context"
+	"strconv"
 
 	"repro/internal/diagcache"
 	"repro/internal/faults"
@@ -9,11 +10,12 @@ import (
 
 // This file is the facade's cached entry point: FromSQLCachedContext
 // memoizes fully rendered results keyed on the exact request (schema,
-// option flags, SQL text; see internal/diagcache), so a hit returns the
-// bytes a fresh build of the same request would. Cacheability is
-// strict: only verified (or verify-off) non-degraded results are ever
-// inserted, and a request carrying an injected fault plan bypasses the
-// cache entirely in both directions.
+// option flags, limits and verify budget, SQL text; see
+// internal/diagcache), so a hit returns the bytes a fresh build of the
+// same request would. Cacheability is strict: only verified (or
+// verify-off) non-degraded results are ever inserted, and a request
+// carrying an injected fault plan bypasses the cache entirely in both
+// directions.
 
 // DiagramCache re-exports the request-keyed diagram cache.
 type DiagramCache = diagcache.Cache
@@ -31,25 +33,43 @@ type CacheOutcome = diagcache.Outcome
 // NewDiagramCache builds a request-keyed diagram cache.
 func NewDiagramCache(cfg DiagramCacheConfig) *DiagramCache { return diagcache.New(cfg) }
 
-// DefaultFingerprintPerms caps the canonical-labeling search when
-// fingerprinting on the request path: 720 = 6! keeps the worst case
-// around a millisecond while covering every paper query with room to
-// spare. Diagrams too symmetric to key under the bound get no key.
+// DefaultFingerprintPerms caps the canonical-labeling search of
+// PatternFingerprintBounded for callers that must stay fast on
+// arbitrary input, such as the server's quarantine dedup: 720 = 6!
+// keeps the worst case around a millisecond while covering every paper
+// query with room to spare. Diagrams too symmetric to key under the
+// bound get no key.
 const DefaultFingerprintPerms = 720
 
-// cacheKey is the cache's request key: the full schema
-// rendering (not just its name — two ad-hoc schemas may share one), the
-// option flags that change the artifact, and the literal SQL.
+// cacheKey is the cache's request key: the full schema rendering (not
+// just its name — two ad-hoc schemas may share one), the option flags,
+// the limits and verify budget, and the literal SQL.
 func cacheKey(sql string, s *Schema, opts Options) string {
-	flags := byte('0')
-	if opts.Simplify {
-		flags |= 1
-	}
-	if opts.KeepExistsBlocks {
-		flags |= 2
-	}
-	return s.String() + "\x00" + string(flags) + "\x00" + sql
+	return diagcache.Key(s.String(), opts.Simplify, opts.KeepExistsBlocks,
+		configKey(opts.Limits, opts.VerifyBudget), sql)
 }
+
+// configKey fingerprints the bounds a build runs under: the verify
+// budget and every limit ("-" for nil limits). It formats with strconv,
+// not fmt, because it runs on every cached call, hits included.
+func configKey(l *Limits, budget int) string {
+	b := strconv.AppendInt(make([]byte, 0, 64), int64(budget), 10)
+	if l == nil {
+		return string(append(b, " -"...))
+	}
+	for _, v := range [...]int{l.MaxQueryBytes, l.MaxNestingDepth, l.MaxPredicates,
+		l.MaxDiagramNodes, l.MaxDiagramEdges, l.MaxOutputBytes} {
+		b = strconv.AppendInt(append(b, ' '), int64(v), 10)
+	}
+	return string(b)
+}
+
+// This conversion stops compiling when Limits gains or renames a field,
+// so a new limit cannot be left out of configKey.
+var _ = struct {
+	MaxQueryBytes, MaxNestingDepth, MaxPredicates,
+	MaxDiagramNodes, MaxDiagramEdges, MaxOutputBytes int
+}(Limits{})
 
 // BuildEntryContext renders every format of a cacheable Result into a
 // cache entry. The caller is responsible for checking cacheability
@@ -94,50 +114,31 @@ func FromSQLCached(sql string, s *Schema, opts Options) (*CachedEntry, *Result, 
 //     leader) runs FromSQLContext once, renders every format, and the
 //     fresh entry is returned;
 //   - when the outcome is uncacheable — a degraded or skipped result, a
-//     fault plan on the context — the *Result is returned instead,
-//     exactly as FromSQLContext would have produced it, and nothing is
-//     inserted.
+//     fault plan on the context, no cache — the *Result is returned
+//     instead, exactly as FromSQLContext would have produced it, and
+//     nothing is inserted.
 //
 // Exactly one of entry and result is non-nil on success.
 func FromSQLCachedContext(ctx context.Context, sql string, s *Schema, opts Options) (*CachedEntry, *Result, CacheOutcome, error) {
-	cache := opts.Cache
-	if cache == nil {
-		res, err := FromSQLContext(ctx, sql, s, opts)
-		return nil, res, diagcache.OutcomeBypass, err
-	}
-	if faults.FromContext(ctx) != nil {
-		// A fault-injected run may produce artifacts shaped by the plan;
-		// neither serve nor insert cached bytes for it.
-		cache.NoteBypass()
-		res, err := FromSQLContext(ctx, sql, s, opts)
-		return nil, res, diagcache.OutcomeBypass, err
-	}
-
+	bypass := faults.FromContext(ctx) != nil
 	var built *Result
-	build := func(ctx context.Context) (*CachedEntry, error) {
-		r, err := FromSQLContext(ctx, sql, s, opts)
-		if err != nil {
-			return nil, err
-		}
-		built = r
-		if !diagcache.CacheableStatus(r.VerifyStatus, r.Degraded) {
-			return nil, nil
-		}
-		e, rerr := BuildEntryContext(ctx, r)
-		if rerr != nil {
-			return nil, nil // serve the result uncached; rendering is bounded
-		}
-		return e, nil
-	}
-	entry, outcome, err := cache.GetOrBuild(ctx, cacheKey(sql, s, opts),
-		opts.Verify.String(), opts.Verify != VerifyOff, build)
-	if err != nil || entry != nil {
-		return entry, nil, outcome, err
-	}
-	if built == nil {
-		// This caller followed a leader whose build was uncacheable: run
-		// its own copy.
-		built, err = FromSQLContext(ctx, sql, s, opts)
+	entry, outcome, err := opts.Cache.GetOrBuild(ctx, cacheKey(sql, s, opts),
+		opts.Verify.String(), opts.Verify != VerifyOff, bypass,
+		func(ctx context.Context) (*CachedEntry, error) {
+			r, err := FromSQLContext(ctx, sql, s, opts)
+			built = r
+			if err != nil || opts.Cache == nil || bypass ||
+				!diagcache.CacheableStatus(r.VerifyStatus, r.Degraded) {
+				return nil, err
+			}
+			e, rerr := BuildEntryContext(ctx, r)
+			if rerr != nil {
+				return nil, nil // serve the result uncached; rendering is bounded
+			}
+			return e, nil
+		})
+	if entry != nil {
+		return entry, nil, outcome, nil
 	}
 	return nil, built, outcome, err
 }

@@ -2,6 +2,7 @@ package queryvis_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -30,10 +31,7 @@ func renameAliases(sql, tag string) string {
 }
 
 func newCachedOpts(c *queryvis.DiagramCache, verify queryvis.VerifyMode) queryvis.Options {
-	return queryvis.NewOptions(
-		queryvis.WithVerify(verify),
-		queryvis.WithCache(c),
-	)
+	return queryvis.Options{Verify: verify, Cache: c}
 }
 
 func TestFromSQLCachedColdWarm(t *testing.T) {
@@ -111,6 +109,67 @@ func TestFromSQLCachedAppendixGOnly(t *testing.T) {
 	}
 	if !strings.Contains(dots["students"], "Student") || strings.Contains(dots["students"], "Sailor") {
 		t.Fatalf("Students query was served another query's DOT:\n%s", dots["students"])
+	}
+}
+
+// TestFromSQLCachedKeyHoldsLimits: with one shared cache, an entry built
+// without limits is not served to a caller whose limits refuse the
+// query. That caller gets the *LimitError a fresh build returns.
+func TestFromSQLCachedKeyHoldsLimits(t *testing.T) {
+	beers, _ := schema.ByName("beers")
+	c := queryvis.NewDiagramCache(queryvis.DiagramCacheConfig{})
+	if _, _, out, err := queryvis.FromSQLCached(corpus.Fig1UniqueSet, beers, newCachedOpts(c, queryvis.VerifyDegrade)); err != nil || out != diagcache.OutcomeMiss {
+		t.Fatalf("unlimited build: outcome %v, err %v; want a miss", out, err)
+	}
+
+	limited := queryvis.Options{Verify: queryvis.VerifyDegrade, Limits: &queryvis.Limits{MaxQueryBytes: 20}}
+	_, fresh := queryvis.FromSQLContext(context.Background(), corpus.Fig1UniqueSet, beers, limited)
+	var want *queryvis.LimitError
+	if !errors.As(fresh, &want) {
+		t.Fatalf("fresh build under MaxQueryBytes 20: %v, want a *LimitError", fresh)
+	}
+	limited.Cache = c
+	ent, res, out, err := queryvis.FromSQLCached(corpus.Fig1UniqueSet, beers, limited)
+	var got *queryvis.LimitError
+	if !errors.As(err, &got) || *got != *want {
+		t.Fatalf("cached call under MaxQueryBytes 20: outcome %v, err %v; want %v", out, err, want)
+	}
+	if ent != nil || res != nil || out.Hit() {
+		t.Fatalf("refused request was answered: entry %v, result %v, outcome %v", ent != nil, res != nil, out)
+	}
+}
+
+// TestFromSQLCachedKeyHoldsVerifyBudget: with one shared cache, an entry
+// verified under the default budget is not served to a caller whose
+// budget cannot prove the diagram. That caller gets the status and rung
+// a fresh build earns.
+func TestFromSQLCachedKeyHoldsVerifyBudget(t *testing.T) {
+	beers, _ := schema.ByName("beers")
+	c := queryvis.NewDiagramCache(queryvis.DiagramCacheConfig{})
+	ent, _, _, err := queryvis.FromSQLCached(corpus.Fig1UniqueSet, beers, newCachedOpts(c, queryvis.VerifyDegrade))
+	if err != nil || ent == nil || ent.VerifyStatus != queryvis.VerifyStatusVerified {
+		t.Fatalf("default-budget build: entry %v, err %v; want a verified entry", ent != nil, err)
+	}
+
+	starved := queryvis.Options{Verify: queryvis.VerifyDegrade, VerifyBudget: 1}
+	want, err := queryvis.FromSQLContext(context.Background(), corpus.Fig1UniqueSet, beers, starved)
+	if err != nil {
+		t.Fatalf("fresh build under VerifyBudget 1: %v", err)
+	}
+	if want.VerifyStatus != queryvis.VerifyStatusBudget {
+		t.Fatalf("fresh build under VerifyBudget 1: status %q, want %q", want.VerifyStatus, queryvis.VerifyStatusBudget)
+	}
+	starved.Cache = c
+	ent, res, out, err := queryvis.FromSQLCached(corpus.Fig1UniqueSet, beers, starved)
+	if err != nil {
+		t.Fatalf("cached call under VerifyBudget 1: %v", err)
+	}
+	if ent != nil || out.Hit() {
+		t.Fatalf("cached call under VerifyBudget 1 was served an entry (status %q, outcome %v)", ent.VerifyStatus, out)
+	}
+	if res.VerifyStatus != want.VerifyStatus || res.Degraded != want.Degraded {
+		t.Fatalf("cached call: status %q rung %q; fresh build: status %q rung %q",
+			res.VerifyStatus, res.Degraded, want.VerifyStatus, want.Degraded)
 	}
 }
 

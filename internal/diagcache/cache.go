@@ -1,26 +1,25 @@
 // Package diagcache memoizes fully rendered diagram results keyed by
-// the exact request: the schema, the option flags that change the
-// artifact, and the literal SQL text. Those decide the response bytes,
-// so a hit returns exactly what a fresh build of the same request would
-// return. Two different queries never share an entry, even when they
-// share a logical pattern (§1.1 of the paper): pattern-isomorphic
-// queries share a diagram's shape, not its table names or constants.
+// the exact request (see Key): the schema, the option flags that change
+// the artifact, a fingerprint of the limits and verify budget the build
+// runs under, and the literal SQL text. Those decide the response
+// bytes, so a hit returns exactly what a fresh build of the same
+// request would return, and an entry built under one configuration is
+// never served under another. Two different queries never share an
+// entry, even when they share a logical pattern (§1.1 of the paper):
+// pattern-isomorphic queries share a diagram's shape, not its table
+// names or constants.
 //
 // The cache is a bounded, sharded LRU holding immutable entries: the
 // three rendered formats (DOT, SVG, text), the interpretation, and the
-// verification status the build earned. Correctness rules are load
-// bearing and enforced at the single insertion point:
+// verification status the build earned. GetOrBuild is the one serve
+// flow, and its rules are load bearing:
 //
 //   - only results whose verify status is "verified" (or "off", when the
 //     caller never asked for proof) are cacheable;
 //   - degraded, failed, skipped, or quarantined results are never
-//     inserted — callers gate on CacheableStatus;
-//   - anything built under an injected fault plan must bypass insertion
-//     entirely (the server enforces this; the cache cannot see context
-//     fault plans by design);
-//   - entries are dropped wholesale by Invalidate, which BindConfig
-//     triggers automatically when a cache is re-bound under a different
-//     limits/schema-catalog fingerprint.
+//     inserted — builds gate on CacheableStatus;
+//   - a request carrying an injected fault bypasses the cache in both
+//     directions: it is neither served cached bytes nor inserted.
 //
 // Concurrent misses on one key collapse via singleflight: one leader
 // runs the build, everyone else waits for its entry.
@@ -40,8 +39,8 @@ import (
 // server's registry via Config.Metrics so /v1/metrics and /v1/healthz
 // read the same numbers.
 const (
-	// MetricRequests counts lookups by outcome (one per GetOrBuild call,
-	// plus "bypass" for requests the caller routed around the cache).
+	// MetricRequests counts lookups by outcome, one per GetOrBuild call
+	// ("bypass" for a request carrying an injected fault).
 	MetricRequests = "queryvis_cache_requests_total"
 	// MetricEvictions counts dropped entries by cause.
 	MetricEvictions = "queryvis_cache_evictions_total"
@@ -53,8 +52,6 @@ const (
 	// MetricSFWaits counts followers that waited on another caller's
 	// in-flight build instead of running their own.
 	MetricSFWaits = "queryvis_cache_singleflight_waits_total"
-	// MetricInvalidations counts wholesale invalidations.
-	MetricInvalidations = "queryvis_cache_invalidations_total"
 	// MetricEntries and MetricBytes gauge current occupancy.
 	MetricEntries = "queryvis_cache_entries"
 	MetricBytes   = "queryvis_cache_bytes"
@@ -75,8 +72,8 @@ const (
 	// (degraded, skipped, failed); the caller serves its own result
 	// directly.
 	OutcomeUncacheable Outcome = "uncacheable"
-	// OutcomeBypass: the caller never consulted the cache (fault plan
-	// attached, cache disabled for the request). Counted via NoteBypass.
+	// OutcomeBypass: the request carried an injected fault, or there is
+	// no cache; the caller's own build served it.
 	OutcomeBypass Outcome = "bypass"
 )
 
@@ -91,12 +88,11 @@ var outcomes = []Outcome{
 
 // Eviction causes for MetricEvictions.
 const (
-	EvictLRU        = "lru"        // capacity pressure (entries or bytes)
-	EvictReplace    = "replace"    // a verified entry superseded an "off" one
-	EvictInvalidate = "invalidate" // Invalidate / BindConfig mismatch
+	EvictLRU     = "lru"     // capacity pressure (entries or bytes)
+	EvictReplace = "replace" // a verified entry superseded an "off" one
 )
 
-var evictCauses = []string{EvictLRU, EvictReplace, EvictInvalidate}
+var evictCauses = []string{EvictLRU, EvictReplace}
 
 // Entry is one immutable cached result: everything the server needs to
 // answer a diagram request in any format without touching the pipeline.
@@ -186,18 +182,14 @@ type Cache struct {
 	flightMu sync.Mutex
 	flights  map[string]*flight
 
-	bindMu  sync.Mutex
-	boundFP string
-
 	entries atomic.Int64
 	bytes   atomic.Int64
 
-	reg           *telemetry.Registry
-	cOutcomes     map[Outcome]*telemetry.Counter
-	cInserts      *telemetry.Counter
-	cBuilds       *telemetry.Counter
-	cSFWaits      *telemetry.Counter
-	cInvalidation *telemetry.Counter
+	reg       *telemetry.Registry
+	cOutcomes map[Outcome]*telemetry.Counter
+	cInserts  *telemetry.Counter
+	cBuilds   *telemetry.Counter
+	cSFWaits  *telemetry.Counter
 }
 
 // shard is one LRU partition. Entries are keyed by request key; the
@@ -248,7 +240,6 @@ func New(cfg Config) *Cache {
 	c.cInserts = reg.Counter(MetricInserts, "Diagram cache entries inserted.")
 	c.cBuilds = reg.Counter(MetricBuilds, "Verified builds executed by singleflight leaders.")
 	c.cSFWaits = reg.Counter(MetricSFWaits, "Callers that waited on a concurrent leader's build.")
-	c.cInvalidation = reg.Counter(MetricInvalidations, "Wholesale cache invalidations.")
 	for _, o := range outcomes {
 		c.cOutcomes[o] = reg.Counter(MetricRequests, "Diagram cache lookups by outcome.", "outcome", string(o))
 	}
@@ -262,9 +253,6 @@ func New(cfg Config) *Cache {
 	return c
 }
 
-// Registry exposes the metrics registry backing the cache.
-func (c *Cache) Registry() *telemetry.Registry { return c.reg }
-
 func (c *Cache) countOutcome(o Outcome) {
 	c.cOutcomes[o].Inc()
 }
@@ -274,10 +262,6 @@ func (c *Cache) countEviction(cause string, n int) {
 		c.reg.Counter(MetricEvictions, "Diagram cache evictions by cause.", "cause", cause).Add(int64(n))
 	}
 }
-
-// NoteBypass counts a request that was served without consulting the
-// cache at all (fault plan attached, per-request opt-out).
-func (c *Cache) NoteBypass() { c.countOutcome(OutcomeBypass) }
 
 // shardIndex is the key's 32-bit FNV-1a hash masked to the shard count,
 // computed in place: it runs on every lookup.
@@ -363,43 +347,6 @@ func (c *Cache) Put(key string, e *Entry) bool {
 	return true
 }
 
-// Invalidate drops every entry. Builds in flight finish and
-// may insert afterward; callers that need a hard barrier must also
-// drain their own traffic.
-func (c *Cache) Invalidate() {
-	dropped := 0
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		n := sh.lru.Len()
-		sh.byKey = make(map[string]*list.Element)
-		sh.lru.Init()
-		c.bytes.Add(-sh.bytes)
-		sh.bytes = 0
-		sh.mu.Unlock()
-		c.entries.Add(int64(-n))
-		dropped += n
-	}
-	c.countEviction(EvictInvalidate, dropped)
-	c.cInvalidation.Inc()
-}
-
-// BindConfig ties the cache to a configuration fingerprint (limits,
-// verify budget, schema catalog). Re-binding under a different
-// fingerprint invalidates everything: entries built under other bounds
-// or another catalog must not survive into this one. Returns whether an
-// invalidation fired.
-func (c *Cache) BindConfig(fp string) bool {
-	c.bindMu.Lock()
-	prev := c.boundFP
-	c.boundFP = fp
-	c.bindMu.Unlock()
-	if prev != "" && prev != fp {
-		c.Invalidate()
-		return true
-	}
-	return false
-}
-
 // Stats is the healthz snapshot. Every number reads the same storage
 // the metrics exposition reports.
 type Stats struct {
@@ -412,7 +359,6 @@ type Stats struct {
 	Evictions         int64 `json:"evictions"`
 	Builds            int64 `json:"builds"`
 	SingleflightWaits int64 `json:"singleflight_waits"`
-	Invalidations     int64 `json:"invalidations"`
 }
 
 // Stats snapshots the cache.
@@ -424,7 +370,6 @@ func (c *Cache) Stats() Stats {
 		MaxBytes:          c.cfg.MaxBytes,
 		Builds:            c.cBuilds.Value(),
 		SingleflightWaits: c.cSFWaits.Value(),
-		Invalidations:     c.cInvalidation.Value(),
 	}
 	for o, ctr := range c.cOutcomes {
 		n := ctr.Value()
@@ -482,60 +427,106 @@ func (c *Cache) doFlight(ctx context.Context, key string, build func() (*Entry, 
 }
 
 // maxLeaderRetries bounds how many dead leaders a follower outlives
-// before it gives up and serves itself uncached.
+// before it builds its own result.
 const maxLeaderRetries = 3
 
-// GetOrBuild is the full lookup-build orchestration: a resident entry
-// acceptable to the caller is a hit with no pipeline work; otherwise a
-// singleflight leader runs the caller-supplied build once per key, and
-// a build returning (nil, nil) marks the result uncacheable.
+// Key is the request key: everything that decides a response's bytes,
+// and the only place a key is written. schema identifies the schema
+// (its full rendering, or a catalog name where config covers the
+// catalog); simplify and keepExists are the option flags that change
+// the artifact; config fingerprints the limits and verify budget the
+// build runs under; sql is the literal text. The verify mode is not
+// part of the key: an entry records the status its build earned, and
+// each lookup states the proof it needs (see GetOrBuild).
+func Key(schema string, simplify, keepExists bool, config, sql string) string {
+	flags := byte('0')
+	if simplify {
+		flags |= 1
+	}
+	if keepExists {
+		flags |= 2
+	}
+	return schema + "\x00" + string(flags) + "\x00" + config + "\x00" + sql
+}
+
+// GetOrBuild is the one serve flow. build runs the caller's pipeline,
+// keeps the caller's own result, and returns the cache entry of a
+// cacheable result, or nil for one that may not be cached.
+//
+//   - With a nil cache, or bypass set (the request carries an injected
+//     fault, which must neither be masked by cached bytes nor poison
+//     them), build runs and nothing is looked up or inserted.
+//   - A resident entry acceptable to the caller is a hit: no build runs.
+//   - Otherwise one singleflight leader per key runs build and inserts
+//     its entry; followers are served that entry. A follower whose
+//     leader's build was uncacheable, or that outlived maxLeaderRetries
+//     dead leaders, runs build itself.
 //
 // flightClass partitions singleflight by verification mode so a strict
-// caller's hard failure is never replayed onto a degrade caller.
-// Returns (nil, OutcomeUncacheable, nil) when the caller must serve its
-// own result — either its build ran and was uncacheable, or it followed
-// an uncacheable leader.
+// caller's hard failure is never replayed onto a degrade caller. The
+// entry is non-nil on a hit or a miss; on any other outcome the caller
+// serves the result its own build kept, or the error.
 func (c *Cache) GetOrBuild(
 	ctx context.Context,
 	key, flightClass string,
-	wantVerified bool,
+	wantVerified, bypass bool,
 	build func(context.Context) (*Entry, error),
 ) (*Entry, Outcome, error) {
-	for attempt := 0; attempt <= maxLeaderRetries; attempt++ {
+	if c == nil || bypass {
+		if c != nil {
+			c.countOutcome(OutcomeBypass)
+		}
+		_, err := build(ctx)
+		return nil, OutcomeBypass, err
+	}
+	for attempt := 0; ; attempt++ {
 		if e, ok := c.Get(key, wantVerified); ok {
 			c.countOutcome(OutcomeHit)
 			return e, OutcomeHit, nil
 		}
+		if attempt > maxLeaderRetries {
+			break
+		}
 		e, led, err := c.doFlight(ctx, key+"\x00"+flightClass, func() (*Entry, error) {
-			ent, err := build(ctx)
-			if err == nil && ent != nil {
-				c.Put(key, ent)
-			}
-			return ent, err
+			return c.buildInsert(ctx, key, build)
 		})
-		switch {
-		case err != nil:
-			if !led && ctx.Err() == nil &&
-				(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
-				// The leader's own context died mid-build; this follower is
-				// alive and can lead the next round.
-				continue
-			}
-			c.countOutcome(OutcomeUncacheable)
-			return nil, OutcomeUncacheable, err
-		case e == nil:
-			// Uncacheable build. The leader has its own result in hand;
-			// followers fall back to serving themselves.
-			c.countOutcome(OutcomeUncacheable)
-			return nil, OutcomeUncacheable, nil
-		case led:
-			c.countOutcome(OutcomeMiss)
-			return e, OutcomeMiss, nil
-		default:
+		if led {
+			return c.settle(e, err)
+		}
+		if err == nil && e != nil {
 			c.countOutcome(OutcomeHitFlight)
 			return e, OutcomeHitFlight, nil
 		}
+		if err == nil {
+			break // the leader's build was uncacheable
+		}
+		if ctx.Err() == nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
+			// The leader's own context died mid-build; this follower is
+			// alive and can lead the next round.
+			continue
+		}
+		c.countOutcome(OutcomeUncacheable)
+		return nil, OutcomeUncacheable, err
 	}
-	c.countOutcome(OutcomeUncacheable)
-	return nil, OutcomeUncacheable, nil
+	return c.settle(c.buildInsert(ctx, key, build))
+}
+
+// buildInsert runs build and inserts the entry it returns, if any.
+func (c *Cache) buildInsert(ctx context.Context, key string, build func(context.Context) (*Entry, error)) (*Entry, error) {
+	e, err := build(ctx)
+	if err == nil && e != nil {
+		c.Put(key, e)
+	}
+	return e, err
+}
+
+// settle counts the outcome of a build this caller ran: a miss when it
+// produced an entry, uncacheable otherwise.
+func (c *Cache) settle(e *Entry, err error) (*Entry, Outcome, error) {
+	if err != nil || e == nil {
+		c.countOutcome(OutcomeUncacheable)
+		return nil, OutcomeUncacheable, err
+	}
+	c.countOutcome(OutcomeMiss)
+	return e, OutcomeMiss, nil
 }

@@ -156,39 +156,30 @@ func TestBytesBound(t *testing.T) {
 	}
 }
 
-func TestInvalidateAndBindConfig(t *testing.T) {
-	c := New(Config{MaxEntries: 8})
-	c.Put("p1", mkEntry("verified", "1"))
-	c.Put("p2", mkEntry("verified", "2"))
-
-	if c.BindConfig("fp-a") {
-		t.Fatal("first bind invalidated")
+// TestKeyHoldsEveryInput: each input that decides a response's bytes
+// changes the key, so no two requests that may differ share an entry.
+func TestKeyHoldsEveryInput(t *testing.T) {
+	base := Key("beers", false, false, "limits-a", "SELECT 1")
+	for name, k := range map[string]string{
+		"schema":     Key("sailors", false, false, "limits-a", "SELECT 1"),
+		"simplify":   Key("beers", true, false, "limits-a", "SELECT 1"),
+		"keepExists": Key("beers", false, true, "limits-a", "SELECT 1"),
+		"config":     Key("beers", false, false, "limits-b", "SELECT 1"),
+		"sql":        Key("beers", false, false, "limits-a", "SELECT 2"),
+	} {
+		if k == base {
+			t.Errorf("changing %s left the key unchanged", name)
+		}
 	}
-	if c.BindConfig("fp-a") {
-		t.Fatal("same-fingerprint rebind invalidated")
-	}
-	if st := c.Stats(); st.Entries != 2 {
-		t.Fatalf("entries = %d before invalidation, want 2", st.Entries)
-	}
-
-	if !c.BindConfig("fp-b") {
-		t.Fatal("fingerprint change did not invalidate")
-	}
-	if st := c.Stats(); st.Entries != 0 || st.Bytes != 0 {
-		t.Fatalf("stats after invalidate = %+v, want empty", st)
-	}
-	if _, ok := c.Get("p1", true); ok {
-		t.Fatal("entry survived invalidation")
-	}
-	if st := c.Stats(); st.Invalidations != 1 || st.Evictions != 2 {
-		t.Fatalf("invalidations=%d evictions=%d, want 1 and 2", st.Invalidations, st.Evictions)
+	if Key("beers", false, false, "limits-a", "SELECT 1") != base {
+		t.Error("the same request keyed twice differently")
 	}
 }
 
 // getOrBuild is the test harness shorthand: verified build of payload
 // under key.
 func getOrBuild(c *Cache, ctx context.Context, key, payload string, builds *atomic.Int64) (*Entry, Outcome, error) {
-	return c.GetOrBuild(ctx, key, "degrade", true,
+	return c.GetOrBuild(ctx, key, "degrade", true, false,
 		func(context.Context) (*Entry, error) {
 			if builds != nil {
 				builds.Add(1)
@@ -221,14 +212,14 @@ func TestGetOrBuildOutcomes(t *testing.T) {
 
 	// Build error → uncacheable with the error surfaced.
 	buildErr := errors.New("parse exploded")
-	_, out, err = c.GetOrBuild(ctx, "key-d", "degrade", true,
+	_, out, err = c.GetOrBuild(ctx, "key-d", "degrade", true, false,
 		func(context.Context) (*Entry, error) { return nil, buildErr })
 	if !errors.Is(err, buildErr) || out != OutcomeUncacheable {
 		t.Fatalf("build error: %v, %v", out, err)
 	}
 
 	// Uncacheable build (nil, nil) → nothing inserted.
-	_, out, err = c.GetOrBuild(ctx, "key-e", "degrade", true,
+	_, out, err = c.GetOrBuild(ctx, "key-e", "degrade", true, false,
 		func(context.Context) (*Entry, error) { return nil, nil })
 	if err != nil || out != OutcomeUncacheable {
 		t.Fatalf("uncacheable build: %v, %v", out, err)
@@ -263,7 +254,7 @@ func TestSingleflightCollapse(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			e, out, err := c.GetOrBuild(context.Background(), "key", "degrade", true, build)
+			e, out, err := c.GetOrBuild(context.Background(), "key", "degrade", true, false, build)
 			results <- res{e, out, err}
 		}()
 	}
@@ -315,7 +306,7 @@ func TestFlightClassPartitioning(t *testing.T) {
 	strictRelease := make(chan struct{})
 	strictDone := make(chan error, 1)
 	go func() {
-		_, _, err := c.GetOrBuild(context.Background(), "key", "strict", true,
+		_, _, err := c.GetOrBuild(context.Background(), "key", "strict", true, false,
 			func(context.Context) (*Entry, error) {
 				close(strictEntered)
 				<-strictRelease
@@ -335,13 +326,75 @@ func TestFlightClassPartitioning(t *testing.T) {
 	}
 }
 
+// TestFollowerOfUncacheableLeaderBuildsItself: followers of a leader
+// whose build was uncacheable run their own build through the same
+// closure, so every caller holds its own result.
+func TestFollowerOfUncacheableLeaderBuildsItself(t *testing.T) {
+	c := New(Config{MaxEntries: 8})
+	const followers = 4
+	var builds atomic.Int64
+	release := make(chan struct{})
+	build := func(context.Context) (*Entry, error) {
+		if builds.Add(1) == 1 {
+			<-release // the leader holds the flight until everyone waits
+		}
+		return nil, nil
+	}
+	var wg sync.WaitGroup
+	outs := make(chan Outcome, followers+1)
+	for i := 0; i <= followers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			e, out, err := c.GetOrBuild(context.Background(), "key", "degrade", true, false, build)
+			if e != nil || err != nil {
+				t.Errorf("uncacheable build served entry %v, err %v", e != nil, err)
+			}
+			outs <- out
+		}()
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for c.cSFWaits.Value() < followers {
+		if time.Now().After(deadline) {
+			t.Fatal("followers never queued behind the leader")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	wg.Wait()
+	close(outs)
+	for out := range outs {
+		if out != OutcomeUncacheable {
+			t.Fatalf("outcome %v, want uncacheable", out)
+		}
+	}
+	if n := builds.Load(); n != followers+1 {
+		t.Fatalf("builds = %d, want one per caller (%d)", n, followers+1)
+	}
+	if _, ok := c.Get("key", false); ok {
+		t.Fatal("an uncacheable build inserted an entry")
+	}
+}
+
+// TestNilCacheBuilds: a nil cache serves every request from its own
+// build and counts nothing.
+func TestNilCacheBuilds(t *testing.T) {
+	var c *Cache
+	ran := false
+	e, out, err := c.GetOrBuild(context.Background(), "key", "degrade", true, false,
+		func(context.Context) (*Entry, error) { ran = true; return mkEntry("verified", "x"), nil })
+	if !ran || e != nil || out != OutcomeBypass || err != nil {
+		t.Fatalf("nil cache: ran %v, entry %v, outcome %v, err %v", ran, e != nil, out, err)
+	}
+}
+
 func TestFollowerOutlivesDeadLeader(t *testing.T) {
 	c := New(Config{MaxEntries: 8})
 	leaderCtx, cancelLeader := context.WithCancel(context.Background())
 	entered := make(chan struct{})
 
 	go func() {
-		_, _, _ = c.GetOrBuild(leaderCtx, "key", "degrade", true,
+		_, _, _ = c.GetOrBuild(leaderCtx, "key", "degrade", true, false,
 			func(ctx context.Context) (*Entry, error) {
 				close(entered)
 				<-ctx.Done() // die mid-build
@@ -380,7 +433,10 @@ func TestStats(t *testing.T) {
 	getOrBuild(c, ctx, "k1", "1", nil) // miss
 	getOrBuild(c, ctx, "k1", "1", nil) // hit
 	getOrBuild(c, ctx, "k1", "1", nil) // hit
-	c.NoteBypass()
+	if e, out, _ := c.GetOrBuild(ctx, "k1", "degrade", true, true,
+		func(context.Context) (*Entry, error) { return nil, nil }); e != nil || out != OutcomeBypass {
+		t.Fatalf("bypass: entry %v, outcome %v; want no entry, bypass", e != nil, out)
+	}
 
 	st := c.Stats()
 	if st.Hits != 2 || st.Misses != 1 || st.Builds != 1 {

@@ -24,25 +24,26 @@ import (
 )
 
 // This file is the server's cached diagram path: /v1/diagram and every
-// /v1/diagrams:batch item funnel through serveDiagram, which consults
-// the request-keyed cache (internal/diagcache) when one is configured
-// and otherwise behaves exactly like the historical handler. It runs in
-// the process that owns the listener under either isolation mode, so an
+// /v1/diagrams:batch item funnel through serveDiagram, which serves
+// them through diagcache.GetOrBuild — a hit when the instance's cache
+// holds the request, otherwise this request's own build. It runs in the
+// process that owns the listener under either isolation mode, so an
 // instance has one cache and process isolation only changes where a
 // miss is built. The correctness rules are the cache's — only verified
-// (or verify-off) non-degraded results are inserted — plus two
-// server-level ones: fault-seeded requests bypass the cache in both
-// directions, and the breaker/quarantine/verify-metric integrations
-// fire for real builds only, never for hits.
+// (or verify-off) non-degraded results are inserted, and fault-seeded
+// requests bypass it in both directions — plus one server-level rule:
+// the breaker/quarantine/verify-metric integrations fire for real
+// builds only, never for hits.
 
 // headerCache is the response header the cached path adds: "hit" or
 // "miss" whenever a cache is configured and the request was eligible
 // (absent when caching is off or the request bypassed it).
 const headerCache = "X-Queryvis-Cache"
 
-// configFingerprint identifies the configuration an entry was proven
+// configFingerprint identifies the configuration a response is built
 // under: the per-query limits, the verification budget, and the schema
-// catalog. BindConfig flushes the cache when any of it changes.
+// catalog. Its hash is part of every cache key and of the answer
+// identity.
 func (s *Server) configFingerprint() string {
 	names := append([]string(nil), schema.BuiltinNames()...)
 	sort.Strings(names)
@@ -109,43 +110,16 @@ func buildIdentity(fingerprint string, verify queryvis.VerifyMode) string {
 	return hex.EncodeToString(sum[:8])
 }
 
-// cacheKey is the request key. Server schemas are built-in,
-// so the name identifies the catalog entry; simplify is the only option
-// that changes the artifact (format does not: entries carry all three
-// renderings, and verify mode is handled by the cache's acceptance
-// check, not the key).
-func (s *Server) cacheKey(req *diagramRequest) string {
-	flag := byte('0')
-	if req.Simplify {
-		flag = '1'
-	}
-	return req.Schema + "\x00" + string(flag) + "\x00" + req.SQL
-}
-
 // served is one fully determined diagram response: the JSON body plus
-// the out-of-band headers the handler sets, or a worker's verbatim reply
-// under process isolation. Batch items reuse it with the headers folded
-// into the item instead.
+// the cache disposition the handler sets as a header, or a worker's
+// verbatim reply under process isolation. Batch items reuse it with the
+// headers folded into the item instead.
 type served struct {
-	resp         diagramResponse
-	verifyStatus string // X-QueryVis-Verify-Status (pre-hide value)
-	degraded     string // X-QueryVis-Degraded
-	cache        string // X-QueryVis-Cache: "hit", "miss", or "" (ineligible)
+	resp  diagramResponse
+	cache string // X-QueryVis-Cache: "hit", "miss", or "" (ineligible)
 	// raw, when non-nil, is the worker's reply, passed through in place
 	// of the fields above.
 	raw *workerpool.Response
-}
-
-func (sv *served) writeHeaders(w http.ResponseWriter) {
-	if sv.verifyStatus != "" && sv.verifyStatus != queryvis.VerifyStatusOff {
-		w.Header().Set("X-QueryVis-Verify-Status", sv.verifyStatus)
-	}
-	if sv.degraded != "" {
-		w.Header().Set("X-QueryVis-Degraded", sv.degraded)
-	}
-	if sv.cache != "" {
-		w.Header().Set(headerCache, sv.cache)
-	}
 }
 
 // write sends the response.
@@ -154,67 +128,75 @@ func (sv *served) write(w http.ResponseWriter) {
 		writeWorkerResponse(w, sv.raw)
 		return
 	}
-	sv.writeHeaders(w)
+	setResultHeaders(w, sv.resp.VerifyStatus, sv.resp.Degraded, sv.cache)
 	writeJSON(w, http.StatusOK, sv.resp)
 }
 
-// serveDiagram resolves one validated diagram request into a response,
-// through the cache when possible:
-//
-//   - cache off → the request is produced directly (in a worker that was
-//     asked for an entry, the entry goes back to the parent);
-//   - injected fault (a fault plan on the context, or a worker fault
-//     header) → same, with the cache bypassed in both directions (an
-//     injected fault must neither be masked by cached bytes nor poison
-//     them);
-//   - otherwise GetOrBuild: a hit, a singleflight wait, or a build
-//     this caller leads. Uncacheable outcomes (degraded, breaker-skipped,
-//     failed) serve this caller's own result and insert nothing.
-//
-// Under process isolation this runs in the parent, so a hit never
-// reaches a worker; only the builds do.
+// setResultHeaders exposes a result's outcome out-of-band so clients
+// (and proxies) can spot degraded artifacts without parsing the body:
+// the verify status as reported (see reportedStatus), the degradation
+// rung, and the cache disposition. Empty values set no header.
+func setResultHeaders(w http.ResponseWriter, verifyStatus, degraded, cache string) {
+	if verifyStatus != "" {
+		w.Header().Set("X-QueryVis-Verify-Status", verifyStatus)
+	}
+	if degraded != "" {
+		w.Header().Set("X-QueryVis-Degraded", degraded)
+	}
+	if cache != "" {
+		w.Header().Set(headerCache, cache)
+	}
+}
+
+// reportedStatus is the verify status a response reports: none when
+// the request asked for no verification or the result carries no
+// proof, keeping the historical wire shape, even when a cached entry
+// happens to carry one.
+func reportedStatus(mode queryvis.VerifyMode, status string) string {
+	if mode == queryvis.VerifyOff || status == queryvis.VerifyStatusOff {
+		return ""
+	}
+	return status
+}
+
+// serveDiagram resolves one validated diagram request into a response
+// through the instance's cache (see diagcache.GetOrBuild): a hit, a
+// singleflight wait, or this request's own build. A worker building for
+// its parent's cache has no cache of its own and hands the entry of its
+// build back through the request's entry slot. Under process isolation
+// this runs in the parent, so a hit never reaches a worker; only the
+// builds do.
 func (s *Server) serveDiagram(r *http.Request, req *diagramRequest, sch *schema.Schema, started time.Time) (*served, error) {
 	ctx := r.Context()
-	if s.cache == nil {
-		slot := workerpool.EntrySlotFrom(ctx)
-		sv, e, err := s.produce(r, req, sch, started, slot != nil)
-		if slot != nil {
-			slot.Entry = e
-		}
-		return sv, err
-	}
-	if s.faultInjected(r) {
-		s.cache.NoteBypass()
-		sv, _, err := s.produce(r, req, sch, started, false)
-		return sv, err
-	}
 	requested, err := s.verifyMode(req)
 	if err != nil {
 		return nil, err
 	}
-
+	slot := workerpool.EntrySlotFrom(ctx)
+	bypass := s.faultInjected(r)
+	forCache := slot != nil || (s.cache != nil && !bypass)
 	var built *served
-	build := func(context.Context) (*diagcache.Entry, error) {
-		sv, e, err := s.produce(r, req, sch, started, true)
-		if err != nil {
-			return nil, err
-		}
-		built = sv
-		return e, nil
+	var key string
+	if s.cache != nil { // a cache-less server, such as a worker, keys nothing
+		key = diagcache.Key(req.Schema, req.Simplify, false, s.config, req.SQL)
 	}
-	entry, outcome, err := s.cache.GetOrBuild(ctx, s.cacheKey(req),
-		requested.String(), requested != queryvis.VerifyOff, build)
+	entry, outcome, err := s.cache.GetOrBuild(ctx, key, requested.String(),
+		requested != queryvis.VerifyOff, bypass,
+		func(context.Context) (*diagcache.Entry, error) {
+			sv, e, err := s.produce(r, req, sch, started, forCache)
+			built = sv
+			if slot != nil {
+				slot.Entry = e
+			}
+			return e, err
+		})
 	switch {
 	case err != nil:
 		return nil, err
 	case outcome.Hit():
 		return s.respondEntry(req, entry, requested, started, "hit"), nil
-	case built != nil:
-		return built, nil
 	}
-	// A follower whose leader's build was uncacheable builds its own.
-	sv, _, err := s.produce(r, req, sch, started, true)
-	return sv, err
+	return built, nil
 }
 
 // faultInjected reports whether the request carries an injected fault:
@@ -272,7 +254,7 @@ func (s *Server) respondEntry(req *diagramRequest, e *diagcache.Entry, mode quer
 	case "text":
 		out = e.Text
 	}
-	resp := diagramResponse{
+	return &served{resp: diagramResponse{
 		Format:         req.Format,
 		Diagram:        out,
 		Interpretation: e.Interpretation,
@@ -280,16 +262,8 @@ func (s *Server) respondEntry(req *diagramRequest, e *diagcache.Entry, mode quer
 		Tables:         e.Tables,
 		Edges:          e.Edges,
 		ElapsedMS:      time.Since(started).Milliseconds(),
-		VerifyStatus:   e.VerifyStatus,
-	}
-	sv := &served{resp: resp, verifyStatus: e.VerifyStatus, cache: hdr}
-	if mode == queryvis.VerifyOff || e.VerifyStatus == queryvis.VerifyStatusOff {
-		// Keep the historical wire shape: a request that asked for no
-		// verification reports none, even when the entry happens to carry a
-		// proof.
-		resp.VerifyStatus, sv.resp.VerifyStatus, sv.verifyStatus = "", "", ""
-	}
-	return sv
+		VerifyStatus:   reportedStatus(mode, e.VerifyStatus),
+	}, cache: hdr}
 }
 
 // renderResult turns a live pipeline result into the response,
@@ -329,17 +303,13 @@ func (s *Server) renderResult(ctx context.Context, req *diagramRequest, res *que
 		Diagram:        out,
 		Interpretation: res.Interpretation,
 		ElapsedMS:      time.Since(started).Milliseconds(),
-		VerifyStatus:   res.VerifyStatus,
+		VerifyStatus:   reportedStatus(mode, res.VerifyStatus),
 		Degraded:       res.Degraded,
-	}
-	if res.VerifyStatus == queryvis.VerifyStatusOff {
-		resp.VerifyStatus = "" // keep the historical wire shape for verify=off
 	}
 	if res.Diagram != nil {
 		resp.ReadingOrder = res.ReadingOrder()
 		resp.Tables = len(res.Diagram.Tables)
 		resp.Edges = len(res.Diagram.Edges)
 	}
-	return &served{resp: resp, verifyStatus: res.VerifyStatus,
-		degraded: res.Degraded, cache: hdr}, nil
+	return &served{resp: resp, cache: hdr}, nil
 }

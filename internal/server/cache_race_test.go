@@ -163,16 +163,10 @@ func TestCacheEvictionChurn(t *testing.T) {
 	}
 
 	reg := telemetry.NewRegistry()
-	cache := diagcache.New(diagcache.Config{
-		MaxEntries: 2,
-		Shards:     1,
-		MaxBytes:   -1, // entry-count pressure only; bytes unbounded
-		Metrics:    reg,
-	})
 	srv := New(Config{
-		Cache:         cache,
+		CacheEntries:  2, // one shard; six entries stay far below the byte bound
 		DefaultVerify: queryvis.VerifyDegrade,
-		Metrics:       telemetry.NewRegistry(),
+		Metrics:       reg,
 	})
 
 	const goroutines, perG = 8, 30
@@ -204,7 +198,7 @@ func TestCacheEvictionChurn(t *testing.T) {
 		return
 	}
 
-	st := cache.Stats()
+	st := srv.cache.Stats()
 	if st.Entries > 2 {
 		t.Fatalf("cache holds %d entries, bound is 2", st.Entries)
 	}

@@ -196,35 +196,6 @@ func TestCacheVerifyOffUpgrade(t *testing.T) {
 	}
 }
 
-// TestCacheRebindInvalidates: a shared cache re-bound by a server with a
-// different limits/budget fingerprint is flushed — entries proven under
-// one regime are not evidence under another.
-func TestCacheRebindInvalidates(t *testing.T) {
-	c := diagcache.New(diagcache.Config{})
-	ts1 := newTestServer(t, Config{Cache: c, DefaultVerify: queryvis.VerifyDegrade})
-
-	st, hdr, raw := postFull(t, ts1.Client(), ts1.URL+"/v1/diagram",
-		diagramReq(corpus.Fig3QSome, ""), nil)
-	if st != http.StatusOK || hdr.Get(headerCache) != "miss" {
-		t.Fatalf("cold: status %d cache %q\n%s", st, hdr.Get(headerCache), raw)
-	}
-	if st, hdr, _ = postFull(t, ts1.Client(), ts1.URL+"/v1/diagram",
-		diagramReq(corpus.Fig3QSome, ""), nil); st != http.StatusOK || hdr.Get(headerCache) != "hit" {
-		t.Fatalf("warm: status %d cache %q", st, hdr.Get(headerCache))
-	}
-
-	// Same cache, different verify budget: the fingerprint changes and
-	// construction flushes the cache.
-	ts2 := newTestServer(t, Config{Cache: c, DefaultVerify: queryvis.VerifyDegrade, VerifyBudget: 123_456})
-	if st := c.Stats(); st.Invalidations != 1 || st.Entries != 0 {
-		t.Fatalf("stats after rebind = %+v, want 1 invalidation, 0 entries", st)
-	}
-	if st, hdr, _ = postFull(t, ts2.Client(), ts2.URL+"/v1/diagram",
-		diagramReq(corpus.Fig3QSome, ""), nil); st != http.StatusOK || hdr.Get(headerCache) != "miss" {
-		t.Fatalf("post-rebind: status %d cache %q, want a rebuild", st, hdr.Get(headerCache))
-	}
-}
-
 // TestCacheMetricsGolden pins the Prometheus exposition of the cache
 // metric families after a deterministic traffic script: one miss, two
 // hits, one uncacheable parse failure, one fault-seeded bypass. Only

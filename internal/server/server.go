@@ -18,6 +18,8 @@ package server
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -70,18 +72,15 @@ type Config struct {
 	// its guards run again. /v1/interpret is forwarded whole.
 	Pool *workerpool.Pool
 
-	// Cache, when non-nil, is a shared request-keyed diagram cache the
-	// query endpoints serve rendered results from (see internal/diagcache).
-	// Its correctness contract: only verified (or verify-off) non-degraded
-	// results are inserted, fault-seeded requests bypass it entirely, and
-	// it is invalidated whenever the bound limits/schema fingerprint
-	// changes.
-	Cache *diagcache.Cache
-	// CacheEntries, when positive and Cache is nil, builds a private cache
-	// bounded to this many entries and to the diagcache default of 64 MiB
-	// of payload, registered on this server's metrics registry — in
-	// either isolation mode; a pool's workers never cache. Zero leaves
-	// caching off (the historical behavior).
+	// CacheEntries, when positive, gives this server its own
+	// request-keyed diagram cache (see internal/diagcache) bounded to this
+	// many entries and to the diagcache default of 64 MiB of payload,
+	// registered on this server's metrics registry — in either isolation
+	// mode; a pool's workers never cache. The query endpoints serve
+	// rendered results from it: only verified (or verify-off)
+	// non-degraded results are inserted, fault-seeded requests bypass it,
+	// and its keys carry this config's fingerprint. Zero leaves caching
+	// off (the historical behavior).
 	CacheEntries int
 	// MaxBatchItems caps the items accepted by /v1/diagrams:batch
 	// (default 64).
@@ -161,6 +160,9 @@ type Server struct {
 	breaker *breaker
 	metrics *serverMetrics
 	cache   *diagcache.Cache
+	// config is the short hash of configFingerprint that every cache key
+	// carries.
+	config string
 	// traces retains the last completed request traces for /v1/traces.
 	// nil when telemetry is disabled — the ring is nil-safe, so the
 	// untraced path pays nothing.
@@ -192,27 +194,21 @@ func New(cfg Config) *Server {
 	for _, name := range schema.BuiltinNames() {
 		s.schemas[name], _ = schema.ByName(name)
 	}
-	if b := buildIdentity(s.configFingerprint(), cfg.DefaultVerify); b != "" {
+	fp := s.configFingerprint()
+	sum := sha256.Sum256([]byte(fp))
+	s.config = hex.EncodeToString(sum[:8])
+	if b := buildIdentity(fp, cfg.DefaultVerify); b != "" {
 		s.build = []string{b}
 	}
 	if !cfg.DisableTelemetry {
 		s.traces = telemetry.NewTraceRing(0)
 	}
 	s.initMetrics(cfg.Metrics)
-	switch {
-	case cfg.Cache != nil:
-		s.cache = cfg.Cache
-	case cfg.CacheEntries > 0:
+	if cfg.CacheEntries > 0 {
 		s.cache = diagcache.New(diagcache.Config{
 			MaxEntries: cfg.CacheEntries,
 			Metrics:    s.metrics.reg,
 		})
-	}
-	if s.cache != nil {
-		// An entry proven under one limits/schema regime is not evidence
-		// under another: rebinding a shared cache to a differently
-		// configured server flushes it.
-		s.cache.BindConfig(s.configFingerprint())
 	}
 	interpret := s.handleInterpret
 	if cfg.Pool != nil {
@@ -543,18 +539,6 @@ func (s *Server) maybeQuarantine(ctx context.Context, req *diagramRequest, res *
 	_, _, _ = s.cfg.Quarantine.Add(e) // best-effort: serving beats filing
 }
 
-// setVerifyHeaders exposes the verification outcome out-of-band so
-// clients (and proxies) can spot degraded artifacts without parsing the
-// body.
-func setVerifyHeaders(w http.ResponseWriter, res *queryvis.Result) {
-	if res.VerifyStatus != "" && res.VerifyStatus != queryvis.VerifyStatusOff {
-		w.Header().Set("X-QueryVis-Verify-Status", res.VerifyStatus)
-	}
-	if res.Degraded != "" {
-		w.Header().Set("X-QueryVis-Degraded", res.Degraded)
-	}
-}
-
 type diagramResponse struct {
 	Format         string `json:"format"`
 	Diagram        string `json:"diagram"`
@@ -609,7 +593,7 @@ func (s *Server) handleInterpret(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return s.fail(w, err)
 	}
-	res, _, err := s.runVerified(r.Context(), &req, sch)
+	res, mode, err := s.runVerified(r.Context(), &req, sch)
 	if err != nil {
 		return s.fail(w, err)
 	}
@@ -617,11 +601,8 @@ func (s *Server) handleInterpret(w http.ResponseWriter, r *http.Request) error {
 		Interpretation: res.Interpretation,
 		TRC:            res.TRC.String(),
 		ElapsedMS:      time.Since(started).Milliseconds(),
-		VerifyStatus:   res.VerifyStatus,
+		VerifyStatus:   reportedStatus(mode, res.VerifyStatus),
 		Degraded:       res.Degraded,
-	}
-	if res.VerifyStatus == queryvis.VerifyStatusOff {
-		resp.VerifyStatus = ""
 	}
 	// A result degraded to the TRC rung carries no tree; the calculus
 	// text above is the whole answer.
@@ -629,7 +610,7 @@ func (s *Server) handleInterpret(w http.ResponseWriter, r *http.Request) error {
 		resp.Tree = res.Tree.String()
 		resp.NestingDepth = res.Tree.MaxDepth()
 	}
-	setVerifyHeaders(w, res)
+	setResultHeaders(w, resp.VerifyStatus, resp.Degraded, "")
 	writeJSON(w, http.StatusOK, resp)
 	return nil
 }

@@ -48,15 +48,24 @@
 #              the hit counter on /v1/metrics must read exactly 1; then
 #              App. G's Sailors "only" query and its Students isomorph —
 #              the second response must name Student
-#   cache-race singleflight collapse, eviction-churn and cache-on digest
-#              batteries under the race detector: N goroutines sending
-#              one identical request collapse to one build with
-#              byte-identical bodies, a two-entry cache under six-query
-#              pressure never serves bytes that diverge from the
-#              uncached baseline, and the 200-request digest mix served
-#              cold then warm through one cache matches the uncached
-#              golden, in-process and through a process-isolated server
-#              whose warm pass never reaches a worker
+#   cache-race singleflight collapse, eviction-churn, cache-on digest,
+#              batch-parity and request-key batteries under the race
+#              detector: N goroutines sending one identical request
+#              collapse to one build with byte-identical bodies, a
+#              two-entry cache under six-query pressure never serves
+#              bytes that diverge from the uncached baseline, the
+#              200-request digest mix served cold then warm through one
+#              cache matches the uncached golden, in-process and through
+#              a process-isolated server whose warm pass never reaches a
+#              worker, the same mix served as /v1/diagrams:batch items
+#              carries each single /v1/diagram answer (body, verify and
+#              degraded headers) cold and warm in both modes, and the
+#              request key holds every input that decides the bytes: a
+#              shared library cache never serves an entry built without
+#              limits to a caller whose limits refuse the query, or one
+#              proven under the default verify budget to a caller whose
+#              budget cannot prove it; followers of an uncacheable
+#              leader run their own build
 #   scale-out  instance-level chaos through the consistent-hash router,
 #              under the race detector: three real instances, two
 #              SIGKILLed mid-run, 100% well-formed responses, no
@@ -136,7 +145,9 @@ echo "== cache smoke"
 go test -count=1 -run TestCacheSmoke ./cmd/queryvisd
 
 echo "== cache race battery (race)"
-go test -count=1 -race -run 'TestCacheRaceSingleflight|TestCacheEvictionChurn|TestHandlerDigestsCacheColdWarm|TestHandlerDigestsProcessColdWarm' ./internal/server
+go test -count=1 -race -run 'TestCacheRaceSingleflight|TestCacheEvictionChurn|TestHandlerDigestsCacheColdWarm|TestHandlerDigestsProcessColdWarm|TestBatchParityColdWarm' ./internal/server
+go test -count=1 -race -run 'TestFromSQLCachedKeyHolds' .
+go test -count=1 -race -run 'TestKeyHoldsEveryInput|TestFollowerOfUncacheableLeaderBuildsItself|TestNilCacheBuilds' ./internal/diagcache
 
 echo "== scale-out router kill-storm (race)"
 go test -count=1 -race -run 'TestRouterKillStorm|TestRouterSurvivesColdStartAgainstDeadRing' ./internal/router
