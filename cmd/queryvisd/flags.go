@@ -58,8 +58,7 @@ type options struct {
 	workerMaxReqs int
 	worker        bool
 
-	route      string
-	adminToken string
+	route string
 
 	fleetSpec     string
 	fleetSRV      string
@@ -96,7 +95,6 @@ func newOptions(out io.Writer) *options {
 	})
 	o.declare(groupRouter, func(fs *flag.FlagSet) {
 		fs.StringVar(&o.route, "route", "", "comma-separated queryvisd base URLs; run as a consistent-hash router over them instead of a server")
-		fs.StringVar(&o.adminToken, "route-admin-token", "", "bearer token for the /v1/ring live-membership admin surface; empty disables it (router mode)")
 	})
 	o.declare(groupFleet, func(fs *flag.FlagSet) {
 		fs.StringVar(&o.fleetSpec, "fleet", "", "fleet spec JSON file; run the self-healing supervisor over its desired members (router mode)")
@@ -189,8 +187,6 @@ func (o *options) ignored(name string) string {
 		return "configures a worker pool; a router has none"
 	case (name == "workers" || name == "worker-max-requests") && o.isolation != "process":
 		return "requires -isolation=process"
-	case g == groupRouter && !o.routing():
-		return "requires router mode (-route, -fleet or -fleet-srv)"
 	case g == groupFleet && o.fleetSrc == nil:
 		return "requires -fleet or -fleet-srv"
 	}
@@ -239,7 +235,6 @@ func (o *options) routerConfig(backends []string, reg *telemetry.Registry, logge
 	return router.Config{
 		Backends:      backends,
 		MaxBodyBytes:  routerMaxBody,
-		AdminToken:    o.adminToken,
 		ResponseCache: true,
 		Metrics:       reg,
 		Logger:        logger,

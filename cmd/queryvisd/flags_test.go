@@ -43,13 +43,13 @@ func TestFlagSurface(t *testing.T) {
 
 		"isolation": groupPool, "workers": groupPool, "worker-max-requests": groupPool, "worker": groupPool,
 
-		"route": groupRouter, "route-admin-token": groupRouter,
+		"route": groupRouter,
 
 		"fleet": groupFleet, "fleet-srv": groupFleet, "fleet-spawn": groupFleet,
 		"fleet-interval": groupFleet, "fleet-up-after": groupFleet,
 	}
-	if len(want) != 19 {
-		t.Fatalf("pinned %d flags, want 19", len(want))
+	if len(want) != 18 {
+		t.Fatalf("pinned %d flags, want 18", len(want))
 	}
 	o := newOptions(io.Discard)
 	got := map[string]string{}
@@ -68,7 +68,7 @@ func TestFlagModesAccepted(t *testing.T) {
 		{"-addr", "127.0.0.1:0", "-route", "http://a,http://b", "-pprof"},
 		{"-isolation=process", "-workers", "1", "-worker-max-requests", "1", "-allow-fault-injection"},
 		{"-route", "http://a", "-fleet", "fleet.json", "-fleet-interval", "50ms", "-fleet-up-after", "1"},
-		{"-fleet-srv", "_qv._tcp.example", "-route-admin-token", "secret"},
+		{"-fleet-srv", "_qv._tcp.example"},
 		{"-route", "http://a", "-fleet", "fleet.json", "-fleet-spawn", "-verify", "strict", "-metrics=false"},
 		{"-worker", "-verify=strict", "-cache-entries=16", "-metrics=false", "-allow-fault-injection=true"},
 		{"-addr", "127.0.0.1:9", "-cache-entries=16", "-cache-entries", "512"},
@@ -98,7 +98,7 @@ func TestSpawnerArgs(t *testing.T) {
 	mustParse(t, cmd.Args[1:]...) // a worker accepts what it is given
 
 	o = mustParse(t, "-route", "http://127.0.0.1:1", "-fleet", "fleet.json", "-fleet-spawn",
-		"-fleet-interval", "1s", "-fleet-up-after", "3", "-route-admin-token", "secret", "-pprof",
+		"-fleet-interval", "1s", "-fleet-up-after", "3", "-pprof",
 		"-cache-entries", "16", "-quarantine-dir", "q")
 	spawn := o.memberSpawner()
 	cmd, err = spawn(fleet.Member{URL: "http://127.0.0.1:8082", Args: []string{"-cache-entries", "512"}})
@@ -189,7 +189,6 @@ func TestDefaultConfigs(t *testing.T) {
 		InstanceMaxElapsed: 500 * time.Millisecond,
 		InstanceTimeout:    30 * time.Second,
 		MaxBodyBytes:       1 << 20,
-		DrainPollInterval:  50 * time.Millisecond,
 		ResponseCache:      true,
 	}
 	if !reflect.DeepEqual(rt, wantRouter) {

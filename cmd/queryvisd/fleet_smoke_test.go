@@ -186,8 +186,8 @@ func TestFleetMode(t *testing.T) {
 	}
 
 	// Drop b2 from the spec; SIGHUP forces the re-read, and the
-	// supervisor drains it off the ring (the router completes the drain
-	// at zero in-flight).
+	// supervisor drains it and ejects it on a later tick that finds it
+	// idle.
 	writeSpec(b1.URL)
 	if err := syscall.Kill(os.Getpid(), syscall.SIGHUP); err != nil {
 		t.Fatalf("SIGHUP: %v", err)

@@ -10,7 +10,7 @@
 //	          [-verify off|degrade|strict] [-quarantine-dir DIR] \
 //	          [-cache-entries 4096] [-metrics=false] [-allow-fault-injection] \
 //	          [-isolation none|process] [-workers 4] [-worker-max-requests 512] \
-//	          [-route URL,URL,...] [-route-admin-token TOKEN] \
+//	          [-route URL,URL,...] \
 //	          [-fleet SPEC.json | -fleet-srv _svc._proto.name] [-fleet-spawn] \
 //	          [-fleet-interval 500ms] [-fleet-up-after 2]
 //
@@ -46,8 +46,9 @@
 // on the ring, and sheds an honest 503 + Retry-After only when no
 // instance is eligible. Its
 // own /v1/healthz reports per-instance ring state; /v1/metrics the
-// router registry. With -route-admin-token the /v1/ring admin surface
-// joins, drains, and ejects instances at runtime without a restart.
+// router registry. The -route list is the initial ring; to change
+// membership at runtime, run the fleet supervisor (below), edit its
+// spec and send SIGHUP.
 // The router's hot tier is its response cache, always on: identical
 // concurrent requests collapse into one upstream call, and a verified
 // response answers repeats of its body from the router's memory until
@@ -58,10 +59,12 @@
 // bypassed. See internal/router and the README's "Scale-out" section.
 //
 // With -fleet (a JSON spec file) or -fleet-srv (a DNS SRV name) the
-// router additionally runs the self-healing fleet supervisor: a
-// reconciliation loop that probes every desired member, joins newly
-// healthy instances, drain-then-ejects persistently unhealthy ones, and
-// rejoins the recovered — every removal gated by a disruption budget
+// router additionally runs the self-healing fleet supervisor, the
+// ring's one membership writer: a reconciliation loop that probes every
+// desired member, joins newly healthy instances, drain-then-ejects
+// persistently unhealthy and undesired ones (ejecting once a drained
+// member goes idle), and rejoins the recovered — every removal gated
+// by a disruption budget
 // (at least one healthy member, one drain at a time, never the last
 // member). -fleet-spawn makes the supervisor also own the member
 // processes (this binary re-executed per member, respawned with

@@ -313,7 +313,6 @@ func TestUsageError(t *testing.T) {
 		{[]string{"-route", "http://127.0.0.1:1", "-isolation=process"}, "-isolation configures a worker pool"},
 		{[]string{"-route", "http://127.0.0.1:1", "-metrics=false"}, "-metrics configures an instance"},
 		{[]string{"-route", "http://127.0.0.1:1", "-cache-entries", "0"}, "-cache-entries configures an instance"},
-		{[]string{"-route-admin-token", "secret"}, "-route-admin-token requires router mode"},
 		{[]string{"-fleet-spawn"}, "-fleet-spawn requires -fleet or -fleet-srv"},
 		{[]string{"-route", "http://127.0.0.1:1", "-fleet-interval", "1s"}, "-fleet-interval requires -fleet or -fleet-srv"},
 		{[]string{"-fleet", "fleet.json", "-fleet-srv", "_qv._tcp.example"}, "mutually exclusive"},

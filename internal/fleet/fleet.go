@@ -1,10 +1,17 @@
 // Package fleet is the self-healing control plane over the router's
-// ring: a reconciliation loop that compares desired membership (a spec
-// file, a DNS SRV watcher — anything implementing Source) against
-// observed state (direct healthz probes plus the router's own view) and
-// drives the ring toward desired — joining newly discovered healthy
-// instances, drain-then-ejecting persistently unhealthy ones, and
-// rejoining recovered ones.
+// ring and the ring's one membership writer: a reconciliation loop that
+// compares desired membership (a spec file, a DNS SRV watcher —
+// anything implementing Source) against observed state (direct healthz
+// probes plus the router's own view) and drives the ring toward desired
+// — joining newly discovered healthy instances, drain-then-ejecting
+// persistently unhealthy or undesired ones, and rejoining recovered
+// ones. To join, drain or eject a member by hand, edit the spec and
+// send SIGHUP (Poke).
+//
+// A drain is the supervisor's from start to removal. The tick that
+// starts it only sets the router's draining flag; a later tick ejects
+// the member once the router reports it idle ("drained"), or hard-ejects
+// it once the drain has outlived DrainTimeout ("eject").
 //
 // Two properties make the loop safe to leave unattended:
 //
@@ -52,9 +59,9 @@ import (
 // satisfies it.
 type Ring interface {
 	State() router.State
-	Join(url string) (epoch uint64, status string, err error)
-	Drain(url string) (epoch uint64, err error)
-	Eject(url string) (epoch uint64, err error)
+	Join(url string) error
+	Drain(url string) error
+	Eject(url string) error
 }
 
 // Metric families. Registered at New so the exposition is stable from
@@ -104,8 +111,8 @@ type Config struct {
 	// count toward the floor, so dead members are always removable.
 	MinHealthy int
 	// DrainTimeout escalates a drain that has not completed — the
-	// member still on the ring, its in-flight requests apparently
-	// immortal — to a hard eject (default 10s).
+	// member still on the ring with requests in flight — to a hard
+	// eject (default 10s).
 	DrainTimeout time.Duration
 	// Spawn, when non-nil, turns on process supervision: it builds the
 	// (unstarted) command for one desired member. The supervisor starts
@@ -171,7 +178,7 @@ func (c Config) WithDefaults() Config {
 // did (or refused to do), to whom, and why.
 type Action struct {
 	Time   time.Time `json:"time"`
-	Action string    `json:"action"` // join|rejoin|drain|eject|remove|spawn|respawn|denied
+	Action string    `json:"action"` // join|rejoin|drain|remove|drained|eject|spawn|respawn|denied
 	URL    string    `json:"url"`
 	Detail string    `json:"detail,omitempty"`
 }
@@ -267,7 +274,7 @@ func New(cfg Config) (*Supervisor, error) {
 
 	s.reg.Counter(mReconciles, "Reconcile ticks completed.")
 	s.reg.Counter(mReconcileErr, "Reconcile errors by kind.", "kind", "source")
-	for _, a := range []string{"join", "rejoin", "drain", "eject", "remove", "spawn", "respawn"} {
+	for _, a := range []string{"join", "rejoin", "drain", "drained", "eject", "remove", "spawn", "respawn"} {
 		s.reg.Counter(mActions, "Reconcile actions taken, by action.", "action", a)
 	}
 	for _, r := range []string{"drain_concurrency", "min_healthy", "last_member"} {
@@ -363,6 +370,9 @@ func (s *Supervisor) ReconcileOnce(ctx context.Context) {
 	// would otherwise read as "desired: nobody" and start draining
 	// whatever the ring was seeded with.
 	desired, err := s.cfg.Source.Desired(ctx)
+	if err == nil {
+		desired, err = normalize(desired)
+	}
 	s.mu.Lock()
 	if err != nil {
 		s.reg.Counter(mReconcileErr, "Reconcile errors by kind.", "kind", "source").Inc()
@@ -382,22 +392,24 @@ func (s *Supervisor) ReconcileOnce(ctx context.Context) {
 	spawnOn := s.cfg.Spawn != nil
 	s.mu.Unlock()
 
-	// 2. Process supervision: every desired member gets a running
-	// process (spawn mode only).
-	if spawnOn {
-		s.ensureProcesses(desired)
-	}
-
-	// 3. Observe: the ring's view plus one direct healthz probe per
-	// member of the union(desired, ring).
+	// 2. The ring's view, read once per tick.
 	ringState := s.cfg.Ring.State()
 	onRing := make(map[string]router.InstanceState, len(ringState.Instances))
 	for _, in := range ringState.Instances {
 		onRing[in.URL] = in
 	}
+
+	// 3. Process supervision (spawn mode only): every desired member
+	// gets a running process, and an undesired one keeps its process
+	// until it is off the ring.
+	if spawnOn {
+		s.ensureProcesses(desired, onRing)
+	}
+
+	// 4. Observe: one direct healthz probe per desired member.
 	obs := s.observe(ctx, desired, onRing)
 
-	// 4. Update streaks and converge.
+	// 5. Update streaks and converge.
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.reconcileLocked(obs, onRing, len(ringState.Instances))
@@ -543,9 +555,8 @@ func (s *Supervisor) reconcileLocked(obs []observation, onRing map[string]router
 			Detail: action + " refused: " + reason})
 		s.log("disruption budget denied action", "action", action, "member", target, "reason", reason)
 	}
-	// startRemoval drains target (escalating to eject on DrainTimeout in
-	// later ticks) and keeps the budget accounting coherent within this
-	// tick.
+	// startRemoval drains target (finished by finishDrain on a later
+	// tick) and keeps the budget accounting coherent within this tick.
 	startRemoval := func(st *memberState, action, detail string) {
 		target := st.member.URL
 		ok, reason := budget(target)
@@ -553,7 +564,7 @@ func (s *Supervisor) reconcileLocked(obs []observation, onRing map[string]router
 			deny(action, target, reason)
 			return
 		}
-		if _, err := s.cfg.Ring.Drain(target); err != nil {
+		if err := s.cfg.Ring.Drain(target); err != nil {
 			s.log("drain failed", "member", target, "err", err)
 			return
 		}
@@ -583,11 +594,10 @@ func (s *Supervisor) reconcileLocked(obs []observation, onRing map[string]router
 		if st.drainStarted.IsZero() {
 			startRemoval(st, "remove", "not in desired set")
 		}
-		s.escalate(st, in, now)
+		s.finishDrain(st, in, now)
 	}
 
-	// 5b. Drain persistently unhealthy desired members; escalate stuck
-	// drains.
+	// 5b. Drain persistently unhealthy desired members; finish drains.
 	for _, o := range obs {
 		st := s.states[o.member.URL]
 		if !o.onRing {
@@ -598,7 +608,7 @@ func (s *Supervisor) reconcileLocked(obs []observation, onRing map[string]router
 			startRemoval(st, "drain", fmt.Sprintf("unhealthy for %d consecutive observations (%s)",
 				st.failStreak, o.probeErr))
 		}
-		s.escalate(st, o.ringState, now)
+		s.finishDrain(st, o.ringState, now)
 	}
 
 	// 5c. Join (or rejoin) healthy desired members that are off the
@@ -612,7 +622,7 @@ func (s *Supervisor) reconcileLocked(obs []observation, onRing map[string]router
 		if st.everOnRing {
 			action = "rejoin"
 		}
-		if _, _, err := s.cfg.Ring.Join(o.member.URL); err != nil {
+		if err := s.cfg.Ring.Join(o.member.URL); err != nil {
 			s.log("join failed", "member", o.member.URL, "err", err)
 			continue
 		}
@@ -627,19 +637,31 @@ func (s *Supervisor) reconcileLocked(obs []observation, onRing map[string]router
 	}
 }
 
-// escalate hard-ejects a member whose drain has outlived DrainTimeout.
-// Caller holds s.mu.
-func (s *Supervisor) escalate(st *memberState, in router.InstanceState, now time.Time) {
-	if st.drainStarted.IsZero() || now.Sub(st.drainStarted) < s.cfg.DrainTimeout {
+// finishDrain ejects a member whose drain this supervisor started: as
+// "drained" once the ring reports it idle, as "eject" once the drain has
+// outlived DrainTimeout. in is the ring's view read at the start of this
+// tick, so in.Draining means the drain began on an earlier tick: a
+// request assigned just before the flag landed has had a whole interval
+// to show up in Inflight. Caller holds s.mu.
+func (s *Supervisor) finishDrain(st *memberState, in router.InstanceState, now time.Time) {
+	if st.drainStarted.IsZero() {
 		return
 	}
-	if _, err := s.cfg.Ring.Eject(st.member.URL); err != nil {
-		s.log("eject escalation failed", "member", st.member.URL, "err", err)
+	action, detail := "drained", "no requests in flight"
+	switch {
+	case in.Draining && in.Inflight == 0:
+	case now.Sub(st.drainStarted) >= s.cfg.DrainTimeout:
+		action = "eject"
+		detail = fmt.Sprintf("drain exceeded %s; escalated (inflight %d)", s.cfg.DrainTimeout, in.Inflight)
+	default:
+		return
+	}
+	if err := s.cfg.Ring.Eject(st.member.URL); err != nil {
+		s.log("eject failed", "member", st.member.URL, "action", action, "err", err)
 		return
 	}
 	st.drainStarted = time.Time{}
-	s.act(now, "eject", st.member.URL,
-		fmt.Sprintf("drain exceeded %s; escalated (inflight %d)", s.cfg.DrainTimeout, in.Inflight))
+	s.act(now, action, st.member.URL, detail)
 }
 
 // act counts and logs one completed action. Caller holds s.mu.

@@ -24,8 +24,9 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
-// fakeRing is an in-memory Ring with scriptable member health, so the
-// reconcile loop can be stepped deterministically without a router.
+// fakeRing is an in-memory Ring with scriptable member health and
+// in-flight counts, so the reconcile loop can be stepped
+// deterministically without a router.
 type fakeRing struct {
 	mu      sync.Mutex
 	epoch   uint64
@@ -52,6 +53,14 @@ func (f *fakeRing) setHealthy(url string, ok bool) {
 	defer f.mu.Unlock()
 	if in := f.members[url]; in != nil {
 		in.Healthy = ok
+	}
+}
+
+func (f *fakeRing) setInflight(url string, n int64) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if in := f.members[url]; in != nil {
+		in.Inflight = n
 	}
 }
 
@@ -84,39 +93,37 @@ func (f *fakeRing) State() router.State {
 	return st
 }
 
-func (f *fakeRing) Join(url string) (uint64, string, error) {
+func (f *fakeRing) Join(url string) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.ops = append(f.ops, "join "+url)
-	if in := f.members[url]; in != nil {
-		in.Draining = false
-		f.epoch++
-		return f.epoch, "rejoined", nil
+	if f.members[url] != nil {
+		return errors.New("already a member")
 	}
 	f.members[url] = &router.InstanceState{URL: url, Healthy: true}
 	f.order = append(f.order, url)
 	f.epoch++
-	return f.epoch, "joined", nil
+	return nil
 }
 
-func (f *fakeRing) Drain(url string) (uint64, error) {
+func (f *fakeRing) Drain(url string) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.ops = append(f.ops, "drain "+url)
 	in := f.members[url]
 	if in == nil {
-		return f.epoch, errors.New("no such member")
+		return router.ErrUnknownMember
 	}
 	in.Draining = true
-	return f.epoch, nil
+	return nil
 }
 
-func (f *fakeRing) Eject(url string) (uint64, error) {
+func (f *fakeRing) Eject(url string) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.ops = append(f.ops, "eject "+url)
 	if f.members[url] == nil {
-		return f.epoch, errors.New("no such member")
+		return router.ErrUnknownMember
 	}
 	delete(f.members, url)
 	for i, u := range f.order {
@@ -126,7 +133,7 @@ func (f *fakeRing) Eject(url string) (uint64, error) {
 		}
 	}
 	f.epoch++
-	return f.epoch, nil
+	return nil
 }
 
 // fakeInstance is a healthz endpoint whose answer a test can flip.
@@ -185,10 +192,10 @@ func (f *fakeSource) Desired(context.Context) ([]Member, error) {
 // newTestSup builds a supervisor with fast, deterministic settings. The
 // probe client disables keep-alives so no idle-connection goroutines
 // survive into the leak check.
-func newTestSup(t *testing.T, fr *fakeRing, src Source, mut func(*Config)) *Supervisor {
+func newTestSup(t *testing.T, ring Ring, src Source, mut func(*Config)) *Supervisor {
 	t.Helper()
 	cfg := Config{
-		Ring:         fr,
+		Ring:         ring,
 		Source:       src,
 		ProbeTimeout: 2 * time.Second,
 		DownAfter:    2,
@@ -264,11 +271,12 @@ func TestDrainEjectRejoinHeal(t *testing.T) {
 	if fr.draining(fi2.url()) {
 		t.Fatal("drained after a single bad observation; DownAfter=2 hysteresis violated")
 	}
-	tick(s, 1) // failStreak 2 → drain
+	fr.setInflight(fi2.url(), 1) // a request that never finishes
+	tick(s, 1)                   // failStreak 2 → drain
 	if !fr.draining(fi2.url()) {
 		t.Fatal("member should be draining after DownAfter bad observations")
 	}
-	tick(s, 1) // drain outlives DrainTimeout → eject
+	tick(s, 1) // drain outlives DrainTimeout with a request in flight → eject
 	if fr.has(fi2.url()) {
 		t.Fatal("stuck drain should have escalated to eject")
 	}
@@ -417,13 +425,14 @@ func TestRemoveUndesiredMember(t *testing.T) {
 	fr.add(extra.url())
 	src := &fakeSource{}
 	src.set(keep.url()) // extra is on the ring but not desired
+	fr.setInflight(extra.url(), 1)
 	s := newTestSup(t, fr, src, nil)
 
 	tick(s, 1)
 	if !fr.draining(extra.url()) {
 		t.Fatal("undesired member should be draining after the first reconcile")
 	}
-	tick(s, 1) // escalation past DrainTimeout
+	tick(s, 1) // escalation past DrainTimeout with a request in flight
 	if fr.has(extra.url()) {
 		t.Fatal("undesired member should be ejected once its drain escalates")
 	}
@@ -433,6 +442,116 @@ func TestRemoveUndesiredMember(t *testing.T) {
 	st := s.Status()
 	if st.ActionCounts["remove"] != 1 || st.ActionCounts["eject"] != 1 {
 		t.Fatalf("action counts = %v, want remove=1 eject=1", st.ActionCounts)
+	}
+}
+
+// TestDrainCompletesOnceIdle: the supervisor finishes the drains it
+// starts. A drain started this tick is not finished this tick, even at
+// zero in flight; a member with requests in flight stays on the ring;
+// the first later tick that reads it idle ejects it as "drained", not
+// as an escalated "eject".
+func TestDrainCompletesOnceIdle(t *testing.T) {
+	defer leak.Check(t)()
+	keep, extra := newFakeInstance(), newFakeInstance()
+	defer keep.srv.Close()
+	defer extra.srv.Close()
+	fr := newFakeRing()
+	fr.add(keep.url())
+	fr.add(extra.url())
+	src := &fakeSource{}
+	src.set(keep.url())
+	s := newTestSup(t, fr, src, func(c *Config) { c.DrainTimeout = time.Hour })
+
+	tick(s, 1)
+	if !fr.draining(extra.url()) {
+		t.Fatal("undesired member should be draining after the first reconcile")
+	}
+	fr.setInflight(extra.url(), 2)
+	tick(s, 2)
+	if !fr.has(extra.url()) {
+		t.Fatal("a draining member with requests in flight was removed")
+	}
+	fr.setInflight(extra.url(), 0)
+	tick(s, 1)
+	if fr.has(extra.url()) {
+		t.Fatal("an idle draining member should be ejected on the next tick")
+	}
+	st := s.Status()
+	if st.ActionCounts["remove"] != 1 || st.ActionCounts["drained"] != 1 || st.ActionCounts["eject"] != 0 {
+		t.Fatalf("action counts = %v, want remove=1 drained=1 eject=0", st.ActionCounts)
+	}
+	if got := s.reg.Value(mActions, "action", "drained"); got != 1 {
+		t.Fatalf("drained actions metric = %v, want 1", got)
+	}
+
+	// At zero in flight from the start, the tick that starts a drain
+	// still leaves the member on the ring.
+	fr2 := newFakeRing()
+	fr2.add(keep.url())
+	fr2.add(extra.url())
+	s2 := newTestSup(t, fr2, src, func(c *Config) { c.DrainTimeout = time.Hour })
+	tick(s2, 1)
+	if !fr2.has(extra.url()) || !fr2.draining(extra.url()) {
+		t.Fatal("a drain was finished on the tick that started it")
+	}
+	tick(s2, 1)
+	if fr2.has(extra.url()) {
+		t.Fatal("an idle draining member should be ejected on the tick after the drain started")
+	}
+}
+
+// TestSpecURLsNormalizedToRing: the supervisor keys members by the
+// router's normalized URL. A spec whose URLs carry a trailing slash
+// names the same two members a real router already holds, so a healthy
+// ring is left alone: the epoch stays 1 and no action is recorded. A
+// desired set with an invalid URL or two URLs that normalize alike is a
+// source error and keeps the last good set.
+func TestSpecURLsNormalizedToRing(t *testing.T) {
+	defer leak.Check(t)()
+	fi1, fi2 := newFakeInstance(), newFakeInstance()
+	defer fi1.srv.Close()
+	defer fi2.srv.Close()
+	rt, err := router.New(router.Config{
+		Backends:       []string{fi1.url(), fi2.url()},
+		HealthInterval: 10 * time.Millisecond,
+		Metrics:        telemetry.NewRegistry(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	src := &fakeSource{}
+	src.set(fi1.url()+"/", fi2.url()+"/")
+	s := newTestSup(t, rt, src, nil)
+
+	tick(s, 12)
+	if ep := rt.State().Epoch; ep != 1 {
+		t.Fatalf("ring epoch = %d after 12 ticks over an unchanged fleet, want 1", ep)
+	}
+	st := s.Status()
+	if len(st.Actions) != 0 {
+		t.Fatalf("supervisor acted on a healthy ring: %+v (denials %v)", st.Actions, st.BudgetDenied)
+	}
+	if len(st.Desired) != 2 || st.Desired[0] != fi1.url() || st.Desired[1] != fi2.url() {
+		t.Fatalf("desired = %v, want the normalized URLs", st.Desired)
+	}
+
+	for i, bad := range [][]string{
+		{fi1.url(), fi1.url() + "/"}, // duplicate once normalized
+		{fi1.url(), "ftp://127.0.0.1:1"},
+		{fi1.url(), ""}, // a spec entry without a url
+	} {
+		src.set(bad...)
+		tick(s, 1)
+		if got := s.reg.Value(mReconcileErr, "kind", "source"); got != float64(i+1) {
+			t.Fatalf("%v: source errors = %v, want %d", bad, got, i+1)
+		}
+		if d := s.Status().Desired; len(d) != 2 {
+			t.Fatalf("%v: desired = %v, want the last good set", bad, d)
+		}
+	}
+	if ep := rt.State().Epoch; ep != 1 || len(s.Status().Actions) != 0 {
+		t.Fatalf("a rejected desired set changed the ring: epoch %d, actions %+v", ep, s.Status().Actions)
 	}
 }
 
@@ -526,14 +645,8 @@ func TestSpecSource(t *testing.T) {
 		t.Fatalf("parsed spec = %+v", ms)
 	}
 
-	for name, body := range map[string]string{
-		"nourl.json": `{"instances": [{"args": ["-x"]}]}`,
-		"dup.json":   `{"instances": [{"url": "http://a:1"}, {"url": "http://a:1"}]}`,
-		"torn.json":  `{"instances": [{"url": "http://a`,
-	} {
-		if _, err := (&SpecSource{Path: write(name, body)}).Desired(context.Background()); err == nil {
-			t.Errorf("%s: want error, got none", name)
-		}
+	if _, err := (&SpecSource{Path: write("torn.json", `{"instances": [{"url": "http://a`)}).Desired(context.Background()); err == nil {
+		t.Error("torn.json: want error, got none")
 	}
 	if _, err := (&SpecSource{Path: filepath.Join(dir, "absent.json")}).Desired(context.Background()); err == nil {
 		t.Error("absent file: want error, got none")
@@ -657,6 +770,63 @@ func TestSpawnStopsUndesiredAndShutsDown(t *testing.T) {
 	}
 	if p.running() {
 		t.Fatal("undesired member's process should have been stopped")
+	}
+}
+
+// TestSpawnKeepsDrainingMemberProcess: dropping an on-ring member from
+// the spec drains it first; its process keeps serving while the ring
+// still holds it and is stopped only once the member is off the ring.
+func TestSpawnKeepsDrainingMemberProcess(t *testing.T) {
+	defer leak.Check(t)()
+	defer leak.CheckChildren(t)()
+	keep, gone := newFakeInstance(), newFakeInstance()
+	defer keep.srv.Close()
+	defer gone.srv.Close()
+	fr := newFakeRing()
+	fr.add(keep.url())
+	fr.add(gone.url())
+	src := &fakeSource{}
+	src.set(keep.url(), gone.url())
+	s := newTestSup(t, fr, src, func(c *Config) {
+		c.DrainTimeout = time.Hour
+		c.Spawn = func(m Member) (*exec.Cmd, error) {
+			return exec.Command("sleep", "60"), nil
+		}
+	})
+	defer s.shutdown()
+
+	tick(s, 1)
+	s.mu.Lock()
+	p := s.procs[gone.url()]
+	s.mu.Unlock()
+	if p == nil || !p.running() {
+		t.Fatal("desired member should have a live managed process")
+	}
+
+	fr.setInflight(gone.url(), 1)
+	src.set(keep.url())
+	tick(s, 2)
+	if !fr.draining(gone.url()) {
+		t.Fatal("the dropped member should be draining")
+	}
+	if !p.running() {
+		t.Fatal("the process of a member still draining on the ring was stopped")
+	}
+
+	fr.setInflight(gone.url(), 0)
+	tick(s, 1)
+	if fr.has(gone.url()) {
+		t.Fatal("the idle draining member should have been ejected")
+	}
+	tick(s, 1)
+	if p.running() {
+		t.Fatal("the process of a member off the ring and out of the spec should be stopped")
+	}
+	s.mu.Lock()
+	remaining := len(s.procs)
+	s.mu.Unlock()
+	if remaining != 1 {
+		t.Fatalf("%d managed processes, want 1 (the kept member's)", remaining)
 	}
 }
 

@@ -8,6 +8,8 @@ import (
 	"os"
 	"sort"
 	"strconv"
+
+	"repro/internal/router"
 )
 
 // Member is one desired fleet member: where it serves, and (spawn mode
@@ -23,8 +25,31 @@ type Member struct {
 // for repeated polling — the supervisor calls Desired every tick, so a
 // spec file edit or a DNS record change is picked up within one
 // Interval without any watch machinery (SIGHUP just makes it sooner).
+// The supervisor normalizes every URL a Source yields (see normalize).
 type Source interface {
 	Desired(ctx context.Context) ([]Member, error)
+}
+
+// normalize rewrites each member URL to the router's canonical form, so
+// the supervisor keys members exactly as the ring does. An invalid URL,
+// or two that normalize alike, fails the whole set: the supervisor then
+// keeps its last good set, as for any source error.
+func normalize(ms []Member) ([]Member, error) {
+	out := make([]Member, len(ms))
+	seen := make(map[string]bool, len(ms))
+	for i, m := range ms {
+		u, err := router.NormalizeMember(m.URL)
+		if err != nil {
+			return nil, fmt.Errorf("fleet: desired member %d: %w", i, err)
+		}
+		if seen[u] {
+			return nil, fmt.Errorf("fleet: duplicate desired member %q", u)
+		}
+		seen[u] = true
+		m.URL = u
+		out[i] = m
+	}
+	return out, nil
 }
 
 // Spec is the fleet spec file shape:
@@ -57,16 +82,6 @@ func (s *SpecSource) Desired(_ context.Context) ([]Member, error) {
 	var spec Spec
 	if err := json.Unmarshal(raw, &spec); err != nil {
 		return nil, fmt.Errorf("fleet: parsing spec %s: %w", s.Path, err)
-	}
-	seen := make(map[string]bool, len(spec.Instances))
-	for i, m := range spec.Instances {
-		if m.URL == "" {
-			return nil, fmt.Errorf("fleet: spec %s: instances[%d] has no url", s.Path, i)
-		}
-		if seen[m.URL] {
-			return nil, fmt.Errorf("fleet: spec %s: duplicate instance url %q", s.Path, m.URL)
-		}
-		seen[m.URL] = true
 	}
 	return spec.Instances, nil
 }

@@ -5,6 +5,8 @@ import (
 	"strconv"
 	"syscall"
 	"time"
+
+	"repro/internal/router"
 )
 
 // Process supervision for -fleet-spawn mode. The supervisor owns one
@@ -47,10 +49,12 @@ func (p *proc) running() bool {
 }
 
 // ensureProcesses starts or respawns a process for every desired
-// member that lacks a live one, honoring per-member backoff. Processes
-// for members no longer desired are stopped and forgotten — desired
-// state owns the process table exactly as it owns the ring.
-func (s *Supervisor) ensureProcesses(desired []Member) {
+// member that lacks a live one, honoring per-member backoff. A member
+// no longer desired keeps its process while it is on the ring (its
+// drain is still serving what it has) and is stopped and forgotten on
+// the first tick that finds it off — desired state owns the process
+// table exactly as it owns the ring.
+func (s *Supervisor) ensureProcesses(desired []Member, onRing map[string]router.InstanceState) {
 	now := time.Now()
 	desiredSet := make(map[string]bool, len(desired))
 	for _, m := range desired {
@@ -60,7 +64,7 @@ func (s *Supervisor) ensureProcesses(desired []Member) {
 	s.mu.Lock()
 	var toStop []*proc
 	for url, p := range s.procs {
-		if !desiredSet[url] {
+		if _, on := onRing[url]; !desiredSet[url] && !on {
 			toStop = append(toStop, p)
 			delete(s.procs, url)
 		}

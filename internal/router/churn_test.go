@@ -1,49 +1,52 @@
 // Membership-churn chaos: a rolling restart of real instance
-// processes under open-loop, Zipf-skewed load, driven entirely through
-// the /v1/ring admin surface. Two instances are replaced mid-storm —
-// join the replacement, drain the old member, wait for the drain
-// waiter to remove it, then SIGKILL the process — while 16 workers
+// processes under open-loop, Zipf-skewed load, driven the way an
+// operator drives it — by editing the fleet spec and poking the
+// supervisor (the SIGHUP path). Two instances are replaced mid-storm:
+// add the replacement to the spec and wait for the supervisor to join
+// it, drop the old member and wait for the supervisor to drain it and
+// eject it once idle, then SIGKILL the process — while 16 workers
 // hammer the router with a Zipf-skewed query mix and the response
-// cache is enabled. The contract:
-// every response is well-formed, nothing is shed or 503'd (at least
-// one instance was healthy at every instant), the epoch ledger shows
-// every membership change, and the router leaks neither goroutines nor
-// child processes.
+// cache is enabled. The contract: every response is well-formed,
+// nothing is shed or 503'd (at least one instance was healthy at every
+// instant), the epoch ledger shows every membership change, both drains
+// finish as "drained" rather than escalated ejects, and the router
+// leaks neither goroutines nor child processes.
 package router_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/fleet"
 	"repro/internal/leak"
 	"repro/internal/router"
 	"repro/internal/telemetry"
 )
 
-// churnAdmin issues one admin call against the live router; safe from
-// the chaos goroutine (no t.Fatal).
-func churnAdmin(front, method, path, token, url string) (int, error) {
-	raw, _ := json.Marshal(map[string]string{"url": url})
-	req, err := http.NewRequest(method, front+path, bytes.NewReader(raw))
-	if err != nil {
-		return 0, err
+// writeSpec replaces the fleet spec with the given member URLs.
+func writeSpec(path string, urls []string) error {
+	var spec fleet.Spec
+	for _, u := range urls {
+		spec.Instances = append(spec.Instances, fleet.Member{URL: u})
 	}
-	req.Header.Set("Authorization", "Bearer "+token)
-	resp, err := http.DefaultClient.Do(req)
+	raw, err := json.Marshal(spec)
 	if err != nil {
-		return 0, err
+		return err
 	}
-	resp.Body.Close()
-	return resp.StatusCode, nil
+	return os.WriteFile(path, raw, 0o644)
 }
 
 func TestRouterMembershipChurn(t *testing.T) {
@@ -53,19 +56,16 @@ func TestRouterMembershipChurn(t *testing.T) {
 	t.Cleanup(leak.Check(t))
 	t.Cleanup(leak.CheckChildren(t))
 
-	const token = "churn-secret"
 	a, b, c := startInstance(t), startInstance(t), startInstance(t)
 
 	rt, err := router.New(router.Config{
-		Backends:          []string{a.URL, b.URL, c.URL},
-		HealthInterval:    50 * time.Millisecond,
-		BreakerThreshold:  2,
-		BreakerCooldown:   250 * time.Millisecond,
-		InstanceAttempts:  2,
-		DrainPollInterval: 20 * time.Millisecond,
-		AdminToken:        token,
-		ResponseCache:     true,
-		Metrics:           telemetry.NewRegistry(),
+		Backends:         []string{a.URL, b.URL, c.URL},
+		HealthInterval:   50 * time.Millisecond,
+		BreakerThreshold: 2,
+		BreakerCooldown:  250 * time.Millisecond,
+		InstanceAttempts: 2,
+		ResponseCache:    true,
+		Metrics:          telemetry.NewRegistry(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -73,6 +73,34 @@ func TestRouterMembershipChurn(t *testing.T) {
 	t.Cleanup(rt.Close)
 	front := httptest.NewServer(rt)
 	t.Cleanup(front.Close)
+
+	// The supervisor is the only membership writer. It re-reads the spec
+	// every 50 ms tick; Poke makes an edit take effect at once.
+	spec := filepath.Join(t.TempDir(), "fleet.json")
+	desired := []string{a.URL, b.URL, c.URL}
+	if err := writeSpec(spec, desired); err != nil {
+		t.Fatal(err)
+	}
+	sup, err := fleet.New(fleet.Config{
+		Ring:     rt,
+		Source:   &fleet.SpecSource{Path: spec},
+		Interval: 50 * time.Millisecond,
+		UpAfter:  1,
+		Metrics:  rt.Registry(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	supCtx, supStop := context.WithCancel(context.Background())
+	supDone := make(chan struct{})
+	go func() {
+		defer close(supDone)
+		sup.Run(supCtx)
+	}()
+	t.Cleanup(func() {
+		supStop()
+		<-supDone
+	})
 
 	// Zipf-skewed mix (seeded): rank 0 dominates, exercising the
 	// response cache; each rank cycles through a few literal variants so
@@ -111,49 +139,57 @@ func TestRouterMembershipChurn(t *testing.T) {
 			time.Sleep(time.Millisecond)
 		}
 	}
-	// replace drains old, waits for the drain waiter to remove it from
-	// the membership, then kills the process — the rolling-restart move.
-	replace := func(old *testInstance, label string) {
-		if st, err := churnAdmin(front.URL, http.MethodPost, "/v1/ring/drain", token, old.URL); err != nil || st != http.StatusAccepted {
-			t.Errorf("drain %s: status %d err %v", label, st, err)
-			return
+	// edit rewrites the spec and pokes the supervisor, then waits until
+	// url's ring membership reads present; safe from the chaos goroutine
+	// (no t.Fatal).
+	edit := func(urls []string, url string, present bool) bool {
+		desired = urls
+		if err := writeSpec(spec, desired); err != nil {
+			t.Errorf("write spec: %v", err)
+			return false
 		}
+		sup.Poke()
 		deadline := time.Now().Add(15 * time.Second)
 		for {
-			gone := true
-			for _, in := range rt.State().Instances {
-				if in.URL == old.URL {
-					gone = false
-				}
-			}
-			if gone {
-				break
+			on := slices.ContainsFunc(rt.State().Instances,
+				func(in router.InstanceState) bool { return in.URL == url })
+			if on == present {
+				return true
 			}
 			if time.Now().After(deadline) {
-				t.Errorf("drain of %s never completed: %+v", label, rt.State())
-				return
+				t.Errorf("%s never reached on-ring=%v: %+v", url, present, rt.State())
+				return false
 			}
 			time.Sleep(5 * time.Millisecond)
 		}
-		old.Kill()
-		t.Logf("replaced instance %s (drained, removed, killed)", label)
+	}
+	// join adds an instance to the spec and waits for the supervisor to
+	// put it on the ring.
+	join := func(n *testInstance) {
+		edit(append(slices.Clone(desired), n.URL), n.URL, true)
+	}
+	// replace drops old from the spec, waits for the supervisor to drain
+	// it and eject it, then kills the process — the rolling-restart move.
+	replace := func(old *testInstance, label string) {
+		rest := slices.DeleteFunc(slices.Clone(desired), func(u string) bool { return u == old.URL })
+		if edit(rest, old.URL, false) {
+			old.Kill()
+			t.Logf("replaced instance %s (drained, removed, killed)", label)
+		}
 	}
 
+	// The replacements start before the storm, on the test's goroutine,
+	// and reach the ring only when the spec names them.
+	d, e := startInstance(t), startInstance(t)
 	churned := make(chan struct{})
 	go func() {
 		defer close(churned)
 		waitStarted(mJoinD)
-		d := startInstance(t)
-		if st, err := churnAdmin(front.URL, http.MethodPost, "/v1/ring/instances", token, d.URL); err != nil || st != http.StatusOK {
-			t.Errorf("join d: status %d err %v", st, err)
-		}
+		join(d)
 		waitStarted(mDrainA)
 		replace(a, "a")
 		waitStarted(mJoinE)
-		e := startInstance(t)
-		if st, err := churnAdmin(front.URL, http.MethodPost, "/v1/ring/instances", token, e.URL); err != nil || st != http.StatusOK {
-			t.Errorf("join e: status %d err %v", st, err)
-		}
+		join(e)
 		waitStarted(mDrainB)
 		replace(b, "b")
 	}()
@@ -242,6 +278,12 @@ func TestRouterMembershipChurn(t *testing.T) {
 	// The epoch ledger: initial(1) + join d + eject a + join e + eject b.
 	if st.Epoch < 5 {
 		t.Fatalf("epoch %d after two joins and two drain-removals, want ≥ 5", st.Epoch)
+	}
+	// Both drains ran from start to removal in the supervisor and ended
+	// because the member went idle, not because DrainTimeout escalated.
+	ac := sup.Status().ActionCounts
+	if ac["join"] != 2 || ac["remove"] != 2 || ac["drained"] != 2 || ac["eject"] != 0 {
+		t.Fatalf("supervisor actions %v, want join=2 remove=2 drained=2 eject=0", ac)
 	}
 	if len(st.Instances) != 3 {
 		t.Fatalf("%d members after the rolling restart, want 3", len(st.Instances))

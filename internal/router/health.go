@@ -20,8 +20,8 @@ const probeTimeout = time.Second
 // instance is one routed-to backend plus its health bookkeeping. Three
 // independent signals gate traffic: the active prober's verdict
 // (healthy), the request-path circuit breaker (openUntil), and the
-// operator's drain flag. Any of them alone can take the instance out of
-// rotation; all must agree it is fine before the ring hands it a key
+// supervisor's drain flag. Any of them alone can take the instance out
+// of rotation; all must agree it is fine before the ring hands it a key
 // again.
 type instance struct {
 	url string
@@ -38,17 +38,20 @@ type instance struct {
 	// streaks. A single blown probe must not eject an instance that is
 	// merely busy, and a single lucky probe must not readmit one that is
 	// flapping — the verdict flips only after ProbeDownAfter consecutive
-	// failures or probeUpAfter consecutive passes. Only the prober
-	// goroutine writes these; atomics keep healthz reads clean.
+	// failures or probeUpAfter consecutive passes. Only this instance's
+	// one outstanding probe writes these; atomics keep healthz reads
+	// clean.
 	probeFails atomic.Int32
 	probeOKs   atomic.Int32
-	// draining marks an instance the admin surface is retiring: it
-	// receives no new assignments, finishes what it has, and is removed
-	// from the ring once its in-flight count reaches zero.
+	// draining marks an instance the fleet supervisor is retiring: it
+	// receives no new assignments and finishes what it has; the
+	// supervisor ejects it once its in-flight count reads zero.
 	draining atomic.Bool
-	// inflight counts requests currently proxied to this instance; the
-	// drain waiter removes the member only once this holds at zero.
+	// inflight counts requests currently proxied to this instance.
 	inflight atomic.Int64
+	// probing is set while a probe of this instance is outstanding, so a
+	// slow probe is never overlapped by the next round's.
+	probing atomic.Bool
 	// consecFails counts request-path failures (transport errors,
 	// 502/503) since the last success; reaching the breaker threshold
 	// opens the breaker for the cooldown.
@@ -135,15 +138,26 @@ func (rt *Router) probe(in *instance) {
 
 // prober polls every current ring member on the configured interval
 // until Close. Membership is read fresh each round, so joined
-// instances are probed from their next cycle and ejected ones are
-// forgotten.
+// instances are probed from their next round and ejected ones are
+// forgotten. A round's probes run concurrently, and a member whose
+// previous probe is still outstanding sits the round out: one
+// blackholed member costs its own verdict a probe timeout, not every
+// other member's.
 func (rt *Router) prober() {
 	defer rt.loops.Done()
 	t := time.NewTicker(rt.cfg.HealthInterval)
 	defer t.Stop()
 	for {
 		for _, in := range rt.topo.Load().insts {
-			rt.probe(in)
+			if !in.probing.CompareAndSwap(false, true) {
+				continue
+			}
+			rt.loops.Add(1)
+			go func() {
+				defer rt.loops.Done()
+				defer in.probing.Store(false)
+				rt.probe(in)
+			}()
 		}
 		select {
 		case <-rt.closed:

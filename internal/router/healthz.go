@@ -11,8 +11,9 @@ import (
 type InstanceState struct {
 	URL     string `json:"url"`
 	Healthy bool   `json:"healthy"`
-	// Draining means the admin surface is retiring this member: no new
-	// assignments; removal lands when Inflight holds at zero.
+	// Draining means the fleet supervisor is retiring this member: no
+	// new assignments; the supervisor ejects it on a later reconcile
+	// tick that reads Inflight at zero.
 	Draining bool `json:"draining"`
 	// BreakerOpen means the request-path circuit is holding the
 	// instance out of rotation right now.

@@ -37,18 +37,20 @@ func (tp *topology) find(url string) *instance {
 	return nil
 }
 
-// ErrLastMember is returned when an eject (explicit or drain-driven)
-// would leave the ring empty. The last member can be drained — it stops
-// taking traffic and the router sheds honestly — but never removed:
-// a ring with zero members cannot be grown back by a failing router.
+// ErrLastMember is returned when an eject would leave the ring empty.
+// The last member can be drained — it stops taking traffic and the
+// router sheds honestly — but never removed: a ring with zero members
+// cannot be grown back by a failing router.
 var ErrLastMember = errors.New("router: cannot remove the last ring member")
 
 // ErrUnknownMember is returned for operations naming a URL that is not
 // on the ring.
 var ErrUnknownMember = errors.New("router: no such ring member")
 
-// normalizeMember validates and canonicalizes an instance base URL.
-func normalizeMember(raw string) (string, error) {
+// NormalizeMember validates and canonicalizes an instance base URL. It
+// is the one rule for member identity: the ring, its metric series and
+// the fleet supervisor's desired set all key members by its result.
+func NormalizeMember(raw string) (string, error) {
 	s := strings.TrimRight(strings.TrimSpace(raw), "/")
 	u, err := url.Parse(s)
 	if err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
@@ -79,55 +81,46 @@ func (rt *Router) swap(members []string) *topology {
 	return nt
 }
 
-// Join adds url to the ring (or readmits a draining member) and
-// returns the resulting epoch. Joining an existing active member is a
-// no-op reporting the current epoch. The joined instance starts
-// optimistically healthy and is probed from the next prober cycle; by
-// the minimal-movement property of the identity-keyed ring, only the
-// ~K/(N+1) keys the newcomer wins move to it.
-func (rt *Router) Join(rawURL string) (epoch uint64, status string, err error) {
-	u, err := normalizeMember(rawURL)
+// Join adds url to the ring, bumping the epoch. A URL already on the
+// ring is an error. The joined instance starts optimistically healthy
+// and is probed from the next prober round; by the minimal-movement
+// property of the identity-keyed ring, only the ~K/(N+1) keys the
+// newcomer wins move to it.
+func (rt *Router) Join(rawURL string) error {
+	u, err := NormalizeMember(rawURL)
 	if err != nil {
-		return 0, "", err
+		return err
 	}
 	rt.memberMu.Lock()
 	defer rt.memberMu.Unlock()
 	cur := rt.topo.Load()
-	if in := cur.find(u); in != nil {
-		if in.draining.CompareAndSwap(true, false) {
-			// Readmission cancels the pending drain; the waiter sees the
-			// cleared flag and stands down. The ring never dropped the
-			// member, so no keys move.
-			rt.countMembership("readmit")
-			rt.log("ring member readmitted", "instance", u, "epoch", cur.epoch)
-			return cur.epoch, "readmitted", nil
-		}
-		return cur.epoch, "already_member", nil
+	if cur.find(u) != nil {
+		return fmt.Errorf("router: %s is already a ring member", u)
 	}
 	members := append(append([]string{}, cur.members...), u)
 	nt := rt.swap(members)
 	rt.countMembership("join")
 	rt.log("ring member joined", "instance", u, "epoch", nt.epoch, "members", len(members))
-	return nt.epoch, "joined", nil
+	return nil
 }
 
 // Eject removes url from the ring immediately, moving its keys to the
-// survivors. In-flight requests already proxied to it finish on their
-// own; new assignments stop with the swap. The last member cannot be
-// ejected.
-func (rt *Router) Eject(rawURL string) (epoch uint64, err error) {
-	u, err := normalizeMember(rawURL)
+// survivors and bumping the epoch. In-flight requests already proxied
+// to it finish on their own; new assignments stop with the swap. The
+// last member cannot be ejected.
+func (rt *Router) Eject(rawURL string) error {
+	u, err := NormalizeMember(rawURL)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	rt.memberMu.Lock()
 	defer rt.memberMu.Unlock()
 	cur := rt.topo.Load()
 	if cur.find(u) == nil {
-		return cur.epoch, ErrUnknownMember
+		return ErrUnknownMember
 	}
 	if len(cur.members) == 1 {
-		return cur.epoch, ErrLastMember
+		return ErrLastMember
 	}
 	members := make([]string, 0, len(cur.members)-1)
 	for _, m := range cur.members {
@@ -138,75 +131,30 @@ func (rt *Router) Eject(rawURL string) (epoch uint64, err error) {
 	nt := rt.swap(members)
 	rt.countMembership("eject")
 	rt.log("ring member ejected", "instance", u, "epoch", nt.epoch, "members", len(members))
-	return nt.epoch, nil
+	return nil
 }
 
 // Drain begins retiring url: the member stops receiving new
-// assignments at once (the ring itself is untouched, so no other key
-// moves), in-flight requests finish, and a background waiter ejects the
-// member once its in-flight count holds at zero. Draining the last
-// member parks it — the waiter retries until another instance joins or
-// the router closes. Idempotent while a drain is pending.
-func (rt *Router) Drain(rawURL string) (epoch uint64, err error) {
-	u, err := normalizeMember(rawURL)
+// assignments at once, and the ring itself is untouched, so no other
+// key moves and the epoch holds. Its in-flight requests finish; the
+// caller ejects it once State reports it idle. Idempotent while the
+// member is draining.
+func (rt *Router) Drain(rawURL string) error {
+	u, err := NormalizeMember(rawURL)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	rt.memberMu.Lock()
 	defer rt.memberMu.Unlock()
-	cur := rt.topo.Load()
-	in := cur.find(u)
+	in := rt.topo.Load().find(u)
 	if in == nil {
-		return cur.epoch, ErrUnknownMember
+		return ErrUnknownMember
 	}
-	if !in.draining.CompareAndSwap(false, true) {
-		return cur.epoch, nil // drain already pending
+	if in.draining.CompareAndSwap(false, true) {
+		rt.countMembership("drain")
+		rt.log("ring member draining", "instance", u, "inflight", in.inflight.Load())
 	}
-	rt.countMembership("drain")
-	rt.log("ring member draining", "instance", u, "inflight", in.inflight.Load())
-	rt.loops.Add(1)
-	go rt.awaitDrain(in)
-	return cur.epoch, nil
-}
-
-// awaitDrain watches a draining member and ejects it once idle. Two
-// consecutive zero-in-flight observations are required so a request
-// assigned just before the drain flag landed is not raced out of its
-// instance.
-func (rt *Router) awaitDrain(in *instance) {
-	defer rt.loops.Done()
-	t := time.NewTicker(rt.cfg.DrainPollInterval)
-	defer t.Stop()
-	clear := 0
-	for {
-		select {
-		case <-rt.closed:
-			return
-		case <-t.C:
-		}
-		if !in.draining.Load() {
-			return // readmitted by Join
-		}
-		if rt.topo.Load().find(in.url) != in {
-			return // already ejected (operator DELETE won the race)
-		}
-		if in.inflight.Load() != 0 {
-			clear = 0
-			continue
-		}
-		if clear++; clear < 2 {
-			continue
-		}
-		switch _, err := rt.Eject(in.url); {
-		case err == nil:
-			rt.log("drain complete, member removed", "instance", in.url)
-			return
-		case errors.Is(err, ErrLastMember):
-			clear = 0 // park: keep waiting for a join or Close
-		default:
-			return
-		}
-	}
+	return nil
 }
 
 // findInstance resolves a member URL against the current topology.

@@ -1,14 +1,15 @@
-// Black-box tests for the live-membership tentpole against
-// controllable httptest backends: the authenticated admin surface,
-// runtime join/eject with minimal key movement, drain's
-// zero-movement-then-removal contract, probe hysteresis, and the
-// response cache collapsing a failover stampede.
+// Black-box tests for live membership against controllable httptest
+// backends: the membership methods' refusals, runtime join/eject with
+// minimal key movement, drain's zero-movement-then-removal contract,
+// probe hysteresis and concurrency, and the response cache collapsing
+// a failover stampede.
 package router_test
 
 import (
-	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -22,112 +23,47 @@ import (
 	"repro/internal/telemetry"
 )
 
-const adminToken = "test-ring-secret"
-
-// adminDo issues one admin call and returns status plus decoded body.
-func adminDo(t *testing.T, method, url, token string, body any) (int, http.Header, []byte) {
-	t.Helper()
-	var rd *bytes.Reader
-	if body != nil {
-		raw, err := json.Marshal(body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rd = bytes.NewReader(raw)
-	} else {
-		rd = bytes.NewReader(nil)
-	}
-	req, err := http.NewRequest(method, url, rd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if token != "" {
-		req.Header.Set("Authorization", "Bearer "+token)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var buf bytes.Buffer
-	_, _ = buf.ReadFrom(resp.Body)
-	return resp.StatusCode, resp.Header, buf.Bytes()
-}
-
-func ringStatusOf(t *testing.T, raw []byte) router.RingStatus {
-	t.Helper()
-	var rs router.RingStatus
-	if err := json.Unmarshal(raw, &rs); err != nil {
-		t.Fatalf("malformed ring admin body %.200s: %v", raw, err)
-	}
-	return rs
-}
-
-// TestAdminSurfaceAuth: no token configured ⇒ 403 for everyone; wrong
-// token ⇒ 401; the right token works — and every router-originated
-// error body carries a category and an X-Request-Id.
-func TestAdminSurfaceAuth(t *testing.T) {
+// TestMembershipRefusals: the membership methods refuse what would
+// corrupt the ring — a stranger, a duplicate, a malformed URL, removing
+// the last member — and a refusal leaves the epoch where it was.
+func TestMembershipRefusals(t *testing.T) {
 	t.Cleanup(leak.Check(t))
 	var hits [8]atomic.Int64
-
-	// Router without a token: the surface is disabled outright.
-	_, frontOff, _ := fakeRing(t, 1, okBackend(&hits), nil)
-	st, hdr, raw := adminDo(t, http.MethodPost, frontOff.URL+"/v1/ring/instances",
-		"whatever", map[string]string{"url": "http://127.0.0.1:1"})
-	if st != http.StatusForbidden {
-		t.Fatalf("tokenless router: admin status %d body %.200s, want 403", st, raw)
-	}
-	if hdr.Get("X-Request-Id") == "" {
-		t.Fatal("admin 403 without X-Request-Id")
-	}
-	var eb struct {
-		Error struct {
-			Category  string `json:"category"`
-			RequestID string `json:"request_id"`
-		} `json:"error"`
-	}
-	if err := json.Unmarshal(raw, &eb); err != nil || eb.Error.Category != "admin_disabled" {
-		t.Fatalf("403 body %.200s, want category admin_disabled", raw)
-	}
-	if eb.Error.RequestID != hdr.Get("X-Request-Id") {
-		t.Fatal("request_id in body disagrees with the X-Request-Id header")
-	}
-
-	// Router with a token: wrong creds bounce, right creds act.
 	extra := httptest.NewServer(okBackend(&hits)(7))
 	t.Cleanup(extra.Close)
-	rt, front, _ := fakeRing(t, 1, okBackend(&hits), func(c *router.Config) {
-		c.AdminToken = adminToken
-	})
-	if st, _, _ := adminDo(t, http.MethodPost, front.URL+"/v1/ring/instances",
-		"wrong", map[string]string{"url": extra.URL}); st != http.StatusUnauthorized {
-		t.Fatalf("wrong token: status %d, want 401", st)
+	rt, _, _ := fakeRing(t, 1, okBackend(&hits), nil)
+	only := rt.State().Instances[0].URL
+
+	if err := rt.Eject("http://127.0.0.1:9"); !errors.Is(err, router.ErrUnknownMember) {
+		t.Fatalf("eject of a stranger: %v, want ErrUnknownMember", err)
 	}
-	st, _, raw = adminDo(t, http.MethodPost, front.URL+"/v1/ring/instances",
-		adminToken, map[string]string{"url": extra.URL})
-	if st != http.StatusOK {
-		t.Fatalf("join: status %d body %.200s", st, raw)
+	if err := rt.Drain("http://127.0.0.1:9"); !errors.Is(err, router.ErrUnknownMember) {
+		t.Fatalf("drain of a stranger: %v, want ErrUnknownMember", err)
 	}
-	rs := ringStatusOf(t, raw)
-	if rs.Status != "joined" || len(rs.Members) != 2 || rs.Epoch != 2 {
-		t.Fatalf("join reported %+v", rs)
+	if err := rt.Eject(only); !errors.Is(err, router.ErrLastMember) {
+		t.Fatalf("last-member eject: %v, want ErrLastMember", err)
 	}
-	if got := rt.State().Epoch; got != 2 {
-		t.Fatalf("healthz epoch %d after join, want 2", got)
+	if err := rt.Join(only + "/"); err == nil {
+		t.Fatal("joining a member already on the ring (trailing slash) succeeded")
+	}
+	if err := rt.Join("ftp://127.0.0.1:1"); err == nil {
+		t.Fatal("joining a non-http URL succeeded")
+	}
+	if ep := rt.State().Epoch; ep != 1 {
+		t.Fatalf("epoch %d after refused changes only, want 1", ep)
 	}
 
-	// Unknown member and last-member refusals keep their categories.
-	if st, _, _ = adminDo(t, http.MethodDelete,
-		front.URL+"/v1/ring/instances?url=http://127.0.0.1:9", adminToken, nil); st != http.StatusNotFound {
-		t.Fatalf("eject of a stranger: status %d, want 404", st)
+	if err := rt.Join(extra.URL); err != nil {
+		t.Fatal(err)
 	}
-	if st, _, _ = adminDo(t, http.MethodDelete,
-		front.URL+"/v1/ring/instances?url="+extra.URL, adminToken, nil); st != http.StatusOK {
-		t.Fatalf("eject: status %d", st)
+	if st := rt.State(); st.Epoch != 2 || len(st.Instances) != 2 {
+		t.Fatalf("after join: epoch %d, %d members; want 2, 2", st.Epoch, len(st.Instances))
 	}
-	if st, _, _ = adminDo(t, http.MethodDelete,
-		front.URL+"/v1/ring/instances?url="+rt.State().Instances[0].URL, adminToken, nil); st != http.StatusConflict {
-		t.Fatalf("last-member eject: status %d, want 409", st)
+	if err := rt.Eject(extra.URL); err != nil {
+		t.Fatal(err)
+	}
+	if st := rt.State(); st.Epoch != 3 || len(st.Instances) != 1 {
+		t.Fatalf("after eject: epoch %d, %d members; want 3, 1", st.Epoch, len(st.Instances))
 	}
 }
 
@@ -172,7 +108,6 @@ func TestLiveJoinShiftsBoundedKeyspace(t *testing.T) {
 	rt, err := router.New(router.Config{
 		Backends:       urls[:3],
 		HealthInterval: 25 * time.Millisecond,
-		AdminToken:     adminToken,
 		Metrics:        telemetry.NewRegistry(),
 	})
 	if err != nil {
@@ -202,9 +137,8 @@ func TestLiveJoinShiftsBoundedKeyspace(t *testing.T) {
 	}
 
 	before := route()
-	if st, _, raw := adminDo(t, http.MethodPost, front.URL+"/v1/ring/instances",
-		adminToken, map[string]string{"url": urls[3]}); st != http.StatusOK {
-		t.Fatalf("join: status %d body %.200s", st, raw)
+	if err := rt.Join(urls[3]); err != nil {
+		t.Fatalf("join: %v", err)
 	}
 	after := route()
 
@@ -225,8 +159,10 @@ func TestLiveJoinShiftsBoundedKeyspace(t *testing.T) {
 
 // TestDrainMovesNothingUntilRemoval: draining a member instantly stops
 // new assignments to it while every other key keeps its owner (the
-// ring itself is untouched); once idle, the member leaves the ring and
-// the epoch bumps.
+// ring itself is untouched, the epoch holds); the eject that finishes
+// the drain removes it and bumps the epoch. That the eject waits for
+// zero in flight is the fleet supervisor's job and is tested there
+// (TestDrainCompletesOnceIdle).
 func TestDrainMovesNothingUntilRemoval(t *testing.T) {
 	t.Cleanup(leak.Check(t))
 	const keys = 90
@@ -260,11 +196,9 @@ func TestDrainMovesNothingUntilRemoval(t *testing.T) {
 		t.Cleanup(srv.Close)
 	}
 	rt, err := router.New(router.Config{
-		Backends:          urls,
-		HealthInterval:    25 * time.Millisecond,
-		DrainPollInterval: 10 * time.Millisecond,
-		AdminToken:        adminToken,
-		Metrics:           telemetry.NewRegistry(),
+		Backends:       urls,
+		HealthInterval: 25 * time.Millisecond,
+		Metrics:        telemetry.NewRegistry(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -294,10 +228,11 @@ func TestDrainMovesNothingUntilRemoval(t *testing.T) {
 
 	before := route()
 	victim := urls[1]
-	st, _, raw := adminDo(t, http.MethodPost, front.URL+"/v1/ring/drain",
-		adminToken, map[string]string{"url": victim})
-	if st != http.StatusAccepted {
-		t.Fatalf("drain: status %d body %.200s", st, raw)
+	if err := rt.Drain(victim); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	if err := rt.Drain(victim); err != nil {
+		t.Fatalf("repeated drain: %v", err)
 	}
 	after := route()
 
@@ -312,23 +247,41 @@ func TestDrainMovesNothingUntilRemoval(t *testing.T) {
 		}
 	}
 
-	// With in-flight at zero, the waiter removes the member: epoch bumps
-	// and the member list shrinks.
-	waitUntil(t, 5*time.Second, func() bool { return len(rt.State().Instances) == 2 })
-	if st := rt.State(); st.Epoch < 2 {
-		t.Fatalf("epoch %d after drain removal, want ≥ 2", st.Epoch)
+	// Draining moved no ring key, so the epoch holds and the victim is
+	// still a (draining, idle) member.
+	st := rt.State()
+	if st.Epoch != 1 || len(st.Instances) != 3 {
+		t.Fatalf("while draining: epoch %d, %d members; want 1, 3", st.Epoch, len(st.Instances))
 	}
-	for _, in := range rt.State().Instances {
-		if in.URL == victim {
-			t.Fatal("victim still in the member list after drain completed")
+	for _, in := range st.Instances {
+		if in.URL == victim && (!in.Draining || in.Inflight != 0) {
+			t.Fatalf("victim state %+v, want draining with nothing in flight", in)
 		}
 	}
-	// Readmitting the drained URL is a plain join: keys flow back.
-	if st, _, _ := adminDo(t, http.MethodPost, front.URL+"/v1/ring/instances",
-		adminToken, map[string]string{"url": victim}); st != http.StatusOK {
-		t.Fatalf("rejoin after drain: status %d", st)
+
+	// The eject that finishes the drain: epoch bumps, the list shrinks.
+	if err := rt.Eject(victim); err != nil {
+		t.Fatalf("eject: %v", err)
 	}
-	waitUntil(t, 5*time.Second, func() bool { return len(rt.State().Instances) == 3 })
+	st = rt.State()
+	if st.Epoch != 2 || len(st.Instances) != 2 {
+		t.Fatalf("after eject: epoch %d, %d members; want 2, 2", st.Epoch, len(st.Instances))
+	}
+	for _, in := range st.Instances {
+		if in.URL == victim {
+			t.Fatal("victim still in the member list after the eject")
+		}
+	}
+	// Readmitting the drained URL is a plain join: its keys flow back.
+	if err := rt.Join(victim); err != nil {
+		t.Fatalf("rejoin after drain: %v", err)
+	}
+	back := route()
+	for _, sql := range sqls {
+		if back[sql] != before[sql] {
+			t.Errorf("key %.40q owned by %s after rejoin, %s before the drain", sql, back[sql], before[sql])
+		}
+	}
 }
 
 // TestProbeHysteresisFiltersFlapping: an instance whose healthz flaps
@@ -376,6 +329,57 @@ func TestProbeHysteresisFiltersFlapping(t *testing.T) {
 	flapping.Store(false)
 	solid.Store(false)
 	waitUntil(t, 5*time.Second, func() bool { return rt.State().Instances[0].Healthy })
+}
+
+// TestProbeNotQueuedBehindBlackhole: a round probes its members
+// concurrently, so a member whose probe hangs for the full probe
+// timeout does not delay another member's verdict. A dead member
+// listed after a blackholed one is marked down within a few probe
+// intervals.
+func TestProbeNotQueuedBehindBlackhole(t *testing.T) {
+	t.Cleanup(leak.Check(t))
+	// The blackhole accepts connections (the kernel completes the
+	// handshake into the backlog) and never answers.
+	hole, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { hole.Close() })
+	dead, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadURL := "http://" + dead.Addr().String()
+	dead.Close()
+
+	rt, err := router.New(router.Config{
+		Backends:       []string{"http://" + hole.Addr().String(), deadURL},
+		HealthInterval: 20 * time.Millisecond,
+		Metrics:        telemetry.NewRegistry(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	down := func() bool {
+		for _, in := range rt.State().Instances {
+			if in.URL == deadURL {
+				return !in.Healthy
+			}
+		}
+		return false
+	}
+	for !down() {
+		if time.Since(start) > 5*time.Second {
+			break
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	took := time.Since(start)
+	rt.Close()
+	if took > 500*time.Millisecond {
+		t.Fatalf("dead member marked down after %v, want within 500ms (its probes queued behind the blackhole)", took)
+	}
 }
 
 // TestStampedeCollapsesColdWindow: with the response cache on, N

@@ -16,9 +16,11 @@
 // holds it; the hash is deterministic and evenly spread. The same body
 // always gets the same bytes, whichever instance answers.
 //
-// Topology is live: the /v1/ring admin surface (see admin.go) joins,
-// drains, and ejects members at runtime against an epoch-versioned
-// immutable snapshot (see membership.go). The router's hot tier is its
+// Topology is live: Join, Drain and Eject change the members at runtime
+// against an epoch-versioned immutable snapshot (see membership.go).
+// Their one caller is the fleet supervisor (internal/fleet), which owns
+// every membership change and finishes every drain; the router only
+// routes, probes and reports. The router's hot tier is its
 // response cache (see respcache.go): singleflight plus a verified-only
 // LRU, dropped whenever the instances' answer identity changes, answer
 // repeats of a popular body, and the identical requests of a cache-cold
@@ -35,7 +37,6 @@ import (
 	"log/slog"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -73,7 +74,7 @@ var outcomes = []string{"proxied", "shed", "error"}
 type Config struct {
 	// Backends are the instance base URLs (e.g. "http://127.0.0.1:8081").
 	// Required, at least one. This is only the *initial* membership; the
-	// /v1/ring admin surface grows and shrinks it at runtime.
+	// fleet supervisor grows and shrinks it at runtime.
 	Backends []string
 	// HealthInterval is the active health-check period (default 250ms).
 	HealthInterval time.Duration
@@ -102,12 +103,6 @@ type Config struct {
 	// MaxBodyBytes caps a routed request body; bigger bodies get a 413
 	// without touching a backend (default 4 MiB).
 	MaxBodyBytes int64
-	// AdminToken is the bearer token guarding the /v1/ring membership
-	// surface. Empty disables the surface: every admin call answers 403.
-	AdminToken string
-	// DrainPollInterval is how often a drain waiter re-checks a draining
-	// member's in-flight count (default 50ms).
-	DrainPollInterval time.Duration
 	// ResponseCache turns on the router's response cache (see
 	// respcache.go). queryvisd's router always turns it on; the zero
 	// value leaves it off, because the cache changes single-client
@@ -147,14 +142,11 @@ func (c Config) WithDefaults() Config {
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 4 << 20
 	}
-	if c.DrainPollInterval <= 0 {
-		c.DrainPollInterval = 50 * time.Millisecond
-	}
 	return c
 }
 
 // Router is the handler. It proxies POST API calls by body hash and
-// serves its own /v1/healthz, /v1/metrics, and /v1/ring admin surface
+// serves its own /v1/healthz, /v1/metrics, /v1/traces and /v1/fleet
 // (the router's, not a backend's — a load balancer's health is a
 // different fact from any instance's health).
 type Router struct {
@@ -214,7 +206,7 @@ func New(cfg Config) (*Router, error) {
 
 	members := make([]string, 0, len(cfg.Backends))
 	for _, b := range cfg.Backends {
-		u, err := normalizeMember(b)
+		u, err := NormalizeMember(b)
 		if err != nil {
 			return nil, err
 		}
@@ -281,8 +273,8 @@ func New(cfg Config) (*Router, error) {
 // Registry exposes the router's metrics registry.
 func (rt *Router) Registry() *telemetry.Registry { return rt.reg }
 
-// Close stops the health prober and drain waiters and releases idle
-// connections. Safe to call more than once.
+// Close stops the health prober, waits for its in-flight probes, and
+// releases idle connections. Safe to call more than once.
 func (rt *Router) Close() {
 	rt.once.Do(func() { close(rt.closed) })
 	rt.loops.Wait()
@@ -299,8 +291,6 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		rt.handleTraces(w, r)
 	case r.URL.Path == "/v1/fleet":
 		rt.handleFleet(w, r)
-	case strings.HasPrefix(r.URL.Path, "/v1/ring/"):
-		rt.handleAdmin(w, r)
 	default:
 		rt.route(w, r)
 	}
@@ -565,8 +555,8 @@ const maxBufferedResponse = 64 << 20
 // makes failover and stampede sharing honest: a connection that dies
 // mid-body is discovered here — and failed over — instead of after the
 // response status has already been committed to the client. The
-// instance's in-flight count covers the whole exchange; the drain
-// waiter trusts it.
+// instance's in-flight count covers the whole exchange; the fleet
+// supervisor finishes a drain only once it reads zero.
 func (rt *Router) forward(r *http.Request, in *instance, body []byte) (*sharedResp, error) {
 	in.inflight.Add(1)
 	defer in.inflight.Add(-1)

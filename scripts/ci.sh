@@ -74,12 +74,19 @@
 #              one SIGKILLed mid-run, loadgen's audit must exit clean)
 #              and the queryvisd -route lifecycle check
 #   churn      rolling-restart membership chaos under the race detector:
-#              three real instances behind the live router, two replaced
-#              mid-storm through the /v1/ring admin surface (join the
-#              replacement, drain the old member, kill it once removed)
-#              while 16 workers drive a Zipf-skewed mix with the router's
-#              response cache enabled — every response well-formed, zero
-#              shed, zero 503s, zero leaks; the response cache's
+#              three real instances behind the live router and a running
+#              fleet supervisor, two replaced mid-storm by editing the
+#              fleet spec and poking the supervisor, the SIGHUP path (add
+#              the replacement and wait for its join, drop the old member
+#              and wait for the supervisor to drain it and eject it once
+#              idle, then kill it) while 16 workers drive a Zipf-skewed
+#              mix with the router's response cache enabled — every
+#              response well-formed, zero shed, zero 503s, both drains
+#              finished as "drained", zero leaks; the three membership
+#              regressions (spec URLs normalized to the ring's form so a
+#              healthy ring is left alone, a dropped member's process
+#              kept until it is off the ring, a dead member's probe never
+#              queued behind a blackholed one); the response cache's
 #              stampede collapse, its replays carrying each caller's own
 #              request and trace IDs and a fresh Date, and its coherence
 #              (two real instances, one replaced by an instance with
@@ -159,7 +166,8 @@ echo "== queryvisd route-mode lifecycle"
 go test -count=1 -run TestRouteMode ./cmd/queryvisd
 
 echo "== rolling-restart membership churn (race)"
-go test -count=1 -race -run 'TestRouterMembershipChurn|TestStampedeCollapsesColdWindow|TestReplayCarriesCallersIDs|TestReplayCarriesFreshDate|TestResponseCacheFollowsAnswerIdentity' ./internal/router
+go test -count=1 -race -run 'TestRouterMembershipChurn|TestProbeNotQueuedBehindBlackhole|TestStampedeCollapsesColdWindow|TestReplayCarriesCallersIDs|TestReplayCarriesFreshDate|TestResponseCacheFollowsAnswerIdentity' ./internal/router
+go test -count=1 -race -run 'TestSpecURLsNormalizedToRing|TestSpawnKeepsDrainingMemberProcess|TestDrainCompletesOnceIdle' ./internal/fleet
 
 echo "== loadgen zipf smoke"
 go test -count=1 -run TestLoadgenZipfSkewsMix ./cmd/loadgen
