@@ -42,8 +42,9 @@ func NewDiagramCache(cfg DiagramCacheConfig) *DiagramCache { return diagcache.Ne
 const DefaultFingerprintPerms = 720
 
 // cacheKey is the cache's request key: the full schema rendering (not
-// just its name — two ad-hoc schemas may share one), the option flags,
-// the limits and verify budget, and the literal SQL.
+// just its name — two ad-hoc schemas may share one; Schema.String
+// returns it without rendering again), the option flags, the limits and
+// verify budget, and the literal SQL.
 func cacheKey(sql string, s *Schema, opts Options) string {
 	return diagcache.Key(s.String(), opts.Simplify, opts.KeepExistsBlocks,
 		configKey(opts.Limits, opts.VerifyBudget), sql)

@@ -376,3 +376,31 @@ func rendered(res *queryvis.Result) string {
 	}
 	return res.DOT() + res.SVG() + res.Text() + res.Interpretation
 }
+
+// TestFromSQLCachedWarmHitAllocBudget pins the heap allocations of a
+// warm FromSQLCached hit: the request key and the cache lookup only.
+// The key carries the schema's rendering, which Schema.String returns
+// without rendering again, so a hit costs the same on the
+// eleven-table Chinook schema as on Beers (2 allocations each).
+func TestFromSQLCachedWarmHitAllocBudget(t *testing.T) {
+	for _, c := range []struct {
+		schema, sql string
+		budget      float64
+	}{
+		{"beers", corpus.Fig1UniqueSet, 3},
+		{"chinook", corpus.StudyQuestions()[0].SQL, 3},
+	} {
+		s, _ := schema.ByName(c.schema)
+		opts := newCachedOpts(queryvis.NewDiagramCache(queryvis.DiagramCacheConfig{}), queryvis.VerifyDegrade)
+		if _, _, _, err := queryvis.FromSQLCached(c.sql, s, opts); err != nil {
+			t.Fatalf("%s: cold: %v", c.schema, err)
+		}
+		if _, _, out, _ := queryvis.FromSQLCached(c.sql, s, opts); out != diagcache.OutcomeHit {
+			t.Fatalf("%s: warm outcome %v, want exact hit", c.schema, out)
+		}
+		got := testing.AllocsPerRun(100, func() { _, _, _, _ = queryvis.FromSQLCached(c.sql, s, opts) })
+		if got > c.budget {
+			t.Errorf("%s warm hit: %.0f allocs per run, budget %.0f", c.schema, got, c.budget)
+		}
+	}
+}

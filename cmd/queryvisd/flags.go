@@ -64,7 +64,6 @@ type options struct {
 	fleetSRV      string
 	fleetSpawn    bool
 	fleetInterval time.Duration
-	fleetUpAfter  int
 	fleetSrc      fleet.Source // from -fleet or -fleet-srv; nil without either
 }
 
@@ -101,7 +100,6 @@ func newOptions(out io.Writer) *options {
 		fs.StringVar(&o.fleetSRV, "fleet-srv", "", "DNS SRV name (_service._proto.name) to discover desired members from instead of a spec file (router mode)")
 		fs.BoolVar(&o.fleetSpawn, "fleet-spawn", false, "supervise one local queryvisd process per desired member, respawning exits with backoff (with -fleet)")
 		fs.DurationVar(&o.fleetInterval, "fleet-interval", 500*time.Millisecond, "fleet reconcile cadence (with -fleet/-fleet-srv)")
-		fs.IntVar(&o.fleetUpAfter, "fleet-up-after", 2, "consecutive good observations before (re)joining a member (with -fleet)")
 	})
 	return o
 }
@@ -246,7 +244,6 @@ func (o *options) fleetConfig(ring fleet.Ring, reg *telemetry.Registry, logger *
 		Ring:     ring,
 		Source:   o.fleetSrc,
 		Interval: o.fleetInterval,
-		UpAfter:  o.fleetUpAfter,
 		Metrics:  reg,
 		Logger:   logger,
 	}

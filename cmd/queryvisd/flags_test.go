@@ -46,10 +46,10 @@ func TestFlagSurface(t *testing.T) {
 		"route": groupRouter,
 
 		"fleet": groupFleet, "fleet-srv": groupFleet, "fleet-spawn": groupFleet,
-		"fleet-interval": groupFleet, "fleet-up-after": groupFleet,
+		"fleet-interval": groupFleet,
 	}
-	if len(want) != 18 {
-		t.Fatalf("pinned %d flags, want 18", len(want))
+	if len(want) != 17 {
+		t.Fatalf("pinned %d flags, want 17", len(want))
 	}
 	o := newOptions(io.Discard)
 	got := map[string]string{}
@@ -67,7 +67,7 @@ func TestFlagModesAccepted(t *testing.T) {
 		{"-addr", "127.0.0.1:0", "-isolation=process", "-workers", "2", "-pprof"},
 		{"-addr", "127.0.0.1:0", "-route", "http://a,http://b", "-pprof"},
 		{"-isolation=process", "-workers", "1", "-worker-max-requests", "1", "-allow-fault-injection"},
-		{"-route", "http://a", "-fleet", "fleet.json", "-fleet-interval", "50ms", "-fleet-up-after", "1"},
+		{"-route", "http://a", "-fleet", "fleet.json", "-fleet-interval", "50ms"},
 		{"-fleet-srv", "_qv._tcp.example"},
 		{"-route", "http://a", "-fleet", "fleet.json", "-fleet-spawn", "-verify", "strict", "-metrics=false"},
 		{"-worker", "-verify=strict", "-cache-entries=16", "-metrics=false", "-allow-fault-injection=true"},
@@ -98,7 +98,7 @@ func TestSpawnerArgs(t *testing.T) {
 	mustParse(t, cmd.Args[1:]...) // a worker accepts what it is given
 
 	o = mustParse(t, "-route", "http://127.0.0.1:1", "-fleet", "fleet.json", "-fleet-spawn",
-		"-fleet-interval", "1s", "-fleet-up-after", "3", "-pprof",
+		"-fleet-interval", "1s", "-pprof",
 		"-cache-entries", "16", "-quarantine-dir", "q")
 	spawn := o.memberSpawner()
 	cmd, err = spawn(fleet.Member{URL: "http://127.0.0.1:8082", Args: []string{"-cache-entries", "512"}})
@@ -198,9 +198,6 @@ func TestDefaultConfigs(t *testing.T) {
 	fl := o.fleetConfig(nil, nil, nil).WithDefaults()
 	wantFleet := fleet.Config{
 		Interval:     500 * time.Millisecond,
-		ProbeTimeout: time.Second,
-		DownAfter:    3,
-		UpAfter:      2,
 		MinHealthy:   1,
 		DrainTimeout: 10 * time.Second,
 		RespawnBase:  200 * time.Millisecond,

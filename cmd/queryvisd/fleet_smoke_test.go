@@ -87,7 +87,6 @@ func TestFleetMode(t *testing.T) {
 			"-route", b1.URL, // b2 is discovered via the spec, not seeded
 			"-fleet", spec,
 			"-fleet-interval", "50ms",
-			"-fleet-up-after", "1",
 			"-shutdown-grace", "5s",
 		}, devnull, pw)
 	}()

@@ -12,7 +12,7 @@
 //	          [-isolation none|process] [-workers 4] [-worker-max-requests 512] \
 //	          [-route URL,URL,...] \
 //	          [-fleet SPEC.json | -fleet-srv _svc._proto.name] [-fleet-spawn] \
-//	          [-fleet-interval 500ms] [-fleet-up-after 2]
+//	          [-fleet-interval 500ms]
 //
 // Past the listener flags on the first line, the flags come in four
 // groups: instance, pool (-isolation=process), router (-route) and fleet
@@ -59,17 +59,18 @@
 // bypassed. See internal/router and the README's "Scale-out" section.
 //
 // With -fleet (a JSON spec file) or -fleet-srv (a DNS SRV name) the
-// router additionally runs the self-healing fleet supervisor, the
-// ring's one membership writer: a reconciliation loop that probes every
-// desired member, joins newly healthy instances, drain-then-ejects
-// persistently unhealthy and undesired ones (ejecting once a drained
-// member goes idle), and rejoins the recovered — every removal gated
-// by a disruption budget
-// (at least one healthy member, one drain at a time, never the last
-// member). -fleet-spawn makes the supervisor also own the member
-// processes (this binary re-executed per member, respawned with
-// backoff), so `queryvisd -route URL -fleet fleet.json -fleet-spawn`
-// is a one-command self-healing deployment. SIGHUP triggers an
+// router additionally runs the fleet supervisor, the ring's one
+// membership writer: a reconciliation loop that keeps the ring equal to
+// the desired set — it joins every desired member at once and
+// drain-then-ejects a member the spec drops (ejecting once it goes
+// idle), every removal gated by a disruption budget (at least one
+// healthy member, one drain at a time, never the last member). Health
+// is the router's verdict alone: a joined member serves once the
+// prober admits it, and a member that fails its probes stays on the
+// ring, out of rotation, until it passes again. -fleet-spawn makes the
+// supervisor also own the member processes (this binary re-executed
+// per member, respawned with backoff), so `queryvisd -route URL -fleet
+// fleet.json -fleet-spawn` is a one-command self-healing deployment. SIGHUP triggers an
 // immediate spec re-read and reconcile; GET /v1/fleet reports every
 // action the supervisor took and why. See internal/fleet and the
 // README's "Self-healing fleet" section.

@@ -70,13 +70,17 @@ func reservePort(t *testing.T) string {
 	return addr
 }
 
-// TestFleetPartitionHeal is the chaos battery the tentpole promises:
-// three real instance processes behind netchaos proxies under a real
-// router and supervisor; one instance is SIGKILLed and one fully
-// partitioned mid-load. The supervisor must take both off the ring,
-// respawn the dead one, rejoin both once healthy, never violate the
-// disruption budget, and report every action through GET /v1/fleet —
-// with zero goroutine or child-process leaks afterwards.
+// TestFleetPartitionHeal is the fleet's chaos battery: three real
+// instance processes behind netchaos proxies under a real router and
+// supervisor; one instance is SIGKILLed and one fully partitioned
+// mid-load. The router's prober is the only health verdict: it must take
+// both out of rotation and readmit both once they pass again, with no
+// membership change at all — the epoch stays 1 and the supervisor
+// records no join, drain or eject. While the router holds a member
+// down, no request reaches it. The supervisor respawns the killed
+// process, both members carry traffic again after the heal, every
+// response stays well-formed, and GET /v1/fleet reports the actions;
+// no goroutine or child process leaks.
 func TestFleetPartitionHeal(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos battery is not -short")
@@ -128,9 +132,6 @@ func TestFleetPartitionHeal(t *testing.T) {
 		Ring:         rt,
 		Source:       src,
 		Interval:     50 * time.Millisecond,
-		ProbeTimeout: 300 * time.Millisecond,
-		DownAfter:    2,
-		UpAfter:      2,
 		MinHealthy:   1,
 		DrainTimeout: 500 * time.Millisecond,
 		RespawnBase:  300 * time.Millisecond,
@@ -160,85 +161,42 @@ func TestFleetPartitionHeal(t *testing.T) {
 		<-supDone
 	}()
 
-	// fleetView decodes what GET /v1/fleet serves over HTTP — the test
-	// asserts through the same surface an operator would read.
-	type ringMember struct {
-		URL      string `json:"url"`
-		Healthy  bool   `json:"healthy"`
-		Draining bool   `json:"draining"`
-	}
-	type fleetView struct {
-		Router struct {
-			Instances []ringMember `json:"instances"`
-		} `json:"router"`
-		Supervisor *struct {
-			Reconciles   int64            `json:"reconciles"`
-			ActionCounts map[string]int64 `json:"action_counts"`
-			BudgetDenied map[string]int64 `json:"budget_denied"`
-		} `json:"supervisor"`
-	}
-	getFleet := func() fleetView {
+	// The waits read the router's state in-process, where a poll costs
+	// microseconds (a GET /v1/fleet takes a full member-scrape timeout
+	// while a member is partitioned), and check on every read that the
+	// ring still holds all three members.
+	eligible := func(url string) bool {
 		t.Helper()
-		resp, err := http.Get(front.URL + "/v1/fleet")
-		if err != nil {
-			t.Fatalf("GET /v1/fleet: %v", err)
+		st := rt.State()
+		if len(st.Instances) != n {
+			t.Fatalf("ring membership changed: %+v", st.Instances)
 		}
-		defer resp.Body.Close()
-		var fv fleetView
-		if err := json.NewDecoder(resp.Body).Decode(&fv); err != nil {
-			t.Fatalf("decode /v1/fleet: %v", err)
-		}
-		return fv
-	}
-	// checkBudget asserts the two invariants the disruption budget
-	// guarantees at every observable instant: at most one concurrent
-	// drain, and the ring never empty.
-	checkBudget := func(fv fleetView) {
-		t.Helper()
-		draining := 0
-		for _, in := range fv.Router.Instances {
-			if in.Draining {
-				draining++
-			}
-		}
-		if draining > 1 {
-			t.Fatalf("budget violated: %d concurrent drains, max 1", draining)
-		}
-		if len(fv.Router.Instances) == 0 {
-			t.Fatalf("budget violated: supervisor emptied the ring")
-		}
-	}
-	onRing := func(fv fleetView, url string) (present, healthy bool) {
-		for _, in := range fv.Router.Instances {
+		for _, in := range st.Instances {
 			if in.URL == url {
-				return true, in.Healthy && !in.Draining
+				return in.Healthy && !in.Draining && !in.BreakerOpen
 			}
 		}
-		return false, false
+		return false
 	}
-	waitFor := func(what string, timeout time.Duration, pred func(fleetView) bool) time.Duration {
+	waitFor := func(what string, cond func() bool) time.Duration {
 		t.Helper()
 		start := time.Now()
-		deadline := start.Add(timeout)
-		for {
-			fv := getFleet()
-			checkBudget(fv)
-			if pred(fv) {
-				return time.Since(start)
+		for !cond() {
+			if time.Since(start) > 20*time.Second {
+				t.Fatalf("timed out waiting for %s: %+v", what, rt.State())
 			}
-			if time.Now().After(deadline) {
-				t.Fatalf("timed out waiting for %s: %+v", what, fv)
-			}
-			time.Sleep(20 * time.Millisecond)
+			time.Sleep(2 * time.Millisecond)
 		}
+		return time.Since(start)
+	}
+	served := func(url string) float64 {
+		return reg.Value("queryvis_router_instance_requests_total", "instance", url)
 	}
 
-	// Phase 1: the supervisor spawns all three and the ring goes fully
-	// healthy. The router starts out optimistic — a seeded backend reads
-	// healthy before its first probe — so the ring alone can pass before
-	// any process exists. The wait also requires the supervisor to have
-	// reported every spawn and each member to answer its own healthz
-	// through its proxy.
+	// Phase 1: the supervisor spawns all three and each answers its own
+	// healthz through its proxy. The router starts out optimistic — a
+	// seeded backend reads healthy before its first probe — so the ring
+	// alone can pass before any process exists.
 	direct := &http.Client{Timeout: time.Second, Transport: &http.Transport{DisableKeepAlives: true}}
 	serving := func(url string) bool {
 		resp, err := direct.Get(url + "/v1/healthz")
@@ -249,36 +207,44 @@ func TestFleetPartitionHeal(t *testing.T) {
 		resp.Body.Close()
 		return resp.StatusCode == http.StatusOK
 	}
-	waitFor("all members spawned, joined, healthy", 20*time.Second, func(fv fleetView) bool {
-		if fv.Supervisor == nil || fv.Supervisor.ActionCounts["spawn"] < n {
+	waitFor("all members spawned and serving", func() bool {
+		if sup.Status().ActionCounts["spawn"] < n {
 			return false
 		}
 		for _, m := range members {
-			if _, healthy := onRing(fv, m.URL); !healthy || !serving(m.URL) {
+			if !eligible(m.URL) || !serving(m.URL) {
 				return false
 			}
 		}
 		return true
 	})
 
-	// Background load: every response through the router must stay
-	// well-formed for the entire chaos window.
+	// Background load: one request at a time over 48 distinct bodies, so
+	// every member owns some keys, and every response through the router
+	// must stay well-formed for the entire chaos window. loadDone counts
+	// completed requests.
 	loadStop := make(chan struct{})
 	var loadWG sync.WaitGroup
 	var loadMu sync.Mutex
 	var loadErrs []string
 	var loadN, loadOK int
-	body := fmt.Sprintf(`{"sql":%q,"schema":"beers"}`, corpus.Fig1UniqueSet)
+	loadDone := func() int {
+		loadMu.Lock()
+		defer loadMu.Unlock()
+		return loadN
+	}
 	loadWG.Add(1)
 	go func() {
 		defer loadWG.Done()
 		hc := &http.Client{Timeout: 15 * time.Second}
-		for {
+		for i := 0; ; i++ {
 			select {
 			case <-loadStop:
 				return
 			default:
 			}
+			body := fmt.Sprintf(`{"sql":%q,"schema":"beers"}`,
+				fmt.Sprintf("%s -- key %d", corpus.Fig1UniqueSet, i%48))
 			resp, err := hc.Post(front.URL+"/v1/diagram", "application/json", strings.NewReader(body))
 			loadMu.Lock()
 			loadN++
@@ -305,42 +271,37 @@ func TestFleetPartitionHeal(t *testing.T) {
 		}
 	}()
 
-	// Phase 2: SIGKILL one member's process and fully partition another.
-	// Both must leave the ring: the dead one because its process is gone,
-	// the partitioned one because every probe blackholes. The disruption
-	// budget allows one drain at a time, and a killed member respawns
-	// within about a second; if the partition won the drain slot, the
-	// killed member could be healthy again before its turn and never
-	// leave. So the partition starts once the killed member is off the
-	// ring, while its respawn is still under way.
-	//
-	// The killed member's absence is brief and a GET /v1/fleet takes a
-	// full member-scrape timeout while a member is partitioned, so these
-	// two waits read the router's ring in-process, where a poll costs
-	// microseconds, and check the disruption budget on every read.
-	waitOff := func(what, url string) {
+	// outOfRotation waits for the router to mark url down, then for the
+	// load request in flight at that moment to finish; the load is
+	// serial, so every later request was routed against the down verdict.
+	// It returns how long the verdict took and url's attempt count from
+	// then on.
+	outOfRotation := func(what, url string) (time.Duration, float64) {
 		t.Helper()
-		deadline := time.Now().Add(15 * time.Second)
-		for {
-			var fv fleetView
-			present := false
-			for _, in := range rt.State().Instances {
-				fv.Router.Instances = append(fv.Router.Instances,
-					ringMember{in.URL, in.Healthy, in.Draining})
-				present = present || in.URL == url
-			}
-			checkBudget(fv)
-			if !present {
-				return
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("timed out waiting for %s: %+v", what, fv)
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
+		took := waitFor(what, func() bool { return !eligible(url) })
+		settled := loadDone() + 1
+		waitFor("the in-flight load request to finish", func() bool { return loadDone() >= settled })
+		return took, served(url)
 	}
-	// The respawn rewrites the proc's handle under sup.mu, so its pid is
-	// read under the lock too.
+	// backInRotation waits for the router to readmit url and checks, on
+	// every poll that still reads it down, that no request reached it.
+	backInRotation := func(what, url string, downCount float64) {
+		t.Helper()
+		waitFor(what, func() bool {
+			c := served(url)
+			if eligible(url) {
+				return true
+			}
+			if c != downCount {
+				t.Fatalf("%s: %v requests reached it while the router held it down", url, c-downCount)
+			}
+			return false
+		})
+	}
+
+	// Phase 2: SIGKILL one member's process, then fully partition
+	// another. The respawn rewrites the proc's handle under sup.mu, so its
+	// pid is read under the lock too.
 	sup.mu.Lock()
 	pid := 0
 	if p := sup.procs[members[0].URL]; p != nil && p.running() {
@@ -353,28 +314,30 @@ func TestFleetPartitionHeal(t *testing.T) {
 	if err := syscall.Kill(pid, syscall.SIGKILL); err != nil {
 		t.Fatalf("SIGKILL member 0: %v", err)
 	}
-	chaosStart := time.Now()
-	waitOff("killed member off ring", members[0].URL)
+	killed := time.Now()
+	killOut, killCount := outOfRotation("killed member out of rotation", members[0].URL)
+	backInRotation("killed member respawned and readmitted", members[0].URL, killCount)
+	killIn := time.Since(killed)
+
 	proxies[1].Partition()
-	waitOff("partitioned member off ring", members[1].URL)
-
-	// Phase 3a: the killed member respawns (after backoff) and rejoins.
-	waitFor("killed member respawned and rejoined", 20*time.Second,
-		func(fv fleetView) bool {
-			_, healthy := onRing(fv, members[0].URL)
-			return healthy
-		})
-	killHeal := time.Since(chaosStart)
-
-	// Phase 3b: heal the partition; the member rejoins with hysteresis.
+	partOut, partCount := outOfRotation("partitioned member out of rotation", members[1].URL)
+	time.Sleep(300 * time.Millisecond) // a partition outlives several probe rounds
+	if eligible(members[1].URL) || served(members[1].URL) != partCount {
+		t.Fatal("the partitioned member came back or took requests before the heal")
+	}
 	proxies[1].Heal()
-	partHeal := waitFor("partitioned member rejoined after heal", 20*time.Second,
-		func(fv fleetView) bool {
-			_, healthy := onRing(fv, members[1].URL)
-			return healthy
-		})
-	t.Logf("heal times: killed-member %.2fs (incl. respawn backoff), partitioned-member %.2fs after Heal()",
-		killHeal.Seconds(), partHeal.Seconds())
+	healed := time.Now()
+	backInRotation("partitioned member readmitted after heal", members[1].URL, partCount)
+	partIn := time.Since(healed)
+	t.Logf("killed member: out of rotation %.2fs after SIGKILL, back in %.2fs after it (respawn included); "+
+		"partitioned member: out %.2fs after Partition(), back in %.2fs after Heal()",
+		killOut.Seconds(), killIn.Seconds(), partOut.Seconds(), partIn.Seconds())
+
+	// Both members carry traffic again.
+	for _, m := range members[:2] {
+		before := served(m.URL)
+		waitFor(m.URL+" serving again", func() bool { return served(m.URL) > before })
+	}
 
 	close(loadStop)
 	loadWG.Wait()
@@ -387,29 +350,45 @@ func TestFleetPartitionHeal(t *testing.T) {
 	}
 	loadMu.Unlock()
 
-	// /v1/fleet must reflect every reconcile action class this scenario
-	// exercised, and the untouched member must never have been acted on.
-	final := getFleet()
-	if final.Supervisor == nil {
-		t.Fatal("no supervisor block in /v1/fleet")
+	// No health event changed membership: the epoch and the router's
+	// membership counter hold, and the supervisor's only actions were
+	// the spawns and the respawn, as GET /v1/fleet reports them.
+	if ep := rt.State().Epoch; ep != 1 {
+		t.Errorf("ring epoch = %d, want 1", ep)
 	}
-	ac := final.Supervisor.ActionCounts
-	if ac["spawn"] != n {
-		t.Errorf("spawn count = %d, want %d", ac["spawn"], n)
+	for _, op := range []string{"join", "drain", "eject"} {
+		if v := reg.Value("queryvis_router_membership_changes_total", "op", op); v != 0 {
+			t.Errorf("membership changes %s = %v, want 0", op, v)
+		}
 	}
-	if ac["respawn"] < 1 {
-		t.Errorf("respawn count = %d, want >= 1", ac["respawn"])
+	resp, err := http.Get(front.URL + "/v1/fleet")
+	if err != nil {
+		t.Fatalf("GET /v1/fleet: %v", err)
 	}
-	if ac["drain"] < 2 {
-		t.Errorf("drain count = %d, want >= 2 (killed + partitioned)", ac["drain"])
+	var fv struct {
+		Supervisor *struct {
+			ActionCounts map[string]int64 `json:"action_counts"`
+			BudgetDenied map[string]int64 `json:"budget_denied"`
+		} `json:"supervisor"`
 	}
-	if ac["rejoin"] < 2 {
-		t.Errorf("rejoin count = %d, want >= 2 (killed + partitioned)", ac["rejoin"])
+	err = json.NewDecoder(resp.Body).Decode(&fv)
+	resp.Body.Close()
+	if err != nil || fv.Supervisor == nil {
+		t.Fatalf("decode /v1/fleet supervisor block: %v", err)
 	}
-	if final.Supervisor.BudgetDenied["last_member"] > 0 || final.Supervisor.BudgetDenied["min_healthy"] > 0 {
-		t.Errorf("unexpected budget denials with 3 members and MinHealthy=1: %v", final.Supervisor.BudgetDenied)
+	ac := fv.Supervisor.ActionCounts
+	if ac["spawn"] != n || ac["respawn"] < 1 {
+		t.Errorf("spawn = %d, respawn = %d; want %d and >= 1", ac["spawn"], ac["respawn"], n)
 	}
-	if present, healthy := onRing(final, members[2].URL); !present || !healthy {
-		t.Errorf("untouched member should have stayed on the ring healthy throughout")
+	for _, a := range []string{"join", "remove", "drained", "eject"} {
+		if ac[a] != 0 {
+			t.Errorf("supervisor %s count = %d, want 0: health events must not change membership", a, ac[a])
+		}
+	}
+	if len(fv.Supervisor.BudgetDenied) != 0 {
+		t.Errorf("budget denials with no removal asked for: %v", fv.Supervisor.BudgetDenied)
+	}
+	if !eligible(members[2].URL) {
+		t.Error("the untouched member should be in rotation")
 	}
 }

@@ -1,40 +1,36 @@
-// Package fleet is the self-healing control plane over the router's
-// ring and the ring's one membership writer: a reconciliation loop that
-// compares desired membership (a spec file, a DNS SRV watcher —
-// anything implementing Source) against observed state (direct healthz
-// probes plus the router's own view) and drives the ring toward desired
-// — joining newly discovered healthy instances, drain-then-ejecting
-// persistently unhealthy or undesired ones, and rejoining recovered
-// ones. To join, drain or eject a member by hand, edit the spec and
-// send SIGHUP (Poke).
+// Package fleet is the control plane over the router's ring: its one
+// membership writer and, with Spawn, the owner of the member processes.
+// A reconciliation loop keeps ring membership equal to the desired set
+// (a spec file, a DNS SRV watcher — anything implementing Source): it
+// joins every desired member at once and leaves it on the ring until
+// the source drops it, then drains it and ejects it. To join or remove a
+// member by hand, edit the spec and send SIGHUP (Poke).
+//
+// The supervisor judges no member's health. Who serves is the router's
+// call: its prober admits a joined member only after a streak of passing
+// probes, takes a failing one out of rotation, and readmits it once it
+// passes again. A member out of rotation stays on the ring, and the
+// identity-keyed ring hands its keys to exactly the successors an eject
+// would, so a crash, a partition or a flapping link never changes
+// membership and never spends disruption budget.
 //
 // A drain is the supervisor's from start to removal. The tick that
 // starts it only sets the router's draining flag; a later tick ejects
 // the member once the router reports it idle ("drained"), or hard-ejects
 // it once the drain has outlived DrainTimeout ("eject").
 //
-// Two properties make the loop safe to leave unattended:
-//
-//   - Hysteresis. Membership changes key off consecutive-observation
-//     streaks (DownAfter failures to act against a member, UpAfter
-//     successes to admit one), so a flapping link oscillates the
-//     supervisor's streak counters, never the ring.
-//
-//   - A disruption budget. Every removal is gated: at most
-//     maxConcurrentDrains drains in flight, never below the MinHealthy
-//     floor of healthy serving members, never the last member. A denied
-//     action is counted and logged, then retried on a later tick when
-//     the budget allows — the supervisor heals the fleet strictly one
-//     safe step at a time, because a control plane that reacts to a
-//     partition by ejecting everything it cannot see is itself the
-//     outage.
+// Every removal passes a disruption budget: at most maxConcurrentDrains
+// drains in flight, never below the MinHealthy floor of healthy serving
+// members, never the last member. A denied removal is counted and
+// logged, then retried on a later tick when the budget allows.
 //
 // With a Spawn function configured the supervisor also owns the member
 // processes: it starts one per desired member, restarts exits with
 // jittered exponential backoff (reset after a stable run, the same
 // policy the worker pool applies to its children), and tears them down
 // on shutdown. `queryvisd -route -fleet fleet.json -fleet-spawn` is
-// thereby a one-command self-healing deployment.
+// thereby a one-command self-healing deployment: a killed member is
+// respawned where it was, and the router readmits it.
 //
 // Every action and denial is counted in the telemetry registry and
 // recorded in a bounded action log that the router's /v1/fleet endpoint
@@ -45,7 +41,6 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
-	"net/http"
 	"os/exec"
 	"sync"
 	"time"
@@ -74,10 +69,8 @@ const (
 	mRespawns     = "queryvis_fleet_respawns_total"
 	mDesired      = "queryvis_fleet_desired_members"
 	mRingMembers  = "queryvis_fleet_ring_members"
-	mUnhealthy    = "queryvis_fleet_unhealthy_members"
 	mDrains       = "queryvis_fleet_pending_drains"
 	mProcs        = "queryvis_fleet_managed_processes"
-	mHealDur      = "queryvis_fleet_heal_duration_seconds"
 )
 
 // maxConcurrentDrains caps drains in flight.
@@ -94,21 +87,11 @@ type Config struct {
 	Source Source
 	// Interval is the reconcile cadence (default 500ms).
 	Interval time.Duration
-	// ProbeTimeout bounds one direct healthz probe (default 1s).
-	ProbeTimeout time.Duration
-	// DownAfter is how many consecutive bad observations of a member
-	// precede action against it (default 3). This is the down-side
-	// hysteresis: a single lost probe never drains anyone.
-	DownAfter int
-	// UpAfter is how many consecutive good observations an off-ring
-	// member needs before (re)joining (default 2) — the up-side
-	// hysteresis that keeps a flapping instance from oscillating the
-	// ring.
-	UpAfter int
 	// MinHealthy is the disruption-budget floor: the supervisor refuses
 	// any removal that would leave fewer healthy, undraining members
-	// serving (default 1). A member that is already unhealthy does not
-	// count toward the floor, so dead members are always removable.
+	// serving (default 1). A member the router already judges unhealthy
+	// does not count toward the floor, so a dead member is always
+	// removable.
 	MinHealthy int
 	// DrainTimeout escalates a drain that has not completed — the
 	// member still on the ring with requests in flight — to a hard
@@ -130,9 +113,6 @@ type Config struct {
 	// Metrics receives the supervisor's counter/gauge families
 	// (default: a private registry).
 	Metrics *telemetry.Registry
-	// HTTPClient performs healthz probes (default: a fresh client with
-	// ProbeTimeout and its own transport, closed with the supervisor).
-	HTTPClient *http.Client
 	// Logger, when non-nil, gets one line per action, denial, and
 	// respawn.
 	Logger *slog.Logger
@@ -143,15 +123,6 @@ type Config struct {
 func (c Config) WithDefaults() Config {
 	if c.Interval <= 0 {
 		c.Interval = 500 * time.Millisecond
-	}
-	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = time.Second
-	}
-	if c.DownAfter <= 0 {
-		c.DownAfter = 3
-	}
-	if c.UpAfter <= 0 {
-		c.UpAfter = 2
 	}
 	if c.MinHealthy <= 0 {
 		c.MinHealthy = 1
@@ -178,7 +149,7 @@ func (c Config) WithDefaults() Config {
 // did (or refused to do), to whom, and why.
 type Action struct {
 	Time   time.Time `json:"time"`
-	Action string    `json:"action"` // join|rejoin|drain|remove|drained|eject|spawn|respawn|denied
+	Action string    `json:"action"` // join|remove|drained|eject|spawn|respawn|denied
 	URL    string    `json:"url"`
 	Detail string    `json:"detail,omitempty"`
 }
@@ -188,14 +159,12 @@ const actionLogCap = 64
 
 // memberView is one member's reconciliation state in a Status snapshot.
 type memberView struct {
-	URL        string `json:"url"`
-	Desired    bool   `json:"desired"`
-	OnRing     bool   `json:"on_ring"`
-	Draining   bool   `json:"draining"`
-	OKStreak   int    `json:"ok_streak"`
-	FailStreak int    `json:"fail_streak"`
-	Managed    bool   `json:"managed,omitempty"`
-	Respawns   int64  `json:"respawns,omitempty"`
+	URL      string `json:"url"`
+	Desired  bool   `json:"desired"`
+	OnRing   bool   `json:"on_ring"`
+	Draining bool   `json:"draining"`
+	Managed  bool   `json:"managed,omitempty"`
+	Respawns int64  `json:"respawns,omitempty"`
 }
 
 // Status is the supervisor's self-report, embedded in /v1/fleet.
@@ -208,32 +177,19 @@ type Status struct {
 	BudgetDenied map[string]int64 `json:"budget_denied"`
 }
 
-// memberState is the supervisor's private ledger for one member URL.
-type memberState struct {
-	member       Member
-	okStreak     int
-	failStreak   int
-	drainStarted time.Time // zero unless a drain we issued is pending
-	downSince    time.Time // zero unless currently judged down (heal timer)
-	everOnRing   bool      // distinguishes join from rejoin
-}
-
 // Supervisor runs the reconciliation loop. Create with New, drive with
 // Run (blocking) or single ReconcileOnce steps in tests.
 type Supervisor struct {
 	cfg Config
 	reg *telemetry.Registry
-	hc  *http.Client
-
-	ownTransport *http.Transport // non-nil when we built the probe client
 
 	ladder backoff.Policy
 	rng    *backoff.Rand
 
 	mu           sync.Mutex
-	desired      []Member // last good desired set
-	haveDesired  bool     // has the source ever succeeded?
-	states       map[string]*memberState
+	desired      []Member             // last good desired set
+	haveDesired  bool                 // has the source ever succeeded?
+	drains       map[string]time.Time // member URL → start of the drain we issued
 	procs        map[string]*proc
 	actions      []Action
 	actionCounts map[string]int64
@@ -257,7 +213,7 @@ func New(cfg Config) (*Supervisor, error) {
 		reg:          cfg.Metrics,
 		ladder:       backoff.Policy{Base: cfg.RespawnBase, Max: cfg.RespawnMax},
 		rng:          backoff.NewRand(cfg.Seed),
-		states:       make(map[string]*memberState),
+		drains:       make(map[string]time.Time),
 		procs:        make(map[string]*proc),
 		actionCounts: make(map[string]int64),
 		denied:       make(map[string]int64),
@@ -266,15 +222,10 @@ func New(cfg Config) (*Supervisor, error) {
 	if s.reg == nil {
 		s.reg = telemetry.NewRegistry()
 	}
-	s.hc = cfg.HTTPClient
-	if s.hc == nil {
-		s.ownTransport = &http.Transport{MaxIdleConnsPerHost: 4}
-		s.hc = &http.Client{Timeout: cfg.ProbeTimeout, Transport: s.ownTransport}
-	}
 
 	s.reg.Counter(mReconciles, "Reconcile ticks completed.")
 	s.reg.Counter(mReconcileErr, "Reconcile errors by kind.", "kind", "source")
-	for _, a := range []string{"join", "rejoin", "drain", "drained", "eject", "remove", "spawn", "respawn"} {
+	for _, a := range []string{"join", "drained", "eject", "remove", "spawn", "respawn"} {
 		s.reg.Counter(mActions, "Reconcile actions taken, by action.", "action", a)
 	}
 	for _, r := range []string{"drain_concurrency", "min_healthy", "last_member"} {
@@ -298,10 +249,7 @@ func New(cfg Config) (*Supervisor, error) {
 		return float64(n)
 	})
 	s.reg.Gauge(mRingMembers, "Members on the ring at the last reconcile.")
-	s.reg.Gauge(mUnhealthy, "Desired members currently judged unhealthy.")
 	s.reg.Gauge(mDrains, "Drains currently pending on the ring.")
-	s.reg.Histogram(mHealDur, "Seconds from a member judged down to back-on-ring healthy.",
-		[]float64{0.5, 1, 2.5, 5, 10, 30, 60, 120})
 	return s, nil
 }
 
@@ -331,7 +279,7 @@ func (s *Supervisor) Run(ctx context.Context) {
 	}
 }
 
-// shutdown tears down managed processes and the probe transport.
+// shutdown tears down managed processes.
 func (s *Supervisor) shutdown() {
 	s.mu.Lock()
 	procs := make([]*proc, 0, len(s.procs))
@@ -342,23 +290,11 @@ func (s *Supervisor) shutdown() {
 	for _, p := range procs {
 		p.stop()
 	}
-	if s.ownTransport != nil {
-		s.ownTransport.CloseIdleConnections()
-	}
-}
-
-// observation is one member's probed + ring-reported state this tick.
-type observation struct {
-	member    Member
-	probeOK   bool
-	probeErr  string
-	onRing    bool
-	ringState router.InstanceState
 }
 
 // ReconcileOnce runs a single reconcile tick: refresh desired state,
-// observe every member, then converge the ring one budgeted action at a
-// time. Exported so tests (and the CI smoke) can step the loop
+// read the ring, then converge the ring one budgeted removal at a time.
+// Exported so tests (and the CI smoke) can step the loop
 // deterministically.
 func (s *Supervisor) ReconcileOnce(ctx context.Context) {
 	if ctx.Err() != nil {
@@ -393,9 +329,9 @@ func (s *Supervisor) ReconcileOnce(ctx context.Context) {
 	s.mu.Unlock()
 
 	// 2. The ring's view, read once per tick.
-	ringState := s.cfg.Ring.State()
-	onRing := make(map[string]router.InstanceState, len(ringState.Instances))
-	for _, in := range ringState.Instances {
+	ring := s.cfg.Ring.State().Instances
+	onRing := make(map[string]router.InstanceState, len(ring))
+	for _, in := range ring {
 		onRing[in.URL] = in
 	}
 
@@ -406,128 +342,48 @@ func (s *Supervisor) ReconcileOnce(ctx context.Context) {
 		s.ensureProcesses(desired, onRing)
 	}
 
-	// 4. Observe: one direct healthz probe per desired member.
-	obs := s.observe(ctx, desired, onRing)
-
-	// 5. Update streaks and converge.
+	// 4. Converge.
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.reconcileLocked(obs, onRing, len(ringState.Instances))
+	s.reconcileLocked(desired, ring, onRing)
 	s.reconciles++
 	s.reg.Counter(mReconciles, "Reconcile ticks completed.").Inc()
 }
 
-// observe probes every desired member concurrently. Members on the ring
-// but not desired are carried as observations too (no probe needed —
-// they are leaving regardless of health).
-func (s *Supervisor) observe(ctx context.Context, desired []Member, onRing map[string]router.InstanceState) []observation {
-	obs := make([]observation, len(desired))
-	var wg sync.WaitGroup
-	for i, m := range desired {
-		wg.Add(1)
-		go func(i int, m Member) {
-			defer wg.Done()
-			o := observation{member: m}
-			if in, ok := onRing[m.URL]; ok {
-				o.onRing, o.ringState = true, in
-			}
-			o.probeOK, o.probeErr = s.probe(ctx, m.URL)
-			obs[i] = o
-		}(i, m)
-	}
-	wg.Wait()
-	return obs
-}
-
-// probe performs one direct healthz GET. Any transport error or non-200
-// is a bad observation — a member answering 503 is telling us it cannot
-// serve, which is exactly what the streak should record.
-func (s *Supervisor) probe(ctx context.Context, url string) (bool, string) {
-	pctx, cancel := context.WithTimeout(ctx, s.cfg.ProbeTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(pctx, http.MethodGet, url+"/v1/healthz", nil)
-	if err != nil {
-		return false, err.Error()
-	}
-	resp, err := s.hc.Do(req)
-	if err != nil {
-		return false, err.Error()
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return false, fmt.Sprintf("healthz answered HTTP %d", resp.StatusCode)
-	}
-	return true, ""
-}
-
-// reconcileLocked converges the ring toward the desired set. Caller
+// reconcileLocked converges the ring toward the desired set: it finishes
+// the drains it started, drains undesired members, and joins desired
+// members that are off the ring. ring is the router's view read at the
+// start of this tick, in ring order; onRing indexes it by URL. Caller
 // holds s.mu.
-func (s *Supervisor) reconcileLocked(obs []observation, onRing map[string]router.InstanceState, ringSize int) {
+func (s *Supervisor) reconcileLocked(desired []Member, ring []router.InstanceState, onRing map[string]router.InstanceState) {
 	now := time.Now()
-	desiredSet := make(map[string]bool, len(obs))
-	unhealthy := 0
-
-	// Streak bookkeeping for every desired member.
-	for _, o := range obs {
-		desiredSet[o.member.URL] = true
-		st := s.states[o.member.URL]
-		if st == nil {
-			st = &memberState{member: o.member}
-			s.states[o.member.URL] = st
-		}
-		st.member = o.member
-		if o.onRing {
-			st.everOnRing = true
-		}
-		// A bad observation: the direct probe failed, or the router's
-		// prober has independently condemned the member.
-		bad := !o.probeOK || (o.onRing && !o.ringState.Healthy)
-		if bad {
-			st.failStreak++
-			st.okStreak = 0
-			if st.failStreak >= s.cfg.DownAfter && st.downSince.IsZero() {
-				st.downSince = now
-			}
-		} else {
-			st.okStreak++
-			st.failStreak = 0
-		}
-		if !st.downSince.IsZero() {
-			unhealthy++
-		}
+	desiredSet := make(map[string]bool, len(desired))
+	for _, m := range desired {
+		desiredSet[m.URL] = true
 	}
-	// Forget members that are neither desired nor on the ring.
-	for url, st := range s.states {
-		if !desiredSet[url] {
-			if _, stillOn := onRing[url]; !stillOn {
-				if !st.drainStarted.IsZero() || st.everOnRing {
-					delete(s.states, url)
-				}
-			}
+	// A drain we issued is over once its member has left the ring.
+	for url := range s.drains {
+		if _, on := onRing[url]; !on {
+			delete(s.drains, url)
 		}
 	}
 
 	pendingDrains := 0
 	healthyServing := 0
-	for _, in := range onRing {
+	for _, in := range ring {
 		if in.Draining {
 			pendingDrains++
 		} else if in.Healthy {
 			healthyServing++
 		}
 	}
-	s.reg.Gauge(mRingMembers, "Members on the ring at the last reconcile.").Set(int64(ringSize))
-	s.reg.Gauge(mUnhealthy, "Desired members currently judged unhealthy.").Set(int64(unhealthy))
+	s.reg.Gauge(mRingMembers, "Members on the ring at the last reconcile.").Set(int64(len(ring)))
 	s.reg.Gauge(mDrains, "Drains currently pending on the ring.").Set(int64(pendingDrains))
 
-	// budget answers "may I remove target now" — the one gate every
-	// drain, eject, and removal passes through.
-	budget := func(target string) (ok bool, reason string) {
-		in, on := onRing[target]
-		if !on {
-			return true, "" // off-ring: nothing to disrupt
-		}
-		if ringSize <= 1 {
+	// budget answers "may I start removing in now" — the one gate every
+	// removal passes through.
+	budget := func(in router.InstanceState) (ok bool, reason string) {
+		if len(ring) <= 1 {
 			return false, "last_member"
 		}
 		if in.Draining {
@@ -537,103 +393,59 @@ func (s *Supervisor) reconcileLocked(obs []observation, onRing map[string]router
 			return false, "drain_concurrency"
 		}
 		// The floor gates the *delta*, not the absolute: removing a
-		// member the ring already counts unhealthy costs no serving
+		// member the router already counts unhealthy costs no serving
 		// capacity, so dead members stay removable even below the floor.
-		after := healthyServing
-		if in.Healthy {
-			after--
-		}
-		if after < healthyServing && after < s.cfg.MinHealthy {
+		if in.Healthy && healthyServing-1 < s.cfg.MinHealthy {
 			return false, "min_healthy"
 		}
 		return true, ""
 	}
-	deny := func(action, target, reason string) {
-		s.denied[reason]++
-		s.reg.Counter(mDenied, "Actions refused by the disruption budget, by reason.", "reason", reason).Inc()
-		s.record(Action{Time: now, Action: "denied", URL: target,
-			Detail: action + " refused: " + reason})
-		s.log("disruption budget denied action", "action", action, "member", target, "reason", reason)
-	}
-	// startRemoval drains target (finished by finishDrain on a later
-	// tick) and keeps the budget accounting coherent within this tick.
-	startRemoval := func(st *memberState, action, detail string) {
-		target := st.member.URL
-		ok, reason := budget(target)
-		if !ok {
-			deny(action, target, reason)
-			return
+
+	// 4a. Finish the drains this supervisor started, and drain ring
+	// members that are no longer desired. A drain is finished even when
+	// its member was desired again meanwhile; 4b then joins it anew.
+	for _, in := range ring {
+		if _, started := s.drains[in.URL]; started {
+			s.finishDrain(in, now)
+			continue
 		}
-		if err := s.cfg.Ring.Drain(target); err != nil {
-			s.log("drain failed", "member", target, "err", err)
-			return
+		if desiredSet[in.URL] {
+			continue
 		}
-		if st.drainStarted.IsZero() {
-			st.drainStarted = now
+		if ok, reason := budget(in); !ok {
+			s.denied[reason]++
+			s.reg.Counter(mDenied, "Actions refused by the disruption budget, by reason.", "reason", reason).Inc()
+			s.record(Action{Time: now, Action: "denied", URL: in.URL, Detail: "remove refused: " + reason})
+			s.log("disruption budget denied action", "action", "remove", "member", in.URL, "reason", reason)
+			continue
 		}
-		in := onRing[target]
-		if !in.Draining { // newly started drain consumes budget this tick
+		if err := s.cfg.Ring.Drain(in.URL); err != nil {
+			s.log("drain failed", "member", in.URL, "err", err)
+			continue
+		}
+		s.drains[in.URL] = now
+		if !in.Draining { // a newly started drain consumes budget this tick
 			pendingDrains++
 			if in.Healthy {
 				healthyServing--
 			}
 		}
-		s.act(now, action, target, detail)
+		s.act(now, "remove", in.URL, "not in desired set")
 	}
 
-	// 5a. Remove ring members that are no longer desired.
-	for url, in := range onRing {
-		if desiredSet[url] {
+	// 4b. Join every desired member that is off the ring, healthy or
+	// not: the router keeps a newcomer out of rotation until its prober
+	// admits it. Joins are additive — they never consume disruption
+	// budget.
+	for _, m := range desired {
+		if _, on := onRing[m.URL]; on {
 			continue
 		}
-		st := s.states[url]
-		if st == nil {
-			st = &memberState{member: Member{URL: url}, everOnRing: true}
-			s.states[url] = st
-		}
-		if st.drainStarted.IsZero() {
-			startRemoval(st, "remove", "not in desired set")
-		}
-		s.finishDrain(st, in, now)
-	}
-
-	// 5b. Drain persistently unhealthy desired members; finish drains.
-	for _, o := range obs {
-		st := s.states[o.member.URL]
-		if !o.onRing {
-			st.drainStarted = time.Time{}
+		if err := s.cfg.Ring.Join(m.URL); err != nil {
+			s.log("join failed", "member", m.URL, "err", err)
 			continue
 		}
-		if st.failStreak >= s.cfg.DownAfter && st.drainStarted.IsZero() && !o.ringState.Draining {
-			startRemoval(st, "drain", fmt.Sprintf("unhealthy for %d consecutive observations (%s)",
-				st.failStreak, o.probeErr))
-		}
-		s.finishDrain(st, o.ringState, now)
-	}
-
-	// 5c. Join (or rejoin) healthy desired members that are off the
-	// ring. Joins are additive — they never consume disruption budget.
-	for _, o := range obs {
-		st := s.states[o.member.URL]
-		if o.onRing || st.okStreak < s.cfg.UpAfter {
-			continue
-		}
-		action := "join"
-		if st.everOnRing {
-			action = "rejoin"
-		}
-		if err := s.cfg.Ring.Join(o.member.URL); err != nil {
-			s.log("join failed", "member", o.member.URL, "err", err)
-			continue
-		}
-		st.everOnRing = true
-		st.drainStarted = time.Time{}
-		if !st.downSince.IsZero() {
-			s.reg.Histogram(mHealDur, "Seconds from a member judged down to back-on-ring healthy.",
-				[]float64{0.5, 1, 2.5, 5, 10, 30, 60, 120}).Observe(now.Sub(st.downSince).Seconds())
-			st.downSince = time.Time{}
-		}
-		s.act(now, action, o.member.URL, "")
+		s.act(now, "join", m.URL, "")
 	}
 }
 
@@ -643,25 +455,22 @@ func (s *Supervisor) reconcileLocked(obs []observation, onRing map[string]router
 // tick, so in.Draining means the drain began on an earlier tick: a
 // request assigned just before the flag landed has had a whole interval
 // to show up in Inflight. Caller holds s.mu.
-func (s *Supervisor) finishDrain(st *memberState, in router.InstanceState, now time.Time) {
-	if st.drainStarted.IsZero() {
-		return
-	}
+func (s *Supervisor) finishDrain(in router.InstanceState, now time.Time) {
 	action, detail := "drained", "no requests in flight"
 	switch {
 	case in.Draining && in.Inflight == 0:
-	case now.Sub(st.drainStarted) >= s.cfg.DrainTimeout:
+	case now.Sub(s.drains[in.URL]) >= s.cfg.DrainTimeout:
 		action = "eject"
 		detail = fmt.Sprintf("drain exceeded %s; escalated (inflight %d)", s.cfg.DrainTimeout, in.Inflight)
 	default:
 		return
 	}
-	if err := s.cfg.Ring.Eject(st.member.URL); err != nil {
-		s.log("eject failed", "member", st.member.URL, "action", action, "err", err)
+	if err := s.cfg.Ring.Eject(in.URL); err != nil {
+		s.log("eject failed", "member", in.URL, "action", action, "err", err)
 		return
 	}
-	st.drainStarted = time.Time{}
-	s.act(now, action, st.member.URL, detail)
+	delete(s.drains, in.URL)
+	s.act(now, action, in.URL, detail)
 }
 
 // act counts and logs one completed action. Caller holds s.mu.
@@ -680,13 +489,14 @@ func (s *Supervisor) record(a Action) {
 	}
 }
 
-// Status snapshots the supervisor for /v1/fleet. Safe for concurrent
-// use; wire it up with router.SetFleetStatus(func() any { return
+// Status snapshots the supervisor for /v1/fleet: every desired member,
+// then every other ring member in ring order. Safe for concurrent use;
+// wire it up with router.SetFleetStatus(func() any { return
 // sup.Status() }).
 func (s *Supervisor) Status() Status {
-	ringState := s.cfg.Ring.State()
-	onRing := make(map[string]router.InstanceState, len(ringState.Instances))
-	for _, in := range ringState.Instances {
+	ring := s.cfg.Ring.State().Instances
+	onRing := make(map[string]router.InstanceState, len(ring))
+	for _, in := range ring {
 		onRing[in.URL] = in
 	}
 	s.mu.Lock()
@@ -698,10 +508,17 @@ func (s *Supervisor) Status() Status {
 		ActionCounts: make(map[string]int64, len(s.actionCounts)),
 		BudgetDenied: make(map[string]int64, len(s.denied)),
 	}
+	urls := make([]string, 0, len(s.desired)+len(ring))
 	desiredSet := make(map[string]bool, len(s.desired))
 	for _, m := range s.desired {
 		st.Desired = append(st.Desired, m.URL)
 		desiredSet[m.URL] = true
+		urls = append(urls, m.URL)
+	}
+	for _, in := range ring {
+		if !desiredSet[in.URL] {
+			urls = append(urls, in.URL)
+		}
 	}
 	for k, v := range s.actionCounts {
 		st.ActionCounts[k] = v
@@ -709,13 +526,8 @@ func (s *Supervisor) Status() Status {
 	for k, v := range s.denied {
 		st.BudgetDenied[k] = v
 	}
-	for url, ms := range s.states {
-		mv := memberView{
-			URL:        url,
-			Desired:    desiredSet[url],
-			OKStreak:   ms.okStreak,
-			FailStreak: ms.failStreak,
-		}
+	for _, url := range urls {
+		mv := memberView{URL: url, Desired: desiredSet[url]}
 		if in, ok := onRing[url]; ok {
 			mv.OnRing, mv.Draining = true, in.Draining
 		}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"flag"
+	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -13,7 +14,6 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -100,7 +100,9 @@ func (f *fakeRing) Join(url string) error {
 	if f.members[url] != nil {
 		return errors.New("already a member")
 	}
-	f.members[url] = &router.InstanceState{URL: url, Healthy: true}
+	// A newcomer starts unhealthy, as on the router, until its prober
+	// admits it; the fake has no prober, so it stays that way.
+	f.members[url] = &router.InstanceState{URL: url}
 	f.order = append(f.order, url)
 	f.epoch++
 	return nil
@@ -136,26 +138,15 @@ func (f *fakeRing) Eject(url string) error {
 	return nil
 }
 
-// fakeInstance is a healthz endpoint whose answer a test can flip.
-type fakeInstance struct {
-	srv *httptest.Server
-	ok  atomic.Bool
+// memberURLs returns n distinct member URLs. The supervisor sends no
+// requests, so nothing has to listen on them.
+func memberURLs(n int) []string {
+	urls := make([]string, n)
+	for i := range urls {
+		urls[i] = fmt.Sprintf("http://127.0.0.1:%d", 9001+i)
+	}
+	return urls
 }
-
-func newFakeInstance() *fakeInstance {
-	fi := &fakeInstance{}
-	fi.ok.Store(true)
-	fi.srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/v1/healthz" || !fi.ok.Load() {
-			http.Error(w, "down", http.StatusServiceUnavailable)
-			return
-		}
-		w.WriteHeader(http.StatusOK)
-	}))
-	return fi
-}
-
-func (fi *fakeInstance) url() string { return fi.srv.URL }
 
 // fakeSource is a scriptable desired-state Source.
 type fakeSource struct {
@@ -189,24 +180,15 @@ func (f *fakeSource) Desired(context.Context) ([]Member, error) {
 	return append([]Member(nil), f.members...), nil
 }
 
-// newTestSup builds a supervisor with fast, deterministic settings. The
-// probe client disables keep-alives so no idle-connection goroutines
-// survive into the leak check.
+// newTestSup builds a supervisor with fast, deterministic settings.
 func newTestSup(t *testing.T, ring Ring, src Source, mut func(*Config)) *Supervisor {
 	t.Helper()
 	cfg := Config{
 		Ring:         ring,
 		Source:       src,
-		ProbeTimeout: 2 * time.Second,
-		DownAfter:    2,
-		UpAfter:      2,
 		MinHealthy:   1,
 		DrainTimeout: time.Nanosecond,
 		Metrics:      telemetry.NewRegistry(),
-		HTTPClient: &http.Client{
-			Timeout:   2 * time.Second,
-			Transport: &http.Transport{DisableKeepAlives: true},
-		},
 	}
 	if mut != nil {
 		mut(&cfg)
@@ -224,23 +206,24 @@ func tick(s *Supervisor, n int) {
 	}
 }
 
-func TestJoinRequiresUpStreak(t *testing.T) {
+// TestJoinsEveryDesiredMemberAtOnce: the first tick joins every desired
+// member, before anything has probed it. A newcomer the ring keeps
+// unhealthy stays on the ring: admission is the router's call.
+func TestJoinsEveryDesiredMemberAtOnce(t *testing.T) {
 	defer leak.Check(t)()
-	fi1, fi2 := newFakeInstance(), newFakeInstance()
-	defer fi1.srv.Close()
-	defer fi2.srv.Close()
+	u := memberURLs(2)
 	fr := newFakeRing()
 	src := &fakeSource{}
-	src.set(fi1.url(), fi2.url())
+	src.set(u...)
 	s := newTestSup(t, fr, src, nil)
 
 	tick(s, 1)
-	if fr.has(fi1.url()) || fr.has(fi2.url()) {
-		t.Fatalf("joined after one good observation; UpAfter=2 hysteresis violated")
+	if !fr.has(u[0]) || !fr.has(u[1]) {
+		t.Fatal("both desired members should be on the ring after the first tick")
 	}
-	tick(s, 1)
-	if !fr.has(fi1.url()) || !fr.has(fi2.url()) {
-		t.Fatalf("both members should be on the ring after two good observations")
+	tick(s, 5)
+	if n := fr.opCount(); n != 2 {
+		t.Fatalf("%d ring operations, want the 2 joins only", n)
 	}
 	if got := s.reg.Value(mActions, "action", "join"); got != 2 {
 		t.Fatalf("join actions = %v, want 2", got)
@@ -251,72 +234,80 @@ func TestJoinRequiresUpStreak(t *testing.T) {
 	}
 }
 
-func TestDrainEjectRejoinHeal(t *testing.T) {
+// TestRingHealthNeverMovesMembership: the router's verdicts decide who
+// serves, never who is a member. A dead member and a flapping one stay
+// on the ring, undrained, with no action recorded.
+func TestRingHealthNeverMovesMembership(t *testing.T) {
 	defer leak.Check(t)()
-	fi1, fi2 := newFakeInstance(), newFakeInstance()
-	defer fi1.srv.Close()
-	defer fi2.srv.Close()
+	u := memberURLs(3)
 	fr := newFakeRing()
+	for _, url := range u {
+		fr.add(url)
+	}
 	src := &fakeSource{}
-	src.set(fi1.url(), fi2.url())
-	s := newTestSup(t, fr, src, func(c *Config) { c.UpAfter = 1 })
+	src.set(u...)
+	s := newTestSup(t, fr, src, nil)
 
-	tick(s, 1) // both join immediately (UpAfter=1)
-	if !fr.has(fi1.url()) || !fr.has(fi2.url()) {
-		t.Fatal("setup: both members should be on the ring")
+	fr.setHealthy(u[0], false)
+	for i := range 10 {
+		fr.setHealthy(u[1], i%2 == 0)
+		tick(s, 1)
 	}
+	if n := fr.opCount(); n != 0 {
+		t.Fatalf("ring health changes caused %d ring operations, want 0", n)
+	}
+	if st := s.Status(); len(st.Actions) != 0 {
+		t.Fatalf("supervisor acted on health: %+v", st.Actions)
+	}
+}
 
-	fi2.ok.Store(false)
-	tick(s, 1) // failStreak 1 < DownAfter
-	if fr.draining(fi2.url()) {
-		t.Fatal("drained after a single bad observation; DownAfter=2 hysteresis violated")
-	}
-	fr.setInflight(fi2.url(), 1) // a request that never finishes
-	tick(s, 1)                   // failStreak 2 → drain
-	if !fr.draining(fi2.url()) {
-		t.Fatal("member should be draining after DownAfter bad observations")
-	}
-	tick(s, 1) // drain outlives DrainTimeout with a request in flight → eject
-	if fr.has(fi2.url()) {
-		t.Fatal("stuck drain should have escalated to eject")
-	}
-	if !fr.has(fi1.url()) {
-		t.Fatal("healthy member must be untouched throughout")
-	}
+// TestReaddedMemberRejoins: a member dropped from the spec is drained;
+// re-added before its removal, its drain still finishes, and the next
+// tick joins it again.
+func TestReaddedMemberRejoins(t *testing.T) {
+	defer leak.Check(t)()
+	u := memberURLs(2)
+	fr := newFakeRing()
+	fr.add(u[0])
+	fr.add(u[1])
+	src := &fakeSource{}
+	src.set(u[0])
+	s := newTestSup(t, fr, src, func(c *Config) { c.DrainTimeout = time.Hour })
 
-	fi2.ok.Store(true)
-	tick(s, 1) // recovery → rejoin, heal duration observed
-	if !fr.has(fi2.url()) {
-		t.Fatal("recovered member should have rejoined")
+	tick(s, 1)
+	if !fr.draining(u[1]) {
+		t.Fatal("the dropped member should be draining")
+	}
+	src.set(u...)
+	tick(s, 1)
+	if fr.has(u[1]) {
+		t.Fatal("the idle draining member should have been ejected")
+	}
+	tick(s, 1)
+	if !fr.has(u[1]) || fr.draining(u[1]) {
+		t.Fatal("the re-added member should have rejoined")
 	}
 	st := s.Status()
-	want := map[string]int64{"join": 2, "drain": 1, "eject": 1, "rejoin": 1}
+	want := map[string]int64{"remove": 1, "drained": 1, "join": 1}
 	for action, n := range want {
 		if st.ActionCounts[action] != n {
 			t.Fatalf("action %q count = %d, want %d (all: %v)", action, st.ActionCounts[action], n, st.ActionCounts)
 		}
 	}
-	var buf bytes.Buffer
-	s.reg.WritePrometheus(&buf)
-	if !strings.Contains(buf.String(), mHealDur+"_count 1") {
-		t.Fatalf("heal-duration histogram should record exactly one heal:\n%s", buf.String())
-	}
 }
 
 func TestBudgetLastMember(t *testing.T) {
 	defer leak.Check(t)()
-	fi := newFakeInstance()
-	defer fi.srv.Close()
-	fi.ok.Store(false)
+	u := memberURLs(1)
 	fr := newFakeRing()
-	fr.add(fi.url())
+	fr.add(u[0])
 	src := &fakeSource{}
-	src.set(fi.url())
-	s := newTestSup(t, fr, src, func(c *Config) { c.DownAfter = 1 })
+	src.set() // desired: nobody
 
+	s := newTestSup(t, fr, src, nil)
 	tick(s, 3)
-	if !fr.has(fi.url()) || fr.draining(fi.url()) {
-		t.Fatal("the last ring member must never be drained, however unhealthy")
+	if !fr.has(u[0]) || fr.draining(u[0]) {
+		t.Fatal("the last ring member must never be drained")
 	}
 	if got := s.reg.Value(mDenied, "reason", "last_member"); got < 1 {
 		t.Fatalf("last_member denials = %v, want >= 1", got)
@@ -328,29 +319,21 @@ func TestBudgetLastMember(t *testing.T) {
 
 func TestBudgetDrainConcurrency(t *testing.T) {
 	defer leak.Check(t)()
-	fis := []*fakeInstance{newFakeInstance(), newFakeInstance(), newFakeInstance()}
-	for _, fi := range fis {
-		defer fi.srv.Close()
-	}
+	u := memberURLs(3)
 	fr := newFakeRing()
-	var urls []string
-	for _, fi := range fis {
-		fr.add(fi.url())
-		urls = append(urls, fi.url())
+	for _, url := range u {
+		fr.add(url)
 	}
 	src := &fakeSource{}
-	src.set(urls...)
-	fis[1].ok.Store(false)
-	fis[2].ok.Store(false)
+	src.set(u[0])
 	s := newTestSup(t, fr, src, func(c *Config) {
-		c.DownAfter = 1
 		c.DrainTimeout = time.Hour // keep the first drain pending
 	})
 
 	tick(s, 1)
-	d1, d2 := fr.draining(urls[1]), fr.draining(urls[2])
+	d1, d2 := fr.draining(u[1]), fr.draining(u[2])
 	if !d1 || d2 {
-		t.Fatalf("exactly the first unhealthy member should drain (got %v, %v); maxConcurrentDrains=1", d1, d2)
+		t.Fatalf("exactly the first undesired member should drain (got %v, %v); maxConcurrentDrains=1", d1, d2)
 	}
 	if got := s.reg.Value(mDenied, "reason", "drain_concurrency"); got != 1 {
 		t.Fatalf("drain_concurrency denials = %v, want 1", got)
@@ -359,23 +342,19 @@ func TestBudgetDrainConcurrency(t *testing.T) {
 
 func TestBudgetMinHealthy(t *testing.T) {
 	defer leak.Check(t)()
-	fi1, fi2 := newFakeInstance(), newFakeInstance()
-	defer fi1.srv.Close()
-	defer fi2.srv.Close()
+	u := memberURLs(2)
 	fr := newFakeRing()
-	fr.add(fi1.url())
-	fr.add(fi2.url())
+	fr.add(u[0])
+	fr.add(u[1])
 	src := &fakeSource{}
-	src.set(fi1.url(), fi2.url())
-	fi2.ok.Store(false) // probe says down, but the ring still counts it healthy
+	src.set(u[0])
 	s := newTestSup(t, fr, src, func(c *Config) {
-		c.DownAfter = 1
 		c.MinHealthy = 2
 		c.DrainTimeout = time.Hour
 	})
 
 	tick(s, 2)
-	if fr.draining(fi2.url()) {
+	if fr.draining(u[1]) {
 		t.Fatal("draining a ring-healthy member below the MinHealthy floor must be refused")
 	}
 	if got := s.reg.Value(mDenied, "reason", "min_healthy"); got < 1 {
@@ -384,59 +363,34 @@ func TestBudgetMinHealthy(t *testing.T) {
 
 	// Once the ring itself marks the member unhealthy, removing it costs
 	// no serving capacity — it must be removable even below the floor.
-	fr.setHealthy(fi2.url(), false)
+	fr.setHealthy(u[1], false)
 	tick(s, 1)
-	if !fr.draining(fi2.url()) {
+	if !fr.draining(u[1]) {
 		t.Fatal("a ring-unhealthy member must be removable below the MinHealthy floor")
-	}
-}
-
-func TestFlappingNeverOscillatesRing(t *testing.T) {
-	defer leak.Check(t)()
-	off, on := newFakeInstance(), newFakeInstance()
-	defer off.srv.Close()
-	defer on.srv.Close()
-	fr := newFakeRing()
-	fr.add(on.url()) // the on-ring flapper
-	src := &fakeSource{}
-	src.set(off.url(), on.url())
-	s := newTestSup(t, fr, src, nil) // DownAfter=2, UpAfter=2
-
-	// Strict alternation: no streak ever reaches 2, so neither the
-	// off-ring member joining nor the on-ring member draining may fire.
-	for i := range 8 {
-		good := i%2 == 0
-		off.ok.Store(good)
-		on.ok.Store(good)
-		tick(s, 1)
-	}
-	if n := fr.opCount(); n != 0 {
-		t.Fatalf("flapping members caused %d ring operations, want 0 (hysteresis failed)", n)
 	}
 }
 
 func TestRemoveUndesiredMember(t *testing.T) {
 	defer leak.Check(t)()
-	keep, extra := newFakeInstance(), newFakeInstance()
-	defer keep.srv.Close()
-	defer extra.srv.Close()
+	u := memberURLs(2)
+	keep, extra := u[0], u[1]
 	fr := newFakeRing()
-	fr.add(keep.url())
-	fr.add(extra.url())
+	fr.add(keep)
+	fr.add(extra)
 	src := &fakeSource{}
-	src.set(keep.url()) // extra is on the ring but not desired
-	fr.setInflight(extra.url(), 1)
+	src.set(keep) // extra is on the ring but not desired
+	fr.setInflight(extra, 1)
 	s := newTestSup(t, fr, src, nil)
 
 	tick(s, 1)
-	if !fr.draining(extra.url()) {
+	if !fr.draining(extra) {
 		t.Fatal("undesired member should be draining after the first reconcile")
 	}
 	tick(s, 1) // escalation past DrainTimeout with a request in flight
-	if fr.has(extra.url()) {
+	if fr.has(extra) {
 		t.Fatal("undesired member should be ejected once its drain escalates")
 	}
-	if !fr.has(keep.url()) {
+	if !fr.has(keep) {
 		t.Fatal("desired member must survive")
 	}
 	st := s.Status()
@@ -452,28 +406,27 @@ func TestRemoveUndesiredMember(t *testing.T) {
 // as an escalated "eject".
 func TestDrainCompletesOnceIdle(t *testing.T) {
 	defer leak.Check(t)()
-	keep, extra := newFakeInstance(), newFakeInstance()
-	defer keep.srv.Close()
-	defer extra.srv.Close()
+	u := memberURLs(2)
+	keep, extra := u[0], u[1]
 	fr := newFakeRing()
-	fr.add(keep.url())
-	fr.add(extra.url())
+	fr.add(keep)
+	fr.add(extra)
 	src := &fakeSource{}
-	src.set(keep.url())
+	src.set(keep)
 	s := newTestSup(t, fr, src, func(c *Config) { c.DrainTimeout = time.Hour })
 
 	tick(s, 1)
-	if !fr.draining(extra.url()) {
+	if !fr.draining(extra) {
 		t.Fatal("undesired member should be draining after the first reconcile")
 	}
-	fr.setInflight(extra.url(), 2)
+	fr.setInflight(extra, 2)
 	tick(s, 2)
-	if !fr.has(extra.url()) {
+	if !fr.has(extra) {
 		t.Fatal("a draining member with requests in flight was removed")
 	}
-	fr.setInflight(extra.url(), 0)
+	fr.setInflight(extra, 0)
 	tick(s, 1)
-	if fr.has(extra.url()) {
+	if fr.has(extra) {
 		t.Fatal("an idle draining member should be ejected on the next tick")
 	}
 	st := s.Status()
@@ -487,15 +440,15 @@ func TestDrainCompletesOnceIdle(t *testing.T) {
 	// At zero in flight from the start, the tick that starts a drain
 	// still leaves the member on the ring.
 	fr2 := newFakeRing()
-	fr2.add(keep.url())
-	fr2.add(extra.url())
+	fr2.add(keep)
+	fr2.add(extra)
 	s2 := newTestSup(t, fr2, src, func(c *Config) { c.DrainTimeout = time.Hour })
 	tick(s2, 1)
-	if !fr2.has(extra.url()) || !fr2.draining(extra.url()) {
+	if !fr2.has(extra) || !fr2.draining(extra) {
 		t.Fatal("a drain was finished on the tick that started it")
 	}
 	tick(s2, 1)
-	if fr2.has(extra.url()) {
+	if fr2.has(extra) {
 		t.Fatal("an idle draining member should be ejected on the tick after the drain started")
 	}
 }
@@ -508,11 +461,13 @@ func TestDrainCompletesOnceIdle(t *testing.T) {
 // source error and keeps the last good set.
 func TestSpecURLsNormalizedToRing(t *testing.T) {
 	defer leak.Check(t)()
-	fi1, fi2 := newFakeInstance(), newFakeInstance()
-	defer fi1.srv.Close()
-	defer fi2.srv.Close()
+	ok := http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) { w.WriteHeader(http.StatusOK) })
+	b1, b2 := httptest.NewServer(ok), httptest.NewServer(ok)
+	defer b1.Close()
+	defer b2.Close()
+	fi1, fi2 := b1.URL, b2.URL
 	rt, err := router.New(router.Config{
-		Backends:       []string{fi1.url(), fi2.url()},
+		Backends:       []string{fi1, fi2},
 		HealthInterval: 10 * time.Millisecond,
 		Metrics:        telemetry.NewRegistry(),
 	})
@@ -521,7 +476,7 @@ func TestSpecURLsNormalizedToRing(t *testing.T) {
 	}
 	defer rt.Close()
 	src := &fakeSource{}
-	src.set(fi1.url()+"/", fi2.url()+"/")
+	src.set(fi1+"/", fi2+"/")
 	s := newTestSup(t, rt, src, nil)
 
 	tick(s, 12)
@@ -532,14 +487,14 @@ func TestSpecURLsNormalizedToRing(t *testing.T) {
 	if len(st.Actions) != 0 {
 		t.Fatalf("supervisor acted on a healthy ring: %+v (denials %v)", st.Actions, st.BudgetDenied)
 	}
-	if len(st.Desired) != 2 || st.Desired[0] != fi1.url() || st.Desired[1] != fi2.url() {
+	if len(st.Desired) != 2 || st.Desired[0] != fi1 || st.Desired[1] != fi2 {
 		t.Fatalf("desired = %v, want the normalized URLs", st.Desired)
 	}
 
 	for i, bad := range [][]string{
-		{fi1.url(), fi1.url() + "/"}, // duplicate once normalized
-		{fi1.url(), "ftp://127.0.0.1:1"},
-		{fi1.url(), ""}, // a spec entry without a url
+		{fi1, fi1 + "/"}, // duplicate once normalized
+		{fi1, "ftp://127.0.0.1:1"},
+		{fi1, ""}, // a spec entry without a url
 	} {
 		src.set(bad...)
 		tick(s, 1)
@@ -557,26 +512,25 @@ func TestSpecURLsNormalizedToRing(t *testing.T) {
 
 func TestSourceErrorKeepsLastGoodSet(t *testing.T) {
 	defer leak.Check(t)()
-	fi := newFakeInstance()
-	defer fi.srv.Close()
+	fi := memberURLs(1)[0]
 	fr := newFakeRing()
 	src := &fakeSource{}
-	src.set(fi.url())
+	src.set(fi)
 	s := newTestSup(t, fr, src, nil)
 
 	tick(s, 2)
-	if !fr.has(fi.url()) {
+	if !fr.has(fi) {
 		t.Fatal("setup: member should have joined")
 	}
 
 	src.fail(errors.New("torn spec file"))
 	tick(s, 3)
-	if !fr.has(fi.url()) || fr.draining(fi.url()) {
+	if !fr.has(fi) || fr.draining(fi) {
 		t.Fatal("a source error must not read as scale-to-zero; last good set should hold")
 	}
 	st := s.Status()
-	if len(st.Desired) != 1 || st.Desired[0] != fi.url() {
-		t.Fatalf("desired set = %v, want last good [%s]", st.Desired, fi.url())
+	if len(st.Desired) != 1 || st.Desired[0] != fi {
+		t.Fatalf("desired set = %v, want last good [%s]", st.Desired, fi)
 	}
 	if got := s.reg.Value(mReconcileErr, "kind", "source"); got != 3 {
 		t.Fatalf("source error counter = %v, want 3", got)
@@ -585,15 +539,13 @@ func TestSourceErrorKeepsLastGoodSet(t *testing.T) {
 
 func TestSourceNeverGoodHoldsOff(t *testing.T) {
 	defer leak.Check(t)()
-	fi := newFakeInstance()
-	defer fi.srv.Close()
-	fi2 := newFakeInstance()
-	defer fi2.srv.Close()
+	u := memberURLs(2)
+	fi, fi2 := u[0], u[1]
 	// Two seeded members: with only one, the last-member budget rule
 	// would mask the regression this test exists to catch.
 	fr := newFakeRing()
-	fr.add(fi.url())
-	fr.add(fi2.url())
+	fr.add(fi)
+	fr.add(fi2)
 	src := &fakeSource{}
 	src.fail(errors.New("spec missing at boot"))
 	s := newTestSup(t, fr, src, nil)
@@ -604,7 +556,7 @@ func TestSourceNeverGoodHoldsOff(t *testing.T) {
 	if got := fr.opCount(); got != 0 {
 		t.Fatalf("ring ops before first good read = %d, want 0", got)
 	}
-	if !fr.has(fi.url()) || fr.draining(fi.url()) {
+	if !fr.has(fi) || fr.draining(fi) {
 		t.Fatal("seeded members must be untouched while the source has never succeeded")
 	}
 	if got := s.reg.Value(mReconciles); got != 4 {
@@ -612,13 +564,13 @@ func TestSourceNeverGoodHoldsOff(t *testing.T) {
 	}
 
 	// First good read unfreezes the loop.
-	src.set(fi.url(), fi2.url())
+	src.set(fi, fi2)
 	tick(s, 2)
 	st := s.Status()
 	if len(st.Desired) != 2 {
 		t.Fatalf("desired set after recovery = %v, want both members", st.Desired)
 	}
-	if !fr.has(fi.url()) || !fr.has(fi2.url()) {
+	if !fr.has(fi) || !fr.has(fi2) {
 		t.Fatal("members must stay on the ring after the source recovers")
 	}
 }
@@ -695,11 +647,10 @@ func TestSRVSource(t *testing.T) {
 func TestSpawnRespawnWithBackoff(t *testing.T) {
 	defer leak.Check(t)()
 	defer leak.CheckChildren(t)()
-	fi := newFakeInstance()
-	defer fi.srv.Close()
+	fi := memberURLs(1)[0]
 	fr := newFakeRing()
 	src := &fakeSource{}
-	src.set(fi.url())
+	src.set(fi)
 	s := newTestSup(t, fr, src, func(c *Config) {
 		c.RespawnBase = 20 * time.Millisecond
 		c.RespawnMax = 50 * time.Millisecond
@@ -727,7 +678,7 @@ func TestSpawnRespawnWithBackoff(t *testing.T) {
 	st := s.Status()
 	var mv *memberView
 	for i := range st.Members {
-		if st.Members[i].URL == fi.url() {
+		if st.Members[i].URL == fi {
 			mv = &st.Members[i]
 		}
 	}
@@ -739,11 +690,11 @@ func TestSpawnRespawnWithBackoff(t *testing.T) {
 func TestSpawnStopsUndesiredAndShutsDown(t *testing.T) {
 	defer leak.Check(t)()
 	defer leak.CheckChildren(t)()
-	fi := newFakeInstance()
-	defer fi.srv.Close()
+	u := memberURLs(2)
+	keep, gone := u[0], u[1]
 	fr := newFakeRing()
 	src := &fakeSource{}
-	src.set(fi.url())
+	src.set(keep, gone)
 	s := newTestSup(t, fr, src, func(c *Config) {
 		c.Spawn = func(m Member) (*exec.Cmd, error) {
 			return exec.Command("sleep", "60"), nil
@@ -753,23 +704,32 @@ func TestSpawnStopsUndesiredAndShutsDown(t *testing.T) {
 
 	tick(s, 1)
 	s.mu.Lock()
-	p := s.procs[fi.url()]
+	pk, pg := s.procs[keep], s.procs[gone]
 	s.mu.Unlock()
-	if p == nil || !p.running() {
-		t.Fatal("desired member should have a live managed process")
+	if pk == nil || !pk.running() || pg == nil || !pg.running() {
+		t.Fatal("each desired member should have a live managed process")
 	}
 
-	// Dropping the member from desired state must terminate its process.
-	src.set()
-	tick(s, 1)
+	// Dropping a member from desired state takes it off the ring (drain,
+	// then eject), then terminates its process.
+	src.set(keep)
+	tick(s, 3)
+	if fr.has(gone) {
+		t.Fatal("the dropped member should be off the ring")
+	}
 	s.mu.Lock()
 	remaining := len(s.procs)
 	s.mu.Unlock()
-	if remaining != 0 {
-		t.Fatalf("%d managed processes remain for an empty desired set, want 0", remaining)
+	if remaining != 1 {
+		t.Fatalf("%d managed processes remain, want 1 (the kept member's)", remaining)
 	}
-	if p.running() {
+	if pg.running() {
 		t.Fatal("undesired member's process should have been stopped")
+	}
+
+	s.shutdown()
+	if pk.running() {
+		t.Fatal("shutdown should stop every managed process")
 	}
 }
 
@@ -779,14 +739,13 @@ func TestSpawnStopsUndesiredAndShutsDown(t *testing.T) {
 func TestSpawnKeepsDrainingMemberProcess(t *testing.T) {
 	defer leak.Check(t)()
 	defer leak.CheckChildren(t)()
-	keep, gone := newFakeInstance(), newFakeInstance()
-	defer keep.srv.Close()
-	defer gone.srv.Close()
+	u := memberURLs(2)
+	keep, gone := u[0], u[1]
 	fr := newFakeRing()
-	fr.add(keep.url())
-	fr.add(gone.url())
+	fr.add(keep)
+	fr.add(gone)
 	src := &fakeSource{}
-	src.set(keep.url(), gone.url())
+	src.set(keep, gone)
 	s := newTestSup(t, fr, src, func(c *Config) {
 		c.DrainTimeout = time.Hour
 		c.Spawn = func(m Member) (*exec.Cmd, error) {
@@ -797,25 +756,25 @@ func TestSpawnKeepsDrainingMemberProcess(t *testing.T) {
 
 	tick(s, 1)
 	s.mu.Lock()
-	p := s.procs[gone.url()]
+	p := s.procs[gone]
 	s.mu.Unlock()
 	if p == nil || !p.running() {
 		t.Fatal("desired member should have a live managed process")
 	}
 
-	fr.setInflight(gone.url(), 1)
-	src.set(keep.url())
+	fr.setInflight(gone, 1)
+	src.set(keep)
 	tick(s, 2)
-	if !fr.draining(gone.url()) {
+	if !fr.draining(gone) {
 		t.Fatal("the dropped member should be draining")
 	}
 	if !p.running() {
 		t.Fatal("the process of a member still draining on the ring was stopped")
 	}
 
-	fr.setInflight(gone.url(), 0)
+	fr.setInflight(gone, 0)
 	tick(s, 1)
-	if fr.has(gone.url()) {
+	if fr.has(gone) {
 		t.Fatal("the idle draining member should have been ejected")
 	}
 	tick(s, 1)
@@ -832,15 +791,14 @@ func TestSpawnKeepsDrainingMemberProcess(t *testing.T) {
 
 func TestFleetMetricsGolden(t *testing.T) {
 	defer leak.Check(t)()
-	fi1, fi2 := newFakeInstance(), newFakeInstance()
-	defer fi1.srv.Close()
-	defer fi2.srv.Close()
+	u := memberURLs(2)
+	fi1, fi2 := u[0], u[1]
 	fr := newFakeRing()
 	src := &fakeSource{}
-	src.set(fi1.url(), fi2.url())
+	src.set(fi1, fi2)
 	s := newTestSup(t, fr, src, nil)
 
-	// Three ticks: streaks build (1), both join (2), gauges settle (3).
+	// Three ticks: both join (1), the gauges read the grown ring (2, 3).
 	tick(s, 3)
 
 	var buf bytes.Buffer

@@ -85,7 +85,6 @@ func TestRouterMembershipChurn(t *testing.T) {
 		Ring:     rt,
 		Source:   &fleet.SpecSource{Path: spec},
 		Interval: 50 * time.Millisecond,
-		UpAfter:  1,
 		Metrics:  rt.Registry(),
 	})
 	if err != nil {

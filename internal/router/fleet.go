@@ -162,8 +162,8 @@ type fleetMember struct {
 // fleetResponse is the /v1/fleet body: the router's own state plus
 // every member's healthz, so one endpoint answers "is the fleet healthy
 // and where is time going." When a fleet supervisor is attached (see
-// SetFleetStatus), its reconciliation status — desired members, streaks,
-// the action log, budget denials — rides along, making this the one
+// SetFleetStatus), its reconciliation status — desired members, the
+// action log, budget denials — rides along, making this the one
 // endpoint that reflects every reconcile action taken.
 type fleetResponse struct {
 	Router     State         `json:"router"`

@@ -9,9 +9,10 @@ import (
 	"repro/internal/telemetry"
 )
 
-// probeUpAfter is how many consecutive passing probes readmit an
-// unhealthy instance. A flapping instance has to prove a streak before
-// the ring trusts it with keys again.
+// probeUpAfter is how many consecutive passing probes admit an
+// unhealthy instance: a newcomer, or one the prober marked down. A
+// flapping instance has to prove a streak before the ring trusts it
+// with keys again.
 const probeUpAfter = 2
 
 // probeTimeout bounds one health probe.
@@ -22,7 +23,9 @@ const probeTimeout = time.Second
 // (healthy), the request-path circuit breaker (openUntil), and the
 // supervisor's drain flag. Any of them alone can take the instance out
 // of rotation; all must agree it is fine before the ring hands it a key
-// again.
+// again. The prober's verdict is the fleet's only health verdict: an
+// unhealthy member stays on the ring, and its keys go to its ring
+// successors until the prober readmits it.
 type instance struct {
 	url string
 	// reqs and fails are this member's mInstReqs and mInstFails series,
@@ -30,12 +33,16 @@ type instance struct {
 	reqs, fails *telemetry.Counter
 
 	// healthy is the prober's hysteresis-filtered verdict against
-	// /v1/healthz. Instances start optimistic — a router booting ahead
-	// of its backends must not shed its first requests; a dead backend
-	// costs one failover, not an outage.
+	// /v1/healthz. The backends New is given start optimistic — a router
+	// booting ahead of its backends must not shed its first requests; a
+	// dead backend costs one failover, not an outage. A member joined at
+	// runtime starts unhealthy and serves only once the prober admits it.
 	healthy atomic.Bool
+	// downSince is when the prober last marked this instance down, in
+	// unix nanos; 0 while healthy or never marked down.
+	downSince atomic.Int64
 	// probeFails / probeOKs are the prober's consecutive-verdict
-	// streaks. A single blown probe must not eject an instance that is
+	// streaks. A single blown probe must not take out an instance that is
 	// merely busy, and a single lucky probe must not readmit one that is
 	// flapping — the verdict flips only after ProbeDownAfter consecutive
 	// failures or probeUpAfter consecutive passes. Only this instance's
@@ -87,14 +94,15 @@ func (in *instance) recordFailure(threshold int, cooldown time.Duration) {
 }
 
 // probe runs one active health check: a GET against /v1/healthz with a
-// hard timeout. Any 200 is a pass; anything else — including a healthz
-// that answers 503 because the backend is draining — is a fail. The
-// pass/fail stream feeds the hysteresis counters; the healthy verdict
-// flips only on a full streak, so a flapping instance cannot thrash
-// the ring's eligibility set probe by probe.
+// hard timeout, cut short when the router closes. Any 200 is a pass;
+// anything else — including a healthz that answers 503 because the
+// backend is draining — is a fail. The pass/fail stream feeds the
+// hysteresis counters; the healthy verdict flips only on a full streak,
+// so a flapping instance cannot thrash the ring's eligibility set probe
+// by probe.
 func (rt *Router) probe(in *instance) {
 	ok := false
-	ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
+	ctx, cancel := context.WithTimeout(rt.ctx, probeTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, in.url+"/v1/healthz", nil)
 	if err == nil {
@@ -120,7 +128,10 @@ func (rt *Router) probe(in *instance) {
 		// passing health-check streak is better evidence than an expired
 		// timer.
 		in.recordSuccess()
-		rt.log("instance recovered", "instance", in.url)
+		if down := in.downSince.Swap(0); down != 0 {
+			rt.healDur.Observe(time.Since(time.Unix(0, down)).Seconds())
+		}
+		rt.log("instance admitted", "instance", in.url)
 		return
 	}
 	in.probeOKs.Store(0)
@@ -133,6 +144,7 @@ func (rt *Router) probe(in *instance) {
 	}
 	in.probeFails.Store(0)
 	in.healthy.Store(false)
+	in.downSince.Store(time.Now().UnixNano())
 	rt.log("instance unhealthy", "instance", in.url)
 }
 
@@ -160,7 +172,7 @@ func (rt *Router) prober() {
 			}()
 		}
 		select {
-		case <-rt.closed:
+		case <-rt.ctx.Done():
 			return
 		case <-t.C:
 		}

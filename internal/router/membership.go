@@ -82,10 +82,10 @@ func (rt *Router) swap(members []string) *topology {
 }
 
 // Join adds url to the ring, bumping the epoch. A URL already on the
-// ring is an error. The joined instance starts optimistically healthy
-// and is probed from the next prober round; by the minimal-movement
-// property of the identity-keyed ring, only the ~K/(N+1) keys the
-// newcomer wins move to it.
+// ring is an error. The joined instance starts unhealthy and serves
+// once the prober has seen probeUpAfter passing probes; by the
+// minimal-movement property of the identity-keyed ring, only the
+// ~K/(N+1) keys the newcomer wins move to it.
 func (rt *Router) Join(rawURL string) error {
 	u, err := NormalizeMember(rawURL)
 	if err != nil {
@@ -162,12 +162,11 @@ func (rt *Router) findInstance(url string) *instance {
 	return rt.topo.Load().find(url)
 }
 
-// newInstance builds a new member's instance state, starting healthy,
+// newInstance builds a new member's instance state, starting unhealthy,
 // with its metric series. Caller holds memberMu (or is New, before the
 // router is shared).
 func (rt *Router) newInstance(url string) *instance {
 	in := &instance{url: url}
-	in.healthy.Store(true) // optimistic: see instance.healthy
 	in.reqs, in.fails = rt.registerInstanceSeries(url)
 	return in
 }

@@ -1,8 +1,9 @@
 // Black-box tests for live membership against controllable httptest
 // backends: the membership methods' refusals, runtime join/eject with
-// minimal key movement, drain's zero-movement-then-removal contract,
-// probe hysteresis and concurrency, and the response cache collapsing
-// a failover stampede.
+// minimal key movement, a joined member's admission by the prober,
+// drain's zero-movement-then-removal contract, probe hysteresis,
+// concurrency and cancellation, and the response cache collapsing a
+// failover stampede.
 package router_test
 
 import (
@@ -67,11 +68,21 @@ func TestMembershipRefusals(t *testing.T) {
 	}
 }
 
+// admitted reports whether the router's prober holds url healthy.
+func admitted(rt *router.Router, url string) bool {
+	for _, in := range rt.State().Instances {
+		if in.URL == url {
+			return in.Healthy
+		}
+	}
+	return false
+}
+
 // TestLiveJoinShiftsBoundedKeyspace: joining a fourth instance on a
-// live router moves traffic onto it — but only the newcomer's share.
-// Keys are replayed against the same router before and after the join;
-// every key that changed owner must have moved TO the newcomer, and at
-// most ~K/(N+1)+ε of them.
+// live router moves traffic onto it once the prober admits it — but
+// only the newcomer's share. Keys are replayed against the same router
+// before the join and after the admission; every key that changed owner
+// must have moved TO the newcomer, and at most ~K/(N+1)+ε of them.
 func TestLiveJoinShiftsBoundedKeyspace(t *testing.T) {
 	t.Cleanup(leak.Check(t))
 	const keys = 120
@@ -140,6 +151,7 @@ func TestLiveJoinShiftsBoundedKeyspace(t *testing.T) {
 	if err := rt.Join(urls[3]); err != nil {
 		t.Fatalf("join: %v", err)
 	}
+	waitUntil(t, 5*time.Second, func() bool { return admitted(rt, urls[3]) })
 	after := route()
 
 	moved := 0
@@ -154,6 +166,66 @@ func TestLiveJoinShiftsBoundedKeyspace(t *testing.T) {
 	// Expectation K/(N+1) = 30; allow ×1.5 + ε slack for vnode variance.
 	if limit := keys*3/(2*4) + 6; moved == 0 || moved > limit {
 		t.Fatalf("join moved %d of %d keys (limit %d)", moved, keys, limit)
+	}
+}
+
+// TestJoinedMemberWaitsForAdmission: a live backend joined at runtime
+// starts out of rotation. It is forwarded nothing until it has passed
+// two probes (probeUpAfter), then takes its keys. Its admission is not
+// a heal: the heal histogram counts only members the prober marked down.
+func TestJoinedMemberWaitsForAdmission(t *testing.T) {
+	t.Cleanup(leak.Check(t))
+	var probes, forwarded, early atomic.Int64
+	newcomer := httptest.NewServer(sameBuild(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/healthz" {
+			probes.Add(1)
+			w.WriteHeader(http.StatusOK)
+			return
+		}
+		forwarded.Add(1)
+		if probes.Load() < 2 {
+			early.Add(1)
+		}
+		w.Header().Set("Content-Type", "application/json")
+		_ = json.NewEncoder(w).Encode(map[string]any{"diagram": "digraph {}"})
+	}))
+	t.Cleanup(newcomer.Close)
+	var hits [8]atomic.Int64
+	rt, front, _ := fakeRing(t, 2, okBackend(&hits), func(c *router.Config) {
+		c.HealthInterval = 50 * time.Millisecond
+	})
+
+	sqls := make([]string, 48)
+	for i := range sqls {
+		sqls[i] = fmt.Sprintf("%s -- admitkey %d", qSome, i)
+	}
+	route := func() {
+		for _, sql := range sqls {
+			if st, _, raw := postJSON(t, front.URL+"/v1/diagram", diagramReq(sql)); st != 200 {
+				t.Fatalf("status %d body %.120s", st, raw)
+			}
+		}
+	}
+
+	if err := rt.Join(newcomer.URL); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	for !admitted(rt, newcomer.URL) {
+		if time.Since(start) > 5*time.Second {
+			t.Fatal("the joined member was never admitted")
+		}
+		route()
+	}
+	route()
+	if n := early.Load(); n != 0 {
+		t.Fatalf("%d requests forwarded to the newcomer before its second passing probe", n)
+	}
+	if forwarded.Load() == 0 {
+		t.Fatal("the admitted newcomer took none of its keys")
+	}
+	if n := rt.Registry().Value("queryvis_router_heal_duration_seconds"); n != 0 {
+		t.Fatalf("heal histogram count = %v after a newcomer's admission, want 0", n)
 	}
 }
 
@@ -272,10 +344,12 @@ func TestDrainMovesNothingUntilRemoval(t *testing.T) {
 			t.Fatal("victim still in the member list after the eject")
 		}
 	}
-	// Readmitting the drained URL is a plain join: its keys flow back.
+	// Readmitting the drained URL is a plain join: its keys flow back
+	// once the prober admits it.
 	if err := rt.Join(victim); err != nil {
 		t.Fatalf("rejoin after drain: %v", err)
 	}
+	waitUntil(t, 5*time.Second, func() bool { return admitted(rt, victim) })
 	back := route()
 	for _, sql := range sqls {
 		if back[sql] != before[sql] {
@@ -325,10 +399,13 @@ func TestProbeHysteresisFiltersFlapping(t *testing.T) {
 	// Solid failure: two consecutive misses mark it down…
 	solid.Store(true)
 	waitUntil(t, 5*time.Second, func() bool { return !rt.State().Instances[0].Healthy })
-	// …and a solid recovery streak readmits it.
+	// …and a solid recovery streak readmits it, timed as one heal.
 	flapping.Store(false)
 	solid.Store(false)
 	waitUntil(t, 5*time.Second, func() bool { return rt.State().Instances[0].Healthy })
+	if n := rt.Registry().Value("queryvis_router_heal_duration_seconds"); n != 1 {
+		t.Fatalf("heal histogram count = %v after one down-and-up, want 1", n)
+	}
 }
 
 // TestProbeNotQueuedBehindBlackhole: a round probes its members
@@ -379,6 +456,62 @@ func TestProbeNotQueuedBehindBlackhole(t *testing.T) {
 	rt.Close()
 	if took > 500*time.Millisecond {
 		t.Fatalf("dead member marked down after %v, want within 500ms (its probes queued behind the blackhole)", took)
+	}
+}
+
+// TestCloseCancelsOutstandingProbe: Close cancels a probe still waiting
+// on a blackholed member instead of waiting out the probe timeout.
+func TestCloseCancelsOutstandingProbe(t *testing.T) {
+	t.Cleanup(leak.Check(t))
+	hole, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var conns []net.Conn
+	probed := make(chan struct{})
+	acceptDone := make(chan struct{})
+	go func() {
+		defer close(acceptDone)
+		for {
+			c, err := hole.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			conns = append(conns, c)
+			if len(conns) == 1 {
+				close(probed)
+			}
+			mu.Unlock()
+		}
+	}()
+	defer func() {
+		hole.Close()
+		<-acceptDone
+		for _, c := range conns {
+			c.Close()
+		}
+	}()
+
+	rt, err := router.New(router.Config{
+		Backends:       []string{"http://" + hole.Addr().String()},
+		HealthInterval: 20 * time.Millisecond,
+		Metrics:        telemetry.NewRegistry(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-probed:
+	case <-time.After(5 * time.Second):
+		rt.Close()
+		t.Fatal("no probe reached the blackhole")
+	}
+	start := time.Now()
+	rt.Close()
+	if took := time.Since(start); took > 100*time.Millisecond {
+		t.Fatalf("Close took %v with a probe outstanding, want under 100ms", took)
 	}
 }
 

@@ -19,8 +19,10 @@
 // Topology is live: Join, Drain and Eject change the members at runtime
 // against an epoch-versioned immutable snapshot (see membership.go).
 // Their one caller is the fleet supervisor (internal/fleet), which owns
-// every membership change and finishes every drain; the router only
-// routes, probes and reports. The router's hot tier is its
+// every membership change and finishes every drain. The router's prober
+// owns the one health verdict (see health.go): a member it marks down
+// stays on the ring and its keys fail over to their ring successors, so
+// no health event changes membership. The router's hot tier is its
 // response cache (see respcache.go): singleflight plus a verified-only
 // LRU, dropped whenever the instances' answer identity changes, answer
 // repeats of a popular body, and the identical requests of a cache-cold
@@ -57,6 +59,7 @@ const (
 	mInstUp          = "queryvis_router_instance_healthy"
 	mInstOpen        = "queryvis_router_breaker_open"
 	mInstDraining    = "queryvis_router_instance_draining"
+	mHealDur         = "queryvis_router_heal_duration_seconds"
 	mEpoch           = "queryvis_router_ring_epoch"
 	mMembers         = "queryvis_router_ring_members"
 	mMembership      = "queryvis_router_membership_changes_total"
@@ -176,6 +179,7 @@ type Router struct {
 	proxyDur    *telemetry.Histogram
 	failovers   *telemetry.Counter
 	noHealthy   *telemetry.Counter
+	healDur     *telemetry.Histogram
 	traces      *telemetry.TraceRing
 	tracesTotal *telemetry.Counter
 
@@ -183,9 +187,10 @@ type Router struct {
 	// reconciliation status to /v1/fleet responses.
 	fleetStatus atomic.Pointer[func() any]
 
-	closed chan struct{}
-	once   sync.Once
-	loops  sync.WaitGroup
+	// ctx ends at Close; every probe runs under it.
+	ctx   context.Context
+	stop  context.CancelFunc
+	loops sync.WaitGroup
 }
 
 // New builds the router and starts its health prober.
@@ -197,9 +202,9 @@ func New(cfg Config) (*Router, error) {
 	rt := &Router{
 		cfg:      cfg,
 		seenURLs: make(map[string]bool),
-		closed:   make(chan struct{}),
 		reg:      cfg.Metrics,
 	}
+	rt.ctx, rt.stop = context.WithCancel(context.Background())
 	if rt.reg == nil {
 		rt.reg = telemetry.NewRegistry()
 	}
@@ -236,6 +241,8 @@ func New(cfg Config) (*Router, error) {
 		[]float64{.001, .0025, .005, .01, .025, .05, .1, .25, .5, 1, 2.5, 5, 10})
 	rt.failovers = rt.reg.Counter(mFailovers, "Requests moved to the next ring instance after a failure.")
 	rt.noHealthy = rt.reg.Counter(mNoHealthy, "Requests shed because no ring instance was eligible.")
+	rt.healDur = rt.reg.Histogram(mHealDur, "Seconds from the prober marking an instance down to admitting it again.",
+		[]float64{0.5, 1, 2.5, 5, 10, 30, 60, 120})
 	rt.traces = telemetry.NewTraceRing(0)
 	rt.tracesTotal = rt.reg.Counter(mTraces, "Router hop spans recorded to the trace ring.")
 	rt.reg.GaugeFunc(mTraceRing, "Traces currently held in the router's bounded trace ring.",
@@ -257,6 +264,7 @@ func New(cfg Config) (*Router, error) {
 	insts := make([]*instance, len(members))
 	for i, m := range members {
 		insts[i] = rt.newInstance(m)
+		insts[i].healthy.Store(true) // optimistic: see instance.healthy
 	}
 	rt.topo.Store(&topology{
 		epoch:   1,
@@ -273,10 +281,10 @@ func New(cfg Config) (*Router, error) {
 // Registry exposes the router's metrics registry.
 func (rt *Router) Registry() *telemetry.Registry { return rt.reg }
 
-// Close stops the health prober, waits for its in-flight probes, and
-// releases idle connections. Safe to call more than once.
+// Close stops the health prober, cancels its in-flight probes and waits
+// for them, and releases idle connections. Safe to call more than once.
 func (rt *Router) Close() {
-	rt.once.Do(func() { close(rt.closed) })
+	rt.stop()
 	rt.loops.Wait()
 	rt.transport.CloseIdleConnections()
 }

@@ -46,6 +46,7 @@ type Schema struct {
 	Name   string
 	tables map[string]*Table // lower-cased name -> table
 	order  []string          // insertion order of lower-cased names
+	text   string            // String's rendering, kept current by AddTable
 }
 
 // New creates an empty schema with the given name.
@@ -64,6 +65,10 @@ func (s *Schema) AddTable(name string, columns ...string) *Table {
 	t := &Table{Name: name, Columns: append([]string(nil), columns...)}
 	s.tables[key] = t
 	s.order = append(s.order, key)
+	if s.text != "" {
+		s.text += "\n"
+	}
+	s.text += fmt.Sprintf("%s (%s)", t.Name, strings.Join(t.Columns, ", "))
 	return t
 }
 
@@ -114,14 +119,7 @@ func (s *Schema) TableNames() []string {
 //
 //	Sailor (sid, sname, rating, age)
 //	Reserves (sid, bid, day)
-func (s *Schema) String() string {
-	var b strings.Builder
-	for i, k := range s.order {
-		if i > 0 {
-			b.WriteByte('\n')
-		}
-		t := s.tables[k]
-		fmt.Fprintf(&b, "%s (%s)", t.Name, strings.Join(t.Columns, ", "))
-	}
-	return b.String()
-}
+//
+// The rendering is built as tables are added, so String does not
+// allocate: the library's diagram cache keys every call on it.
+func (s *Schema) String() string { return s.text }

@@ -21,7 +21,7 @@
 #              ephemeral port, plus the same lifecycle with
 #              -isolation=process: SIGTERM mid-dispatch must drain the
 #              in-flight worker request and reap every child; plus the
-#              flag surface: the 19 pinned flags and their groups, a
+#              flag surface: the 17 pinned flags and their groups, a
 #              flag the selected mode would ignore exits 2 naming it,
 #              spawned workers and fleet members get exactly the set
 #              instance flags, and the default flags build the pinned
@@ -82,11 +82,16 @@
 #              idle, then kill it) while 16 workers drive a Zipf-skewed
 #              mix with the router's response cache enabled — every
 #              response well-formed, zero shed, zero 503s, both drains
-#              finished as "drained", zero leaks; the three membership
+#              finished as "drained", zero leaks; the membership
 #              regressions (spec URLs normalized to the ring's form so a
 #              healthy ring is left alone, a dropped member's process
 #              kept until it is off the ring, a dead member's probe never
-#              queued behind a blackholed one); the response cache's
+#              queued behind a blackholed one, Close never waiting out a
+#              blackholed probe, a member joined at runtime forwarded
+#              nothing until the prober admits it); the supervisor's
+#              membership invariants (every desired member joined at
+#              once, ring health never moving membership, a re-added
+#              member joined again); the response cache's
 #              stampede collapse, its replays carrying each caller's own
 #              request and trace IDs and a fresh Date, and its coherence
 #              (two real instances, one replaced by an instance with
@@ -101,10 +106,13 @@
 #              /v1/metrics), then the partition-heal chaos battery under
 #              the race detector — three real instance processes behind
 #              netchaos proxies, one SIGKILLed and one fully partitioned
-#              mid-load; the supervisor must take both off the ring,
-#              respawn and rejoin them, never exceed the disruption
-#              budget, and report every action via GET /v1/fleet with
-#              zero goroutine or child-process leaks; plus the loadgen
+#              mid-load; the router's prober must take both out of
+#              rotation (no request reaches a member it holds down) and
+#              readmit both, the supervisor must respawn the killed one,
+#              no health event may change membership (epoch 1, no join,
+#              drain or eject), and GET /v1/fleet must report every
+#              action, with zero goroutine or child-process leaks; plus
+#              the supervisor's membership invariants; plus the loadgen
 #              netchaos smoke (open-loop burst through the router over
 #              one latency-degraded and one flapping link, audit clean)
 #   oracle     30-second differential-oracle smoke run (seeded, so any
@@ -166,8 +174,8 @@ echo "== queryvisd route-mode lifecycle"
 go test -count=1 -run TestRouteMode ./cmd/queryvisd
 
 echo "== rolling-restart membership churn (race)"
-go test -count=1 -race -run 'TestRouterMembershipChurn|TestProbeNotQueuedBehindBlackhole|TestStampedeCollapsesColdWindow|TestReplayCarriesCallersIDs|TestReplayCarriesFreshDate|TestResponseCacheFollowsAnswerIdentity' ./internal/router
-go test -count=1 -race -run 'TestSpecURLsNormalizedToRing|TestSpawnKeepsDrainingMemberProcess|TestDrainCompletesOnceIdle' ./internal/fleet
+go test -count=1 -race -run 'TestRouterMembershipChurn|TestProbeNotQueuedBehindBlackhole|TestCloseCancelsOutstandingProbe|TestJoinedMemberWaitsForAdmission|TestStampedeCollapsesColdWindow|TestReplayCarriesCallersIDs|TestReplayCarriesFreshDate|TestResponseCacheFollowsAnswerIdentity' ./internal/router
+go test -count=1 -race -run 'TestSpecURLsNormalizedToRing|TestSpawnKeepsDrainingMemberProcess|TestDrainCompletesOnceIdle|TestJoinsEveryDesiredMemberAtOnce|TestRingHealthNeverMovesMembership|TestReaddedMemberRejoins' ./internal/fleet
 
 echo "== loadgen zipf smoke"
 go test -count=1 -run TestLoadgenZipfSkewsMix ./cmd/loadgen
@@ -176,7 +184,7 @@ echo "== fleet smoke (supervisor discovery + SIGHUP reload)"
 go test -count=1 -run TestFleetMode ./cmd/queryvisd
 
 echo "== fleet partition-heal chaos battery (race)"
-go test -count=1 -race -run TestFleetPartitionHeal ./internal/fleet
+go test -count=1 -race -run 'TestFleetPartitionHeal|TestJoinsEveryDesiredMemberAtOnce|TestRingHealthNeverMovesMembership|TestReaddedMemberRejoins' ./internal/fleet
 
 echo "== loadgen netchaos smoke (degraded + flapping links)"
 go test -count=1 -run TestLoadgenSmokeNetchaos ./cmd/loadgen
