@@ -6,14 +6,11 @@ import (
 	"fmt"
 	"runtime/debug"
 
-	"repro/internal/core"
 	"repro/internal/dot"
 	"repro/internal/faults"
-	"repro/internal/logictree"
-	"repro/internal/sqlparse"
+	"repro/internal/pipeline"
 	"repro/internal/svg"
 	"repro/internal/telemetry"
-	"repro/internal/trc"
 )
 
 // Pipeline stage names, as carried by StageError.Stage and used as
@@ -125,192 +122,84 @@ func FromSQLContext(ctx context.Context, sql string, s *Schema, opts Options) (*
 // stage so that on failure the completed prefix survives alongside the
 // error — the degradation ladder feeds on those partial artifacts. The
 // returned Result is never nil; fields beyond the failed stage are zero.
-//
-// Each stage runs under a telemetry span (a no-op when no tracer is on
-// the context): the span opens before the stage's fault-injection point
-// and closes on every exit, panics included, so a trace always shows
-// exactly the stages that were entered.
+// Its hook brackets every stage (span, fault point, stage error) and
+// checks the limits the stage's artifact makes checkable.
 func runPipeline(ctx context.Context, sql string, s *Schema, opts Options) (res *Result, err error) {
-	lim := opts.Limits
-	res = &Result{limits: lim}
+	res = &Result{limits: opts.Limits}
 	defer panicBoundary("pipeline", &err)
-
-	// stage brackets one pipeline stage with its span; defer guarantees
-	// the span ends even when f panics into the pipeline boundary above.
-	stage := func(name string, f func() error) error {
-		sp := telemetry.StartSpan(ctx, name)
-		defer sp.End()
-		return f()
-	}
-
-	if lim != nil {
+	if lim := opts.Limits; lim != nil {
 		if err := check(LimitQueryBytes, len(sql), lim.MaxQueryBytes); err != nil {
 			return res, err
 		}
 	}
-	if err := stage(StageParse, func() error {
-		if err := faults.Fire(ctx, faults.StageParse); err != nil {
-			return stageErr(StageParse, err)
-		}
-		q, err := sqlparse.ParseContext(ctx, sql)
-		if err != nil {
-			return stageErr(StageParse, err)
-		}
-		res.Query = q
-		if lim != nil {
-			if err := check(LimitNestingDepth, q.NestingDepth(), lim.MaxNestingDepth); err != nil {
-				return err
-			}
-			if err := check(LimitPredicates, q.PredicateCount(), lim.MaxPredicates); err != nil {
-				return err
-			}
-		}
-		return nil
-	}); err != nil {
-		return res, err
-	}
-
-	var r *sqlparse.Resolution
-	if err := stage(StageResolve, func() error {
-		if err := faults.Fire(ctx, faults.StageResolve); err != nil {
-			return stageErr(StageResolve, err)
-		}
-		var err error
-		if r, err = sqlparse.ResolveContext(ctx, res.Query, s); err != nil {
-			return stageErr(StageResolve, err)
-		}
-		return nil
-	}); err != nil {
-		return res, err
-	}
-
-	if err := stage(StageConvert, func() error {
-		if err := faults.Fire(ctx, faults.StageConvert); err != nil {
-			return stageErr(StageConvert, err)
-		}
-		e, err := trc.ConvertContext(ctx, res.Query, r)
-		if err != nil {
-			return stageErr(StageConvert, err)
-		}
-		res.TRC = e
-		return nil
-	}); err != nil {
-		return res, err
-	}
-
-	if err := stage(StageTree, func() error {
-		if err := faults.Fire(ctx, faults.StageTree); err != nil {
-			return stageErr(StageTree, err)
-		}
-		raw, err := logictree.FromTRCContext(ctx, res.TRC)
-		if err != nil {
-			return stageErr(StageTree, err)
-		}
-		if !opts.KeepExistsBlocks {
-			if _, err := raw.FlattenContext(ctx); err != nil {
-				return stageErr(StageTree, err)
-			}
-		}
-		res.RawTree = raw
-		tree := raw
-		if opts.Simplify {
-			if tree, err = raw.SimplifiedContext(ctx); err != nil {
-				return stageErr(StageTree, err)
-			}
-		}
-		res.Tree = tree
-		return nil
-	}); err != nil {
-		return res, err
-	}
-
-	if err := stage(StageBuild, func() error {
-		if err := faults.Fire(ctx, faults.StageBuild); err != nil {
-			return stageErr(StageBuild, err)
-		}
-		d, err := core.BuildContext(ctx, res.Tree)
-		if err != nil {
-			return stageErr(StageBuild, err)
-		}
-		if lim != nil {
-			if err := check(LimitDiagramNodes, len(d.Tables), lim.MaxDiagramNodes); err != nil {
-				return err
-			}
-			if err := check(LimitDiagramEdges, len(d.Edges), lim.MaxDiagramEdges); err != nil {
-				return err
-			}
-		}
-		res.Diagram = d
-		res.Interpretation = core.Interpret(res.Tree)
-		return nil
-	}); err != nil {
-		return res, err
-	}
-	return res, nil
+	popts := pipeline.Options{Simplify: opts.Simplify, KeepExistsBlocks: opts.KeepExistsBlocks}
+	return res, pipeline.Run(ctx, &res.Artifacts, sql, s, popts, pipeline.Build,
+		func(stage string, run func() error) error {
+			return bracket(ctx, stage, func() error {
+				if err := run(); err != nil {
+					return err
+				}
+				return res.limits.checkStage(stage, &res.Artifacts)
+			})
+		})
 }
 
-// checkOutput enforces MaxOutputBytes on a rendered artifact.
-func (r *Result) checkOutput(n int) error {
-	if r.limits == nil {
-		return nil
+// bracket runs one stage under its telemetry span (a no-op without a
+// tracer on ctx) and behind its fault point, wrapping a failure with the
+// stage. The span opens before the fault point and closes on every exit,
+// panics included, so a trace shows exactly the stages entered.
+func bracket(ctx context.Context, stage string, run func() error) error {
+	sp := telemetry.StartSpan(ctx, stage)
+	defer sp.End()
+	if err := faults.Fire(ctx, faults.Stage(stage)); err != nil {
+		return stageErr(stage, err)
 	}
-	return check(LimitOutputBytes, n, r.limits.MaxOutputBytes)
+	if err := run(); err != nil {
+		return stageErr(stage, err)
+	}
+	return nil
 }
 
 // DOTContext renders the diagram as a GraphViz program under a context:
 // rendering is cancelable, its size is bounded by the pipeline's
 // MaxOutputBytes limit, and panics are contained at this boundary.
-func (r *Result) DOTContext(ctx context.Context, o DOTOptions) (s string, err error) {
-	sp := telemetry.StartSpan(ctx, StageRender)
-	defer sp.End()
-	defer panicBoundary(StageRender, &err)
-	if err := faults.Fire(ctx, faults.StageRender); err != nil {
-		return "", stageErr(StageRender, err)
-	}
-	out, err := dot.RenderContext(ctx, r.Diagram, o)
-	if err != nil {
-		return "", stageErr(StageRender, err)
-	}
-	if err := r.checkOutput(len(out)); err != nil {
-		return "", err
-	}
-	return out, nil
+func (r *Result) DOTContext(ctx context.Context, o DOTOptions) (string, error) {
+	return r.render(ctx, "dot", o)
 }
 
 // SVGContext renders the diagram as a standalone SVG document under a
 // context, with the same cancellation, output-size, and panic guarantees
 // as DOTContext.
-func (r *Result) SVGContext(ctx context.Context) (s string, err error) {
-	sp := telemetry.StartSpan(ctx, StageRender)
-	defer sp.End()
-	defer panicBoundary(StageRender, &err)
-	if err := faults.Fire(ctx, faults.StageRender); err != nil {
-		return "", stageErr(StageRender, err)
-	}
-	out, err := svg.RenderContext(ctx, r.Diagram)
-	if err != nil {
-		return "", stageErr(StageRender, err)
-	}
-	if err := r.checkOutput(len(out)); err != nil {
-		return "", err
-	}
-	return out, nil
+func (r *Result) SVGContext(ctx context.Context) (string, error) {
+	return r.render(ctx, "svg", DOTOptions{})
 }
 
 // TextContext renders the plain-text diagram under the pipeline's
 // output-size limit and panic boundary.
-func (r *Result) TextContext(ctx context.Context) (s string, err error) {
-	sp := telemetry.StartSpan(ctx, StageRender)
-	defer sp.End()
+func (r *Result) TextContext(ctx context.Context) (string, error) {
+	return r.render(ctx, "text", DOTOptions{})
+}
+
+// render is the one bracket every format renders in: the render stage's
+// span and fault point, a panic boundary, and the MaxOutputBytes limit.
+func (r *Result) render(ctx context.Context, format string, o DOTOptions) (out string, err error) {
 	defer panicBoundary(StageRender, &err)
-	if err := faults.Fire(ctx, faults.StageRender); err != nil {
-		return "", stageErr(StageRender, err)
-	}
-	if err := ctx.Err(); err != nil {
-		return "", stageErr(StageRender, err)
-	}
-	out := dot.Text(r.Diagram)
-	if err := r.checkOutput(len(out)); err != nil {
+	if err := bracket(ctx, StageRender, func() (err error) {
+		switch format {
+		case "svg":
+			out, err = svg.RenderContext(ctx, r.Diagram)
+		case "text":
+			if err = ctx.Err(); err == nil {
+				out = dot.Text(r.Diagram)
+			}
+		default:
+			out, err = dot.RenderContext(ctx, r.Diagram, o)
+		}
+		if err == nil && r.limits != nil {
+			err = check(LimitOutputBytes, len(out), r.limits.MaxOutputBytes)
+		}
+		return err
+	}); err != nil {
 		return "", err
 	}
 	return out, nil

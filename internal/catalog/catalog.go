@@ -10,14 +10,14 @@
 package catalog
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
 	"repro/internal/core"
 	"repro/internal/logictree"
+	"repro/internal/pipeline"
 	"repro/internal/schema"
-	"repro/internal/sqlparse"
-	"repro/internal/trc"
 )
 
 // Entry is one stored query with its derived artifacts.
@@ -45,32 +45,20 @@ func New() *Catalog {
 	}
 }
 
-// Add parses, resolves, and indexes a query. Names must be unique.
+// Add runs a query through the pipeline to its diagram and indexes it.
+// Names must be unique.
 func (c *Catalog) Add(name, sql string, s *schema.Schema) (*Entry, error) {
 	if _, dup := c.byName[name]; dup {
 		return nil, fmt.Errorf("catalog already has an entry named %q", name)
 	}
-	q, err := sqlparse.Parse(sql)
-	if err != nil {
-		return nil, fmt.Errorf("%s: parse: %w", name, err)
-	}
-	r, err := sqlparse.Resolve(q, s)
-	if err != nil {
-		return nil, fmt.Errorf("%s: resolve: %w", name, err)
-	}
-	e, err := trc.Convert(q, r)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", name, err)
-	}
-	lt := logictree.FromTRC(e).Flatten()
-	d, err := core.Build(lt)
-	if err != nil {
+	var a pipeline.Artifacts
+	if err := pipeline.Run(context.TODO(), &a, sql, s, pipeline.Options{}, pipeline.Build, nil); err != nil {
 		return nil, fmt.Errorf("%s: %w", name, err)
 	}
 	entry := &Entry{
 		Name: name, SQL: sql, Schema: s,
-		Tree: lt, Diagram: d,
-		Key: core.PatternKey(d),
+		Tree: a.Tree, Diagram: a.Diagram,
+		Key: core.PatternKey(a.Diagram),
 	}
 	c.entries = append(c.entries, entry)
 	c.byKey[entry.Key] = append(c.byKey[entry.Key], entry)
@@ -107,23 +95,11 @@ func (c *Catalog) SimilarTo(name string) []*Entry {
 // the stored queries sharing its pattern — "find a past query like this
 // one".
 func (c *Catalog) SimilarToSQL(sql string, s *schema.Schema) ([]*Entry, error) {
-	q, err := sqlparse.Parse(sql)
-	if err != nil {
+	var a pipeline.Artifacts
+	if err := pipeline.Run(context.TODO(), &a, sql, s, pipeline.Options{}, pipeline.Build, nil); err != nil {
 		return nil, err
 	}
-	r, err := sqlparse.Resolve(q, s)
-	if err != nil {
-		return nil, err
-	}
-	e, err := trc.Convert(q, r)
-	if err != nil {
-		return nil, err
-	}
-	d, err := core.Build(logictree.FromTRC(e).Flatten())
-	if err != nil {
-		return nil, err
-	}
-	return append([]*Entry(nil), c.byKey[core.PatternKey(d)]...), nil
+	return append([]*Entry(nil), c.byKey[core.PatternKey(a.Diagram)]...), nil
 }
 
 // Group is one pattern bucket.

@@ -97,6 +97,7 @@ type Plan struct {
 
 	mu    sync.Mutex
 	calls map[Stage]int
+	fired []Stage
 }
 
 // fire returns the stage's fault if it applies to this call, counting the
@@ -108,11 +109,21 @@ func (p *Plan) fire(s Stage) (Fault, bool) {
 		p.calls = make(map[Stage]int)
 	}
 	p.calls[s]++
+	p.fired = append(p.fired, s)
 	f, ok := p.Faults[s]
 	if !ok || (f.OnCall > 0 && p.calls[s] != f.OnCall) {
 		return Fault{}, false
 	}
 	return f, true
+}
+
+// Fired returns the stages this plan was fired at, in call order. Since
+// OnCall counts calls per stage, this sequence is what a seeded outcome
+// depends on: a moved or added Fire changes it.
+func (p *Plan) Fired() []Stage {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return append([]Stage(nil), p.fired...)
 }
 
 // NewPlan derives a plan deterministically from seed. Roughly 70% of

@@ -5,18 +5,17 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
-	"sort"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/inverse"
 	"repro/internal/logictree"
+	"repro/internal/pipeline"
 	"repro/internal/rel"
 	"repro/internal/schema"
 	"repro/internal/sqlparse"
 	"repro/internal/telemetry"
-	"repro/internal/trc"
 )
 
 // Stage identifies which differential check a failure came from.
@@ -54,57 +53,18 @@ type Failure struct {
 
 func (f *Failure) Error() string { return fmt.Sprintf("[%s] %s", f.Stage, f.Detail) }
 
-// pipelineLT runs SQL → TRC → flattened logic tree, the ∄-form the
-// diagram and its recovery are defined on.
-func pipelineLT(src string, s *schema.Schema) (*logictree.LT, error) {
-	return pipelineLTContext(context.Background(), src, s)
-}
-
-// pipelineLTContext is pipelineLT under a context: every stage is
-// cancelable, so a deadline interrupts even a single slow query instead
-// of waiting for it to finish. Each stage runs under a telemetry span
-// (no-op without a tracer on ctx) feeding the report's per-stage
-// timing aggregates.
-func pipelineLTContext(ctx context.Context, src string, s *schema.Schema) (*logictree.LT, error) {
-	sp := telemetry.StartSpan(ctx, string(faults.StageParse))
-	q, err := sqlparse.ParseContext(ctx, src)
-	sp.End()
-	if err != nil {
-		return nil, fmt.Errorf("parse: %w", err)
-	}
-	sp = telemetry.StartSpan(ctx, string(faults.StageResolve))
-	r, err := sqlparse.ResolveContext(ctx, q, s)
-	sp.End()
-	if err != nil {
-		return nil, fmt.Errorf("resolve: %w", err)
-	}
-	sp = telemetry.StartSpan(ctx, string(faults.StageConvert))
-	e, err := trc.ConvertContext(ctx, q, r)
-	sp.End()
-	if err != nil {
-		return nil, fmt.Errorf("convert: %w", err)
-	}
-	sp = telemetry.StartSpan(ctx, string(faults.StageTree))
-	defer sp.End()
-	lt, err := logictree.FromTRCContext(ctx, e)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := lt.FlattenContext(ctx); err != nil {
-		return nil, err
-	}
-	return lt, nil
-}
-
-// canonKey is logictree.Canonical with the GROUP BY attribute order
-// normalized: recovery reads GROUP BY rows back in diagram order, which
-// is a permutation of the written order and semantically identical.
-func canonKey(lt *logictree.LT) string {
-	c := lt.Clone()
-	sort.Slice(c.GroupBy, func(i, j int) bool {
-		return c.GroupBy[i].String() < c.GroupBy[j].String()
+// forward runs the pipeline through last to the flattened ∄-form tree
+// (Tree), each stage under a span feeding the report's timings (a no-op
+// without a tracer on ctx); a failure is prefixed with its stage.
+func forward(ctx context.Context, a *pipeline.Artifacts, sql string, s *schema.Schema, last string) error {
+	return pipeline.Run(ctx, a, sql, s, pipeline.Options{}, last, func(stage string, run func() error) error {
+		sp := telemetry.StartSpan(ctx, stage)
+		defer sp.End()
+		if err := run(); err != nil {
+			return fmt.Errorf("%s: %w", stage, err)
+		}
+		return nil
 	})
-	return c.Canonical()
 }
 
 // Check runs the full differential on one SQL query: forward pipeline,
@@ -119,30 +79,28 @@ func Check(sql string, s *schema.Schema, dbs []*TestDB) *Failure {
 // context error; callers that care must test ctx.Err() before treating
 // the result as a genuine counterexample.
 func CheckContext(ctx context.Context, sql string, s *schema.Schema, dbs []*TestDB) *Failure {
-	lt, err := pipelineLTContext(ctx, sql, s)
-	if err != nil {
+	var a pipeline.Artifacts
+	if err := forward(ctx, &a, sql, s, pipeline.Tree); err != nil {
 		return &Failure{StageGen, err.Error()}
 	}
+	lt := a.Tree
 	if err := lt.Validate(); err != nil {
 		return &Failure{StageValidate, err.Error()}
 	}
-	sp := telemetry.StartSpan(ctx, string(faults.StageBuild))
-	d, err := core.BuildContext(ctx, lt)
-	sp.End()
-	if err != nil {
+	if err := forward(ctx, &a, sql, s, pipeline.Build); err != nil {
 		return &Failure{StageBuild, err.Error()}
 	}
 
-	sp = telemetry.StartSpan(ctx, string(faults.StageVerify))
-	rec, err := inverse.Recover(d)
+	sp := telemetry.StartSpan(ctx, string(faults.StageVerify))
+	rec, err := inverse.Recover(a.Diagram)
 	sp.End()
 	if err != nil {
 		return &Failure{StageRecover, err.Error()}
 	}
-	if canonKey(rec) != canonKey(lt) {
+	key := pipeline.TreeKey(lt)
+	if k := pipeline.TreeKey(rec); k != key {
 		return &Failure{StageRecoverLT, fmt.Sprintf(
-			"recovered tree differs from original\noriginal:  %s\nrecovered: %s",
-			canonKey(lt), canonKey(rec))}
+			"recovered tree differs from original\noriginal:  %s\nrecovered: %s", key, k)}
 	}
 
 	q2, err := rec.ToSQL()
@@ -150,22 +108,22 @@ func CheckContext(ctx context.Context, sql string, s *schema.Schema, dbs []*Test
 		return &Failure{StageReSQL, err.Error()}
 	}
 	sql2 := sqlparse.Format(q2)
-	lt2, err := pipelineLTContext(ctx, sql2, s)
-	if err != nil {
+	var a2 pipeline.Artifacts
+	if err := forward(ctx, &a2, sql2, s, pipeline.Tree); err != nil {
 		return &Failure{StageReSQL, fmt.Sprintf("re-derived SQL rejected: %v\n%s", err, sql2)}
 	}
-	if canonKey(lt2) != canonKey(lt) {
+	if k := pipeline.TreeKey(a2.Tree); k != key {
 		return &Failure{StageReSQL, fmt.Sprintf(
 			"re-derived SQL is a different query\nsql:       %s\noriginal:  %s\nre-derived: %s",
-			sql2, canonKey(lt), canonKey(lt2))}
+			sql2, key, k)}
 	}
 
 	d2, err := core.BuildContext(ctx, rec)
 	if err != nil {
 		return &Failure{StagePattern, fmt.Sprintf("recovered tree does not build: %v", err)}
 	}
-	same := core.Isomorphic(d, d2, core.Pattern)
-	fpEq := core.PatternKey(d) == core.PatternKey(d2)
+	same := core.Isomorphic(a.Diagram, d2, core.Pattern)
+	fpEq := core.PatternKey(a.Diagram) == core.PatternKey(d2)
 	if !same || !fpEq {
 		return &Failure{StagePattern, fmt.Sprintf(
 			"SamePattern=%v but fingerprint equality=%v between original and recovered diagrams",
@@ -181,7 +139,7 @@ func CheckContext(ctx context.Context, sql string, s *schema.Schema, dbs []*Test
 		lt   *logictree.LT
 	}{
 		{"recovered", rec},
-		{"re-derived", lt2},
+		{"re-derived", a2.Tree},
 		{"simplified", lt.Simplified()},
 	}
 	for i, tdb := range dbs {

@@ -1,10 +1,13 @@
 package oracle
 
 import (
+	"context"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 
+	"repro/internal/pipeline"
 	"repro/internal/schema"
 	"repro/internal/sqlparse"
 )
@@ -23,11 +26,11 @@ func TestGeneratorValid(t *testing.T) {
 		s := schemas[rng.Intn(len(schemas))]
 		q := Generate(rng, s, cfg)
 		sql := sqlparse.Format(q)
-		lt, err := pipelineLT(sql, s)
-		if err != nil {
+		var a pipeline.Artifacts
+		if err := forward(context.Background(), &a, sql, s, pipeline.Tree); err != nil {
 			t.Fatalf("seed %d: generated SQL rejected: %v\n%s", seed, err, sql)
 		}
-		if err := lt.Validate(); err != nil {
+		if err := a.Tree.Validate(); err != nil {
 			t.Fatalf("seed %d: generated query not valid: %v\n%s", seed, err, sql)
 		}
 		q2, err := sqlparse.Parse(sql)
@@ -199,5 +202,24 @@ func TestConfigErrors(t *testing.T) {
 	cfg.Schemas = nil
 	if _, err := Run(cfg, 1, 1); err == nil {
 		t.Error("expected error for empty schema list")
+	}
+}
+
+// TestStageTimingsKeys pins which spans a run's StageTimings aggregate:
+// the forward stages the differential runs, the recovery under "verify"
+// and the execution differential.
+func TestStageTimingsKeys(t *testing.T) {
+	rep, err := Run(DefaultConfig(), 20, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys []string
+	for k := range rep.StageTimings {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	want := "build convert execute logictree parse resolve verify"
+	if got := strings.Join(keys, " "); got != want {
+		t.Fatalf("StageTimings keys = %q, want %q", got, want)
 	}
 }

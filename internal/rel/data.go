@@ -1,37 +1,24 @@
 package rel
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
-	"repro/internal/logictree"
+	"repro/internal/pipeline"
 	"repro/internal/schema"
-	"repro/internal/sqlparse"
-	"repro/internal/trc"
 )
 
-// EvalSQL runs the full pipeline — parse, resolve, TRC, logic tree,
-// flatten — and evaluates the query over the database. When simplify is
-// true the ∄∄ → ∀∃ rewrite is applied first (the result must not change;
-// the property tests rely on exactly that).
+// EvalSQL runs the pipeline through the flattened logic tree and
+// evaluates the query over the database. When simplify is true the
+// ∄∄ → ∀∃ rewrite is applied first (the result must not change; the
+// property tests rely on exactly that).
 func EvalSQL(db *Database, src string, s *schema.Schema, simplify bool) (*Result, error) {
-	q, err := sqlparse.Parse(src)
-	if err != nil {
+	var a pipeline.Artifacts
+	if err := pipeline.Run(context.TODO(), &a, src, s, pipeline.Options{Simplify: simplify}, pipeline.Tree, nil); err != nil {
 		return nil, err
 	}
-	r, err := sqlparse.Resolve(q, s)
-	if err != nil {
-		return nil, err
-	}
-	e, err := trc.Convert(q, r)
-	if err != nil {
-		return nil, err
-	}
-	lt := logictree.FromTRC(e).Flatten()
-	if simplify {
-		lt.Simplify()
-	}
-	return EvalLT(db, lt)
+	return EvalLT(db, a.Tree)
 }
 
 // BeersDB returns a small beer-drinkers database over the Ullman schema.

@@ -3,6 +3,7 @@ package router
 import (
 	"context"
 	"net/http"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -45,9 +46,10 @@ type instance struct {
 	// streaks. A single blown probe must not take out an instance that is
 	// merely busy, and a single lucky probe must not readmit one that is
 	// flapping — the verdict flips only after ProbeDownAfter consecutive
-	// failures or probeUpAfter consecutive passes. Only this instance's
-	// one outstanding probe writes these; atomics keep healthz reads
-	// clean.
+	// failures or probeUpAfter consecutive passes. verdictMu orders the
+	// two writers, the finished probe and the round that finds it still
+	// outstanding; atomics keep healthz reads clean.
+	verdictMu  sync.Mutex
 	probeFails atomic.Int32
 	probeOKs   atomic.Int32
 	// draining marks an instance the fleet supervisor is retiring: it
@@ -57,7 +59,8 @@ type instance struct {
 	// inflight counts requests currently proxied to this instance.
 	inflight atomic.Int64
 	// probing is set while a probe of this instance is outstanding, so a
-	// slow probe is never overlapped by the next round's.
+	// slow probe is never overlapped by the next round's; that round
+	// counts a miss instead.
 	probing atomic.Bool
 	// consecFails counts request-path failures (transport errors,
 	// 502/503) since the last success; reaching the breaker threshold
@@ -96,10 +99,7 @@ func (in *instance) recordFailure(threshold int, cooldown time.Duration) {
 // probe runs one active health check: a GET against /v1/healthz with a
 // hard timeout, cut short when the router closes. Any 200 is a pass;
 // anything else — including a healthz that answers 503 because the
-// backend is draining — is a fail. The pass/fail stream feeds the
-// hysteresis counters; the healthy verdict flips only on a full streak,
-// so a flapping instance cannot thrash the ring's eligibility set probe
-// by probe.
+// backend is draining — is a fail.
 func (rt *Router) probe(in *instance) {
 	ok := false
 	ctx, cancel := context.WithTimeout(rt.ctx, probeTimeout)
@@ -112,6 +112,15 @@ func (rt *Router) probe(in *instance) {
 			ok = resp.StatusCode == http.StatusOK
 		}
 	}
+	rt.verdict(in, ok)
+}
+
+// verdict feeds one pass or fail into the hysteresis counters; the
+// healthy verdict flips only on a full streak, so a flapping instance
+// cannot thrash the ring's eligibility set probe by probe.
+func (rt *Router) verdict(in *instance, ok bool) {
+	in.verdictMu.Lock()
+	defer in.verdictMu.Unlock()
 	if ok {
 		in.probeFails.Store(0)
 		if in.healthy.Load() {
@@ -152,9 +161,11 @@ func (rt *Router) probe(in *instance) {
 // until Close. Membership is read fresh each round, so joined
 // instances are probed from their next round and ejected ones are
 // forgotten. A round's probes run concurrently, and a member whose
-// previous probe is still outstanding sits the round out: one
-// blackholed member costs its own verdict a probe timeout, not every
-// other member's.
+// previous probe is still outstanding counts a miss instead of a new
+// probe: a blackholed member goes down after ProbeDownAfter rounds, not
+// after ProbeDownAfter probe timeouts, and costs no other member's
+// verdict anything. A healthz slower than HealthInterval therefore
+// counts as a miss too, though its late pass still resets the streak.
 func (rt *Router) prober() {
 	defer rt.loops.Done()
 	t := time.NewTicker(rt.cfg.HealthInterval)
@@ -162,6 +173,7 @@ func (rt *Router) prober() {
 	for {
 		for _, in := range rt.topo.Load().insts {
 			if !in.probing.CompareAndSwap(false, true) {
+				rt.verdict(in, false)
 				continue
 			}
 			rt.loops.Add(1)

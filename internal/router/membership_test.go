@@ -459,6 +459,56 @@ func TestProbeNotQueuedBehindBlackhole(t *testing.T) {
 	}
 }
 
+// TestBlackholedMemberDownWithinThreeIntervals: a member whose healthz
+// stops answering leaves rotation within 3 × HealthInterval, because a
+// probe still outstanding at its member's next round counts as a miss.
+// The hole opens half an interval after an answered probe, so the
+// member is down 2.5 intervals later: the next round's probe hangs and
+// the ProbeDownAfter (2) rounds after it find it outstanding.
+func TestBlackholedMemberDownWithinThreeIntervals(t *testing.T) {
+	t.Cleanup(leak.Check(t))
+	const interval = 100 * time.Millisecond
+	var holed atomic.Bool
+	answered := make(chan struct{}, 1)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if holed.Load() {
+			<-r.Context().Done()
+			return
+		}
+		w.WriteHeader(http.StatusOK)
+		select {
+		case answered <- struct{}{}:
+		default:
+		}
+	}))
+	defer srv.Close()
+	rt, err := router.New(router.Config{
+		Backends:       []string{srv.URL},
+		HealthInterval: interval,
+		Metrics:        telemetry.NewRegistry(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	for i := 0; i < 2; i++ { // the second answer is a fresh one
+		select {
+		case <-answered:
+		case <-time.After(5 * time.Second):
+			t.Fatal("no probe answered")
+		}
+	}
+	time.Sleep(interval / 2)
+	holed.Store(true)
+	start := time.Now()
+	for rt.State().Instances[0].Healthy && time.Since(start) < 5*time.Second {
+		time.Sleep(2 * time.Millisecond)
+	}
+	if took := time.Since(start); took > 3*interval {
+		t.Fatalf("blackholed member out of rotation after %v, want within %v (3 × HealthInterval)", took, 3*interval)
+	}
+}
+
 // TestCloseCancelsOutstandingProbe: Close cancels a probe still waiting
 // on a blackholed member instead of waiting out the probe timeout.
 func TestCloseCancelsOutstandingProbe(t *testing.T) {

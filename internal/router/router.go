@@ -599,7 +599,17 @@ func (rt *Router) forward(r *http.Request, in *instance, body []byte) (*sharedRe
 		return nil, fmt.Errorf("router: response from %s exceeds the %d-byte buffer cap",
 			in.url, maxBufferedResponse)
 	}
-	return &sharedResp{status: resp.StatusCode, header: resp.Header.Clone(), body: rb}, nil
+	// Hop-by-hop headers are dropped once, here, so writeShared can hand
+	// out the stored value slices on every replay. Clone clips each
+	// slice's capacity, so a writer's Add reallocates instead of writing
+	// into the entry.
+	h := resp.Header.Clone()
+	for k := range h {
+		if isHopByHop(k) {
+			delete(h, k)
+		}
+	}
+	return &sharedResp{status: resp.StatusCode, header: h, body: rb}, nil
 }
 
 // writeShared delivers a buffered response. via tags replayed
@@ -613,10 +623,7 @@ func writeShared(w http.ResponseWriter, sr *sharedResp, via, rid string) {
 	h := w.Header()
 	traceID := h.Get(telemetry.TraceIDHeader)
 	for k, vs := range sr.header {
-		if isHopByHop(k) {
-			continue
-		}
-		h[k] = append([]string(nil), vs...)
+		h[k] = vs
 	}
 	if via != "" {
 		h.Del("Date")

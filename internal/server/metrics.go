@@ -9,6 +9,7 @@ import (
 	"time"
 
 	queryvis "repro"
+	"repro/internal/faults"
 	"repro/internal/quarantine"
 	"repro/internal/telemetry"
 )
@@ -49,15 +50,6 @@ const (
 	helpTraces   = "Completed request traces recorded to the trace ring."
 	helpTraceLen = "Traces currently held in the bounded trace ring."
 )
-
-// stageNames is the full pipeline taxonomy; every stage histogram is
-// pre-registered so /v1/metrics covers all seven stages from the first
-// scrape, observed or not.
-var stageNames = []string{
-	queryvis.StageParse, queryvis.StageResolve, queryvis.StageConvert,
-	queryvis.StageTree, queryvis.StageBuild, queryvis.StageVerify,
-	queryvis.StageRender,
-}
 
 // hopNames are the hop spans this process's trace can carry; each gets a
 // pre-registered latency histogram so per-hop attribution appears in the
@@ -164,15 +156,18 @@ func (s *Server) initMetrics(reg *telemetry.Registry) {
 		shed:     reg.Counter(mShed, "Requests shed with 429 by the concurrency limiter."),
 		slowQueries: reg.Counter(mSlowQueries,
 			"Requests slower than the slow-query threshold."),
-		stages: make(map[string]stageSeries, len(stageNames)),
+		stages: make(map[string]stageSeries, len(faults.Stages)),
 		hopDur: make(map[string]*telemetry.Histogram, len(hopNames)),
 		errors: make(map[Category]*telemetry.Counter, len(errorCategories)),
 		verify: make(map[string]*telemetry.Counter, len(verifyOutcomes)),
 	}
-	for _, st := range stageNames {
-		m.stages[st] = stageSeries{
-			dur:   reg.Histogram(mStageDur, helpStageDur, nil, "stage", st),
-			spans: reg.Counter(mStageSpans, helpSpans, "stage", st),
+	// faults.Stages is the full pipeline taxonomy; every stage histogram
+	// is pre-registered so /v1/metrics covers all seven stages from the
+	// first scrape, observed or not.
+	for _, st := range faults.Stages {
+		m.stages[string(st)] = stageSeries{
+			dur:   reg.Histogram(mStageDur, helpStageDur, nil, "stage", string(st)),
+			spans: reg.Counter(mStageSpans, helpSpans, "stage", string(st)),
 		}
 	}
 	for _, hop := range hopNames {

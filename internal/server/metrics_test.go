@@ -263,8 +263,8 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	body := string(raw)
 
-	for _, stage := range stageNames {
-		if !strings.Contains(body, fmt.Sprintf(`queryvis_stage_duration_seconds_count{stage=%q}`, stage)) {
+	for _, stage := range faults.Stages {
+		if !strings.Contains(body, fmt.Sprintf(`queryvis_stage_duration_seconds_count{stage=%q}`, string(stage))) {
 			t.Errorf("exposition missing stage histogram for %q", stage)
 		}
 	}

@@ -9,6 +9,7 @@ import (
 
 	queryvis "repro"
 	"repro/internal/corpus"
+	"repro/internal/faults"
 	"repro/internal/telemetry"
 )
 
@@ -86,7 +87,8 @@ func TestTracesEndpoint(t *testing.T) {
 	if root.Parent != "" {
 		t.Errorf("instance root has parent %q, want none for a direct request", root.Parent)
 	}
-	for _, stage := range stageNames {
+	for _, st := range faults.Stages {
+		stage := string(st)
 		sp := findSpan(rec.Spans, stage)
 		if sp == nil {
 			t.Errorf("trace missing stage span %q", stage)

@@ -3,7 +3,6 @@ package queryvis
 import (
 	"context"
 	"flag"
-	"os"
 	"path/filepath"
 	"testing"
 
@@ -17,22 +16,9 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // rewriting the file under -update (the repo-wide golden convention).
 func checkLadderGolden(t *testing.T, name, got string) {
 	t.Helper()
-	path := filepath.Join("testdata", "ladder", name+".golden")
-	if *update {
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("%v (run go test -update to create golden files)", err)
-	}
-	if got != string(want) {
-		t.Errorf("%s: output differs from golden file (re-run with -update if the change is intended)\ngot:\n%s", path, got)
+	path := filepath.Join("ladder", name+".golden")
+	if want := readGolden(t, path, got); got != want {
+		t.Errorf("testdata/%s: output differs from golden file (re-run with -update if the change is intended)\ngot:\n%s", path, got)
 	}
 }
 

@@ -1,6 +1,10 @@
 package queryvis
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/pipeline"
+)
 
 // Limit names, as carried by LimitError.Limit and by the server's error
 // bodies. Each names the Limits field it reports on.
@@ -57,6 +61,25 @@ func DefaultLimits() Limits {
 		MaxDiagramEdges: 1024,
 		MaxOutputBytes:  4 << 20, // 4 MiB of DOT/SVG
 	}
+}
+
+// checkStage enforces the limits that stage's artifact in a makes
+// checkable: nesting depth and predicate count on the parsed query,
+// node and edge counts on the built diagram. A nil receiver checks
+// nothing.
+func (l *Limits) checkStage(stage string, a *pipeline.Artifacts) (err error) {
+	switch {
+	case l == nil:
+	case stage == StageParse:
+		if err = check(LimitNestingDepth, a.Query.NestingDepth(), l.MaxNestingDepth); err == nil {
+			err = check(LimitPredicates, a.Query.PredicateCount(), l.MaxPredicates)
+		}
+	case stage == StageBuild:
+		if err = check(LimitDiagramNodes, len(a.Diagram.Tables), l.MaxDiagramNodes); err == nil {
+			err = check(LimitDiagramEdges, len(a.Diagram.Edges), l.MaxDiagramEdges)
+		}
+	}
+	return err
 }
 
 // check returns a *LimitError when actual exceeds the bound named by

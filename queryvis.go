@@ -26,6 +26,7 @@ import (
 	"repro/internal/dot"
 	"repro/internal/inverse"
 	"repro/internal/logictree"
+	"repro/internal/pipeline"
 	"repro/internal/rel"
 	"repro/internal/schema"
 	"repro/internal/sqlparse"
@@ -100,14 +101,12 @@ type Options struct {
 	Cache *DiagramCache
 }
 
-// Result bundles every pipeline stage for one query.
+// Result bundles every pipeline stage for one query: the embedded
+// artifacts are the parsed Query, its TRC, the RawTree (before
+// simplification), the Tree (after options are applied), the Diagram
+// and its natural-language Interpretation (Section 4.6).
 type Result struct {
-	Query          *Query
-	TRC            *TRC
-	RawTree        *LogicTree // before simplification
-	Tree           *LogicTree // after options are applied
-	Diagram        *Diagram
-	Interpretation string // natural-language reading (Section 4.6)
+	pipeline.Artifacts
 
 	// Recovered is the logic tree inverse-recovered from the diagram when
 	// verification succeeded (Proposition 5.1's witness), nil otherwise.

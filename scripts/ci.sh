@@ -10,6 +10,11 @@
 #              the two loadgen seeding tests (uniform and Zipf mix), run
 #              20 times: the planned arrival sequence must repeat per
 #              seed, and nothing they assert may depend on the scheduler
+#   fault-seq  the ordered fault-injection calls of every request over
+#              the paper corpus, option grid, forced ladder rungs and 50
+#              seeded plans match testdata/fault_sequence.golden, and each
+#              forward stage stays inside its allocation budget, 5 runs:
+#              a seeded chaos plan's outcome depends on that sequence
 #   chaos      seeded fault-injection smoke against the hardened HTTP
 #              service, under the race detector (any failure names the
 #              run seed + request index it reproduces from)
@@ -88,7 +93,9 @@
 #              kept until it is off the ring, a dead member's probe never
 #              queued behind a blackholed one, Close never waiting out a
 #              blackholed probe, a member joined at runtime forwarded
-#              nothing until the prober admits it); the supervisor's
+#              nothing until the prober admits it, a blackholed member
+#              out of rotation within 3 health intervals, 20 runs); the
+#              router hit's allocation budget (20 runs); the supervisor's
 #              membership invariants (every desired member joined at
 #              once, ring health never moving membership, a re-added
 #              member joined again); the response cache's
@@ -139,6 +146,9 @@ go test -count=20 -run TestSeededResetIsDeterministic ./internal/netchaos
 echo "== seeded loadgen mix determinism (20 runs)"
 go test -count=20 -run 'TestLoadgenZipfSkewsMix|TestLoadgenMixIsSeededAndReproducible' ./cmd/loadgen
 
+echo "== fault sequence + stage allocation budgets (5 runs)"
+go test -count=5 -run 'TestFaultSequenceGolden|TestStageAllocBudgets' .
+
 echo "== chaos smoke (race)"
 go test -count=1 -run TestChaos -race ./internal/faults/...
 
@@ -176,6 +186,7 @@ go test -count=1 -run TestRouteMode ./cmd/queryvisd
 echo "== rolling-restart membership churn (race)"
 go test -count=1 -race -run 'TestRouterMembershipChurn|TestProbeNotQueuedBehindBlackhole|TestCloseCancelsOutstandingProbe|TestJoinedMemberWaitsForAdmission|TestStampedeCollapsesColdWindow|TestReplayCarriesCallersIDs|TestReplayCarriesFreshDate|TestResponseCacheFollowsAnswerIdentity' ./internal/router
 go test -count=1 -race -run 'TestSpecURLsNormalizedToRing|TestSpawnKeepsDrainingMemberProcess|TestDrainCompletesOnceIdle|TestJoinsEveryDesiredMemberAtOnce|TestRingHealthNeverMovesMembership|TestReaddedMemberRejoins' ./internal/fleet
+go test -count=20 -race -run 'TestBlackholedMemberDownWithinThreeIntervals|TestRouterHitAllocBudget' ./internal/router
 
 echo "== loadgen zipf smoke"
 go test -count=1 -run TestLoadgenZipfSkewsMix ./cmd/loadgen

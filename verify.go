@@ -11,6 +11,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/inverse"
 	"repro/internal/logictree"
+	"repro/internal/pipeline"
 	"repro/internal/telemetry"
 	"repro/internal/trc"
 )
@@ -127,23 +128,6 @@ func (e *VerifyError) Unwrap() error { return e.Err }
 // missing, as opposed to one that was attempted and failed.
 var errRungSkipped = errors.New("degradation rung skipped: missing artifacts")
 
-// verifyKey canonicalizes a tree for verification equality. GROUP BY
-// attributes are compared as a set: recovery reads them back in diagram
-// order, a semantically irrelevant permutation of the written order.
-func verifyKey(lt *logictree.LT) string {
-	// Canonical only reads the tree, so a shallow copy with its own GROUP
-	// BY slice is enough to reorder without touching lt.
-	c := *lt
-	c.GroupBy = append([]trc.Attr(nil), lt.GroupBy...)
-	gb := c.GroupBy
-	for i := 1; i < len(gb); i++ {
-		for j := i; j > 0 && gb[j].String() < gb[j-1].String(); j-- {
-			gb[j], gb[j-1] = gb[j-1], gb[j]
-		}
-	}
-	return c.Canonical()
-}
-
 // userFault reports whether a pipeline error is the caller's to fix —
 // unparseable or unresolvable SQL, an exceeded resource limit, or a dead
 // context. The degradation ladder never engages for these: there is
@@ -214,10 +198,7 @@ func verifyResult(ctx context.Context, res *Result, opts Options, sp telemetry.S
 	}()
 
 	if err := faults.Fire(ctx, faults.StageVerify); err != nil {
-		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-			return VerifyStatusTimeout, nil, err.Error(), stageErr(StageVerify, err)
-		}
-		return VerifyStatusError, nil, err.Error(), stageErr(StageVerify, err)
+		return classifyVerifyErr(err)
 	}
 
 	// Recovery is defined on the flattened ∄-form tree and its diagram.
@@ -257,7 +238,7 @@ func verifyResult(ctx context.Context, res *Result, opts Options, sp telemetry.S
 			return classifyVerifyErr(err)
 		}
 	}
-	if got, want := verifyKey(rec), verifyKey(ne); got != want {
+	if got, want := pipeline.TreeKey(rec), pipeline.TreeKey(ne); got != want {
 		return VerifyStatusMismatch, nil,
 			fmt.Sprintf("recovered tree differs from forward tree\nforward:   %s\nrecovered: %s", want, got),
 			nil
@@ -265,7 +246,8 @@ func verifyResult(ctx context.Context, res *Result, opts Options, sp telemetry.S
 	return VerifyStatusVerified, rec, "", nil
 }
 
-// classifyVerifyErr maps a non-search verification error to its status.
+// classifyVerifyErr maps a verification error other than the search's
+// verdicts to its status.
 func classifyVerifyErr(err error) (string, *logictree.LT, string, error) {
 	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
 		return VerifyStatusTimeout, nil, err.Error(), stageErr(StageVerify, err)
@@ -304,42 +286,39 @@ func degrade(ctx context.Context, res *Result, opts Options, cause error) (*Resu
 }
 
 // rungDiagram rebuilds a diagram from the ∄-form tree — simplified to the
-// ∀∃ form for the top rung, as-is for the middle one — with panic
-// containment and the pipeline's fault points re-fired.
+// ∀∃ form for the top rung, as-is for the middle one — through the
+// pipeline's own stages, with panic containment. Its hook re-fires the
+// fault point of each stage it re-runs; the work stays inside the
+// verify span.
 func rungDiagram(ctx context.Context, res *Result, simplify bool) (err error) {
 	if res.RawTree == nil {
 		return errRungSkipped
 	}
-	defer func() {
-		if r := recover(); r != nil {
-			err = &InternalError{Stage: StageBuild, Value: r, Stack: debug.Stack()}
-		}
-	}()
-	tree := res.RawTree
-	if simplify {
-		if err := faults.Fire(ctx, faults.StageTree); err != nil {
+	defer panicBoundary(StageBuild, &err)
+	a := pipeline.Artifacts{Query: res.Query, TRC: res.TRC, RawTree: res.RawTree}
+	if !simplify {
+		a.Tree = res.RawTree
+	}
+	opts := pipeline.Options{Simplify: simplify}
+	refire := func(stage string, run func() error) error {
+		if err := faults.Fire(ctx, faults.Stage(stage)); err != nil {
 			return err
 		}
-		if tree, err = res.RawTree.SimplifiedContext(ctx); err != nil {
-			return err
-		}
-		// A tree the simplifier left untouched has no ∀∃ form to offer;
-		// skip to the ∄ rung rather than serve an identical diagram under a
-		// misleading rung name.
-		if countQuant(tree, trc.ForAll) == 0 {
-			return errRungSkipped
-		}
+		return run()
 	}
-	if err := faults.Fire(ctx, faults.StageBuild); err != nil {
+	if err := pipeline.Run(ctx, &a, "", nil, opts, pipeline.Tree, refire); err != nil {
 		return err
 	}
-	d, err := core.BuildContext(ctx, tree)
-	if err != nil {
+	// A tree the simplifier left untouched has no ∀∃ form to offer; skip
+	// to the ∄ rung rather than serve an identical diagram under a
+	// misleading rung name.
+	if simplify && countQuant(a.Tree, trc.ForAll) == 0 {
+		return errRungSkipped
+	}
+	if err := pipeline.Run(ctx, &a, "", nil, opts, pipeline.Build, refire); err != nil {
 		return err
 	}
-	res.Tree = tree
-	res.Diagram = d
-	res.Interpretation = core.Interpret(tree)
+	res.Tree, res.Diagram, res.Interpretation = a.Tree, a.Diagram, a.Interpretation
 	return nil
 }
 
@@ -362,11 +341,7 @@ func rungTRC(ctx context.Context, res *Result) (err error) {
 	if res.TRC == nil {
 		return errRungSkipped
 	}
-	defer func() {
-		if r := recover(); r != nil {
-			err = &InternalError{Stage: StageRender, Value: r, Stack: debug.Stack()}
-		}
-	}()
+	defer panicBoundary(StageRender, &err)
 	if err := ctx.Err(); err != nil {
 		return err
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/corpus"
+	"repro/internal/pipeline"
 )
 
 // TestVerifyKeyAllocBudget pins the allocations of one verification key
@@ -26,7 +27,7 @@ func TestVerifyKeyAllocBudget(t *testing.T) {
 			t.Fatalf("%s: %v", c.name, err)
 		}
 		for label, lt := range map[string]*LogicTree{"forward": res.RawTree, "recovered": res.Recovered} {
-			if got := testing.AllocsPerRun(100, func() { _ = verifyKey(lt) }); got > c.budget {
+			if got := testing.AllocsPerRun(100, func() { _ = pipeline.TreeKey(lt) }); got > c.budget {
 				t.Errorf("%s %s tree: %.0f allocs per verify key, budget %.0f",
 					c.name, label, got, c.budget)
 			}
