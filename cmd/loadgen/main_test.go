@@ -120,13 +120,9 @@ func TestLoadgenSmokeInstanceKill(t *testing.T) {
 	_, u2, _ := startInstance(t)
 
 	rt, err := router.New(router.Config{
-		Backends:           []string{u1, u2},
-		HealthInterval:     50 * time.Millisecond,
-		BreakerThreshold:   2,
-		BreakerCooldown:    250 * time.Millisecond,
-		InstanceAttempts:   2,
-		InstanceMaxElapsed: 500 * time.Millisecond,
-		Metrics:            telemetry.NewRegistry(),
+		Backends:       []string{u1, u2},
+		HealthInterval: 50 * time.Millisecond,
+		Metrics:        telemetry.NewRegistry(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -200,14 +196,10 @@ func TestLoadgenSmokeNetchaos(t *testing.T) {
 	defer p2.Close()
 
 	rt, err := router.New(router.Config{
-		Backends:           []string{p1.URL(), p2.URL()},
-		HealthInterval:     50 * time.Millisecond,
-		BreakerThreshold:   2,
-		BreakerCooldown:    250 * time.Millisecond,
-		InstanceAttempts:   2,
-		InstanceMaxElapsed: 500 * time.Millisecond,
-		InstanceTimeout:    time.Second,
-		Metrics:            telemetry.NewRegistry(),
+		Backends:        []string{p1.URL(), p2.URL()},
+		HealthInterval:  50 * time.Millisecond,
+		InstanceTimeout: time.Second,
+		Metrics:         telemetry.NewRegistry(),
 	})
 	if err != nil {
 		t.Fatal(err)

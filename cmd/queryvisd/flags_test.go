@@ -180,19 +180,18 @@ func TestDefaultConfigs(t *testing.T) {
 
 	rt := o.routerConfig([]string{"http://a"}, nil, nil).WithDefaults()
 	wantRouter := router.Config{
-		Backends:           []string{"http://a"},
-		HealthInterval:     250 * time.Millisecond,
-		ProbeDownAfter:     2,
-		BreakerThreshold:   3,
-		BreakerCooldown:    time.Second,
-		InstanceAttempts:   2,
-		InstanceMaxElapsed: 500 * time.Millisecond,
-		InstanceTimeout:    30 * time.Second,
-		MaxBodyBytes:       1 << 20,
-		ResponseCache:      true,
+		Backends:        []string{"http://a"},
+		HealthInterval:  250 * time.Millisecond,
+		ProbeDownAfter:  2,
+		InstanceTimeout: 30 * time.Second,
+		MaxBodyBytes:    1 << 20,
+		ResponseCache:   true,
 	}
 	if !reflect.DeepEqual(rt, wantRouter) {
 		t.Errorf("router config:\n got %+v\nwant %+v", rt, wantRouter)
+	}
+	if n := reflect.TypeOf(rt).NumField(); n != 8 {
+		t.Errorf("router.Config has %d fields, want 8", n)
 	}
 
 	fl := o.fleetConfig(nil, nil, nil).WithDefaults()

@@ -17,7 +17,6 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -39,38 +38,9 @@ type Config struct {
 	// Retry-After — a harness must never be parked for minutes by a
 	// misconfigured header (default 2s).
 	MaxBackoff time.Duration
-	// MaxElapsed caps the total wall-clock time Do spends on one request
-	// across every attempt and backoff wait (0 = no cap). Callers with
-	// somewhere else to go — the router failing over across ring nodes —
-	// set this well below the full retry schedule: burning the whole
-	// backoff ladder against one endpoint is time stolen from a healthy
-	// neighbor.
-	MaxElapsed time.Duration
 	// Seed fixes the jitter stream for deterministic tests (0 seeds from
 	// the backoff parameters; determinism, not entropy, is the point).
 	Seed int64
-	// Headers are stamped on every outgoing request (each attempt
-	// included) unless the request already carries the header — a set
-	// X-Request-Id, an Authorization bearer for the ring admin surface —
-	// so a harness threads its identity through retries without wrapping
-	// every call site.
-	Headers map[string]string
-	// RetryBudget, when > 0, caps retries with a token bucket: every
-	// retry spends one token, every request that completes without
-	// needing a retry refills RetryRefill tokens (never above
-	// RetryBudget), and an empty bucket denies the retry — the last
-	// response or error is returned as-is. The point is storm control:
-	// during an outage every request fails, so per-request retry ladders
-	// multiply offered load by MaxAttempts exactly when the backend can
-	// least afford it. A budget refilled only by successes makes
-	// amplification self-limiting — sustained failure exhausts it and
-	// the client degrades to single attempts until the backend recovers.
-	// Zero disables the budget (unlimited retries, prior behavior).
-	RetryBudget float64
-	// RetryRefill is the budget credit per retry-free success (default
-	// 0.1 — one retry earned per ten clean requests). Ignored unless
-	// RetryBudget > 0.
-	RetryRefill float64
 }
 
 func (c Config) withDefaults() Config {
@@ -86,9 +56,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxBackoff <= 0 {
 		c.MaxBackoff = 2 * time.Second
 	}
-	if c.RetryBudget > 0 && c.RetryRefill <= 0 {
-		c.RetryRefill = 0.1
-	}
 	return c
 }
 
@@ -96,22 +63,17 @@ func (c Config) withDefaults() Config {
 type Client struct {
 	cfg Config
 
-	requests     atomic.Int64
-	attempts     atomic.Int64
-	retries      atomic.Int64
-	budgetSpent  atomic.Int64
-	budgetDenied atomic.Int64
+	requests atomic.Int64
+	attempts atomic.Int64
+	retries  atomic.Int64
 
 	ladder backoff.Policy
 	rng    *backoff.Rand
-
-	mu     sync.Mutex
-	tokens float64 // retry-budget bucket, guarded by mu
 }
 
 // Stats is a point-in-time snapshot of a Client's lifetime counters —
-// the honest record a chaos harness or the router reads back to prove
-// how much retrying actually happened.
+// the honest record a chaos harness reads back to prove how much
+// retrying actually happened.
 type Stats struct {
 	// Requests counts Do invocations.
 	Requests int64 `json:"requests"`
@@ -120,22 +82,14 @@ type Stats struct {
 	// Retries counts attempts beyond each request's first — zero on a
 	// healthy endpoint.
 	Retries int64 `json:"retries"`
-	// BudgetSpent counts retries paid for from the retry budget; always
-	// zero when the budget is disabled.
-	BudgetSpent int64 `json:"budget_spent"`
-	// BudgetDenied counts retries the empty budget refused — each one a
-	// request that would have amplified an outage and didn't.
-	BudgetDenied int64 `json:"budget_denied"`
 }
 
 // Stats snapshots the client's counters.
 func (c *Client) Stats() Stats {
 	return Stats{
-		Requests:     c.requests.Load(),
-		Attempts:     c.attempts.Load(),
-		Retries:      c.retries.Load(),
-		BudgetSpent:  c.budgetSpent.Load(),
-		BudgetDenied: c.budgetDenied.Load(),
+		Requests: c.requests.Load(),
+		Attempts: c.attempts.Load(),
+		Retries:  c.retries.Load(),
 	}
 }
 
@@ -150,41 +104,7 @@ func New(cfg Config) *Client {
 		cfg:    cfg,
 		ladder: backoff.Policy{Base: cfg.BaseBackoff, Max: cfg.MaxBackoff},
 		rng:    backoff.NewRand(seed),
-		tokens: cfg.RetryBudget,
 	}
-}
-
-// spendRetry withdraws one token for a retry. True when the budget is
-// disabled or a token was available; false — counted as a denial — when
-// the bucket is dry and the retry must not happen.
-func (c *Client) spendRetry() bool {
-	if c.cfg.RetryBudget <= 0 {
-		return true
-	}
-	c.mu.Lock()
-	ok := c.tokens >= 1
-	if ok {
-		c.tokens--
-	}
-	c.mu.Unlock()
-	if ok {
-		c.budgetSpent.Add(1)
-	} else {
-		c.budgetDenied.Add(1)
-	}
-	return ok
-}
-
-// creditSuccess refills the budget for a request that completed without
-// retrying — the only evidence that the backend is healthy enough to
-// be worth retrying against.
-func (c *Client) creditSuccess() {
-	if c.cfg.RetryBudget <= 0 {
-		return
-	}
-	c.mu.Lock()
-	c.tokens = min(c.tokens+c.cfg.RetryRefill, c.cfg.RetryBudget)
-	c.mu.Unlock()
 }
 
 // Do sends the request, retrying network errors and 429/503 responses
@@ -194,24 +114,8 @@ func (c *Client) creditSuccess() {
 // be replayed (no GetBody) are sent exactly once, and a dead request
 // context is never retried — the caller canceled, and that decision
 // stands.
-// A MaxElapsed budget that a retry's wait would overrun stops the
-// schedule early: the last response (or error) is returned as-is, so
-// the caller can fail over instead of waiting out the ladder. With a
-// RetryBudget configured, an exhausted token bucket ends the schedule
-// the same way — last response or error as-is, never a new failure
-// mode — so storm control degrades the client to single attempts
-// rather than changing its contract.
 func (c *Client) Do(req *http.Request) (*http.Response, error) {
 	c.requests.Add(1)
-	start := time.Now()
-	overBudget := func(wait time.Duration) bool {
-		return c.cfg.MaxElapsed > 0 && time.Since(start)+wait > c.cfg.MaxElapsed
-	}
-	for k, v := range c.cfg.Headers {
-		if req.Header.Get(k) == "" {
-			req.Header.Set(k, v)
-		}
-	}
 	var lastErr error
 	for attempt := 1; ; attempt++ {
 		areq := req
@@ -236,19 +140,8 @@ func (c *Client) Do(req *http.Request) (*http.Response, error) {
 			if req.Context().Err() != nil || attempt >= c.cfg.MaxAttempts || !replayable(req) {
 				return nil, lastErr
 			}
-			if !c.spendRetry() {
-				return nil, lastErr
-			}
 		} else {
 			if !shedding(resp.StatusCode) || attempt >= c.cfg.MaxAttempts || !replayable(req) {
-				if attempt == 1 && resp.StatusCode < http.StatusBadRequest {
-					// A clean first-try success is the only evidence worth
-					// refilling the retry budget on.
-					c.creditSuccess()
-				}
-				return resp, nil
-			}
-			if !c.spendRetry() {
 				return resp, nil
 			}
 			wait := c.rng.Jitter(c.ladder.Delay(attempt))
@@ -256,9 +149,6 @@ func (c *Client) Do(req *http.Request) (*http.Response, error) {
 				wait = ra
 			}
 			wait = min(wait, c.cfg.MaxBackoff)
-			if overBudget(wait) {
-				return resp, nil
-			}
 			// The response will be replaced; drain it so the transport can
 			// reuse the connection.
 			_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
@@ -268,11 +158,7 @@ func (c *Client) Do(req *http.Request) (*http.Response, error) {
 			}
 			continue
 		}
-		wait := c.rng.Jitter(c.ladder.Delay(attempt))
-		if overBudget(wait) {
-			return nil, lastErr
-		}
-		if err := sleep(req.Context(), wait); err != nil {
+		if err := sleep(req.Context(), c.rng.Jitter(c.ladder.Delay(attempt))); err != nil {
 			return nil, lastErr
 		}
 	}

@@ -173,7 +173,7 @@ func TestFleetPartitionHeal(t *testing.T) {
 		}
 		for _, in := range st.Instances {
 			if in.URL == url {
-				return in.Healthy && !in.Draining && !in.BreakerOpen
+				return in.Healthy && !in.Draining
 			}
 		}
 		return false

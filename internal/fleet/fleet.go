@@ -8,11 +8,12 @@
 //
 // The supervisor judges no member's health. Who serves is the router's
 // call: its prober admits a joined member only after a streak of passing
-// probes, takes a failing one out of rotation, and readmits it once it
-// passes again. A member out of rotation stays on the ring, and the
-// identity-keyed ring hands its keys to exactly the successors an eject
-// would, so a crash, a partition or a flapping link never changes
-// membership and never spends disruption budget.
+// probes, failed probes or failed forwarded requests take a member out
+// of rotation, and the prober readmits it once it passes again. The
+// budget below counts that same verdict. A member out of rotation stays
+// on the ring, and the identity-keyed ring hands its keys to exactly the
+// successors an eject would, so a crash, a partition or a flapping link
+// never changes membership and never spends disruption budget.
 //
 // A drain is the supervisor's from start to removal. The tick that
 // starts it only sets the router's draining flag; a later tick ejects

@@ -370,6 +370,70 @@ func TestBudgetMinHealthy(t *testing.T) {
 	}
 }
 
+// TestBudgetCountsForwardedFailures: the disruption budget counts the
+// verdict the router routes by. Member B's healthz passes but every
+// request forwarded to it gets a 503. Once traffic has taken B out of
+// rotation, A is the only member that serves, so dropping A from the
+// spec must be refused with min_healthy rather than draining it.
+func TestBudgetCountsForwardedFailures(t *testing.T) {
+	defer leak.Check(t)()
+	a := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		fmt.Fprint(w, `{"diagram":"digraph {}"}`)
+	}))
+	defer a.Close()
+	b := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/healthz" {
+			w.WriteHeader(http.StatusOK)
+			return
+		}
+		http.Error(w, `{"error":{"category":"overloaded","message":"sick"}}`, http.StatusServiceUnavailable)
+	}))
+	defer b.Close()
+	rt, err := router.New(router.Config{
+		Backends:       []string{a.URL, b.URL},
+		HealthInterval: time.Hour, // no later probe round readmits B
+		Metrics:        telemetry.NewRegistry(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	front := httptest.NewServer(rt)
+	defer front.Close()
+	src := &fakeSource{}
+	src.set(a.URL, b.URL)
+	s := newTestSup(t, rt, src, func(c *Config) { c.DrainTimeout = time.Hour })
+	tick(s, 1)
+
+	// Fresh keys until the router holds B out of rotation.
+	deadline := time.Now().Add(5 * time.Second)
+	for i := 0; rt.State().Status != "degraded"; i++ {
+		if time.Now().After(deadline) {
+			t.Fatalf("B never left rotation: %+v", rt.State())
+		}
+		resp, err := http.Post(front.URL+"/v1/diagram", "application/json",
+			strings.NewReader(fmt.Sprintf(`{"sql":"SELECT %d"}`, i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+	}
+
+	src.set(b.URL)
+	tick(s, 2)
+	serving := false
+	for _, in := range rt.State().Instances {
+		serving = serving || (in.URL == a.URL && !in.Draining)
+	}
+	if !serving {
+		t.Fatalf("A drained while B was out of rotation: the budget counted B as serving (%+v)", s.Status().Actions)
+	}
+	if got := s.reg.Value(mDenied, "reason", "min_healthy"); got < 1 {
+		t.Fatalf("min_healthy denials = %v, want >= 1", got)
+	}
+}
+
 func TestRemoveUndesiredMember(t *testing.T) {
 	defer leak.Check(t)()
 	u := memberURLs(2)

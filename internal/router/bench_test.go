@@ -124,8 +124,8 @@ func reportLatencies(b *testing.B, latencies []time.Duration, elapsed time.Durat
 
 // BenchmarkRouterFailoverStampede prices stampede control during the
 // failover window: one ring member is dead (connection refused) but not
-// yet detected — the probe interval is an hour and the breaker
-// threshold unreachable, freezing the router inside the window — and
+// yet detected — the probe interval is an hour and the down threshold
+// unreachable, freezing the router inside the window — and
 // each iteration fires a storm of 16 byte-identical requests on a fresh
 // key. Without stampede control every storm member independently pays
 // the dead-instance dial plus its own upstream call; with it the
@@ -148,12 +148,11 @@ func BenchmarkRouterFailoverStampede(b *testing.B) {
 			dead.Close() // the port now refuses connections
 
 			rt, err := router.New(router.Config{
-				Backends:         []string{deadURL, live.URL},
-				HealthInterval:   time.Hour, // the detection window never closes
-				BreakerThreshold: 1 << 20,   // nor does the breaker end it
-				InstanceAttempts: 1,
-				ResponseCache:    mode.on,
-				Metrics:          telemetry.NewRegistry(),
+				Backends:       []string{deadURL, live.URL},
+				HealthInterval: time.Hour, // the detection window never closes
+				ProbeDownAfter: 1 << 20,   // nor do forwarded failures end it
+				ResponseCache:  mode.on,
+				Metrics:        telemetry.NewRegistry(),
 			})
 			if err != nil {
 				b.Fatal(err)

@@ -47,13 +47,9 @@ func TestRouterKillStorm(t *testing.T) {
 	}
 
 	rt, err := router.New(router.Config{
-		Backends:           urls,
-		HealthInterval:     50 * time.Millisecond,
-		BreakerThreshold:   2,
-		BreakerCooldown:    250 * time.Millisecond,
-		InstanceAttempts:   2,
-		InstanceMaxElapsed: 500 * time.Millisecond,
-		Metrics:            telemetry.NewRegistry(),
+		Backends:       urls,
+		HealthInterval: 50 * time.Millisecond,
+		Metrics:        telemetry.NewRegistry(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -106,14 +102,13 @@ func TestRouterKillStorm(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			// Per-goroutine client: retries + Retry-After honoring, but
-			// capped so a dead-instance window degrades to an error
-			// instead of stalling the storm.
+			// bounded by MaxAttempts so a dead-instance window degrades
+			// to an error instead of stalling the storm.
 			cl := client.New(client.Config{
 				HTTPClient:  &http.Client{Timeout: 5 * time.Second},
 				MaxAttempts: 4,
 				BaseBackoff: 10 * time.Millisecond,
 				MaxBackoff:  250 * time.Millisecond,
-				MaxElapsed:  3 * time.Second,
 				Seed:        int64(1000 + g),
 			})
 			for i := range work {
@@ -225,11 +220,9 @@ func TestRouterSurvivesColdStartAgainstDeadRing(t *testing.T) {
 	ti.Kill()
 
 	rt, err := router.New(router.Config{
-		Backends:           []string{ti.URL},
-		HealthInterval:     25 * time.Millisecond,
-		InstanceAttempts:   1,
-		InstanceMaxElapsed: 200 * time.Millisecond,
-		Metrics:            telemetry.NewRegistry(),
+		Backends:       []string{ti.URL},
+		HealthInterval: 25 * time.Millisecond,
+		Metrics:        telemetry.NewRegistry(),
 	})
 	if err != nil {
 		t.Fatal(err)

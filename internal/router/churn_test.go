@@ -59,13 +59,10 @@ func TestRouterMembershipChurn(t *testing.T) {
 	a, b, c := startInstance(t), startInstance(t), startInstance(t)
 
 	rt, err := router.New(router.Config{
-		Backends:         []string{a.URL, b.URL, c.URL},
-		HealthInterval:   50 * time.Millisecond,
-		BreakerThreshold: 2,
-		BreakerCooldown:  250 * time.Millisecond,
-		InstanceAttempts: 2,
-		ResponseCache:    true,
-		Metrics:          telemetry.NewRegistry(),
+		Backends:       []string{a.URL, b.URL, c.URL},
+		HealthInterval: 50 * time.Millisecond,
+		ResponseCache:  true,
+		Metrics:        telemetry.NewRegistry(),
 	})
 	if err != nil {
 		t.Fatal(err)

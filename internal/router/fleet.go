@@ -180,7 +180,7 @@ func (rt *Router) SetFleetStatus(fn func() any) {
 }
 
 // handleFleet aggregates the fleet: the router's State (ring health,
-// breaker/drain flags, stampede stats — every gauge healthz reads) and
+// drain flags, stampede stats — every gauge healthz reads) and
 // a concurrent healthz scrape of each current member over the probe
 // client. A member that fails to answer reports its error in place, so
 // a half-dead fleet still renders.

@@ -11,47 +11,45 @@ import (
 )
 
 // probeUpAfter is how many consecutive passing probes admit an
-// unhealthy instance: a newcomer, or one the prober marked down. A
-// flapping instance has to prove a streak before the ring trusts it
-// with keys again.
+// unhealthy instance: a newcomer, or one marked down. A flapping
+// instance has to prove a streak before the ring trusts it with keys
+// again.
 const probeUpAfter = 2
 
 // probeTimeout bounds one health probe.
 const probeTimeout = time.Second
 
-// instance is one routed-to backend plus its health bookkeeping. Three
-// independent signals gate traffic: the active prober's verdict
-// (healthy), the request-path circuit breaker (openUntil), and the
-// supervisor's drain flag. Any of them alone can take the instance out
-// of rotation; all must agree it is fine before the ring hands it a key
-// again. The prober's verdict is the fleet's only health verdict: an
-// unhealthy member stays on the ring, and its keys go to its ring
-// successors until the prober readmits it.
+// instance is one routed-to backend plus its health bookkeeping. Two
+// signals gate traffic: the member's health verdict (healthy) and the
+// supervisor's drain flag. The verdict is the fleet's only health
+// verdict: an unhealthy member stays on the ring, and its keys go to
+// its ring successors until the prober readmits it.
 type instance struct {
 	url string
 	// reqs and fails are this member's mInstReqs and mInstFails series,
 	// resolved once when the instance joins.
 	reqs, fails *telemetry.Counter
 
-	// healthy is the prober's hysteresis-filtered verdict against
-	// /v1/healthz. The backends New is given start optimistic — a router
-	// booting ahead of its backends must not shed its first requests; a
-	// dead backend costs one failover, not an outage. A member joined at
-	// runtime starts unhealthy and serves only once the prober admits it.
+	// healthy is the hysteresis-filtered verdict. The backends New is
+	// given start optimistic — a router booting ahead of its backends
+	// must not shed its first requests; a dead backend costs one
+	// failover, not an outage. A member joined at runtime starts
+	// unhealthy and serves only once the prober admits it.
 	healthy atomic.Bool
-	// downSince is when the prober last marked this instance down, in
-	// unix nanos; 0 while healthy or never marked down.
+	// downSince is when the member was last marked down, in unix nanos;
+	// 0 while healthy or never marked down.
 	downSince atomic.Int64
-	// probeFails / probeOKs are the prober's consecutive-verdict
-	// streaks. A single blown probe must not take out an instance that is
-	// merely busy, and a single lucky probe must not readmit one that is
-	// flapping — the verdict flips only after ProbeDownAfter consecutive
-	// failures or probeUpAfter consecutive passes. verdictMu orders the
-	// two writers, the finished probe and the round that finds it still
-	// outstanding; atomics keep healthz reads clean.
+	// failStreak / passStreak are the member's one streak. Probes and
+	// forwarded outcomes both feed failStreak, and ProbeDownAfter
+	// consecutive failures mark the member down; only probes feed
+	// passStreak, and probeUpAfter consecutive passes admit it. A single
+	// blown probe or request must not take out a member that is merely
+	// busy, and a single lucky probe must not readmit one that is
+	// flapping. verdictMu orders the writers; atomics keep healthz reads
+	// and the clean-streak fast path lock-free.
 	verdictMu  sync.Mutex
-	probeFails atomic.Int32
-	probeOKs   atomic.Int32
+	failStreak atomic.Int32
+	passStreak atomic.Int32
 	// draining marks an instance the fleet supervisor is retiring: it
 	// receives no new assignments and finishes what it has; the
 	// supervisor ejects it once its in-flight count reads zero.
@@ -62,38 +60,13 @@ type instance struct {
 	// slow probe is never overlapped by the next round's; that round
 	// counts a miss instead.
 	probing atomic.Bool
-	// consecFails counts request-path failures (transport errors,
-	// 502/503) since the last success; reaching the breaker threshold
-	// opens the breaker for the cooldown.
-	consecFails atomic.Int64
-	// openUntil is the breaker deadline in unix nanos; 0 means closed.
-	openUntil atomic.Int64
 	// build is the X-Queryvis-Build of its latest answer (respcache.go).
 	build atomic.Value
 }
 
 // eligible reports whether the ring may hand this instance a request.
-func (in *instance) eligible(now time.Time) bool {
-	return in.healthy.Load() && !in.draining.Load() && now.UnixNano() >= in.openUntil.Load()
-}
-
-func (in *instance) breakerOpen(now time.Time) bool {
-	return now.UnixNano() < in.openUntil.Load()
-}
-
-// recordSuccess closes the breaker — any proxied success proves the
-// instance serves again.
-func (in *instance) recordSuccess() {
-	in.consecFails.Store(0)
-	in.openUntil.Store(0)
-}
-
-// recordFailure counts one request-path failure and opens the breaker
-// once the run reaches threshold.
-func (in *instance) recordFailure(threshold int, cooldown time.Duration) {
-	if in.consecFails.Add(1) >= int64(threshold) {
-		in.openUntil.Store(time.Now().Add(cooldown).UnixNano())
-	}
+func (in *instance) eligible() bool {
+	return in.healthy.Load() && !in.draining.Load()
 }
 
 // probe runs one active health check: a GET against /v1/healthz with a
@@ -112,49 +85,59 @@ func (rt *Router) probe(in *instance) {
 			ok = resp.StatusCode == http.StatusOK
 		}
 	}
-	rt.verdict(in, ok)
+	rt.verdict(in, ok, true)
 }
 
-// verdict feeds one pass or fail into the hysteresis counters; the
-// healthy verdict flips only on a full streak, so a flapping instance
-// cannot thrash the ring's eligibility set probe by probe.
-func (rt *Router) verdict(in *instance, ok bool) {
+// forwarded feeds one forwarded outcome into the member's streak. A
+// pass that finds the streak clean takes no lock, so the miss path
+// costs what it did before forwarded outcomes counted.
+func (rt *Router) forwarded(in *instance, ok bool) {
+	if ok && in.failStreak.Load() == 0 {
+		return
+	}
+	rt.verdict(in, ok, false)
+}
+
+// verdict feeds one pass or fail into the member's streak; the verdict
+// flips only on a full streak, so a flapping instance cannot thrash the
+// ring's eligibility set outcome by outcome. Failures from either
+// source count toward ProbeDownAfter; admission is the prober's alone,
+// so a forwarded outcome on a down member (a request that was in flight
+// when it went down) changes nothing.
+func (rt *Router) verdict(in *instance, ok, probed bool) {
 	in.verdictMu.Lock()
 	defer in.verdictMu.Unlock()
-	if ok {
-		in.probeFails.Store(0)
-		if in.healthy.Load() {
-			in.probeOKs.Store(0)
+	if !in.healthy.Load() {
+		if !probed {
 			return
 		}
-		if in.probeOKs.Add(1) < probeUpAfter {
+		in.failStreak.Store(0)
+		if !ok {
+			in.passStreak.Store(0)
 			return
 		}
-		in.probeOKs.Store(0)
+		if in.passStreak.Add(1) < probeUpAfter {
+			return
+		}
+		in.passStreak.Store(0)
 		in.healthy.Store(true)
-		// Recovery observed by the prober also closes the breaker: the
-		// cooldown exists to stop hammering a struggling instance, and a
-		// passing health-check streak is better evidence than an expired
-		// timer.
-		in.recordSuccess()
 		if down := in.downSince.Swap(0); down != 0 {
 			rt.healDur.Observe(time.Since(time.Unix(0, down)).Seconds())
 		}
 		rt.log("instance admitted", "instance", in.url)
 		return
 	}
-	in.probeOKs.Store(0)
-	if !in.healthy.Load() {
-		in.probeFails.Store(0)
+	if ok {
+		in.failStreak.Store(0)
 		return
 	}
-	if in.probeFails.Add(1) < int32(rt.cfg.ProbeDownAfter) {
+	if in.failStreak.Add(1) < int32(rt.cfg.ProbeDownAfter) {
 		return
 	}
-	in.probeFails.Store(0)
+	in.failStreak.Store(0)
 	in.healthy.Store(false)
 	in.downSince.Store(time.Now().UnixNano())
-	rt.log("instance unhealthy", "instance", in.url)
+	rt.log("instance unhealthy", "instance", in.url, "probe", probed)
 }
 
 // prober polls every current ring member on the configured interval
@@ -173,7 +156,7 @@ func (rt *Router) prober() {
 	for {
 		for _, in := range rt.topo.Load().insts {
 			if !in.probing.CompareAndSwap(false, true) {
-				rt.verdict(in, false)
+				rt.verdict(in, false, true)
 				continue
 			}
 			rt.loops.Add(1)

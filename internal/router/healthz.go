@@ -3,23 +3,19 @@ package router
 import (
 	"encoding/json"
 	"net/http"
-	"time"
 )
 
 // InstanceState is one ring member's health as the router sees it,
 // embedded in the router's /v1/healthz.
 type InstanceState struct {
-	URL     string `json:"url"`
-	Healthy bool   `json:"healthy"`
+	URL string `json:"url"`
+	// Healthy is the member's one health verdict: probes and forwarded
+	// outcomes mark it down, and only probes admit it.
+	Healthy bool `json:"healthy"`
 	// Draining means the fleet supervisor is retiring this member: no
 	// new assignments; the supervisor ejects it on a later reconcile
 	// tick that reads Inflight at zero.
 	Draining bool `json:"draining"`
-	// BreakerOpen means the request-path circuit is holding the
-	// instance out of rotation right now.
-	BreakerOpen bool `json:"breaker_open"`
-	// ConsecutiveFailures is the current request-path failure run.
-	ConsecutiveFailures int64 `json:"consecutive_failures"`
 	// Inflight counts requests currently proxied to this instance.
 	Inflight int64 `json:"inflight"`
 	// Requests/Failures are lifetime proxied-attempt totals, read from
@@ -60,7 +56,6 @@ type State struct {
 // comes from the router's registry or the same atomics its routing
 // decisions use, so healthz, metrics, and behavior can never disagree.
 func (rt *Router) State() State {
-	now := time.Now()
 	tp := rt.topo.Load()
 	st := State{
 		Epoch:     tp.epoch,
@@ -79,18 +74,16 @@ func (rt *Router) State() State {
 	}
 	eligible := 0
 	for _, in := range tp.insts {
-		if in.eligible(now) {
+		if in.eligible() {
 			eligible++
 		}
 		st.Instances = append(st.Instances, InstanceState{
-			URL:                 in.url,
-			Healthy:             in.healthy.Load(),
-			Draining:            in.draining.Load(),
-			BreakerOpen:         in.breakerOpen(now),
-			ConsecutiveFailures: in.consecFails.Load(),
-			Inflight:            in.inflight.Load(),
-			Requests:            in.reqs.Value(),
-			Failures:            in.fails.Value(),
+			URL:      in.url,
+			Healthy:  in.healthy.Load(),
+			Draining: in.draining.Load(),
+			Inflight: in.inflight.Load(),
+			Requests: in.reqs.Value(),
+			Failures: in.fails.Value(),
 		})
 	}
 	switch eligible {

@@ -4,9 +4,10 @@
 // Requests load the pointer once and route against a self-consistent
 // snapshot; membership changes build a fresh topology under a mutex and
 // swap it in with a bumped epoch, so a join or eject lands between two
-// requests, never inside one. Instance state (health verdicts, breaker,
-// in-flight counts) is carried by pointer from the old topology to the
-// new, so surviving members keep their history across every swap.
+// requests, never inside one. Instance state (health streaks, drain
+// flags, in-flight counts) is carried by pointer from the old topology
+// to the new, so surviving members keep their history across every
+// swap.
 package router
 
 import (
@@ -14,7 +15,6 @@ import (
 	"fmt"
 	"net/url"
 	"strings"
-	"time"
 
 	"repro/internal/telemetry"
 )
@@ -188,12 +188,6 @@ func (rt *Router) registerInstanceSeries(url string) (reqs, fails *telemetry.Cou
 	rt.seenURLs[url] = true
 	rt.reg.GaugeFunc(mInstUp, "Prober verdict per instance (1 healthy).", func() float64 {
 		if in := rt.findInstance(url); in != nil && in.healthy.Load() {
-			return 1
-		}
-		return 0
-	}, "instance", url)
-	rt.reg.GaugeFunc(mInstOpen, "Circuit breaker state per instance (1 open).", func() float64 {
-		if in := rt.findInstance(url); in != nil && in.breakerOpen(time.Now()) {
 			return 1
 		}
 		return 0

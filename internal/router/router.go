@@ -1,9 +1,9 @@
 // Package router is the scale-out front door: a stdlib-only
 // consistent-hash router that shards QueryVis requests across N
 // queryvisd instances by request body hash, with live ring
-// membership, active health checking with hysteresis, per-instance
-// circuit breaking, a router-side response cache, and bounded failover
-// along the ring. Its one hard promise
+// membership, one health streak per member fed by active probes and
+// forwarded outcomes, a router-side response cache, and failover along
+// the ring as the only retry. Its one hard promise
 // is the same one the daemon makes — every request ends in a
 // well-formed response: a proxied answer, a backend's own categorized
 // error, or the router's honest 503 with Retry-After when the whole
@@ -19,8 +19,9 @@
 // Topology is live: Join, Drain and Eject change the members at runtime
 // against an epoch-versioned immutable snapshot (see membership.go).
 // Their one caller is the fleet supervisor (internal/fleet), which owns
-// every membership change and finishes every drain. The router's prober
-// owns the one health verdict (see health.go): a member it marks down
+// every membership change and finishes every drain. The router owns the
+// one health verdict (see health.go), one streak per member fed by its
+// prober and by the outcomes of forwarded requests: a member marked down
 // stays on the ring and its keys fail over to their ring successors, so
 // no health event changes membership. The router's hot tier is its
 // response cache (see respcache.go): singleflight plus a verified-only
@@ -43,7 +44,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/client"
 	"repro/internal/telemetry"
 )
 
@@ -57,7 +57,6 @@ const (
 	mInstReqs        = "queryvis_router_instance_requests_total"
 	mInstFails       = "queryvis_router_instance_failures_total"
 	mInstUp          = "queryvis_router_instance_healthy"
-	mInstOpen        = "queryvis_router_breaker_open"
 	mInstDraining    = "queryvis_router_instance_draining"
 	mHealDur         = "queryvis_router_heal_duration_seconds"
 	mEpoch           = "queryvis_router_ring_epoch"
@@ -81,27 +80,14 @@ type Config struct {
 	Backends []string
 	// HealthInterval is the active health-check period (default 250ms).
 	HealthInterval time.Duration
-	// ProbeDownAfter is how many consecutive failed probes mark a
-	// healthy instance unhealthy (default 2). Hysteresis: one blown
-	// probe against a busy instance must not eject it.
+	// ProbeDownAfter is how many consecutive failures, failed probes
+	// and failed forwarded requests alike, mark a healthy instance
+	// unhealthy (default 2). Hysteresis: one blown probe or request
+	// against a busy instance must not take it out.
 	ProbeDownAfter int
-	// BreakerThreshold opens an instance's circuit after this many
-	// consecutive request-path failures (default 3).
-	BreakerThreshold int
-	// BreakerCooldown is how long an opened circuit keeps the instance
-	// out of rotation before the timer alone re-admits it; a passing
-	// health probe re-admits it sooner (default 1s).
-	BreakerCooldown time.Duration
-	// InstanceAttempts is the retrying client's per-instance attempt
-	// budget (default 2: the backend already retried its own worker
-	// once; the ring is the real retry).
-	InstanceAttempts int
-	// InstanceMaxElapsed caps the total time spent retrying one
-	// instance before failing over (default 500ms) — time burned on a
-	// sick instance is stolen from its healthy ring successor.
-	InstanceMaxElapsed time.Duration
-	// InstanceTimeout bounds one proxied attempt end-to-end
-	// (default 30s).
+	// InstanceTimeout bounds one forwarded attempt end-to-end
+	// (default 30s). Each candidate gets one attempt; the ring order is
+	// the only retry.
 	InstanceTimeout time.Duration
 	// MaxBodyBytes caps a routed request body; bigger bodies get a 413
 	// without touching a backend (default 4 MiB).
@@ -126,18 +112,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.ProbeDownAfter <= 0 {
 		c.ProbeDownAfter = 2
-	}
-	if c.BreakerThreshold <= 0 {
-		c.BreakerThreshold = 3
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = time.Second
-	}
-	if c.InstanceAttempts <= 0 {
-		c.InstanceAttempts = 2
-	}
-	if c.InstanceMaxElapsed <= 0 {
-		c.InstanceMaxElapsed = 500 * time.Millisecond
 	}
 	if c.InstanceTimeout <= 0 {
 		c.InstanceTimeout = 30 * time.Second
@@ -170,8 +144,8 @@ type Router struct {
 	// the stampede owns "invalidate" and "bypass". Nil when disabled.
 	stampedeHit, stampedeCoalesced, stampedeInsert *telemetry.Counter
 
-	hc          *client.Client  // proxy path: retries + MaxElapsed cap
-	probeClient *http.Client    // health path: no retries, short timeout
+	hc          *http.Client    // proxy path: one attempt per candidate
+	probeClient *http.Client    // health path: short timeout
 	transport   *http.Transport // owned by the router; idle conns die at Close
 
 	reg         *telemetry.Registry
@@ -224,13 +198,7 @@ func New(cfg Config) (*Router, error) {
 	}
 
 	rt.transport = &http.Transport{MaxIdleConnsPerHost: 32}
-	rt.hc = client.New(client.Config{
-		HTTPClient:  &http.Client{Timeout: cfg.InstanceTimeout, Transport: rt.transport},
-		MaxAttempts: cfg.InstanceAttempts,
-		BaseBackoff: 25 * time.Millisecond,
-		MaxBackoff:  250 * time.Millisecond,
-		MaxElapsed:  cfg.InstanceMaxElapsed,
-	})
+	rt.hc = &http.Client{Timeout: cfg.InstanceTimeout, Transport: rt.transport}
 	rt.probeClient = &http.Client{Timeout: probeTimeout, Transport: rt.transport}
 
 	rt.requests = make(map[string]*telemetry.Counter, len(outcomes))
@@ -241,7 +209,7 @@ func New(cfg Config) (*Router, error) {
 		[]float64{.001, .0025, .005, .01, .025, .05, .1, .25, .5, 1, 2.5, 5, 10})
 	rt.failovers = rt.reg.Counter(mFailovers, "Requests moved to the next ring instance after a failure.")
 	rt.noHealthy = rt.reg.Counter(mNoHealthy, "Requests shed because no ring instance was eligible.")
-	rt.healDur = rt.reg.Histogram(mHealDur, "Seconds from the prober marking an instance down to admitting it again.",
+	rt.healDur = rt.reg.Histogram(mHealDur, "Seconds from an instance being marked down to the prober admitting it again.",
 		[]float64{0.5, 1, 2.5, 5, 10, 30, 60, 120})
 	rt.traces = telemetry.NewTraceRing(0)
 	rt.tracesTotal = rt.reg.Counter(mTraces, "Router hop spans recorded to the trace ring.")
@@ -444,13 +412,12 @@ func (rt *Router) route(w http.ResponseWriter, r *http.Request) {
 	order := tp.ring.order(strconv.FormatUint(hash64(body), 16))
 
 	// The failover schedule: the key's eligible instances in ring order.
-	// When the breaker, prober, and drain flags have disqualified
-	// everyone, that is the fully-unhealthy case — shed honestly rather
-	// than queue blind.
-	now := time.Now()
+	// When health verdicts and drain flags have disqualified everyone,
+	// that is the fully-unhealthy case — shed honestly rather than queue
+	// blind.
 	candidates := make([]*instance, 0, len(order))
 	for _, idx := range order {
-		if tp.insts[idx].eligible(now) {
+		if tp.insts[idx].eligible() {
 			candidates = append(candidates, tp.insts[idx])
 		}
 	}
@@ -476,7 +443,11 @@ func (rt *Router) route(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			lastErr = err
 			in.fails.Inc()
-			in.recordFailure(rt.cfg.BreakerThreshold, rt.cfg.BreakerCooldown)
+			// An attempt cut short by the caller's own deadline budget or
+			// disconnect says nothing about the member.
+			if r.Context().Err() == nil {
+				rt.forwarded(in, false)
+			}
 			rt.log("instance attempt failed", "instance", in.url, "err", err, "failover", !last)
 			if !last {
 				rt.failovers.Inc()
@@ -484,20 +455,25 @@ func (rt *Router) route(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		rt.noteBuild(in, sr.header)
+		// The outcome feeds the member's streak: a 502 or 503 fails it,
+		// like a transport error, and any status below 500 but 429 passes
+		// it. A 429 is the load shedder doing its job, and a 500 or 504
+		// may be one poison query, not a sick member: both leave it be.
+		switch {
+		case sr.status == http.StatusBadGateway || sr.status == http.StatusServiceUnavailable:
+			in.fails.Inc()
+			rt.forwarded(in, false)
+		case sr.status < http.StatusInternalServerError && sr.status != http.StatusTooManyRequests:
+			rt.forwarded(in, true)
+		}
 		if retryElsewhere(sr.status) && !last {
 			// The instance shed or is failing; its ring successor gets the
-			// request. Only transport errors and 5xx count against the
-			// breaker — a 429 is the load shedder doing its job, not a
-			// fault.
+			// request. Keep an instance's own shed response: if every
+			// remaining candidate fails at the transport level, this —
+			// with its better-informed Retry-After — is what the client
+			// gets, not a router-minted 503 that masks the backpressure.
 			if sr.status == http.StatusTooManyRequests {
-				// Keep the instance's own shed response: if every remaining
-				// candidate fails at the transport level, this — with its
-				// better-informed Retry-After — is what the client gets,
-				// not a router-minted 503 that masks the backpressure.
 				lastShed = sr
-			} else {
-				in.fails.Inc()
-				in.recordFailure(rt.cfg.BreakerThreshold, rt.cfg.BreakerCooldown)
 			}
 			rt.failovers.Inc()
 			rt.log("instance shed, failing over", "instance", in.url, "status", sr.status)
@@ -507,9 +483,6 @@ func (rt *Router) route(w http.ResponseWriter, r *http.Request) {
 		// or (on the last candidate) the backend's own shed response,
 		// passed through verbatim: it is well-formed and honest, and the
 		// backend's Retry-After is better informed than ours.
-		if sr.status < http.StatusInternalServerError && sr.status != http.StatusTooManyRequests {
-			in.recordSuccess()
-		}
 		rt.requests["proxied"].Inc()
 		rt.proxyDur.Observe(time.Since(start).Seconds())
 		traceOutcome, traceInstance = "proxied", in.url
@@ -556,10 +529,8 @@ func (rt *Router) route(w http.ResponseWriter, r *http.Request) {
 // violation by the backend and is treated as an instance failure.
 const maxBufferedResponse = 64 << 20
 
-// forward sends the request to one instance through the shared retrying
-// client (which retries 429/503 briefly and honors Retry-After, capped
-// by InstanceMaxElapsed so a sick instance cannot monopolize the
-// failover budget) and buffers the full response. Buffering is what
+// forward sends the request to one instance, once, and buffers the full
+// response. Buffering is what
 // makes failover and stampede sharing honest: a connection that dies
 // mid-body is discovered here — and failed over — instead of after the
 // response status has already been committed to the client. The
@@ -705,8 +676,8 @@ func drain(resp *http.Response) {
 }
 
 // readerFor wraps a body for http.NewRequest — a *bytes.Reader, so the
-// request gets a GetBody rewinder and the shared client may retry it;
-// nil for empty keeps bodyless semantics for GETs.
+// request carries its Content-Length; nil for empty keeps bodyless
+// semantics for GETs.
 func readerFor(body []byte) io.Reader {
 	if len(body) == 0 {
 		return nil

@@ -1,9 +1,10 @@
 // Black-box router behavior against controllable httptest backends:
-// sticky sharding, failover, circuit breaking, and the honest
+// sticky sharding, failover, the one health streak, and the honest
 // fully-unhealthy 503.
 package router_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -32,13 +33,9 @@ func fakeRing(t *testing.T, n int, hf func(i int) http.HandlerFunc, tune func(*r
 		urls[i] = backends[i].URL
 	}
 	cfg := router.Config{
-		Backends:           urls,
-		HealthInterval:     25 * time.Millisecond,
-		BreakerThreshold:   3,
-		BreakerCooldown:    200 * time.Millisecond,
-		InstanceAttempts:   1,
-		InstanceMaxElapsed: 100 * time.Millisecond,
-		Metrics:            telemetry.NewRegistry(),
+		Backends:       urls,
+		HealthInterval: 25 * time.Millisecond,
+		Metrics:        telemetry.NewRegistry(),
 	}
 	if tune != nil {
 		tune(&cfg)
@@ -133,7 +130,7 @@ func TestFailoverOnSheddingInstance(t *testing.T) {
 	hf := func(i int) http.HandlerFunc {
 		return func(w http.ResponseWriter, r *http.Request) {
 			if r.URL.Path == "/v1/healthz" {
-				w.WriteHeader(http.StatusOK) // healthz lies; the breaker learns anyway
+				w.WriteHeader(http.StatusOK) // healthz lies; forwarded outcomes tell
 				return
 			}
 			if i == sick {
@@ -164,62 +161,299 @@ func TestFailoverOnSheddingInstance(t *testing.T) {
 	}
 }
 
-// TestBreakerOpensAndRecovers: repeated request-path failures open the
-// instance's circuit (visible in healthz); after the backend heals and
-// the cooldown passes, traffic returns.
-func TestBreakerOpensAndRecovers(t *testing.T) {
-	t.Cleanup(leak.Check(t))
-	var sick atomic.Bool
-	sick.Store(true)
+// sickMember is a two-member ring whose member 1 answers every healthz
+// with 200 but every forwarded request with the status code holds; member
+// 0 serves. posts counts the requests member 1 was forwarded and probes
+// its healthz hits. A POST whose body names "hold" while hold is set
+// parks until free is called, then passes with a 200; parked reports it
+// arrived.
+type sickMember struct {
+	rt            *router.Router
+	front         *httptest.Server
+	url           string
+	code          atomic.Int32
+	posts, probes atomic.Int64
+	hold          atomic.Bool
+	parked        chan struct{}
+	release       chan struct{}
+	free          func()
+	n             int
+}
+
+func newSickMember(t *testing.T, tune func(*router.Config)) *sickMember {
+	t.Helper()
+	s := &sickMember{parked: make(chan struct{}, 1), release: make(chan struct{})}
+	s.free = sync.OnceFunc(func() { close(s.release) })
+	s.code.Store(http.StatusServiceUnavailable)
 	hf := func(i int) http.HandlerFunc {
 		return func(w http.ResponseWriter, r *http.Request) {
 			if r.URL.Path == "/v1/healthz" {
-				w.WriteHeader(http.StatusOK)
+				if i == 1 {
+					s.probes.Add(1)
+				}
+				w.WriteHeader(http.StatusOK) // member 1's healthz lies
 				return
 			}
-			if i == 0 && sick.Load() {
-				http.Error(w, `{"error":{"category":"overloaded","message":"x"}}`,
-					http.StatusServiceUnavailable)
-				return
+			if i == 1 {
+				s.posts.Add(1)
+				raw, _ := io.ReadAll(r.Body)
+				if s.hold.Load() && strings.Contains(string(raw), "hold") {
+					s.parked <- struct{}{}
+					<-s.release
+				} else {
+					w.Header().Set("Retry-After", "0")
+					http.Error(w, `{"error":{"category":"overloaded","message":"sick"}}`, int(s.code.Load()))
+					return
+				}
 			}
 			w.Header().Set("Content-Type", "application/json")
 			_ = json.NewEncoder(w).Encode(map[string]any{"diagram": "digraph {}"})
 		}
 	}
-	rt, front, _ := fakeRing(t, 2, hf, func(c *router.Config) {
-		c.BreakerThreshold = 2
-		c.BreakerCooldown = 150 * time.Millisecond
+	var backends []*httptest.Server
+	s.rt, s.front, backends = fakeRing(t, 2, hf, tune)
+	s.url = backends[1].URL
+	t.Cleanup(s.free) // runs before the servers close, so none waits on a parked request
+	return s
+}
+
+// settle waits out the prober's first round, whose passing verdict
+// would otherwise reset a streak the test is counting.
+func (s *sickMember) settle(t *testing.T) {
+	t.Helper()
+	waitUntil(t, 5*time.Second, func() bool { return s.probes.Load() > 0 })
+	time.Sleep(50 * time.Millisecond)
+}
+
+// state returns member 1's row of the router's healthz.
+func (s *sickMember) state() router.InstanceState {
+	for _, in := range s.rt.State().Instances {
+		if in.URL == s.url {
+			return in
+		}
+	}
+	return router.InstanceState{}
+}
+
+// post sends one request on a fresh key; the client sees member 0's
+// answer, or member 1's when member 1 owns the key and answers other
+// than 502/503.
+func (s *sickMember) post(t *testing.T, tag string) int {
+	t.Helper()
+	s.n++
+	st, _, _ := postJSON(t, s.front.URL+"/v1/diagram", diagramReq(fmt.Sprintf("%s -- %s %d", qSome, tag, s.n)))
+	return st
+}
+
+// hitSick posts fresh keys until member 1 has been forwarded n more
+// requests; a member out of rotation fails the test instead of hanging
+// it.
+func (s *sickMember) hitSick(t *testing.T, n int64) {
+	t.Helper()
+	want := s.posts.Load() + n
+	for i := 0; s.posts.Load() < want; i++ {
+		if i == 500 {
+			t.Fatalf("member 1 was forwarded nothing in 500 requests: %+v", s.state())
+		}
+		s.post(t, "key")
+	}
+}
+
+// TestForwardedFailuresTakeMemberDown: a member whose healthz passes but
+// whose forwarded requests answer 503 goes Healthy=false after exactly
+// ProbeDownAfter forwarded failures. While it is down it is forwarded
+// nothing, and a forwarded pass that lands after it went down — a
+// request that was in flight — does not readmit it: admission is the
+// prober's alone.
+func TestForwardedFailuresTakeMemberDown(t *testing.T) {
+	t.Cleanup(leak.Check(t))
+	const downAfter = 3
+	s := newSickMember(t, func(c *router.Config) {
+		c.HealthInterval = time.Hour // one probe round, at start
+		c.ProbeDownAfter = downAfter
 	})
+	s.settle(t)
 
-	// Hammer with distinct keys — some must be owned by the sick
-	// instance — until its breaker opens.
-	deadline := time.Now().Add(5 * time.Second)
+	// Park one request on the sick member; it passes later.
+	s.hold.Store(true)
+	held := make(chan int, 1)
 	for i := 0; ; i++ {
-		postJSON(t, front.URL+"/v1/diagram", diagramReq(qSome+strings.Repeat(" ", i%64)))
-		opened := false
-		for _, in := range rt.State().Instances {
-			if in.BreakerOpen {
-				opened = true
+		body, _ := json.Marshal(diagramReq(fmt.Sprintf("%s -- hold %d", qSome, i)))
+		go func() {
+			resp, err := http.Post(s.front.URL+"/v1/diagram", "application/json", bytes.NewReader(body))
+			if err != nil {
+				held <- 0
+				return
 			}
+			_, _ = io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			held <- resp.StatusCode
+		}()
+		select {
+		case <-s.parked:
+		case st := <-held: // the key went to member 0
+			if st != http.StatusOK {
+				t.Fatalf("status %d from the serving member", st)
+			}
+			continue
 		}
-		if opened {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("breaker never opened: %+v", rt.State())
+		break
+	}
+	s.hold.Store(false)
+	before := s.posts.Load()
+
+	for i := 1; i <= downAfter; i++ {
+		s.hitSick(t, 1)
+		if got := s.state().Healthy; got != (i < downAfter) {
+			t.Fatalf("after %d forwarded 503s: healthy = %v, want %v", i, got, i < downAfter)
 		}
 	}
-	if s := rt.State().Status; s != "degraded" {
-		t.Fatalf("status %q with one breaker open, want degraded", s)
+	if st := s.rt.State(); st.Status != "degraded" {
+		t.Fatalf("status %q with one member down, want degraded", st.Status)
 	}
 
-	// Heal the backend; the breaker cooldown expires and traffic flows.
-	sick.Store(false)
-	time.Sleep(200 * time.Millisecond)
-	if st, _, raw := postJSON(t, front.URL+"/v1/diagram", diagramReq(qSome)); st != 200 {
-		t.Fatalf("after recovery: status %d body %.120s", st, raw)
+	// Down: every key goes to the serving member.
+	down := s.posts.Load()
+	for i := 0; i < 40; i++ {
+		if st := s.post(t, "down"); st != http.StatusOK {
+			t.Fatalf("request %d while one member is down: status %d", i, st)
+		}
 	}
-	waitUntil(t, 5*time.Second, func() bool { return rt.State().Status == "ok" })
+	if got := s.posts.Load(); got != down || down-before != downAfter {
+		t.Fatalf("sick member forwarded %d requests to go down and %d while down, want %d and 0",
+			down-before, got-down, downAfter)
+	}
+
+	// The parked request passes now; the member stays down.
+	s.free()
+	if st := <-held; st != http.StatusOK {
+		t.Fatalf("parked request: status %d", st)
+	}
+	if s.state().Healthy {
+		t.Fatal("a forwarded pass readmitted a member marked down")
+	}
+	if n := s.rt.Registry().Value("queryvis_router_heal_duration_seconds"); n != 0 {
+		t.Fatalf("heal histogram count = %v with no readmission, want 0", n)
+	}
+}
+
+// TestNeutralOutcomesLeaveStreak: a 429, 500 or 504 from a member
+// neither fails nor passes its streak. However many it answers, it
+// stays in rotation, and two 503s with neutral answers between them
+// are still two consecutive failures.
+func TestNeutralOutcomesLeaveStreak(t *testing.T) {
+	t.Cleanup(leak.Check(t))
+	s := newSickMember(t, func(c *router.Config) {
+		c.HealthInterval = time.Hour // one probe round, at start
+		c.ProbeDownAfter = 2
+	})
+	s.settle(t)
+
+	neutral := []int32{http.StatusTooManyRequests, http.StatusInternalServerError, http.StatusGatewayTimeout}
+	for _, code := range neutral {
+		s.code.Store(code)
+		s.hitSick(t, 10)
+		if !s.state().Healthy {
+			t.Fatalf("10 forwarded %ds took the member down", code)
+		}
+	}
+
+	s.code.Store(http.StatusServiceUnavailable)
+	s.hitSick(t, 1)
+	for _, code := range neutral {
+		s.code.Store(code)
+		s.hitSick(t, 3)
+	}
+	if !s.state().Healthy {
+		t.Fatal("one 503 and neutral answers took the member down")
+	}
+	s.code.Store(http.StatusServiceUnavailable)
+	s.hitSick(t, 1)
+	if s.state().Healthy {
+		t.Fatal("two 503s with only neutral answers between them left the member in rotation")
+	}
+}
+
+// TestLyingMemberReadmittedByProbes: with the prober running, a member
+// whose healthz passes but whose requests 5xx leaves rotation on its
+// forwarded failures, is forwarded nothing while down, and comes back
+// only through passing probes, the interval landing in the heal
+// histogram.
+func TestLyingMemberReadmittedByProbes(t *testing.T) {
+	t.Cleanup(leak.Check(t))
+	s := newSickMember(t, func(c *router.Config) {
+		c.HealthInterval = 25 * time.Millisecond
+		c.ProbeDownAfter = 2
+	})
+	waitUntil(t, 5*time.Second, func() bool {
+		s.post(t, "key")
+		return !s.state().Healthy
+	})
+	probesAtDown := s.probes.Load()
+	// Serial requests: one that starts and ends with the member down
+	// was routed against the down verdict, so it must not reach it. A
+	// readmitted member needs two failures to go down again, so one
+	// request cannot straddle a readmission.
+	for !s.state().Healthy {
+		posts := s.posts.Load()
+		if st := s.post(t, "down"); st != http.StatusOK {
+			t.Fatalf("request while one member is down: status %d", st)
+		}
+		if !s.state().Healthy && s.posts.Load() != posts {
+			t.Fatal("a request reached the member while the router held it down")
+		}
+	}
+	// Two passing probes admit it; one of them may have been in flight
+	// when it went down.
+	if got := s.probes.Load() - probesAtDown; got < 1 {
+		t.Fatalf("readmitted after %d new probes, want at least 1", got)
+	}
+	if n := s.rt.Registry().Value("queryvis_router_heal_duration_seconds"); n < 1 {
+		t.Fatalf("heal histogram count = %v after a down-and-up, want at least 1", n)
+	}
+}
+
+// TestCallerDeadlineLeavesStreak: attempts cut short by the caller's
+// own deadline budget are not the member's failures. However many
+// callers give up on a slow member, it stays in rotation.
+func TestCallerDeadlineLeavesStreak(t *testing.T) {
+	t.Cleanup(leak.Check(t))
+	var probes atomic.Int64
+	rt, front, _ := fakeRing(t, 1, func(int) http.HandlerFunc {
+		return func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/v1/healthz" {
+				probes.Add(1)
+				w.WriteHeader(http.StatusOK)
+				return
+			}
+			select {
+			case <-time.After(100 * time.Millisecond):
+			case <-r.Context().Done():
+				return
+			}
+			w.Header().Set("Content-Type", "application/json")
+			_ = json.NewEncoder(w).Encode(map[string]any{"diagram": "digraph {}"})
+		}
+	}, func(c *router.Config) {
+		c.HealthInterval = time.Hour // one probe round, at start
+		c.ProbeDownAfter = 2
+	})
+	waitUntil(t, 5*time.Second, func() bool { return probes.Load() > 0 })
+	time.Sleep(50 * time.Millisecond) // the first round's verdict lands
+
+	for i := 0; i < 4; i++ {
+		st, _, raw := postWithHeaders(t, front.URL+"/v1/diagram", diagramReq(qSome),
+			map[string]string{telemetry.DeadlineHeader: "10"})
+		if st != http.StatusGatewayTimeout {
+			t.Fatalf("request %d: status %d, want the router's 504\n%s", i, st, raw)
+		}
+	}
+	if !rt.State().Instances[0].Healthy {
+		t.Fatal("callers' expired deadline budgets took the member down")
+	}
+	if st, _, raw := postJSON(t, front.URL+"/v1/diagram", diagramReq(qSome)); st != http.StatusOK {
+		t.Fatalf("without a budget: status %d\n%s", st, raw)
+	}
 }
 
 // TestHonest503WhenRingFullyUnhealthy: with every instance down, the

@@ -72,7 +72,7 @@
 #              budget cannot prove it; followers of an uncacheable
 #              leader run their own build
 #   scale-out  instance-level chaos through the consistent-hash router,
-#              under the race detector: three real instances, two
+#              under the race detector, 3 runs: three real instances, two
 #              SIGKILLed mid-run, 100% well-formed responses, no
 #              goroutine or child-process leaks; plus the loadgen smoke
 #              (open-loop burst through the router over two instances,
@@ -106,14 +106,23 @@
 #              replaying the old bytes); plus the
 #              loadgen -zipf smoke (seeded skewed mix, report must carry
 #              the exponent and a dominant hot share)
+#   streak     the router's one health streak, under the race detector,
+#              20 runs: a member whose healthz passes while its forwarded
+#              requests 503 goes down after exactly ProbeDownAfter of
+#              them, is forwarded nothing while down, is readmitted only
+#              by passing probes (never by a late forwarded pass), and
+#              429/500/504 answers and callers' expired deadline budgets
+#              never move its streak; and the fleet
+#              supervisor's disruption budget counts that verdict, so it
+#              refuses to drain the only member still serving
 #   fleet      self-healing-fleet smokes: the queryvisd fleet-mode
 #              lifecycle (supervisor discovers and joins a member that
 #              was never on the -route list, SIGHUP re-reads the spec
 #              and removes a dropped member, fleet metric families ride
 #              /v1/metrics), then the partition-heal chaos battery under
-#              the race detector — three real instance processes behind
-#              netchaos proxies, one SIGKILLed and one fully partitioned
-#              mid-load; the router's prober must take both out of
+#              the race detector, 3 runs — three real instance
+#              processes behind netchaos proxies, one SIGKILLed and one
+#              fully partitioned mid-load; the router must take both out of
 #              rotation (no request reaches a member it holds down) and
 #              readmit both, the supervisor must respawn the killed one,
 #              no health event may change membership (epoch 1, no join,
@@ -174,8 +183,8 @@ go test -count=1 -race -run 'TestCacheRaceSingleflight|TestCacheEvictionChurn|Te
 go test -count=1 -race -run 'TestFromSQLCachedKeyHolds' .
 go test -count=1 -race -run 'TestKeyHoldsEveryInput|TestFollowerOfUncacheableLeaderBuildsItself|TestNilCacheBuilds' ./internal/diagcache
 
-echo "== scale-out router kill-storm (race)"
-go test -count=1 -race -run 'TestRouterKillStorm|TestRouterSurvivesColdStartAgainstDeadRing' ./internal/router
+echo "== scale-out router kill-storm (race, 3 runs)"
+go test -count=3 -race -run 'TestRouterKillStorm|TestRouterSurvivesColdStartAgainstDeadRing' ./internal/router
 
 echo "== loadgen scale-out smoke (router + instance kill)"
 go test -count=1 -run 'TestLoadgenSmokeInstanceKill' ./cmd/loadgen
@@ -188,14 +197,18 @@ go test -count=1 -race -run 'TestRouterMembershipChurn|TestProbeNotQueuedBehindB
 go test -count=1 -race -run 'TestSpecURLsNormalizedToRing|TestSpawnKeepsDrainingMemberProcess|TestDrainCompletesOnceIdle|TestJoinsEveryDesiredMemberAtOnce|TestRingHealthNeverMovesMembership|TestReaddedMemberRejoins' ./internal/fleet
 go test -count=20 -race -run 'TestBlackholedMemberDownWithinThreeIntervals|TestRouterHitAllocBudget' ./internal/router
 
+echo "== one health streak + disruption budget (race, 20 runs)"
+go test -count=20 -race -run 'TestForwardedFailuresTakeMemberDown|TestNeutralOutcomesLeaveStreak|TestLyingMemberReadmittedByProbes|TestCallerDeadlineLeavesStreak' ./internal/router
+go test -count=20 -race -run 'TestBudgetCountsForwardedFailures' ./internal/fleet
+
 echo "== loadgen zipf smoke"
 go test -count=1 -run TestLoadgenZipfSkewsMix ./cmd/loadgen
 
 echo "== fleet smoke (supervisor discovery + SIGHUP reload)"
 go test -count=1 -run TestFleetMode ./cmd/queryvisd
 
-echo "== fleet partition-heal chaos battery (race)"
-go test -count=1 -race -run 'TestFleetPartitionHeal|TestJoinsEveryDesiredMemberAtOnce|TestRingHealthNeverMovesMembership|TestReaddedMemberRejoins' ./internal/fleet
+echo "== fleet partition-heal chaos battery (race, 3 runs)"
+go test -count=3 -race -run 'TestFleetPartitionHeal|TestJoinsEveryDesiredMemberAtOnce|TestRingHealthNeverMovesMembership|TestReaddedMemberRejoins' ./internal/fleet
 
 echo "== loadgen netchaos smoke (degraded + flapping links)"
 go test -count=1 -run TestLoadgenSmokeNetchaos ./cmd/loadgen
