@@ -52,11 +52,11 @@
 // The router's hot tier is its response cache, always on: identical
 // concurrent requests collapse into one upstream call, and a verified
 // response answers repeats of its body from the router's memory until
-// it is evicted or the instances' answer identity (their
-// X-Queryvis-Build header: binary, limits and verify mode) changes, so
-// a popular query reaches a backend about once per deploy. While the
-// instances disagree on it, as during a rolling deploy, the cache is
-// bypassed. See internal/router and the README's "Scale-out" section.
+// it is evicted, and only while the member that would answer it reports
+// the answer identity (X-Queryvis-Build header: binary, limits and
+// verify mode) that produced it, so a popular query reaches a backend
+// about once per deploy of its owner, in a mixed fleet too. See
+// internal/router and the README's "Scale-out" section.
 //
 // With -fleet (a JSON spec file) or -fleet-srv (a DNS SRV name) the
 // router additionally runs the fleet supervisor, the ring's one

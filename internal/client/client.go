@@ -17,7 +17,6 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/backoff"
@@ -61,36 +60,9 @@ func (c Config) withDefaults() Config {
 
 // Client retries transient failures with capped, jittered backoff.
 type Client struct {
-	cfg Config
-
-	requests atomic.Int64
-	attempts atomic.Int64
-	retries  atomic.Int64
-
+	cfg    Config
 	ladder backoff.Policy
 	rng    *backoff.Rand
-}
-
-// Stats is a point-in-time snapshot of a Client's lifetime counters —
-// the honest record a chaos harness reads back to prove how much
-// retrying actually happened.
-type Stats struct {
-	// Requests counts Do invocations.
-	Requests int64 `json:"requests"`
-	// Attempts counts individual HTTP sends, first tries included.
-	Attempts int64 `json:"attempts"`
-	// Retries counts attempts beyond each request's first — zero on a
-	// healthy endpoint.
-	Retries int64 `json:"retries"`
-}
-
-// Stats snapshots the client's counters.
-func (c *Client) Stats() Stats {
-	return Stats{
-		Requests: c.requests.Load(),
-		Attempts: c.attempts.Load(),
-		Retries:  c.retries.Load(),
-	}
 }
 
 // New builds a Client from the config.
@@ -115,12 +87,10 @@ func New(cfg Config) *Client {
 // context is never retried — the caller canceled, and that decision
 // stands.
 func (c *Client) Do(req *http.Request) (*http.Response, error) {
-	c.requests.Add(1)
 	var lastErr error
 	for attempt := 1; ; attempt++ {
 		areq := req
 		if attempt > 1 {
-			c.retries.Add(1)
 			areq = req.Clone(req.Context())
 			// Bodyless requests (GET) have no GetBody rewinder and need
 			// none; replayable() already refused retries for everything
@@ -133,7 +103,6 @@ func (c *Client) Do(req *http.Request) (*http.Response, error) {
 				areq.Body = body
 			}
 		}
-		c.attempts.Add(1)
 		resp, err := c.cfg.HTTPClient.Do(areq)
 		if err != nil {
 			lastErr = err

@@ -206,3 +206,15 @@ func BenchmarkRouterFailoverStampede(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkRouterHit prices one in-process router cache hit of the
+// eight-header answer TestRouterHitAllocBudget pins: the body read, the
+// owner check, the lookup and the replay, with no network hop.
+func BenchmarkRouterHit(b *testing.B) {
+	hit := routerHit(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		hit()
+	}
+}

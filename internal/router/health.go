@@ -69,6 +69,13 @@ func (in *instance) eligible() bool {
 	return in.healthy.Load() && !in.draining.Load()
 }
 
+// reportedBuild is the answer identity of the member's latest answer,
+// "" before it has answered.
+func (in *instance) reportedBuild() string {
+	b, _ := in.build.Load().(string)
+	return b
+}
+
 // probe runs one active health check: a GET against /v1/healthz with a
 // hard timeout, cut short when the router closes. Any 200 is a pass;
 // anything else — including a healthz that answers 503 because the
@@ -81,7 +88,7 @@ func (rt *Router) probe(in *instance) {
 	if err == nil {
 		if resp, perr := rt.probeClient.Do(req); perr == nil {
 			drain(resp)
-			rt.noteBuild(in, resp.Header)
+			noteBuild(in, resp.Header)
 			ok = resp.StatusCode == http.StatusOK
 		}
 	}

@@ -25,17 +25,13 @@ type InstanceState struct {
 }
 
 // StampedeState summarizes the response cache, present in the snapshot
-// only when the cache is enabled.
+// only when the cache is enabled. Inserts counts new entries and
+// entries replaced by another build's answer.
 type StampedeState struct {
 	Entries   int   `json:"entries"`
 	Hits      int64 `json:"hits"`
 	Coalesced int64 `json:"coalesced"`
 	Inserts   int64 `json:"inserts"`
-	// Identity is the fleet's answer identity ("" bypasses the cache);
-	// Generation and Bypassed read the "invalidate" and "bypass" series.
-	Identity   string `json:"identity"`
-	Generation int64  `json:"generation"`
-	Bypassed   int64  `json:"bypassed"`
 }
 
 // State is the router's health snapshot.
@@ -65,12 +61,11 @@ func (rt *Router) State() State {
 	}
 	if rt.stampede != nil {
 		st.Stampede = &StampedeState{
+			Entries:   rt.stampede.len(),
 			Hits:      rt.stampedeHit.Value(),
 			Coalesced: rt.stampedeCoalesced.Value(),
 			Inserts:   rt.stampedeInsert.Value(),
-			Bypassed:  rt.stampede.bypass.Value(),
 		}
-		st.Stampede.Entries, st.Stampede.Identity, st.Stampede.Generation = rt.stampede.stats()
 	}
 	eligible := 0
 	for _, in := range tp.insts {

@@ -125,7 +125,7 @@ WHERE F.person = L.person AND F.bar = S.bar AND L.drink = S.drink`
 
 // postJSON is a plain one-shot POST (no retries — tests that measure
 // router behavior must not have a client-side retry loop hiding it).
-func postJSON(t *testing.T, url string, v any) (int, http.Header, []byte) {
+func postJSON(t testing.TB, url string, v any) (int, http.Header, []byte) {
 	t.Helper()
 	body, err := json.Marshal(v)
 	if err != nil {

@@ -77,7 +77,6 @@ func (rt *Router) swap(members []string) *topology {
 		nt.insts[i] = rt.newInstance(m)
 	}
 	rt.topo.Store(nt)
-	rt.stampede.observe(rt.topo.Load)
 	return nt
 }
 
@@ -157,11 +156,6 @@ func (rt *Router) Drain(rawURL string) error {
 	return nil
 }
 
-// findInstance resolves a member URL against the current topology.
-func (rt *Router) findInstance(url string) *instance {
-	return rt.topo.Load().find(url)
-}
-
 // newInstance builds a new member's instance state, starting unhealthy,
 // with its metric series. Caller holds memberMu (or is New, before the
 // router is shared).
@@ -187,13 +181,13 @@ func (rt *Router) registerInstanceSeries(url string) (reqs, fails *telemetry.Cou
 	}
 	rt.seenURLs[url] = true
 	rt.reg.GaugeFunc(mInstUp, "Prober verdict per instance (1 healthy).", func() float64 {
-		if in := rt.findInstance(url); in != nil && in.healthy.Load() {
+		if in := rt.topo.Load().find(url); in != nil && in.healthy.Load() {
 			return 1
 		}
 		return 0
 	}, "instance", url)
 	rt.reg.GaugeFunc(mInstDraining, "Drain state per instance (1 draining).", func() float64 {
-		if in := rt.findInstance(url); in != nil && in.draining.Load() {
+		if in := rt.topo.Load().find(url); in != nil && in.draining.Load() {
 			return 1
 		}
 		return 0

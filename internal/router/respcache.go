@@ -1,9 +1,10 @@
-// The router's response cache, its one hot tier. Every instance
-// answers the same request body with the same bytes, so the router may
-// answer a repeat itself; on a skewed workload (the repository-browsing
-// case) it answers nearly every arrival. It also collapses the failover
-// stampede, when a dead member's popular keys arrive at once at a cold
-// ring successor. It reuses diagcache's semantics at the router tier:
+// The router's response cache, its one hot tier. Every instance of one
+// build answers the same request body with the same bytes, so the
+// router may answer a repeat itself; on a skewed workload (the
+// repository-browsing case) it answers nearly every arrival. It also
+// collapses the failover stampede, when a dead member's popular keys
+// arrive at once at a cold ring successor. It reuses diagcache's
+// semantics at the router tier:
 //
 //   - singleflight: concurrent identical request bodies share one
 //     upstream call; followers replay the leader's response only when
@@ -11,13 +12,14 @@
 //     absent/off), so failures are never amplified by replay.
 //   - a bounded LRU of shareable responses that never expire. Every
 //     instance response names its answer identity (X-Queryvis-Build,
-//     see internal/server); the fleet identity is the one all reporting
-//     members agree on. Without one the cache is bypassed, counted as
-//     outcome="bypass", but still coalesces. Leaving a known identity
-//     bumps the generation and drops every entry, and only answers of
-//     the current identity are inserted. Probes report identities, so a
-//     changed binary or flag stops being replayed within one probe
-//     interval.
+//     see internal/server), and each entry keeps the identity of the
+//     instance that answered it. An entry is served only while the
+//     member a forward would reach (see answerer) reports that
+//     identity; any other lookup is an ordinary miss, and its shareable
+//     answer replaces the entry. So a hit returns the bytes a forward
+//     would, in a coherent fleet, a mixed one (a rolling deploy) or
+//     mid-failover. Probes report identities, so a changed binary or
+//     flag stops being replayed within one probe interval.
 //
 // Replays carry the caller's own IDs and a fresh Date (see
 // writeShared). Requests carrying chaos fault headers bypass the layer.
@@ -30,7 +32,6 @@ import (
 	"sync"
 
 	"repro/internal/diagcache"
-	"repro/internal/telemetry"
 )
 
 // Bounds keeping the cache's memory honest: requests larger than
@@ -69,8 +70,10 @@ func (sr *sharedResp) shareable() bool {
 }
 
 type stampedeEntry struct {
-	key string
-	sr  *sharedResp
+	key   string
+	h     uint32 // keyHash of the body, for the owner check
+	build string // X-Queryvis-Build of the instance that answered
+	sr    *sharedResp
 }
 
 // stampedeFlight is one in-progress leader call; followers wait on
@@ -82,79 +85,60 @@ type stampedeFlight struct {
 
 // stampede is the router-side singleflight plus response cache.
 type stampede struct {
-	mu      sync.Mutex
-	entries map[string]*list.Element
-	lru     list.List // of *stampedeEntry, most recent first
-	bytes   int
-	flights map[string]*stampedeFlight
-	// ident is the fleet's answer identity, "" when there is none; gen
-	// counts the times one was left, bypass the lookups made without one.
-	ident       string
-	gen, bypass *telemetry.Counter
-	maxEntries  int // stampedeMaxEntries; white-box tests lower it
+	mu         sync.Mutex
+	entries    map[string]*list.Element
+	lru        list.List // of *stampedeEntry, most recent first
+	bytes      int
+	flights    map[string]*stampedeFlight
+	maxEntries int // stampedeMaxEntries; white-box tests lower it
 }
 
-func newStampede(gen, bypass *telemetry.Counter) *stampede {
+func newStampede() *stampede {
 	return &stampede{
 		entries:    make(map[string]*list.Element),
 		flights:    make(map[string]*stampedeFlight),
-		gen:        gen,
-		bypass:     bypass,
 		maxEntries: stampedeMaxEntries,
 	}
 }
 
-// observe recomputes the fleet identity: the one every member that has
-// reported agrees on, "" otherwise. Leaving a known identity bumps the
-// generation and drops every entry. topo is loaded under the lock, so
-// the last observer always sees the latest reports and members.
-func (s *stampede) observe(topo func() *topology) {
-	if s == nil {
-		return
+// noteBuild records the answer identity in a member's response.
+func noteBuild(in *instance, h http.Header) {
+	if b := h.Get(headerBuild); b != in.reportedBuild() {
+		in.build.Store(b)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ident, n := "", 0
-	for _, in := range topo().insts {
-		if b, _ := in.build.Load().(string); b != "" && b != ident {
-			ident, n = b, n+1
+}
+
+// answerer is the member a forward of key hash h reaches first: the
+// first eligible member in ring order, else the ring owner. It walks
+// the points, not order's list, so it allocates nothing.
+func (tp *topology) answerer(h uint32) *instance {
+	pts := tp.ring.points
+	start := tp.ring.start(h)
+	for i := range pts {
+		if in := tp.insts[pts[(start+i)%len(pts)].idx]; in.eligible() {
+			return in
 		}
 	}
-	if n > 1 {
-		ident = ""
-	}
-	if ident != s.ident && s.ident != "" {
-		s.gen.Inc()
-		clear(s.entries)
-		s.lru.Init()
-		s.bytes = 0
-	}
-	s.ident = ident
+	return tp.insts[pts[start].idx]
 }
 
-// noteBuild records the answer identity in a member's response and,
-// when it changed, recomputes the fleet's.
-func (rt *Router) noteBuild(in *instance, h http.Header) {
-	if b := h.Get(headerBuild); in.build.Swap(b) != b {
-		rt.stampede.observe(rt.topo.Load)
-	}
-}
-
-// get returns the cached response for key, nil on a miss. While the
-// fleet has no identity the cache is empty and the lookup is counted.
-func (s *stampede) get(key string) *sharedResp {
+// get returns the cached response for key, nil on a miss. The entry is
+// served only while its answerer in tp reports the build that produced
+// it. The entry's stored hash locates the answerer, so a hit hashes
+// nothing.
+func (s *stampede) get(key string, tp *topology) *sharedResp {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.ident == "" {
-		s.bypass.Inc()
-		return nil
-	}
 	el := s.entries[key]
 	if el == nil {
 		return nil
 	}
+	e := el.Value.(*stampedeEntry)
+	if tp.answerer(e.h).reportedBuild() != e.build {
+		return nil
+	}
 	s.lru.MoveToFront(el)
-	return el.Value.(*stampedeEntry).sr
+	return e.sr
 }
 
 // join enters the singleflight for key: the first caller becomes the
@@ -172,19 +156,26 @@ func (s *stampede) join(key string) (*stampedeFlight, bool) {
 }
 
 // complete resolves a leader's flight: followers wake with sr (nil when
-// the outcome was unshareable). A shareable response is inserted when
-// its identity is the fleet's, evicting from the LRU tail until both
-// caps hold. Reports whether the insert happened.
-func (s *stampede) complete(key string, f *stampedeFlight, sr *sharedResp) bool {
-	if sr != nil && (!sr.shareable() || len(sr.body) > stampedeMaxBodyBytes) {
+// the outcome was unshareable). A shareable response that names its
+// identity is stored under it with the key's hash h, replacing any
+// entry for key, and the LRU tail is evicted until both caps hold.
+// Reports whether it was stored.
+func (s *stampede) complete(key string, h uint32, f *stampedeFlight, sr *sharedResp) bool {
+	build := ""
+	if sr.shareable() && len(sr.body) <= stampedeMaxBodyBytes {
+		build = sr.header.Get(headerBuild)
+	} else {
 		sr = nil
 	}
 	s.mu.Lock()
 	delete(s.flights, key)
-	inserted := sr != nil && s.ident != "" && sr.header.Get(headerBuild) == s.ident &&
-		s.entries[key] == nil
+	inserted := build != ""
 	if inserted {
-		s.entries[key] = s.lru.PushFront(&stampedeEntry{key: key, sr: sr})
+		if el := s.entries[key]; el != nil {
+			s.bytes -= len(key) + len(el.Value.(*stampedeEntry).sr.body)
+			s.lru.Remove(el)
+		}
+		s.entries[key] = s.lru.PushFront(&stampedeEntry{key: key, h: h, build: build, sr: sr})
 		s.bytes += len(key) + len(sr.body)
 		for s.lru.Len() > s.maxEntries || s.bytes > stampedeMaxBytes {
 			e := s.lru.Remove(s.lru.Back()).(*stampedeEntry)
@@ -198,10 +189,9 @@ func (s *stampede) complete(key string, f *stampedeFlight, sr *sharedResp) bool 
 	return inserted
 }
 
-// stats reports the resident entries, the fleet identity and the
-// generation.
-func (s *stampede) stats() (entries int, ident string, gen int64) {
+// len reports the resident entries.
+func (s *stampede) len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.lru.Len(), s.ident, s.gen.Value()
+	return s.lru.Len()
 }

@@ -1,15 +1,16 @@
 // White-box tests for the stampede layer: the verified-only
 // shareability rule, singleflight leader/follower resolution, the
-// answer-identity generation rule, and the LRU's entry and byte caps.
+// per-entry answer-identity rule and the owner check that feeds it, and
+// the LRU's entry and byte caps.
 package router
 
 import (
 	"fmt"
+	"hash/fnv"
 	"net/http"
+	"strconv"
 	"sync"
 	"testing"
-
-	"repro/internal/telemetry"
 )
 
 func respWith(status int, hdr map[string]string) *sharedResp {
@@ -43,27 +44,12 @@ func TestShareableFollowsVerifiedOnlyRule(t *testing.T) {
 	}
 }
 
-// member is a ring member whose latest answer carried build; "" means
-// it has not answered yet.
-func member(build string) *instance {
+// reporting is a one-member topology whose member, the answerer of
+// every key, reports build b.
+func reporting(b string) *topology {
 	in := &instance{}
-	if build != "" {
-		in.build.Store(build)
-	}
-	return in
-}
-
-// topoOf is observe's view of a ring of members.
-func topoOf(members ...*instance) func() *topology {
-	return func() *topology { return &topology{insts: members} }
-}
-
-// coherent returns a response cache over members, with the fleet
-// identity already observed.
-func coherent(members ...*instance) *stampede {
-	s := newStampede(&telemetry.Counter{}, &telemetry.Counter{})
-	s.observe(topoOf(members...))
-	return s
+	in.build.Store(b)
+	return &topology{members: []string{"m"}, insts: []*instance{in}, ring: newRing([]string{"m"}, 1)}
 }
 
 // fromBuild is a shareable 200 answered by an instance with identity b.
@@ -79,7 +65,7 @@ func fill(s *stampede, sr *sharedResp, keys ...string) int {
 		f, leader := s.join(k)
 		if !leader {
 			<-f.done
-		} else if s.complete(k, f, sr) {
+		} else if s.complete(k, 0, f, sr) {
 			n++
 		}
 	}
@@ -87,7 +73,7 @@ func fill(s *stampede, sr *sharedResp, keys ...string) int {
 }
 
 func TestStampedeSingleflightResolution(t *testing.T) {
-	s := coherent(member("b1"))
+	s := newStampede()
 
 	f1, leader := s.join("k")
 	if !leader {
@@ -99,7 +85,7 @@ func TestStampedeSingleflightResolution(t *testing.T) {
 	}
 
 	sr := fromBuild("b1")
-	if !s.complete("k", f1, sr) {
+	if !s.complete("k", 0, f1, sr) {
 		t.Fatal("shareable 200 must be inserted")
 	}
 	select {
@@ -111,7 +97,7 @@ func TestStampedeSingleflightResolution(t *testing.T) {
 		t.Fatal("follower did not receive the leader's response")
 	}
 	for i := 0; i < 3; i++ {
-		if got := s.get("k"); got != sr {
+		if got := s.get("k", reporting("b1")); got != sr {
 			t.Fatal("shareable response not served from the cache")
 		}
 	}
@@ -120,136 +106,193 @@ func TestStampedeSingleflightResolution(t *testing.T) {
 	if _, leader := s.join("k"); !leader {
 		t.Fatal("key not released after complete")
 	}
-	if n := s.bypass.Value(); n != 0 {
-		t.Fatalf("%d lookups counted as bypassed in a fleet with an identity", n)
-	}
 }
 
 func TestStampedeUnshareableResolvesNilAndCachesNothing(t *testing.T) {
-	s := coherent(member("b1"))
+	s := newStampede()
 	f, _ := s.join("k")
-	if s.complete("k", f, respWith(503, map[string]string{headerBuild: "b1"})) {
+	if s.complete("k", 0, f, respWith(503, map[string]string{headerBuild: "b1"})) {
 		t.Fatal("a 503 must not be inserted")
 	}
 	if f.sr != nil {
 		t.Fatal("followers must see nil for an unshareable outcome")
 	}
-	if s.get("k") != nil || len(s.entries) != 0 {
+	if s.get("k", reporting("b1")) != nil || len(s.entries) != 0 {
 		t.Fatal("unshareable outcome leaked into the cache")
 	}
 }
 
+// TestStampedeIdentityBumpInvalidates: an entry is served only to a
+// lookup whose answerer reports the build that produced it. A lookup
+// under another build misses, and that miss's answer replaces the entry.
 func TestStampedeIdentityBumpInvalidates(t *testing.T) {
-	a, b := member("b1"), member("b1")
-	s := coherent(a, b)
-	if _, ident, gen := s.stats(); ident != "b1" || gen != 0 {
-		t.Fatalf("identity = %q gen %d, want b1 gen 0", ident, gen)
+	s := newStampede()
+	if fill(s, fromBuild("b1"), "k1", "k2") != 2 || s.get("k1", reporting("b1")) == nil {
+		t.Fatal("entries of the answerer's identity not cached")
 	}
-	if fill(s, fromBuild("b1"), "k1", "k2") != 2 || s.get("k1") == nil {
-		t.Fatal("entries of the fleet's identity not cached")
-	}
-	// Two flights begin under b1 and end after the fleet moved to b2.
+	// Two flights begin while b1 answers and end after b2 does.
 	old, straddled := s.join("k3")
 	fresh, _ := s.join("k4")
 
-	// A rolling deploy: one member answers with a new identity, then the
-	// other. Leaving b1 drops every entry once; reaching b2 from the
-	// mixed state bumps nothing more.
-	a.build.Store("b2")
-	s.observe(topoOf(a, b))
-	if _, ident, gen := s.stats(); ident != "" || gen != 1 {
-		t.Fatalf("mixed fleet: identity %q gen %d, want none and gen 1", ident, gen)
+	// The key's answerer now reports b2: the b1 entry is not replayed,
+	// yet stays resident for answerers that still report b1.
+	if s.get("k1", reporting("b2")) != nil {
+		t.Fatal("an entry was served to an answerer of another identity")
 	}
-	if s.get("k1") != nil || len(s.entries) != 0 {
-		t.Fatal("an entry survived leaving its identity")
+	if s.get("k2", reporting("b1")) == nil {
+		t.Fatal("an entry of the answerer's identity was dropped")
 	}
-	b.build.Store("b2")
-	s.observe(topoOf(a, b))
-	if _, ident, gen := s.stats(); ident != "b2" || gen != 1 {
-		t.Fatalf("converged fleet: identity %q gen %d, want b2 gen 1", ident, gen)
+	if fill(s, fromBuild("b2"), "k1") != 1 || s.get("k1", reporting("b2")) == nil {
+		t.Fatal("the new identity's answer did not replace the entry")
 	}
-	if fill(s, fromBuild("b1"), "k1") != 0 {
-		t.Fatal("a response from the old identity was inserted")
+	if s.get("k1", reporting("b1")) != nil || len(s.entries) != 2 {
+		t.Fatalf("after the replacement: b1 still served or %d entries, want the one b2 entry for k1", len(s.entries)-1)
 	}
-	if fill(s, fromBuild("b2"), "k1") != 1 || s.get("k1") == nil {
-		t.Fatal("the new identity's response was not cached")
+	// Each straddling flight stores the answer it got, under its own
+	// identity, and both reach their followers.
+	if !straddled || !s.complete("k3", 0, old, fromBuild("b1")) || old.sr == nil || s.get("k3", reporting("b2")) != nil {
+		t.Fatal("a b1 answer of a flight that began before the bump was not stored as b1")
 	}
-	// Of the straddling flights, only the answer of the identity the
-	// fleet now has is kept; both reach their followers.
-	if !straddled || s.complete("k3", old, fromBuild("b1")) || old.sr == nil || s.get("k3") != nil {
-		t.Fatal("an old-identity answer of a flight that began before the bump was inserted")
-	}
-	if !s.complete("k4", fresh, fromBuild("b2")) || s.get("k4") == nil {
-		t.Fatal("a current-identity answer of a flight that began before the bump was not inserted")
+	if !s.complete("k4", 0, fresh, fromBuild("b2")) || s.get("k4", reporting("b2")) == nil {
+		t.Fatal("a b2 answer of a flight that began before the bump was not stored")
 	}
 
-	// Any change away from a known identity invalidates, a direct
-	// b2 → b3 swap included.
-	a.build.Store("b3")
-	b.build.Store("b3")
-	s.observe(topoOf(a, b))
-	if _, ident, gen := s.stats(); ident != "b3" || gen != 2 || s.get("k1") != nil {
-		t.Fatalf("b2 → b3: identity %q gen %d entry kept %v, want b3 gen 2 and no entry",
-			ident, gen, s.get("k1") != nil)
+	// A direct b2 → b3 swap is a miss like any other.
+	if s.get("k1", reporting("b3")) != nil {
+		t.Fatal("b2 → b3: the b2 entry was served")
+	}
+	wantBytes := 0
+	for k, el := range s.entries {
+		wantBytes += len(k) + len(el.Value.(*stampedeEntry).sr.body)
+	}
+	if s.bytes != wantBytes {
+		t.Fatalf("byte count %d after replacements, want %d", s.bytes, wantBytes)
 	}
 }
 
-func TestStampedeMixedFleetBypassesButCoalesces(t *testing.T) {
-	s := coherent(member("b1"), member("b2"))
-	if _, ident, _ := s.stats(); ident != "" {
-		t.Fatalf("members disagree, yet the fleet identity is %q", ident)
-	}
+// TestStampedeMixedFleetHitsAndCoalesces: members of two builds each
+// have their keys' entries served, and identical requests still share
+// one flight.
+func TestStampedeMixedFleetHitsAndCoalesces(t *testing.T) {
+	s := newStampede()
 	leader, _ := s.join("k")
 	follower, lead := s.join("k")
 	if lead || follower != leader {
 		t.Fatal("a mixed fleet must still coalesce identical requests")
 	}
 	sr := fromBuild("b1")
-	if s.complete("k", leader, sr) {
-		t.Fatal("a mixed fleet must not insert")
+	if !s.complete("k", 0, leader, sr) {
+		t.Fatal("a b1 answer was not stored")
 	}
 	if follower.sr != sr {
 		t.Fatal("the follower was not handed the leader's response")
 	}
-	if s.get("k") != nil || len(s.entries) != 0 {
-		t.Fatal("a mixed fleet served or kept an entry")
+	if fill(s, fromBuild("b2"), "j") != 1 {
+		t.Fatal("a b2 answer was not stored")
 	}
-	if n := s.bypass.Value(); n != 1 {
-		t.Fatalf("bypassed lookups = %d, want the one get counted", n)
+	if s.get("k", reporting("b1")) != sr || s.get("j", reporting("b2")) == nil {
+		t.Fatal("a mixed fleet did not serve each member's keys from the cache")
+	}
+	if s.get("k", reporting("b2")) != nil || s.get("j", reporting("b1")) != nil {
+		t.Fatal("an entry was served across builds")
 	}
 }
 
+// TestStampedeUnreportedMemberIgnored: an answer that names no identity
+// is never stored, and a lookup whose answerer has not reported one
+// misses.
 func TestStampedeUnreportedMemberIgnored(t *testing.T) {
-	quiet := member("")
-	s := coherent(member("b1"), quiet)
-	if _, ident, _ := s.stats(); ident != "b1" {
-		t.Fatalf("identity %q, want b1: a member that has not answered must not count", ident)
+	s := newStampede()
+	if fill(s, respWith(200, nil), "k") != 0 || len(s.entries) != 0 {
+		t.Fatal("an answer without an identity was stored")
 	}
-	if fill(s, fromBuild("b1"), "k") != 1 || s.get("k") == nil {
-		t.Fatal("cache off while the only reporting member agrees with itself")
+	if fill(s, fromBuild("b1"), "k") != 1 || s.get("k", reporting("b1")) == nil {
+		t.Fatal("an answer of a reporting member was not cached")
 	}
+	if s.get("k", reporting("")) != nil {
+		t.Fatal("an entry was served for a member that has not reported an identity")
+	}
+	in := &instance{}
+	if b := in.reportedBuild(); b != "" {
+		t.Fatalf("a member that has not answered reports %q", b)
+	}
+	noteBuild(in, fromBuild("b1").header)
+	if b := in.reportedBuild(); b != "b1" {
+		t.Fatalf("after answering with b1 the member reports %q", b)
+	}
+}
 
-	// Once it answers, it counts: agreeing keeps the entries, and
-	// disagreeing is a mixed fleet.
-	quiet.build.Store("b1")
-	s.observe(topoOf(member("b1"), quiet))
-	if _, ident, gen := s.stats(); ident != "b1" || gen != 0 || s.get("k") == nil {
-		t.Fatalf("agreeing answer: identity %q gen %d, want b1 gen 0 with the entry kept", ident, gen)
+// twoMembers is a topology over fakes a and b, both eligible.
+func twoMembers() *topology {
+	members := []string{"http://a", "http://b"}
+	tp := &topology{members: members, ring: newRing(members, ringReplicas)}
+	for _, m := range members {
+		in := &instance{url: m}
+		in.healthy.Store(true)
+		tp.insts = append(tp.insts, in)
 	}
-	quiet.build.Store("b2")
-	s.observe(topoOf(member("b1"), quiet))
-	if _, ident, gen := s.stats(); ident != "" || gen != 1 || s.get("k") != nil {
-		t.Fatalf("disagreeing answer: identity %q gen %d, want none, gen 1 and no entry", ident, gen)
-	}
+	return tp
+}
 
-	// With nobody reporting there is no identity and nothing is cached.
-	if _, ident, _ := coherent(member(""), member("")).stats(); ident != "" {
-		t.Fatalf("no member reported, yet the fleet identity is %q", ident)
+// TestAnswererIsFirstEligibleCandidate: the owner check names the
+// member a forward would reach, the first eligible one in ring order,
+// and falls back to the ring owner when none is eligible. A lookup
+// with its owner check allocates nothing.
+func TestAnswererIsFirstEligibleCandidate(t *testing.T) {
+	tp := twoMembers()
+	for i := 0; i < 64; i++ {
+		body := []byte(fmt.Sprintf(`{"sql":"q%d"}`, i))
+		h := keyHash(body)
+		h64 := fnv.New64a()
+		h64.Write(body)
+		if legacy := hash32([]byte(strconv.FormatUint(h64.Sum64(), 16))); h != legacy {
+			t.Fatalf("keyHash %d, want the ring position %d of the hex key", h, legacy)
+		}
+		order := tp.ring.order(h)
+		owner, successor := tp.insts[order[0]], tp.insts[order[1]]
+		if got := tp.answerer(h); got != owner {
+			t.Fatalf("key %d: answerer %s, want its owner %s", i, got.url, owner.url)
+		}
+		owner.healthy.Store(false)
+		if got := tp.answerer(h); got != successor {
+			t.Fatalf("key %d with its owner down: answerer %s, want the successor %s", i, got.url, successor.url)
+		}
+		successor.draining.Store(true)
+		if got := tp.answerer(h); got != owner {
+			t.Fatalf("key %d with no member eligible: answerer %s, want the ring owner %s", i, got.url, owner.url)
+		}
+		owner.healthy.Store(true)
+		successor.draining.Store(false)
+	}
+	// A lookup asks the answerer of the entry's stored hash, so the
+	// owner check follows the ring without hashing the body again.
+	body := []byte(`{"sql":"SELECT 1"}`)
+	h := keyHash(body)
+	owner := tp.insts[tp.ring.order(h)[0]]
+	for _, in := range tp.insts {
+		in.build.Store("other")
+	}
+	owner.build.Store("b1")
+	s := newStampede()
+	f, _ := s.join("k")
+	s.complete("k", h, f, fromBuild("b1"))
+	if s.get("k", tp) == nil {
+		t.Fatal("the owner reports the entry's build, yet the lookup missed")
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = keyHash(body) }); n != 0 {
+		t.Fatalf("keyHash: %.0f allocs, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = s.get("k", tp) }); n != 0 {
+		t.Fatalf("lookup with its owner check: %.0f allocs, want 0", n)
+	}
+	owner.healthy.Store(false)
+	if s.get("k", tp) != nil {
+		t.Fatal("with its owner down, the entry was served for the successor's other build")
 	}
 }
 
 func TestStampedeCacheStaysBounded(t *testing.T) {
-	s := coherent(member("b1"))
+	s := newStampede()
 	s.maxEntries = 8
 	for i := 0; i < 100; i++ {
 		fill(s, fromBuild("b1"), fmt.Sprintf("k-%d", i))
@@ -260,23 +303,23 @@ func TestStampedeCacheStaysBounded(t *testing.T) {
 }
 
 func TestStampedeLRUOrderAtEntryCap(t *testing.T) {
-	s := coherent(member("b1"))
+	s := newStampede()
 	s.maxEntries = 3
 	sr := fromBuild("b1")
 	fill(s, sr, "a", "b", "c")
-	s.get("a") // a is now the most recent; b the least
+	s.get("a", reporting("b1")) // a is now the most recent; b the least
 	fill(s, sr, "d")
-	if s.get("b") != nil {
+	if s.get("b", reporting("b1")) != nil {
 		t.Fatal("the least recently used entry survived an insert at the cap")
 	}
 	for _, k := range []string{"a", "c", "d"} {
-		if s.get(k) == nil {
+		if s.get(k, reporting("b1")) == nil {
 			t.Fatalf("entry %q evicted out of LRU order", k)
 		}
 	}
 	fill(s, sr, "e", "f") // evicts a, then c
 	for k, want := range map[string]bool{"a": false, "c": false, "d": true, "e": true, "f": true} {
-		if got := s.get(k) != nil; got != want {
+		if got := s.get(k, reporting("b1")) != nil; got != want {
 			t.Errorf("entry %q resident = %v, want %v", k, got, want)
 		}
 	}
@@ -289,7 +332,7 @@ func TestStampedeByteCapHolds(t *testing.T) {
 	// Entries never expire, so only the byte cap bounds a cache of large
 	// bodies. One 1 MiB body shared by every entry keeps the test small;
 	// the accounting charges each entry for it.
-	s := coherent(member("b1"))
+	s := newStampede()
 	sr := fromBuild("b1")
 	sr.body = make([]byte, stampedeMaxBodyBytes)
 	const n = stampedeMaxBytes/stampedeMaxBodyBytes + 8
@@ -305,17 +348,17 @@ func TestStampedeByteCapHolds(t *testing.T) {
 	if got := len(s.entries); got >= n || got == 0 {
 		t.Fatalf("%d of %d entries resident, want the byte cap to have evicted some", got, n)
 	}
-	if s.get(fmt.Sprintf("k-%d", n-1)) == nil || s.get("k-0") != nil {
+	if s.get(fmt.Sprintf("k-%d", n-1), reporting("b1")) == nil || s.get("k-0", reporting("b1")) != nil {
 		t.Fatal("the byte cap did not evict from the LRU tail")
 	}
 }
 
 func TestStampedeOversizedBodyNotShared(t *testing.T) {
-	s := coherent(member("b1"))
+	s := newStampede()
 	sr := fromBuild("b1")
 	sr.body = make([]byte, stampedeMaxBodyBytes+1)
 	f, _ := s.join("k")
-	if s.complete("k", f, sr) {
+	if s.complete("k", 0, f, sr) {
 		t.Fatal("oversized body must not be inserted")
 	}
 	if f.sr != nil {
@@ -323,60 +366,32 @@ func TestStampedeOversizedBodyNotShared(t *testing.T) {
 	}
 }
 
-// TestStampedeConcurrentObserve: members change identity while other
-// goroutines fill and read the cache. However the reports interleave,
-// the cache only ever holds answers of the fleet's current identity,
-// and the last observe settles on the members' final one.
-func TestStampedeConcurrentObserve(t *testing.T) {
-	members := []*instance{member("b0"), member("b0")}
-	topo := topoOf(members...)
-	s := newStampede(&telemetry.Counter{}, &telemetry.Counter{})
-	s.observe(topo)
-	// incoherent reports an entry whose answer is not of the fleet's
-	// current identity.
-	incoherent := func() string {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		for k, el := range s.entries {
-			if got := el.Value.(*stampedeEntry).sr.header.Get(headerBuild); got != s.ident {
-				return fmt.Sprintf("entry %q holds an answer of %q under identity %q", k, got, s.ident)
-			}
-		}
-		return ""
-	}
+// TestStampedeConcurrentBuilds: goroutines fill and read the cache with
+// answers and lookups of changing identities. However they interleave,
+// a lookup is only ever served an answer of the identity it asked for.
+func TestStampedeConcurrentBuilds(t *testing.T) {
+	s := newStampede()
 	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(2)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				members[(g+i)%2].build.Store(fmt.Sprintf("b%d", i%3))
-				s.observe(topo)
-			}
-		}(g)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				k := fmt.Sprintf("k%d", (g+i)%8)
-				fill(s, fromBuild(fmt.Sprintf("b%d", i%3)), k)
-				s.get(k)
-				if msg := incoherent(); msg != "" {
-					t.Error(msg)
+				fill(s, fromBuild(fmt.Sprintf("b%d", (g+i)%3)), k)
+				want := fmt.Sprintf("b%d", i%3)
+				if sr := s.get(k, reporting(want)); sr != nil && sr.header.Get(headerBuild) != want {
+					t.Errorf("lookup of %q under %s served an answer of %s", k, want, sr.header.Get(headerBuild))
 					return
 				}
 			}
 		}(g)
 	}
 	wg.Wait()
-	for _, in := range members {
-		in.build.Store("b9")
+	if fill(s, fromBuild("b9"), "k0") != 1 || s.get("k0", reporting("b9")) == nil {
+		t.Fatal("k0 not cached under b9 after the storm")
 	}
-	s.observe(topo)
-	fill(s, fromBuild("b9"), "k0")
-	if _, ident, _ := s.stats(); ident != "b9" || s.get("k0") == nil {
-		t.Fatalf("fleet identity %q after the members settled on b9, want b9 with k0 cached", ident)
-	}
-	if msg := incoherent(); msg != "" {
-		t.Fatal(msg)
+	if n := s.len(); n != len(s.entries) || n > 8 {
+		t.Fatalf("%d entries in the LRU and %d in the map, want equal and at most 8", n, len(s.entries))
 	}
 }

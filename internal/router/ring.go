@@ -43,7 +43,7 @@ func newRing(members []string, replicas int) *ring {
 	r := &ring{points: make([]ringPoint, 0, len(members)*replicas), n: len(members)}
 	for i, id := range members {
 		for v := 0; v < replicas; v++ {
-			r.points = append(r.points, ringPoint{hash: hash32(id + "#" + strconv.Itoa(v)), idx: i})
+			r.points = append(r.points, ringPoint{hash: hash32([]byte(id + "#" + strconv.Itoa(v))), idx: i})
 		}
 	}
 	sort.Slice(r.points, func(a, b int) bool {
@@ -55,16 +55,21 @@ func newRing(members []string, replicas int) *ring {
 	return r
 }
 
-// order returns the key's instance preference: the owner first, then
-// each distinct instance met walking clockwise. Every instance appears
-// exactly once, so the list is also the failover schedule. An empty
-// ring (every member drained away) yields nil.
-func (r *ring) order(key string) []int {
+// start indexes key hash h's owner point; the ring must not be empty.
+func (r *ring) start(h uint32) int {
+	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
+	return i % len(r.points)
+}
+
+// order returns the instance preference of key hash h: the owner first,
+// then each distinct instance met walking clockwise. Every instance
+// appears exactly once, so the list is also the failover schedule. An
+// empty ring yields nil.
+func (r *ring) order(h uint32) []int {
 	if len(r.points) == 0 {
 		return nil
 	}
-	h := hash32(key)
-	start := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
+	start := r.start(h)
 	out := make([]int, 0, r.n)
 	seen := make([]bool, r.n)
 	for i := 0; i < len(r.points) && len(out) < r.n; i++ {
@@ -77,9 +82,20 @@ func (r *ring) order(key string) []int {
 	return out
 }
 
-func hash32(s string) uint32 {
+// keyHash is a request body's ring position: hash32 of the hex form of
+// its 64-bit FNV-1a hash. A miss computes it once, without allocating,
+// for its ring order, and the cache entry it stores keeps it for the
+// owner checks of later hits.
+func keyHash(body []byte) uint32 {
+	h := fnv.New64a()
+	_, _ = h.Write(body)
+	var hex [16]byte
+	return hash32(strconv.AppendUint(hex[:0], h.Sum64(), 16))
+}
+
+func hash32(b []byte) uint32 {
 	h := fnv.New32a()
-	_, _ = h.Write([]byte(s))
+	_, _ = h.Write(b)
 	return mix32(h.Sum32())
 }
 
@@ -97,10 +113,4 @@ func mix32(x uint32) uint32 {
 	x *= 0x846ca68b
 	x ^= x >> 16
 	return x
-}
-
-func hash64(b []byte) uint64 {
-	h := fnv.New64a()
-	_, _ = h.Write(b)
-	return h.Sum64()
 }

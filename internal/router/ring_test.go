@@ -22,7 +22,7 @@ func TestRingOrderIsDeterministicAndComplete(t *testing.T) {
 	r2 := newRing(ringMembers(5), 64)
 	for i := 0; i < 200; i++ {
 		key := fmt.Sprintf("pattern-%d", i)
-		a, b := r1.order(key), r2.order(key)
+		a, b := r1.order(hash32([]byte(key))), r2.order(hash32([]byte(key)))
 		if len(a) != 5 {
 			t.Fatalf("key %q: order has %d entries, want 5", key, len(a))
 		}
@@ -46,7 +46,7 @@ func TestRingSpreadsKeys(t *testing.T) {
 	r := newRing(ringMembers(instances), 64)
 	owners := make([]int, instances)
 	for i := 0; i < keys; i++ {
-		owners[r.order(fmt.Sprintf("k-%d", i))[0]]++
+		owners[r.order(hash32([]byte(fmt.Sprintf("k-%d", i))))[0]]++
 	}
 	for idx, n := range owners {
 		// Perfect balance is 1000 each; 64 vnodes keeps every instance
@@ -70,7 +70,7 @@ func TestRingFailoverSpreads(t *testing.T) {
 	successors := make([]int, instances)
 	orphans := 0
 	for i := 0; i < keys; i++ {
-		order := r.order(fmt.Sprintf("k-%d", i))
+		order := r.order(hash32([]byte(fmt.Sprintf("k-%d", i))))
 		if order[0] != down {
 			continue
 		}
@@ -110,8 +110,8 @@ func TestRingJoinMovesOnlyNewcomersKeys(t *testing.T) {
 		moved := 0
 		for i := 0; i < keys; i++ {
 			key := fmt.Sprintf("pattern-%d", i)
-			before := base[r1.order(key)[0]]
-			after := grown[r2.order(key)[0]]
+			before := base[r1.order(hash32([]byte(key)))[0]]
+			after := grown[r2.order(hash32([]byte(key)))[0]]
 			if before == after {
 				continue
 			}
@@ -144,8 +144,8 @@ func TestRingRemovalMovesOnlyDepartedKeys(t *testing.T) {
 	moved, owned := 0, 0
 	for i := 0; i < keys; i++ {
 		key := fmt.Sprintf("pattern-%d", i)
-		before := members[r1.order(key)[0]]
-		after := shrunk[r2.order(key)[0]]
+		before := members[r1.order(hash32([]byte(key)))[0]]
+		after := shrunk[r2.order(hash32([]byte(key)))[0]]
 		if before == members[gone] {
 			owned++
 			continue // orphaned keys must move somewhere; any survivor is fine

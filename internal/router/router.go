@@ -25,10 +25,11 @@
 // stays on the ring and its keys fail over to their ring successors, so
 // no health event changes membership. The router's hot tier is its
 // response cache (see respcache.go): singleflight plus a verified-only
-// LRU, dropped whenever the instances' answer identity changes, answer
-// repeats of a popular body, and the identical requests of a cache-cold
-// failover window, without a backend trip. Every request that misses
-// it follows its key's ring order.
+// LRU whose entries are served only while the member that would answer
+// reports the build that produced them, answer repeats of a popular
+// body, and the identical requests of a cache-cold failover window,
+// without a backend trip. Every request that misses it follows its
+// key's ring order.
 package router
 
 import (
@@ -39,7 +40,6 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -140,8 +140,8 @@ type Router struct {
 
 	stampede *stampede // nil ⇒ response cache disabled
 	// The mStampede series by outcome: a served cache "hit", a follower
-	// "coalesced" onto a leader's flight, a shareable response "insert";
-	// the stampede owns "invalidate" and "bypass". Nil when disabled.
+	// "coalesced" onto a leader's flight, a shareable response "insert"
+	// (a new entry or one replacing another build's). Nil when disabled.
 	stampedeHit, stampedeCoalesced, stampedeInsert *telemetry.Counter
 
 	hc          *http.Client    // proxy path: one attempt per candidate
@@ -221,9 +221,9 @@ func New(cfg Config) (*Router, error) {
 		func() float64 { return float64(len(rt.topo.Load().members)) })
 
 	if cfg.ResponseCache {
-		rt.stampede = newStampede(rt.stampedeCounter("invalidate"), rt.stampedeCounter("bypass"))
+		rt.stampede = newStampede()
 		rt.reg.GaugeFunc(mStampedeEntries, "Resident stampede response-cache entries.",
-			func() float64 { n, _, _ := rt.stampede.stats(); return float64(n) })
+			func() float64 { return float64(rt.stampede.len()) })
 		rt.stampedeHit = rt.stampedeCounter("hit")
 		rt.stampedeCoalesced = rt.stampedeCounter("coalesced")
 		rt.stampedeInsert = rt.stampedeCounter("insert")
@@ -362,11 +362,12 @@ func (rt *Router) route(w http.ResponseWriter, r *http.Request) {
 	var (
 		flight    *stampedeFlight
 		skey      string
+		h         uint32 // the body's keyHash, computed on a miss
 		delivered *sharedResp
 	)
 	if rt.stampede != nil && !carriesFaultHeaders(r) && len(body)+len(r.URL.Path) < stampedeMaxKeyBytes {
 		skey = r.Method + " " + r.URL.Path + "\x00" + string(body)
-		if sr := rt.stampede.get(skey); sr != nil {
+		if sr := rt.stampede.get(skey, rt.topo.Load()); sr != nil {
 			rt.stampedeHit.Inc()
 			rt.requests["proxied"].Inc()
 			rt.proxyDur.Observe(time.Since(start).Seconds())
@@ -378,7 +379,7 @@ func (rt *Router) route(w http.ResponseWriter, r *http.Request) {
 		if leader {
 			flight = fl
 			defer func() {
-				if rt.stampede.complete(skey, flight, delivered) {
+				if rt.stampede.complete(skey, h, flight, delivered) {
 					rt.stampedeInsert.Inc()
 				}
 			}()
@@ -409,7 +410,8 @@ func (rt *Router) route(w http.ResponseWriter, r *http.Request) {
 	// instance pointers, and the ring agree with each other even if a
 	// membership change lands mid-request.
 	tp := rt.topo.Load()
-	order := tp.ring.order(strconv.FormatUint(hash64(body), 16))
+	h = keyHash(body)
+	order := tp.ring.order(h)
 
 	// The failover schedule: the key's eligible instances in ring order.
 	// When health verdicts and drain flags have disqualified everyone,
@@ -454,7 +456,7 @@ func (rt *Router) route(w http.ResponseWriter, r *http.Request) {
 			}
 			continue
 		}
-		rt.noteBuild(in, sr.header)
+		noteBuild(in, sr.header)
 		// The outcome feeds the member's streak: a 502 or 503 fails it,
 		// like a transport error, and any status below 500 but 429 passes
 		// it. A 429 is the load shedder doing its job, and a 500 or 504

@@ -23,7 +23,7 @@ import (
 
 // fakeRing builds n httptest backends whose handler is hf(i), plus a
 // router over them; both are torn down with the test.
-func fakeRing(t *testing.T, n int, hf func(i int) http.HandlerFunc, tune func(*router.Config)) (*router.Router, *httptest.Server, []*httptest.Server) {
+func fakeRing(t testing.TB, n int, hf func(i int) http.HandlerFunc, tune func(*router.Config)) (*router.Router, *httptest.Server, []*httptest.Server) {
 	t.Helper()
 	backends := make([]*httptest.Server, n)
 	urls := make([]string, n)
@@ -52,7 +52,7 @@ func fakeRing(t *testing.T, n int, hf func(i int) http.HandlerFunc, tune func(*r
 
 // sameBuild stamps every response with one X-Queryvis-Build value, as
 // a fleet of identical instances does, so a router's response cache
-// over fakes has a fleet identity.
+// over fakes stores their answers.
 func sameBuild(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("X-Queryvis-Build", "fake")
@@ -670,13 +670,11 @@ func TestReplayCarriesFreshDate(t *testing.T) {
 	}
 }
 
-// TestRouterHitAllocBudget pins the allocations of one router cache hit
-// whose stored response carries eight headers, as an instance answer
-// does. Entries are filtered of hop-by-hop headers once, when stored, so
-// a replay assigns the stored value slices instead of copying each one.
-func TestRouterHitAllocBudget(t *testing.T) {
-	t.Cleanup(leak.Check(t))
-	rt, front, _ := fakeRing(t, 1, func(i int) http.HandlerFunc {
+// routerHit returns one in-process router cache hit whose stored
+// response carries eight headers, as an instance answer does, over a
+// one-member fake ring with the cache already filled.
+func routerHit(tb testing.TB) func() {
+	rt, front, _ := fakeRing(tb, 1, func(i int) http.HandlerFunc {
 		return func(w http.ResponseWriter, r *http.Request) {
 			if r.URL.Path == "/v1/healthz" {
 				w.WriteHeader(http.StatusOK)
@@ -692,25 +690,34 @@ func TestRouterHitAllocBudget(t *testing.T) {
 		}
 	}, func(c *router.Config) {
 		c.ResponseCache = true
-		c.HealthInterval = time.Hour // no probe round lands inside the count
+		c.HealthInterval = time.Hour // no probe round lands inside a measurement
 	})
 	body, err := json.Marshal(diagramReq(qSome))
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	waitUntil(t, 5*time.Second, func() bool {
-		_, hdr, _ := postJSON(t, front.URL+"/v1/diagram", diagramReq(qSome))
+	waitUntil(tb, 5*time.Second, func() bool {
+		_, hdr, _ := postJSON(tb, front.URL+"/v1/diagram", diagramReq(qSome))
 		return hdr.Get("X-Queryvis-Router-Cache") == "hit"
 	})
-	hit := func() {
+	return func() {
 		req := httptest.NewRequest(http.MethodPost, "/v1/diagram", strings.NewReader(string(body)))
 		req.Header.Set("Content-Type", "application/json")
 		w := httptest.NewRecorder()
 		rt.ServeHTTP(w, req)
 		if w.Code != http.StatusOK || w.Header().Get("X-Queryvis-Router-Cache") != "hit" {
-			t.Fatalf("status %d router cache %q, want 200/hit", w.Code, w.Header().Get("X-Queryvis-Router-Cache"))
+			tb.Fatalf("status %d router cache %q, want 200/hit", w.Code, w.Header().Get("X-Queryvis-Router-Cache"))
 		}
 	}
+}
+
+// TestRouterHitAllocBudget pins the allocations of one router cache
+// hit, owner check included. Entries are filtered of hop-by-hop headers
+// once, when stored, so a replay assigns the stored value slices
+// instead of copying each one.
+func TestRouterHitAllocBudget(t *testing.T) {
+	t.Cleanup(leak.Check(t))
+	hit := routerHit(t)
 	hit()
 	// 43 measured, 45 under the race detector; the copying replay cost 51.
 	const budget = 46
@@ -719,7 +726,7 @@ func TestRouterHitAllocBudget(t *testing.T) {
 	}
 }
 
-func waitUntil(t *testing.T, timeout time.Duration, cond func() bool) {
+func waitUntil(t testing.TB, timeout time.Duration, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
 	for !cond() {

@@ -103,7 +103,12 @@
 #              request and trace IDs and a fresh Date, and its coherence
 #              (two real instances, one replaced by an instance with
 #              other limits: within one probe round the router stops
-#              replaying the old bytes); plus the
+#              replaying the old bytes); the per-key coherence rule, 20
+#              runs (a mixed fleet's repeats are hits, a probed build
+#              change makes the next lookup a miss that replaces the
+#              entry, an owner's entry is not replayed for a successor of
+#              another build, a fully down ring still answers from each
+#              owner's entry, and the owner check allocates nothing); plus the
 #              loadgen -zipf smoke (seeded skewed mix, report must carry
 #              the exponent and a dominant hot share)
 #   streak     the router's one health streak, under the race detector,
@@ -196,6 +201,7 @@ echo "== rolling-restart membership churn (race)"
 go test -count=1 -race -run 'TestRouterMembershipChurn|TestProbeNotQueuedBehindBlackhole|TestCloseCancelsOutstandingProbe|TestJoinedMemberWaitsForAdmission|TestStampedeCollapsesColdWindow|TestReplayCarriesCallersIDs|TestReplayCarriesFreshDate|TestResponseCacheFollowsAnswerIdentity' ./internal/router
 go test -count=1 -race -run 'TestSpecURLsNormalizedToRing|TestSpawnKeepsDrainingMemberProcess|TestDrainCompletesOnceIdle|TestJoinsEveryDesiredMemberAtOnce|TestRingHealthNeverMovesMembership|TestReaddedMemberRejoins' ./internal/fleet
 go test -count=20 -race -run 'TestBlackholedMemberDownWithinThreeIntervals|TestRouterHitAllocBudget' ./internal/router
+go test -count=20 -race -run 'TestMixedFleetRepeatsAreHits|TestProbedBuildChangeReplacesEntry|TestOwnerDownEntryNotReplayedForOtherBuild|TestRingDownServesOwnersEntry|TestStampedeMixedFleetHitsAndCoalesces|TestStampedeConcurrentBuilds|TestAnswererIsFirstEligibleCandidate' ./internal/router
 
 echo "== one health streak + disruption budget (race, 20 runs)"
 go test -count=20 -race -run 'TestForwardedFailuresTakeMemberDown|TestNeutralOutcomesLeaveStreak|TestLyingMemberReadmittedByProbes|TestCallerDeadlineLeavesStreak' ./internal/router
