@@ -10,7 +10,7 @@ import (
 
 // This file is the facade's cached entry point: FromSQLCachedContext
 // memoizes fully rendered results keyed on the exact request (schema,
-// option flags, limits and verify budget, SQL text; see
+// option flags, limits, SQL text; see
 // internal/diagcache), so a hit returns the bytes a fresh build of the
 // same request would. Cacheability is strict: only verified (or
 // verify-off) non-degraded results are ever inserted, and a request
@@ -43,24 +43,27 @@ const DefaultFingerprintPerms = 720
 
 // cacheKey is the cache's request key: the full schema rendering (not
 // just its name — two ad-hoc schemas may share one; Schema.String
-// returns it without rendering again), the option flags, the limits and
-// verify budget, and the literal SQL.
+// returns it without rendering again), the option flags, the limits,
+// and the literal SQL.
 func cacheKey(sql string, s *Schema, opts Options) string {
 	return diagcache.Key(s.String(), opts.Simplify, opts.KeepExistsBlocks,
-		configKey(opts.Limits, opts.VerifyBudget), sql)
+		configKey(opts.Limits), sql)
 }
 
-// configKey fingerprints the bounds a build runs under: the verify
-// budget and every limit ("-" for nil limits). It formats with strconv,
-// not fmt, because it runs on every cached call, hits included.
-func configKey(l *Limits, budget int) string {
-	b := strconv.AppendInt(make([]byte, 0, 64), int64(budget), 10)
+// configKey fingerprints the bounds a build runs under: every limit
+// ("-" for nil limits). It formats with strconv, not fmt, because it
+// runs on every cached call, hits included.
+func configKey(l *Limits) string {
 	if l == nil {
-		return string(append(b, " -"...))
+		return "-"
 	}
-	for _, v := range [...]int{l.MaxQueryBytes, l.MaxNestingDepth, l.MaxPredicates,
+	b := make([]byte, 0, 64)
+	for i, v := range [...]int{l.MaxQueryBytes, l.MaxNestingDepth, l.MaxPredicates,
 		l.MaxDiagramNodes, l.MaxDiagramEdges, l.MaxOutputBytes} {
-		b = strconv.AppendInt(append(b, ' '), int64(v), 10)
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = strconv.AppendInt(b, int64(v), 10)
 	}
 	return string(b)
 }

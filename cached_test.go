@@ -139,40 +139,6 @@ func TestFromSQLCachedKeyHoldsLimits(t *testing.T) {
 	}
 }
 
-// TestFromSQLCachedKeyHoldsVerifyBudget: with one shared cache, an entry
-// verified under the default budget is not served to a caller whose
-// budget cannot prove the diagram. That caller gets the status and rung
-// a fresh build earns.
-func TestFromSQLCachedKeyHoldsVerifyBudget(t *testing.T) {
-	beers, _ := schema.ByName("beers")
-	c := queryvis.NewDiagramCache(queryvis.DiagramCacheConfig{})
-	ent, _, _, err := queryvis.FromSQLCached(corpus.Fig1UniqueSet, beers, newCachedOpts(c, queryvis.VerifyDegrade))
-	if err != nil || ent == nil || ent.VerifyStatus != queryvis.VerifyStatusVerified {
-		t.Fatalf("default-budget build: entry %v, err %v; want a verified entry", ent != nil, err)
-	}
-
-	starved := queryvis.Options{Verify: queryvis.VerifyDegrade, VerifyBudget: 1}
-	want, err := queryvis.FromSQLContext(context.Background(), corpus.Fig1UniqueSet, beers, starved)
-	if err != nil {
-		t.Fatalf("fresh build under VerifyBudget 1: %v", err)
-	}
-	if want.VerifyStatus != queryvis.VerifyStatusBudget {
-		t.Fatalf("fresh build under VerifyBudget 1: status %q, want %q", want.VerifyStatus, queryvis.VerifyStatusBudget)
-	}
-	starved.Cache = c
-	ent, res, out, err := queryvis.FromSQLCached(corpus.Fig1UniqueSet, beers, starved)
-	if err != nil {
-		t.Fatalf("cached call under VerifyBudget 1: %v", err)
-	}
-	if ent != nil || out.Hit() {
-		t.Fatalf("cached call under VerifyBudget 1 was served an entry (status %q, outcome %v)", ent.VerifyStatus, out)
-	}
-	if res.VerifyStatus != want.VerifyStatus || res.Degraded != want.Degraded {
-		t.Fatalf("cached call: status %q rung %q; fresh build: status %q rung %q",
-			res.VerifyStatus, res.Degraded, want.VerifyStatus, want.Degraded)
-	}
-}
-
 func TestFromSQLCachedFaultBypass(t *testing.T) {
 	beers, _ := schema.ByName("beers")
 	c := queryvis.NewDiagramCache(queryvis.DiagramCacheConfig{})
@@ -242,7 +208,6 @@ func assertColdWarmIdentity(t *testing.T, sql string, s *queryvis.Schema, mode q
 	t.Helper()
 	c := queryvis.NewDiagramCache(queryvis.DiagramCacheConfig{})
 	opts := newCachedOpts(c, mode)
-	opts.VerifyBudget = 20_000
 	lim := queryvis.DefaultLimits()
 	opts.Limits = &lim
 
@@ -324,7 +289,7 @@ func TestCachedPropertyGenerated(t *testing.T) {
 	}
 	cfg := oracle.DefaultConfig()
 	lim := queryvis.DefaultLimits()
-	uncached := queryvis.Options{Verify: queryvis.VerifyDegrade, VerifyBudget: 20_000, Limits: &lim}
+	uncached := queryvis.Options{Verify: queryvis.VerifyDegrade, Limits: &lim}
 	cached := uncached
 	cached.Cache = queryvis.NewDiagramCache(queryvis.DiagramCacheConfig{})
 	hits := 0

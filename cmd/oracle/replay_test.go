@@ -1,7 +1,6 @@
 package main
 
 import (
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -52,14 +51,14 @@ func TestReplayDivergenceExitsNonzero(t *testing.T) {
 		t.Fatalf("fixed entry: exit %d\n%s", code, out)
 	}
 
-	// ...then the divergent one: a budget blowout recorded as a mismatch
-	// neither reproduces nor verifies.
+	// ...then the divergent one: a degenerate query, whose diagram admits
+	// no tree, recorded as a mismatch replays ambiguous — it neither
+	// reproduces nor verifies.
 	if _, _, err := st.Add(quarantine.Entry{
 		Stage:  queryvis.VerifyStatusMismatch,
 		Schema: "beers",
-		SQL:    quarantine.ScrubSQL(wideBudgetSQL(7)),
+		SQL:    quarantine.ScrubSQL(`SELECT F.person FROM Frequents F WHERE NOT EXISTS (SELECT * FROM Serves S WHERE S.bar = 'Owl')`),
 		Status: queryvis.VerifyStatusMismatch,
-		Budget: 5000,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -75,19 +74,4 @@ func TestReplayMissingDir(t *testing.T) {
 	if code, _ := capture(t, []string{"-replay", filepath.Join(t.TempDir(), "nope")}); code != 2 {
 		t.Fatalf("exit %d, want 2", code)
 	}
-}
-
-// wideBudgetSQL mirrors the corpus generator's wide query.
-func wideBudgetSQL(boxes int) string {
-	var b strings.Builder
-	b.WriteString("SELECT L0.drinker FROM Likes L0 WHERE ")
-	for i := 1; i <= boxes; i++ {
-		if i > 1 {
-			b.WriteString(" AND ")
-		}
-		fmt.Fprintf(&b,
-			"NOT EXISTS (SELECT * FROM Likes L%d WHERE L%d.drinker = L0.drinker AND L%d.beer = 'b%d')",
-			i, i, i, i)
-	}
-	return b.String()
 }

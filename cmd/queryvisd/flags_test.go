@@ -139,8 +139,6 @@ func TestDefaultConfigs(t *testing.T) {
 		CacheEntries:       4096,
 		MaxBatchItems:      64,
 		DefaultVerify:      queryvis.VerifyDegrade,
-		BreakerThreshold:   5,
-		BreakerCooldown:    30 * time.Second,
 		SlowQueryThreshold: 500 * time.Millisecond,
 	}
 	if !reflect.DeepEqual(inst, wantInst) {

@@ -24,9 +24,8 @@
 // Everything else is fixed. An instance runs each request under a 5 s
 // deadline and queryvis.DefaultLimits, sheds load beyond 64 concurrent
 // requests with 429 + Retry-After, accepts 1 MiB bodies and 64-item
-// batches, bounds its diagram cache to 64 MiB, opens its verification
-// breaker for 30 s after 5 cost blowouts, and logs requests slower than
-// 500 ms. A router accepts 1 MiB bodies and probes every 250 ms.
+// batches, bounds its diagram cache to 64 MiB, and logs requests
+// slower than 500 ms. A router accepts 1 MiB bodies and probes every 250 ms.
 //
 // With -isolation=process the pipeline runs in a supervised pool of
 // child worker processes (this binary re-executed with -worker): a query

@@ -244,7 +244,6 @@ func TestMetricsSmoke(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE queryvis_http_requests_total counter",
 		"# TYPE queryvis_stage_duration_seconds histogram",
-		"# TYPE queryvis_breaker_state gauge",
 		"queryvis_verify_total",
 		"queryvis_http_errors_total",
 		`queryvis_stage_duration_seconds_count{stage="parse"} 1`,

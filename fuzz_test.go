@@ -15,8 +15,8 @@ import (
 // fuzzVerifyStatuses is the closed set a degrade-mode run may report.
 var fuzzVerifyStatuses = map[string]bool{
 	queryvis.VerifyStatusVerified: true, queryvis.VerifyStatusMismatch: true,
-	queryvis.VerifyStatusAmbiguous: true, queryvis.VerifyStatusBudget: true,
-	queryvis.VerifyStatusTimeout: true, queryvis.VerifyStatusError: true,
+	queryvis.VerifyStatusAmbiguous: true, queryvis.VerifyStatusTimeout: true,
+	queryvis.VerifyStatusError: true,
 }
 
 // FuzzVerified drives the whole self-verifying pipeline — SQL → diagram
@@ -57,9 +57,8 @@ func FuzzVerified(f *testing.F) {
 		for _, simplify := range []bool{true, false} {
 			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 			res, err := queryvis.FromSQLContext(ctx, sql, beers, queryvis.Options{
-				Simplify:     simplify,
-				Verify:       queryvis.VerifyDegrade,
-				VerifyBudget: 20_000,
+				Simplify: simplify,
+				Verify:   queryvis.VerifyDegrade,
 			})
 			cancel()
 			if err != nil {

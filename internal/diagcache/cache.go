@@ -1,7 +1,7 @@
 // Package diagcache memoizes fully rendered diagram results keyed by
 // the exact request (see Key): the schema, the option flags that change
-// the artifact, a fingerprint of the limits and verify budget the build
-// runs under, and the literal SQL text. Those decide the response
+// the artifact, a fingerprint of the limits the build runs under, and
+// the literal SQL text. Those decide the response
 // bytes, so a hit returns exactly what a fresh build of the same
 // request would return, and an entry built under one configuration is
 // never served under another. Two different queries never share an
@@ -434,8 +434,8 @@ const maxLeaderRetries = 3
 // and the only place a key is written. schema identifies the schema
 // (its full rendering, or a catalog name where config covers the
 // catalog); simplify and keepExists are the option flags that change
-// the artifact; config fingerprints the limits and verify budget the
-// build runs under; sql is the literal text. The verify mode is not
+// the artifact; config fingerprints the limits (and, for a server, the
+// schema catalog) the build runs under; sql is the literal text. The verify mode is not
 // part of the key: an entry records the status its build earned, and
 // each lookup states the proof it needs (see GetOrBuild).
 func Key(schema string, simplify, keepExists bool, config, sql string) string {

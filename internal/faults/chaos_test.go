@@ -109,7 +109,8 @@ func mutate(rng *rand.Rand, sql string) string {
 }
 
 // wideChaosQuery fans out sibling NOT EXISTS boxes: legal input whose
-// inverse-search space dwarfs the chaos server's verify budget.
+// parent assignments number boxes^boxes, all but one of which the
+// inverse search rules out by following the arrows.
 func wideChaosQuery(boxes int) string {
 	var b strings.Builder
 	b.WriteString("SELECT L0.drinker FROM Likes L0 WHERE ")
@@ -135,9 +136,8 @@ type chaosOutcome struct {
 
 // verifyStatuses is every value verify_status may legally take on a 200.
 var verifyStatuses = map[string]bool{
-	queryvis.VerifyStatusVerified: true, queryvis.VerifyStatusSkipped: true,
-	queryvis.VerifyStatusMismatch: true, queryvis.VerifyStatusAmbiguous: true,
-	queryvis.VerifyStatusBudget: true, queryvis.VerifyStatusTimeout: true,
+	queryvis.VerifyStatusVerified: true, queryvis.VerifyStatusMismatch: true,
+	queryvis.VerifyStatusAmbiguous: true, queryvis.VerifyStatusTimeout: true,
 	queryvis.VerifyStatusError: true,
 }
 
@@ -161,10 +161,7 @@ func TestChaos(t *testing.T) {
 		RequestTimeout:      500 * time.Millisecond,
 		MaxConcurrent:       32,
 		AllowFaultInjection: true,
-		// Sized so the paper queries verify comfortably while the wide
-		// fan-out kind reliably exhausts the inverse-search budget.
-		VerifyBudget: 50_000,
-		Quarantine:   qstore,
+		Quarantine:          qstore,
 	}
 	srv := server.New(cfg)
 	ts := httptest.NewServer(srv)
@@ -275,9 +272,6 @@ func TestChaos(t *testing.T) {
 	// degradation ladder at least once.
 	if byVerify[queryvis.VerifyStatusVerified] == 0 {
 		t.Error("no response verified — verification never succeeded")
-	}
-	if byVerify[queryvis.VerifyStatusBudget] == 0 {
-		t.Error("no budget exhaustion observed — wide-query kind ineffective")
 	}
 	degradedTotal := 0
 	for _, n := range byRung {
@@ -422,7 +416,7 @@ func fireChaosRequest(hc *client.Client, baseURL, slowURL string, delaySeed int6
 	case 11: // healthy query under verification, both modes
 		wantVerify = true
 		body = marshal(hq.sql, hq.schema, []string{"degrade", "strict"}[rng.Intn(2)])
-	case 12: // verify-budget blowout: wide fan-out in degrade mode
+	case 12: // wide fan-out in degrade mode
 		wantVerify = true
 		body = marshal(wideChaosQuery(7), "beers", "degrade")
 	default: // injected stage faults under degrade-mode verification —

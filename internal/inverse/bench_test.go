@@ -2,35 +2,22 @@ package inverse
 
 import (
 	"context"
-	"errors"
+	"strconv"
 	"testing"
 )
 
-// BenchmarkRecoverBudgetPath measures the budget-bounded search on a
-// diagram whose space exceeds the budget — the worst case the serving
-// path pays before degrading. The cost is the budget itself (here 10k
-// nodes), not the full 7^7 enumeration.
-func BenchmarkRecoverBudgetPath(b *testing.B) {
-	d, _ := wideDiagram(b, 7)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, err := RecoverContext(context.Background(), d, 10_000)
-		var be *BudgetError
-		if !errors.As(err, &be) {
-			b.Fatalf("err = %v, want *BudgetError", err)
-		}
-	}
-}
-
-// BenchmarkRecoverWithinBudget measures a complete budgeted recovery on a
-// paper-sized diagram — the cost Verify mode adds to every healthy
-// request.
-func BenchmarkRecoverWithinBudget(b *testing.B) {
-	d, _ := wideDiagram(b, 4)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := RecoverContext(context.Background(), d, 0); err != nil {
-			b.Fatal(err)
-		}
+// BenchmarkRecoverWide measures a complete recovery of a wide sibling
+// query: the arrows force every parent, so the cost is one search node
+// per group plus building and validating the one tree.
+func BenchmarkRecoverWide(b *testing.B) {
+	for _, boxes := range []int{4, 32} {
+		d, _ := wideDiagram(b, boxes)
+		b.Run("boxes="+strconv.Itoa(boxes), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, _, err := RecoverContextStats(context.Background(), d, 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -15,9 +15,9 @@ import (
 )
 
 // wideQuery builds a query with `boxes` sibling NOT EXISTS blocks, each
-// linked to the root. Every block is one table group, so the recovery
-// search enumerates (boxes)^(boxes) parent assignments — the knob the
-// budget tests turn.
+// linked to the root. Every block is one table group: the reference
+// enumerator tries boxes^boxes parent assignments, and the arrows leave
+// each block one.
 func wideQuery(boxes int) string {
 	var b strings.Builder
 	b.WriteString("SELECT L0.drinker FROM Likes L0 WHERE ")
@@ -55,29 +55,27 @@ func wideDiagram(t testing.TB, boxes int) (*core.Diagram, *logictree.LT) {
 	return d, lt
 }
 
-// TestRecoverContextBudgetExhaustion: a wide diagram whose search space
-// exceeds a small budget must stop with a *BudgetError naming the budget,
-// not run the enumeration hot.
+// TestRecoverContextBudgetExhaustion: a search that outgrows an
+// explicit budget stops with a *BudgetError naming it, not run on.
 func TestRecoverContextBudgetExhaustion(t *testing.T) {
-	d, _ := wideDiagram(t, 7) // 8 groups -> 7^7 ≈ 824k assignments
-	_, err := RecoverContext(context.Background(), d, 10_000)
+	d, _ := wideDiagram(t, 7) // 8 groups: 8 search nodes
+	_, nodes, err := RecoverContextStats(context.Background(), d, 3)
 	var be *BudgetError
 	if !errors.As(err, &be) {
 		t.Fatalf("err = %v, want *BudgetError", err)
 	}
-	if be.Budget != 10_000 || be.Nodes <= be.Budget {
-		t.Fatalf("BudgetError = %+v, want Nodes > Budget = 10000", be)
+	if be.Budget != 3 || be.Nodes <= be.Budget || nodes != be.Nodes {
+		t.Fatalf("BudgetError = %+v (nodes %d), want Nodes > Budget = 3", be, nodes)
 	}
 }
 
-// TestRecoverContextWithinBudget: the same diagram recovers to the right
-// tree when the budget covers the search space, and with the default
-// budget on a normal-width diagram.
+// TestRecoverContextWithinBudget: a paper-sized diagram recovers to its
+// tree under the default bound.
 func TestRecoverContextWithinBudget(t *testing.T) {
 	d, lt := wideDiagram(t, 4)
-	rec, err := RecoverContext(context.Background(), d, 0) // default budget
+	rec, _, err := RecoverContextStats(context.Background(), d, 0)
 	if err != nil {
-		t.Fatalf("RecoverContext: %v", err)
+		t.Fatalf("RecoverContextStats: %v", err)
 	}
 	if rec.Canonical() != lt.Canonical() {
 		t.Fatalf("recovered tree differs:\n%s\n%s", rec.Canonical(), lt.Canonical())
@@ -85,16 +83,36 @@ func TestRecoverContextWithinBudget(t *testing.T) {
 }
 
 // TestRecoverContextUnboundedMatchesRecover: budget < 0 disables the
-// bound; the result must equal the legacy exhaustive Recover.
+// bound; the result must equal Recover's.
 func TestRecoverContextUnboundedMatchesRecover(t *testing.T) {
 	d, _ := wideDiagram(t, 5)
 	a, errA := Recover(d)
-	b, errB := RecoverContext(context.Background(), d, -1)
+	b, _, errB := RecoverContextStats(context.Background(), d, -1)
 	if (errA == nil) != (errB == nil) {
 		t.Fatalf("errors differ: %v vs %v", errA, errB)
 	}
 	if errA == nil && a.Canonical() != b.Canonical() {
-		t.Fatal("unbounded RecoverContext disagrees with Recover")
+		t.Fatal("unbounded RecoverContextStats disagrees with Recover")
+	}
+}
+
+// TestRecoverWideSiblingsFollowTheArrows: every sibling block carries an
+// arrow from the root, so each has one candidate parent and the search
+// visits one node per group however wide the query is — where the
+// enumerate-then-check search tried n^n assignments.
+func TestRecoverWideSiblingsFollowTheArrows(t *testing.T) {
+	for _, boxes := range []int{4, 7, 12, 32, 126} {
+		d, lt := wideDiagram(t, boxes)
+		rec, nodes, err := RecoverContextStats(context.Background(), d, 0)
+		if err != nil {
+			t.Fatalf("%d boxes: %v", boxes, err)
+		}
+		if rec.Canonical() != lt.Canonical() {
+			t.Fatalf("%d boxes: recovered tree differs", boxes)
+		}
+		if nodes != boxes+1 {
+			t.Errorf("%d boxes: %d search nodes, want %d", boxes, nodes, boxes+1)
+		}
 	}
 }
 
@@ -104,22 +122,8 @@ func TestRecoverContextCancellation(t *testing.T) {
 	d, _ := wideDiagram(t, 7)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := RecoverContext(ctx, d, -1)
+	_, _, err := RecoverContextStats(ctx, d, -1)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-}
-
-// TestSolutionsContextBudget: the Solutions entry point honors the same
-// budget plumbing.
-func TestSolutionsContextBudget(t *testing.T) {
-	d, _ := wideDiagram(t, 7)
-	_, err := SolutionsContext(context.Background(), d, 1)
-	var be *BudgetError
-	if !errors.As(err, &be) {
-		t.Fatalf("err = %v, want *BudgetError", err)
-	}
-	if _, err := SolutionsContext(context.Background(), d, -1); err != nil {
-		t.Fatalf("unbounded SolutionsContext: %v", err)
 	}
 }

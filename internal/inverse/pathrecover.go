@@ -189,20 +189,18 @@ func RecoverPath(d *core.Diagram) (*logictree.LT, error) {
 		}
 		byDepth[dep] = gi
 	}
-	parent := make([]int, len(g.groups))
-	parent[0] = -1
+	var s solver
+	s.init(g, false, 0)
 	for dep := 1; dep < len(g.groups); dep++ {
 		gi, ok := byDepth[dep]
 		if !ok {
 			return nil, fmt.Errorf("no group at depth %d", dep)
 		}
-		parent[gi] = byDepth[dep-1]
+		if !s.join(gi, byDepth[dep-1]) {
+			return nil, fmt.Errorf("recovered depths are inconsistent with the arrow rules")
+		}
 	}
-	depth := make([]int, len(g.groups))
-	if !g.consistent(parent, depth) {
-		return nil, fmt.Errorf("recovered depths are inconsistent with the arrow rules")
-	}
-	lt := g.ltFromAssignment(parent, depth)
+	lt := g.ltFromAssignment(s.parent, s.rdep)
 	if err := lt.Validate(); err != nil {
 		return nil, fmt.Errorf("recovered tree is degenerate: %w", err)
 	}

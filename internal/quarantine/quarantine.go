@@ -34,12 +34,13 @@ import (
 )
 
 // Entry is one quarantined input with everything needed to replay it
-// deterministically: the scrubbed SQL, the schema name, the verify
-// budget in force, and the fault-plan seed (0 = no injected faults).
+// deterministically: the scrubbed SQL, the schema name, and the
+// fault-plan seed (0 = no injected faults).
 type Entry struct {
 	// Stage classifies the failure: a VerifyStatus* value from the root
-	// package ("mismatch", "budget_exhausted", "timeout", "ambiguous",
-	// "error") or "panic" for contained invariant violations.
+	// package ("mismatch", "ambiguous", "timeout", "error"; older
+	// entries may say "budget_exhausted") or "panic" for contained
+	// invariant violations.
 	Stage string `json:"stage"`
 	// Schema is the built-in schema name the query resolves against.
 	Schema string `json:"schema"`
@@ -59,8 +60,7 @@ type Entry struct {
 	// FaultSeed reconstructs the injected fault plan via faults.NewPlan;
 	// 0 means the request carried no plan.
 	FaultSeed int64 `json:"fault_seed,omitempty"`
-	// Budget is the verify budget in force (0 = package default, <0 =
-	// unbounded), required to reproduce budget exhaustion.
+	// Budget is read from entries older servers filed; replay ignores it.
 	Budget int `json:"budget,omitempty"`
 	// Simplify mirrors the request's simplify option.
 	Simplify bool `json:"simplify,omitempty"`

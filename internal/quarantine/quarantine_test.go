@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -177,8 +178,7 @@ func TestLoadSkipsTornFiles(t *testing.T) {
 	}
 }
 
-// wideSQL nests no blocks but fans out boxes sibling NOT EXISTS blocks,
-// inflating the inverse search space past small budgets.
+// wideSQL nests no blocks but fans out boxes sibling NOT EXISTS blocks.
 func wideSQL(boxes int) string {
 	var b strings.Builder
 	b.WriteString("SELECT L0.drinker FROM Likes L0 WHERE ")
@@ -193,29 +193,29 @@ func wideSQL(boxes int) string {
 	return b.String()
 }
 
-// TestReplayBudgetEntry: a genuine budget blowout, recorded with its
-// budget, reproduces on replay — and verifies once the budget is
-// lifted, flipping the outcome to Verified.
+// disconnectedSQL violates Property 5.2: its subquery shares no
+// predicate with the outer block, so its diagram admits no tree.
+const disconnectedSQL = `SELECT F.person FROM Frequents F
+	WHERE NOT EXISTS (SELECT * FROM Serves S WHERE S.bar = 'Owl')`
+
+// TestReplayBudgetEntry: an entry an older server filed as a
+// budget blowout, with the budget it ran under, still loads and replays.
+// The budget is ignored — the search has one fixed bound — and the wide
+// query now verifies, so the outcome is Verified, not divergent.
 func TestReplayBudgetEntry(t *testing.T) {
-	e := Entry{
-		Stage:  queryvis.VerifyStatusBudget,
-		Schema: "beers",
-		SQL:    ScrubSQL(wideSQL(7)),
-		Status: queryvis.VerifyStatusBudget,
-		Budget: 5_000,
+	dir := t.TempDir()
+	raw := `{"stage":"budget_exhausted","schema":"beers","sql":` + strconv.Quote(ScrubSQL(wideSQL(7))) +
+		`,"status":"budget_exhausted","rung":"exists_form","budget":5000,"time":"2026-01-02T03:04:05Z"}`
+	if err := os.WriteFile(filepath.Join(dir, "budget_exhausted-0000000000000000.json"), []byte(raw), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	out := Replay(context.Background(), e)
-	if !out.Reproduced || out.Status != queryvis.VerifyStatusBudget {
-		t.Fatalf("replay = %+v, want reproduced budget_exhausted", out)
+	entries, err := Load(dir)
+	if err != nil || len(entries) != 1 || entries[0].Budget != 5000 {
+		t.Fatalf("Load = %+v, %v; want the one entry with its budget", entries, err)
 	}
-	if out.Divergent() {
-		t.Fatal("faithful reproduction flagged divergent")
-	}
-	fixed := e
-	fixed.Budget = -1
-	out = Replay(context.Background(), fixed)
-	if !out.Verified || out.Status != queryvis.VerifyStatusVerified {
-		t.Fatalf("unbounded replay = %+v, want verified", out)
+	out := Replay(context.Background(), entries[0])
+	if !out.Verified || out.Status != queryvis.VerifyStatusVerified || out.Divergent() {
+		t.Fatalf("replay = %+v, want verified", out)
 	}
 }
 
@@ -275,14 +275,13 @@ func TestReplayDirRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	budget := Entry{
-		Stage:  queryvis.VerifyStatusBudget,
+	ambiguous := Entry{
+		Stage:  queryvis.VerifyStatusAmbiguous,
 		Schema: "beers",
-		SQL:    ScrubSQL(wideSQL(7)),
-		Status: queryvis.VerifyStatusBudget,
-		Budget: 5_000,
+		SQL:    ScrubSQL(disconnectedSQL),
+		Status: queryvis.VerifyStatusAmbiguous,
 	}
-	if _, added, err := s.Add(budget); err != nil || !added {
+	if _, added, err := s.Add(ambiguous); err != nil || !added {
 		t.Fatalf("add: %v added=%v", err, added)
 	}
 	// A healthy query filed as a mismatch models a since-fixed bug: the

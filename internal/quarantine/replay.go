@@ -33,7 +33,7 @@ type Outcome struct {
 func (o Outcome) Divergent() bool { return !o.Reproduced && !o.Verified }
 
 // Replay runs one entry through the verified pipeline exactly as it was
-// recorded: same scrubbed SQL, same schema, same verify budget, same
+// recorded: same scrubbed SQL, same schema, same
 // injected fault plan (reconstructed from its seed — plans are pure
 // functions of the seed, so the replay is deterministic). Verification
 // runs in degrade mode so the observed status is reported rather than
@@ -50,9 +50,8 @@ func Replay(ctx context.Context, e Entry) Outcome {
 		ctx = faults.WithPlan(ctx, faults.NewPlan(e.FaultSeed))
 	}
 	res, err := queryvis.FromSQLContext(ctx, e.SQL, sch, queryvis.Options{
-		Simplify:     e.Simplify,
-		Verify:       queryvis.VerifyDegrade,
-		VerifyBudget: e.Budget,
+		Simplify: e.Simplify,
+		Verify:   queryvis.VerifyDegrade,
 	})
 	if err != nil {
 		out.Status = "error"

@@ -41,15 +41,20 @@ type instance struct {
 	downSince atomic.Int64
 	// failStreak / passStreak are the member's one streak. Probes and
 	// forwarded outcomes both feed failStreak, and ProbeDownAfter
-	// consecutive failures mark the member down; only probes feed
-	// passStreak, and probeUpAfter consecutive passes admit it. A single
-	// blown probe or request must not take out a member that is merely
-	// busy, and a single lucky probe must not readmit one that is
-	// flapping. verdictMu orders the writers; atomics keep healthz reads
-	// and the clean-streak fast path lock-free.
+	// failures mark the member down; only probes feed passStreak, and
+	// probeUpAfter consecutive passes admit it. A pass clears the
+	// failures of its own kind: a forwarded pass clears them all, a
+	// probe pass only the failed probes, since a healthz that answers
+	// says nothing about the requests that did not (fwdFails counts the
+	// forwarded failures in the streak). A single blown probe or request
+	// must not take out a member that is merely busy, and a single lucky
+	// probe must not readmit one that is flapping. verdictMu orders the
+	// writers; atomics keep healthz reads and the clean-streak fast path
+	// lock-free.
 	verdictMu  sync.Mutex
 	failStreak atomic.Int32
 	passStreak atomic.Int32
+	fwdFails   int32
 	// draining marks an instance the fleet supervisor is retiring: it
 	// receives no new assignments and finishes what it has; the
 	// supervisor ejects it once its in-flight count reads zero.
@@ -119,6 +124,7 @@ func (rt *Router) verdict(in *instance, ok, probed bool) {
 			return
 		}
 		in.failStreak.Store(0)
+		in.fwdFails = 0
 		if !ok {
 			in.passStreak.Store(0)
 			return
@@ -134,14 +140,22 @@ func (rt *Router) verdict(in *instance, ok, probed bool) {
 		rt.log("instance admitted", "instance", in.url)
 		return
 	}
-	if ok {
-		in.failStreak.Store(0)
+	switch {
+	case ok && probed:
+		in.failStreak.Store(in.fwdFails)
 		return
+	case ok:
+		in.failStreak.Store(0)
+		in.fwdFails = 0
+		return
+	case !probed:
+		in.fwdFails++
 	}
 	if in.failStreak.Add(1) < int32(rt.cfg.ProbeDownAfter) {
 		return
 	}
 	in.failStreak.Store(0)
+	in.fwdFails = 0
 	in.healthy.Store(false)
 	in.downSince.Store(time.Now().UnixNano())
 	rt.log("instance unhealthy", "instance", in.url, "probe", probed)

@@ -80,10 +80,11 @@ type Config struct {
 	Backends []string
 	// HealthInterval is the active health-check period (default 250ms).
 	HealthInterval time.Duration
-	// ProbeDownAfter is how many consecutive failures, failed probes
+	// ProbeDownAfter is how many failures in one streak, failed probes
 	// and failed forwarded requests alike, mark a healthy instance
-	// unhealthy (default 2). Hysteresis: one blown probe or request
-	// against a busy instance must not take it out.
+	// unhealthy (default 2). A forwarded pass ends the streak; a passing
+	// probe clears only the failed probes in it. Hysteresis: one blown
+	// probe or request against a busy instance must not take it out.
 	ProbeDownAfter int
 	// InstanceTimeout bounds one forwarded attempt end-to-end
 	// (default 30s). Each candidate gets one attempt; the ring order is

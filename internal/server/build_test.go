@@ -64,7 +64,7 @@ func TestEveryResponseCarriesBuild(t *testing.T) {
 	}
 
 	// Settings that cannot change a response's bytes keep the identity;
-	// the limits, the verify budget and the default verify mode change it.
+	// the limits and the default verify mode change it.
 	if got := buildOf(Config{CacheEntries: 512, MaxConcurrent: 3}); got != want {
 		t.Errorf("cache size and concurrency moved the identity: %q, want %q", got, want)
 	}
@@ -72,7 +72,6 @@ func TestEveryResponseCarriesBuild(t *testing.T) {
 	tight.MaxPredicates = 3
 	for name, cfg := range map[string]Config{
 		"limits":  {Limits: tight},
-		"budget":  {VerifyBudget: 7},
 		"verify":  {DefaultVerify: queryvis.VerifyStrict},
 		"no caps": {Unlimited: true},
 	} {

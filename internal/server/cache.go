@@ -32,8 +32,8 @@ import (
 // miss is built. The correctness rules are the cache's — only verified
 // (or verify-off) non-degraded results are inserted, and fault-seeded
 // requests bypass it in both directions — plus one server-level rule:
-// the breaker/quarantine/verify-metric integrations fire for real
-// builds only, never for hits.
+// the quarantine and verify-metric integrations fire for real builds
+// only, never for hits.
 
 // headerCache is the response header the cached path adds: "hit" or
 // "miss" whenever a cache is configured and the request was eligible
@@ -41,15 +41,19 @@ import (
 const headerCache = "X-Queryvis-Cache"
 
 // configFingerprint identifies the configuration a response is built
-// under: the per-query limits, the verification budget, and the schema
-// catalog. Its hash is part of every cache key and of the answer
-// identity.
+// under: the per-query limits and the schema catalog. Its hash is part
+// of every cache key and of the answer identity.
 func (s *Server) configFingerprint() string {
 	names := append([]string(nil), schema.BuiltinNames()...)
 	sort.Strings(names)
-	return fmt.Sprintf("limits=%+v unlimited=%t budget=%d schemas=%v",
-		s.cfg.Limits, s.cfg.Unlimited, s.cfg.VerifyBudget, names)
+	return fmt.Sprintf("limits=%+v unlimited=%t schemas=%v",
+		s.cfg.Limits, s.cfg.Unlimited, names)
 }
+
+// headerVerifyStatus is the response header carrying a response's
+// verify status, in canonical form because worker replies are read
+// back by key.
+const headerVerifyStatus = "X-Queryvis-Verify-Status"
 
 // headerBuild is the response header naming an instance's answer
 // identity: two instances that send the same value answer the same
@@ -138,7 +142,7 @@ func (sv *served) write(w http.ResponseWriter) {
 // rung, and the cache disposition. Empty values set no header.
 func setResultHeaders(w http.ResponseWriter, verifyStatus, degraded, cache string) {
 	if verifyStatus != "" {
-		w.Header().Set("X-QueryVis-Verify-Status", verifyStatus)
+		w.Header().Set(headerVerifyStatus, verifyStatus)
 	}
 	if degraded != "" {
 		w.Header().Set("X-QueryVis-Degraded", degraded)
@@ -221,6 +225,7 @@ func (s *Server) produce(r *http.Request, req *diagramRequest, sch *schema.Schem
 		if err != nil {
 			return nil, nil, err
 		}
+		s.recordVerifyOutcome(resp.Header[headerVerifyStatus])
 		return &served{raw: resp}, resp.Entry, nil
 	}
 	ctx := r.Context()

@@ -134,7 +134,7 @@ func TestCacheHitsAlwaysVerified(t *testing.T) {
 }
 
 // TestCacheQuarantineRebuild: inputs that land in the quarantine corpus
-// (a budget blowout, a fault-seeded strict verification failure) never
+// (an ambiguous diagram, a fault-seeded strict verification failure) never
 // leave anything behind in the cache — the next clean request rebuilds
 // rather than hits.
 func TestCacheQuarantineRebuild(t *testing.T) {
@@ -147,24 +147,22 @@ func TestCacheQuarantineRebuild(t *testing.T) {
 		CacheEntries:  64,
 		DefaultVerify: queryvis.VerifyDegrade,
 		Quarantine:    store,
-		VerifyBudget:  10_000,
 		Metrics:       reg,
 	})
 	url := ts.URL + "/v1/diagram"
 
-	// A wide query blows the verification budget: served degraded-of-proof
-	// (status budget_exhausted), quarantined, and uncacheable.
-	wide := wideBeersSQL(7)
+	// A degenerate query's diagram admits no tree: served degraded
+	// (status ambiguous), quarantined, and uncacheable.
 	for i := 0; i < 2; i++ {
-		st, hdr, raw := postFull(t, ts.Client(), url, diagramReq(wide, "degrade"), nil)
+		st, hdr, raw := postFull(t, ts.Client(), url, diagramReq(disconnectedSQL, "degrade"), nil)
 		if st != http.StatusOK {
-			t.Fatalf("wide status = %d\n%s", st, raw)
+			t.Fatalf("degenerate status = %d\n%s", st, raw)
 		}
 		if got := hdr.Get(headerCache); got == "hit" {
-			t.Fatalf("round %d: unproven wide result served from cache", i)
+			t.Fatalf("round %d: unproven result served from cache", i)
 		}
-		if dr := decodeDiagram(t, raw); dr.VerifyStatus != queryvis.VerifyStatusBudget {
-			t.Fatalf("round %d: verify_status = %q, want budget_exhausted", i, dr.VerifyStatus)
+		if dr := decodeDiagram(t, raw); dr.VerifyStatus != queryvis.VerifyStatusAmbiguous {
+			t.Fatalf("round %d: verify_status = %q, want ambiguous", i, dr.VerifyStatus)
 		}
 	}
 
@@ -187,7 +185,7 @@ func TestCacheQuarantineRebuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	if stats.Entries != 2 {
-		t.Fatalf("quarantine entries = %d, want 2 (budget + verify fault)", stats.Entries)
+		t.Fatalf("quarantine entries = %d, want 2 (ambiguous + verify fault)", stats.Entries)
 	}
 	if n := reg.Value(diagcache.MetricInserts); n != 0 {
 		t.Fatalf("quarantined traffic inserted %v cache entries", n)

@@ -19,24 +19,21 @@ import (
 // reports: /v1/healthz reads the same series, so the two endpoints can
 // never disagree.
 const (
-	mRequests      = "queryvis_http_requests_total"
-	mErrors        = "queryvis_http_errors_total"
-	mInFlight      = "queryvis_http_in_flight"
-	mServed        = "queryvis_http_served_total"
-	mShed          = "queryvis_http_shed_total"
-	mDuration      = "queryvis_http_request_duration_seconds"
-	mVerify        = "queryvis_verify_total"
-	mBreakerState  = "queryvis_breaker_state"
-	mBreakerTrips  = "queryvis_breaker_trips_total"
-	mBreakerStreak = "queryvis_breaker_streak"
-	mQuarEntries   = "queryvis_quarantine_entries"
-	mQuarBytes     = "queryvis_quarantine_bytes"
-	mStageDur      = "queryvis_stage_duration_seconds"
-	mStageSpans    = "queryvis_stage_spans_total"
-	mSlowQueries   = "queryvis_slow_queries_total"
-	mHopDur        = "queryvis_hop_duration_seconds"
-	mTraces        = "queryvis_traces_total"
-	mTraceRing     = "queryvis_trace_ring_entries"
+	mRequests    = "queryvis_http_requests_total"
+	mErrors      = "queryvis_http_errors_total"
+	mInFlight    = "queryvis_http_in_flight"
+	mServed      = "queryvis_http_served_total"
+	mShed        = "queryvis_http_shed_total"
+	mDuration    = "queryvis_http_request_duration_seconds"
+	mVerify      = "queryvis_verify_total"
+	mQuarEntries = "queryvis_quarantine_entries"
+	mQuarBytes   = "queryvis_quarantine_bytes"
+	mStageDur    = "queryvis_stage_duration_seconds"
+	mStageSpans  = "queryvis_stage_spans_total"
+	mSlowQueries = "queryvis_slow_queries_total"
+	mHopDur      = "queryvis_hop_duration_seconds"
+	mTraces      = "queryvis_traces_total"
+	mTraceRing   = "queryvis_trace_ring_entries"
 )
 
 const (
@@ -76,9 +73,8 @@ var errorCategories = []Category{
 // "off" is absent by design: an unrequested verification is not an
 // outcome.
 var verifyOutcomes = []string{
-	queryvis.VerifyStatusVerified, queryvis.VerifyStatusSkipped,
-	queryvis.VerifyStatusMismatch, queryvis.VerifyStatusAmbiguous,
-	queryvis.VerifyStatusBudget, queryvis.VerifyStatusTimeout,
+	queryvis.VerifyStatusVerified, queryvis.VerifyStatusMismatch,
+	queryvis.VerifyStatusAmbiguous, queryvis.VerifyStatusTimeout,
 	queryvis.VerifyStatusError,
 }
 
@@ -143,8 +139,8 @@ func (rs *routeSeries) latency() *telemetry.Histogram {
 
 // initMetrics builds the metric surface: load gauges, pre-registered
 // per-stage/per-category/per-outcome families (so zero-valued series
-// still appear in the exposition), and gauge funcs reading the breaker
-// and quarantine through the same snapshots healthz historically used.
+// still appear in the exposition), and gauge funcs reading the
+// quarantine through the same snapshot healthz uses.
 func (s *Server) initMetrics(reg *telemetry.Registry) {
 	if reg == nil {
 		reg = telemetry.NewRegistry()
@@ -182,22 +178,6 @@ func (s *Server) initMetrics(reg *telemetry.Registry) {
 	for _, outcome := range verifyOutcomes {
 		m.verify[outcome] = reg.Counter(mVerify, helpVerify, "status", outcome)
 	}
-	reg.GaugeFunc(mBreakerState,
-		"Circuit breaker state (0 closed, 1 half-open, 2 open).",
-		func() float64 {
-			state, _, _ := s.breaker.snapshot()
-			return float64(breakerStateValue(state))
-		})
-	reg.GaugeFunc(mBreakerTrips, "Times the circuit breaker has tripped open.",
-		func() float64 {
-			_, trips, _ := s.breaker.snapshot()
-			return float64(trips)
-		})
-	reg.GaugeFunc(mBreakerStreak, "Current consecutive verification cost blowouts.",
-		func() float64 {
-			_, _, streak := s.breaker.snapshot()
-			return float64(streak)
-		})
 	if s.cfg.Quarantine != nil {
 		reg.GaugeFunc(mQuarEntries, "Entries in the quarantine corpus.",
 			func() float64 { return float64(s.quarantineStats().Entries) })
@@ -212,30 +192,6 @@ func (s *Server) initMetrics(reg *telemetry.Registry) {
 func (s *Server) quarantineStats() quarantine.Stats {
 	st, _ := s.cfg.Quarantine.Stats()
 	return st
-}
-
-// breakerStateValue maps the breaker's state name onto a stable gauge
-// encoding.
-func breakerStateValue(state string) int {
-	switch state {
-	case "half_open":
-		return 1
-	case "open":
-		return 2
-	}
-	return 0
-}
-
-// breakerStateName inverts breakerStateValue for healthz, which reads
-// the state back out of the registry.
-func breakerStateName(v int) string {
-	switch v {
-	case 1:
-		return "half_open"
-	case 2:
-		return "open"
-	}
-	return "closed"
 }
 
 // Metrics exposes the registry, primarily so tests (the chaos suite in
@@ -381,7 +337,12 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// recordVerifyOutcome counts one verification verdict.
+// recordVerifyOutcome counts one verification verdict: once per built
+// response, in the process that owns the listener. In-process that is
+// runVerified, reading the result; under process isolation the worker's
+// count stays in its private registry, and the parent counts the
+// verdict its reply names in X-Queryvis-Verify-Status. Cache hits are
+// not builds and are not counted.
 func (s *Server) recordVerifyOutcome(status string) {
 	if s.cfg.DisableTelemetry || status == "" || status == queryvis.VerifyStatusOff {
 		return

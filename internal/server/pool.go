@@ -38,6 +38,7 @@ func (s *Server) poolDispatch(endpoint string) func(http.ResponseWriter, *http.R
 		if err != nil {
 			return err
 		}
+		s.recordVerifyOutcome(resp.Header[headerVerifyStatus])
 		writeWorkerResponse(w, resp)
 		return nil
 	}

@@ -13,9 +13,11 @@ import (
 	"testing"
 	"time"
 
+	queryvis "repro"
 	"repro/internal/corpus"
 	"repro/internal/faults"
 	"repro/internal/leak"
+	"repro/internal/telemetry"
 	"repro/internal/workerpool"
 )
 
@@ -228,5 +230,54 @@ func TestWorkerFaultBypassesCache(t *testing.T) {
 	if st != http.StatusServiceUnavailable || hdr.Get(headerCache) != "" {
 		t.Fatalf("worker-fault request = %d with %s %q, want a 503 from a crashed worker\n%s",
 			st, headerCache, hdr.Get(headerCache), raw)
+	}
+}
+
+// TestVerifyCountsAcrossIsolation: the same requests count the same
+// verification verdicts in the registry /v1/metrics serves, in-process
+// and under process isolation, on every endpoint that runs the
+// pipeline: a verified and an ambiguous diagram, a strict failure, a
+// verify-off request (not counted), an interpretation and a batch.
+func TestVerifyCountsAcrossIsolation(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns worker processes")
+	}
+	run := func(cfg Config) *telemetry.Registry {
+		t.Helper()
+		cfg.Metrics = telemetry.NewRegistry()
+		var ts *httptest.Server
+		if cfg.Pool != nil {
+			ts = newPoolTestServer(t, cfg)
+		} else {
+			ts = newTestServer(t, cfg)
+		}
+		for _, req := range []struct {
+			path string
+			body any
+		}{
+			{"/v1/diagram", diagramReq(corpus.Fig1UniqueSet, "degrade")},
+			{"/v1/diagram", diagramReq(disconnectedSQL, "degrade")},
+			{"/v1/diagram", diagramReq(disconnectedSQL, "strict")},
+			{"/v1/diagram", diagramReq(corpus.Fig1UniqueSet, "off")},
+			{"/v1/interpret", diagramReq(corpus.Fig3QOnly, "strict")},
+			{"/v1/diagrams:batch", map[string]any{"schema": "beers", "verify": "degrade", "items": []map[string]any{
+				{"sql": corpus.Fig3QSome}, {"sql": disconnectedSQL},
+			}}},
+		} {
+			postFull(t, ts.Client(), ts.URL+req.path, req.body, nil)
+		}
+		return cfg.Metrics
+	}
+	local := run(Config{})
+	isolated := run(Config{Pool: newTestPool(t, workerpool.Config{Workers: 2})})
+	want := map[string]float64{
+		queryvis.VerifyStatusVerified:  3,
+		queryvis.VerifyStatusAmbiguous: 3,
+	}
+	for _, status := range verifyOutcomes {
+		l, i := local.Value(mVerify, "status", status), isolated.Value(mVerify, "status", status)
+		if l != want[status] || i != want[status] {
+			t.Errorf("verify_total{status=%q}: in-process %v, isolated %v, want %v", status, l, i, want[status])
+		}
 	}
 }

@@ -90,19 +90,9 @@ type Config struct {
 	// the "verify" field. The zero value is VerifyOff, preserving the
 	// historical behavior.
 	DefaultVerify queryvis.VerifyMode
-	// VerifyBudget bounds the inverse search per verification (0 = the
-	// package default, negative = unbounded).
-	VerifyBudget int
 	// Quarantine, when non-nil, persists inputs that fail verification or
 	// trip panic containment to the on-disk corpus.
 	Quarantine *quarantine.Store
-	// BreakerThreshold is how many consecutive verification cost blowouts
-	// (budget exhaustion / timeout) trip the circuit breaker open
-	// (default 5).
-	BreakerThreshold int
-	// BreakerCooldown is how long the breaker stays open before
-	// half-opening to probe again (default 30s).
-	BreakerCooldown time.Duration
 
 	// Metrics is the telemetry registry backing /v1/metrics and the
 	// healthz load numbers; nil creates a private one. Supply a registry
@@ -139,12 +129,6 @@ func (c Config) WithDefaults() Config {
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = time.Second
 	}
-	if c.BreakerThreshold <= 0 {
-		c.BreakerThreshold = 5
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 30 * time.Second
-	}
 	if c.MaxBatchItems <= 0 {
 		c.MaxBatchItems = 64
 	}
@@ -157,7 +141,6 @@ type Server struct {
 	sem     chan struct{}
 	mux     *http.ServeMux
 	start   time.Time
-	breaker *breaker
 	metrics *serverMetrics
 	cache   *diagcache.Cache
 	// config is the short hash of configFingerprint that every cache key
@@ -188,7 +171,6 @@ func New(cfg Config) *Server {
 		sem:     make(chan struct{}, cfg.MaxConcurrent),
 		mux:     http.NewServeMux(),
 		start:   time.Now(),
-		breaker: newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
 		schemas: make(map[string]*schema.Schema),
 	}
 	for _, name := range schema.BuiltinNames() {
@@ -426,49 +408,29 @@ func (s *Server) verifyMode(req *diagramRequest) (queryvis.VerifyMode, error) {
 }
 
 // runVerified executes the pipeline under the request's verification
-// mode with the circuit breaker and quarantine wired in:
-//
-//   - breaker open + degrade mode → verification is skipped and the
-//     result flagged verify_status "skipped" (strict requests bypass the
-//     breaker: the caller explicitly demanded proof);
-//   - every verification verdict feeds the breaker — budget exhaustion
-//     and timeouts count as cost blowouts, anything else resets them;
-//   - inputs that failed verification or tripped panic containment are
-//     scrubbed and quarantined.
+// mode, counts the verdict (see recordVerifyOutcome), and scrubs and
+// quarantines inputs that failed verification or tripped panic
+// containment.
 func (s *Server) runVerified(ctx context.Context, req *diagramRequest, sch *schema.Schema) (*queryvis.Result, queryvis.VerifyMode, error) {
-	requested, err := s.verifyMode(req)
+	mode, err := s.verifyMode(req)
 	if err != nil {
-		return nil, requested, err
-	}
-	mode := requested
-	skipped := false
-	if mode == queryvis.VerifyDegrade && !s.breaker.allow() {
-		mode = queryvis.VerifyOff
-		skipped = true
+		return nil, mode, err
 	}
 	opts := s.options(req)
 	opts.Verify = mode
-	opts.VerifyBudget = s.cfg.VerifyBudget
 
 	res, err := queryvis.FromSQLContext(ctx, req.SQL, sch, opts)
 
 	status := verifyOutcome(res, err)
-	if mode != queryvis.VerifyOff && status != "" {
-		s.breaker.record(status == queryvis.VerifyStatusBudget ||
-			status == queryvis.VerifyStatusTimeout)
+	if mode != queryvis.VerifyOff {
 		s.recordVerifyOutcome(status)
 	}
 	s.maybeQuarantine(ctx, req, res, err, status)
 
 	if err != nil {
-		return nil, requested, err
+		return nil, mode, err
 	}
-	if skipped {
-		res.VerifyStatus = queryvis.VerifyStatusSkipped
-		res.VerifyDetail = "verification circuit breaker open"
-		s.recordVerifyOutcome(queryvis.VerifyStatusSkipped)
-	}
-	return res, requested, nil
+	return res, mode, nil
 }
 
 // verifyOutcome extracts the verification verdict from a pipeline
@@ -508,7 +470,7 @@ func (s *Server) maybeQuarantine(ctx context.Context, req *diagramRequest, res *
 		}
 		detail = err.Error()
 	case status == "" || status == queryvis.VerifyStatusOff ||
-		status == queryvis.VerifyStatusVerified || status == queryvis.VerifyStatusSkipped:
+		status == queryvis.VerifyStatusVerified:
 		return
 	default:
 		stage, detail, rung = status, res.VerifyDetail, res.Degraded
@@ -521,7 +483,6 @@ func (s *Server) maybeQuarantine(ctx context.Context, req *diagramRequest, res *
 		Status:   status,
 		Rung:     rung,
 		Detail:   detail,
-		Budget:   s.cfg.VerifyBudget,
 		Simplify: req.Simplify,
 	}
 	if p := faults.FromContext(ctx); p != nil {
@@ -623,12 +584,8 @@ type healthzResponse struct {
 	Shed          int64  `json:"shed"`
 	MaxConcurrent int    `json:"max_concurrent"`
 
-	// Verification posture: the default mode, the circuit breaker's
-	// state, how often it has tripped, and the current blowout streak.
-	VerifyMode    string `json:"verify_mode"`
-	BreakerState  string `json:"breaker_state"`
-	BreakerTrips  int64  `json:"breaker_trips"`
-	BreakerStreak int    `json:"breaker_streak"`
+	// VerifyMode is the default verification mode.
+	VerifyMode string `json:"verify_mode"`
 	// Quarantine summarizes the failure corpus when one is attached.
 	Quarantine *quarantine.Stats `json:"quarantine,omitempty"`
 	// Cache summarizes the request-keyed diagram cache when one is
@@ -659,9 +616,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Shed:          s.metrics.shed.Value(),
 		MaxConcurrent: s.cfg.MaxConcurrent,
 		VerifyMode:    s.cfg.DefaultVerify.String(),
-		BreakerState:  breakerStateName(int(reg.Value(mBreakerState))),
-		BreakerTrips:  int64(reg.Value(mBreakerTrips)),
-		BreakerStreak: int(reg.Value(mBreakerStreak)),
 	}
 	if s.cfg.Quarantine != nil {
 		if st, err := s.cfg.Quarantine.Stats(); err == nil {

@@ -89,7 +89,7 @@ func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
 
 // GaugeFunc registers a gauge whose value is computed by fn at scrape
 // time — the single-source-of-truth shape for state that already lives
-// elsewhere (circuit breaker, quarantine store). Re-registering the same
+// elsewhere (the quarantine store, a trace ring). Re-registering the same
 // (name, labels) replaces the callback.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...string) {
 	if r == nil {

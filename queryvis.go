@@ -87,9 +87,6 @@ type Options struct {
 	// walks the degradation ladder when it cannot, VerifyStrict fails the
 	// pipeline with a *VerifyError instead of degrading. See verify.go.
 	Verify VerifyMode
-	// VerifyBudget bounds the inverse search in nodes: 0 means
-	// inverse.DefaultSearchBudget, negative disables the bound.
-	VerifyBudget int
 	// Tracer, when non-nil, records one timed span per pipeline stage
 	// (parse, resolve, convert, logictree, build, verify, render), with
 	// verification annotated by outcome, ladder rung, and inverse-search

@@ -67,10 +67,8 @@
 #              degraded headers) cold and warm in both modes, and the
 #              request key holds every input that decides the bytes: a
 #              shared library cache never serves an entry built without
-#              limits to a caller whose limits refuse the query, or one
-#              proven under the default verify budget to a caller whose
-#              budget cannot prove it; followers of an uncacheable
-#              leader run their own build
+#              limits to a caller whose limits refuse the query;
+#              followers of an uncacheable leader run their own build
 #   scale-out  instance-level chaos through the consistent-hash router,
 #              under the race detector, 3 runs: three real instances, two
 #              SIGKILLed mid-run, 100% well-formed responses, no
@@ -163,6 +161,9 @@ go test -count=20 -run 'TestLoadgenZipfSkewsMix|TestLoadgenMixIsSeededAndReprodu
 echo "== fault sequence + stage allocation budgets (5 runs)"
 go test -count=5 -run 'TestFaultSequenceGolden|TestStageAllocBudgets' .
 
+echo "== inverse search vs the reference enumerator (seeded, 20 runs)"
+go test -count=20 -run 'TestPrunedSearchMatchesReference' ./internal/inverse
+
 echo "== chaos smoke (race)"
 go test -count=1 -run TestChaos -race ./internal/faults/...
 
@@ -171,6 +172,9 @@ go test -count=1 -run 'TestKillStorm|TestCrashContainment' -race ./internal/work
 
 echo "== queryvisd serve/healthz/shutdown (in-process + -isolation=process)"
 go test -count=1 -run 'TestServeHealthzShutdown|TestProcessIsolationServeDrain|TestFlagSurface|TestFlagModesAccepted|TestUsageError|TestSpawnerArgs|TestDefaultConfigs|TestParseSRVName' ./cmd/queryvisd
+go test -count=1 -run 'TestPrunedSearchMatchesReference|TestAdversarialSweep' ./internal/inverse
+go test -count=1 -run 'TestVerifyWideQueries' .
+go test -count=1 -run 'TestWideQueriesVerifiedOverHTTP|TestVerifyCountsAcrossIsolation' ./internal/server
 
 echo "== metrics smoke + pprof gate (instance + route mode)"
 go test -count=1 -run 'TestMetricsSmoke|TestPprofGate|TestRouterPprofGate' ./cmd/queryvisd
@@ -204,7 +208,7 @@ go test -count=20 -race -run 'TestBlackholedMemberDownWithinThreeIntervals|TestR
 go test -count=20 -race -run 'TestMixedFleetRepeatsAreHits|TestProbedBuildChangeReplacesEntry|TestOwnerDownEntryNotReplayedForOtherBuild|TestRingDownServesOwnersEntry|TestStampedeMixedFleetHitsAndCoalesces|TestStampedeConcurrentBuilds|TestAnswererIsFirstEligibleCandidate' ./internal/router
 
 echo "== one health streak + disruption budget (race, 20 runs)"
-go test -count=20 -race -run 'TestForwardedFailuresTakeMemberDown|TestNeutralOutcomesLeaveStreak|TestLyingMemberReadmittedByProbes|TestCallerDeadlineLeavesStreak' ./internal/router
+go test -count=20 -race -run 'TestForwardedFailuresTakeMemberDown|TestNeutralOutcomesLeaveStreak|TestLyingMemberReadmittedByProbes|TestCallerDeadlineLeavesStreak|TestLyingMemberGoesDown|TestForwardedPassClearsForwardedFailure' ./internal/router
 go test -count=20 -race -run 'TestBudgetCountsForwardedFailures' ./internal/fleet
 
 echo "== loadgen zipf smoke"

@@ -22,9 +22,8 @@ import (
 // that executable. Verify mode exploits it: after building a diagram the
 // pipeline recovers its logic tree and demands it match the forward
 // tree, so a wrong diagram can never ship silently. When verification
-// cannot succeed — ambiguity, mismatch, search budget exhausted, timeout,
-// or an internal fault — the pipeline walks a degradation ladder instead
-// of failing blankly:
+// cannot succeed — ambiguity, mismatch, timeout, or an internal fault —
+// the pipeline walks a degradation ladder instead of failing blankly:
 //
 //	rung 1  simplified ∀∃ diagram   (the paper's most readable form)
 //	rung 2  unsimplified ∄-form diagram
@@ -82,8 +81,9 @@ const (
 	// VerifyStatusVerified: the diagram round-tripped to a logic tree
 	// canonically equal to the forward tree.
 	VerifyStatusVerified = "verified"
-	// VerifyStatusSkipped: verification was bypassed (circuit breaker
-	// open); the artifact is unverified but flagged.
+	// VerifyStatusSkipped: verification was bypassed; the artifact is
+	// unverified but flagged. Nothing in this module produces it; the
+	// name stays for clients that match on it.
 	VerifyStatusSkipped = "skipped"
 	// VerifyStatusMismatch: recovery succeeded but produced a different
 	// tree — the diagram does not mean what the query says.
@@ -91,12 +91,12 @@ const (
 	// VerifyStatusAmbiguous: the diagram admits zero or several logic
 	// trees (an unambiguity violation).
 	VerifyStatusAmbiguous = "ambiguous"
-	// VerifyStatusBudget: the inverse search exhausted its node budget.
-	VerifyStatusBudget = "budget_exhausted"
 	// VerifyStatusTimeout: the context expired during verification.
 	VerifyStatusTimeout = "timeout"
 	// VerifyStatusError: verification could not run to a verdict (internal
-	// fault, contained panic, or unusable artifacts).
+	// fault, contained panic, unusable artifacts, or a search stopped by
+	// the inverse package's node bound, which only degenerate diagrams
+	// could reach).
 	VerifyStatusError = "error"
 )
 
@@ -154,7 +154,7 @@ func userFault(ctx context.Context, err error) bool {
 // pipeline result: verify when the pipeline succeeded, then either
 // return, fail strictly, or walk the ladder. sp is the enclosing verify
 // span (possibly a no-op handle); verifyResult annotates it with the
-// inverse-search budget spent.
+// search nodes the inverse recovery visited.
 func verifyOrDegrade(ctx context.Context, res *Result, pipeErr error, opts Options, sp telemetry.SpanHandle) (*Result, error) {
 	if pipeErr != nil {
 		// User-fault and context errors surface unchanged; so does every
@@ -224,19 +224,14 @@ func verifyResult(ctx context.Context, res *Result, opts Options, sp telemetry.S
 		}
 	}
 
-	rec, nodes, err := inverse.RecoverContextStats(ctx, dNE, opts.VerifyBudget)
+	rec, nodes, err := inverse.RecoverContextStats(ctx, dNE, 0)
 	sp.Annotate("budget_spent", strconv.Itoa(nodes))
 	if err != nil {
-		var be *inverse.BudgetError
 		var ae *inverse.AmbiguityError
-		switch {
-		case errors.As(err, &be):
-			return VerifyStatusBudget, nil, err.Error(), stageErr(StageVerify, err)
-		case errors.As(err, &ae):
+		if errors.As(err, &ae) {
 			return VerifyStatusAmbiguous, nil, err.Error(), stageErr(StageVerify, err)
-		default:
-			return classifyVerifyErr(err)
 		}
+		return classifyVerifyErr(err)
 	}
 	if got, want := pipeline.TreeKey(rec), pipeline.TreeKey(ne); got != want {
 		return VerifyStatusMismatch, nil,

@@ -5,14 +5,15 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/corpus"
 	"repro/internal/faults"
-	"repro/internal/inverse"
 	"repro/internal/oracle"
 	"repro/internal/sqlparse"
+	"repro/internal/telemetry"
 )
 
 // TestVerifyHealthy: every paper query verifies in both strict and
@@ -75,14 +76,11 @@ func TestVerifyOracleCorpusStrict(t *testing.T) {
 	}
 }
 
-// TestVerifyBudgetDegrades: a query whose inverse search exceeds the
-// budget degrades to the simplified rung with an honest status in
-// degrade mode and fails with a *VerifyError in strict mode.
-func TestVerifyBudgetDegrades(t *testing.T) {
-	s := beersSchema(t)
+// wideSQL fans out sibling NOT EXISTS blocks, each joined to the root.
+func wideSQL(boxes int) string {
 	var b strings.Builder
 	b.WriteString("SELECT L0.drinker FROM Likes L0 WHERE ")
-	for i := 1; i <= 7; i++ {
+	for i := 1; i <= boxes; i++ {
 		if i > 1 {
 			b.WriteString(" AND ")
 		}
@@ -90,45 +88,39 @@ func TestVerifyBudgetDegrades(t *testing.T) {
 			"NOT EXISTS (SELECT * FROM Likes L%d WHERE L%d.drinker = L0.drinker AND L%d.beer = 'b%d')",
 			i, i, i, i)
 	}
-	wide := b.String()
+	return b.String()
+}
 
-	res, err := FromSQLContext(context.Background(), wide, s,
-		Options{Verify: VerifyDegrade, VerifyBudget: 5_000})
-	if err != nil {
-		t.Fatalf("degrade mode errored: %v", err)
-	}
-	if res.VerifyStatus != VerifyStatusBudget {
-		t.Fatalf("status = %q (%s), want budget_exhausted", res.VerifyStatus, res.VerifyDetail)
-	}
-	// The wide query is one flat level of ∄ blocks — no ∄∄ pair to
-	// rewrite — so the simplified rung honestly skips and the ∄-form
-	// diagram serves.
-	if res.Degraded != RungExistsForm {
-		t.Fatalf("degraded rung = %q, want exists_form", res.Degraded)
-	}
-	if res.Diagram == nil {
-		t.Fatal("exists_form rung served no diagram")
-	}
-
-	_, err = FromSQLContext(context.Background(), wide, s,
-		Options{Verify: VerifyStrict, VerifyBudget: 5_000})
-	var ve *VerifyError
-	if !errors.As(err, &ve) || ve.Status != VerifyStatusBudget {
-		t.Fatalf("strict err = %v, want *VerifyError{budget_exhausted}", err)
-	}
-	var be *inverse.BudgetError
-	if !errors.As(err, &be) {
-		t.Fatalf("strict err chain lacks *BudgetError: %v", err)
-	}
-
-	// The same query verifies with the budget lifted.
-	res, err = FromSQLContext(context.Background(), wide, s,
-		Options{Verify: VerifyStrict, VerifyBudget: -1})
-	if err != nil {
-		t.Fatalf("unbounded budget: %v", err)
-	}
-	if res.VerifyStatus != VerifyStatusVerified {
-		t.Fatalf("unbounded budget status = %q", res.VerifyStatus)
+// TestVerifyWideQueries: wide sibling queries, up to the 127 tables
+// DefaultLimits admits, verify under the defaults with no degraded rung
+// in both modes. The enumerate-then-check search this replaced ran out
+// of its node budget from 7 blocks on; following the arrows visits one
+// search node per block.
+func TestVerifyWideQueries(t *testing.T) {
+	s := beersSchema(t)
+	lim := DefaultLimits()
+	for _, boxes := range []int{7, 12, 32, 126} {
+		for _, mode := range []VerifyMode{VerifyDegrade, VerifyStrict} {
+			tr := telemetry.NewTracer()
+			res, err := FromSQLContext(context.Background(), wideSQL(boxes), s,
+				Options{Verify: mode, Limits: &lim, Tracer: tr})
+			if err != nil {
+				t.Fatalf("%d boxes, %s: %v", boxes, mode, err)
+			}
+			if res.VerifyStatus != VerifyStatusVerified || res.Degraded != "" {
+				t.Fatalf("%d boxes, %s: status %q rung %q (%s)", boxes, mode, res.VerifyStatus, res.Degraded, res.VerifyDetail)
+			}
+			nodes := ""
+			for _, sp := range tr.Spans() {
+				if sp.Name == StageVerify {
+					nodes = sp.Attr("budget_spent")
+				}
+			}
+			if want := strconv.Itoa(boxes + 1); nodes != want {
+				t.Fatalf("%d boxes: verify visited %s search nodes, want %s", boxes, nodes, want)
+			}
+			t.Logf("%d boxes (%s): verified, %s search nodes", boxes, mode, nodes)
+		}
 	}
 }
 
