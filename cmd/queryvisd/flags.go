@@ -19,9 +19,10 @@ import (
 
 // Fixed values run passes explicitly. All but requestTimeout differ
 // from their package defaults. The pool's SIGKILL deadline sits 2 s
-// above the worker's own pipeline deadline, so a slow but cooperative
-// worker answers with a categorized timeout; SIGKILL is for the wedged.
-// A router caps bodies at what an instance accepts.
+// above the request deadline, so the request's own remaining budget is
+// what a dispatch gets; the worker has 90% of it to answer with a
+// categorized timeout, and SIGKILL is for the wedged. A router caps
+// bodies at what an instance accepts.
 const (
 	requestTimeout     = 5 * time.Second
 	poolKillDeadline   = requestTimeout + 2*time.Second

@@ -33,10 +33,15 @@
 // is SIGKILLed, respawned with backoff, and its request retried once —
 // never the daemon. See internal/workerpool and the README's "Process
 // isolation" section. The default, -isolation=none, keeps the historical
-// in-process pipeline. Either way the instance keeps one diagram cache
-// (-cache-entries) in the process that owns the listener: under process
-// isolation a hit is answered there and only misses reach a worker,
-// each as one request frame and one response frame on an idle worker.
+// in-process pipeline. Either mode takes one request path: the process
+// that owns the listener decodes and validates the request, keeps the
+// instance's one diagram cache (-cache-entries), and turns a miss into
+// one job for the paper's pipeline, run in-process or, under process
+// isolation, on an idle worker as one request frame and one response
+// frame. A worker only runs the pipeline and returns a typed outcome;
+// the daemon counts its verdict, files its quarantine entry (a worker
+// never opens -quarantine-dir), caches it and writes the reply, with
+// elapsed_ms on its own clock.
 //
 // With -route the binary is a scale-out router instead of a server: it
 // shards /v1/diagram bodies across the listed queryvisd instances on a
@@ -137,6 +142,18 @@ func run(args []string, stdout, stderr *os.File) int {
 	if o.routing() {
 		return runRouter(o, logger)
 	}
+	if o.worker {
+		// Child mode: no listener and nothing kept — no cache, telemetry
+		// or quarantine of its own (the parent does all three with the
+		// outcomes) — just the pipeline behind the frame protocol on
+		// stdin/stdout, one job at a time, expendable by design.
+		if err := workerpool.RunWorker(os.Stdin, stdout, server.Worker(o.instanceConfig(nil, logger)),
+			workerpool.RunOptions{AllowFaults: o.allowFaults}); err != nil {
+			logger.Error("worker loop failed", "err", err)
+			return 1
+		}
+		return 0
+	}
 	var quar *quarantine.Store
 	if o.quarantineDir != "" {
 		if quar, err = quarantine.Open(o.quarantineDir, 0); err != nil {
@@ -145,22 +162,6 @@ func run(args []string, stdout, stderr *os.File) int {
 		}
 	}
 	cfg := o.instanceConfig(quar, logger)
-
-	if o.worker {
-		// Child mode: no listener, no telemetry surface of its own and no
-		// cache (the parent owns the instance's one cache) — just the frame
-		// protocol on stdin/stdout in front of the same hardened handler
-		// stack, one request at a time, expendable by design.
-		cfg.DisableTelemetry = true
-		cfg.CacheEntries = 0
-		if err := workerpool.RunWorker(os.Stdin, stdout, server.New(cfg), workerpool.RunOptions{
-			AllowFaultHeaders: o.allowFaults,
-		}); err != nil {
-			logger.Error("worker loop failed", "err", err)
-			return 1
-		}
-		return 0
-	}
 
 	ln, err := net.Listen("tcp", o.addr)
 	if err != nil {
@@ -295,8 +296,9 @@ func runRouter(o *options, logger *slog.Logger) int {
 // re-executed in -worker mode with the parent's instance flags, plus
 // the QUERYVISD_WORKER environment marker so a test binary acting as
 // the daemon routes the child into worker mode before the test
-// framework takes over. A worker ignores the cache and metrics flags
-// among them: the parent owns the instance's cache and telemetry.
+// framework takes over. A worker acts on -allow-fault-injection alone
+// among them: the parent resolves each job's verify mode and owns the
+// instance's cache, quarantine and telemetry.
 func (o *options) workerSpawner() func() (*exec.Cmd, error) {
 	args := append([]string{"-worker"}, o.inherited()...)
 	return func() (*exec.Cmd, error) {

@@ -195,10 +195,11 @@ const (
 	WorkerFaultGarbage WorkerFault = "garbage"
 )
 
-// HeaderWorkerFault is the request header that carries a WorkerFault
-// into the worker child. It is honored only when both the server
+// HeaderWorkerFault is the request header that names a WorkerFault for
+// the worker child to act out; the server moves it onto the request
+// frame. It is honored only when both the server
 // (Config.AllowFaultInjection) and the worker loop
-// (RunOptions.AllowFaultHeaders) opt in — chaos tests only.
+// (workerpool.RunOptions.AllowFaults) opt in — chaos tests only.
 const HeaderWorkerFault = "X-Worker-Fault"
 
 // ParseWorkerFault validates a header value.

@@ -143,7 +143,10 @@ const DefaultMaxBytes = 4 << 20 // 4 MiB ≈ thousands of entries
 
 // Store is an on-disk quarantine corpus. It is safe for concurrent use
 // within one process; cross-process writers are tolerated (atomic
-// renames) but may transiently exceed the size bound.
+// renames) but may transiently exceed the size bound. They are real:
+// a pool's workers file nothing themselves (their daemon files what
+// their outcomes carry), but fleet members spawned with one
+// -quarantine-dir share that directory.
 type Store struct {
 	dir      string
 	maxBytes int64

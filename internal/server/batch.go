@@ -2,14 +2,12 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"strconv"
 	"time"
 
 	"repro/internal/telemetry"
-	"repro/internal/workerpool"
 )
 
 // POST /v1/diagrams:batch renders many queries in one round trip with
@@ -62,12 +60,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) error {
 		return s.fail(w, err)
 	}
 	if len(breq.Items) == 0 {
-		return s.fail(w, &requestError{http.StatusBadRequest, apiError{
+		return s.fail(w, &requestError{status: http.StatusBadRequest, ae: apiError{
 			Category: CatBadRequest, Message: `missing or empty "items" field`,
 		}})
 	}
 	if len(breq.Items) > s.cfg.MaxBatchItems {
-		return s.fail(w, &requestError{http.StatusRequestEntityTooLarge, apiError{
+		return s.fail(w, &requestError{status: http.StatusRequestEntityTooLarge, ae: apiError{
 			Category: CatTooLarge,
 			Message: fmt.Sprintf("batch of %d items exceeds the %d-item cap",
 				len(breq.Items), s.cfg.MaxBatchItems),
@@ -79,7 +77,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) error {
 		// Items run sequentially under the request's single deadline; the
 		// shared semaphore slot is the unit of admission, not the item.
 		ctx, finish := itemContext(r.Context(), i)
-		resp.Items[i] = s.serveBatchItem(r.WithContext(ctx), &breq, &breq.Items[i])
+		resp.Items[i] = s.serveBatchItem(ctx, r, &breq, &breq.Items[i])
 		finish()
 	}
 	resp.ElapsedMS = time.Since(started).Milliseconds()
@@ -111,11 +109,12 @@ func itemContext(ctx context.Context, i int) (context.Context, func()) {
 	}
 }
 
-// serveBatchItem resolves one item, folding every failure — envelope
-// validation, pipeline errors, an already-exhausted batch deadline —
-// into the item's own status and error body.
-func (s *Server) serveBatchItem(r *http.Request, breq *batchRequest, it *batchItem) batchItemResult {
-	if err := r.Context().Err(); err != nil {
+// serveBatchItem resolves one item under its own context, folding
+// every failure — envelope validation, pipeline errors, an
+// already-exhausted batch deadline — into the item's own status and
+// error body.
+func (s *Server) serveBatchItem(ctx context.Context, r *http.Request, breq *batchRequest, it *batchItem) batchItemResult {
+	if err := ctx.Err(); err != nil {
 		// The batch deadline died on an earlier item; every remaining item
 		// reports its own well-formed timeout instead of a truncated reply.
 		status, ae := classify(err)
@@ -131,37 +130,15 @@ func (s *Server) serveBatchItem(r *http.Request, breq *batchRequest, it *batchIt
 	if it.Simplify != nil {
 		req.Simplify = *it.Simplify
 	}
-	sch, err := s.validate(&req)
+	j, err := s.newJob(r, req)
 	if err != nil {
 		return batchItemError(err)
 	}
-	sv, err := s.serveDiagram(r, &req, sch, time.Now())
+	sv, err := s.serveDiagram(ctx, j, time.Now())
 	if err != nil {
 		return batchItemError(err)
 	}
-	if sv.raw != nil {
-		return workerItem(sv.raw)
-	}
-	resp := sv.resp
-	return batchItemResult{Status: http.StatusOK, Result: &resp, Cache: sv.cache}
-}
-
-// workerItem folds a worker's /v1/diagram reply into the item's wire
-// form: the decoded diagram response or error body, under the worker's
-// status.
-func workerItem(raw *workerpool.Response) batchItemResult {
-	if raw.Status == http.StatusOK {
-		var dr diagramResponse
-		if err := json.Unmarshal(raw.Body, &dr); err == nil {
-			return batchItemResult{Status: http.StatusOK, Result: &dr, Cache: raw.Header[headerCache]}
-		}
-	} else {
-		var eb errorBody
-		if err := json.Unmarshal(raw.Body, &eb); err == nil && eb.Error.Category != "" {
-			return batchItemResult{Status: raw.Status, Error: &eb.Error}
-		}
-	}
-	return batchItemError(fmt.Errorf("undecodable worker reply with status %d", raw.Status))
+	return batchItemResult{Status: http.StatusOK, Result: &sv.resp, Cache: sv.cache}
 }
 
 // batchItemError maps an item failure onto its wire form, reusing the

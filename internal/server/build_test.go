@@ -138,8 +138,9 @@ func TestUnknownBinarySendsNoBuild(t *testing.T) {
 }
 
 // TestWorkerBuildDoesNotOverrideParent: under process isolation a reply
-// a worker built carries the parent's identity, which is the one the
-// router sees in probes, not the worker's own.
+// whose pipeline ran in a worker carries the parent's identity, which is
+// the one the router sees in probes, not the one a server configured
+// like the worker would send.
 func TestWorkerBuildDoesNotOverrideParent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns worker processes")

@@ -6,7 +6,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -18,21 +17,19 @@ import (
 
 	queryvis "repro"
 	"repro/internal/diagcache"
-	"repro/internal/faults"
 	"repro/internal/schema"
-	"repro/internal/workerpool"
 )
 
 // This file is the server's cached diagram path: /v1/diagram and every
 // /v1/diagrams:batch item funnel through serveDiagram, which serves
 // them through diagcache.GetOrBuild — a hit when the instance's cache
-// holds the request, otherwise this request's own build. It runs in the
+// holds the request, otherwise this request's own run. It runs in the
 // process that owns the listener under either isolation mode, so an
 // instance has one cache and process isolation only changes where a
-// miss is built. The correctness rules are the cache's — only verified
-// (or verify-off) non-degraded results are inserted, and fault-seeded
+// miss runs. The correctness rules are the cache's — only verified (or
+// verify-off) non-degraded results are inserted, and fault-injected
 // requests bypass it in both directions — plus one server-level rule:
-// the quarantine and verify-metric integrations fire for real builds
+// the quarantine and verify-metric integrations fire for real runs
 // only, never for hits.
 
 // headerCache is the response header the cached path adds: "hit" or
@@ -51,8 +48,7 @@ func (s *Server) configFingerprint() string {
 }
 
 // headerVerifyStatus is the response header carrying a response's
-// verify status, in canonical form because worker replies are read
-// back by key.
+// verify status.
 const headerVerifyStatus = "X-Queryvis-Verify-Status"
 
 // headerBuild is the response header naming an instance's answer
@@ -114,26 +110,11 @@ func buildIdentity(fingerprint string, verify queryvis.VerifyMode) string {
 	return hex.EncodeToString(sum[:8])
 }
 
-// served is one fully determined diagram response: the JSON body plus
-// the cache disposition the handler sets as a header, or a worker's
-// verbatim reply under process isolation. Batch items reuse it with the
-// headers folded into the item instead.
+// served is one diagram response and its cache disposition, which the
+// handler sets as a header and a batch item folds into the item.
 type served struct {
 	resp  diagramResponse
 	cache string // X-QueryVis-Cache: "hit", "miss", or "" (ineligible)
-	// raw, when non-nil, is the worker's reply, passed through in place
-	// of the fields above.
-	raw *workerpool.Response
-}
-
-// write sends the response.
-func (sv *served) write(w http.ResponseWriter) {
-	if sv.raw != nil {
-		writeWorkerResponse(w, sv.raw)
-		return
-	}
-	setResultHeaders(w, sv.resp.VerifyStatus, sv.resp.Degraded, sv.cache)
-	writeJSON(w, http.StatusOK, sv.resp)
 }
 
 // setResultHeaders exposes a result's outcome out-of-band so clients
@@ -163,95 +144,55 @@ func reportedStatus(mode queryvis.VerifyMode, status string) string {
 	return status
 }
 
-// serveDiagram resolves one validated diagram request into a response
-// through the instance's cache (see diagcache.GetOrBuild): a hit, a
-// singleflight wait, or this request's own build. A worker building for
-// its parent's cache has no cache of its own and hands the entry of its
-// build back through the request's entry slot. Under process isolation
-// this runs in the parent, so a hit never reaches a worker; only the
-// builds do.
-func (s *Server) serveDiagram(r *http.Request, req *diagramRequest, sch *schema.Schema, started time.Time) (*served, error) {
-	ctx := r.Context()
-	requested, err := s.verifyMode(req)
-	if err != nil {
-		return nil, err
-	}
-	slot := workerpool.EntrySlotFrom(ctx)
-	bypass := s.faultInjected(r)
-	forCache := slot != nil || (s.cache != nil && !bypass)
-	var built *served
+// serveDiagram resolves one diagram job into a response through the
+// instance's cache (see diagcache.GetOrBuild): a hit, a singleflight
+// wait, or this request's own run (see exec). A job carrying an
+// injected fault bypasses the cache in both directions. elapsed_ms is
+// this process's clock from started, in either isolation mode.
+func (s *Server) serveDiagram(ctx context.Context, j *job, started time.Time) (*served, error) {
+	bypass := j.FaultSeed != nil || j.workerFault != ""
+	j.ForCache = s.cache != nil && !bypass
 	var key string
-	if s.cache != nil { // a cache-less server, such as a worker, keys nothing
-		key = diagcache.Key(req.Schema, req.Simplify, false, s.config, req.SQL)
+	if s.cache != nil {
+		key = diagcache.Key(j.Req.Schema, j.Req.Simplify, false, s.config, j.Req.SQL)
 	}
-	entry, outcome, err := s.cache.GetOrBuild(ctx, key, requested.String(),
-		requested != queryvis.VerifyOff, bypass,
-		func(context.Context) (*diagcache.Entry, error) {
-			sv, e, err := s.produce(r, req, sch, started, forCache)
-			built = sv
-			if slot != nil {
-				slot.Entry = e
+	var built *outcome
+	entry, disp, err := s.cache.GetOrBuild(ctx, key, j.Mode.String(),
+		j.Mode != queryvis.VerifyOff, bypass,
+		func(ctx context.Context) (*diagcache.Entry, error) {
+			o, err := s.exec(ctx, j)
+			if err != nil {
+				return nil, err
 			}
-			return e, err
+			if err := o.err(); err != nil {
+				return nil, err
+			}
+			built = o
+			return o.Entry, nil
 		})
-	switch {
-	case err != nil:
-		return nil, err
-	case outcome.Hit():
-		return s.respondEntry(req, entry, requested, started, "hit"), nil
-	}
-	return built, nil
-}
-
-// faultInjected reports whether the request carries an injected fault:
-// a pipeline fault plan, or — on a listener that honors chaos headers —
-// a worker fault for the pool to act out.
-func (s *Server) faultInjected(r *http.Request) bool {
-	return faults.FromContext(r.Context()) != nil ||
-		(s.cfg.AllowFaultInjection && r.Header.Get(faults.HeaderWorkerFault) != "")
-}
-
-// produce builds one diagram response: in this process, or in a worker
-// when a pool is attached. forCache marks a build for a diagram cache:
-// the response says X-QueryVis-Cache: miss, and a result that may be
-// cached also comes back as its entry.
-func (s *Server) produce(r *http.Request, req *diagramRequest, sch *schema.Schema, started time.Time, forCache bool) (*served, *diagcache.Entry, error) {
-	if s.cfg.Pool != nil {
-		body, err := json.Marshal(req)
-		if err != nil {
-			return nil, nil, err
-		}
-		resp, err := s.dispatch(r, "/v1/diagram", body, forCache)
-		if err != nil {
-			return nil, nil, err
-		}
-		s.recordVerifyOutcome(resp.Header[headerVerifyStatus])
-		return &served{raw: resp}, resp.Entry, nil
-	}
-	ctx := r.Context()
-	hdr := ""
-	if forCache {
-		hdr = "miss"
-	}
-	res, mode, err := s.runVerified(ctx, req, sch)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	if forCache && diagcache.CacheableStatus(res.VerifyStatus, res.Degraded) {
-		// A rendering failure here serves the result uncached; the render
-		// below degrades it as usual.
-		if e, rerr := queryvis.BuildEntryContext(ctx, res); rerr == nil {
-			return s.respondEntry(req, e, mode, started, hdr), e, nil
+	sv := &served{}
+	switch {
+	case disp.Hit():
+		sv.resp, sv.cache = *respondEntry(&j.Req, entry, j.Mode), "hit"
+	case built.Entry != nil:
+		sv.resp, sv.cache = *respondEntry(&j.Req, built.Entry, j.Mode), "miss"
+	default:
+		sv.resp = *built.Diagram
+		if j.ForCache {
+			sv.cache = "miss"
 		}
 	}
-	sv, err := s.renderResult(ctx, req, res, mode, started, hdr)
-	return sv, nil, err
+	sv.resp.ElapsedMS = time.Since(started).Milliseconds()
+	return sv, nil
 }
 
 // respondEntry shapes a cache entry into the response. Entries are
 // immutable and carry every format, so this is a field selection, not a
 // render.
-func (s *Server) respondEntry(req *diagramRequest, e *diagcache.Entry, mode queryvis.VerifyMode, started time.Time, hdr string) *served {
+func respondEntry(req *diagramRequest, e *diagcache.Entry, mode queryvis.VerifyMode) *diagramResponse {
 	out := e.DOT
 	switch req.Format {
 	case "svg":
@@ -259,21 +200,20 @@ func (s *Server) respondEntry(req *diagramRequest, e *diagcache.Entry, mode quer
 	case "text":
 		out = e.Text
 	}
-	return &served{resp: diagramResponse{
+	return &diagramResponse{
 		Format:         req.Format,
 		Diagram:        out,
 		Interpretation: e.Interpretation,
 		ReadingOrder:   e.ReadingOrder,
 		Tables:         e.Tables,
 		Edges:          e.Edges,
-		ElapsedMS:      time.Since(started).Milliseconds(),
 		VerifyStatus:   reportedStatus(mode, e.VerifyStatus),
-	}, cache: hdr}
+	}
 }
 
 // renderResult turns a live pipeline result into the response,
 // including the degrade-mode render fallback to the TRC rung.
-func (s *Server) renderResult(ctx context.Context, req *diagramRequest, res *queryvis.Result, mode queryvis.VerifyMode, started time.Time, hdr string) (*served, error) {
+func renderResult(ctx context.Context, req *diagramRequest, res *queryvis.Result, mode queryvis.VerifyMode) (*diagramResponse, error) {
 	format, out := req.Format, ""
 	var err error
 	if res.Degraded == queryvis.RungTRC {
@@ -303,11 +243,10 @@ func (s *Server) renderResult(ctx context.Context, req *diagramRequest, res *que
 		}
 	}
 
-	resp := diagramResponse{
+	resp := &diagramResponse{
 		Format:         format,
 		Diagram:        out,
 		Interpretation: res.Interpretation,
-		ElapsedMS:      time.Since(started).Milliseconds(),
 		VerifyStatus:   reportedStatus(mode, res.VerifyStatus),
 		Degraded:       res.Degraded,
 	}
@@ -316,5 +255,5 @@ func (s *Server) renderResult(ctx context.Context, req *diagramRequest, res *que
 		resp.Tables = len(res.Diagram.Tables)
 		resp.Edges = len(res.Diagram.Edges)
 	}
-	return &served{resp: resp, cache: hdr}, nil
+	return resp, nil
 }

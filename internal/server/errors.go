@@ -162,12 +162,6 @@ func classify(err error) (int, apiError) {
 // writeError emits the JSON error body for err.
 func writeError(w http.ResponseWriter, err error) {
 	status, ae := classify(err)
-	// A strict-mode verification failure still names its verdict, so the
-	// process that owns the listener can count it from a worker's reply.
-	var ve *queryvis.VerifyError
-	if errors.As(err, &ve) {
-		w.Header().Set(headerVerifyStatus, ve.Status)
-	}
 	writeAPIError(w, status, ae)
 }
 

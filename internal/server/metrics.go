@@ -337,12 +337,10 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// recordVerifyOutcome counts one verification verdict: once per built
-// response, in the process that owns the listener. In-process that is
-// runVerified, reading the result; under process isolation the worker's
-// count stays in its private registry, and the parent counts the
-// verdict its reply names in X-Queryvis-Verify-Status. Cache hits are
-// not builds and are not counted.
+// recordVerifyOutcome counts one verification verdict: once per run
+// (see exec), in the process that owns the listener, from the outcome's
+// verdict in either isolation mode. Cache hits are not runs and are not
+// counted.
 func (s *Server) recordVerifyOutcome(status string) {
 	if s.cfg.DisableTelemetry || status == "" || status == queryvis.VerifyStatusOff {
 		return

@@ -3,11 +3,15 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"os/exec"
+	"path/filepath"
+	"reflect"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -15,8 +19,10 @@ import (
 
 	queryvis "repro"
 	"repro/internal/corpus"
+	"repro/internal/diagcache"
 	"repro/internal/faults"
 	"repro/internal/leak"
+	"repro/internal/quarantine"
 	"repro/internal/telemetry"
 	"repro/internal/workerpool"
 )
@@ -28,11 +34,11 @@ const envTestWorker = "QUERYVIS_SERVER_TEST_WORKER"
 
 func TestMain(m *testing.M) {
 	if os.Getenv(envTestWorker) == "1" {
-		// The worker half of a process-isolated server: the default
-		// pipeline configuration, no telemetry and no cache of its own,
-		// honoring injected worker faults.
-		err := workerpool.RunWorker(os.Stdin, os.Stdout,
-			New(Config{DisableTelemetry: true}), workerpool.RunOptions{AllowFaultHeaders: true})
+		// The worker half of a process-isolated server: the pipeline
+		// under the default configuration, honoring injected worker
+		// faults.
+		err := workerpool.RunWorker(os.Stdin, os.Stdout, Worker(Config{}),
+			workerpool.RunOptions{AllowFaults: true})
 		if err != nil {
 			os.Exit(1)
 		}
@@ -135,7 +141,9 @@ func jsonString(s string) string {
 
 // TestErrorParityAcrossIsolation: requests the envelope rejects — or a
 // pipeline rejects — get the same status and body under -isolation=none
-// and -isolation=process, on every endpoint that takes a body.
+// and -isolation=process, on every endpoint that takes a body, and the
+// two servers count them alike in queryvis_http_requests_total and
+// queryvis_http_errors_total.
 func TestErrorParityAcrossIsolation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns worker processes")
@@ -172,6 +180,150 @@ func TestErrorParityAcrossIsolation(t *testing.T) {
 			t.Errorf("%s: process isolation answered %d %s\nin-process answered %d %s",
 				tc.name, gotSt, got, wantSt, want)
 		}
+	}
+
+	// The two servers counted the same requests by route and status, and
+	// the same errors by category.
+	for _, family := range []string{mRequests, mErrors} {
+		want, got := exposition(t, inproc, family), exposition(t, isolated, family)
+		if want == "" || got != want {
+			t.Errorf("%s: process isolation counted\n%s\nin-process counted\n%s", family, got, want)
+		}
+	}
+}
+
+// exposition returns the lines of ts's /v1/metrics exposition that
+// carry a series of family.
+func exposition(t *testing.T, ts *httptest.Server, family string) string {
+	t.Helper()
+	resp, err := ts.Client().Get(ts.URL + "/v1/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	for _, line := range strings.Split(string(raw), "\n") {
+		if strings.HasPrefix(line, family+"{") {
+			b.WriteString(line + "\n")
+		}
+	}
+	return b.String()
+}
+
+// TestInterpretParityAcrossIsolation: handlerDigests' 200-request mix
+// sent to /v1/interpret answers the same status, body (elapsed_ms
+// zeroed) and verify and degraded headers in-process and under process
+// isolation, where the parent decodes and validates and a worker runs
+// only the pipeline.
+func TestInterpretParityAcrossIsolation(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns worker processes")
+	}
+	inproc := New(Config{})
+	isolated := New(Config{Pool: newTestPool(t, workerpool.Config{Workers: 2})})
+	for i, req := range handlerRequests(t) {
+		want, got := serveJSON(t, inproc, "/v1/interpret", req), serveJSON(t, isolated, "/v1/interpret", req)
+		for _, h := range []string{headerVerifyStatus, "X-QueryVis-Degraded"} {
+			if g, w := got.Header().Get(h), want.Header().Get(h); g != w {
+				t.Errorf("request %d: %s = %q under process isolation, %q in-process", i, h, g, w)
+			}
+		}
+		wantBody := elapsedField.ReplaceAllString(want.Body.String(), `"elapsed_ms":0`)
+		gotBody := elapsedField.ReplaceAllString(got.Body.String(), `"elapsed_ms":0`)
+		if got.Code != want.Code || gotBody != wantBody {
+			t.Fatalf("request %d: process isolation answered %d %s\nin-process answered %d %s",
+				i, got.Code, gotBody, want.Code, wantBody)
+		}
+	}
+}
+
+// TestQuarantineParityAcrossIsolation: the same requests file the same
+// corpus in-process and under process isolation, and the healthz of the
+// process that owns the listener counts the filing, because that
+// process files what its workers' outcomes carry.
+func TestQuarantineParityAcrossIsolation(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns worker processes")
+	}
+	run := func(pool *workerpool.Pool) (*quarantine.Stats, map[string]string) {
+		t.Helper()
+		store, err := quarantine.Open(t.TempDir(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := Config{CacheEntries: 64, DefaultVerify: queryvis.VerifyDegrade, Quarantine: store, Pool: pool}
+		ts := newPoolTestServer(t, cfg)
+		for i := 0; i < 3; i++ {
+			if st, _, raw := postFull(t, ts.Client(), ts.URL+"/v1/diagram", diagramReq(disconnectedSQL, ""), nil); st != http.StatusOK {
+				t.Fatalf("diagram %d: status %d\n%s", i, st, raw)
+			}
+		}
+		if st, _, raw := postFull(t, ts.Client(), ts.URL+"/v1/interpret", diagramReq(disconnectedSQL, ""), nil); st != http.StatusOK {
+			t.Fatalf("interpret: status %d\n%s", st, raw)
+		}
+		hz := getHealthz(t, ts)
+		if hz.Quarantine == nil {
+			t.Fatal("healthz has no quarantine block")
+		}
+		return hz.Quarantine, corpusFiles(t, store.Dir())
+	}
+	local, localFiles := run(nil)
+	isolated, isolatedFiles := run(newTestPool(t, workerpool.Config{Workers: 2}))
+	want := quarantine.Stats{Entries: 1, Added: 1, Deduped: 3}
+	for name, got := range map[string]*quarantine.Stats{"in-process": local, "process isolation": isolated} {
+		if got.Entries != want.Entries || got.Added != want.Added || got.Deduped != want.Deduped {
+			t.Errorf("%s healthz quarantine = %+v, want entries %d, added %d, deduped %d",
+				name, *got, want.Entries, want.Added, want.Deduped)
+		}
+	}
+	if !reflect.DeepEqual(localFiles, isolatedFiles) {
+		t.Errorf("corpus files differ:\nin-process %v\nprocess isolation %v", localFiles, isolatedFiles)
+	}
+}
+
+// corpusFiles reads a quarantine directory: file name → contents with
+// the filing time zeroed.
+func corpusFiles(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := map[string]string{}
+	for _, ent := range ents {
+		raw, err := os.ReadFile(filepath.Join(dir, ent.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[ent.Name()] = timeField.ReplaceAllString(string(raw), `"time":""`)
+	}
+	return files
+}
+
+// timeField matches a quarantine entry's filing time.
+var timeField = regexp.MustCompile(`"time":\s*"[^"]*"`)
+
+// TestOversizedEntryStaysInWorker: a worker's cache entry that would
+// crowd its response frame stays behind, and the diagram it answers
+// crosses instead, for the parent to serve uncached; an entry that fits
+// crosses as is.
+func TestOversizedEntryStaysInWorker(t *testing.T) {
+	j := &job{Req: diagramRequest{Format: "text"}, Mode: queryvis.VerifyDegrade}
+	small := &diagcache.Entry{DOT: "d", Text: "t", VerifyStatus: queryvis.VerifyStatusVerified}
+	o := &outcome{Entry: small}
+	if o.fitFrame(j); o.Entry != small || o.Diagram != nil {
+		t.Fatalf("a fitting entry did not cross as is: %+v", o)
+	}
+	big := &diagcache.Entry{DOT: strings.Repeat("d", workerpool.MaxFrameBytes/2), Text: "t",
+		VerifyStatus: queryvis.VerifyStatusVerified}
+	o = &outcome{Entry: big}
+	o.fitFrame(j)
+	if o.Entry != nil || o.Diagram == nil || o.Diagram.Diagram != "t" || o.Diagram.VerifyStatus != queryvis.VerifyStatusVerified {
+		t.Fatalf("oversized entry: crossed %+v, want only the text diagram it answers", o)
 	}
 }
 
@@ -279,5 +431,30 @@ func TestVerifyCountsAcrossIsolation(t *testing.T) {
 		if l != want[status] || i != want[status] {
 			t.Errorf("verify_total{status=%q}: in-process %v, isolated %v, want %v", status, l, i, want[status])
 		}
+	}
+}
+
+// TestFailedOutcomeKeepsContextError: a failed outcome classified as a
+// timeout or a cancellation still matches its context error, so the
+// cache's singleflight lets a live follower of a leader whose own
+// context died lead the next round instead of inheriting its 504 or 499.
+func TestFailedOutcomeKeepsContextError(t *testing.T) {
+	for _, tc := range []struct {
+		err  error
+		want error
+	}{
+		{context.DeadlineExceeded, context.DeadlineExceeded},
+		{context.Canceled, context.Canceled},
+	} {
+		o := &outcome{}
+		o.fail(tc.err)
+		if err := o.err(); !errors.Is(err, tc.want) {
+			t.Errorf("outcome of %v: %v does not match %v", tc.err, err, tc.want)
+		}
+	}
+	o := &outcome{}
+	o.fail(&queryvis.StageError{Stage: queryvis.StageParse, Err: errors.New("bad")})
+	if err := o.err(); errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("a parse failure matches a context error: %v", err)
 	}
 }

@@ -58,25 +58,27 @@ type Config struct {
 	// AllowFaultInjection honors the X-Fault-Seed request header by
 	// attaching a deterministic fault plan to the request context. For
 	// chaos tests only — never enable it on a production listener. With a
-	// Pool attached it also forwards X-Fault-Seed and X-Worker-Fault to
-	// the worker, so pipeline- and process-level faults compose.
+	// Pool attached the plan's seed rides each job to its worker, and
+	// X-Worker-Fault names a worker fault for the pool to act out, so
+	// pipeline- and process-level faults compose.
 	AllowFaultInjection bool
 
 	// Pool, when non-nil, runs the pipeline in sacrificial child
-	// processes (see internal/workerpool) instead of in-process: a query
-	// that exhausts the stack or the heap kills a worker, never this
-	// daemon. The envelope guards (method, shedding, deadline, body cap),
-	// the diagram endpoints' JSON decoding and validation, and the
-	// diagram cache still run here, so a cache hit never reaches a
-	// worker; SQL is parsed only in the workers, where the pipeline and
-	// its guards run again. /v1/interpret is forwarded whole.
+	// processes (see internal/workerpool and Worker) instead of
+	// in-process: a query that exhausts the stack or the heap kills a
+	// worker, never this daemon. Everything else stays here: the envelope
+	// guards (method, shedding, deadline, body cap), JSON decoding and
+	// validation on every endpoint, the diagram cache (a hit never
+	// reaches a worker), verdict counting, quarantine filing and the
+	// reply. A worker runs only the pipeline, on the decoded request, and
+	// returns a typed outcome.
 	Pool *workerpool.Pool
 
 	// CacheEntries, when positive, gives this server its own
 	// request-keyed diagram cache (see internal/diagcache) bounded to this
 	// many entries and to the diagcache default of 64 MiB of payload,
 	// registered on this server's metrics registry — in either isolation
-	// mode; a pool's workers never cache. The query endpoints serve
+	// mode; a pool's workers never cache. The diagram endpoints serve
 	// rendered results from it: only verified (or verify-off)
 	// non-degraded results are inserted, fault-seeded requests bypass it,
 	// and its keys carry this config's fingerprint. Zero leaves caching
@@ -150,9 +152,9 @@ type Server struct {
 	// nil when telemetry is disabled — the ring is nil-safe, so the
 	// untraced path pays nothing.
 	traces *telemetry.TraceRing
-	// schemas holds the built-in schemas, resolved once at New and shared
-	// read-only by every request (the pipeline never mutates a schema).
-	schemas map[string]*schema.Schema
+	// runner runs the pipeline in-process; with a pool attached its
+	// schemas still validate requests here.
+	runner *runner
 	// build is the X-Queryvis-Build header value, one slice shared by
 	// every response so that stamping it allocates nothing; its
 	// capacity of one makes any append copy it. Nil when the binary is
@@ -162,19 +164,16 @@ type Server struct {
 
 // New builds a Server from the config. The server it builds owns the
 // instance's diagram cache whether or not a pool is attached: with one,
-// the diagram endpoints still decode, validate and look up here, and
-// only cache misses and /v1/interpret reach a worker.
+// every endpoint still decodes, validates and looks up here, and only
+// the pipeline runs of cache misses reach a worker.
 func New(cfg Config) *Server {
 	cfg = cfg.WithDefaults()
 	s := &Server{
-		cfg:     cfg,
-		sem:     make(chan struct{}, cfg.MaxConcurrent),
-		mux:     http.NewServeMux(),
-		start:   time.Now(),
-		schemas: make(map[string]*schema.Schema),
-	}
-	for _, name := range schema.BuiltinNames() {
-		s.schemas[name], _ = schema.ByName(name)
+		cfg:    cfg,
+		sem:    make(chan struct{}, cfg.MaxConcurrent),
+		mux:    http.NewServeMux(),
+		start:  time.Now(),
+		runner: newRunner(cfg),
 	}
 	fp := s.configFingerprint()
 	sum := sha256.Sum256([]byte(fp))
@@ -192,13 +191,9 @@ func New(cfg Config) *Server {
 			Metrics:    s.metrics.reg,
 		})
 	}
-	interpret := s.handleInterpret
-	if cfg.Pool != nil {
-		interpret = s.poolDispatch("/v1/interpret")
-	}
 	s.mux.HandleFunc("/v1/diagram", s.instrument("/v1/diagram", s.guarded(s.handleDiagram)))
 	s.mux.HandleFunc("/v1/diagrams:batch", s.instrument("/v1/diagrams:batch", s.guarded(s.handleBatch)))
-	s.mux.HandleFunc("/v1/interpret", s.instrument("/v1/interpret", s.guarded(interpret)))
+	s.mux.HandleFunc("/v1/interpret", s.instrument("/v1/interpret", s.guarded(s.handleInterpret)))
 	s.mux.HandleFunc("/v1/healthz", s.instrument("/v1/healthz", s.handleHealthz))
 	s.mux.HandleFunc("/v1/metrics", s.handleMetrics)
 	s.mux.HandleFunc("/v1/traces", s.handleTraces)
@@ -306,25 +301,42 @@ func (s *Server) decode(r *http.Request, v any) error {
 	if err := dec.Decode(v); err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
-			return &requestError{http.StatusRequestEntityTooLarge, apiError{
+			return &requestError{status: http.StatusRequestEntityTooLarge, ae: apiError{
 				Category: CatTooLarge,
 				Message:  fmt.Sprintf("request body exceeds %d bytes", mbe.Limit),
 			}}
 		}
-		return &requestError{http.StatusBadRequest, apiError{
+		return &requestError{status: http.StatusBadRequest, ae: apiError{
 			Category: CatBadRequest, Message: "malformed JSON body: " + err.Error(),
 		}}
 	}
 	return nil
 }
 
-// requestError is an envelope-level failure with its own status code.
+// requestError is an already classified failure with its own status
+// code: one the envelope checks found here, or a failed outcome (see
+// outcome.err), which also names the verification verdict its reply
+// reports.
 type requestError struct {
-	status int
-	ae     apiError
+	status  int
+	ae      apiError
+	verdict string
 }
 
 func (e *requestError) Error() string { return e.ae.Message }
+
+// Is keeps a classified timeout or cancellation matching the context
+// error it came from, so the cache's singleflight still retries a
+// follower whose leader's own context died.
+func (e *requestError) Is(target error) bool {
+	switch e.ae.Category {
+	case CatTimeout:
+		return target == context.DeadlineExceeded
+	case CatCanceled:
+		return target == context.Canceled
+	}
+	return false
+}
 
 // diagramRequest is the body of /v1/diagram and /v1/interpret.
 type diagramRequest struct {
@@ -340,21 +352,22 @@ type diagramRequest struct {
 	Verify string `json:"verify,omitempty"`
 }
 
-// validate resolves the request's schema and defaults its format.
-func (s *Server) validate(req *diagramRequest) (*schema.Schema, error) {
+// newJob validates a decoded request — resolving its schema name,
+// defaulting its format and resolving its verification mode — and makes
+// it a diagram job carrying the request's injected faults.
+func (s *Server) newJob(r *http.Request, req diagramRequest) (*job, error) {
 	if req.SQL == "" {
-		return nil, &requestError{http.StatusBadRequest, apiError{
+		return nil, &requestError{status: http.StatusBadRequest, ae: apiError{
 			Category: CatBadRequest, Message: `missing "sql" field`,
 		}}
 	}
 	if req.Schema == "" {
-		return nil, &requestError{http.StatusBadRequest, apiError{
+		return nil, &requestError{status: http.StatusBadRequest, ae: apiError{
 			Category: CatBadRequest, Message: `missing "schema" field`,
 		}}
 	}
-	sch, ok := s.schemas[req.Schema]
-	if !ok {
-		return nil, &requestError{http.StatusBadRequest, apiError{
+	if _, ok := s.runner.schemas[req.Schema]; !ok {
+		return nil, &requestError{status: http.StatusBadRequest, ae: apiError{
 			Category: CatBadRequest,
 			Message:  fmt.Sprintf("unknown schema %q; one of %v", req.Schema, schema.BuiltinNames()),
 		}}
@@ -364,140 +377,43 @@ func (s *Server) validate(req *diagramRequest) (*schema.Schema, error) {
 		req.Format = "dot"
 	case "dot", "svg", "text":
 	default:
-		return nil, &requestError{http.StatusBadRequest, apiError{
+		return nil, &requestError{status: http.StatusBadRequest, ae: apiError{
 			Category: CatBadRequest,
 			Message:  fmt.Sprintf("unknown format %q; one of dot, svg, text", req.Format),
 		}}
 	}
-	return sch, nil
+	j := &job{Req: req, Mode: s.cfg.DefaultVerify, Quarantine: s.cfg.Quarantine != nil}
+	if req.Verify != "" {
+		m, err := queryvis.ParseVerifyMode(req.Verify)
+		if err != nil {
+			return nil, &requestError{status: http.StatusBadRequest, ae: apiError{
+				Category: CatBadRequest, Message: err.Error(),
+			}}
+		}
+		j.Mode = m
+	}
+	if p := faults.FromContext(r.Context()); p != nil {
+		j.FaultSeed = &p.Seed
+	}
+	if s.cfg.AllowFaultInjection {
+		j.workerFault = r.Header.Get(faults.HeaderWorkerFault)
+	}
+	return j, nil
 }
 
-// fail writes an envelope-level failure (a *requestError) as its API
-// error and returns nil; any other error is returned for the caller to
-// classify as a pipeline error.
+// fail writes an already classified failure (a *requestError) as its
+// API error, with the verdict header of a strict verification failure,
+// and returns nil; any other error is returned for guarded to classify.
 func (s *Server) fail(w http.ResponseWriter, err error) error {
 	var re *requestError
 	if errors.As(err, &re) {
+		if re.verdict != "" {
+			w.Header().Set(headerVerifyStatus, re.verdict)
+		}
 		writeAPIError(w, re.status, re.ae)
 		return nil
 	}
 	return err
-}
-
-func (s *Server) options(req *diagramRequest) queryvis.Options {
-	opts := queryvis.Options{Simplify: req.Simplify}
-	if !s.cfg.Unlimited {
-		lim := s.cfg.Limits
-		opts.Limits = &lim
-	}
-	return opts
-}
-
-// verifyMode resolves the request's effective verification mode.
-func (s *Server) verifyMode(req *diagramRequest) (queryvis.VerifyMode, error) {
-	if req.Verify == "" {
-		return s.cfg.DefaultVerify, nil
-	}
-	m, err := queryvis.ParseVerifyMode(req.Verify)
-	if err != nil {
-		return queryvis.VerifyOff, &requestError{http.StatusBadRequest, apiError{
-			Category: CatBadRequest, Message: err.Error(),
-		}}
-	}
-	return m, nil
-}
-
-// runVerified executes the pipeline under the request's verification
-// mode, counts the verdict (see recordVerifyOutcome), and scrubs and
-// quarantines inputs that failed verification or tripped panic
-// containment.
-func (s *Server) runVerified(ctx context.Context, req *diagramRequest, sch *schema.Schema) (*queryvis.Result, queryvis.VerifyMode, error) {
-	mode, err := s.verifyMode(req)
-	if err != nil {
-		return nil, mode, err
-	}
-	opts := s.options(req)
-	opts.Verify = mode
-
-	res, err := queryvis.FromSQLContext(ctx, req.SQL, sch, opts)
-
-	status := verifyOutcome(res, err)
-	if mode != queryvis.VerifyOff {
-		s.recordVerifyOutcome(status)
-	}
-	s.maybeQuarantine(ctx, req, res, err, status)
-
-	if err != nil {
-		return nil, mode, err
-	}
-	return res, mode, nil
-}
-
-// verifyOutcome extracts the verification verdict from a pipeline
-// outcome: the result's status on success, the VerifyError's status on a
-// strict failure, "" when verification never reached a verdict.
-func verifyOutcome(res *queryvis.Result, err error) string {
-	if err != nil {
-		var ve *queryvis.VerifyError
-		if errors.As(err, &ve) {
-			return ve.Status
-		}
-		return ""
-	}
-	return res.VerifyStatus
-}
-
-// maybeQuarantine persists the request's scrubbed input when it failed
-// verification (including served-degraded responses) or tripped panic
-// containment. Deduplication lives in the store: re-filing a known
-// failure is a no-op.
-func (s *Server) maybeQuarantine(ctx context.Context, req *diagramRequest, res *queryvis.Result, err error, status string) {
-	if s.cfg.Quarantine == nil {
-		return
-	}
-	var stage, detail, rung string
-	switch {
-	case err != nil:
-		var ie *queryvis.InternalError
-		var ve *queryvis.VerifyError
-		switch {
-		case errors.As(err, &ie):
-			stage, status = "panic", queryvis.VerifyStatusError
-		case errors.As(err, &ve):
-			stage, status = ve.Status, ve.Status
-		default:
-			return // user faults, limits, timeouts: not corpus material
-		}
-		detail = err.Error()
-	case status == "" || status == queryvis.VerifyStatusOff ||
-		status == queryvis.VerifyStatusVerified:
-		return
-	default:
-		stage, detail, rung = status, res.VerifyDetail, res.Degraded
-	}
-
-	e := quarantine.Entry{
-		Stage:    stage,
-		Schema:   req.Schema,
-		SQL:      quarantine.ScrubSQL(req.SQL),
-		Status:   status,
-		Rung:     rung,
-		Detail:   detail,
-		Simplify: req.Simplify,
-	}
-	if p := faults.FromContext(ctx); p != nil {
-		e.FaultSeed = p.Seed
-	}
-	// Fingerprinting is a factorial-cost canonical labeling, and this is
-	// the request path on input that just failed — bound it, and let the
-	// scrubbed SQL carry dedup for diagrams too symmetric to label
-	// cheaply (a wide query's sibling boxes are exactly that case).
-	if res != nil && res.Diagram != nil {
-		if k, ok := queryvis.PatternFingerprintBounded(res.Diagram, queryvis.DefaultFingerprintPerms); ok {
-			e.PatternKey = k
-		}
-	}
-	_, _, _ = s.cfg.Quarantine.Add(e) // best-effort: serving beats filing
 }
 
 type diagramResponse struct {
@@ -521,15 +437,16 @@ func (s *Server) handleDiagram(w http.ResponseWriter, r *http.Request) error {
 		return s.fail(w, err)
 	}
 	noteSQL(w, req.SQL)
-	sch, err := s.validate(&req)
+	j, err := s.newJob(r, req)
 	if err != nil {
 		return s.fail(w, err)
 	}
-	sv, err := s.serveDiagram(r, &req, sch, started)
+	sv, err := s.serveDiagram(r.Context(), j, started)
 	if err != nil {
 		return s.fail(w, err)
 	}
-	sv.write(w)
+	setResultHeaders(w, sv.resp.VerifyStatus, sv.resp.Degraded, sv.cache)
+	writeJSON(w, http.StatusOK, sv.resp)
 	return nil
 }
 
@@ -550,27 +467,20 @@ func (s *Server) handleInterpret(w http.ResponseWriter, r *http.Request) error {
 		return s.fail(w, err)
 	}
 	noteSQL(w, req.SQL)
-	sch, err := s.validate(&req)
+	j, err := s.newJob(r, req)
 	if err != nil {
 		return s.fail(w, err)
 	}
-	res, mode, err := s.runVerified(r.Context(), &req, sch)
+	j.Interpret = true
+	o, err := s.exec(r.Context(), j)
 	if err != nil {
+		return err
+	}
+	if err := o.err(); err != nil {
 		return s.fail(w, err)
 	}
-	resp := interpretResponse{
-		Interpretation: res.Interpretation,
-		TRC:            res.TRC.String(),
-		ElapsedMS:      time.Since(started).Milliseconds(),
-		VerifyStatus:   reportedStatus(mode, res.VerifyStatus),
-		Degraded:       res.Degraded,
-	}
-	// A result degraded to the TRC rung carries no tree; the calculus
-	// text above is the whole answer.
-	if res.Tree != nil && res.Degraded != queryvis.RungTRC {
-		resp.Tree = res.Tree.String()
-		resp.NestingDepth = res.Tree.MaxDepth()
-	}
+	resp := o.Interpret
+	resp.ElapsedMS = time.Since(started).Milliseconds()
 	setResultHeaders(w, resp.VerifyStatus, resp.Degraded, "")
 	writeJSON(w, http.StatusOK, resp)
 	return nil

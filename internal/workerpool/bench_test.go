@@ -19,8 +19,8 @@ import (
 // hardened HTTP service serving POST /v1/diagram with the pipeline
 // in-process (none) versus dispatched over the frame protocol to a pool
 // of child worker processes (process). The delta is the full isolation
-// tax — frame encode/decode, two pipe crossings, and the child's own
-// handler stack — and is recorded as the isolation columns in
+// tax — the job and outcome encodings, frame encode/decode and two pipe
+// crossings — and is recorded as the isolation columns in
 // BENCH_server.json. The pool is sized to the benchmark's 8 parallel
 // clients so the columns compare IPC overhead, not queueing.
 func BenchmarkDiagramEndpointIsolation(b *testing.B) {

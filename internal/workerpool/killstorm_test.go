@@ -273,8 +273,11 @@ func TestCrashContainment(t *testing.T) {
 
 	// Workers run with a deliberately tiny stack ceiling and no pipeline
 	// limits: deepQuery recurses past the ceiling somewhere inside the
-	// compile pipeline and the Go runtime kills the process. The parent
-	// test binary has the normal 1GB ceiling and is untouched.
+	// compile pipeline and the Go runtime kills the process. The parser's
+	// recursion alone needs about 580 bytes a level, so 990 levels (near
+	// its cap of 1000) clear the 512 KiB ceiling by ~10% however few
+	// frames sit above the pipeline. The parent test binary has the
+	// normal 1GB ceiling and is untouched.
 	p := newPool(t, workerpool.Config{
 		Workers: 2,
 		Spawn:   spawnSelf(envMaxStack+"=524288", envUnlimited+"=1"),
@@ -282,7 +285,7 @@ func TestCrashContainment(t *testing.T) {
 	ctx := context.Background()
 
 	// Sanity: the tiny-stack worker serves normal queries fine.
-	if resp, err := doDiagram(ctx, p, qSome, nil); err != nil || resp.Status != 200 {
+	if resp, err := doDiagram(ctx, p, qSome, ""); err != nil || resp.Status != 200 {
 		t.Fatalf("healthy request on tiny-stack worker: err %v resp %+v", err, resp)
 	}
 
@@ -298,7 +301,7 @@ func TestCrashContainment(t *testing.T) {
 				return
 			default:
 			}
-			resp, err := doDiagram(ctx, p, qSome, nil)
+			resp, err := doDiagram(ctx, p, qSome, "")
 			if err != nil {
 				healthyErr <- fmt.Errorf("healthy request failed during containment: %w", err)
 				return
@@ -310,7 +313,7 @@ func TestCrashContainment(t *testing.T) {
 		}
 	}()
 
-	_, err := doDiagram(ctx, p, deepQuery(900), nil)
+	_, err := doDiagram(ctx, p, deepQuery(990), "")
 	close(stop)
 	if herr := <-healthyErr; herr != nil {
 		t.Fatal(herr)
@@ -324,7 +327,7 @@ func TestCrashContainment(t *testing.T) {
 	}
 
 	// And the pool heals: fresh workers, healthy service.
-	if resp, err := doDiagram(ctx, p, qSome, nil); err != nil || resp.Status != 200 {
+	if resp, err := doDiagram(ctx, p, qSome, ""); err != nil || resp.Status != 200 {
 		t.Fatalf("after containment: err %v resp %+v", err, resp)
 	}
 }

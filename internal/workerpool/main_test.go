@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/faults"
 	"repro/internal/server"
 	"repro/internal/workerpool"
 )
@@ -45,14 +46,9 @@ func runTestWorker() {
 			debug.SetMaxStack(n)
 		}
 	}
-	cfg := server.Config{
-		RequestTimeout:      2 * time.Second,
-		AllowFaultInjection: true,
-		DisableTelemetry:    true,
-		Unlimited:           os.Getenv(envUnlimited) == "1",
-	}
-	if err := workerpool.RunWorker(os.Stdin, os.Stdout, server.New(cfg), workerpool.RunOptions{
-		AllowFaultHeaders: true,
+	cfg := server.Config{Unlimited: os.Getenv(envUnlimited) == "1"}
+	if err := workerpool.RunWorker(os.Stdin, os.Stdout, server.Worker(cfg), workerpool.RunOptions{
+		AllowFaults: true,
 	}); err != nil {
 		os.Exit(1)
 	}
@@ -111,13 +107,57 @@ func diagramBody(sql string) []byte {
 	return b
 }
 
-// doDiagram dispatches one /v1/diagram request through the pool.
-func doDiagram(ctx context.Context, p *workerpool.Pool, sql string, header map[string]string) (*workerpool.Response, error) {
-	return p.Do(ctx, workerpool.Request{
-		Endpoint: "/v1/diagram",
-		Header:   header,
-		Body:     diagramBody(sql),
-	})
+// job encodes a pipeline job for sql on the beers schema in the wire
+// form server.Worker decodes: a DOT diagram, or the interpretation, with
+// an optional injected fault plan.
+func job(sql string, interpret bool, faultSeed *int64) []byte {
+	j := map[string]any{
+		"req":       map[string]any{"sql": sql, "schema": "beers", "format": "dot"},
+		"interpret": interpret,
+	}
+	if faultSeed != nil {
+		j["fault_seed"] = *faultSeed
+	}
+	b, _ := json.Marshal(j)
+	return b
+}
+
+// reply is the part of a worker's outcome these tests read. Status is
+// the outcome's HTTP status, 200 for a success.
+type reply struct {
+	Status  int `json:"status"`
+	Diagram *struct {
+		Format  string `json:"format"`
+		Diagram string `json:"diagram"`
+	} `json:"diagram"`
+	Interpret *struct {
+		TRC string `json:"trc"`
+	} `json:"interpret"`
+	Error *struct {
+		Category string `json:"category"`
+	} `json:"error"`
+}
+
+// do dispatches one request through the pool and decodes the outcome.
+func do(ctx context.Context, p *workerpool.Pool, req workerpool.Request) (*reply, error) {
+	resp, err := p.Do(ctx, req)
+	if err != nil {
+		return nil, err
+	}
+	var r reply
+	if err := json.Unmarshal(resp.Outcome, &r); err != nil {
+		return nil, fmt.Errorf("outcome %.120s: %w", resp.Outcome, err)
+	}
+	if r.Error == nil {
+		r.Status = 200
+	}
+	return &r, nil
+}
+
+// doDiagram dispatches one diagram job through the pool, with an
+// injected worker fault when fault is not empty.
+func doDiagram(ctx context.Context, p *workerpool.Pool, sql string, fault faults.WorkerFault) (*reply, error) {
+	return do(ctx, p, workerpool.Request{Job: job(sql, false, nil), Fault: string(fault)})
 }
 
 // qSome is a known-good paper query (Fig. 3a).

@@ -588,18 +588,13 @@ func (p *Pool) dispatchDeadline(ctx context.Context) time.Duration {
 	return deadline
 }
 
-// stampDeadline copies a request with the worker-side deadline header
-// set. The worker gets a slightly earlier deadline than the kill timer,
-// so a slow-but-cooperative pipeline answers with a categorized timeout
+// stampDeadline copies a request with the worker's budget set. The
+// worker gets a slightly earlier deadline than the kill timer, so a
+// slow-but-cooperative pipeline answers with a categorized timeout
 // instead of dying: SIGKILL is for the uncooperative.
 func stampDeadline(req *Request, deadline time.Duration) *Request {
-	workerDeadline := deadline - deadline/10
 	wr := *req
-	wr.Header = make(map[string]string, len(req.Header)+1)
-	for k, v := range req.Header {
-		wr.Header[k] = v
-	}
-	wr.Header[headerDeadlineMS] = strconv.FormatInt(max64(1, workerDeadline.Milliseconds()), 10)
+	wr.DeadlineMS = max(1, (deadline - deadline/10).Milliseconds())
 	return &wr
 }
 
@@ -900,11 +895,4 @@ func (sw *stderrWriter) Write(b []byte) (int, error) {
 		sw.log.Warn("worker stderr", "slot", sw.slot, "output", string(keep))
 	}
 	return n, nil
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

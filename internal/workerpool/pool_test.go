@@ -2,10 +2,8 @@ package workerpool_test
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -22,41 +20,31 @@ func TestPoolServesRequests(t *testing.T) {
 	p := newPool(t, workerpool.Config{Workers: 2})
 	ctx := context.Background()
 
-	resp, err := doDiagram(ctx, p, qSome, nil)
+	resp, err := doDiagram(ctx, p, qSome, "")
 	if err != nil {
 		t.Fatalf("diagram via pool: %v", err)
 	}
 	if resp.Status != 200 {
-		t.Fatalf("status %d, body %s", resp.Status, resp.Body)
+		t.Fatalf("status %d, outcome %+v", resp.Status, resp)
 	}
-	var body struct {
-		Format  string `json:"format"`
-		Diagram string `json:"diagram"`
-	}
-	if err := json.Unmarshal(resp.Body, &body); err != nil {
-		t.Fatalf("response not JSON: %v", err)
-	}
-	if body.Format != "dot" || !strings.Contains(body.Diagram, "digraph") {
+	if body := resp.Diagram; body == nil || body.Format != "dot" || !strings.Contains(body.Diagram, "digraph") {
 		t.Fatalf("unexpected diagram payload: %+v", body)
 	}
 
 	// The other endpoint rides the same protocol.
-	iresp, err := p.Do(ctx, workerpool.Request{
-		Endpoint: "/v1/interpret",
-		Body:     diagramBody(qSome),
-	})
-	if err != nil || iresp.Status != 200 {
-		t.Fatalf("interpret via pool: err %v status %d", err, iresp.Status)
+	iresp, err := do(ctx, p, workerpool.Request{Job: job(qSome, true, nil)})
+	if err != nil || iresp.Status != 200 || iresp.Interpret == nil || iresp.Interpret.TRC == "" {
+		t.Fatalf("interpret via pool: err %v outcome %+v", err, iresp)
 	}
 
-	// Pipeline errors are responses, not worker failures: a parse error
+	// Pipeline errors are outcomes, not worker failures: a parse error
 	// comes back as the worker's categorized 422, costing no worker.
-	presp, err := doDiagram(ctx, p, "SELEKT nope", nil)
+	presp, err := doDiagram(ctx, p, "SELEKT nope", "")
 	if err != nil {
 		t.Fatalf("parse-error request: %v", err)
 	}
-	if presp.Status != 422 || !strings.Contains(string(presp.Body), `"parse"`) {
-		t.Fatalf("want categorized 422, got %d %s", presp.Status, presp.Body)
+	if presp.Status != 422 || presp.Error == nil || presp.Error.Category != "parse" {
+		t.Fatalf("want categorized 422, got %d %+v", presp.Status, presp.Error)
 	}
 	if st := p.State(); st.Exits["crash"] != 0 {
 		t.Fatalf("serving errors must not kill workers: %+v", st)
@@ -72,9 +60,7 @@ func TestCrashFaultRetriedOnceThenSurfaced(t *testing.T) {
 	// The crash header is deterministic, so the transparent retry lands
 	// on a fresh worker that crashes identically: two attempts, then the
 	// typed error.
-	_, err := doDiagram(ctx, p, qSome, map[string]string{
-		faults.HeaderWorkerFault: string(faults.WorkerFaultCrash),
-	})
+	_, err := doDiagram(ctx, p, qSome, faults.WorkerFaultCrash)
 	var we *workerpool.WorkerError
 	if !errors.As(err, &we) {
 		t.Fatalf("want *WorkerError, got %v", err)
@@ -88,7 +74,7 @@ func TestCrashFaultRetriedOnceThenSurfaced(t *testing.T) {
 	}
 
 	// The pool recovers: a healthy request succeeds on respawned workers.
-	resp, err := doDiagram(ctx, p, qSome, nil)
+	resp, err := doDiagram(ctx, p, qSome, "")
 	if err != nil || resp.Status != 200 {
 		t.Fatalf("after crash recovery: err %v status %d", err, resp.Status)
 	}
@@ -100,9 +86,7 @@ func TestWedgedWorkerKilledByDeadline(t *testing.T) {
 	p := newPool(t, workerpool.Config{Workers: 2, RequestTimeout: 300 * time.Millisecond})
 
 	start := time.Now()
-	_, err := doDiagram(context.Background(), p, qSome, map[string]string{
-		faults.HeaderWorkerFault: string(faults.WorkerFaultWedge),
-	})
+	_, err := doDiagram(context.Background(), p, qSome, faults.WorkerFaultWedge)
 	var we *workerpool.WorkerError
 	if !errors.As(err, &we) || we.Kind != workerpool.KindTimeout {
 		t.Fatalf("want KindTimeout, got %v", err)
@@ -122,9 +106,7 @@ func TestGarbageOnPipeClassifiedProtocol(t *testing.T) {
 	t.Cleanup(leak.Check(t))
 	p := newPool(t, workerpool.Config{Workers: 2})
 
-	_, err := doDiagram(context.Background(), p, qSome, map[string]string{
-		faults.HeaderWorkerFault: string(faults.WorkerFaultGarbage),
-	})
+	_, err := doDiagram(context.Background(), p, qSome, faults.WorkerFaultGarbage)
 	var we *workerpool.WorkerError
 	if !errors.As(err, &we) || we.Kind != workerpool.KindProtocol {
 		t.Fatalf("want KindProtocol, got %v", err)
@@ -141,7 +123,7 @@ func TestRecyclingUsesCrashPath(t *testing.T) {
 	ctx := context.Background()
 
 	for i := 0; i < 7; i++ {
-		resp, err := doDiagram(ctx, p, qSome, nil)
+		resp, err := doDiagram(ctx, p, qSome, "")
 		if err != nil || resp.Status != 200 {
 			t.Fatalf("request %d across recycles: err %v status %d", i, err, resp.Status)
 		}
@@ -165,9 +147,7 @@ func TestClientCancellationKillsWorker(t *testing.T) {
 		time.Sleep(100 * time.Millisecond)
 		cancel()
 	}()
-	_, err := doDiagram(ctx, p, qSome, map[string]string{
-		faults.HeaderWorkerFault: string(faults.WorkerFaultWedge),
-	})
+	_, err := doDiagram(ctx, p, qSome, faults.WorkerFaultWedge)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
@@ -205,19 +185,17 @@ func TestDrainWaitsForInflight(t *testing.T) {
 
 	// Warm up so the slow request below hits a live worker immediately
 	// rather than spending its delay budget on spawn latency.
-	if resp, err := doDiagram(context.Background(), p, qSome, nil); err != nil || resp.Status != 200 {
+	if resp, err := doDiagram(context.Background(), p, qSome, ""); err != nil || resp.Status != 200 {
 		t.Fatalf("warm-up: err %v resp %+v", err, resp)
 	}
 
 	type outcome struct {
-		resp *workerpool.Response
+		resp *reply
 		err  error
 	}
 	slow := make(chan outcome, 1)
 	go func() {
-		resp, err := doDiagram(context.Background(), p, qSome, map[string]string{
-			"X-Fault-Seed": strconv.FormatInt(delaySeed, 10),
-		})
+		resp, err := do(context.Background(), p, workerpool.Request{Job: job(qSome, false, &delaySeed)})
 		slow <- outcome{resp, err}
 	}()
 	time.Sleep(10 * time.Millisecond) // let the dispatch reach the worker
@@ -232,7 +210,7 @@ func TestDrainWaitsForInflight(t *testing.T) {
 		t.Fatalf("in-flight request during drain: err %v resp %+v", out.err, out.resp)
 	}
 	// After the drain, new work is refused with the typed sentinel.
-	if _, err := doDiagram(context.Background(), p, qSome, nil); !errors.Is(err, workerpool.ErrPoolClosed) {
+	if _, err := doDiagram(context.Background(), p, qSome, ""); !errors.Is(err, workerpool.ErrPoolClosed) {
 		t.Fatalf("want ErrPoolClosed after drain, got %v", err)
 	}
 }
@@ -255,17 +233,17 @@ func TestLapsedDeadlineIsDeadlineExceeded(t *testing.T) {
 	ctx := context.Background()
 
 	// Warm up so the lapsed dispatch finds an idle worker.
-	if resp, err := doDiagram(ctx, p, qSome, nil); err != nil || resp.Status != 200 {
+	if resp, err := doDiagram(ctx, p, qSome, ""); err != nil || resp.Status != 200 {
 		t.Fatalf("warm-up: err %v resp %+v", err, resp)
 	}
-	resp, err := doDiagram(lapsedCtx{ctx}, p, qSome, nil)
+	resp, err := doDiagram(lapsedCtx{ctx}, p, qSome, "")
 	if !errors.Is(err, context.DeadlineExceeded) || resp != nil {
 		t.Fatalf("lapsed deadline: resp=%v err=%v, want nil and context.DeadlineExceeded", resp, err)
 	}
 	if st := p.State(); st.Spawns != 1 || st.Idle != 1 || len(st.Exits) != 0 {
 		t.Fatalf("lapsed dispatch cost a worker: %+v", st)
 	}
-	if resp, err := doDiagram(ctx, p, qSome, nil); err != nil || resp.Status != 200 {
+	if resp, err := doDiagram(ctx, p, qSome, ""); err != nil || resp.Status != 200 {
 		t.Fatalf("after lapsed dispatch: err %v resp %+v", err, resp)
 	}
 }
@@ -273,7 +251,7 @@ func TestLapsedDeadlineIsDeadlineExceeded(t *testing.T) {
 // wellFormed checks one dispatch outcome and returns a diagnostic when
 // the outcome is neither a correct response for its request nor a typed
 // worker error. wantOK says whether the request's SQL was valid.
-func wellFormed(resp *workerpool.Response, err error, wantOK bool) string {
+func wellFormed(resp *reply, err error, wantOK bool) string {
 	if err != nil {
 		var we *workerpool.WorkerError
 		if !errors.As(err, &we) {
@@ -288,22 +266,13 @@ func wellFormed(resp *workerpool.Response, err error, wantOK bool) string {
 		return "nil response with nil error"
 	}
 	if wantOK {
-		var out struct {
-			Diagram string `json:"diagram"`
-		}
-		if resp.Status != 200 || json.Unmarshal(resp.Body, &out) != nil ||
-			!strings.Contains(out.Diagram, "digraph") {
-			return fmt.Sprintf("valid SQL answered status %d body %.120s", resp.Status, resp.Body)
+		if resp.Status != 200 || resp.Diagram == nil || !strings.Contains(resp.Diagram.Diagram, "digraph") {
+			return fmt.Sprintf("valid SQL answered status %d outcome %+v", resp.Status, resp)
 		}
 		return ""
 	}
-	var eb struct {
-		Error struct {
-			Category string `json:"category"`
-		} `json:"error"`
-	}
-	if resp.Status != 422 || json.Unmarshal(resp.Body, &eb) != nil || eb.Error.Category != "parse" {
-		return fmt.Sprintf("invalid SQL answered status %d body %.120s", resp.Status, resp.Body)
+	if resp.Status != 422 || resp.Error == nil || resp.Error.Category != "parse" {
+		return fmt.Sprintf("invalid SQL answered status %d outcome %+v", resp.Status, resp)
 	}
 	return ""
 }
@@ -330,7 +299,7 @@ func TestSaturatedCallersGetOwnAnswers(t *testing.T) {
 			if i%3 == 0 {
 				sql, wantOK = "SELEC garbage FROM nowhere", false
 			}
-			resp, err := doDiagram(ctx, p, sql, nil)
+			resp, err := doDiagram(ctx, p, sql, "")
 			if err != nil {
 				// No faults are injected here; nothing may fail at all.
 				t.Errorf("request %d: %v", i, err)
@@ -370,11 +339,11 @@ func TestCrashUnderSaturation(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			var hdr map[string]string
+			var fault faults.WorkerFault
 			if i%8 == 0 {
-				hdr = map[string]string{faults.HeaderWorkerFault: string(faults.WorkerFaultCrash)}
+				fault = faults.WorkerFaultCrash
 			}
-			resp, err := doDiagram(ctx, p, qSome, hdr)
+			resp, err := doDiagram(ctx, p, qSome, fault)
 			if msg := wellFormed(resp, err, true); msg != "" {
 				t.Errorf("request %d: %s", i, msg)
 				return
@@ -416,7 +385,7 @@ func TestCrashUnderSaturation(t *testing.T) {
 	}
 
 	// The pool converges back to healthy service.
-	if resp, err := doDiagram(ctx, p, qSome, nil); err != nil || resp.Status != 200 {
+	if resp, err := doDiagram(ctx, p, qSome, ""); err != nil || resp.Status != 200 {
 		t.Fatalf("after crash storm: err %v resp %+v", err, resp)
 	}
 }

@@ -21,12 +21,17 @@
 // capped: a corrupt length prefix is detected as a protocol error, not
 // an attempted multi-gigabyte allocation.
 //
-// Workers keep no diagram cache: the parent owns the instance's one
-// cache, answers its hits without a dispatch, and sends only misses. A
-// miss travels with WantEntry set, and its response frame carries the
-// rendered cache entry beside the verbatim reply when the result may be
-// cached, so a recycled worker takes nothing with it. The pool places
-// requests on whichever worker is free; no request prefers a worker.
+// The pool moves jobs, not HTTP. A request frame carries one encoded
+// job the caller defined, which the pool never reads, plus the envelope
+// the worker loop acts on: one deadline, the trace context, the request
+// ID and an injected worker fault. A response frame carries the job
+// function's encoded outcome and the worker's spans. The caller owns
+// both encodings (internal/server's job and outcome); whatever the
+// outcome needs doing in the long-lived process — counting, filing,
+// caching, writing a reply — its caller does once the frame is back. A
+// worker keeps nothing between jobs, so a recycled worker takes nothing
+// with it. The pool places requests on whichever worker is free; no
+// request prefers a worker.
 package workerpool
 
 import (
@@ -36,53 +41,45 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/diagcache"
 	"repro/internal/telemetry"
 )
 
 // MaxFrameBytes caps a single protocol frame in either direction.
 // Rendered outputs are bounded by queryvis.Limits.MaxOutputBytes (1 MiB
-// by default) and request bodies by the server's body cap, so 16 MiB is
+// by default) and jobs by the caller's request body cap, so 16 MiB is
 // far above anything legitimate while still rejecting garbage length
 // prefixes immediately.
 const MaxFrameBytes = 16 << 20
 
-// Request is one unit of work dispatched to a worker: an opaque HTTP
-// request body for one of the service's POST endpoints. The supervisor
-// does not interpret the body — parsing adversarial input is exactly
-// what must happen inside the sacrificial child.
+// Request is one unit of work dispatched to a worker: the caller's
+// encoded job and the envelope the worker loop acts on around it. The
+// supervisor does not interpret the job — running the pipeline on
+// adversarial input is exactly what must happen inside the sacrificial
+// child.
 type Request struct {
-	// Endpoint is the API route the body targets ("/v1/diagram" or
-	// "/v1/interpret").
-	Endpoint string `json:"endpoint"`
-	// Header carries the allow-listed request headers the worker needs
-	// (request ID, fault-injection seeds).
-	Header map[string]string `json:"header,omitempty"`
-	// Body is the raw JSON request body.
-	Body []byte `json:"body"`
-	// WantEntry asks the worker to build for the parent's diagram cache:
-	// the handler finds an EntrySlot on its context, and a cacheable
-	// result comes back in Response.Entry beside the verbatim reply.
-	WantEntry bool `json:"want_entry,omitempty"`
+	// Job is the caller's encoded job, handed to the worker's Func.
+	Job json.RawMessage `json:"job"`
+	// DeadlineMS is the worker's budget for the job in milliseconds,
+	// stamped by the pool from the dispatch deadline.
+	DeadlineMS int64 `json:"deadline_ms,omitempty"`
+	// Trace, when set, is the dispatch span the worker's spans parent
+	// under; the worker records its spans only then.
+	Trace *telemetry.TraceContext `json:"trace,omitempty"`
+	// RequestID correlates the job with the caller's request.
+	RequestID string `json:"request_id,omitempty"`
+	// Fault names an injected faults.WorkerFault the worker acts out
+	// before the job runs, when its loop honors them (RunOptions).
+	Fault string `json:"fault,omitempty"`
 }
 
-// Response is the worker's verbatim answer: the status, headers, and
-// body its in-process handler produced. The supervisor copies it through
-// to the client untouched, so process isolation cannot change the wire
-// contract.
+// Response is the worker's answer to one Request.
 type Response struct {
-	Status int               `json:"status"`
-	Header map[string]string `json:"header,omitempty"`
-	Body   []byte            `json:"body"`
+	// Outcome is the encoded outcome the worker's Func returned.
+	Outcome json.RawMessage `json:"outcome"`
 	// Spans are the worker-side trace spans for this request, recorded
-	// when the request carried a sampled telemetry.TraceHeader. The
-	// parent merges them into the request's trace tree; they never reach
-	// the client body.
+	// when the request carried a trace context. The parent merges them
+	// into the request's trace tree.
 	Spans []telemetry.Span `json:"spans,omitempty"`
-	// Entry is the rendered cache entry the worker built for a WantEntry
-	// request whose result may be cached; nil otherwise. The parent
-	// inserts it into its own cache and never shows it to the client.
-	Entry *diagcache.Entry `json:"entry,omitempty"`
 }
 
 // frame is the on-pipe envelope for both directions: a request frame

@@ -2,52 +2,46 @@ package workerpool
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"io"
-	"net/http"
-	"net/url"
 	"os"
-	"strconv"
 	"time"
 
-	"repro/internal/diagcache"
 	"repro/internal/faults"
 	"repro/internal/telemetry"
 )
 
+// Func runs one job inside a worker: it decodes the caller's job, does
+// the work under ctx and returns the encoded outcome. A failure of the
+// work itself belongs in the outcome; an error return means the job or
+// its outcome could not be encoded at all, and the worker exits over it.
+type Func func(ctx context.Context, job []byte) ([]byte, error)
+
 // RunOptions tunes the child-side loop.
 type RunOptions struct {
-	// AllowFaultHeaders honors the X-Worker-Fault request header (see
+	// AllowFaults acts out a request's injected worker fault (see
 	// internal/faults.WorkerFault): the worker deliberately crashes,
-	// wedges, or corrupts its pipe instead of serving. Chaos tests only —
-	// the production daemon enables it solely behind the same flag that
-	// gates pipeline fault injection.
-	AllowFaultHeaders bool
-	// DefaultDeadline bounds a request that carries no deadline header
-	// (0 = 30s). The supervisor always sends one; this is the backstop
-	// against a buggy or hostile parent.
-	DefaultDeadline time.Duration
+	// wedges, or corrupts its pipe instead of running the job. Chaos
+	// tests only — the production daemon enables it solely behind the
+	// same flag that gates pipeline fault injection.
+	AllowFaults bool
 }
 
-// headerDeadlineMS carries the supervisor's remaining per-request budget
-// into the child, in milliseconds.
-const headerDeadlineMS = "X-Worker-Deadline-Ms"
+// defaultDeadline bounds a job whose request carries no deadline. The
+// pool always stamps one; this is the backstop against a buggy or
+// hostile parent.
+const defaultDeadline = 30 * time.Second
 
 // RunWorker is the child process's main loop: read one request frame,
-// serve it through h (the same hardened http.Handler the in-process path
-// uses), answer with one response frame, repeat until stdin closes.
-// A clean EOF — the supervisor closing stdin to drain — returns nil;
-// anything else is a protocol failure the child should die loudly over,
-// because from the supervisor's side a confused worker and a dead worker
-// must look the same (crash-only design).
+// run its job through run, answer with one response frame, repeat until
+// stdin closes. A clean EOF — the supervisor closing stdin to drain —
+// returns nil; anything else is a protocol failure the child should die
+// loudly over, because from the supervisor's side a confused worker and
+// a dead worker must look the same (crash-only design).
 //
 // The first frame written is a ready marker, so the supervisor can tell
 // a live child from one that crashed during initialization.
-func RunWorker(r io.Reader, w io.Writer, h http.Handler, opts RunOptions) error {
-	if opts.DefaultDeadline <= 0 {
-		opts.DefaultDeadline = 30 * time.Second
-	}
+func RunWorker(r io.Reader, w io.Writer, run Func, opts RunOptions) error {
 	br := bufio.NewReader(r)
 	bw := bufio.NewWriter(w)
 	if err := writeFrame(bw, &frame{Ready: true}); err != nil {
@@ -64,12 +58,15 @@ func RunWorker(r io.Reader, w io.Writer, h http.Handler, opts RunOptions) error 
 		if f.Req == nil {
 			continue // stray frame: ignore rather than guess
 		}
-		if opts.AllowFaultHeaders {
-			if wf, ok := faults.ParseWorkerFault(f.Req.Header[faults.HeaderWorkerFault]); ok {
+		if opts.AllowFaults {
+			if wf, ok := faults.ParseWorkerFault(f.Req.Fault); ok {
 				actWorkerFault(wf, bw)
 			}
 		}
-		resp := serveOne(h, f.Req, opts.DefaultDeadline)
+		resp, err := serveOne(run, f.Req)
+		if err != nil {
+			return err
+		}
 		if err := writeFrame(bw, &frame{ID: f.ID, Resp: resp}); err != nil {
 			return err
 		}
@@ -95,112 +92,38 @@ func actWorkerFault(wf faults.WorkerFault, bw *bufio.Writer) {
 	}
 }
 
-// serveOne runs one request through the handler with the supervisor's
-// deadline applied, collecting status, headers, and body.
+// serveOne runs one job under the request's deadline.
 //
-// When the request carries a sampled trace context, the worker's
-// pipeline runs under a Tracer rooted at a "worker" span parented on the
-// supervisor's dispatch span, and the recorded spans ride back in the
-// response frame. The worker's own handler runs with telemetry disabled
-// (metrics/logging belong to the parent), but the pipeline stages read
-// the tracer straight off the context, so stage spans record regardless.
-func serveOne(h http.Handler, req *Request, defaultDeadline time.Duration) *Response {
+// When the request carries a trace context, the job runs under a Tracer
+// rooted at a "worker" span parented on the supervisor's dispatch span,
+// and the recorded spans ride back in the response frame. The pipeline
+// stages read the tracer straight off the context, so their spans land
+// under that root.
+func serveOne(run Func, req *Request) (*Response, error) {
 	deadline := defaultDeadline
-	if ms, err := strconv.Atoi(req.Header[headerDeadlineMS]); err == nil && ms > 0 {
-		deadline = time.Duration(ms) * time.Millisecond
+	if req.DeadlineMS > 0 {
+		deadline = time.Duration(req.DeadlineMS) * time.Millisecond
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), deadline)
 	defer cancel()
-
+	if req.RequestID != "" {
+		ctx = telemetry.WithRequestID(ctx, req.RequestID)
+	}
 	var tr *telemetry.Tracer
 	var root telemetry.SpanHandle
-	if tc, ok := telemetry.ParseTraceHeader(req.Header[telemetry.TraceHeader]); ok && tc.Sampled {
+	if tc := req.Trace; tc != nil {
 		tr = telemetry.NewTracerForTrace(tc.TraceID, tc.SpanID)
 		root = tr.StartRoot("worker")
 		ctx = telemetry.WithTracer(ctx, tr)
-		if rid := req.Header["X-Request-ID"]; rid != "" {
-			ctx = telemetry.WithRequestID(ctx, rid)
-		}
 	}
-
-	hr := (&http.Request{
-		Method: http.MethodPost,
-		URL:    &url.URL{Path: req.Endpoint},
-		Header: make(http.Header, len(req.Header)),
-		Body:   io.NopCloser(bytes.NewReader(req.Body)),
-	}).WithContext(ctx)
-	hr.ContentLength = int64(len(req.Body))
-	for k, v := range req.Header {
-		hr.Header.Set(k, v)
+	out, err := run(ctx, req.Job)
+	if err != nil {
+		return nil, err
 	}
-
-	var slot *EntrySlot
-	if req.WantEntry {
-		slot = &EntrySlot{}
-		hr = hr.WithContext(context.WithValue(ctx, entrySlotKey{}, slot))
-	}
-
-	rec := &recorder{status: http.StatusOK, header: make(http.Header)}
-	h.ServeHTTP(rec, hr)
-	resp := &Response{Status: rec.status, Body: rec.body, Header: map[string]string{}}
-	for k := range rec.header {
-		resp.Header[k] = rec.header.Get(k)
-	}
-	if slot != nil && slot.Entry != nil && entryFits(slot.Entry, len(resp.Body)) {
-		resp.Entry = slot.Entry
-	}
+	resp := &Response{Outcome: out}
 	if tr != nil {
 		root.End()
 		resp.Spans = tr.Spans()
 	}
-	return resp
-}
-
-// EntrySlot receives the cache entry a worker builds for its parent. A
-// request frame with WantEntry set reaches the handler with an empty
-// slot on its context; a handler whose result may be cached fills it,
-// and the response frame carries the entry back for the parent's
-// diagram cache.
-type EntrySlot struct {
-	Entry *diagcache.Entry
-}
-
-type entrySlotKey struct{}
-
-// EntrySlotFrom returns the request's entry slot, or nil when the
-// parent did not ask for an entry.
-func EntrySlotFrom(ctx context.Context) *EntrySlot {
-	slot, _ := ctx.Value(entrySlotKey{}).(*EntrySlot)
-	return slot
-}
-
-// entryFits keeps a response frame with its entry well inside
-// MaxFrameBytes: JSON escaping can double rendered markup, so an entry
-// whose renderings and body together pass a quarter of the cap stays
-// behind and the parent serves that result uncached.
-func entryFits(e *diagcache.Entry, body int) bool {
-	return len(e.DOT)+len(e.SVG)+len(e.Text)+len(e.Interpretation)+body <= MaxFrameBytes/4
-}
-
-// recorder is a minimal ResponseWriter (httptest would drag a testing
-// dependency into the daemon binary).
-type recorder struct {
-	status int
-	header http.Header
-	body   []byte
-	wrote  bool
-}
-
-func (r *recorder) Header() http.Header { return r.header }
-
-func (r *recorder) WriteHeader(code int) {
-	if !r.wrote {
-		r.status, r.wrote = code, true
-	}
-}
-
-func (r *recorder) Write(b []byte) (int, error) {
-	r.wrote = true
-	r.body = append(r.body, b...)
-	return len(b), nil
+	return resp, nil
 }

@@ -30,7 +30,14 @@
 #              flag the selected mode would ignore exits 2 naming it,
 #              spawned workers and fleet members get exactly the set
 #              instance flags, and the default flags build the pinned
-#              instance, pool, router and fleet configs
+#              instance, pool, router and fleet configs; plus the one
+#              request path under the race detector: both isolation
+#              modes answer the same errors, counters, verdicts,
+#              interpretations and quarantine corpus, the daemon owns
+#              the cache (a worker fault bypasses it, an oversized entry
+#              stays in the worker), and the digest and batch mixes
+#              match the golden cold and warm through a process-isolated
+#              server
 #   metrics    observability smoke: boot the daemon, serve one Fig. 1
 #              diagram, and require /v1/metrics to expose the metric
 #              families with a non-zero stage histogram; also proves the
@@ -175,6 +182,7 @@ go test -count=1 -run 'TestServeHealthzShutdown|TestProcessIsolationServeDrain|T
 go test -count=1 -run 'TestPrunedSearchMatchesReference|TestAdversarialSweep' ./internal/inverse
 go test -count=1 -run 'TestVerifyWideQueries' .
 go test -count=1 -run 'TestWideQueriesVerifiedOverHTTP|TestVerifyCountsAcrossIsolation' ./internal/server
+go test -count=1 -race -run 'TestErrorParityAcrossIsolation|TestVerifyCountsAcrossIsolation|TestProcessIsolationHealthzCache|TestWorkerFaultBypassesCache|TestInterpretParityAcrossIsolation|TestQuarantineParityAcrossIsolation|TestOversizedEntryStaysInWorker|TestFailedOutcomeKeepsContextError|TestHandlerDigestsProcessColdWarm|TestBatchParityColdWarm' ./internal/server
 
 echo "== metrics smoke + pprof gate (instance + route mode)"
 go test -count=1 -run 'TestMetricsSmoke|TestPprofGate|TestRouterPprofGate' ./cmd/queryvisd

@@ -297,3 +297,62 @@ func TestSimplifiedRungSkipsFlatQueries(t *testing.T) {
 		t.Fatalf("rung = %q, want exists_form", res.Degraded)
 	}
 }
+
+// BenchmarkVerifyRecovery prices the verify stage alone (verifyResult:
+// inverse recovery plus the recovered-vs-forward comparison by
+// pipeline.TreeKey) on two input sets: serve-cold's generator (oracle
+// default configuration, distinct queries round-robin over the five
+// schemas, simplify alternating) and the widest sibling query the
+// default limits admit. Profile it to split the cost by function:
+//
+//	go test -run '^$' -bench BenchmarkVerifyRecovery -benchtime 5s \
+//	    -cpuprofile cpu.out -memprofile mem.out .
+func BenchmarkVerifyRecovery(b *testing.B) {
+	cfg := oracle.DefaultConfig()
+	var cold []*Result
+	var coldOpts []Options
+	master := rand.New(rand.NewSource(1))
+	seen := map[string]bool{}
+	for tries := 0; len(cold) < 1000 && tries < 20000; tries++ {
+		name := cfg.Schemas[len(cold)%len(cfg.Schemas)]
+		s, _ := SchemaByName(name)
+		sql := sqlparse.Format(oracle.Generate(rand.New(rand.NewSource(master.Int63())), s, cfg))
+		if seen[name+sql] {
+			continue
+		}
+		seen[name+sql] = true
+		opts := Options{Simplify: len(cold)%2 == 1}
+		res, err := FromSQL(sql, s, opts)
+		if err != nil {
+			continue
+		}
+		if status, _, _, _ := verifyResult(context.Background(), res, opts, telemetry.SpanHandle{}); status != VerifyStatusVerified {
+			b.Fatalf("%s query %q verifies %s", name, sql, status)
+		}
+		cold, coldOpts = append(cold, res), append(coldOpts, opts)
+	}
+	beers, _ := SchemaByName("beers")
+	wide, err := FromSQL(wideSQL(126), beers, Options{Limits: func() *Limits { l := DefaultLimits(); return &l }()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, set := range []struct {
+		name string
+		res  []*Result
+		opts []Options
+	}{
+		{"serve-cold", cold, coldOpts},
+		{"wide126", []*Result{wide}, []Options{{}}},
+	} {
+		b.Run(set.name, func(b *testing.B) {
+			ctx := context.Background()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				k := i % len(set.res)
+				if status, _, detail, _ := verifyResult(ctx, set.res[k], set.opts[k], telemetry.SpanHandle{}); status != VerifyStatusVerified {
+					b.Fatalf("input %d: %s %s", k, status, detail)
+				}
+			}
+		})
+	}
+}
